@@ -106,31 +106,22 @@ def _structure_key(M: FiniteStructure):
     return (M.family, M.size, tuple(sorted(M.params.items())))
 
 
+def sample_columns(M: FiniteStructure, pf: ParamFormula, rng, samples: int):
+    """Draw `samples` parameter tuples from `rng` (a numpy Generator, or a
+    seed for a new one) and drop repeats. Returns the unique tuples as an
+    (arity, m) index array in lexicographic order and their solution counts."""
+    rng = np.random.default_rng(rng)
+    tuples = np.unique(rng.integers(0, M.size, size=(samples, pf.arity)), axis=0)
+    return tuples.T, solution_mask_matrix(M, pf, tuples.T).sum(axis=0)
+
+
 def _observe(M: FiniteStructure, pf: ParamFormula, samples: int, seed: int):
     """Counts for every parameter tuple (enumerated) or a deduplicated seeded
     sample. Returns (counts, enumerated)."""
     n, k = M.size, pf.arity
     if k == 0 or k * math.log2(n) <= FULL_ENUM_BITS:
         return solution_counts_all(M, pf), True
-    rng = np.random.default_rng([seed, M.size])
-    tuples = rng.integers(0, n, size=(max(samples, 1), k))
-    tuples = np.unique(tuples, axis=0)
-    counts = solution_mask_matrix(M, pf, tuples.T).sum(axis=0)
-    return counts, False
-
-
-class _Cluster:
-    def __init__(self):
-        self.sum_counts = 0.0
-        self.sum_sizes = 0.0
-
-    def add(self, counts_sum, sizes_sum):
-        self.sum_counts += counts_sum
-        self.sum_sizes += sizes_sum
-
-    @property
-    def measure(self):
-        return self.sum_counts / self.sum_sizes
+    return sample_columns(M, pf, [seed, M.size], max(samples, 1))[1], False
 
 
 def profile_family(
@@ -152,7 +143,11 @@ def profile_family(
         counts, enumerated = _observe(M, pf, samples, seed)
         observed.append((M, counts, enumerated))
 
-    clusters: list[_Cluster] = []
+    # per measure: the summed counts and the summed universe sizes of its
+    # members; both are integers below 2**53, so float64 sums are exact in
+    # any order and each measure is their quotient
+    sum_counts = np.zeros(0)
+    sum_sizes = np.zeros(0)
     B: int | None = None
 
     def first_stray_cluster(indices: np.ndarray, normalized: np.ndarray) -> np.ndarray:
@@ -174,9 +169,8 @@ def profile_family(
             top = int(counts0[seg].max())
             B = top if B is None else max(B, top)
         else:
-            c = _Cluster()
-            c.add(float(counts0[seg].sum()), float(len(seg) * M0.size))
-            clusters.append(c)
+            sum_counts = np.append(sum_counts, counts0[seg].sum())
+            sum_sizes = np.append(sum_sizes, len(seg) * M0.size)
 
     # Pass 2: remaining structures join measures, extend B, or open new ones.
     for M, counts, _ in observed[1:]:
@@ -188,13 +182,13 @@ def profile_family(
             todo &= counts > B
         while todo.any():
             rest = np.flatnonzero(todo)
-            if clusters:
-                mus = np.array([c.measure for c in clusters])
+            if len(sum_counts):
+                mus = sum_counts / sum_sizes
                 resid = np.abs(counts[rest, None] - mus[None, :] * n) / sqrt_n
                 arg = resid.argmin(axis=1)
                 join = resid.min(axis=1) <= ceiling
-                for j in np.flatnonzero(join):
-                    clusters[arg[j]].add(float(counts[rest[j]]), float(n))
+                sum_counts += np.bincount(arg[join], counts[rest[join]], len(mus))
+                sum_sizes += np.bincount(arg[join], minlength=len(mus)) * n
                 todo[rest[join]] = False
                 rest = rest[~join]
             if not len(rest):
@@ -209,7 +203,7 @@ def profile_family(
                 normalized = normalized[~small]
             if not len(rest):
                 continue
-            if len(clusters) >= MAX_MEASURES:
+            if len(sum_counts) >= MAX_MEASURES:
                 raise NotOneDimensionalError(
                     f"formula {pf.text!r}: more than {MAX_MEASURES} measures needed "
                     f"at size {n}; not asymptotically one-dimensional at this scale",
@@ -218,12 +212,11 @@ def profile_family(
             # open one new measure from the lowest unexplained cluster; its
             # founders are assigned to it so the loop always makes progress
             members = first_stray_cluster(rest, normalized)
-            c = _Cluster()
-            c.add(float(counts[members].sum()), float(len(members) * n))
-            clusters.append(c)
+            sum_counts = np.append(sum_counts, counts[members].sum())
+            sum_sizes = np.append(sum_sizes, len(members) * n)
             todo[members] = False
 
-    E = sorted(c.measure for c in clusters)
+    E = sorted(sum_counts / sum_sizes)
     merged: list[float] = []
     for m in E:
         if merged and abs(m - merged[-1]) < 1e-9:
@@ -335,32 +328,11 @@ def classify(profile: MeasureProfile, M: FiniteStructure, params=()) -> ParamCla
     return ParamClass("algebraic", count)
 
 
-def psi_set(
-    M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile, budget: int = PSI_BUDGET
-) -> list[tuple[int, ...]]:
-    """All parameter tuples classified large, in lexicographic order."""
-    if profile.formula != pf.key():
-        raise ValueError("profile was built for a different formula")
-    n, k = M.size, pf.arity
-    if n**k > budget:
-        raise EnumerationBudgetError(
-            f"psi enumeration needs {n**k} tuples, budget is {budget}"
-        )
-    counts = profile._counts.get(_structure_key(M))
-    if counts is None:
-        counts = solution_counts_all(M, pf)
-    large, _ = _classify_counts(profile, n, counts)
-    flats = np.flatnonzero(large)
-    if k == 0:
-        return [()] if large.any() else []
-    cols = np.unravel_index(flats, (n,) * k)
-    return [tuple(int(c[i]) for c in cols) for i in range(len(flats))]
-
-
 def psi_columns(
     M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile, budget: int = PSI_BUDGET
 ) -> np.ndarray:
-    """psi_set as an (arity, m) index array; used by the greedy internals."""
+    """Every parameter tuple classified large, as an (arity, m) index array
+    in lexicographic order."""
     if profile.formula != pf.key():
         raise ValueError("profile was built for a different formula")
     n, k = M.size, pf.arity
@@ -376,3 +348,31 @@ def psi_columns(
     if k == 0:
         return np.empty((0, len(flats)), dtype=np.intp)
     return np.array(np.unravel_index(flats, (n,) * k), dtype=np.intp)
+
+
+def psi_set(
+    M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile, budget: int = PSI_BUDGET
+) -> list[tuple[int, ...]]:
+    """psi_columns as a list of tuples."""
+    return [tuple(int(v) for v in col) for col in psi_columns(M, pf, profile, budget).T]
+
+
+def large_columns(
+    M: FiniteStructure,
+    pf: ParamFormula,
+    profile: MeasureProfile,
+    rng,
+    samples: int,
+    budget: int = PSI_BUDGET,
+):
+    """The large parameter tuples a certificate checks. Returns (columns,
+    exhaustive): psi_columns when the tuple space fits the budget, otherwise
+    the large tuples among `samples` drawn by sample_columns from `rng`. A
+    seed is turned into a generator only on the sampled path, so exhaustive
+    runs never load numpy.random."""
+    try:
+        return psi_columns(M, pf, profile, budget), True
+    except EnumerationBudgetError:
+        cols, counts = sample_columns(M, pf, rng, samples)
+        large, _ = _classify_counts(profile, M.size, counts)
+        return cols[:, large], False

@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,14 @@ from .finitemodels import (
 from .folang import ParamFormula, parse_formula
 from .hgreedy import BEST_EFFORT, STRICT, build_h, derive_config, size_threshold_ok
 from .haxioms import run_axiom_checks
-from .hsequence import COARSE_DIM, FormulaSchedule, build_sequence, coarse_dimension_series, schedule_in
+from .hsequence import (
+    COARSE_DIM,
+    FormulaSchedule,
+    build_sequence,
+    coarse_dimension_series,
+    parallel_map,
+    schedule_in,
+)
 from .lovelypair import csv_rows, experiment_summary, run_experiment
 
 MODES = (STRICT, BEST_EFFORT, COARSE_DIM)
@@ -58,7 +64,7 @@ _TOP_KEYS = {
     "window",
     "sweep_a1",
 }
-_FAMILY_KEYS = {"family", "lo", "hi", "values", "poly_rule"}
+_FAMILY_KEYS = {"family", "lo", "hi", "values"}
 _FORMULA_KEYS = {"text", "object", "params"}
 
 
@@ -99,13 +105,12 @@ def _parse_family(raw) -> FamilySpec:
         raise ExperimentConfigError(
             f"unknown family {raw['family']!r}; choose one of {list(FAMILIES)}"
         )
-    values = raw.get("values")
+    values, lo, hi = raw.get("values"), raw.get("lo"), raw.get("hi")
     return FamilySpec(
         family=raw["family"],
-        lo=raw.get("lo"),
-        hi=raw.get("hi"),
+        lo=None if lo is None else int(lo),
+        hi=None if hi is None else int(hi),
         values=None if values is None else tuple(int(v) for v in values),
-        poly_rule=raw.get("poly_rule", "least-nonresidue"),
     )
 
 
@@ -140,20 +145,20 @@ def load_config(path: str) -> ExperimentConfig:
     _reject_unknown(raw, _TOP_KEYS, "config")
     if "family" not in raw:
         raise ExperimentConfigError("config needs a 'family' entry")
-    family = _parse_family(raw["family"])
-    sig = signature_for_family(family.family)
-    cover = [
-        _parse_formula_entry(entry, sig, f"cover[{i}]")
-        for i, entry in enumerate(raw.get("cover", []))
-    ]
-    avoid = [
-        _parse_formula_entry(entry, sig, f"avoid[{i}]")
-        for i, entry in enumerate(raw.get("avoid", []))
-    ]
     mode = raw.get("mode", STRICT)
     if mode not in MODES:
         raise ExperimentConfigError(f"mode must be one of {MODES}, got {mode!r}")
     try:
+        family = _parse_family(raw["family"])
+        sig = signature_for_family(family.family)
+        cover = [
+            _parse_formula_entry(entry, sig, f"cover[{i}]")
+            for i, entry in enumerate(raw.get("cover", []))
+        ]
+        avoid = [
+            _parse_formula_entry(entry, sig, f"avoid[{i}]")
+            for i, entry in enumerate(raw.get("avoid", []))
+        ]
         threads = raw.get("threads")
         cfg = ExperimentConfig(
             family=family,
@@ -258,14 +263,7 @@ def _build_family(cfg: ExperimentConfig, threads: int):
         else:
             jobs.append(M)
 
-    def run(M):
-        return build_h(M, gcfg, mode)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(M) for M in jobs]
+    results = parallel_map(lambda M: build_h(M, gcfg, mode), jobs, threads)
     builds = list(zip(jobs, results))
     return family, gcfg, builds, skipped
 
@@ -335,11 +333,7 @@ def cmd_axioms(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
             seed=cfg.seed,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run, builds))
-    else:
-        reports = [run(item) for item in builds]
+    reports = parallel_map(run, builds, threads)
     payload = {
         "config": gcfg.summary(),
         "skipped_sizes": skipped,

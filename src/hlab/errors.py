@@ -64,3 +64,9 @@ class StructureTooSmallError(LabError):
 
 class ExperimentConfigError(LabError):
     """Invalid or incomplete experiment configuration file."""
+
+
+class InvariantError(LabError):
+    """A guarantee checked at runtime failed: a union bound, the strict-mode
+    shrink or size budget, or an internal consistency condition. A plain
+    exception rather than an assert, so it still fires under `python -O`."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyFamilyError, SignatureMismatchError
+from .errors import EmptyFamilyError, InvariantError, SignatureMismatchError
 
 PRIME_FIELD = "prime-field"
 EXTENSION_FIELD = "quadratic-extension-field"
@@ -308,15 +308,12 @@ class FamilySpec:
 
     For prime fields the parameters are primes, for quadratic extensions odd
     primes, for cyclic groups the order, for F2 spaces the dimension.
-    `poly_rule` exists for forward compatibility; the only supported rule for
-    extensions is the least quadratic non-residue.
     """
 
     family: str
     lo: int | None = None
     hi: int | None = None
     values: tuple[int, ...] | None = None
-    poly_rule: str = "least-nonresidue"
 
     def parameters(self) -> list[int]:
         if self.values is not None:
@@ -344,12 +341,14 @@ def enumerate_family(spec: FamilySpec) -> list[FiniteStructure]:
     """Materialize the family in strictly increasing universe size."""
     if spec.family not in _MAKERS:
         raise SignatureMismatchError(f"unknown family {spec.family!r}")
-    if spec.poly_rule != "least-nonresidue":
-        raise SignatureMismatchError(f"unsupported polynomial rule {spec.poly_rule!r}")
     params = spec.parameters()
     if not params:
         raise EmptyFamilyError(f"size filter for {spec.family!r} matches nothing")
     structures = [_MAKERS[spec.family](v) for v in params]
     sizes = [m.size for m in structures]
-    assert sizes == sorted(set(sizes)), "family sizes must be strictly increasing"
+    if sizes != sorted(set(sizes)):
+        raise InvariantError(
+            f"{spec.family} family over parameters {params}, enumeration: "
+            f"universe sizes {sizes} are not strictly increasing"
+        )
     return structures

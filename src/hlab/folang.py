@@ -18,10 +18,12 @@ evaluation, implications and universal quantifiers are rewritten away and
 shadowed bound variables are renamed, so a single evaluation path handles
 every formula.
 
-Evaluation is brute force over the universe with one optimization: an
-existential whose body is an equation with the bound variable isolated on one
-side (for example `exists z. z*z = x - y`) is answered by membership in the
-precomputed image set of that side, cached per structure.
+Evaluation (eval_bulk) is brute force over numpy index arrays with one
+optimization: an existential whose body is an equation with the bound
+variable isolated on one side (for example `exists z. z*z = x - y`) is
+answered by membership in the precomputed image set of that side, cached per
+structure. The scalar `evaluate` is a naive reference for tests: nested loops
+over the universe, no cache.
 """
 
 from __future__ import annotations
@@ -556,6 +558,47 @@ def parse_formula(
 # ---------------------------------------------------------------------------
 # Scalar evaluation
 
+def eval_term(M: FiniteStructure, t: Term, a: Assignment) -> int:
+    if isinstance(t, Var):
+        try:
+            return a[t.name]
+        except KeyError:
+            raise EvaluationError(f"no binding for variable {t.name!r}") from None
+    if isinstance(t, Num):
+        return M.numeral(t.value)
+    table = M.functions[t.func]
+    if not t.args:
+        return int(table)
+    idx = tuple(eval_term(M, arg, a) for arg in t.args)
+    return int(table[idx])
+
+
+def evaluate(M: FiniteStructure, f: Formula, a: Assignment) -> bool:
+    """Tarskian truth value by nested loops over the whole universe, with no
+    image cache: the naive reference that eval_bulk is tested against."""
+    if isinstance(f, Eq):
+        return eval_term(M, f.left, a) == eval_term(M, f.right, a)
+    if isinstance(f, Rel):
+        idx = tuple(eval_term(M, arg, a) for arg in f.args)
+        return bool(M.relations[f.name][idx])
+    if isinstance(f, Not):
+        return not evaluate(M, f.body, a)
+    if isinstance(f, And):
+        return evaluate(M, f.left, a) and evaluate(M, f.right, a)
+    if isinstance(f, Or):
+        return evaluate(M, f.left, a) or evaluate(M, f.right, a)
+    if isinstance(f, Implies):
+        return (not evaluate(M, f.left, a)) or evaluate(M, f.right, a)
+    if isinstance(f, Forall):
+        return all(evaluate(M, f.body, {**a, f.var: c}) for c in range(M.size))
+    if isinstance(f, Exists):
+        return any(evaluate(M, f.body, {**a, f.var: c}) for c in range(M.size))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+# ---------------------------------------------------------------------------
+# Vectorized evaluation
+
 def _image_mask(M: FiniteStructure, term: Term, var: str) -> np.ndarray:
     """Boolean mask over the universe: which values the term attains as the
     variable ranges over the whole universe. Cached on the structure."""
@@ -582,74 +625,6 @@ def _memo_split(f: Exists):
         return f.body.right, f.body.left
     return None
 
-
-def eval_term(M: FiniteStructure, t: Term, a: Assignment) -> int:
-    if isinstance(t, Var):
-        try:
-            return a[t.name]
-        except KeyError:
-            raise EvaluationError(f"no binding for variable {t.name!r}") from None
-    if isinstance(t, Num):
-        return M.numeral(t.value)
-    table = M.functions[t.func]
-    if not t.args:
-        return int(table)
-    idx = tuple(eval_term(M, arg, a) for arg in t.args)
-    return int(table[idx])
-
-
-def evaluate(M: FiniteStructure, f: Formula, a: Assignment, use_memo: bool = True) -> bool:
-    """Tarskian truth value; quantifiers range over the whole universe."""
-    if isinstance(f, Eq):
-        return eval_term(M, f.left, a) == eval_term(M, f.right, a)
-    if isinstance(f, Rel):
-        idx = tuple(eval_term(M, arg, a) for arg in f.args)
-        return bool(M.relations[f.name][idx])
-    if isinstance(f, Not):
-        return not evaluate(M, f.body, a, use_memo)
-    if isinstance(f, And):
-        return evaluate(M, f.left, a, use_memo) and evaluate(M, f.right, a, use_memo)
-    if isinstance(f, Or):
-        return evaluate(M, f.left, a, use_memo) or evaluate(M, f.right, a, use_memo)
-    if isinstance(f, Implies):
-        return (not evaluate(M, f.left, a, use_memo)) or evaluate(M, f.right, a, use_memo)
-    if isinstance(f, Forall):
-        return not _exists(M, Exists(f.var, Not(f.body)), a, use_memo)
-    if isinstance(f, Exists):
-        return _exists(M, f, a, use_memo)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _exists(M, f: Exists, a: Assignment, use_memo: bool) -> bool:
-    if use_memo:
-        split = _memo_split(f)
-        if split is not None:
-            image_term, other = split
-            return bool(_image_mask(M, image_term, f.var)[eval_term(M, other, a)])
-    saved = a.get(f.var, _MISSING)
-    try:
-        for c in range(M.size):
-            a[f.var] = c
-            if evaluate(M, f.body, a, use_memo):
-                return True
-        return False
-    finally:
-        if saved is _MISSING:
-            a.pop(f.var, None)
-        else:
-            a[f.var] = saved
-
-
-_MISSING = object()
-
-
-def evaluate_naive(M: FiniteStructure, f: Formula, a: Assignment) -> bool:
-    """Reference evaluator: nested quantifier loops, no image-set memoization."""
-    return evaluate(M, f, dict(a), use_memo=False)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized evaluation
 
 def _bulk_term(M: FiniteStructure, t: Term, env: dict) -> np.ndarray | int:
     if isinstance(t, Var):

@@ -16,11 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import tuple_columns
-from .asymptotics import _classify_counts, psi_columns
-from .errors import EnumerationBudgetError
+from .asymptotics import large_columns
+from .errors import EnumerationBudgetError, InvariantError
 from .finitemodels import FiniteStructure
-from .folang import eval_bulk, solution_counts_all, solution_mask_matrix
-from .hgreedy import AVOID_BUDGET, _forbidden_mask, verify_avoid, verify_cover
+from .folang import eval_bulk, solution_mask_matrix
+from .hgreedy import (
+    AVOID_BUDGET,
+    _forbidden_mask,
+    max_solution_count,
+    verify_avoid,
+    verify_cover,
+)
 from .hsequence import closure
 
 SCOPE_NOTE = (
@@ -162,13 +168,7 @@ def check_extension(
     usable = []  # (formula, psi columns, counts of large tuples)
     min_large_count = None
     for pf, prof in zip(delta, profiles):
-        try:
-            cols = psi_columns(M, pf, prof)
-        except EnumerationBudgetError:
-            tuples = np.unique(rng.integers(0, M.size, size=(10 * samples, pf.arity)), axis=0)
-            counts = solution_mask_matrix(M, pf, tuples.T).sum(axis=0)
-            large, _ = _classify_counts(prof, M.size, counts)
-            cols = tuples.T[:, large]
+        cols, _ = large_columns(M, pf, prof, rng, 10 * samples)
         if cols.shape[1] == 0:
             continue
         counts = solution_mask_matrix(M, pf, cols).sum(axis=0)
@@ -187,10 +187,8 @@ def check_extension(
         }
 
     k0 = max((pf.arity for pf in gamma), default=0)
-    if gamma_max_solutions is None and all(
-        M.size ** (pf.arity + 1) <= AVOID_BUDGET for pf in gamma
-    ):
-        gamma_max_solutions = max(int(solution_counts_all(M, pf).max()) for pf in gamma)
+    if gamma_max_solutions is None:
+        gamma_max_solutions = max_solution_count(M, gamma)
     closure_bound = None
     sufficient = None
     if gamma_max_solutions is not None:
@@ -230,8 +228,10 @@ def check_extension(
         if not (sol & ~clos_mask).any():
             failures.append({"formula": pf.text, "params": list(params), "base": base})
     if sufficient and failures:
-        raise AssertionError(
-            "extension failed although the closure bound made failure impossible"
+        raise InvariantError(
+            f"{M.describe()}, formula {failures[0]['formula']!r}, extension sample with "
+            f"params {failures[0]['params']}: failed although the closure bound "
+            f"{closure_bound} is below the smallest large count {min_large_count}"
         )
     return {
         "passed": not failures,

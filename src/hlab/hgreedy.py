@@ -24,15 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import tuple_columns
-from .asymptotics import (
-    MeasureProfile,
-    _classify_counts,
-    profile_family,
-    psi_columns,
-)
+from .asymptotics import PSI_BUDGET, MeasureProfile, large_columns, profile_family, psi_columns
 from .errors import (
     ConfigRejectedError,
     EnumerationBudgetError,
+    InvariantError,
     StructureTooSmallError,
     ThresholdNotMetError,
 )
@@ -132,11 +128,8 @@ def derive_config(
                 f"avoid formula {pf.text!r} is classified large somewhere "
                 f"(measures {prof.E}); it must be uniformly algebraic"
             )
-    measures = [prof.min_measure() for prof in delta_profiles if prof.E]
     if mu is None:
-        if not measures:
-            raise ConfigRejectedError("no cover formula has a measure; cannot pick mu")
-        mu = min(measures) / 2.0
+        mu = default_mu(delta_profiles)
     if not 0.0 < mu < 1.0:
         raise ConfigRejectedError(f"measure floor mu={mu} must lie in (0, 1)")
     for pf, prof in zip(delta, delta_profiles):
@@ -163,6 +156,15 @@ def derive_config(
         c_gamma=c_gamma,
         c_delta_gamma=c_delta_gamma,
     )
+
+
+def default_mu(profiles) -> float:
+    """The measure floor used when none is configured: half the smallest
+    measure of any cover formula."""
+    measures = [prof.min_measure() for prof in profiles if prof.E]
+    if not measures:
+        raise ConfigRejectedError("no cover formula has a measure; cannot pick mu")
+    return min(measures) / 2.0
 
 
 @dataclass
@@ -232,10 +234,18 @@ def _forbidden_mask(M: FiniteStructure, gamma, h_elements) -> np.ndarray:
     return mask
 
 
+def max_solution_count(M: FiniteStructure, gamma) -> int | None:
+    """The largest solution count of any avoid formula over all of its
+    parameter tuples, or None when recounting them exceeds AVOID_BUDGET."""
+    if any(M.size ** (pf.arity + 1) > AVOID_BUDGET for pf in gamma):
+        return None
+    return max((int(solution_counts_all(M, pf).max()) for pf in gamma), default=0)
+
+
 def forbidden_set(h_elements, gamma, M: FiniteStructure) -> list[int]:
     """Public view of the forbidden set, in index order.
 
-    The union bound max_solutions * |gamma| * (|H| + 1)^k0 is asserted when
+    The union bound max_solutions * |gamma| * (|H| + 1)^k0 is enforced when
     the per-structure max solution count is cheap to compute.
     """
     h = list(h_elements)
@@ -243,10 +253,14 @@ def forbidden_set(h_elements, gamma, M: FiniteStructure) -> list[int]:
     mask = _forbidden_mask(M, gamma, h)
     out = [int(v) for v in np.flatnonzero(mask)]
     k0 = max((pf.arity for pf in gamma), default=0)
-    if all(M.size ** (pf.arity + 1) <= AVOID_BUDGET for pf in gamma):
-        max_solutions = max(int(solution_counts_all(M, pf).max()) for pf in gamma)
+    max_solutions = max_solution_count(M, gamma)
+    if max_solutions is not None:
         bound = max_solutions * len(gamma) * (len(h) + 1) ** k0
-        assert len(out) <= bound, "forbidden set exceeded its union bound"
+        if len(out) > bound:
+            raise InvariantError(
+                f"{M.describe()}, avoid formulas {[pf.text for pf in gamma]}, forbidden "
+                f"set at |H| = {len(h)}: {len(out)} elements exceed the union bound {bound}"
+            )
     return out
 
 
@@ -486,14 +500,15 @@ def build_h(M: FiniteStructure, cfg: GreedyConfig, mode: str = STRICT):
                 if state.shrink_factors[-1] > bound + 1e-12:
                     shrink_ok = False
                     if mode == STRICT:
-                        raise AssertionError(
-                            f"shrink factor {state.shrink_factors[-1]:.6f} exceeded "
-                            f"{bound:.6f} at size {M.size}, formula {index}, "
-                            f"step {state.step - 1}"
+                        raise InvariantError(
+                            f"{M.describe()}, formula {cfg.delta[index].text!r}, "
+                            f"step {state.step - 1}: shrink factor "
+                            f"{state.shrink_factors[-1]:.6f} exceeded {bound:.6f}"
                         )
             if mode == STRICT and len(state.h_elements) > threshold.h_budget:
-                raise AssertionError(
-                    f"|H| exceeded the budget {threshold.h_budget} at size {M.size}"
+                raise InvariantError(
+                    f"{M.describe()}, formula {cfg.delta[index].text!r}, "
+                    f"step {state.step - 1}: |H| exceeded the budget {threshold.h_budget}"
                 )
         phases.append(
             {
@@ -537,7 +552,7 @@ def verify_cover(
     pf: ParamFormula,
     profile: MeasureProfile,
     *,
-    budget: int = 10_000_000,
+    budget: int = PSI_BUDGET,
     samples: int = COVER_SAMPLES,
     seed: int = 0,
 ) -> CoverCertificate:
@@ -548,16 +563,8 @@ def verify_cover(
     and the certificate is flagged as sampled.
     """
     elements = list(getattr(h_set, "elements", h_set))
-    try:
-        cols = psi_columns(M, pf, profile, budget=budget)
-        method = "exhaustive"
-    except EnumerationBudgetError:
-        rng = np.random.default_rng([seed, M.size])
-        tuples = np.unique(rng.integers(0, M.size, size=(samples, pf.arity)), axis=0)
-        counts = solution_mask_matrix(M, pf, tuples.T).sum(axis=0)
-        large, _ = _classify_counts(profile, M.size, counts)
-        cols = tuples.T[:, large]
-        method = "sampled"
+    cols, exhaustive = large_columns(M, pf, profile, [seed, M.size], samples, budget)
+    method = "exhaustive" if exhaustive else "sampled"
     m = cols.shape[1]
     if m == 0:
         return CoverCertificate(pf.text, method, 0, [], True)

@@ -18,18 +18,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import profile_family
-from .errors import ConfigRejectedError
+from .errors import ConfigRejectedError, InvariantError
 from .finitemodels import FiniteStructure
-from .folang import ParamFormula, solution_counts_all
+from .folang import ParamFormula
 from .hgreedy import (
-    AVOID_BUDGET,
     STRICT,
     BuildReport,
     GreedyConfig,
     HSet,
     _forbidden_mask,
     build_h,
+    default_mu,
     derive_config,
+    max_solution_count,
     size_threshold_ok,
 )
 
@@ -122,10 +123,7 @@ def schedule_in(
         for pf in sched.avoid
     ]
     if mu is None:
-        measures = [p.min_measure() for p in cover_profiles if p.E]
-        if not measures:
-            raise ConfigRejectedError("no cover formula has a measure; cannot pick mu")
-        mu = min(measures) / 2.0
+        mu = default_mu(cover_profiles)
     configs: dict[int, GreedyConfig] = {}
     for level in range(sched.levels):
         delta, gamma = sched.truncation(level)
@@ -155,6 +153,20 @@ def schedule_in(
     return SequencePlan(mode=mode, mu=mu, schedule=sched, configs=configs, entries=entries)
 
 
+def parallel_map(fn, items, threads: int) -> list:
+    """[fn(item) for item in items], spread over `threads` worker threads
+    when there is more than one; results keep the order of `items`.
+
+    This is the package's only thread pool; the benchmark's tracer
+    (perfbench/tracer.py) swaps this module's ThreadPoolExecutor for a
+    recording one, so pooled work must go through here.
+    """
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def build_sequence(plan: SequencePlan, threads: int = 1) -> SequencePlan:
     """Build every scheduled structure; certificates are attached in family
     order, so the result is deterministic for any thread count."""
@@ -164,11 +176,7 @@ def build_sequence(plan: SequencePlan, threads: int = 1) -> SequencePlan:
             return None
         return build_h(entry.structure, plan.configs[entry.level], STRICT)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, plan.entries))
-    else:
-        results = [run(e) for e in plan.entries]
+    results = parallel_map(run, plan.entries, threads)
     for entry, result in zip(plan.entries, results):
         if result is None:
             entry.h_set = HSet(elements=[], provenance=[])
@@ -204,7 +212,7 @@ def closure(
 ) -> ClosureSet:
     """clos(H union A) under the truncated avoid list.
 
-    The union bound max_solutions * |gamma| * base^k0 is asserted whenever
+    The union bound max_solutions * |gamma| * base^k0 is enforced whenever
     the per-formula max solution count is known or cheap to compute; bases
     that only meet parameterless formulas use base+1 (those formulas
     contribute even to the empty base).
@@ -214,15 +222,17 @@ def closure(
     mask = _forbidden_mask(M, gamma, base)
     elements = [int(v) for v in np.flatnonzero(mask)]
     k0 = max((pf.arity for pf in gamma), default=0)
-    if max_solutions is None and all(
-        M.size ** (pf.arity + 1) <= AVOID_BUDGET for pf in gamma
-    ):
-        max_solutions = max(int(solution_counts_all(M, pf).max()) for pf in gamma)
+    if max_solutions is None:
+        max_solutions = max_solution_count(M, gamma)
     bound = None
     if max_solutions is not None:
         slots = len(base) + (1 if any(pf.arity == 0 for pf in gamma) else 0)
         bound = max_solutions * len(gamma) * slots**k0
-        assert len(elements) <= bound, "closure exceeded its union bound"
+        if len(elements) > bound:
+            raise InvariantError(
+                f"{M.describe()}, avoid formulas {[pf.text for pf in gamma]}, closure of "
+                f"a base of {len(base)}: {len(elements)} elements exceed the union bound {bound}"
+            )
     return ClosureSet(elements=elements, base_size=len(base), bound=bound)
 
 

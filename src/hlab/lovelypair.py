@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SignatureMismatchError
+from .errors import InvariantError, SignatureMismatchError
 from .finitemodels import FiniteStructure, make_extension_field
 
 
@@ -47,7 +47,11 @@ def build_quadratic_pair(p: int):
     insub = K.relations["insub"]
     a1 = int(np.flatnonzero(~insub)[0])
     a2 = int(K.functions["frob"][a1])
-    assert a1 != a2, "frob must move every element outside the subfield"
+    if a1 == a2:
+        raise InvariantError(
+            f"{K.describe()}, conjugate pair for the character split, choice of a1: "
+            f"frob fixes a1={a1}, which lies outside the subfield"
+        )
     return K, a1, a2
 
 
@@ -99,37 +103,33 @@ def subfield_violations(K: FiniteStructure, a1: int, a2: int) -> int:
     return int((insub & first & ~second).sum())
 
 
-def make_report(p: int, a1: int | None = None) -> QuadraticPairReport:
-    K, chosen_a1, a2 = build_quadratic_pair(p)
-    if a1 is not None:
-        if K.relations["insub"][a1]:
-            raise SignatureMismatchError(f"a1={a1} lies in the subfield")
-        chosen_a1 = int(a1)
-        a2 = int(K.functions["frob"][chosen_a1])
+def make_report(K: FiniteStructure, a1: int) -> QuadraticPairReport:
+    """The counts for a1 and its conjugate frob(a1) in the field K = GF(p^2)."""
+    if K.relations["insub"][a1]:
+        raise SignatureMismatchError(f"a1={a1} lies in the subfield")
+    a2 = int(K.functions["frob"][a1])
     q = K.size
-    count = phi_count(K, chosen_a1, a2)
+    count = phi_count(K, a1, a2)
     return QuadraticPairReport(
-        p=p,
+        p=K.params["p"],
         q=q,
-        a1=chosen_a1,
+        a1=a1,
         a2=a2,
         phi_count=count,
-        subfield_violations=subfield_violations(K, chosen_a1, a2),
+        subfield_violations=subfield_violations(K, a1, a2),
         deviation=float(abs(count - q / 4.0)),
     )
 
 
 def run_experiment(p_list, sweep_a1: bool = False) -> list[QuadraticPairReport]:
     """One report per prime, ordered by p. With sweep_a1, every non-subfield
-    choice of a1 is reported (robustness runs)."""
+    choice of a1 is reported (robustness runs); each field is built once."""
     reports = []
     for p in sorted(set(int(v) for v in p_list)):
-        if sweep_a1:
-            K, _, _ = build_quadratic_pair(p)
-            for a1 in np.flatnonzero(~K.relations["insub"]):
-                reports.append(make_report(p, a1=int(a1)))
-        else:
-            reports.append(make_report(p))
+        K, a1, _ = build_quadratic_pair(p)
+        choices = np.flatnonzero(~K.relations["insub"]) if sweep_a1 else [a1]
+        reports.extend(make_report(K, int(a)) for a in choices)
+        del K  # release this field before the next, larger one is built
     return reports
 
 

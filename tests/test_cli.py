@@ -5,7 +5,7 @@ import os
 import pytest
 
 from hlab.cli import load_config, main
-from hlab.errors import ExperimentConfigError
+from hlab.errors import ExperimentConfigError, InvariantError
 
 
 def write_config(tmp_path, name="exp.json", **overrides):
@@ -50,6 +50,10 @@ class TestLoadConfig:
         path = write_config(tmp_path, family={"family": "prime-field", "low": 3})
         with pytest.raises(ExperimentConfigError):
             load_config(path)
+        # the polynomial rule had a single legal value and is no longer a key
+        family = {"family": "quadratic-extension-field", "values": [3, 5], "poly_rule": "conway"}
+        with pytest.raises(ExperimentConfigError):
+            load_config(write_config(tmp_path, family=family))
 
     def test_unknown_family_tag(self, tmp_path):
         path = write_config(tmp_path, family={"family": "octonions", "lo": 3, "hi": 5})
@@ -80,10 +84,24 @@ class TestLoadConfig:
         with pytest.raises(ExperimentConfigError):
             load_config(str(path))
 
-    def test_bad_value_type(self, tmp_path):
-        path = write_config(tmp_path, threads="many")
-        with pytest.raises(ExperimentConfigError):
-            load_config(path)
+    def test_bad_value_type(self, tmp_path, capsys):
+        lovely = {"family": "quadratic-extension-field", "lo": 3, "hi": "b"}
+        cases = [
+            {"threads": "many"},
+            {"family": {"family": "prime-field", "values": 5}},
+            {"family": {"family": "prime-field", "values": ["a"]}},
+            {"family": {"family": "prime-field", "lo": "a", "hi": 181}},
+            {"cover": 5},
+            {"cover": [{"text": "exists z. z*z = x - y", "params": 5}]},
+            {"family": lovely, "cover": [], "avoid": []},
+        ]
+        for overrides in cases:
+            path = write_config(tmp_path, **overrides)
+            with pytest.raises(ExperimentConfigError):
+                load_config(path)
+        # the last case through the CLI: a message and exit 2, no traceback
+        assert main(["lovely-pair", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_bad_mu_range(self, tmp_path):
         path = write_config(tmp_path, mu=1.5)
@@ -199,6 +217,15 @@ class TestExitCodes:
             avoid=[],
         )
         assert main(["lovely-pair", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_invariant_violation_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        def violated(M, cfg, mode):
+            raise InvariantError(f"{M.describe()}, formula 'x', step 0: shrink factor exceeded")
+
+        monkeypatch.setattr("hlab.cli.build_h", violated)
+        cfg = write_config(tmp_path)
+        assert main(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "shrink factor exceeded" in capsys.readouterr().err
 
     def test_build_needs_avoid_formula(self, tmp_path):
         cfg = write_config(tmp_path, avoid=[])

@@ -206,8 +206,3 @@ class TestEnumerateFamily:
         assert (
             enumerate_family(FamilySpec("cyclic-group", values=(5,)))[0].sig == GROUP_SIGNATURE
         )
-
-    def test_unsupported_poly_rule(self):
-        spec = FamilySpec("quadratic-extension-field", values=(3, 5), poly_rule="conway")
-        with pytest.raises(SignatureMismatchError):
-            enumerate_family(spec)

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hlab
 from hlab._util import dump_json
-from hlab.errors import ConfigRejectedError
+from hlab.errors import ConfigRejectedError, InvariantError
 from hlab.finitemodels import make_cyclic_group, make_prime_field, primes_in
 from hlab.folang import parse_formula
 from hlab.hsequence import (
@@ -127,6 +131,30 @@ class TestClosure:
         for base in ([], [3], [3, 5], [0, 1, 2, 9]):
             clos = closure(z13, base, [12], [xz, xz1])
             assert len(clos) <= clos.bound
+
+    def test_violated_bound_raises_typed_error(self, z13):
+        xz1 = parse_formula("x = z + 1", z13.sig)
+        with pytest.raises(InvariantError, match="closure"):
+            closure(z13, [4], [], [xz1], max_solutions=0)
+
+    def test_violated_bound_raises_under_optimize(self):
+        code = (
+            "import sys\n"
+            "from hlab.errors import InvariantError\n"
+            "from hlab.finitemodels import make_cyclic_group\n"
+            "from hlab.folang import parse_formula\n"
+            "from hlab.hsequence import closure\n"
+            "assert False, 'asserts must be off under -O'\n"
+            "M = make_cyclic_group(13)\n"
+            "try:\n"
+            "    closure(M, [4], [], [parse_formula('x = z + 1', M.sig)], max_solutions=0)\n"
+            "except InvariantError:\n"
+            "    sys.exit(7)\n"
+        )
+        src = os.path.dirname(os.path.dirname(hlab.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
+        assert proc.returncode == 7
 
     def test_membership(self, z13):
         xz1 = parse_formula("x = z + 1", z13.sig)

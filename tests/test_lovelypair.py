@@ -165,6 +165,7 @@ class TestRunExperiment:
         assert rows[1][0] == 3 and rows[1][1] == 9
 
     def test_report_deterministic(self):
-        a = make_report(7)
-        b = make_report(7)
+        K, a1, _ = build_quadratic_pair(7)
+        a = make_report(K, a1)
+        b = make_report(*build_quadratic_pair(7)[:2])
         assert a.to_json_dict() == b.to_json_dict()
