@@ -328,6 +328,14 @@ def classify(profile: MeasureProfile, M: FiniteStructure, params=()) -> ParamCla
     return ParamClass("algebraic", count)
 
 
+def psi_set(
+    M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile, budget: int = PSI_BUDGET
+) -> list[tuple[int, ...]]:
+    """All parameter tuples classified large, in lexicographic order: the
+    columns of psi_columns as tuples."""
+    return [tuple(int(v) for v in col) for col in psi_columns(M, pf, profile, budget).T]
+
+
 def psi_columns(
     M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile, budget: int = PSI_BUDGET
 ) -> np.ndarray:
@@ -348,13 +356,6 @@ def psi_columns(
     if k == 0:
         return np.empty((0, len(flats)), dtype=np.intp)
     return np.array(np.unravel_index(flats, (n,) * k), dtype=np.intp)
-
-
-def psi_set(
-    M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile, budget: int = PSI_BUDGET
-) -> list[tuple[int, ...]]:
-    """psi_columns as a list of tuples."""
-    return [tuple(int(v) for v in col) for col in psi_columns(M, pf, profile, budget).T]
 
 
 def large_columns(
