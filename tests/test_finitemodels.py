@@ -206,3 +206,14 @@ class TestEnumerateFamily:
         assert (
             enumerate_family(FamilySpec("cyclic-group", values=(5,)))[0].sig == GROUP_SIGNATURE
         )
+
+    def test_unsupported_poly_rule(self):
+        # the least quadratic non-residue is the only rule: a spec cannot ask
+        # for another, and the family builds exactly make_extension_field
+        with pytest.raises(TypeError):
+            FamilySpec("quadratic-extension-field", values=(3, 5), poly_rule="conway")
+        fam = enumerate_family(FamilySpec("quadratic-extension-field", values=(3, 5)))
+        for M, p in zip(fam, (3, 5)):
+            ref = make_extension_field(p)
+            for name, table in ref.functions.items():
+                assert np.array_equal(M.functions[name], table)

@@ -251,16 +251,31 @@ class TestEvaluatorAgreement:
     @pytest.mark.parametrize("text", FORMULAS)
     @pytest.mark.parametrize("p", [5, 7, 11])
     def test_memoized_matches_naive_spot_checks(self, text, p):
-        # eval_bulk, with its image cache, against the naive scalar oracle
+        # eval_bulk against the naive scalar oracle, once with the fresh
+        # structure's image cache cold and once with it warm
         M = make_prime_field(p)
         f = normalize(parse(text, M.sig))
         names = sorted(free_vars(f))
         rng = np.random.default_rng([p, len(text)])
         arrays = {v: rng.integers(0, p, size=50) for v in names}
-        bulk = eval_bulk(M, f, arrays)
+        cold = eval_bulk(M, f, arrays)
+        warm = eval_bulk(M, f, arrays)
         for i in range(50):
             a = {v: int(arrays[v][i]) for v in names}
-            assert bool(bulk[i]) == evaluate(M, f, a)
+            assert bool(cold[i]) == bool(warm[i]) == evaluate(M, f, a)
+
+    @pytest.mark.parametrize("text", FORMULAS)
+    def test_bulk_matches_scalar(self, text):
+        # every assignment of GF(7), broadcast as one grid per free variable
+        M = make_prime_field(7)
+        f = normalize(parse(text, M.sig))
+        names = sorted(free_vars(f))
+        grids = np.meshgrid(*[np.arange(7)] * len(names), indexing="ij")
+        bulk = eval_bulk(M, f, dict(zip(names, grids)))
+        assert bulk.shape == (7,) * len(names)
+        for point in np.ndindex(bulk.shape):
+            a = {v: int(c) for v, c in zip(names, point)}
+            assert bool(bulk[point]) == evaluate(M, f, a)
 
     def test_raw_formula_evaluates_like_normalized(self, gf7):
         raw = parse("forall z. z = x -> (exists w. w + w = z + y)", gf7.sig)
