@@ -341,6 +341,11 @@ def psi_columns(
 ) -> np.ndarray:
     """Every parameter tuple classified large, as an (arity, m) index array
     in lexicographic order."""
+    return _large_enumerated(M, pf, profile, budget)[0]
+
+
+def _large_enumerated(M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile, budget: int):
+    """psi_columns plus the solution count of each of its tuples."""
     if profile.formula != pf.key():
         raise ValueError("profile was built for a different formula")
     n, k = M.size, pf.arity
@@ -354,8 +359,8 @@ def psi_columns(
     large, _ = _classify_counts(profile, n, counts)
     flats = np.flatnonzero(large)
     if k == 0:
-        return np.empty((0, len(flats)), dtype=np.intp)
-    return np.array(np.unravel_index(flats, (n,) * k), dtype=np.intp)
+        return np.empty((0, len(flats)), dtype=np.intp), counts[flats]
+    return np.array(np.unravel_index(flats, (n,) * k), dtype=np.intp), counts[flats]
 
 
 def large_columns(
@@ -367,13 +372,13 @@ def large_columns(
     budget: int = PSI_BUDGET,
 ):
     """The large parameter tuples a certificate checks. Returns (columns,
-    exhaustive): psi_columns when the tuple space fits the budget, otherwise
-    the large tuples among `samples` drawn by sample_columns from `rng`. A
-    seed is turned into a generator only on the sampled path, so exhaustive
-    runs never load numpy.random."""
+    counts, exhaustive): psi_columns and their solution counts when the tuple
+    space fits the budget, otherwise the large tuples among `samples` drawn
+    by sample_columns from `rng`. A seed is turned into a generator only on
+    the sampled path, so exhaustive runs never load numpy.random."""
     try:
-        return psi_columns(M, pf, profile, budget), True
+        return (*_large_enumerated(M, pf, profile, budget), True)
     except EnumerationBudgetError:
         cols, counts = sample_columns(M, pf, rng, samples)
         large, _ = _classify_counts(profile, M.size, counts)
-        return cols[:, large], False
+        return cols[:, large], counts[large], False

@@ -262,6 +262,8 @@ def _build_family(cfg: ExperimentConfig, threads: int):
             skipped.append(M.size)
         else:
             jobs.append(M)
+    if not jobs:  # strict, all below the threshold: fail rather than certify nothing
+        build_h(family[-1], gcfg, STRICT)  # raises ThresholdNotMetError naming the largest
 
     results = parallel_map(lambda M: build_h(M, gcfg, mode), jobs, threads)
     builds = list(zip(jobs, results))
@@ -304,6 +306,8 @@ def cmd_sequence(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
         samples=cfg.profile_samples,
         seed=cfg.seed,
     )
+    if all(e.level is None for e in plan.entries):  # nothing to certify at any level
+        build_h(family[-1], plan.configs[0], STRICT)  # raises ThresholdNotMetError
     build_sequence(plan, threads=threads)
     series = coarse_dimension_series(plan, window=cfg.window)
     atomic_write_text(os.path.join(out_dir, "plan.json"), dump_json(plan.to_json_dict()))

@@ -1,15 +1,17 @@
-"""Finite structures with total interpretation tables.
+"""Finite structures whose operations are computed from their arithmetic.
 
 Four families are supported: prime fields GF(p), quadratic extension fields
 GF(p^2) with a named Frobenius function and a subfield predicate, cyclic
 groups Z_n, and vector spaces over F2. Elements are dense indices 0..n-1 and
-the canonical linear order is index order. Every interpretation table is a
-numpy array over the full universe and is checked exhaustively at
-construction time.
+the canonical linear order is index order. Binary operations are Operation
+objects that compute their values on demand, so nothing of size n^2 is
+stored; unary functions and relations are length-n arrays, checked
+exhaustively at construction like any table a caller passes explicitly.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,20 +58,48 @@ GROUP_SIGNATURE = Signature(
 )
 
 
+@dataclass(frozen=True)
+class Operation:
+    """A binary operation on 0..size-1 computed from its arithmetic.
+
+    `op[a, b]` converts both index arguments (ints or arrays) to `dtype`,
+    broadcasts them and returns fn(a, b): what indexing a dense size-by-size
+    table would give, without storing one. `dtype` must hold every
+    intermediate value of fn, because numpy integers wrap on overflow.
+    """
+
+    size: int
+    fn: Callable
+    dtype: type
+
+    nbytes = 0  # nothing is stored per pair of elements
+
+    def __getitem__(self, index):
+        a, b = index
+        return self.fn(np.asarray(a, dtype=self.dtype), np.asarray(b, dtype=self.dtype))
+
+
+def _index_dtype(largest: int):
+    """int32 while the largest intermediate value fits (int32 arithmetic is
+    much faster than int64 on full grids), else int64."""
+    return np.int32 if largest < 2**31 else np.int64
+
+
 @dataclass(eq=False)
 class FiniteStructure:
-    """A finite universe 0..size-1 with interpreted tables.
+    """A finite universe 0..size-1 with interpreted functions and relations.
 
-    Immutable after construction (tables are marked read-only); safe to share
-    across concurrent readers. `params` records family parameters such as the
-    prime p, the modulus n, the dimension, or the extension's non-residue r.
+    Immutable after construction (arrays are marked read-only, operations are
+    frozen); safe to share across concurrent readers. `params` records family
+    parameters such as the prime p, the modulus n, the dimension, or the
+    extension's non-residue r.
     """
 
     sig: Signature
     size: int
     family: str
     params: dict
-    functions: dict[str, np.ndarray]
+    functions: dict[str, np.ndarray | Operation]
     relations: dict[str, np.ndarray]
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -82,7 +112,14 @@ class FiniteStructure:
         if set(self.relations) != set(self.sig.relations):
             raise SignatureMismatchError("relation tables do not match signature")
         for name, arity in self.sig.functions.items():
-            table = np.asarray(self.functions[name])
+            table = self.functions[name]
+            if isinstance(table, Operation):
+                # closed by its arithmetic; a range scan would be the n^2 work
+                # that computing instead of storing avoids
+                if arity != 2 or table.size != n:
+                    raise SignatureMismatchError(f"operation {name!r} has wrong shape")
+                continue
+            table = np.asarray(table)
             if table.shape != (n,) * arity:
                 raise SignatureMismatchError(f"table for {name!r} has wrong shape")
             if arity == 0:
@@ -129,9 +166,6 @@ class FiniteStructure:
             return (k % p) * p
         return k % self.size
 
-    def elements(self) -> np.ndarray:
-        return np.arange(self.size)
-
     def describe(self) -> str:
         detail = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"{self.family}({detail})"
@@ -163,20 +197,21 @@ def primes_in(lo: int, hi: int) -> list[int]:
     return [int(p) for p in np.flatnonzero(sieve) if p >= lo]
 
 
+def _residue_operations(n: int) -> dict[str, Operation]:
+    """add, sub and mul on the residues 0..n-1."""
+    dtype = _index_dtype((n - 1) ** 2)
+    return {
+        "add": Operation(n, lambda a, b: (a + b) % n, dtype),
+        "sub": Operation(n, lambda a, b: (a - b) % n, dtype),
+        "mul": Operation(n, lambda a, b: a * b % n, dtype),
+    }
+
+
 def make_prime_field(p: int) -> FiniteStructure:
     """GF(p) in the ring signature; element i is the residue i."""
     if not is_prime(p):
         raise SignatureMismatchError(f"{p} is not prime")
-    # int32 intermediates: products stay below 2^31 for any p < 2^15.5
-    i = np.arange(p, dtype=np.int32 if p < 2**15 else np.int64)
-    dtype = np.uint16 if p < 2**16 else np.int64
-    functions = {
-        "add": ((i[:, None] + i[None, :]) % p).astype(dtype),
-        "sub": ((i[:, None] - i[None, :]) % p).astype(dtype),
-        "mul": ((i[:, None] * i[None, :]) % p).astype(dtype),
-        "zero": np.int64(0),
-        "one": np.int64(1 % p),
-    }
+    functions = {**_residue_operations(p), "zero": np.int64(0), "one": np.int64(1 % p)}
     return FiniteStructure(RING_SIGNATURE, p, PRIME_FIELD, {"p": p}, functions, {})
 
 
@@ -188,19 +223,13 @@ def least_nonresidue(p: int) -> int:
     raise SignatureMismatchError(f"no quadratic non-residue mod {p}")
 
 
-def pack_idx(coord_a, coord_b, p):
-    """Flat index coord_a * p + coord_b, reusing coord_a's buffer."""
-    coord_a *= p
-    coord_a += coord_b
-    return coord_a
-
-
 def make_extension_field(p: int) -> FiniteStructure:
     """GF(p^2) built as GF(p)[t]/(t^2 - r) with r the least non-residue.
 
     The pair (a, b), standing for a + b*t, is enumerated row-major, so the
-    element index is a*p + b. frob is x -> x^p and insub names the prime
-    subfield, which is exactly the fixed-point set of frob.
+    element index is a*p + b; each operation splits its arguments into their
+    coordinates, computes mod p and re-encodes. frob is x -> x^p and insub
+    names the prime subfield, which is exactly the fixed-point set of frob.
     """
     if p == 2:
         raise SignatureMismatchError("characteristic 2 extensions are not supported")
@@ -208,75 +237,35 @@ def make_extension_field(p: int) -> FiniteStructure:
         raise SignatureMismatchError(f"{p} is not prime")
     r = least_nonresidue(p)
     n = p * p
-    # arithmetic happens in small p-by-p coordinate tables; the n-by-n tables
-    # are assembled from them with block repeats, tiles, and small lookups,
-    # never with a modulo over the full n-by-n grid
-    i = np.arange(p, dtype=np.int32)
-    addp = ((i[:, None] + i[None, :]) % p).astype(np.int32)
-    subp = ((i[:, None] - i[None, :]) % p).astype(np.int32)
-    mulp = ((i[:, None].astype(np.int64) * i[None, :]) % p).astype(np.int32)
-    rtimes = ((r * i.astype(np.int64)) % p).astype(np.int32)
-    negp = ((-i) % p).astype(np.int32)
 
-    # index = a*p + b; along an axis the a coordinate repeats in blocks of p
-    # while the b coordinate cycles, so T[a1, a2] and friends are pure block
-    # expansions of the small table T; expanding columns while the array is
-    # still small keeps the big copies row-sized
-    def on_aa(T):
-        return np.repeat(np.repeat(T, p, axis=1), p, axis=0)
+    def mul(x, y):
+        # (a1 + b1 t)(a2 + b2 t) = a1 a2 + r b1 b2 + (a1 b2 + a2 b1) t
+        (xa, xb), (ya, yb) = np.divmod(x, p), np.divmod(y, p)
+        return (xa * ya + r * (xb * yb % p)) % p * p + (xa * yb + xb * ya) % p
 
-    def on_bb(T):
-        return np.tile(np.tile(T, (1, p)), (p, 1))
-
-    def on_ab(T):
-        return np.repeat(np.tile(T, (1, p)), p, axis=0)
-
-    def on_ba(T):
-        return np.tile(np.repeat(T, p, axis=1), (p, 1))
-
-    dtype = np.uint16 if n < 2**16 else np.int64
-    addp_flat = addp.ravel()
-
-    def pack(coord_a, coord_b):
-        coord_a *= p
-        coord_a += coord_b
-        return coord_a.astype(dtype)
-
-    add = pack(on_aa(addp), on_bb(addp))
-    sub = pack(on_aa(subp), on_bb(subp))
-    # (a1 + b1 t)(a2 + b2 t) = a1 a2 + r b1 b2 + (a1 b2 + a2 b1) t
-    mul = pack(
-        addp_flat[pack_idx(on_aa(mulp), rtimes[on_bb(mulp)], p)],
-        addp_flat[pack_idx(on_ab(mulp), on_ba(mulp), p)],
-    )
+    # no intermediate exceeds 2n: x + y, and a1 a2 + r (b1 b2 % p) < 2 p^2
+    dtype = _index_dtype(2 * n)
     # x^p = a - b t in GF(p^2) because t^p = -t when t^2 is a non-residue
-    idx = np.arange(n, dtype=np.int64)
-    a, b = idx // p, (idx % p).astype(np.intp)
-    frob = (a * p + negp[b]).astype(dtype)
-    insub = b == 0
+    a, b = np.divmod(np.arange(n, dtype=dtype), p)
     functions = {
-        "add": add,
-        "sub": sub,
-        "mul": mul,
+        # coordinates add independently; (x + y) % p is the t coordinate of x + y
+        "add": Operation(n, lambda x, y: (x // p + y // p) % p * p + (x + y) % p, dtype),
+        "sub": Operation(n, lambda x, y: (x // p - y // p) % p * p + (x - y) % p, dtype),
+        "mul": Operation(n, mul, dtype),
         "zero": np.int64(0),
         "one": np.int64(p),
-        "frob": frob,
+        "frob": a * p + (-b) % p,
     }
     return FiniteStructure(
-        EXTENSION_SIGNATURE, n, EXTENSION_FIELD, {"p": p, "r": r}, functions, {"insub": insub}
+        EXTENSION_SIGNATURE, n, EXTENSION_FIELD, {"p": p, "r": r}, functions, {"insub": b == 0}
     )
 
 
 def make_cyclic_group(n: int) -> FiniteStructure:
     if n < 1:
         raise SignatureMismatchError("cyclic group order must be >= 1")
-    i = np.arange(n, dtype=np.int32 if n < 2**15 else np.int64)
-    dtype = np.uint16 if n < 2**16 else np.int64
-    functions = {
-        "add": ((i[:, None] + i[None, :]) % n).astype(dtype),
-        "sub": ((i[:, None] - i[None, :]) % n).astype(dtype),
-        "zero": np.int64(0),
-    }
+    ops = _residue_operations(n)
+    functions = {"add": ops["add"], "sub": ops["sub"], "zero": np.int64(0)}
     return FiniteStructure(GROUP_SIGNATURE, n, CYCLIC_GROUP, {"n": n}, functions, {})
 
 
@@ -284,10 +273,9 @@ def make_f2_vector_space(dim: int) -> FiniteStructure:
     if dim < 1:
         raise SignatureMismatchError("dimension must be >= 1")
     n = 1 << dim
-    i = np.arange(n, dtype=np.int64)
-    xor = np.bitwise_xor(i[:, None], i[None, :])
-    dtype = np.uint16 if n < 2**16 else np.int64
-    functions = {"add": xor.astype(dtype), "sub": xor.astype(dtype), "zero": np.int64(0)}
+    # over F2, subtraction is addition: both are bitwise xor of the indices
+    xor = Operation(n, np.bitwise_xor, _index_dtype(n))
+    functions = {"add": xor, "sub": xor, "zero": np.int64(0)}
     return FiniteStructure(GROUP_SIGNATURE, n, F2_VECTOR_SPACE, {"dim": dim}, functions, {})
 
 

@@ -168,10 +168,9 @@ def check_extension(
     usable = []  # (formula, psi columns, counts of large tuples)
     min_large_count = None
     for pf, prof in zip(delta, profiles):
-        cols, _ = large_columns(M, pf, prof, rng, 10 * samples)
+        cols, counts, _ = large_columns(M, pf, prof, rng, 10 * samples)
         if cols.shape[1] == 0:
             continue
-        counts = solution_mask_matrix(M, pf, cols).sum(axis=0)
         low = int(counts.min())
         min_large_count = low if min_large_count is None else min(min_large_count, low)
         usable.append((pf, cols))

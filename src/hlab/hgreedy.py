@@ -478,9 +478,10 @@ def build_h(M: FiniteStructure, cfg: GreedyConfig, mode: str = STRICT):
     threshold = size_threshold_ok(cfg, M)
     if mode == STRICT and not threshold.ok:
         raise ThresholdNotMetError(
-            f"size {M.size} is below the threshold: forbidden bound "
-            f"{threshold.forbidden_bound} vs allowance {threshold.mass_allowance}, "
-            f"headroom {threshold.headroom} vs budget {threshold.h_budget}"
+            f"{M.describe()} of size {M.size} is below the strict size threshold at "
+            f"mu = {cfg.mu}: forbidden bound {threshold.forbidden_bound:.6g} vs allowance "
+            f"{threshold.mass_allowance:.6g}, headroom {threshold.headroom:.6g} vs budget "
+            f"{threshold.h_budget}"
         )
     if M.size <= 1:
         raise StructureTooSmallError("degenerate universe of size <= 1")
@@ -563,7 +564,7 @@ def verify_cover(
     and the certificate is flagged as sampled.
     """
     elements = list(getattr(h_set, "elements", h_set))
-    cols, exhaustive = large_columns(M, pf, profile, [seed, M.size], samples, budget)
+    cols, _, exhaustive = large_columns(M, pf, profile, [seed, M.size], samples, budget)
     method = "exhaustive" if exhaustive else "sampled"
     m = cols.shape[1]
     if m == 0:

@@ -59,10 +59,9 @@ def square_mask(K: FiniteStructure) -> np.ndarray:
     """Which elements are squares; 0 counts as a square. Cached per structure."""
     mask = K._cache.get("squares")
     if mask is None:
-        mul = K.functions["mul"]
-        diag = mul[np.arange(K.size), np.arange(K.size)]
+        x = np.arange(K.size)
         mask = np.zeros(K.size, dtype=bool)
-        mask[np.asarray(diag, dtype=np.intp)] = True
+        mask[K.functions["mul"][x, x]] = True
         mask.flags.writeable = False
         K._cache["squares"] = mask
     return mask
@@ -129,7 +128,6 @@ def run_experiment(p_list, sweep_a1: bool = False) -> list[QuadraticPairReport]:
         K, a1, _ = build_quadratic_pair(p)
         choices = np.flatnonzero(~K.relations["insub"]) if sweep_a1 else [a1]
         reports.extend(make_report(K, int(a)) for a in choices)
-        del K  # release this field before the next, larger one is built
     return reports
 
 

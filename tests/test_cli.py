@@ -1,9 +1,12 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import hlab
 from hlab.cli import load_config, main
 from hlab.errors import ExperimentConfigError, InvariantError
 
@@ -227,6 +230,32 @@ class TestExitCodes:
         assert main(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "shrink factor exceeded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, mode, report",
+        [
+            ("build", "strict", "build.json"),
+            ("axioms", "strict", "axioms.json"),
+            ("sequence", "strict", "plan.json"),
+            ("sequence", "coarse-dim", "plan.json"),
+        ],
+    )
+    def test_strict_run_that_certifies_nothing(self, tmp_path, capsys, command, mode, report):
+        # at mu 0.4 no field up to 113 passes the strict size threshold, not
+        # even at the sequence's level 0 (one cover and one avoid formula)
+        cfg = write_config(
+            tmp_path,
+            family={"family": "prime-field", "lo": 101, "hi": 113},
+            cover=["exists z. z*z = x - y", "!(x = y)"],
+            avoid=["x = z", "x = z + 1"],
+            mu=0.4,
+        )
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), "--mode", mode]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: prime-field(p=113) of size 113 is below the strict size")
+        assert "threshold at mu = 0.4: forbidden bound" in err
+        assert not (out / report).exists()
+
     def test_build_needs_avoid_formula(self, tmp_path):
         cfg = write_config(tmp_path, avoid=[])
         assert main(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -280,3 +309,34 @@ class TestDeterminism:
         a = json.loads(open(os.path.join(out_a, "axioms.json")).read())
         b = json.loads(open(os.path.join(out_b, "axioms.json")).read())
         assert a["reports"][0]["seed"] != b["reports"][0]["seed"]
+
+
+class TestMemory:
+    def test_gf_p2_ladder_peak_rss(self, tmp_path):
+        # lovely-pair over GF(p^2) for odd primes 3..83 in a fresh interpreter;
+        # dense tables took its peak to 758 MiB. The child reads VmHWM, the
+        # peak of its own address space: Linux carries ru_maxrss across exec,
+        # so that would include the peak of this test process.
+        cfg = write_config(
+            tmp_path,
+            family={"family": "quadratic-extension-field", "lo": 3, "hi": 83},
+            cover=[],
+            avoid=[],
+        )
+        script = (
+            "import re, sys\n"
+            "from hlab.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(rc, re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
+        )
+        src = os.path.dirname(os.path.dirname(hlab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["lovely-pair", "--config", cfg, "--out", str(tmp_path / "o")]
+        run = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        rc, peak_kib = (int(v) for v in run.stdout.split())
+        assert rc == 0
+        assert peak_kib / 1024 < 200

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from dense_oracle import dense_tables, grid
 
 from hlab.errors import EmptyFamilyError, SignatureMismatchError
 from hlab.finitemodels import (
@@ -15,6 +18,7 @@ from hlab.finitemodels import (
     make_extension_field,
     make_f2_vector_space,
     make_prime_field,
+    primes_in,
 )
 
 
@@ -37,9 +41,9 @@ class TestPrimeField:
         assert len(squares) == 6
 
     def test_tables_match_modular_arithmetic(self, gf7):
-        assert gf7.functions["add"].tolist() == brute_mod_table(7, lambda a, b: a + b)
-        assert gf7.functions["sub"].tolist() == brute_mod_table(7, lambda a, b: a - b)
-        assert gf7.functions["mul"].tolist() == brute_mod_table(7, lambda a, b: a * b)
+        assert grid(gf7.functions["add"]).tolist() == brute_mod_table(7, lambda a, b: a + b)
+        assert grid(gf7.functions["sub"]).tolist() == brute_mod_table(7, lambda a, b: a - b)
+        assert grid(gf7.functions["mul"]).tolist() == brute_mod_table(7, lambda a, b: a * b)
 
     def test_rejects_composite(self):
         with pytest.raises(SignatureMismatchError):
@@ -75,7 +79,8 @@ class TestExtensionField:
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_frob_is_ring_automorphism(self, p):
         K = make_extension_field(p)
-        frob, add, mul = K.functions["frob"], K.functions["add"], K.functions["mul"]
+        frob = K.functions["frob"]
+        add, mul = grid(K.functions["add"]), grid(K.functions["mul"])
         n = K.size
         assert np.array_equal(frob[add], add[np.ix_(frob, frob)])
         assert np.array_equal(frob[mul], mul[np.ix_(frob, frob)])
@@ -119,6 +124,80 @@ class TestGroups:
         assert int(z1.functions["sub"][0, 0]) == 0
 
 
+def python_ops(M):
+    """add, sub and mul of a prime field or GF(p^2) in Python ints, which
+    never overflow: the sampled oracle for sizes too large for dense tables."""
+    p = M.params["p"]
+    if M.family == "prime-field":
+        return {
+            "add": lambda x, y: (x + y) % p,
+            "sub": lambda x, y: (x - y) % p,
+            "mul": lambda x, y: x * y % p,
+        }
+    r = M.params["r"]
+
+    def coordinates(op):
+        def on_indices(x, y):
+            (a1, b1), (a2, b2) = divmod(x, p), divmod(y, p)
+            a, b = op(a1, b1, a2, b2)
+            return a % p * p + b % p
+
+        return on_indices
+
+    return {
+        "add": coordinates(lambda a1, b1, a2, b2: (a1 + a2, b1 + b2)),
+        "sub": coordinates(lambda a1, b1, a2, b2: (a1 - a2, b1 - b2)),
+        "mul": coordinates(lambda a1, b1, a2, b2: (a1 * a2 + r * b1 * b2, a1 * b2 + a2 * b1)),
+    }
+
+
+def assert_matches_python_ints(M, xs, ys):
+    for name, op in python_ops(M).items():
+        got = M.functions[name][np.asarray(xs), np.asarray(ys)]
+        assert got.tolist() == [op(int(x), int(y)) for x, y in zip(xs, ys)], name
+
+
+class TestOracle:
+    @pytest.mark.parametrize(
+        "make, params",
+        [
+            (make_prime_field, primes_in(2, 97)),
+            (make_extension_field, primes_in(3, 13)),
+            (make_cyclic_group, range(1, 65)),
+            (make_f2_vector_space, range(1, 7)),
+        ],
+        ids=["prime-field", "extension-field", "cyclic-group", "f2-vector-space"],
+    )
+    def test_exhaustive_against_dense_tables(self, make, params):
+        for v in params:
+            M = make(v)
+            tables = dense_tables(M)
+            assert set(tables) == {k for k, a in M.sig.functions.items() if a == 2}
+            for name, table in tables.items():
+                assert np.array_equal(grid(M.functions[name]), table), (M.describe(), name)
+
+    @pytest.mark.parametrize(
+        "M",
+        [make_prime_field(1201), make_prime_field(2003), make_extension_field(83)],
+        ids=["GF(1201)", "GF(2003)", "GF(83^2)"],
+    )
+    def test_sampled_against_python_ints(self, M):
+        rng = np.random.default_rng(0)
+        xs, ys = rng.integers(0, M.size, size=(2, 5000))
+        assert_matches_python_ints(M, xs, ys)
+
+    @pytest.mark.parametrize("p", [46337, 46349])
+    def test_int32_boundary(self, p):
+        # the largest residues give the largest products; a product that
+        # wrapped in a too-narrow dtype would still reduce into 0..p-1
+        M = make_prime_field(p)
+        top = np.arange(p - 40, p)
+        xs, ys = np.repeat(top, len(top)), np.tile(top, len(top))
+        assert_matches_python_ints(M, xs, ys)
+        rng = np.random.default_rng(p)
+        assert_matches_python_ints(M, *rng.integers(0, p, size=(2, 2000)))
+
+
 class TestValidation:
     def test_table_closure_checked(self):
         bad = {
@@ -137,10 +216,14 @@ class TestValidation:
         }
         with pytest.raises(SignatureMismatchError):
             FiniteStructure(GROUP_SIGNATURE, 3, "cyclic-group", {"n": 3}, bad, {})
+        # a computed operation over another universe is rejected the same way
+        wrong_size = dict(make_cyclic_group(3).functions, add=make_cyclic_group(2).functions["add"])
+        with pytest.raises(SignatureMismatchError):
+            FiniteStructure(GROUP_SIGNATURE, 3, "cyclic-group", {"n": 3}, wrong_size, {})
 
     def test_corrupt_frob_rejected(self):
         K = make_extension_field(3)
-        funcs = {k: np.array(v) for k, v in K.functions.items()}
+        funcs = dict(K.functions)
         frob = funcs["frob"].copy()
         frob[1], frob[2] = frob[2], frob[1]
         funcs["frob"] = frob
@@ -151,8 +234,20 @@ class TestValidation:
             )
 
     def test_tables_read_only(self, gf7):
+        add = gf7.functions["add"]
+        with pytest.raises(TypeError):
+            add[0, 0] = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            add.fn = np.maximum
+        # a grid handed out is the caller's own copy
+        values = grid(add)
+        values[0, 0] = 3
+        assert np.array_equal(grid(add), dense_tables(gf7)["add"])
+        K = make_extension_field(3)
         with pytest.raises(ValueError):
-            gf7.functions["add"][0, 0] = 3
+            K.functions["frob"][0] = 1
+        with pytest.raises(ValueError):
+            K.relations["insub"][1] = True
 
     def test_duplicate_symbol_rejected(self):
         with pytest.raises(SignatureMismatchError):
@@ -215,5 +310,8 @@ class TestEnumerateFamily:
         fam = enumerate_family(FamilySpec("quadratic-extension-field", values=(3, 5)))
         for M, p in zip(fam, (3, 5)):
             ref = make_extension_field(p)
+            assert M.params == ref.params
             for name, table in ref.functions.items():
-                assert np.array_equal(M.functions[name], table)
+                assert np.array_equal(grid(M.functions[name]), grid(table))
+            for name, table in dense_tables(ref).items():
+                assert np.array_equal(grid(M.functions[name]), table)

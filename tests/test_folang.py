@@ -218,6 +218,14 @@ class TestCounting:
         assert counts.shape == (p,)
         assert set(counts.tolist()) == {(p + 1) // 2}
 
+    def test_half_measure_past_table_scale(self):
+        # GF(100003) stores nothing of size p^2, so counting stays O(p)
+        p = 100003
+        M = make_prime_field(p)
+        pf = parse_formula("exists z. z*z = x - y", M.sig)
+        for y in (0, 1, p - 4):
+            assert solution_count(M, pf, (y,)) == (p + 1) // 2
+
     def test_counts_all_two_params(self, gf7):
         pf = parse_formula(LEMMA_TEXT, gf7.sig)
         counts = solution_counts_all(gf7, pf)

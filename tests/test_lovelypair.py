@@ -158,6 +158,12 @@ class TestRunExperiment:
         assert len(reports) == 25 - 5
         assert all(r.subfield_violations == 0 for r in reports)
 
+    def test_million_element_field(self):
+        # q = 997^2; the field stores only length-q arrays
+        reports = run_experiment([997])
+        assert reports[0].q == 994_009
+        assert experiment_summary(reports)["witnessed"]
+
     def test_csv_shape(self):
         rows = list(csv_rows(run_experiment([3, 5])))
         assert rows[0] == ("p", "q", "phi_count", "q_over_4", "deviation", "violations")
