@@ -31,7 +31,14 @@ from .finitemodels import (
     signature_for_family,
 )
 from .folang import ParamFormula, parse_formula
-from .hgreedy import BEST_EFFORT, STRICT, build_h, derive_config, size_threshold_ok
+from .hgreedy import (
+    BEST_EFFORT,
+    STRICT,
+    build_h,
+    derive_config,
+    require_threshold,
+    size_threshold_ok,
+)
 from .haxioms import run_axiom_checks
 from .hsequence import (
     COARSE_DIM,
@@ -262,8 +269,6 @@ def _build_family(cfg: ExperimentConfig, threads: int):
             skipped.append(M.size)
         else:
             jobs.append(M)
-    if not jobs:  # strict, all below the threshold: fail rather than certify nothing
-        build_h(family[-1], gcfg, STRICT)  # raises ThresholdNotMetError naming the largest
 
     results = parallel_map(lambda M: build_h(M, gcfg, mode), jobs, threads)
     builds = list(zip(jobs, results))
@@ -306,8 +311,9 @@ def cmd_sequence(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
         samples=cfg.profile_samples,
         seed=cfg.seed,
     )
-    if all(e.level is None for e in plan.entries):  # nothing to certify at any level
-        build_h(family[-1], plan.configs[0], STRICT)  # raises ThresholdNotMetError
+    if all(e.level is None for e in plan.entries):
+        # every structure fails every level, so the largest fails level 0
+        require_threshold(plan.configs[0], family[-1])
     build_sequence(plan, threads=threads)
     series = coarse_dimension_series(plan, window=cfg.window)
     atomic_write_text(os.path.join(out_dir, "plan.json"), dump_json(plan.to_json_dict()))

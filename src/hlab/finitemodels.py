@@ -11,6 +11,7 @@ exhaustively at construction like any table a caller passes explicitly.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -62,10 +63,11 @@ GROUP_SIGNATURE = Signature(
 class Operation:
     """A binary operation on 0..size-1 computed from its arithmetic.
 
-    `op[a, b]` converts both index arguments (ints or arrays) to `dtype`,
-    broadcasts them and returns fn(a, b): what indexing a dense size-by-size
-    table would give, without storing one. `dtype` must hold every
-    intermediate value of fn, because numpy integers wrap on overflow.
+    `op[a, b]` converts both index arguments (ints or arrays) to `dtype`
+    and has fn(a, b, out) write, in place, what indexing a dense
+    size-by-size table would give into one fresh array of their broadcast
+    shape. `dtype` must hold every intermediate value of fn, because numpy
+    integers wrap on overflow.
     """
 
     size: int
@@ -75,14 +77,16 @@ class Operation:
     nbytes = 0  # nothing is stored per pair of elements
 
     def __getitem__(self, index):
-        a, b = index
-        return self.fn(np.asarray(a, dtype=self.dtype), np.asarray(b, dtype=self.dtype))
+        a, b = (np.asarray(v, dtype=self.dtype) for v in index)
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=self.dtype)
+        self.fn(a, b, out)
+        return out[()]  # a scalar for scalar arguments
 
 
 def _index_dtype(largest: int):
-    """int32 while the largest intermediate value fits (int32 arithmetic is
-    much faster than int64 on full grids), else int64."""
-    return np.int32 if largest < 2**31 else np.int64
+    """The narrowest of int16, int32 and int64 that holds the largest
+    intermediate value: narrow grids cost less memory and run faster."""
+    return next(t for t in (np.int16, np.int32, np.int64) if largest <= np.iinfo(t).max)
 
 
 @dataclass(eq=False)
@@ -172,38 +176,24 @@ class FiniteStructure:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
-    if hi < 2:
-        return []
-    sieve = np.ones(hi + 1, dtype=bool)
-    sieve[:2] = False
-    for i in range(2, int(hi**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = False
-    return [int(p) for p in np.flatnonzero(sieve) if p >= lo]
+    return [v for v in range(lo, hi + 1) if is_prime(v)]
 
 
 def _residue_operations(n: int) -> dict[str, Operation]:
-    """add, sub and mul on the residues 0..n-1."""
-    dtype = _index_dtype((n - 1) ** 2)
+    """add, sub and mul on the residues 0..n-1, each in the narrowest dtype
+    that holds n and a + b, a - b or a * b before reduction."""
+
+    def reduced(step):
+        return lambda a, b, out: np.remainder(step(a, b, out), n, out)
+
     return {
-        "add": Operation(n, lambda a, b: (a + b) % n, dtype),
-        "sub": Operation(n, lambda a, b: (a - b) % n, dtype),
-        "mul": Operation(n, lambda a, b: a * b % n, dtype),
+        "add": Operation(n, reduced(np.add), _index_dtype(2 * (n - 1))),
+        "sub": Operation(n, reduced(np.subtract), _index_dtype(n)),
+        "mul": Operation(n, reduced(np.multiply), _index_dtype((n - 1) ** 2)),
     }
 
 
@@ -238,19 +228,39 @@ def make_extension_field(p: int) -> FiniteStructure:
     r = least_nonresidue(p)
     n = p * p
 
-    def mul(x, y):
+    def coordinatewise(step):
+        # coordinates add (subtract) independently
+        def fn(x, y, out):
+            step(x // p, y // p, out)
+            out %= p
+            out *= p
+            t = step(x, y)  # its residue mod p is the t coordinate
+            t %= p
+            out += t
+
+        return fn
+
+    def mul(x, y, out):
         # (a1 + b1 t)(a2 + b2 t) = a1 a2 + r b1 b2 + (a1 b2 + a2 b1) t
         (xa, xb), (ya, yb) = np.divmod(x, p), np.divmod(y, p)
-        return (xa * ya + r * (xb * yb % p)) % p * p + (xa * yb + xb * ya) % p
+        np.multiply(xb, yb, out)
+        out %= p
+        out *= r
+        out += xa * ya
+        out %= p
+        out *= p
+        t = xa * yb
+        t += xb * ya
+        t %= p
+        out += t
 
     # no intermediate exceeds 2n: x + y, and a1 a2 + r (b1 b2 % p) < 2 p^2
     dtype = _index_dtype(2 * n)
     # x^p = a - b t in GF(p^2) because t^p = -t when t^2 is a non-residue
     a, b = np.divmod(np.arange(n, dtype=dtype), p)
     functions = {
-        # coordinates add independently; (x + y) % p is the t coordinate of x + y
-        "add": Operation(n, lambda x, y: (x // p + y // p) % p * p + (x + y) % p, dtype),
-        "sub": Operation(n, lambda x, y: (x // p - y // p) % p * p + (x - y) % p, dtype),
+        "add": Operation(n, coordinatewise(np.add), dtype),
+        "sub": Operation(n, coordinatewise(np.subtract), dtype),
         "mul": Operation(n, mul, dtype),
         "zero": np.int64(0),
         "one": np.int64(p),

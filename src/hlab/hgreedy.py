@@ -19,7 +19,7 @@ avoid formula, the size bound, and the per-step shrink factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -180,15 +180,7 @@ class ThresholdCheck:
     h_budget: int  # n * h_m
 
     def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "size": self.size,
-            "h_m": self.h_m,
-            "forbidden_bound": self.forbidden_bound,
-            "mass_allowance": self.mass_allowance,
-            "headroom": self.headroom,
-            "h_budget": self.h_budget,
-        }
+        return asdict(self)
 
 
 def size_threshold_ok(cfg: GreedyConfig, M) -> ThresholdCheck:
@@ -210,6 +202,20 @@ def size_threshold_ok(cfg: GreedyConfig, M) -> ThresholdCheck:
         headroom=float(headroom),
         h_budget=budget,
     )
+
+
+def require_threshold(cfg: GreedyConfig, M: FiniteStructure) -> ThresholdCheck:
+    """size_threshold_ok, raising ThresholdNotMetError (naming the structure,
+    mu and both inequalities) when M is below the threshold."""
+    threshold = size_threshold_ok(cfg, M)
+    if not threshold.ok:
+        raise ThresholdNotMetError(
+            f"{M.describe()} of size {M.size} is below the strict size threshold at "
+            f"mu = {cfg.mu}: forbidden bound {threshold.forbidden_bound:.6g} vs allowance "
+            f"{threshold.mass_allowance:.6g}, headroom {threshold.headroom:.6g} vs budget "
+            f"{threshold.h_budget}"
+        )
+    return threshold
 
 
 def _forbidden_mask(M: FiniteStructure, gamma, h_elements) -> np.ndarray:
@@ -393,13 +399,7 @@ class CoverCertificate:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "formula": self.formula,
-            "method": self.method,
-            "checked": self.checked,
-            "failures": [list(t) for t in self.failures],
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -410,12 +410,7 @@ class AvoidCertificate:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "formula": self.formula,
-            "checked": self.checked,
-            "violations": [list(t) for t in self.violations],
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -475,14 +470,7 @@ def build_h(M: FiniteStructure, cfg: GreedyConfig, mode: str = STRICT):
     """
     if mode not in (STRICT, BEST_EFFORT):
         raise ValueError(f"unknown mode {mode!r}")
-    threshold = size_threshold_ok(cfg, M)
-    if mode == STRICT and not threshold.ok:
-        raise ThresholdNotMetError(
-            f"{M.describe()} of size {M.size} is below the strict size threshold at "
-            f"mu = {cfg.mu}: forbidden bound {threshold.forbidden_bound:.6g} vs allowance "
-            f"{threshold.mass_allowance:.6g}, headroom {threshold.headroom:.6g} vs budget "
-            f"{threshold.h_budget}"
-        )
+    threshold = require_threshold(cfg, M) if mode == STRICT else size_threshold_ok(cfg, M)
     if M.size <= 1:
         raise StructureTooSmallError("degenerate universe of size <= 1")
 

@@ -125,16 +125,18 @@ class TestGroups:
 
 
 def python_ops(M):
-    """add, sub and mul of a prime field or GF(p^2) in Python ints, which
-    never overflow: the sampled oracle for sizes too large for dense tables."""
-    p = M.params["p"]
-    if M.family == "prime-field":
-        return {
-            "add": lambda x, y: (x + y) % p,
-            "sub": lambda x, y: (x - y) % p,
-            "mul": lambda x, y: x * y % p,
+    """add, sub and mul of a prime field, cyclic group or GF(p^2) in Python
+    ints, which never overflow: the sampled oracle for sizes too large for
+    dense tables."""
+    if M.family in ("prime-field", "cyclic-group"):
+        n = M.size
+        ops = {
+            "add": lambda x, y: (x + y) % n,
+            "sub": lambda x, y: (x - y) % n,
+            "mul": lambda x, y: x * y % n,
         }
-    r = M.params["r"]
+        return {name: op for name, op in ops.items() if name in M.functions}
+    p, r = M.params["p"], M.params["r"]
 
     def coordinates(op):
         def on_indices(x, y):
@@ -186,16 +188,33 @@ class TestOracle:
         xs, ys = rng.integers(0, M.size, size=(2, 5000))
         assert_matches_python_ints(M, xs, ys)
 
-    @pytest.mark.parametrize("p", [46337, 46349])
-    def test_int32_boundary(self, p):
-        # the largest residues give the largest products; a product that
-        # wrapped in a too-narrow dtype would still reduce into 0..p-1
-        M = make_prime_field(p)
-        top = np.arange(p - 40, p)
+    @pytest.mark.parametrize(
+        "make, v",
+        [
+            # int16 holds a + b up to Z_16384, a - b and n up to Z_32767, a * b up
+            # to GF(181), and every GF(p^2) intermediate up to p = 127
+            (make_cyclic_group, 16384),
+            (make_cyclic_group, 16385),
+            (make_cyclic_group, 32767),
+            (make_cyclic_group, 32768),
+            (make_prime_field, 181),
+            (make_prime_field, 191),
+            (make_extension_field, 127),
+            (make_extension_field, 131),
+            # int32 holds a * b up to GF(46337)
+            (make_prime_field, 46337),
+            (make_prime_field, 46349),
+        ],
+    )
+    def test_dtype_boundary(self, make, v):
+        # the largest indices give the largest intermediates; a value that
+        # wrapped in a too-narrow dtype would still reduce into 0..n-1
+        M = make(v)
+        top = np.arange(M.size - 40, M.size)
         xs, ys = np.repeat(top, len(top)), np.tile(top, len(top))
         assert_matches_python_ints(M, xs, ys)
-        rng = np.random.default_rng(p)
-        assert_matches_python_ints(M, *rng.integers(0, p, size=(2, 2000)))
+        rng = np.random.default_rng(v)
+        assert_matches_python_ints(M, *rng.integers(0, M.size, size=(2, 2000)))
 
 
 class TestValidation:
@@ -313,5 +332,3 @@ class TestEnumerateFamily:
             assert M.params == ref.params
             for name, table in ref.functions.items():
                 assert np.array_equal(grid(M.functions[name]), grid(table))
-            for name, table in dense_tables(ref).items():
-                assert np.array_equal(grid(M.functions[name]), table)
