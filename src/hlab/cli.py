@@ -138,6 +138,12 @@ def _parse_formula_entry(raw, sig, where: str) -> ParamFormula:
     raise ExperimentConfigError(f"{where}: formula must be a string or an object")
 
 
+def _parse_formula_list(raw, sig, key: str) -> list[ParamFormula]:
+    if not isinstance(raw, list):
+        raise ExperimentConfigError(f"{key!r} must be a list of formulas")
+    return [_parse_formula_entry(entry, sig, f"{key}[{i}]") for i, entry in enumerate(raw)]
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate the whole config before any work starts."""
     try:
@@ -158,14 +164,8 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         family = _parse_family(raw["family"])
         sig = signature_for_family(family.family)
-        cover = [
-            _parse_formula_entry(entry, sig, f"cover[{i}]")
-            for i, entry in enumerate(raw.get("cover", []))
-        ]
-        avoid = [
-            _parse_formula_entry(entry, sig, f"avoid[{i}]")
-            for i, entry in enumerate(raw.get("avoid", []))
-        ]
+        cover = _parse_formula_list(raw.get("cover", []), sig, "cover")
+        avoid = _parse_formula_list(raw.get("avoid", []), sig, "avoid")
         threads = raw.get("threads")
         cfg = ExperimentConfig(
             family=family,
@@ -186,7 +186,7 @@ def load_config(path: str) -> ExperimentConfig:
             window=int(raw.get("window", 3)),
             sweep_a1=bool(raw.get("sweep_a1", False)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ExperimentConfigError(f"bad value in config: {exc}") from exc
     if cfg.mu is not None and not 0.0 < cfg.mu < 1.0:
         raise ExperimentConfigError("mu must lie strictly between 0 and 1")

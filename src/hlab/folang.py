@@ -18,16 +18,20 @@ evaluation, implications and universal quantifiers are rewritten away and
 shadowed bound variables are renamed, so a single evaluation path handles
 every formula.
 
-Evaluation (eval_bulk) is brute force over numpy index arrays with one
-optimization: an existential whose body is an equation with the bound
-variable isolated on one side (for example `exists z. z*z = x - y`) is
-answered by membership in the precomputed image set of that side, cached per
-structure. The scalar `evaluate` is a naive reference for tests: nested loops
-over the universe, no cache.
+Evaluation (eval_bulk) works over numpy index arrays. An existential is
+planned as a conjunctive query when its body is an And chain holding one
+equation with the bound variable alone on one side, conjuncts in the bound
+variable alone, and conjuncts without it (for example
+`exists z. z*z = x - y & !(z = 0)`): the answer is membership in the image of
+that side over the domain the bound-variable conjuncts allow, cached per
+structure, and-ed with the other conjuncts. Any other existential loops over
+the universe. The scalar `evaluate` is a naive reference for tests: nested
+loops over the universe, no cache.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -599,13 +603,17 @@ def evaluate(M: FiniteStructure, f: Formula, a: Assignment) -> bool:
 # ---------------------------------------------------------------------------
 # Vectorized evaluation
 
-def _image_mask(M: FiniteStructure, term: Term, var: str) -> np.ndarray:
+def _image_mask(M: FiniteStructure, term: Term, var: str, domain: tuple) -> np.ndarray:
     """Boolean mask over the universe: which values the term attains as the
-    variable ranges over the whole universe. Cached on the structure."""
-    key = ("image", term, var)
+    variable ranges over the elements that satisfy every formula in `domain`
+    (formulas in that variable alone). Cached on the structure."""
+    key = ("image", term, var, domain)
     mask = M._cache.get(key)
     if mask is None:
-        vals = _bulk_term(M, term, {var: np.arange(M.size)})
+        points = np.arange(M.size)
+        for g in domain:
+            points = points[np.broadcast_to(eval_bulk(M, g, {var: points}), points.shape)]
+        vals = np.broadcast_to(_bulk_term(M, term, {var: points}), points.shape)
         mask = np.zeros(M.size, dtype=bool)
         mask[np.asarray(vals, dtype=np.intp)] = True
         mask.flags.writeable = False
@@ -613,16 +621,53 @@ def _image_mask(M: FiniteStructure, term: Term, var: str) -> np.ndarray:
     return mask
 
 
-def _memo_split(f: Exists):
-    """If the body is an equation with the bound variable confined to one
-    side, return (image_term, other_term); else None."""
-    if not isinstance(f.body, Eq):
+def _conjuncts(f: Formula) -> tuple:
+    """The And chain of f as a flat tuple; a double negation (which
+    normalize makes of `forall z. !body`) is read through."""
+    if isinstance(f, And):
+        return _conjuncts(f.left) + _conjuncts(f.right)
+    if isinstance(f, Not) and isinstance(f.body, Not):
+        return _conjuncts(f.body.body)
+    return (f,)
+
+
+def _isolated(f: Formula, var: str):
+    """(image_term, other_term) if f is an equation with `var` confined to
+    one side and that side in `var` alone; else None."""
+    if not isinstance(f, Eq):
         return None
-    lv, rv = term_vars(f.body.left), term_vars(f.body.right)
-    if lv <= {f.var} and f.var not in rv:
-        return f.body.left, f.body.right
-    if rv <= {f.var} and f.var not in lv:
-        return f.body.right, f.body.left
+    lv, rv = term_vars(f.left), term_vars(f.right)
+    if lv <= {var} and var not in rv:
+        return f.left, f.right
+    if rv <= {var} and var not in lv:
+        return f.right, f.left
+    return None
+
+
+# formula nodes are frozen and hashable, so each node is planned once
+@functools.lru_cache(maxsize=4096)
+def _exists_plan(f: Exists):
+    """Plan `exists z. body` as a domain-restricted image. The body's
+    conjuncts must be one isolated equation t(z) = s, conjuncts in z alone
+    (the domain of the image) and conjuncts without z (hoisted out). Returns
+    (image_term, other_term, domain, hoisted), or None when the body has no
+    isolated equation or a conjunct mixes z with other variables."""
+    conjuncts = _conjuncts(f.body)
+    for i, c in enumerate(conjuncts):
+        split = _isolated(c, f.var)
+        if split is None:
+            continue
+        domain, hoisted = [], []
+        for g in conjuncts[:i] + conjuncts[i + 1 :]:
+            fv = free_vars(g)
+            if fv <= {f.var}:
+                domain.append(g)
+            elif f.var not in fv:
+                hoisted.append(g)
+            else:
+                break
+        else:
+            return (*split, tuple(domain), tuple(hoisted))
     return None
 
 
@@ -659,11 +704,13 @@ def eval_bulk(M: FiniteStructure, f: Formula, env: dict) -> np.ndarray:
     if isinstance(f, Forall):
         return ~eval_bulk(M, Exists(f.var, Not(f.body)), env)
     if isinstance(f, Exists):
-        split = _memo_split(f)
-        if split is not None:
-            image_term, other = split
-            mask = _image_mask(M, image_term, f.var)
-            return np.asarray(mask[_bulk_term(M, other, env)])
+        plan = _exists_plan(f)
+        if plan is not None:
+            image_term, other, domain, hoisted = plan
+            out = _image_mask(M, image_term, f.var, domain)[_bulk_term(M, other, env)]
+            for g in hoisted:
+                out = out & eval_bulk(M, g, env)
+            return np.asarray(out)
         out = None
         for c in range(M.size):
             r = eval_bulk(M, f.body, {**env, f.var: c})

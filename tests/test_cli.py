@@ -1,14 +1,21 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hlab
 from hlab.cli import load_config, main
 from hlab.errors import ExperimentConfigError, InvariantError
+from hlab.finitemodels import FAMILIES
+
+
+MISSING = object()  # a write_config override that drops the key
 
 
 def write_config(tmp_path, name="exp.json", **overrides):
@@ -23,6 +30,7 @@ def write_config(tmp_path, name="exp.json", **overrides):
         "extension_samples": 100,
     }
     cfg.update(overrides)
+    cfg = {k: v for k, v in cfg.items() if v is not MISSING}
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
@@ -110,6 +118,62 @@ class TestLoadConfig:
         path = write_config(tmp_path, mu=1.5)
         with pytest.raises(ExperimentConfigError):
             load_config(path)
+
+
+# --- config fuzzing: wrong types, missing keys, out-of-range values -------
+
+_junk = st.sampled_from(
+    [None, True, False, 0, -1, 2.5, 10**30, float("inf"), float("-inf"), float("nan")]
+    + ["", "x", [], [3], {}, {"x": 1}]
+)
+_bound = st.one_of(st.integers(-10, 40), st.integers(10**6, 10**30), _junk)
+_family = st.fixed_dictionaries(
+    {},
+    optional={
+        "family": st.sampled_from([*FAMILIES, "octonions"]) | _junk,
+        "lo": _bound,
+        "hi": _bound,
+        "values": st.lists(_bound, max_size=3) | _junk,
+    },
+)
+_formulas = st.lists(
+    st.sampled_from(["exists z. z*z = x - y", "x = z"])
+    | st.fixed_dictionaries({}, optional={"text": st.just("x = y"), "params": _junk})
+    | _junk,
+    max_size=2,
+) | _junk
+_overrides = st.fixed_dictionaries(
+    {},
+    optional={
+        "family": st.just(MISSING) | _family | _junk,
+        "cover": st.just(MISSING) | _formulas,
+        "avoid": st.just(MISSING) | _formulas,
+        "mu": st.just(MISSING) | st.floats(-1.0, 2.0) | st.sampled_from([0, 1, 0.0, 1.0]) | _junk,
+        "seed": _junk,
+        "mode": st.sampled_from(["strict", "best_effort", "coarse-dim"]) | _junk,
+        "threads": _junk,
+        "extension_samples": _junk,
+        "window": _junk,
+        "gap": _junk,
+    },
+)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300)
+    @given(_overrides, st.sampled_from(["profile", "build", "sequence", "axioms", "lovely-pair"]))
+    def test_bad_config_is_exit_2_with_message(self, tmp_path_factory, overrides, command):
+        tmp_path = tmp_path_factory.mktemp("fuzz")
+        path = write_config(tmp_path, **overrides)
+        try:
+            load_config(path)
+        except ExperimentConfigError:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", path, "--out", str(tmp_path / "out")])
+            assert code == 2
+            assert err.getvalue().startswith("error: ")
+            assert "Traceback" not in err.getvalue()
 
 
 class TestCommands:

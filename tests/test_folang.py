@@ -1,6 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hlab.errors import (
     EvaluationError,
@@ -19,7 +21,9 @@ from hlab.folang import (
     Not,
     Num,
     Or,
+    Rel,
     Var,
+    _exists_plan,
     eval_bulk,
     evaluate,
     free_vars,
@@ -31,6 +35,7 @@ from hlab.folang import (
     solution_count,
     solution_counts_all,
     solution_set,
+    term_vars,
 )
 
 LEMMA_TEXT = "exists z. z*z = x - y1 & !(exists z. z*z = x - y2)"
@@ -226,6 +231,16 @@ class TestCounting:
         for y in (0, 1, p - 4):
             assert solution_count(M, pf, (y,)) == (p + 1) // 2
 
+    def test_nonzero_square_shift_past_table_scale(self):
+        # the domain conjunct keeps the plan O(p); the per-element loop
+        # would be O(p^2) per call here, so a silent fallback fails fast
+        p = 100003
+        M = make_prime_field(p)
+        pf = parse_formula("exists z. z*z = x - y & !(z = 0)", M.sig)
+        assert _exists_plan(pf.formula) is not None
+        for y in (0, 1, p - 4):
+            assert solution_count(M, pf, (y,)) == (p - 1) // 2
+
     def test_counts_all_two_params(self, gf7):
         pf = parse_formula(LEMMA_TEXT, gf7.sig)
         counts = solution_counts_all(gf7, pf)
@@ -244,6 +259,105 @@ class TestCounting:
         M = make_cyclic_group(13)
         pf = parse_formula("exists z. x = y + z + z", M.sig)
         assert solution_count(M, pf, (y,)) == len(solution_set(M, pf, (y,)))
+
+
+def assert_bulk_matches_naive(M, f):
+    """eval_bulk on every assignment of the free variables, one broadcast
+    grid per variable, with the image cache cold and then warm, against the
+    naive scalar oracle."""
+    names = sorted(free_vars(f))
+    grids = np.meshgrid(*[np.arange(M.size)] * len(names), indexing="ij")
+    env = dict(zip(names, grids))
+    cold, warm = eval_bulk(M, f, env), eval_bulk(M, f, env)
+    assert cold.shape == warm.shape == (M.size,) * len(names)
+    for point in np.ndindex(cold.shape):
+        a = {v: int(c) for v, c in zip(names, point)}
+        assert bool(cold[point]) == bool(warm[point]) == evaluate(M, f, a)
+
+
+# --- random conjunctive existentials for the query planner ---------------
+
+PLANNER_STRUCTURES = {
+    make_prime_field: (2, 3, 5, 7, 11, 13),
+    make_cyclic_group: tuple(range(1, 13)),
+    make_extension_field: (3, 5),
+}
+
+
+@functools.cache
+def _planner_structure(make, size):
+    return make(size)
+
+
+@st.composite
+def _planner_term(draw, sig, names, must=(), depth=2):
+    """A term over `names` and numerals that contains every name in `must`."""
+    binary = [f for f in ("add", "sub", "mul") if f in sig.functions]
+    leaves = [Var(v) for v in names] or [Num(0)]
+    if depth == 0 or draw(st.booleans()):
+        t = draw(st.sampled_from(leaves) | st.integers(0, 4).map(Num))
+    elif "frob" in sig.functions and draw(st.integers(0, 3)) == 0:
+        t = Apply("frob", (draw(_planner_term(sig, names, depth=depth - 1)),))
+    else:
+        a = draw(_planner_term(sig, names, depth=depth - 1))
+        b = draw(_planner_term(sig, names, depth=depth - 1))
+        t = Apply(draw(st.sampled_from(binary)), (a, b))
+    for v in must:
+        if v not in term_vars(t):
+            pair = (Var(v), t) if draw(st.booleans()) else (t, Var(v))
+            t = Apply(draw(st.sampled_from(binary)), pair)
+    return t
+
+
+@st.composite
+def _planner_conjunct(draw, sig, var, outer, budget, kind):
+    """One conjunct of `exists var. ...`: the isolated equation, one in `var`
+    alone, one without `var`, or one mixing `var` with `outer` (which the
+    planner must leave to the per-element loop); all but the isolated
+    equation may be negated."""
+    if kind == "isolated":
+        image = draw(_planner_term(sig, (var,), must=(var,)))
+        other = draw(_planner_term(sig, outer))
+        return Eq(image, other) if draw(st.booleans()) else Eq(other, image)
+    if kind == "mixed":
+        mixed = draw(_planner_term(sig, (var, *outer), must=(var, draw(st.sampled_from(outer)))))
+        c = Eq(mixed, draw(_planner_term(sig, outer)))
+    else:
+        names = (var,) if kind == "domain" else outer
+        if budget > 0 and draw(st.booleans()):
+            c = draw(_planner_quantified(sig, "w", names, budget - 1))
+        elif kind == "domain" and "insub" in sig.relations and draw(st.booleans()):
+            c = Rel("insub", (draw(_planner_term(sig, names, must=(var,))),))
+        else:
+            c = Eq(draw(_planner_term(sig, names)), draw(_planner_term(sig, names)))
+    return Not(c) if draw(st.integers(0, 2)) == 0 else c
+
+
+@st.composite
+def _planner_quantified(draw, sig, var, outer, budget):
+    """`exists var.` or `forall var. !` over an And chain of conjuncts,
+    sometimes negated; `budget` more quantifiers may nest inside. Most
+    chains hold an isolated equation; some hold a mixed conjunct too."""
+    rest = ["domain", "hoisted", "isolated"] + (["mixed"] if outer else [])
+    kinds = [draw(st.sampled_from(["isolated", "isolated", "isolated", "domain"]))]
+    kinds += draw(st.lists(st.sampled_from(rest), max_size=3))
+    parts = [draw(_planner_conjunct(sig, var, outer, budget, k)) for k in kinds]
+    parts = draw(st.permutations(parts))
+    body = parts[0]
+    for c in parts[1:]:
+        body = And(body, c) if draw(st.booleans()) else And(c, body)
+    quantified = [Exists(var, body), Exists(var, body), Forall(var, Not(body)), Forall(var, body)]
+    f = draw(st.sampled_from(quantified))
+    return Not(f) if draw(st.integers(0, 3)) == 0 else f
+
+
+@st.composite
+def _planner_cases(draw):
+    make = draw(st.sampled_from(list(PLANNER_STRUCTURES)))
+    size = draw(st.sampled_from(PLANNER_STRUCTURES[make]))
+    outer = draw(st.sampled_from([("x",), ("x", "y")]))
+    sig = _planner_structure(make, size).sig
+    return make, size, draw(_planner_quantified(sig, "z", outer, budget=1))
 
 
 class TestEvaluatorAgreement:
@@ -274,16 +388,46 @@ class TestEvaluatorAgreement:
 
     @pytest.mark.parametrize("text", FORMULAS)
     def test_bulk_matches_scalar(self, text):
-        # every assignment of GF(7), broadcast as one grid per free variable
         M = make_prime_field(7)
-        f = normalize(parse(text, M.sig))
-        names = sorted(free_vars(f))
-        grids = np.meshgrid(*[np.arange(7)] * len(names), indexing="ij")
-        bulk = eval_bulk(M, f, dict(zip(names, grids)))
-        assert bulk.shape == (7,) * len(names)
-        for point in np.ndindex(bulk.shape):
-            a = {v: int(c) for v, c in zip(names, point)}
-            assert bool(bulk[point]) == evaluate(M, f, a)
+        assert_bulk_matches_naive(M, normalize(parse(text, M.sig)))
+
+    def test_image_cache_keyed_by_domain(self):
+        # the two formulas share an image term and differ at x = 0, so an
+        # image cached without its domain answers the second one wrongly
+        plain = "exists z. z*z = x"
+        nonzero = "exists z. z*z = x & !(z = 0)"
+        for order in ((plain, nonzero), (nonzero, plain)):
+            M = make_prime_field(7)
+            for text in order:
+                assert_bulk_matches_naive(M, normalize(parse(text, M.sig)))
+        M = make_prime_field(7)
+        grid = {"x": np.arange(7)}
+        assert eval_bulk(M, normalize(parse(plain, M.sig)), grid)[0]
+        assert not eval_bulk(M, normalize(parse(nonzero, M.sig)), grid)[0]
+
+    def test_empty_domain_image_is_empty(self, gf7):
+        # the image term has no z, so only the empty domain makes it false
+        f = normalize(parse("exists z. x = 0 & !(z = z)", gf7.sig))
+        assert _exists_plan(f) is not None
+        assert not eval_bulk(gf7, f, {"x": np.arange(7)}).any()
+
+    def test_mixed_conjunct_falls_back(self, gf7):
+        f = normalize(parse("exists z. z*z = x - y & !(z = y)", gf7.sig))
+        assert _exists_plan(f) is None
+        assert_bulk_matches_naive(gf7, f)
+
+    def test_forall_of_negated_conjunction_is_planned(self, gf7):
+        f = normalize(parse("forall z. !(z*z = x & !(z = 0))", gf7.sig))
+        assert _exists_plan(f.body) is not None
+        assert_bulk_matches_naive(gf7, f)
+
+    @settings(max_examples=300)
+    @given(_planner_cases())
+    def test_planner_matches_naive(self, case):
+        # one structure per size for the whole run, so images cached for
+        # earlier formulas are in place when later ones look them up
+        make, size, f = case
+        assert_bulk_matches_naive(_planner_structure(make, size), normalize(f))
 
     def test_raw_formula_evaluates_like_normalized(self, gf7):
         raw = parse("forall z. z = x -> (exists w. w + w = z + y)", gf7.sig)
