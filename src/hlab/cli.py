@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import atomic_write_text, dump_json
-from .asymptotics import _classify_counts, _structure_key, profile_family
+from .asymptotics import PSI_BUDGET, _classify_counts, _structure_key, profile_family
 from .errors import ExperimentConfigError, LabError
 from .finitemodels import (
     EXTENSION_FIELD,
@@ -113,12 +113,18 @@ def _parse_family(raw) -> FamilySpec:
             f"unknown family {raw['family']!r}; choose one of {list(FAMILIES)}"
         )
     values, lo, hi = raw.get("values"), raw.get("lo"), raw.get("hi")
-    return FamilySpec(
+    spec = FamilySpec(
         family=raw["family"],
         lo=None if lo is None else int(lo),
         hi=None if hi is None else int(hi),
         values=None if values is None else tuple(int(v) for v in values),
     )
+    # the interval is listed before it is filtered, so bound its length
+    if spec.lo is not None and spec.hi is not None and spec.hi - spec.lo >= PSI_BUDGET:
+        raise ExperimentConfigError(
+            f"family interval lo={spec.lo}, hi={spec.hi} lists more than {PSI_BUDGET} values"
+        )
+    return spec
 
 
 def _parse_formula_entry(raw, sig, where: str) -> ParamFormula:

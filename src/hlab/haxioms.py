@@ -3,7 +3,8 @@
 Scope note carried in every report: these are finite surrogates. Density and
 extension quantify over enumerated or seeded-sampled parameter tuples of the
 supplied cover formulas only, and algebraic closure is truncated to the
-supplied avoid list. Independence is checked exactly in its order-restricted
+supplied avoid list (hgreedy.closure_masks computes it, for every extension
+sample in one batch). Independence is checked exactly in its order-restricted
 form (the construction's guarantee); the symmetric form is reported as an
 informational count because nothing at finite scale stands in for the
 exchange argument that closes the gap in the limit.
@@ -11,7 +12,7 @@ exchange argument that closes the gap in the limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,12 +23,12 @@ from .finitemodels import FiniteStructure
 from .folang import eval_bulk, solution_mask_matrix
 from .hgreedy import (
     AVOID_BUDGET,
-    _forbidden_mask,
+    _union_bound,
+    closure_masks,
     max_solution_count,
     verify_avoid,
     verify_cover,
 )
-from .hsequence import closure
 
 SCOPE_NOTE = (
     "finite-scale surrogate: density/extension checked over enumerated or "
@@ -55,16 +56,7 @@ class AxiomReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "scope": self.scope,
-            "size": self.size,
-            "structure": self.structure,
-            "independence": self.independence,
-            "density": self.density,
-            "extension": self.extension,
-            "seed": self.seed,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def failure_csv_rows(self):
         for cert in self.density["per_formula"]:
@@ -157,9 +149,10 @@ def check_extension(
 
     Each sample draws a cover formula, a large parameter tuple, and up to
     base_max extra base elements; it fails if every solution lies inside
-    clos(H + params + base). When the smallest large count strictly exceeds
-    the closure union bound the check cannot fail; that sufficient condition
-    is recorded and enforced.
+    clos(H + params + base). All samples are drawn first; one closure_masks
+    call checks every closure against its union bound. When the smallest
+    large count strictly exceeds the closure union bound the check cannot
+    fail; that sufficient condition is recorded and enforced.
     """
     elements = list(getattr(h_set, "elements", h_set))
     gamma = list(gamma_trunc)
@@ -185,47 +178,39 @@ def check_extension(
             "seed": seed,
         }
 
-    k0 = max((pf.arity for pf in gamma), default=0)
     if gamma_max_solutions is None:
         gamma_max_solutions = max_solution_count(M, gamma)
-    closure_bound = None
-    sufficient = None
-    if gamma_max_solutions is not None:
-        ell = max(pf.arity for pf, _ in usable)
-        slots = len(elements) + base_max + ell + (1 if any(pf.arity == 0 for pf in gamma) else 0)
-        closure_bound = gamma_max_solutions * len(gamma) * slots**k0
-        sufficient = min_large_count > closure_bound
+    # no closure of H plus a sample's parameters and base is larger
+    ell = max(pf.arity for pf, _ in usable)
+    closure_bound = _union_bound(gamma, len(elements) + base_max + ell, gamma_max_solutions)
+    sufficient = None if closure_bound is None else min_large_count > closure_bound
 
-    unary = all(pf.arity <= 1 for pf in gamma)
-    clos_h = _forbidden_mask(M, gamma, elements)
-    element_mask = None
-    if unary:
-        element_mask = np.zeros((M.size, M.size), dtype=bool)
-        universe = np.arange(M.size, dtype=np.intp)
-        for xi in gamma:
-            if xi.arity == 1:
-                element_mask |= solution_mask_matrix(M, xi, universe[None, :])
-
-    failures = []
-    for _ in range(samples):
-        f_i = int(rng.integers(len(usable)))
-        pf, cols = usable[f_i]
-        a_i = int(rng.integers(cols.shape[1]))
-        params = tuple(int(v) for v in cols[:, a_i])
+    # every draw first; the order of generator calls fixes the report bytes
+    picks = np.empty((2, samples), dtype=np.intp)  # cover formula, large tuple
+    bases = []
+    for j in range(samples):
+        picks[0, j] = rng.integers(len(usable))
+        picks[1, j] = rng.integers(usable[picks[0, j]][1].shape[1])
         base_n = int(rng.integers(0, base_max + 1))
-        base = [int(v) for v in rng.choice(M.size, size=base_n, replace=False)]
-        extra = sorted(set(params) | set(base))
-        sol = solution_mask_matrix(M, pf, cols[:, a_i : a_i + 1])[:, 0]
-        if unary:
-            clos_mask = clos_h.copy()
-            if extra:
-                clos_mask |= element_mask[:, extra].any(axis=1)
-        else:
-            clos = closure(M, elements, extra, gamma, max_solutions=gamma_max_solutions)
-            clos_mask = np.zeros(M.size, dtype=bool)
-            clos_mask[clos.elements] = True
-        if not (sol & ~clos_mask).any():
-            failures.append({"formula": pf.text, "params": list(params), "base": base})
+        bases.append([int(v) for v in rng.choice(M.size, size=base_n, replace=False)])
+    params = [[int(v) for v in usable[f_i][1][:, a_i]] for f_i, a_i in picks.T]
+    clos = closure_masks(
+        M,
+        elements,
+        [p + b for p, b in zip(params, bases)],
+        gamma,
+        max_solutions=gamma_max_solutions,
+    )
+    swallowed = np.zeros(samples, dtype=bool)
+    for f_i, (pf, cols) in enumerate(usable):
+        picked = np.flatnonzero(picks[0] == f_i)
+        if picked.size:
+            sol = solution_mask_matrix(M, pf, cols[:, picks[1, picked]])
+            swallowed[picked] = ~(sol & ~clos[:, picked]).any(axis=0)
+    failures = [
+        {"formula": usable[picks[0, j]][0].text, "params": params[j], "base": bases[j]}
+        for j in np.flatnonzero(swallowed)
+    ]
     if sufficient and failures:
         raise InvariantError(
             f"{M.describe()}, formula {failures[0]['formula']!r}, extension sample with "

@@ -248,26 +248,66 @@ def max_solution_count(M: FiniteStructure, gamma) -> int | None:
     return max((int(solution_counts_all(M, pf).max()) for pf in gamma), default=0)
 
 
-def forbidden_set(h_elements, gamma, M: FiniteStructure) -> list[int]:
-    """Public view of the forbidden set, in index order.
-
-    The union bound max_solutions * |gamma| * (|H| + 1)^k0 is enforced when
-    the per-structure max solution count is cheap to compute.
-    """
-    h = list(h_elements)
-    gamma = list(gamma)
-    mask = _forbidden_mask(M, gamma, h)
-    out = [int(v) for v in np.flatnonzero(mask)]
+def _union_bound(gamma, base_size, max_solutions):
+    """max_solutions * |gamma| * (base_size + [some formula is parameterless])^k0,
+    elementwise over an array of base sizes; None when max_solutions is
+    unknown. No closure of a base of base_size elements is larger."""
+    if max_solutions is None:
+        return None
     k0 = max((pf.arity for pf in gamma), default=0)
-    max_solutions = max_solution_count(M, gamma)
-    if max_solutions is not None:
-        bound = max_solutions * len(gamma) * (len(h) + 1) ** k0
-        if len(out) > bound:
-            raise InvariantError(
-                f"{M.describe()}, avoid formulas {[pf.text for pf in gamma]}, forbidden "
-                f"set at |H| = {len(h)}: {len(out)} elements exceed the union bound {bound}"
-            )
+    return max_solutions * len(gamma) * (base_size + any(pf.arity == 0 for pf in gamma)) ** k0
+
+
+def closure_masks(
+    M: FiniteStructure, h_elements, a_sets, gamma, *, max_solutions: int | None = None
+) -> np.ndarray:
+    """Boolean (size, len(a_sets)) matrix whose column i is clos(H union A_i)
+    under the avoid list, the finite stand-in for algebraic closure: clos(H)
+    plus the solutions over the tuples that use an element of A_i minus H.
+    Each pool lists those elements first, so tuple positions depend only on
+    their count. One evaluation per avoid formula covers a block of sets,
+    MATRIX_BUDGET cells at most. Every column is checked against
+    _union_bound; max_solutions None is recounted when that is cheap."""
+    gamma, a_sets = list(gamma), list(a_sets)
+    h = sorted({int(v) for v in h_elements})
+    pools = [np.array(sorted({int(v) for v in a}.difference(h)) + h, dtype=np.intp) for a in a_sets]
+    fresh = [len(pool) - len(h) for pool in pools]  # |A_i minus H|
+    out = np.repeat(_forbidden_mask(M, gamma, h)[:, None], len(pools), axis=1)
+    chunk = max(1, MATRIX_BUDGET // max(M.size, 1))
+    for xi in gamma if pools else ():  # a parameterless formula has no tuples here
+        layout = {}
+        for m in set(fresh):
+            grid = tuple_columns(range(m + len(h)), xi.arity)
+            layout[m] = grid[:, (grid < m).any(axis=0)]
+        widths = np.array([layout[m].shape[1] for m in fresh])
+        block = (np.cumsum(widths) - widths) // chunk
+        for sets in np.split(np.arange(len(pools)), np.flatnonzero(np.diff(block)) + 1):
+            cols = np.concatenate([pools[i][layout[fresh[i]]] for i in sets], axis=1)
+            owner = np.repeat(sets, widths[sets])
+            for start in range(0, cols.shape[1], chunk):
+                own = owner[start : start + chunk]
+                heads = np.flatnonzero(np.r_[True, own[1:] != own[:-1]])
+                hit = solution_mask_matrix(M, xi, cols[:, start : start + chunk])
+                out[:, own[heads]] |= np.logical_or.reduceat(hit, heads, axis=1)
+    if max_solutions is None:
+        max_solutions = max_solution_count(M, gamma)
+    sizes = len(h) + np.array(fresh, dtype=np.intp)
+    bounds = _union_bound(gamma, sizes, max_solutions)
+    over = [] if bounds is None else np.flatnonzero(out.sum(axis=0) > bounds)
+    if len(over):
+        i = over[0]
+        raise InvariantError(
+            f"{M.describe()}, avoid formulas {[pf.text for pf in gamma]}, closure of H plus "
+            f"{sorted({int(v) for v in a_sets[i]})} (a base of {sizes[i]}): "
+            f"{out[:, i].sum()} elements exceed the union bound {bounds[i]}"
+        )
     return out
+
+
+def forbidden_set(h_elements, gamma, M: FiniteStructure) -> list[int]:
+    """Public view of the forbidden set clos(H), in index order, checked
+    against the union bound by closure_masks."""
+    return [int(v) for v in np.flatnonzero(closure_masks(M, h_elements, [()], gamma)[:, 0])]
 
 
 @dataclass
@@ -441,24 +481,10 @@ class BuildReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "structure": self.structure,
-            "mode": self.mode,
-            "mu": self.mu,
-            "threshold": self.threshold.to_json_dict(),
-            "phases": self.phases,
-            "cover": [c.to_json_dict() for c in self.cover],
-            "avoid": [c.to_json_dict() for c in self.avoid],
-            "h": list(self.h_elements),
-            "provenance": [list(p) for p in self.provenance],
-            "h_size": self.h_size,
-            "size_bound_limit": self.size_bound_limit,
-            "size_bound_ok": self.size_bound_ok,
-            "h_budget": self.h_budget,
-            "shrink_ok": self.shrink_ok,
-            "all_passed": self.all_passed,
-        }
+        out = asdict(self)
+        out["h"] = out.pop("h_elements")
+        out["provenance"] = [list(p) for p in self.provenance]
+        return {**out, "all_passed": self.all_passed}
 
 
 def build_h(M: FiniteStructure, cfg: GreedyConfig, mode: str = STRICT):

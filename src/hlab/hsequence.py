@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .asymptotics import profile_family
-from .errors import ConfigRejectedError, InvariantError
+from .errors import ConfigRejectedError
 from .finitemodels import FiniteStructure
 from .folang import ParamFormula
 from .hgreedy import (
@@ -26,8 +26,9 @@ from .hgreedy import (
     BuildReport,
     GreedyConfig,
     HSet,
-    _forbidden_mask,
+    _union_bound,
     build_h,
+    closure_masks,
     default_mu,
     derive_config,
     max_solution_count,
@@ -210,30 +211,19 @@ def closure(
     *,
     max_solutions: int | None = None,
 ) -> ClosureSet:
-    """clos(H union A) under the truncated avoid list.
-
-    The union bound max_solutions * |gamma| * base^k0 is enforced whenever
-    the per-formula max solution count is known or cheap to compute; bases
-    that only meet parameterless formulas use base+1 (those formulas
-    contribute even to the empty base).
-    """
+    """clos(H union A) under the truncated avoid list: one column of
+    closure_masks, with the union bound it was checked against (None when
+    the per-formula max solution count is too costly to recount)."""
     gamma = list(gamma_trunc)
-    base = sorted(set(int(v) for v in h_elements) | set(int(v) for v in a_elements))
-    mask = _forbidden_mask(M, gamma, base)
-    elements = [int(v) for v in np.flatnonzero(mask)]
-    k0 = max((pf.arity for pf in gamma), default=0)
     if max_solutions is None:
         max_solutions = max_solution_count(M, gamma)
-    bound = None
-    if max_solutions is not None:
-        slots = len(base) + (1 if any(pf.arity == 0 for pf in gamma) else 0)
-        bound = max_solutions * len(gamma) * slots**k0
-        if len(elements) > bound:
-            raise InvariantError(
-                f"{M.describe()}, avoid formulas {[pf.text for pf in gamma]}, closure of "
-                f"a base of {len(base)}: {len(elements)} elements exceed the union bound {bound}"
-            )
-    return ClosureSet(elements=elements, base_size=len(base), bound=bound)
+    mask = closure_masks(M, h_elements, [a_elements], gamma, max_solutions=max_solutions)
+    base_size = len({int(v) for v in h_elements} | {int(v) for v in a_elements})
+    return ClosureSet(
+        elements=[int(v) for v in np.flatnonzero(mask[:, 0])],
+        base_size=base_size,
+        bound=_union_bound(gamma, base_size, max_solutions),
+    )
 
 
 @dataclass
@@ -250,15 +240,7 @@ class CoarseDimensionSeries:
     nonincreasing: bool | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "rows": [list(r) for r in self.rows],
-            "window": self.window,
-            "first_ratio": self.first_ratio,
-            "last_ratio": self.last_ratio,
-            "first_window_avg": self.first_window_avg,
-            "last_window_avg": self.last_window_avg,
-            "nonincreasing": self.nonincreasing,
-        }
+        return {**asdict(self), "rows": [list(r) for r in self.rows]}
 
     def csv_rows(self):
         yield ("size", "h_size", "ratio")

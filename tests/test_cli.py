@@ -102,14 +102,17 @@ class TestLoadConfig:
             {"family": {"family": "prime-field", "values": 5}},
             {"family": {"family": "prime-field", "values": ["a"]}},
             {"family": {"family": "prime-field", "lo": "a", "hi": 181}},
+            {"family": {"family": "prime-field", "lo": 101, "hi": 10**30}},
             {"cover": 5},
             {"cover": [{"text": "exists z. z*z = x - y", "params": 5}]},
             {"family": lovely, "cover": [], "avoid": []},
         ]
         for overrides in cases:
             path = write_config(tmp_path, **overrides)
-            with pytest.raises(ExperimentConfigError):
+            with pytest.raises(ExperimentConfigError) as caught:
                 load_config(path)
+            if overrides.get("family", {}).get("hi") == 10**30:
+                assert "hi=" in str(caught.value)
         # the last case through the CLI: a message and exit 2, no traceback
         assert main(["lovely-pair", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: ")

@@ -4,7 +4,8 @@ never edited; a refactor that changes any report byte fails here.
 
 The `density_budget: 10` run forces the sampled cover certificate, and
 `test_sampled_extension_check` pins the sampled branch of check_extension,
-which no CLI run on a small family reaches.
+which no CLI run on a small family reaches; `test_binary_avoid_extension_check`
+pins failing extension samples under a two-parameter avoid formula.
 """
 
 import hashlib
@@ -47,6 +48,8 @@ RUNS = {
     "axioms_sampled_cover": (["axioms", "--threads", "2"], {**SQUARE_SHIFT, "density_budget": 10}),
     "cyclic_profile": (["profile"], "cyclic_doubling.json"),
     "cyclic_build": (["build", "--threads", "2"], "cyclic_doubling.json"),
+    # the only shipped run whose extension samples fail
+    "cyclic_axioms": (["axioms", "--threads", "2"], "cyclic_doubling.json"),
     "lovely_pair": (["lovely-pair"], LOVELY_PAIR),
     "lovely_pair_sweep": (["lovely-pair"], LOVELY_SWEEP),
 }
@@ -154,6 +157,13 @@ GOLDEN = {
             "hsets/h_9.txt": "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
         },
     ),
+    "cyclic_axioms": (
+        1,
+        {
+            "axioms.json": "b4781264df4cca554647ebc0d92ae845ead9872b3f299ac5fb341000b10baedd",
+            "failures.csv": "a547635c7594cd200fa8c4da63b9099ea1a132c6e7cf629540b66c38a4ad77a9",
+        },
+    ),
     "cyclic_profile": (
         0,
         {
@@ -220,6 +230,7 @@ def test_report_digests(name, tmp_path):
 
 
 EXTENSION_DIGEST = "70ebf75a06548e108d866bda810efd319a07a4ba84b4e49e7ba6fc2c3e31f454"
+BINARY_EXTENSION_DIGEST = "f1a90d2de540ccd62d176d3c017dfd48836cfb426db6089d6dc45b2ef44b6ce2"
 PROFILE_DIGEST = "df678c2216cd27d53ec182fa8b6f4ffebda67d1dd09799ad4c8fa8c353af4063"
 
 
@@ -238,6 +249,21 @@ def test_sampled_extension_check():
     assert result["min_large_count"] == 221
     digest = hashlib.sha256(dump_json(result).encode()).hexdigest()
     assert digest == EXTENSION_DIGEST
+
+
+def test_binary_avoid_extension_check():
+    # a two-parameter avoid formula on Z_13 with a hand-picked H: pair sums
+    # of H plus the sampled base swallow 9 of the 40 solution sets
+    family = [make_cyclic_group(n) for n in range(9, 21)]
+    sig = family[0].sig
+    cover = [parse_formula("!(x = y)", sig), parse_formula("exists z. x = y + z + z", sig)]
+    profiles = [profile_family(family, pf) for pf in cover]
+    pairsum = parse_formula("x = z1 + z2", sig, params=("z1", "z2"))
+    M = make_cyclic_group(13)
+    result = check_extension(M, [0, 1, 3], cover, profiles, [pairsum], samples=40, seed=2)
+    assert len(result["failures"]) == 9
+    digest = hashlib.sha256(dump_json(result).encode()).hexdigest()
+    assert digest == BINARY_EXTENSION_DIGEST
 
 
 def test_sampled_profile():

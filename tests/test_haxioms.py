@@ -1,8 +1,17 @@
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
+import hlab
 from hlab._util import dump_json
+from hlab.asymptotics import large_columns, profile_family
+from hlab.errors import InvariantError
 from hlab.finitemodels import make_cyclic_group, make_prime_field, primes_in
-from hlab.folang import parse_formula
+from hlab.folang import parse_formula, solution_set
+from hlab.hsequence import closure
 from hlab.hgreedy import BEST_EFFORT, STRICT, build_h, derive_config
 from hlab.haxioms import (
     SCOPE_NOTE,
@@ -11,6 +20,35 @@ from hlab.haxioms import (
     check_independence,
     run_axiom_checks,
 )
+
+
+def replay_extension(M, h, delta, profiles, gamma, *, samples, base_max, seed, gamma_max_solutions):
+    """check_extension's failures the slow way: the same draws, one sample at
+    a time, each judged by solution_set and closure."""
+    h = list(getattr(h, "elements", h))
+    rng = np.random.default_rng([seed, M.size, 3])
+    usable = []
+    for pf, prof in zip(delta, profiles):
+        cols, _, _ = large_columns(M, pf, prof, rng, 10 * samples)
+        if cols.shape[1]:
+            usable.append((pf, cols))
+    failures = []
+    for _ in range(samples if usable else 0):
+        pf, cols = usable[int(rng.integers(len(usable)))]
+        params = [int(v) for v in cols[:, int(rng.integers(cols.shape[1]))]]
+        base_n = int(rng.integers(0, base_max + 1))
+        base = [int(v) for v in rng.choice(M.size, size=base_n, replace=False)]
+        clos = closure(M, h, params + base, gamma, max_solutions=gamma_max_solutions)
+        if set(solution_set(M, pf, params)) <= set(clos.elements):
+            failures.append({"formula": pf.text, "params": params, "base": base})
+    return failures
+
+
+def assert_matches_replay(M, h, delta, profiles, gamma, **kw):
+    frag = check_extension(M, h, delta, profiles, gamma, **kw)
+    assert frag["failures"] == replay_extension(M, h, delta, profiles, gamma, **kw)
+    assert frag["passed"] == (not frag["failures"])
+    return frag
 
 
 @pytest.fixture(scope="module")
@@ -129,11 +167,15 @@ class TestExtension:
         )
         assert not frag["passed"]
         assert frag["sufficient_bound_ok"] is False
+        assert frag["failures"] == replay_extension(
+            M, h, cfg.delta, cfg.delta_profiles, cfg.gamma,
+            samples=100, base_max=3, seed=0,
+            gamma_max_solutions=cfg.gamma_max_solutions,
+        )
 
 
 class TestNonUnaryClosure:
     def test_extension_with_binary_avoid_formula(self):
-        # a two-parameter avoid formula forces the generic per-sample closure
         fam = [make_cyclic_group(n) for n in range(21, 41)]
         sig = fam[0].sig
         neq = parse_formula("!(x = y)", sig)
@@ -142,15 +184,93 @@ class TestNonUnaryClosure:
         M = fam[-1]
         h, report = build_h(M, cfg, BEST_EFFORT)
         assert report.all_passed
-        frag = check_extension(
+        frag = assert_matches_replay(
             M, h, cfg.delta, cfg.delta_profiles, cfg.gamma,
             samples=25, base_max=2, seed=0,
             gamma_max_solutions=cfg.gamma_max_solutions,
         )
-        # |H| = 2 on this family, so the closure has at most (2+2+1+1)^2 = 36
-        # elements against 39 solutions; samples with small bases must pass
+        # |H| = 2 on this family, so the closure has at most (2+2+1)^2 = 25
+        # elements against 39 solutions: no sample can fail
         assert frag["n_samples"] == 25
-        assert isinstance(frag["passed"], bool)
+        assert frag["closure_bound"] == 25
+        assert frag["passed"] and frag["sufficient_bound_ok"]
+
+
+@pytest.fixture(scope="module")
+def z_small():
+    """Cyclic groups 9..20 with two cover formulas profiled over them."""
+    family = [make_cyclic_group(n) for n in range(9, 21)]
+    sig = family[0].sig
+    cover = [parse_formula("!(x = y)", sig), parse_formula("exists z. x = y + z + z", sig)]
+    return family, cover, [profile_family(family, pf) for pf in cover]
+
+
+# avoid lists of arities 0 to 3 over the cyclic signature
+REPLAY_AVOID = [
+    ["x = 0"],
+    ["x = z", "x = z + 1"],
+    ["x = z1 + z2"],
+    ["x = 0", "x = z1 + z2 - z3"],
+]
+
+
+class TestExtensionReplay:
+    @pytest.mark.parametrize("avoid", REPLAY_AVOID, ids=lambda texts: " ; ".join(texts))
+    @pytest.mark.parametrize("size", [9, 12, 13])
+    @pytest.mark.parametrize("h", [[], [0, 1, 3], [2, 5]])
+    def test_matches_per_sample_replay(self, z_small, avoid, size, h):
+        family, cover, profiles = z_small
+        M = family[size - 9]
+        gamma = [parse_formula(t, M.sig) for t in avoid]
+        assert_matches_replay(
+            M, h, cover, profiles, gamma,
+            samples=30, base_max=3, seed=size, gamma_max_solutions=None,
+        )
+
+    def test_some_replayed_samples_fail(self, z_small):
+        family, cover, profiles = z_small
+        M = family[13 - 9]
+        gamma = [parse_formula("x = z1 + z2", M.sig)]
+        frag = assert_matches_replay(
+            M, [0, 1, 3], cover, profiles, gamma,
+            samples=40, base_max=3, seed=2, gamma_max_solutions=None,
+        )
+        assert 0 < len(frag["failures"]) < 40
+
+
+class TestExtensionUnionBound:
+    def test_unary_avoid_bound_fires(self, gf101_build):
+        # a max solution count of 0 makes every non-empty closure exceed the
+        # union bound; unary avoid lists are checked like any other
+        M, h, cfg = gf101_build
+        with pytest.raises(InvariantError, match="union bound"):
+            check_extension(
+                M, h, cfg.delta, cfg.delta_profiles, cfg.gamma,
+                samples=5, seed=0, gamma_max_solutions=0,
+            )
+
+    def test_unary_avoid_bound_fires_under_optimize(self):
+        code = (
+            "import sys\n"
+            "from hlab.errors import InvariantError\n"
+            "from hlab.asymptotics import profile_family\n"
+            "from hlab.finitemodels import make_cyclic_group\n"
+            "from hlab.folang import parse_formula\n"
+            "from hlab.haxioms import check_extension\n"
+            "assert False, 'asserts must be off under -O'\n"
+            "fam = [make_cyclic_group(n) for n in range(9, 21)]\n"
+            "pf = parse_formula('!(x = y)', fam[0].sig)\n"
+            "xz = parse_formula('x = z', fam[0].sig)\n"
+            "prof = profile_family(fam, pf)\n"
+            "try:\n"
+            "    check_extension(fam[4], [0, 1], [pf], [prof], [xz], samples=5, gamma_max_solutions=0)\n"
+            "except InvariantError as exc:\n"
+            "    sys.exit(7 if 'union bound' in str(exc) else 3)\n"
+        )
+        src = os.path.dirname(os.path.dirname(hlab.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
+        assert proc.returncode == 7
 
 
 class TestAxiomReport:

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from hlab import hgreedy
 from hlab.errors import (
     ConfigRejectedError,
+    InvariantError,
     StructureTooSmallError,
     ThresholdNotMetError,
 )
@@ -18,6 +20,7 @@ from hlab.hgreedy import (
     GreedyState,
     _phase_state,
     build_h,
+    closure_masks,
     derive_config,
     forbidden_set,
     greedy_step,
@@ -155,6 +158,62 @@ class TestForbiddenSet:
     def test_empty_h_no_parameterless(self, z13):
         xz = parse_formula("x = z", z13.sig)
         assert forbidden_set([], [xz], z13) == []
+
+
+def naive_closure(M, base, gamma):
+    """clos(base) by the naive evaluator: every element that solves some
+    avoid formula at some parameter tuple drawn from the base."""
+    found = set()
+    for xi in gamma:
+        for params in itertools.product(sorted(set(base)), repeat=xi.arity):
+            for x in range(M.size):
+                if evaluate(M, xi.formula, {xi.object_var: x, **dict(zip(xi.params, params))}):
+                    found.add(x)
+    return found
+
+
+# avoid lists of arities 0 to 3 for structures of each signature
+CLOSURE_AVOID = {
+    "cyclic": ["x = 0", "x = z + 1", "x = z1 + z2", "x = z1 + z2 - z3"],
+    "field": ["x * x = 1", "x * z = 1", "x * z1 = z2 + 1", "x + z1 = z2 * z3"],
+}
+CLOSURE_SETS = [[], [4], [4, 9], [0, 2, 11], [9, 9, 1], [5]]
+
+
+class TestClosureMasks:
+    @pytest.mark.parametrize("budget", [None, 20, 60])
+    @pytest.mark.parametrize(
+        "M, kind",
+        [
+            (make_cyclic_group(12), "cyclic"),
+            (make_cyclic_group(13), "cyclic"),
+            (make_prime_field(11), "field"),
+            (make_prime_field(13), "field"),
+        ],
+        ids=["Z12", "Z13", "GF11", "GF13"],
+    )
+    def test_matches_naive_oracle(self, M, kind, budget, monkeypatch):
+        # budgets of 20 and 60 cells split blocks of sets and single sets alike
+        if budget is not None:
+            monkeypatch.setattr(hgreedy, "MATRIX_BUDGET", budget)
+        texts = CLOSURE_AVOID[kind]
+        for arities in ([0], [1], [2], [3], [0, 1, 2, 3]):
+            gamma = [parse_formula(texts[k], M.sig) for k in arities]
+            for h in ([], [1, 4, 7]):
+                masks = closure_masks(M, h, CLOSURE_SETS, gamma, max_solutions=M.size)
+                assert masks.shape == (M.size, len(CLOSURE_SETS))
+                for i, a in enumerate(CLOSURE_SETS):
+                    expected = naive_closure(M, [*h, *a], gamma)
+                    assert set(np.flatnonzero(masks[:, i]).tolist()) == expected, (arities, h, a)
+
+    def test_no_sets(self, z13):
+        xz = parse_formula("x = z", z13.sig)
+        assert closure_masks(z13, [1, 2], [], [xz]).shape == (13, 0)
+
+    def test_union_bound_names_the_set(self, z13):
+        xz1 = parse_formula("x = z + 1", z13.sig)
+        with pytest.raises(InvariantError, match=r"H plus \[3, 9\] .*union bound 0"):
+            closure_masks(z13, [], [[], [3, 9]], [xz1], max_solutions=0)
 
 
 class TestGreedyStep:
