@@ -24,14 +24,20 @@ from .errors import (
     NotOneDimensionalError,
 )
 from .finitemodels import FiniteStructure
-from .folang import ParamFormula, solution_count, solution_counts_all, solution_mask_matrix
+from .folang import BUDGET as PSI_BUDGET  # noqa: F401  (the one budget, under its Ψ name)
+from .folang import (
+    ParamFormula,
+    block_width,
+    solution_count,
+    solution_counts_all,
+    solution_mask_matrix,
+    within_budget,
+)
 
-FULL_ENUM_BITS = 24
 DEFAULT_GAP = 0.05
 DEFAULT_CEILING = 2.0
 DEFAULT_SAMPLES = 10_000
 MAX_MEASURES = 8
-PSI_BUDGET = 10_000_000
 
 
 @dataclass
@@ -109,17 +115,22 @@ def _structure_key(M: FiniteStructure):
 def sample_columns(M: FiniteStructure, pf: ParamFormula, rng, samples: int):
     """Draw `samples` parameter tuples from `rng` (a numpy Generator, or a
     seed for a new one) and drop repeats. Returns the unique tuples as an
-    (arity, m) index array in lexicographic order and their solution counts."""
+    (arity, m) index array in lexicographic order and their solution counts,
+    counted one evaluation block at a time."""
     rng = np.random.default_rng(rng)
-    tuples = np.unique(rng.integers(0, M.size, size=(samples, pf.arity)), axis=0)
-    return tuples.T, solution_mask_matrix(M, pf, tuples.T).sum(axis=0)
+    cols = np.unique(rng.integers(0, M.size, size=(samples, pf.arity)), axis=0).T
+    counts = np.empty(cols.shape[1], dtype=np.int64)
+    width = block_width(M.size)
+    for start in range(0, cols.shape[1], width):
+        block = solution_mask_matrix(M, pf, cols[:, start : start + width])
+        counts[start : start + width] = block.sum(axis=0)
+    return cols, counts
 
 
 def _observe(M: FiniteStructure, pf: ParamFormula, samples: int, seed: int):
     """Counts for every parameter tuple (enumerated) or a deduplicated seeded
     sample. Returns (counts, enumerated)."""
-    n, k = M.size, pf.arity
-    if k == 0 or k * math.log2(n) <= FULL_ENUM_BITS:
+    if within_budget(M.size**pf.arity):
         return solution_counts_all(M, pf), True
     return sample_columns(M, pf, [seed, M.size], max(samples, 1))[1], False
 
@@ -329,7 +340,7 @@ def classify(profile: MeasureProfile, M: FiniteStructure, params=()) -> ParamCla
 
 
 def psi_set(
-    M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile, budget: int = PSI_BUDGET
+    M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile, budget: int | None = None
 ) -> list[tuple[int, ...]]:
     """All parameter tuples classified large, in lexicographic order: the
     columns of psi_columns as tuples."""
@@ -337,22 +348,21 @@ def psi_set(
 
 
 def psi_columns(
-    M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile, budget: int = PSI_BUDGET
+    M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile, budget: int | None = None
 ) -> np.ndarray:
     """Every parameter tuple classified large, as an (arity, m) index array
-    in lexicographic order."""
+    in lexicographic order. Raises EnumerationBudgetError when the tuple
+    space exceeds `budget` (default: the one evaluation budget)."""
     return _large_enumerated(M, pf, profile, budget)[0]
 
 
-def _large_enumerated(M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile, budget: int):
+def _large_enumerated(M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile, budget):
     """psi_columns plus the solution count of each of its tuples."""
     if profile.formula != pf.key():
         raise ValueError("profile was built for a different formula")
     n, k = M.size, pf.arity
-    if n**k > budget:
-        raise EnumerationBudgetError(
-            f"psi enumeration needs {n**k} tuples, budget is {budget}"
-        )
+    if not within_budget(n**k, budget):
+        raise EnumerationBudgetError(f"psi enumeration needs {n**k} tuples, over the budget")
     counts = profile._counts.get(_structure_key(M))
     if counts is None:
         counts = solution_counts_all(M, pf)
@@ -369,7 +379,7 @@ def large_columns(
     profile: MeasureProfile,
     rng,
     samples: int,
-    budget: int = PSI_BUDGET,
+    budget: int | None = None,
 ):
     """The large parameter tuples a certificate checks. Returns (columns,
     counts, exhaustive): psi_columns and their solution counts when the tuple

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import atomic_write_text, dump_json
-from .asymptotics import PSI_BUDGET, _classify_counts, _structure_key, profile_family
+from .asymptotics import _classify_counts, _structure_key, profile_family
 from .errors import ExperimentConfigError, LabError
 from .finitemodels import (
     EXTENSION_FIELD,
@@ -30,7 +30,7 @@ from .finitemodels import (
     primes_in,
     signature_for_family,
 )
-from .folang import ParamFormula, parse_formula
+from .folang import ParamFormula, parse_formula, within_budget
 from .hgreedy import (
     BEST_EFFORT,
     STRICT,
@@ -119,10 +119,15 @@ def _parse_family(raw) -> FamilySpec:
         hi=None if hi is None else int(hi),
         values=None if values is None else tuple(int(v) for v in values),
     )
-    # the interval is listed before it is filtered, so bound its length
-    if spec.lo is not None and spec.hi is not None and spec.hi - spec.lo >= PSI_BUDGET:
+    # every value is listed, and each one tested or built, before anything is
+    # filtered, so the budget bounds how many values there are and how large
+    sizes = [] if spec.values is None else [len(spec.values), max(spec.values, default=0)]
+    if spec.lo is not None and spec.hi is not None:
+        sizes += [spec.hi - spec.lo + 1, spec.hi]
+    if not all(map(within_budget, sizes)):
         raise ExperimentConfigError(
-            f"family interval lo={spec.lo}, hi={spec.hi} lists more than {PSI_BUDGET} values"
+            f"family lo={spec.lo}, hi={spec.hi} with {len(spec.values or ())} listed values: "
+            "more or larger values than the evaluation budget"
         )
     return spec
 

@@ -83,10 +83,13 @@ class Operation:
         return out[()]  # a scalar for scalar arguments
 
 
-def _index_dtype(largest: int):
+def _index_dtype(largest: int, size: int):
     """The narrowest of int16, int32 and int64 that holds the largest
     intermediate value: narrow grids cost less memory and run faster."""
-    return next(t for t in (np.int16, np.int32, np.int64) if largest <= np.iinfo(t).max)
+    for t in (np.int16, np.int32, np.int64):
+        if largest <= np.iinfo(t).max:
+            return t
+    raise SignatureMismatchError(f"size {size} needs integers up to {largest}, past int64")
 
 
 @dataclass(eq=False)
@@ -191,9 +194,9 @@ def _residue_operations(n: int) -> dict[str, Operation]:
         return lambda a, b, out: np.remainder(step(a, b, out), n, out)
 
     return {
-        "add": Operation(n, reduced(np.add), _index_dtype(2 * (n - 1))),
-        "sub": Operation(n, reduced(np.subtract), _index_dtype(n)),
-        "mul": Operation(n, reduced(np.multiply), _index_dtype((n - 1) ** 2)),
+        "add": Operation(n, reduced(np.add), _index_dtype(2 * (n - 1), n)),
+        "sub": Operation(n, reduced(np.subtract), _index_dtype(n, n)),
+        "mul": Operation(n, reduced(np.multiply), _index_dtype((n - 1) ** 2, n)),
     }
 
 
@@ -255,7 +258,7 @@ def make_extension_field(p: int) -> FiniteStructure:
         out += t
 
     # no intermediate exceeds 2n: x + y, and a1 a2 + r (b1 b2 % p) < 2 p^2
-    dtype = _index_dtype(2 * n)
+    dtype = _index_dtype(2 * n, n)
     # x^p = a - b t in GF(p^2) because t^p = -t when t^2 is a non-residue
     a, b = np.divmod(np.arange(n, dtype=dtype), p)
     functions = {
@@ -284,7 +287,7 @@ def make_f2_vector_space(dim: int) -> FiniteStructure:
         raise SignatureMismatchError("dimension must be >= 1")
     n = 1 << dim
     # over F2, subtraction is addition: both are bitwise xor of the indices
-    xor = Operation(n, np.bitwise_xor, _index_dtype(n))
+    xor = Operation(n, np.bitwise_xor, _index_dtype(n, n))
     functions = {"add": xor, "sub": xor, "zero": np.int64(0)}
     return FiniteStructure(GROUP_SIGNATURE, n, F2_VECTOR_SPACE, {"dim": dim}, functions, {})
 

@@ -18,7 +18,9 @@ evaluation, implications and universal quantifiers are rewritten away and
 shadowed bound variables are renamed, so a single evaluation path handles
 every formula.
 
-Evaluation (eval_bulk) works over numpy index arrays. An existential is
+Evaluation (eval_bulk) works over numpy index arrays; solution_mask_matrix,
+the one entry point that binds an object variable and parameter tuples,
+evaluates in column blocks of at most BUDGET cells. An existential is
 planned as a conjunctive query when its body is an And chain holding one
 equation with the bound variable alone on one side, conjuncts in the bound
 variable alone, and conjuncts without it (for example
@@ -603,6 +605,21 @@ def evaluate(M: FiniteStructure, f: Formula, a: Assignment) -> bool:
 # ---------------------------------------------------------------------------
 # Vectorized evaluation
 
+# The one memory budget, in grid cells or parameter tuples, for evaluation
+# blocks, stored matrices, enumerations and exhaustive checks; read at call time.
+BUDGET = 10_000_000
+
+
+def within_budget(count: int, budget: int | None = None) -> bool:
+    """Whether `count` cells or tuples fit `budget` (default BUDGET)."""
+    return count <= (BUDGET if budget is None else budget)
+
+
+def block_width(rows: int) -> int:
+    """Columns per evaluation block over `rows` rows: BUDGET // rows, at least 1."""
+    return max(1, BUDGET // max(rows, 1))
+
+
 def _image_mask(M: FiniteStructure, term: Term, var: str, domain: tuple) -> np.ndarray:
     """Boolean mask over the universe: which values the term attains as the
     variable ranges over the elements that satisfy every formula in `domain`
@@ -617,7 +634,8 @@ def _image_mask(M: FiniteStructure, term: Term, var: str, domain: tuple) -> np.n
         mask = np.zeros(M.size, dtype=bool)
         mask[np.asarray(vals, dtype=np.intp)] = True
         mask.flags.writeable = False
-        M._cache[key] = mask
+        # threads that raced past the get all return the first one stored
+        mask = M._cache.setdefault(key, mask)
     return mask
 
 
@@ -721,58 +739,62 @@ def eval_bulk(M: FiniteStructure, f: Formula, env: dict) -> np.ndarray:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _check_params(pf: ParamFormula, params) -> tuple[int, ...]:
+def _check_params(pf: ParamFormula, params) -> np.ndarray:
+    """The parameter tuple as one (arity, 1) column."""
     params = tuple(int(v) for v in params)
     if len(params) != pf.arity:
         raise EvaluationError(
             f"formula {pf.text!r} takes {pf.arity} parameter(s), got {len(params)}"
         )
-    return params
+    return np.array(params, dtype=np.intp).reshape(pf.arity, 1)
 
 
 def solution_set(M: FiniteStructure, pf: ParamFormula, params=()) -> list[int]:
     """Elements satisfying the formula at the given parameters, index order."""
-    params = _check_params(pf, params)
-    env = {pf.object_var: np.arange(M.size)}
-    env.update(zip(pf.params, params))
-    mask = eval_bulk(M, pf.formula, env)
-    return [int(v) for v in np.flatnonzero(mask)]
+    return [int(v) for v in np.flatnonzero(solution_mask_matrix(M, pf, _check_params(pf, params)))]
 
 
 def solution_count(M: FiniteStructure, pf: ParamFormula, params=()) -> int:
-    params = _check_params(pf, params)
-    env = {pf.object_var: np.arange(M.size)}
-    env.update(zip(pf.params, params))
-    return int(eval_bulk(M, pf.formula, env).sum())
+    return int(solution_mask_matrix(M, pf, _check_params(pf, params)).sum())
 
 
 def solution_mask_matrix(
-    M: FiniteStructure, pf: ParamFormula, param_columns: np.ndarray
+    M: FiniteStructure, pf: ParamFormula, param_columns: np.ndarray, rows=None
 ) -> np.ndarray:
-    """Boolean matrix of shape (size, m): entry (a, j) says whether element a
-    satisfies the formula at the j-th parameter tuple. `param_columns` has
-    shape (arity, m)."""
-    param_columns = np.atleast_2d(np.asarray(param_columns, dtype=np.intp))
-    if param_columns.shape[0] != pf.arity:
+    """Boolean matrix of shape (len(rows), m): entry (i, j) says whether
+    element rows[i] satisfies the formula at the j-th parameter tuple, for
+    `param_columns` of shape (arity, m) and rows by default the universe.
+    Evaluated block_width(len(rows)) columns at a time, so no intermediate
+    grid exceeds BUDGET cells."""
+    cols = np.atleast_2d(np.asarray(param_columns, dtype=np.intp))
+    if cols.shape[0] != pf.arity:
         raise EvaluationError(f"expected {pf.arity} parameter rows")
-    env = {pf.object_var: np.arange(M.size, dtype=np.intp)[:, None]}
-    for name, col in zip(pf.params, param_columns):
-        env[name] = col[None, :]
-    return eval_bulk(M, pf.formula, env)
+    x = np.arange(M.size, dtype=np.intp) if rows is None else np.asarray(rows, dtype=np.intp)
+
+    def block(part):  # part: (arity, w) parameter columns
+        env = {pf.object_var: x[:, None], **dict(zip(pf.params, part[:, None, :]))}
+        out, shape = eval_bulk(M, pf.formula, env), (len(x), part.shape[1])
+        return out if out.shape == shape else np.broadcast_to(out, shape)  # arity 0
+
+    width = block_width(len(x))
+    if cols.shape[1] <= width:
+        return block(cols)
+    out = np.empty((len(x), cols.shape[1]), dtype=bool)
+    for start in range(0, cols.shape[1], width):
+        out[:, start : start + width] = block(cols[:, start : start + width])
+    return out
 
 
-def solution_counts_all(
-    M: FiniteStructure, pf: ParamFormula, chunk: int = 1 << 24
-) -> np.ndarray:
+def solution_counts_all(M: FiniteStructure, pf: ParamFormula) -> np.ndarray:
     """Solution counts for every parameter tuple, flattened in lexicographic
-    order (shape (size**arity,)). Work is chunked to bound memory."""
-    n = M.size
-    k = pf.arity
+    order (shape (size**arity,)). The tuples are made and counted one block
+    at a time, so neither they nor the grid need fit the budget at once."""
+    n, k = M.size, pf.arity
     total = n**k
     counts = np.empty(total, dtype=np.int64)
-    step = max(1, chunk // max(n, 1))
-    for start in range(0, total, step):
-        flat = np.arange(start, min(start + step, total), dtype=np.int64)
-        cols = np.array(np.unravel_index(flat, (n,) * k), dtype=np.intp) if k else np.empty((0, len(flat)), dtype=np.intp)
-        counts[start : start + len(flat)] = solution_mask_matrix(M, pf, cols).sum(axis=0)
+    width = block_width(n)
+    for start in range(0, total, width):
+        flat = np.arange(start, min(start + width, total), dtype=np.int64)
+        digits = flat // n ** np.arange(k - 1, -1, -1)[:, None] % n  # base n, (k, len(flat))
+        counts[start : start + len(flat)] = solution_mask_matrix(M, pf, digits).sum(axis=0)
     return counts

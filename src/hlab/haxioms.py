@@ -16,17 +16,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._util import tuple_columns
 from .asymptotics import large_columns
-from .errors import EnumerationBudgetError, InvariantError
+from .errors import InvariantError
 from .finitemodels import FiniteStructure
-from .folang import eval_bulk, solution_mask_matrix
+from .folang import solution_mask_matrix
 from .hgreedy import (
-    AVOID_BUDGET,
     _union_bound,
     closure_masks,
+    independence_checks,
     max_solution_count,
-    verify_avoid,
     verify_cover,
 )
 
@@ -76,29 +74,12 @@ class AxiomReport:
 
 def check_independence(M: FiniteStructure, h_set, gamma_trunc) -> dict:
     """Order-restricted check (must pass: it is the construction's own
-    guarantee) plus the symmetric witness count (informational)."""
+    guarantee) plus the symmetric witness count (informational), both read
+    from one grid per avoid formula."""
     elements = list(getattr(h_set, "elements", h_set))
-    order_certs = [verify_avoid(M, elements, xi) for xi in gamma_trunc]
-    symmetric_witnesses = []
-    for xi in gamma_trunc:
-        k = xi.arity
-        if len(elements) ** max(k, 1) * max(len(elements), 1) > AVOID_BUDGET:
-            raise EnumerationBudgetError("symmetric independence check too large")
-        for h in elements:
-            others = [e for e in elements if e != h]
-            if k == 0:
-                sat = eval_bulk(M, xi.formula, {xi.object_var: np.asarray([h], dtype=np.intp)})
-                if bool(sat[0]):
-                    symmetric_witnesses.append((xi.text, h))
-                continue
-            if not others:
-                continue
-            cols = tuple_columns(others, k)
-            env = {xi.object_var: np.intp(h)}
-            env.update({name: row for name, row in zip(xi.params, cols)})
-            sat = np.atleast_1d(eval_bulk(M, xi.formula, env))
-            for j in np.flatnonzero(sat):
-                symmetric_witnesses.append((xi.text, h, *(int(v) for v in cols[:, j])))
+    checks = [independence_checks(M, elements, xi) for xi in gamma_trunc]
+    order_certs = [cert for cert, _ in checks]
+    symmetric_witnesses = [(c.formula, *w) for c, found in checks for w in found]
     return {
         "order_restricted": {
             "passed": all(c.passed for c in order_certs),

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._util import tuple_columns
-from .asymptotics import PSI_BUDGET, MeasureProfile, large_columns, profile_family, psi_columns
+from .asymptotics import MeasureProfile, large_columns, profile_family, psi_columns
 from .errors import (
     ConfigRejectedError,
     EnumerationBudgetError,
@@ -33,10 +33,14 @@ from .errors import (
     ThresholdNotMetError,
 )
 from .finitemodels import FiniteStructure
-from .folang import ParamFormula, eval_bulk, solution_counts_all, solution_mask_matrix
+from .folang import (
+    ParamFormula,
+    block_width,
+    solution_counts_all,
+    solution_mask_matrix,
+    within_budget,
+)
 
-MATRIX_BUDGET = 1 << 27
-AVOID_BUDGET = 10_000_000
 COVER_SAMPLES = 10_000
 
 STRICT = "strict"
@@ -221,29 +225,20 @@ def require_threshold(cfg: GreedyConfig, M: FiniteStructure) -> ThresholdCheck:
 def _forbidden_mask(M: FiniteStructure, gamma, h_elements) -> np.ndarray:
     """Mask over the universe of every element that solves some avoid formula
     with parameters drawn from h_elements (parameterless formulas always
-    contribute)."""
+    contribute: their one tuple is the empty one)."""
     mask = np.zeros(M.size, dtype=bool)
-    x = np.arange(M.size, dtype=np.intp)
+    width = block_width(M.size)
     for xi in gamma:
-        if xi.arity == 0:
-            mask |= eval_bulk(M, xi.formula, {xi.object_var: x})
-            continue
-        if not len(h_elements):
-            continue
         cols = tuple_columns(h_elements, xi.arity)
-        chunk = max(1, MATRIX_BUDGET // max(M.size, 1))
-        for start in range(0, cols.shape[1], chunk):
-            part = cols[:, start : start + chunk]
-            env = {xi.object_var: x[:, None]}
-            env.update({name: row[None, :] for name, row in zip(xi.params, part)})
-            mask |= eval_bulk(M, xi.formula, env).any(axis=1)
+        for start in range(0, cols.shape[1], width):
+            mask |= solution_mask_matrix(M, xi, cols[:, start : start + width]).any(axis=1)
     return mask
 
 
 def max_solution_count(M: FiniteStructure, gamma) -> int | None:
     """The largest solution count of any avoid formula over all of its
-    parameter tuples, or None when recounting them exceeds AVOID_BUDGET."""
-    if any(M.size ** (pf.arity + 1) > AVOID_BUDGET for pf in gamma):
+    parameter tuples, or None when recounting them exceeds the budget."""
+    if not all(within_budget(M.size ** (pf.arity + 1)) for pf in gamma):
         return None
     return max((int(solution_counts_all(M, pf).max()) for pf in gamma), default=0)
 
@@ -266,28 +261,28 @@ def closure_masks(
     plus the solutions over the tuples that use an element of A_i minus H.
     Each pool lists those elements first, so tuple positions depend only on
     their count. One evaluation per avoid formula covers a block of sets,
-    MATRIX_BUDGET cells at most. Every column is checked against
+    one evaluation block at most. Every column is checked against
     _union_bound; max_solutions None is recounted when that is cheap."""
     gamma, a_sets = list(gamma), list(a_sets)
     h = sorted({int(v) for v in h_elements})
     pools = [np.array(sorted({int(v) for v in a}.difference(h)) + h, dtype=np.intp) for a in a_sets]
     fresh = [len(pool) - len(h) for pool in pools]  # |A_i minus H|
     out = np.repeat(_forbidden_mask(M, gamma, h)[:, None], len(pools), axis=1)
-    chunk = max(1, MATRIX_BUDGET // max(M.size, 1))
+    width = block_width(M.size)
     for xi in gamma if pools else ():  # a parameterless formula has no tuples here
         layout = {}
         for m in set(fresh):
             grid = tuple_columns(range(m + len(h)), xi.arity)
             layout[m] = grid[:, (grid < m).any(axis=0)]
-        widths = np.array([layout[m].shape[1] for m in fresh])
-        block = (np.cumsum(widths) - widths) // chunk
+        ncols = np.array([layout[m].shape[1] for m in fresh])
+        block = (np.cumsum(ncols) - ncols) // width
         for sets in np.split(np.arange(len(pools)), np.flatnonzero(np.diff(block)) + 1):
             cols = np.concatenate([pools[i][layout[fresh[i]]] for i in sets], axis=1)
-            owner = np.repeat(sets, widths[sets])
-            for start in range(0, cols.shape[1], chunk):
-                own = owner[start : start + chunk]
+            owner = np.repeat(sets, ncols[sets])
+            for start in range(0, cols.shape[1], width):
+                own = owner[start : start + width]
                 heads = np.flatnonzero(np.r_[True, own[1:] != own[:-1]])
-                hit = solution_mask_matrix(M, xi, cols[:, start : start + chunk])
+                hit = solution_mask_matrix(M, xi, cols[:, start : start + width])
                 out[:, own[heads]] |= np.logical_or.reduceat(hit, heads, axis=1)
     if max_solutions is None:
         max_solutions = max_solution_count(M, gamma)
@@ -341,9 +336,7 @@ def _phase_state(cfg: GreedyConfig, M: FiniteStructure, index: int, h, prov) -> 
     pf = cfg.delta[index]
     cols = psi_columns(M, pf, cfg.delta_profiles[index])
     m0 = cols.shape[1]
-    matrix = None
-    if M.size * max(m0, 1) <= MATRIX_BUDGET:
-        matrix = solution_mask_matrix(M, pf, cols) if m0 else np.zeros((M.size, 0), bool)
+    matrix = solution_mask_matrix(M, pf, cols) if within_budget(M.size * m0) else None
     return GreedyState(
         config=cfg,
         formula_index=index,
@@ -363,9 +356,9 @@ def _coverage(state: GreedyState, M: FiniteStructure) -> np.ndarray:
         return state.matrix[:, state.remaining].sum(axis=1)
     counts = np.zeros(M.size, dtype=np.int64)
     cols = state.y_columns
-    chunk = max(1, MATRIX_BUDGET // max(M.size, 1))
-    for start in range(0, cols.shape[1], chunk):
-        counts += solution_mask_matrix(M, pf, cols[:, start : start + chunk]).sum(axis=1)
+    width = block_width(M.size)
+    for start in range(0, cols.shape[1], width):
+        counts += solution_mask_matrix(M, pf, cols[:, start : start + width]).sum(axis=1)
     return counts
 
 
@@ -402,10 +395,7 @@ def greedy_step(state: GreedyState, M: FiniteStructure) -> GreedyState:
     if state.matrix is not None:
         covered = state.matrix[h, state.remaining]
     else:
-        cols = state.y_columns
-        env = {pf.object_var: np.intp(h)}
-        env.update({name: row for name, row in zip(pf.params, cols)})
-        covered = eval_bulk(M, pf.formula, env)
+        covered = solution_mask_matrix(M, pf, state.y_columns, rows=[h])[0]
     before = len(state.remaining)
     state.remaining = state.remaining[~covered]
     state.shrink_factors.append(len(state.remaining) / before)
@@ -567,7 +557,7 @@ def verify_cover(
     pf: ParamFormula,
     profile: MeasureProfile,
     *,
-    budget: int = PSI_BUDGET,
+    budget: int | None = None,
     samples: int = COVER_SAMPLES,
     seed: int = 0,
 ) -> CoverCertificate:
@@ -580,48 +570,35 @@ def verify_cover(
     elements = list(getattr(h_set, "elements", h_set))
     cols, _, exhaustive = large_columns(M, pf, profile, [seed, M.size], samples, budget)
     method = "exhaustive" if exhaustive else "sampled"
-    m = cols.shape[1]
-    if m == 0:
-        return CoverCertificate(pf.text, method, 0, [], True)
-    if elements:
-        rows = np.asarray(elements, dtype=np.intp)[:, None]
-        env = {pf.object_var: rows}
-        env.update({name: row[None, :] for name, row in zip(pf.params, cols)})
-        covered = eval_bulk(M, pf.formula, env).any(axis=0)
-    else:
-        covered = np.zeros(m, dtype=bool)
-    missing = np.flatnonzero(~covered)
-    failures = [tuple(int(v) for v in cols[:, j]) for j in missing]
-    return CoverCertificate(pf.text, method, m, failures, not failures)
+    covered = solution_mask_matrix(M, pf, cols, rows=elements).any(axis=0)
+    failures = [tuple(int(v) for v in cols[:, j]) for j in np.flatnonzero(~covered)]
+    return CoverCertificate(pf.text, method, cols.shape[1], failures, not failures)
+
+
+def independence_checks(M: FiniteStructure, elements, pf: ParamFormula):
+    """Both independence checks of an avoid formula, read from one
+    |H| x |H|^k grid over H through two masks on the H positions of the
+    parameters: all before the row's own position gives the order-restricted
+    certificate, none equal to it the symmetric witnesses (h, *params). A
+    parameterless formula's one tuple passes both masks."""
+    h = np.asarray(elements, dtype=np.intp)
+    if not within_budget(len(h) ** (pf.arity + 1)):
+        raise EnumerationBudgetError(f"avoid check needs {len(h) ** (pf.arity + 1)} tuples")
+    positions = tuple_columns(range(len(h)), pf.arity)
+    grid = solution_mask_matrix(M, pf, h[positions], rows=h)
+    own = np.arange(len(h))[:, None, None]
+    earlier = (positions[None] < own).all(axis=1)
+
+    def listed(mask):
+        return [(int(h[i]), *map(int, h[positions[:, j]])) for i, j in np.argwhere(grid & mask)]
+
+    violations = listed(earlier)
+    cert = AvoidCertificate(pf.text, int(earlier.sum()), violations, not violations)
+    return cert, listed((positions[None] != own).all(axis=1))
 
 
 def verify_avoid(M: FiniteStructure, h_set, pf: ParamFormula) -> AvoidCertificate:
     """Exhaustive order-restricted check: no element of H satisfies the
     formula with parameters strictly earlier in the H order. Parameterless
     formulas are checked against every element."""
-    elements = list(getattr(h_set, "elements", h_set))
-    k = pf.arity
-    if len(elements) ** (k + 1) > AVOID_BUDGET:
-        raise EnumerationBudgetError(
-            f"avoid check needs {len(elements) ** (k + 1)} tuples"
-        )
-    violations: list[tuple] = []
-    checked = 0
-    if k == 0:
-        for h in elements:
-            checked += 1
-            if eval_bulk(M, pf.formula, {pf.object_var: np.asarray([h], dtype=np.intp)})[0]:
-                violations.append((h,))
-        return AvoidCertificate(pf.text, checked, violations, not violations)
-    for pos, h in enumerate(elements):
-        earlier = elements[:pos]
-        if not earlier:
-            continue
-        cols = tuple_columns(earlier, k)
-        env = {pf.object_var: np.intp(h)}
-        env.update({name: row for name, row in zip(pf.params, cols)})
-        sat = np.atleast_1d(eval_bulk(M, pf.formula, env))
-        checked += cols.shape[1]
-        for j in np.flatnonzero(sat):
-            violations.append((h, *(int(v) for v in cols[:, j])))
-    return AvoidCertificate(pf.text, checked, violations, not violations)
+    return independence_checks(M, list(getattr(h_set, "elements", h_set)), pf)[0]

@@ -63,7 +63,8 @@ def square_mask(K: FiniteStructure) -> np.ndarray:
         mask = np.zeros(K.size, dtype=bool)
         mask[K.functions["mul"][x, x]] = True
         mask.flags.writeable = False
-        K._cache["squares"] = mask
+        # threads that raced past the get all return the first one stored
+        mask = K._cache.setdefault("squares", mask)
     return mask
 
 

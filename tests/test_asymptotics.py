@@ -187,7 +187,7 @@ class TestPsiSet:
 
 class TestSampledProfiling:
     def test_wide_parameter_space_falls_back_to_sampling(self):
-        # two parameters at size ~5000 exceed the 24-bit enumeration budget
+        # two parameters at size ~5000 give 2.5e7 tuples, past the 1e7 budget
         fam = [make_cyclic_group(n) for n in (4999, 5000)]
         pf = parse_formula("exists z. z + z = x - y1 - y2", fam[0].sig,
                            params=("y1", "y2"))

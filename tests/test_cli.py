@@ -95,14 +95,19 @@ class TestLoadConfig:
         with pytest.raises(ExperimentConfigError):
             load_config(str(path))
 
-    def test_bad_value_type(self, tmp_path, capsys):
+    def test_bad_value_type(self, tmp_path, capsys, shrink_budget):
         lovely = {"family": "quadratic-extension-field", "lo": 3, "hi": "b"}
+        huge = {"family": "cyclic-group", "lo": 10**30, "hi": 10**30}
+        shrink_budget(1000)  # so a values list past the budget stays small
         cases = [
             {"threads": "many"},
             {"family": {"family": "prime-field", "values": 5}},
             {"family": {"family": "prime-field", "values": ["a"]}},
             {"family": {"family": "prime-field", "lo": "a", "hi": 181}},
             {"family": {"family": "prime-field", "lo": 101, "hi": 10**30}},
+            {"family": huge},
+            {"family": {"family": "cyclic-group", "values": [5, 10**30]}},
+            {"family": {"family": "prime-field", "values": list(range(1001))}},
             {"cover": 5},
             {"cover": [{"text": "exists z. z*z = x - y", "params": 5}]},
             {"family": lovely, "cover": [], "avoid": []},
@@ -116,6 +121,10 @@ class TestLoadConfig:
         # the last case through the CLI: a message and exit 2, no traceback
         assert main(["lovely-pair", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        # so is a parameter no int64 holds
+        path = write_config(tmp_path, family=huge)
+        assert main(["profile", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: family lo=")
 
     def test_bad_mu_range(self, tmp_path):
         path = write_config(tmp_path, mu=1.5)
@@ -370,32 +379,55 @@ class TestDeterminism:
         assert a["reports"][0]["seed"] != b["reports"][0]["seed"]
 
 
+def child_peak(argv):
+    """Run the CLI with argv in a fresh interpreter; returns its exit code
+    and its VmHWM in MiB. VmHWM is the peak of the child's own address
+    space: Linux carries ru_maxrss across exec, so that would include the
+    peak of this test process."""
+    script = (
+        "import re, sys\n"
+        "from hlab.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(rc, re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
+    )
+    src = os.path.dirname(os.path.dirname(hlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    rc, peak_kib = (int(v) for v in run.stdout.split())
+    return rc, peak_kib / 1024
+
+
 class TestMemory:
     def test_gf_p2_ladder_peak_rss(self, tmp_path):
-        # lovely-pair over GF(p^2) for odd primes 3..83 in a fresh interpreter;
-        # dense tables took its peak to 758 MiB. The child reads VmHWM, the
-        # peak of its own address space: Linux carries ru_maxrss across exec,
-        # so that would include the peak of this test process.
+        # lovely-pair over GF(p^2) for odd primes 3..83; dense tables took
+        # its peak to 758 MiB
         cfg = write_config(
             tmp_path,
             family={"family": "quadratic-extension-field", "lo": 3, "hi": 83},
             cover=[],
             avoid=[],
         )
-        script = (
-            "import re, sys\n"
-            "from hlab.cli import main\n"
-            "rc = main(sys.argv[1:])\n"
-            "status = open('/proc/self/status').read()\n"
-            "print(rc, re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
-        )
-        src = os.path.dirname(os.path.dirname(hlab.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        argv = ["lovely-pair", "--config", cfg, "--out", str(tmp_path / "o")]
-        run = subprocess.run(
-            [sys.executable, "-c", script, *argv],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        )
-        rc, peak_kib = (int(v) for v in run.stdout.split())
+        rc, peak_mib = child_peak(["lovely-pair", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 0
-        assert peak_kib / 1024 < 200
+        assert peak_mib < 200
+
+    def test_strict_build_gf_10k_peak_rss(self, tmp_path):
+        # square-shift builds on GF(10007) and GF(10009): an unblocked
+        # evaluation of the n x |Psi| coverage matrix peaked at 366 MiB
+        cfg = write_config(
+            tmp_path,
+            family={"family": "prime-field", "values": [10007, 10009]},
+            cover=["exists z. z*z = x - y", "!(x = y)"],
+            avoid=["x = z", "x = z + 1"],
+            mu=0.4,
+        )
+        out = tmp_path / "o"
+        rc, peak_mib = child_peak(["build", "--config", cfg, "--out", str(out), "--threads", "1"])
+        assert rc == 0
+        builds = json.loads((out / "build.json").read_text())["builds"]
+        assert [b["size"] for b in builds] == [10007, 10009]
+        assert peak_mib < 150

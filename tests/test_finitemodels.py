@@ -268,6 +268,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             K.relations["insub"][1] = True
 
+    def test_universe_beyond_int64_rejected(self):
+        with pytest.raises(SignatureMismatchError, match=f"size {10**30} needs"):
+            make_cyclic_group(10**30)
+
     def test_duplicate_symbol_rejected(self):
         with pytest.raises(SignatureMismatchError):
             Signature(functions={"f": 1}, relations={"f": 2})

@@ -10,7 +10,13 @@ from hlab.errors import (
     FreeVariableError,
     SignatureMismatchError,
 )
-from hlab.finitemodels import make_cyclic_group, make_extension_field, make_prime_field
+from hlab._util import tuple_columns
+from hlab.finitemodels import (
+    make_cyclic_group,
+    make_extension_field,
+    make_f2_vector_space,
+    make_prime_field,
+)
 from hlab.folang import (
     And,
     Apply,
@@ -24,6 +30,7 @@ from hlab.folang import (
     Rel,
     Var,
     _exists_plan,
+    _image_mask,
     eval_bulk,
     evaluate,
     free_vars,
@@ -34,6 +41,7 @@ from hlab.folang import (
     quantifier_depth,
     solution_count,
     solution_counts_all,
+    solution_mask_matrix,
     solution_set,
     term_vars,
 )
@@ -505,3 +513,62 @@ class TestPretty:
     def test_param_formula_round_trip(self, gf7):
         pf = parse_formula(LEMMA_TEXT, gf7.sig)
         assert parse(pretty(pf.formula), gf7.sig) == pf.formula
+
+
+# formulas of arities 0 to 3 for each signature, planned and looped alike
+BLOCK_FORMULAS = {
+    "group": [
+        "x + x = zero", "exists z. z + z = x - y", "x = y1 + y2 | x = y1", "!(x = y1 + y2 - y3)"
+    ],
+    "ring": ["x * x = one", "exists z. z*z = x - y", "x * y1 = y2 + one", "x + y1 = y2 * y3"],
+    "extension": [
+        "insub(x)", "exists z. z*z = x - y", "frob(x) = y1 * y2", "x + y1 = y2 * frob(y3)"
+    ],
+}
+BLOCK_STRUCTURES = [
+    (make_cyclic_group(6), "group"),
+    (make_prime_field(5), "ring"),
+    (make_extension_field(3), "extension"),
+    (make_f2_vector_space(3), "group"),
+]
+
+
+class TestBlockedEvaluator:
+    @pytest.mark.parametrize("budget", [None, 1, 7])
+    @pytest.mark.parametrize("M, kind", BLOCK_STRUCTURES, ids=["Z6", "GF5", "GF9", "F2^3"])
+    def test_matches_naive(self, M, kind, budget, shrink_budget):
+        # budgets of 1 and 7 cells split every call into one-column blocks
+        if budget is not None:
+            shrink_budget(budget)
+        for text in BLOCK_FORMULAS[kind]:
+            pf = parse_formula(text, M.sig)
+            cols = tuple_columns(range(M.size), pf.arity)
+            for rows in ([M.size - 1, 0, 2, 2], None):
+                got = solution_mask_matrix(M, pf, cols, rows=rows)
+                xs = range(M.size) if rows is None else rows
+                expected = [
+                    [evaluate(M, pf.formula, {"x": x, **dict(zip(pf.params, map(int, col)))})
+                     for col in cols.T]
+                    for x in xs
+                ]
+                expected = np.array(expected, dtype=bool)
+                assert np.array_equal(got, expected), text
+            # tuple_columns and solution_counts_all share lexicographic order
+            assert np.array_equal(solution_counts_all(M, pf), expected.sum(axis=0)), text
+
+    def test_no_columns(self, gf7):
+        for text in ("x * x = one", "x * y1 = y2"):
+            pf = parse_formula(text, gf7.sig)
+            assert solution_mask_matrix(gf7, pf, np.empty((pf.arity, 0), int)).shape == (7, 0)
+
+
+class TestImageCacheRace:
+    def test_cold_structure_stores_one_mask(self, race):
+        # eight threads on a cold structure: each must get the one stored mask
+        f = normalize(parse("exists z. z*z = x - y & !(z = 0)", make_prime_field(5).sig))
+        image_term, _, domain, _ = _exists_plan(f)
+        reference = _image_mask(make_prime_field(10007), image_term, "z", domain)
+        M = make_prime_field(10007)
+        masks = race(lambda: _image_mask(M, image_term, "z", domain))
+        assert all(mask is masks[0] for mask in masks)
+        assert np.array_equal(masks[0], reference)

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from hlab._util import dump_json
 from hlab.asymptotics import large_columns, profile_family
 from hlab.errors import InvariantError
 from hlab.finitemodels import make_cyclic_group, make_prime_field, primes_in
-from hlab.folang import parse_formula, solution_set
+from hlab.folang import evaluate, parse_formula, solution_set
 from hlab.hsequence import closure
 from hlab.hgreedy import BEST_EFFORT, STRICT, build_h, derive_config
 from hlab.haxioms import (
@@ -85,6 +86,36 @@ class TestIndependence:
         frag = check_independence(z13, [5], [xz1])
         assert frag["order_restricted"]["passed"]
         assert frag["symmetric"]["witness_count"] == 0
+
+
+def naive_independence(M, h, pf):
+    """The order-restricted violations, the number of tuples that check
+    reads, and the symmetric witnesses, one assignment at a time."""
+    violations, checked, symmetric = [], 0, []
+    for i, x in enumerate(h):
+        for positions in itertools.product(range(len(h)), repeat=pf.arity):
+            params = [h[p] for p in positions]
+            hit = evaluate(M, pf.formula, {pf.object_var: x, **dict(zip(pf.params, params))})
+            if all(p < i for p in positions):
+                checked += 1
+                violations += [(x, *params)] if hit else []
+            if hit and all(p != i for p in positions):
+                symmetric.append([pf.text, x, *params])
+    return violations, checked, symmetric
+
+
+class TestIndependenceGrid:
+    @pytest.mark.parametrize("h", [[], [5], [3, 0, 7, 1], [2, 9, 4, 12, 6]])
+    def test_matches_naive(self, z13, h):
+        for text in ("x = 0", "x = z + 1", "x = z1 + z2", "x = z1 + z2 - z3"):
+            pf = parse_formula(text, z13.sig)
+            frag = check_independence(z13, h, [pf])
+            violations, checked, symmetric = naive_independence(z13, h, pf)
+            cert = frag["order_restricted"]["per_formula"][0]
+            assert (cert["violations"], cert["checked"]) == (violations, checked), text
+            assert frag["order_restricted"]["passed"] == (not violations)
+            assert frag["symmetric"]["witness_count"] == len(symmetric)
+            assert frag["symmetric"]["witnesses"] == symmetric[:100]
 
 
 class TestDensity:

@@ -1,23 +1,31 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hlab import hgreedy
 from hlab.errors import (
     ConfigRejectedError,
     InvariantError,
     StructureTooSmallError,
     ThresholdNotMetError,
 )
-from hlab.finitemodels import make_cyclic_group, make_prime_field, primes_in
-from hlab.folang import evaluate, parse_formula
-from hlab.asymptotics import profile_family, psi_set
+from hlab._util import tuple_columns
+from hlab.finitemodels import (
+    make_cyclic_group,
+    make_extension_field,
+    make_f2_vector_space,
+    make_prime_field,
+    primes_in,
+)
+from hlab.folang import evaluate, parse_formula, solution_counts_all
+from hlab.asymptotics import profile_family, psi_set, sample_columns
 from hlab.hgreedy import (
     BEST_EFFORT,
     STRICT,
     GreedyState,
+    _coverage,
     _phase_state,
     build_h,
     closure_masks,
@@ -192,10 +200,10 @@ class TestClosureMasks:
         ],
         ids=["Z12", "Z13", "GF11", "GF13"],
     )
-    def test_matches_naive_oracle(self, M, kind, budget, monkeypatch):
+    def test_matches_naive_oracle(self, M, kind, budget, shrink_budget):
         # budgets of 20 and 60 cells split blocks of sets and single sets alike
         if budget is not None:
-            monkeypatch.setattr(hgreedy, "MATRIX_BUDGET", budget)
+            shrink_budget(budget)
         texts = CLOSURE_AVOID[kind]
         for arities in ([0], [1], [2], [3], [0, 1, 2, 3]):
             gamma = [parse_formula(texts[k], M.sig) for k in arities]
@@ -402,8 +410,8 @@ class TestWiderArities:
         assert set(cert.violations) == {(2, 1, 1), (3, 1, 2), (3, 2, 1)}
         assert verify_avoid(z13, [1, 3, 5], pairsum).passed
 
-    def test_matrix_free_path_matches_matrix_path(self, monkeypatch, cyclic_family_30):
-        # shrink the matrix budget so coverage is recomputed chunk by chunk;
+    def test_matrix_free_path_matches_matrix_path(self, shrink_budget, cyclic_family_30):
+        # shrink the budget so coverage is recomputed block by block;
         # the build must be identical to the cached-matrix route
         sig = cyclic_family_30[0].sig
         neq = parse_formula("!(x = y)", sig)
@@ -411,9 +419,8 @@ class TestWiderArities:
         cfg = derive_config([neq], [xz], 0.4, cyclic_family_30)
         M = cyclic_family_30[-1]
         h_cached, report_cached = build_h(M, cfg, BEST_EFFORT)
-        import hlab.hgreedy as hgreedy_module
-
-        monkeypatch.setattr(hgreedy_module, "MATRIX_BUDGET", 64)
+        shrink_budget(64)
+        assert _phase_state(cfg, M, 0, [], []).matrix is None
         h_chunked, report_chunked = build_h(M, cfg, BEST_EFFORT)
         assert h_cached.elements == h_chunked.elements
         assert report_cached.to_json_dict() == report_chunked.to_json_dict()
@@ -477,3 +484,45 @@ class TestGreedyVersusOracle:
             assert opt <= len(h) <= opt * (1 + math.log(len(psi)))
         else:
             assert len(h) == 0
+
+
+class TestBlockReducers:
+    @pytest.mark.parametrize("budget", [5, 20])
+    @pytest.mark.parametrize(
+        "M, kind",
+        [
+            (make_cyclic_group(12), "cyclic"),
+            (make_prime_field(11), "field"),
+            (make_extension_field(3), "field"),
+            (make_f2_vector_space(3), "cyclic"),
+        ],
+        ids=["Z12", "GF11", "GF9", "F2^3"],
+    )
+    def test_blocks_match_one_block(self, M, kind, budget, shrink_budget):
+        # row sums (matrix-free coverage), column sums (every tuple and a
+        # sample) and closures, in blocks of a few cells and in one block
+        pfs = [parse_formula(text, M.sig) for text in CLOSURE_AVOID[kind]]
+
+        def reduced():
+            out = []
+            for pf in pfs:
+                cols = tuple_columns(range(M.size), pf.arity)
+                state = GreedyState(
+                    config=SimpleNamespace(delta=(pf,)),
+                    formula_index=0,
+                    step=0,
+                    h_elements=[],
+                    provenance=[],
+                    psi_cols=cols,
+                    remaining=np.arange(0, cols.shape[1], 2),
+                )
+                out += [_coverage(state, M), solution_counts_all(M, pf)]
+                out += sample_columns(M, pf, 3, 40)
+            sets = [[], [4], [4, 7], [0, 2, 5], [7, 7, 1]]
+            out.append(closure_masks(M, [1, 4], sets, pfs, max_solutions=M.size))
+            return out
+
+        whole = reduced()
+        shrink_budget(budget)
+        for one_block, blocked in zip(whole, reduced(), strict=True):
+            assert np.array_equal(one_block, blocked)

@@ -175,3 +175,12 @@ class TestRunExperiment:
         a = make_report(K, a1)
         b = make_report(*build_quadratic_pair(7)[:2])
         assert a.to_json_dict() == b.to_json_dict()
+
+
+def test_square_mask_cold_race(race):
+    # eight threads on a cold field: each must get the one stored mask
+    reference = square_mask(make_extension_field(101))
+    K = make_extension_field(101)
+    masks = race(lambda: square_mask(K))
+    assert all(mask is masks[0] for mask in masks)
+    assert np.array_equal(masks[0], reference)
