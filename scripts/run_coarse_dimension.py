@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Coarse dimension of the built witness sets along a growing prime family:
-schedule the formula lists, build H per structure at its level, and track
-ln|H| / ln|M| falling as the sizes grow.
+profile the formula lists, schedule the profiles, build H per structure at
+its level, and track ln|H| / ln|M| falling as the sizes grow.
 
 Usage: python scripts/run_coarse_dimension.py [--lo 101] [--hi 1499]
        [--mu 0.4] [--out reports/coarse_dim.csv]
@@ -12,6 +12,7 @@ import csv
 import os
 import sys
 
+from hlab.asymptotics import profile_family
 from hlab.finitemodels import make_prime_field, primes_in
 from hlab.folang import parse_formula
 from hlab.hsequence import (
@@ -34,12 +35,11 @@ def main() -> int:
 
     family = [make_prime_field(p) for p in primes_in(args.lo, args.hi)]
     sig = family[0].sig
+    cover = [parse_formula("exists z. z*z = x - y", sig), parse_formula("!(x = y)", sig)]
+    avoid = [parse_formula("x = z", sig), parse_formula("x = z + 1", sig)]
     sched = FormulaSchedule(
-        cover=(
-            parse_formula("exists z. z*z = x - y", sig),
-            parse_formula("!(x = y)", sig),
-        ),
-        avoid=(parse_formula("x = z", sig), parse_formula("x = z + 1", sig)),
+        cover=tuple(profile_family(family, pf) for pf in cover),
+        avoid=tuple(profile_family(family, pf) for pf in avoid),
     )
     plan = schedule_in(family, sched, args.mu, mode=COARSE_DIM)
     build_sequence(plan, threads=args.threads)

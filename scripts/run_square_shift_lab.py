@@ -17,6 +17,7 @@ import sys
 import time
 
 from hlab._util import atomic_write_text, dump_json
+from hlab.asymptotics import profile_family
 from hlab.finitemodels import make_prime_field, primes_in
 from hlab.folang import parse_formula
 from hlab.hgreedy import STRICT, build_h, derive_config, size_threshold_ok
@@ -41,7 +42,9 @@ def main() -> int:
     sig = family[0].sig
     cover = [parse_formula("exists z. z*z = x - y", sig), parse_formula("!(x = y)", sig)]
     avoid = [parse_formula("x = z", sig), parse_formula("x = z + 1", sig)]
-    cfg = derive_config(cover, avoid, args.mu, family, seed=args.seed)
+    cover_profiles = [profile_family(family, pf, seed=args.seed) for pf in cover]
+    avoid_profiles = [profile_family(family, pf, seed=args.seed) for pf in avoid]
+    cfg = derive_config(cover_profiles, avoid_profiles, args.mu)
     print(f"profiled {len(family)} prime fields in {time.perf_counter() - t0:.2f}s")
     print(f"constants: c_gamma={cfg.c_gamma} ell0={cfg.ell0} k0={cfg.k0} "
           f"size bound {cfg.c_delta_gamma}*ln|M|")

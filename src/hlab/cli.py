@@ -15,12 +15,20 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ._util import atomic_write_text, dump_json
-from .asymptotics import _classify_counts, _structure_key, profile_family
+from .asymptotics import (
+    DEFAULT_CEILING,
+    DEFAULT_GAP,
+    DEFAULT_SAMPLES,
+    MeasureProfile,
+    _classify_counts,
+    _structure_key,
+    profile_family,
+)
 from .errors import ExperimentConfigError, LabError
 from .finitemodels import (
     EXTENSION_FIELD,
@@ -52,25 +60,6 @@ from .lovelypair import csv_rows, experiment_summary, run_experiment
 
 MODES = (STRICT, BEST_EFFORT, COARSE_DIM)
 
-_TOP_KEYS = {
-    "family",
-    "cover",
-    "avoid",
-    "mu",
-    "gap",
-    "ceiling",
-    "seed",
-    "mode",
-    "threads",
-    "out_dir",
-    "profile_samples",
-    "density_budget",
-    "extension_samples",
-    "base_max",
-    "emit_counts",
-    "window",
-    "sweep_a1",
-}
 _FAMILY_KEYS = {"family", "lo", "hi", "values"}
 _FORMULA_KEYS = {"text", "object", "params"}
 
@@ -81,19 +70,24 @@ class ExperimentConfig:
     cover: list[ParamFormula] = field(default_factory=list)
     avoid: list[ParamFormula] = field(default_factory=list)
     mu: float | None = None
-    gap: float = 0.05
-    ceiling: float = 2.0
+    gap: float = DEFAULT_GAP
+    ceiling: float = DEFAULT_CEILING
     seed: int = 0
     mode: str = STRICT
     threads: int | None = None
     out_dir: str = "reports"
-    profile_samples: int = 10_000
+    profile_samples: int = DEFAULT_SAMPLES
     density_budget: int = 1_000_000
     extension_samples: int = 1000
     base_max: int = 3
     emit_counts: bool = False
     window: int = 3
     sweep_a1: bool = False
+
+
+_TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
+# each scalar field is coerced by its annotation; an `X | None` field takes null
+_SCALARS = {"int": int, "float": float, "str": str, "bool": bool}
 
 
 def _reject_unknown(d: dict, allowed: set, where: str):
@@ -169,34 +163,20 @@ def load_config(path: str) -> ExperimentConfig:
     _reject_unknown(raw, _TOP_KEYS, "config")
     if "family" not in raw:
         raise ExperimentConfigError("config needs a 'family' entry")
-    mode = raw.get("mode", STRICT)
-    if mode not in MODES:
-        raise ExperimentConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    if raw.get("mode", STRICT) not in MODES:
+        raise ExperimentConfigError(f"mode must be one of {MODES}, got {raw['mode']!r}")
     try:
         family = _parse_family(raw["family"])
         sig = signature_for_family(family.family)
         cover = _parse_formula_list(raw.get("cover", []), sig, "cover")
         avoid = _parse_formula_list(raw.get("avoid", []), sig, "avoid")
-        threads = raw.get("threads")
-        cfg = ExperimentConfig(
-            family=family,
-            cover=cover,
-            avoid=avoid,
-            mu=None if raw.get("mu") is None else float(raw["mu"]),
-            gap=float(raw.get("gap", 0.05)),
-            ceiling=float(raw.get("ceiling", 2.0)),
-            seed=int(raw.get("seed", 0)),
-            mode=mode,
-            threads=None if threads is None else int(threads),
-            out_dir=str(raw.get("out_dir", "reports")),
-            profile_samples=int(raw.get("profile_samples", 10_000)),
-            density_budget=int(raw.get("density_budget", 1_000_000)),
-            extension_samples=int(raw.get("extension_samples", 1000)),
-            base_max=int(raw.get("base_max", 3)),
-            emit_counts=bool(raw.get("emit_counts", False)),
-            window=int(raw.get("window", 3)),
-            sweep_a1=bool(raw.get("sweep_a1", False)),
-        )
+        scalars = {}
+        for f in fields(ExperimentConfig):
+            kind, _, optional = f.type.partition(" | ")
+            if f.name in raw and kind in _SCALARS:
+                value = raw[f.name]
+                scalars[f.name] = None if optional and value is None else _SCALARS[kind](value)
+        cfg = ExperimentConfig(family=family, cover=cover, avoid=avoid, **scalars)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ExperimentConfigError(f"bad value in config: {exc}") from exc
     if cfg.mu is not None and not 0.0 < cfg.mu < 1.0:
@@ -219,28 +199,20 @@ def _require(cfg: ExperimentConfig, cover: bool, avoid: bool, command: str):
         raise ExperimentConfigError(f"{command!r} needs at least one avoid formula")
 
 
-def _greedy_config(cfg: ExperimentConfig, family):
-    return derive_config(
-        cfg.cover,
-        cfg.avoid,
-        cfg.mu,
-        family,
-        gap=cfg.gap,
-        ceiling=cfg.ceiling,
-        samples=cfg.profile_samples,
-        seed=cfg.seed,
-    )
+def _profiles(cfg: ExperimentConfig, family, formulas) -> list[MeasureProfile]:
+    """One profile per formula over the family, with the config's options."""
+    return [
+        profile_family(
+            family, pf, cfg.gap, ceiling=cfg.ceiling, samples=cfg.profile_samples, seed=cfg.seed
+        )
+        for pf in formulas
+    ]
 
 
 def cmd_profile(cfg: ExperimentConfig, out_dir: str) -> int:
     _require(cfg, cover=True, avoid=False, command="profile")
     family = enumerate_family(cfg.family)
-    profiles = [
-        profile_family(
-            family, pf, cfg.gap, ceiling=cfg.ceiling, samples=cfg.profile_samples, seed=cfg.seed
-        )
-        for pf in cfg.cover + cfg.avoid
-    ]
+    profiles = _profiles(cfg, family, cfg.cover + cfg.avoid)
     atomic_write_text(
         os.path.join(out_dir, "profiles.json"),
         dump_json([p.to_json_dict() for p in profiles]),
@@ -271,7 +243,9 @@ def cmd_profile(cfg: ExperimentConfig, out_dir: str) -> int:
 
 def _build_family(cfg: ExperimentConfig, threads: int):
     family = enumerate_family(cfg.family)
-    gcfg = _greedy_config(cfg, family)
+    gcfg = derive_config(
+        _profiles(cfg, family, cfg.cover), _profiles(cfg, family, cfg.avoid), cfg.mu
+    )
     mode = BEST_EFFORT if cfg.mode == BEST_EFFORT else STRICT
     skipped = []
     jobs = []
@@ -311,17 +285,11 @@ def cmd_sequence(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
             "sequence schedules by threshold; use mode 'strict' or 'coarse-dim'"
         )
     family = enumerate_family(cfg.family)
-    sched = FormulaSchedule(cover=tuple(cfg.cover), avoid=tuple(cfg.avoid))
-    plan = schedule_in(
-        family,
-        sched,
-        cfg.mu,
-        mode=cfg.mode,
-        gap=cfg.gap,
-        ceiling=cfg.ceiling,
-        samples=cfg.profile_samples,
-        seed=cfg.seed,
+    sched = FormulaSchedule(
+        cover=tuple(_profiles(cfg, family, cfg.cover)),
+        avoid=tuple(_profiles(cfg, family, cfg.avoid)),
     )
+    plan = schedule_in(family, sched, cfg.mu, mode=cfg.mode)
     if all(e.level is None for e in plan.entries):
         # every structure fails every level, so the largest fails level 0
         require_threshold(plan.configs[0], family[-1])

@@ -285,6 +285,8 @@ def make_cyclic_group(n: int) -> FiniteStructure:
 def make_f2_vector_space(dim: int) -> FiniteStructure:
     if dim < 1:
         raise SignatureMismatchError("dimension must be >= 1")
+    if dim >= np.iinfo(np.int64).bits - 1:  # checked before 1 << dim is built
+        raise SignatureMismatchError(f"dimension {dim} gives 2**{dim} elements, past int64")
     n = 1 << dim
     # over F2, subtraction is addition: both are bitwise xor of the indices
     xor = Operation(n, np.bitwise_xor, _index_dtype(n, n))

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._util import tuple_columns
-from .asymptotics import MeasureProfile, large_columns, profile_family, psi_columns
+from .asymptotics import MeasureProfile, large_columns, psi_columns
 from .errors import (
     ConfigRejectedError,
     EnumerationBudgetError,
@@ -49,11 +49,9 @@ BEST_EFFORT = "best_effort"
 
 @dataclass
 class GreedyConfig:
-    """Cover formulas, avoid formulas, the measure floor, and every derived
+    """The cover and avoid profiles, the measure floor, and every derived
     constant. Logs are natural throughout."""
 
-    delta: tuple[ParamFormula, ...]
-    gamma: tuple[ParamFormula, ...]
     mu: float
     delta_profiles: tuple[MeasureProfile, ...]
     gamma_profiles: tuple[MeasureProfile, ...]
@@ -64,8 +62,16 @@ class GreedyConfig:
     c_delta_gamma: int
 
     @property
+    def delta(self) -> tuple[ParamFormula, ...]:
+        return tuple(prof.pf for prof in self.delta_profiles)
+
+    @property
+    def gamma(self) -> tuple[ParamFormula, ...]:
+        return tuple(prof.pf for prof in self.gamma_profiles)
+
+    @property
     def n_formulas(self) -> int:
-        return len(self.delta)
+        return len(self.delta_profiles)
 
     @property
     def decay(self) -> float:
@@ -91,69 +97,47 @@ class GreedyConfig:
         }
 
 
-def derive_config(
-    delta,
-    gamma,
-    mu: float | None,
-    family,
-    *,
-    gap: float = 0.05,
-    ceiling: float = 2.0,
-    samples: int = 10_000,
-    seed: int = 0,
-    delta_profiles=None,
-    gamma_profiles=None,
-) -> GreedyConfig:
-    """Profile both formula lists over the family and fix the constants.
+def derive_config(delta_profiles, gamma_profiles, mu: float | None) -> GreedyConfig:
+    """Fix the constants from the profiles of the cover list (delta) and the
+    avoid list (gamma), each profiled over the same family; the formulas are
+    the profiles' own, in list order.
 
     Rejected when mu is not below every profiled measure of the cover list,
     or when an avoid formula is not uniformly algebraic on the family.
     """
-    delta = tuple(delta)
-    gamma = tuple(gamma)
-    if not delta or not gamma:
+    delta_profiles = tuple(delta_profiles)
+    gamma_profiles = tuple(gamma_profiles)
+    if not delta_profiles or not gamma_profiles:
         raise ConfigRejectedError("need at least one cover and one avoid formula")
-    for pf in delta:
-        if pf.arity == 0:
-            raise ConfigRejectedError(f"cover formula {pf.text!r} has no parameters")
-    if delta_profiles is None:
-        delta_profiles = tuple(
-            profile_family(family, pf, gap, ceiling=ceiling, samples=samples, seed=seed)
-            for pf in delta
-        )
-    if gamma_profiles is None:
-        gamma_profiles = tuple(
-            profile_family(family, pf, gap, ceiling=ceiling, samples=samples, seed=seed)
-            for pf in gamma
-        )
-    for pf, prof in zip(gamma, gamma_profiles):
+    for prof in delta_profiles:
+        if prof.pf.arity == 0:
+            raise ConfigRejectedError(f"cover formula {prof.pf.text!r} has no parameters")
+    for prof in gamma_profiles:
         if not prof.uniformly_algebraic:
             raise ConfigRejectedError(
-                f"avoid formula {pf.text!r} is classified large somewhere "
+                f"avoid formula {prof.pf.text!r} is classified large somewhere "
                 f"(measures {prof.E}); it must be uniformly algebraic"
             )
     if mu is None:
         mu = default_mu(delta_profiles)
     if not 0.0 < mu < 1.0:
         raise ConfigRejectedError(f"measure floor mu={mu} must lie in (0, 1)")
-    for pf, prof in zip(delta, delta_profiles):
+    for prof in delta_profiles:
         if prof.E and mu >= prof.min_measure():
             raise ConfigRejectedError(
                 f"mu={mu} is not below the smallest measure {prof.min_measure():.4f} "
-                f"of cover formula {pf.text!r}"
+                f"of cover formula {prof.pf.text!r}"
             )
-    ell0 = max(pf.arity for pf in delta)
-    k0 = max(pf.arity for pf in gamma)
+    ell0 = max(prof.pf.arity for prof in delta_profiles)
+    k0 = max(prof.pf.arity for prof in gamma_profiles)
     gamma_max = max((prof.B or 0) for prof in gamma_profiles)
-    c_gamma = gamma_max * len(gamma)
+    c_gamma = gamma_max * len(gamma_profiles)
     decay = -math.log(1.0 - mu / 2.0)
-    c_delta_gamma = len(delta) * (math.ceil(ell0 / decay) + 1)
+    c_delta_gamma = len(delta_profiles) * (math.ceil(ell0 / decay) + 1)
     return GreedyConfig(
-        delta=delta,
-        gamma=gamma,
         mu=mu,
-        delta_profiles=tuple(delta_profiles),
-        gamma_profiles=tuple(gamma_profiles),
+        delta_profiles=delta_profiles,
+        gamma_profiles=gamma_profiles,
         ell0=ell0,
         k0=k0,
         gamma_max_solutions=gamma_max,
@@ -327,10 +311,6 @@ class GreedyState:
     def y_columns(self) -> np.ndarray:
         return self.psi_cols[:, self.remaining]
 
-    def y_tuples(self) -> list[tuple[int, ...]]:
-        cols = self.y_columns
-        return [tuple(int(v) for v in cols[:, j]) for j in range(cols.shape[1])]
-
 
 def _phase_state(cfg: GreedyConfig, M: FiniteStructure, index: int, h, prov) -> GreedyState:
     pf = cfg.delta[index]
@@ -415,9 +395,6 @@ class HSet:
 
     def __len__(self):
         return len(self.elements)
-
-    def position(self, element: int) -> int:
-        return self.elements.index(element)
 
 
 @dataclass

@@ -2,8 +2,9 @@
 per-structure builds, the truncated algebraic closure, and the coarse
 dimension series ln|H| / ln|M|.
 
-A schedule is a finite ordered list of cover formulas and a finite ordered
-list of avoid formulas. Level n uses the first n+1 entries of each list. A
+A schedule is a finite ordered list of cover-formula profiles and a finite
+ordered list of avoid-formula profiles, all taken over the family being
+scheduled. Level n uses the first n+1 entries of each list. A
 structure's level is the largest n whose size threshold it passes (with the
 extra size > C^n requirement in coarse-dim mode); structures below every
 level get an empty H.
@@ -17,10 +18,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .asymptotics import profile_family
+from .asymptotics import MeasureProfile
 from .errors import ConfigRejectedError
 from .finitemodels import FiniteStructure
-from .folang import ParamFormula
 from .hgreedy import (
     STRICT,
     BuildReport,
@@ -40,11 +40,12 @@ COARSE_DIM = "coarse-dim"
 
 @dataclass(frozen=True)
 class FormulaSchedule:
-    """Finite truncation of the full formula enumeration: level n pairs the
-    first n+1 cover formulas with the first n+1 avoid formulas."""
+    """Finite truncation of the full formula enumeration, one profile per
+    formula: level n pairs the first n+1 cover profiles with the first n+1
+    avoid profiles."""
 
-    cover: tuple[ParamFormula, ...]
-    avoid: tuple[ParamFormula, ...]
+    cover: tuple[MeasureProfile, ...]
+    avoid: tuple[MeasureProfile, ...]
 
     def __post_init__(self):
         if not self.cover or not self.avoid:
@@ -104,42 +105,17 @@ def schedule_in(
     sched: FormulaSchedule,
     mu: float | None = None,
     mode: str = STRICT,
-    *,
-    gap: float = 0.05,
-    ceiling: float = 2.0,
-    samples: int = 10_000,
-    seed: int = 0,
 ) -> SequencePlan:
-    """Assign each structure its truncation level; H is not built yet.
+    """Assign each structure of the family its truncation level; H is not
+    built yet. Each level's config is derived from the schedule's profiles,
+    which must have been taken over this family.
 
     Levels are monotone in structure size on families where the threshold is
     monotone; an entry below every level keeps an empty H.
     """
-    cover_profiles = [
-        profile_family(family, pf, gap, ceiling=ceiling, samples=samples, seed=seed)
-        for pf in sched.cover
-    ]
-    avoid_profiles = [
-        profile_family(family, pf, gap, ceiling=ceiling, samples=samples, seed=seed)
-        for pf in sched.avoid
-    ]
     if mu is None:
-        mu = default_mu(cover_profiles)
-    configs: dict[int, GreedyConfig] = {}
-    for level in range(sched.levels):
-        delta, gamma = sched.truncation(level)
-        configs[level] = derive_config(
-            delta,
-            gamma,
-            mu,
-            family,
-            gap=gap,
-            ceiling=ceiling,
-            samples=samples,
-            seed=seed,
-            delta_profiles=cover_profiles[: len(delta)],
-            gamma_profiles=avoid_profiles[: len(gamma)],
-        )
+        mu = default_mu(sched.cover)
+    configs = {level: derive_config(*sched.truncation(level), mu) for level in range(sched.levels)}
     entries = []
     for M in family:
         level = None

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from hlab import folang
+from hlab.asymptotics import profile_family
 from hlab.finitemodels import make_cyclic_group, make_prime_field, primes_in
 
 settings.register_profile(
@@ -36,6 +37,13 @@ def z13():
 def small_prime_family():
     """GF(p) for odd primes up to 47; shared by profiling tests."""
     return [make_prime_field(p) for p in primes_in(3, 47)]
+
+
+@pytest.fixture(scope="session")
+def profiled():
+    """profiled(family, formulas) profiles each formula over the family, in
+    order: the profile lists that derive_config and FormulaSchedule take."""
+    return lambda family, formulas: [profile_family(family, pf) for pf in formulas]
 
 
 @pytest.fixture

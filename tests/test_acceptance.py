@@ -56,7 +56,7 @@ class Pipeline:
 
 
 @pytest.fixture(scope="module")
-def pipeline():
+def pipeline(profiled):
     t0 = time.perf_counter()
     family = [make_prime_field(p) for p in primes_in(101, 2003)]
     sig = family[0].sig
@@ -65,7 +65,7 @@ def pipeline():
         parse_formula("!(x = y)", sig),
     ]
     avoid = [parse_formula("x = z", sig), parse_formula("x = z + 1", sig)]
-    cfg = derive_config(cover, avoid, MU, family)
+    cfg = derive_config(profiled(family, cover), profiled(family, avoid), MU)
     builds, skipped, checks = [], [], {}
     for M in family:
         check = size_threshold_ok(cfg, M)
@@ -158,7 +158,7 @@ def test_criterion_4_shrinkage_invariant(pipeline):
     report_line(4, f"0 shrink violations across {len(pipeline.builds)} builds")
 
 
-def test_criterion_5_greedy_vs_oracle():
+def test_criterion_5_greedy_vs_oracle(profiled):
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260810)
     cyclic_family = [make_cyclic_group(n) for n in range(5, 31)]
@@ -180,7 +180,7 @@ def test_criterion_5_greedy_vs_oracle():
         key = (id(family), pf.text)
         if key not in configs:
             xz = parse_formula("x = z", M.sig)
-            configs[key] = derive_config([pf], [xz], None, family)
+            configs[key] = derive_config(profiled(family, [pf]), profiled(family, [xz]), None)
         cfg = configs[key]
         psi = psi_set(M, pf, cfg.delta_profiles[0])
         h_set, report = build_h(M, cfg, BEST_EFFORT)
@@ -253,14 +253,9 @@ def test_criterion_6_axiom_checks(pipeline):
 
 
 def test_criterion_7_coarse_dimension_trend(pipeline):
-    sig = pipeline.family[0].sig
-    sched = FormulaSchedule(
-        cover=(
-            parse_formula("exists z. z*z = x - y", sig),
-            parse_formula("!(x = y)", sig),
-        ),
-        avoid=(parse_formula("x = z", sig), parse_formula("x = z + 1", sig)),
-    )
+    # the pipeline's own profiles: same family, same cover and avoid lists
+    cfg = pipeline.config
+    sched = FormulaSchedule(cover=cfg.delta_profiles, avoid=cfg.gamma_profiles)
     plan = schedule_in(pipeline.family, sched, MU, mode=COARSE_DIM)
     build_sequence(plan)
     series = coarse_dimension_series(plan, window=3)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hlab
+from hlab import cli
 from hlab.cli import load_config, main
 from hlab.errors import ExperimentConfigError, InvariantError
 from hlab.finitemodels import FAMILIES
@@ -234,6 +235,22 @@ class TestCommands:
         assert payload["reports"]
         assert all(r["passed"] for r in payload["reports"])
         assert not os.path.exists(os.path.join(out, "failures.csv"))
+
+    @pytest.mark.parametrize("command", ["profile", "build", "sequence", "axioms"])
+    def test_profiles_each_formula_once(self, tmp_path, monkeypatch, command):
+        cover = ["exists z. z*z = x - y", "!(x = y)"]
+        avoid = ["x = z", "x = z + 1"]
+        profiled = []
+        profile_family = cli.profile_family
+
+        def counting(family, pf, *args, **kwargs):
+            profiled.append(pf.text)
+            return profile_family(family, pf, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "profile_family", counting)
+        cfg = write_config(tmp_path, cover=cover, avoid=avoid)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert profiled == cover + avoid  # len(cover) + len(avoid) calls, one per formula
 
     def test_lovely_pair(self, tmp_path):
         cfg = write_config(

@@ -117,6 +117,12 @@ class TestGroups:
         for x in range(8):
             assert int(add[x, x]) == 0
 
+    def test_f2_space_past_int64_rejected(self):
+        # both sizes are refused before 2**dim is computed, so nothing is allocated
+        for dim in (64, 10**30):
+            with pytest.raises(SignatureMismatchError, match=f"dimension {dim} "):
+                make_f2_vector_space(dim)
+
     def test_trivial_group(self):
         z1 = make_cyclic_group(1)
         assert z1.size == 1

@@ -267,8 +267,8 @@ def test_binary_avoid_extension_check():
 
 
 def test_sampled_profile():
-    # three parameters at sizes above 2**8 exceed the 24-bit enumeration
-    # limit, so every count comes from the seeded sample
+    # three parameters at sizes above 2**8 give n**3 > folang.BUDGET = 10**7
+    # tuples (257**3 is about 1.7e7), so every count comes from the seeded sample
     family = [make_prime_field(p) for p in (257, 263)]
     pf = parse_formula("exists v. v*v = x*y - z*w", family[0].sig)
     prof = profile_family(family, pf, samples=2000, seed=5)

@@ -53,12 +53,12 @@ def assert_matches_replay(M, h, delta, profiles, gamma, **kw):
 
 
 @pytest.fixture(scope="module")
-def gf101_build():
+def gf101_build(profiled):
     fam = [make_prime_field(p) for p in primes_in(61, 151)]
     sig = fam[0].sig
     sq = parse_formula("exists z. z*z = x - y", sig)
     xz = parse_formula("x = z", sig)
-    cfg = derive_config([sq], [xz], 0.49, fam)
+    cfg = derive_config(profiled(fam, [sq]), profiled(fam, [xz]), 0.49)
     M = [m for m in fam if m.size == 101][0]
     h, report = build_h(M, cfg, STRICT)
     assert report.all_passed
@@ -132,13 +132,13 @@ class TestDensity:
         assert not frag["passed"]
         assert frag["n_failures"] == M.size  # every tuple is large here
 
-    def test_algebraic_parameters_skipped(self):
+    def test_algebraic_parameters_skipped(self, profiled):
         fam = [make_cyclic_group(n) for n in range(21, 41)]
         sig = fam[0].sig
         neq = parse_formula("!(x = y)", sig)
         eq = parse_formula("x = y", sig)
         xz = parse_formula("x = z", sig)
-        cfg = derive_config([neq, eq], [xz], 0.4, fam)
+        cfg = derive_config(profiled(fam, [neq, eq]), profiled(fam, [xz]), 0.4)
         M = fam[-1]
         h, _ = build_h(M, cfg, BEST_EFFORT)
         frag = check_density(M, h, cfg.delta, cfg.delta_profiles)
@@ -180,7 +180,7 @@ class TestExtension:
         b = check_extension(M, h, cfg.delta, cfg.delta_profiles, cfg.gamma, **kw)
         assert dump_json(a) == dump_json(b)
 
-    def test_swallowing_closure_detected(self):
+    def test_swallowing_closure_detected(self, profiled):
         # five shift formulas over a 9-element group swallow whole solution
         # sets; the profiling family must include the small sizes so that the
         # fitted envelope covers them
@@ -188,7 +188,7 @@ class TestExtension:
         sig = fam[0].sig
         neq = parse_formula("!(x = y)", sig)
         shifts = [parse_formula(f"x = z + {k}", sig) for k in range(5)]
-        cfg = derive_config([neq], shifts, 0.4, fam)
+        cfg = derive_config(profiled(fam, [neq]), profiled(fam, shifts), 0.4)
         M = fam[0]
         h, _ = build_h(M, cfg, BEST_EFFORT)
         frag = check_extension(
@@ -206,12 +206,12 @@ class TestExtension:
 
 
 class TestNonUnaryClosure:
-    def test_extension_with_binary_avoid_formula(self):
+    def test_extension_with_binary_avoid_formula(self, profiled):
         fam = [make_cyclic_group(n) for n in range(21, 41)]
         sig = fam[0].sig
         neq = parse_formula("!(x = y)", sig)
         pairsum = parse_formula("x = z1 + z2", sig, params=("z1", "z2"))
-        cfg = derive_config([neq], [pairsum], 0.4, fam)
+        cfg = derive_config(profiled(fam, [neq]), profiled(fam, [pairsum]), 0.4)
         M = fam[-1]
         h, report = build_h(M, cfg, BEST_EFFORT)
         assert report.all_passed

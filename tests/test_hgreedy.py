@@ -48,24 +48,24 @@ def neq_family():
 
 
 @pytest.fixture(scope="module")
-def neq_config(neq_family):
+def neq_config(neq_family, profiled):
     sig = neq_family[0].sig
     neq = parse_formula("!(x = y)", sig)
     xz = parse_formula("x = z", sig)
-    return derive_config([neq], [xz], 0.9, neq_family)
+    return derive_config(profiled(neq_family, [neq]), profiled(neq_family, [xz]), 0.9)
 
 
 @pytest.fixture(scope="module")
-def square_shift_config():
+def square_shift_config(profiled):
     fam = [make_prime_field(p) for p in primes_in(61, 151)]
     sig = fam[0].sig
     sq = parse_formula("exists z. z*z = x - y", sig)
     xz = parse_formula("x = z", sig)
-    return fam, derive_config([sq], [xz], 0.49, fam)
+    return fam, derive_config(profiled(fam, [sq]), profiled(fam, [xz]), 0.49)
 
 
 @pytest.fixture(scope="module")
-def blocker_config():
+def blocker_config(profiled):
     """Inequality cover with two blocking avoid formulas, profiled at a scale
     where count-1 formulas read as algebraic."""
     fam = [make_cyclic_group(n) for n in range(21, 41)]
@@ -73,7 +73,7 @@ def blocker_config():
     neq = parse_formula("!(x = y)", sig)
     xz = parse_formula("x = z", sig)
     xz1 = parse_formula("x = z + 1", sig)
-    return derive_config([neq], [xz, xz1], 0.4, fam)
+    return derive_config(profiled(fam, [neq]), profiled(fam, [xz, xz1]), 0.4)
 
 
 @pytest.fixture(scope="module")
@@ -91,43 +91,43 @@ class TestDeriveConfig:
         assert cfg.h_m(101) == 9
         assert cfg.c_delta_gamma == 3
 
-    def test_example_two_params(self):
+    def test_example_two_params(self, profiled):
         fam = [make_cyclic_group(n) for n in (101, 148)]
         sig = fam[0].sig
         pair = parse_formula("!(x = y1) | !(x = y2)", sig, params=("y1", "y2"))
         xz = parse_formula("x = z", sig)
-        cfg = derive_config([pair], [xz], 0.4, fam)
+        cfg = derive_config(profiled(fam, [pair]), profiled(fam, [xz]), 0.4)
         assert cfg.ell0 == 2
         assert cfg.h_m(148) == 46
 
-    def test_mu_not_below_measure(self, neq_family):
+    def test_mu_not_below_measure(self, neq_family, profiled):
         sig = neq_family[0].sig
         neq = parse_formula("!(x = y)", sig)
         xz = parse_formula("x = z", sig)
         with pytest.raises(ConfigRejectedError):
-            derive_config([neq], [xz], 0.999, neq_family)
+            derive_config(profiled(neq_family, [neq]), profiled(neq_family, [xz]), 0.999)
 
-    def test_large_avoid_formula_rejected(self):
+    def test_large_avoid_formula_rejected(self, profiled):
         fam = [make_prime_field(p) for p in primes_in(11, 31)]
         sig = fam[0].sig
         sq = parse_formula("exists z. z*z = x - y", sig)
         also_sq = parse_formula("exists w. w*w = x - z", sig)  # large, not algebraic
         with pytest.raises(ConfigRejectedError):
-            derive_config([sq], [also_sq], 0.4, fam)
+            derive_config(profiled(fam, [sq]), profiled(fam, [also_sq]), 0.4)
 
-    def test_parameterless_cover_rejected(self, neq_family):
+    def test_parameterless_cover_rejected(self, neq_family, profiled):
         sig = neq_family[0].sig
         closed = parse_formula("x = 0", sig)
         xz = parse_formula("x = z", sig)
         with pytest.raises(ConfigRejectedError):
-            derive_config([closed], [xz], 0.4, neq_family)
+            derive_config(profiled(neq_family, [closed]), profiled(neq_family, [xz]), 0.4)
 
-    def test_default_mu_is_half_the_smallest_measure(self, square_shift_config):
+    def test_default_mu_is_half_the_smallest_measure(self, square_shift_config, profiled):
         fam, _ = square_shift_config
         sig = fam[0].sig
         sq = parse_formula("exists z. z*z = x - y", sig)
         xz = parse_formula("x = z", sig)
-        cfg = derive_config([sq], [xz], None, fam)
+        cfg = derive_config(profiled(fam, [sq]), profiled(fam, [xz]), None)
         assert 0.2 < cfg.mu < 0.3
 
 
@@ -230,10 +230,10 @@ class TestGreedyStep:
         assert state.psi_cols.shape == (1, 13)
         greedy_step(state, z13)
         assert state.h_elements == [0]  # all 13 candidates tie at 12; index wins
-        assert state.y_tuples() == [(0,)]
+        assert state.y_columns.tolist() == [[0]]
         greedy_step(state, z13)
         assert state.h_elements == [0, 1]
-        assert state.y_tuples() == []
+        assert state.y_columns.shape == (1, 0)
         assert sorted(int(v) for v in np.flatnonzero(state.forbidden)) == [0]
 
     def test_empty_y_rejected(self, neq_config, z13):
@@ -280,12 +280,12 @@ class TestBuildH:
         assert len(h) <= cfg.c_delta_gamma * math.log(101)
         assert len(h) <= report.h_budget
 
-    def test_strict_below_threshold_raises(self):
+    def test_strict_below_threshold_raises(self, profiled):
         fam = [make_prime_field(p) for p in primes_in(61, 151)]
         sig = fam[0].sig
         sq = parse_formula("exists z. z*z = x - y", sig)
         xz = parse_formula("x = z", sig)
-        cfg = derive_config([sq], [xz], 0.4, fam)
+        cfg = derive_config(profiled(fam, [sq]), profiled(fam, [xz]), 0.4)
         below = [m for m in fam if m.size == 101][0]
         assert not size_threshold_ok(cfg, below).ok
         with pytest.raises(ThresholdNotMetError):
@@ -384,11 +384,12 @@ class TestVerifyAvoid:
 
 
 @pytest.fixture(scope="module")
-def pair_cover_config(cyclic_family_30):
+def pair_cover_config(cyclic_family_30, profiled):
     sig = cyclic_family_30[0].sig
     pair = parse_formula("exists z. z + z = x - y1 - y2", sig, params=("y1", "y2"))
     xz = parse_formula("x = z", sig)
-    return derive_config([pair], [xz], None, cyclic_family_30)
+    fam = cyclic_family_30
+    return derive_config(profiled(fam, [pair]), profiled(fam, [xz]), None)
 
 
 class TestWiderArities:
@@ -410,13 +411,16 @@ class TestWiderArities:
         assert set(cert.violations) == {(2, 1, 1), (3, 1, 2), (3, 2, 1)}
         assert verify_avoid(z13, [1, 3, 5], pairsum).passed
 
-    def test_matrix_free_path_matches_matrix_path(self, shrink_budget, cyclic_family_30):
+    def test_matrix_free_path_matches_matrix_path(
+        self, shrink_budget, cyclic_family_30, profiled
+    ):
         # shrink the budget so coverage is recomputed block by block;
         # the build must be identical to the cached-matrix route
         sig = cyclic_family_30[0].sig
         neq = parse_formula("!(x = y)", sig)
         xz = parse_formula("x = z", sig)
-        cfg = derive_config([neq], [xz], 0.4, cyclic_family_30)
+        fam = cyclic_family_30
+        cfg = derive_config(profiled(fam, [neq]), profiled(fam, [xz]), 0.4)
         M = cyclic_family_30[-1]
         h_cached, report_cached = build_h(M, cfg, BEST_EFFORT)
         shrink_budget(64)
@@ -427,12 +431,13 @@ class TestWiderArities:
 
 
 class TestAlgebraicCoverPhase:
-    def test_uniformly_algebraic_cover_formula_is_skipped(self, cyclic_family_30):
+    def test_uniformly_algebraic_cover_formula_is_skipped(self, cyclic_family_30, profiled):
         sig = cyclic_family_30[0].sig
         eq = parse_formula("x = y", sig)  # algebraic: empty large set
         neq = parse_formula("!(x = y)", sig)
         xz = parse_formula("x = z", sig)
-        cfg = derive_config([eq, neq], [xz], 0.4, cyclic_family_30)
+        fam = cyclic_family_30
+        cfg = derive_config(profiled(fam, [eq, neq]), profiled(fam, [xz]), 0.4)
         M = cyclic_family_30[-1]
         h, report = build_h(M, cfg, BEST_EFFORT)
         assert report.all_passed
@@ -470,12 +475,12 @@ def minimum_cover_size(M, pf, psi):
 
 class TestGreedyVersusOracle:
     @pytest.mark.parametrize("n", [12, 15, 20, 26])
-    def test_log_bound_on_cyclic_doubling(self, n, cyclic_family_30):
+    def test_log_bound_on_cyclic_doubling(self, n, cyclic_family_30, profiled):
         fam = cyclic_family_30
         M = [m for m in fam if m.size == n][0]
         pf = parse_formula("exists z. x = y + z + z", M.sig)
         xz = parse_formula("x = z", M.sig)
-        cfg = derive_config([pf], [xz], None, fam)
+        cfg = derive_config(profiled(fam, [pf]), profiled(fam, [xz]), None)
         psi = psi_set(M, pf, cfg.delta_profiles[0])
         h, report = build_h(M, cfg, BEST_EFFORT)
         assert report.all_passed

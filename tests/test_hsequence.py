@@ -6,10 +6,12 @@ import sys
 import pytest
 
 import hlab
+from hlab import asymptotics, hgreedy, hsequence
 from hlab._util import dump_json
 from hlab.errors import ConfigRejectedError, InvariantError
 from hlab.finitemodels import make_cyclic_group, make_prime_field, primes_in
 from hlab.folang import parse_formula
+from hlab.hgreedy import derive_config
 from hlab.hsequence import (
     COARSE_DIM,
     FormulaSchedule,
@@ -26,20 +28,21 @@ def prime_family_499():
 
 
 @pytest.fixture(scope="module")
-def schedule(prime_family_499):
-    sig = prime_family_499[0].sig
-    return FormulaSchedule(
-        cover=(
-            parse_formula("exists z. z*z = x - y", sig),
-            parse_formula("!(x = y)", sig),
-        ),
-        avoid=(parse_formula("x = z", sig), parse_formula("x = z + 1", sig)),
-    )
+def schedule(profiled):
+    """schedule(family): the square-shift schedule, profiled over family."""
+
+    def make(family):
+        sig = family[0].sig
+        cover = [parse_formula("exists z. z*z = x - y", sig), parse_formula("!(x = y)", sig)]
+        avoid = [parse_formula("x = z", sig), parse_formula("x = z + 1", sig)]
+        return FormulaSchedule(tuple(profiled(family, cover)), tuple(profiled(family, avoid)))
+
+    return make
 
 
 @pytest.fixture(scope="module")
 def built_plan(prime_family_499, schedule):
-    plan = schedule_in(prime_family_499, schedule, 0.4)
+    plan = schedule_in(prime_family_499, schedule(prime_family_499), 0.4)
     return build_sequence(plan)
 
 
@@ -62,22 +65,37 @@ class TestScheduleIn:
 
     def test_all_below_every_threshold(self, schedule):
         fam = [make_prime_field(p) for p in primes_in(23, 101)]
-        plan = schedule_in(fam, schedule, 0.4)
+        plan = schedule_in(fam, schedule(fam), 0.4)
         assert all(e.level is None for e in plan.entries)
         build_sequence(plan)
         assert all(len(e.h_set) == 0 for e in plan.entries)
 
     def test_coarse_dim_never_exceeds_strict(self, prime_family_499, schedule):
-        strict = schedule_in(prime_family_499, schedule, 0.4)
-        coarse = schedule_in(prime_family_499, schedule, 0.4, mode=COARSE_DIM)
+        sched = schedule(prime_family_499)
+        strict = schedule_in(prime_family_499, sched, 0.4)
+        coarse = schedule_in(prime_family_499, sched, 0.4, mode=COARSE_DIM)
         for a, b in zip(strict.entries, coarse.entries):
             sa = -1 if a.level is None else a.level
             sb = -1 if b.level is None else b.level
             assert sb <= sa
 
-    def test_empty_schedule_rejected(self, prime_family_499, schedule):
+    def test_configs_come_from_the_profiles_alone(self, prime_family_499, built_plan, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("profile_family called")
+
+        for module in (hlab, asymptotics):
+            monkeypatch.setattr(module, "profile_family", refuse)
+        assert not hasattr(hgreedy, "profile_family")
+        assert not hasattr(hsequence, "profile_family")
+        sched = built_plan.schedule
+        plan = schedule_in(prime_family_499, sched, 0.4)
+        assert [e.level for e in plan.entries] == [e.level for e in built_plan.entries]
+        for level, cfg in plan.configs.items():
+            assert derive_config(*sched.truncation(level), 0.4).summary() == cfg.summary()
+
+    def test_empty_schedule_rejected(self, built_plan):
         with pytest.raises(ConfigRejectedError):
-            FormulaSchedule(cover=(), avoid=schedule.avoid)
+            FormulaSchedule(cover=(), avoid=built_plan.schedule.avoid)
 
 
 class TestBuildSequence:
@@ -92,15 +110,16 @@ class TestBuildSequence:
 
     def test_single_structure_family(self, schedule):
         fam = [make_prime_field(p) for p in primes_in(101, 131)]
-        plan = build_sequence(schedule_in(fam, schedule, 0.4))
+        plan = build_sequence(schedule_in(fam, schedule(fam), 0.4))
         assert len(plan.entries) == len(fam)
 
     def test_rerun_byte_identical(self, prime_family_499, schedule, built_plan):
-        again = build_sequence(schedule_in(prime_family_499, schedule, 0.4))
+        again = build_sequence(schedule_in(prime_family_499, schedule(prime_family_499), 0.4))
         assert dump_json(again.to_json_dict()) == dump_json(built_plan.to_json_dict())
 
     def test_threaded_build_identical(self, prime_family_499, schedule, built_plan):
-        threaded = build_sequence(schedule_in(prime_family_499, schedule, 0.4), threads=4)
+        plan = schedule_in(prime_family_499, schedule(prime_family_499), 0.4)
+        threaded = build_sequence(plan, threads=4)
         assert dump_json(threaded.to_json_dict()) == dump_json(built_plan.to_json_dict())
 
 
@@ -194,7 +213,7 @@ class TestCoarseDimension:
 
     def test_no_builds_series(self, schedule):
         fam = [make_prime_field(p) for p in primes_in(23, 101)]
-        plan = build_sequence(schedule_in(fam, schedule, 0.4))
+        plan = build_sequence(schedule_in(fam, schedule(fam), 0.4))
         series = coarse_dimension_series(plan)
         assert series.first_window_avg is None
         assert all(r[2] == 0.0 for r in series.rows)
