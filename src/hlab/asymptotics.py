@@ -27,10 +27,9 @@ from .finitemodels import FiniteStructure
 from .folang import BUDGET as PSI_BUDGET  # noqa: F401  (the one budget, under its Ψ name)
 from .folang import (
     ParamFormula,
-    block_width,
+    count_columns,
     solution_count,
     solution_counts_all,
-    solution_mask_matrix,
     within_budget,
 )
 
@@ -115,16 +114,10 @@ def _structure_key(M: FiniteStructure):
 def sample_columns(M: FiniteStructure, pf: ParamFormula, rng, samples: int):
     """Draw `samples` parameter tuples from `rng` (a numpy Generator, or a
     seed for a new one) and drop repeats. Returns the unique tuples as an
-    (arity, m) index array in lexicographic order and their solution counts,
-    counted one evaluation block at a time."""
+    (arity, m) index array in lexicographic order and their solution counts."""
     rng = np.random.default_rng(rng)
     cols = np.unique(rng.integers(0, M.size, size=(samples, pf.arity)), axis=0).T
-    counts = np.empty(cols.shape[1], dtype=np.int64)
-    width = block_width(M.size)
-    for start in range(0, cols.shape[1], width):
-        block = solution_mask_matrix(M, pf, cols[:, start : start + width])
-        counts[start : start + width] = block.sum(axis=0)
-    return cols, counts
+    return cols, count_columns(M, pf, cols)
 
 
 def _observe(M: FiniteStructure, pf: ParamFormula, samples: int, seed: int):

@@ -29,6 +29,15 @@ that side over the domain the bound-variable conjuncts allow, cached per
 structure, and-ed with the other conjuncts. Any other existential loops over
 the universe. The scalar `evaluate` is a naive reference for tests: nested
 loops over the universe, no cache.
+
+A translation kernel is a formula that reads x only through x - u(params):
+normalised to integer-coefficient polynomials (numerals and other closed
+terms stay opaque constants), every atom that holds x holds it as exactly +x
+or -x with the same parameter part u, and no atom without x holds a
+parameter. Its solutions at any tuple are G + u(tuple) for one set G, cached
+per structure, so every count is |G| (one evaluation at the zero tuple) and
+the solutions at m tuples are |G| * m scattered points (solution_points).
+Any other formula is counted on the grid.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from .errors import (
     FreeVariableError,
     SignatureMismatchError,
 )
-from .finitemodels import FiniteStructure, Signature
+from .finitemodels import FAMILIES, FiniteStructure, Signature
 
 # ---------------------------------------------------------------------------
 # Syntax trees
@@ -689,6 +698,124 @@ def _exists_plan(f: Exists):
     return None
 
 
+def _polynomial(t: Term) -> dict:
+    """t as an integer-coefficient polynomial: {monomial: coefficient}, each
+    monomial a sorted tuple of atoms, no coefficient zero. add, sub and mul
+    are the ring operations; every other term is an atom: variables, and
+    opaque constants such as numerals, `zero`, `one` and `frob(y)`. A
+    numeral is no integer multiple of anything on F2^n, where it is a
+    bitmask, so 1 + 1 and 2 stay distinct."""
+    if not (isinstance(t, Apply) and t.func in ("add", "sub", "mul") and len(t.args) == 2):
+        return {(t,): 1}
+    a, b = _polynomial(t.args[0]), _polynomial(t.args[1])
+    out: dict = {}
+    if t.func == "mul":
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = tuple(sorted(ma + mb, key=repr))
+                out[m] = out.get(m, 0) + ca * cb
+    else:
+        sign = 1 if t.func == "add" else -1
+        out = dict(a)
+        for m, c in b.items():
+            out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _atom_terms(f: Formula, bound=frozenset()):
+    """(term, names bound around it) for every atom argument of f: left -
+    right for an equation, each argument of a relation."""
+    if isinstance(f, Eq):
+        yield Apply("sub", (f.left, f.right)), bound
+    elif isinstance(f, Rel):
+        for a in f.args:
+            yield a, bound
+    elif isinstance(f, Not):
+        yield from _atom_terms(f.body, bound)
+    elif isinstance(f, (And, Or, Implies)):
+        yield from _atom_terms(f.left, bound)
+        yield from _atom_terms(f.right, bound)
+    elif isinstance(f, (Exists, Forall)):
+        yield from _atom_terms(f.body, bound | {f.var})
+
+
+@functools.lru_cache(maxsize=4096)
+def _kernel_shift(f: Formula, x: str, params: tuple):
+    """The shift term of a translation kernel, or None. f is a kernel when
+    it reads x only through x - u(params) for one u: every atom polynomial
+    that holds x holds it as exactly +x or -x, its parameter monomials (in
+    parameters and constants alone; a parameter times a bound variable is
+    refused) give the same u in every such atom, and no atom polynomial
+    without x holds a parameter. Its solutions at a tuple are then
+    G + u(tuple) for one set G. The shift term's value, with x and the bound
+    variables at any fixed element, is u plus a constant: -t for an atom
+    term t = x + ..., t itself for t = -x + ...; Num(0) when no atom holds x."""
+    shift, u = Num(0), None
+    for t, bound in _atom_terms(f):
+        if x in bound or bound.intersection(params):
+            return None
+        sign, part = 0, {}
+        for mono, c in _polynomial(t).items():
+            names = set().union(*map(term_vars, mono))
+            if x in names:
+                if mono != (Var(x),) or abs(c) != 1:
+                    return None
+                sign = c
+            elif names.intersection(params):
+                if not names.issubset(params):
+                    return None
+                part[mono] = c
+        if not sign:
+            if part:
+                return None
+            continue
+        atom_u = {m: -sign * c for m, c in part.items()}
+        if u is None:
+            u, shift = atom_u, (t if sign == -1 else Apply("sub", (Num(0), t)))
+        elif atom_u != u:
+            return None
+    return shift
+
+
+def _shifts(M: FiniteStructure, pf: ParamFormula, shift: Term, cols: np.ndarray) -> np.ndarray:
+    """The shift u, up to one constant, at each (arity, m) parameter column."""
+    env = {v: 0 for v in term_vars(shift)}
+    env.update(zip(pf.params, cols))
+    return np.broadcast_to(np.asarray(_bulk_term(M, shift, env), dtype=np.intp), cols.shape[1:])
+
+
+def kernel_base(M: FiniteStructure, pf: ParamFormula) -> np.ndarray | None:
+    """The set G of a translation kernel on M, whose solutions at each
+    parameter tuple are G + u(tuple): the solutions at the zero tuple
+    shifted back by its shift there, cached on the structure. None when the
+    formula is no kernel or M is outside the four families, whose add, sub
+    and mul obey the ring laws the kernel rule relies on."""
+    shift = _kernel_shift(pf.formula, pf.object_var, pf.params)
+    if shift is None or M.family not in FAMILIES:
+        return None
+    key = ("kernel", pf.formula, pf.object_var, pf.params)
+    base = M._cache.get(key)
+    if base is None:
+        zero = np.zeros((pf.arity, 1), dtype=np.intp)
+        solutions = np.flatnonzero(solution_mask_matrix(M, pf, zero)[:, 0])
+        base = np.asarray(M.functions["sub"][solutions, _shifts(M, pf, shift, zero)], dtype=np.intp)
+        base.flags.writeable = False
+        base = M._cache.setdefault(key, base)
+    return base
+
+
+def solution_points(M: FiniteStructure, pf: ParamFormula, param_columns) -> np.ndarray | None:
+    """For a translation kernel, the (|G|, m) array whose column j lists the
+    solutions at the j-th of the (arity, m) parameter columns, G + u_j;
+    None for any other formula."""
+    base = kernel_base(M, pf)
+    if base is None:
+        return None
+    cols = np.atleast_2d(np.asarray(param_columns, dtype=np.intp))
+    shift = _shifts(M, pf, _kernel_shift(pf.formula, pf.object_var, pf.params), cols)
+    return np.asarray(M.functions["add"][base[:, None], shift[None, :]], dtype=np.intp)
+
+
 def _bulk_term(M: FiniteStructure, t: Term, env: dict) -> np.ndarray | int:
     if isinstance(t, Var):
         try:
@@ -755,7 +882,7 @@ def solution_set(M: FiniteStructure, pf: ParamFormula, params=()) -> list[int]:
 
 
 def solution_count(M: FiniteStructure, pf: ParamFormula, params=()) -> int:
-    return int(solution_mask_matrix(M, pf, _check_params(pf, params)).sum())
+    return int(count_columns(M, pf, _check_params(pf, params))[0])
 
 
 def solution_mask_matrix(
@@ -785,16 +912,36 @@ def solution_mask_matrix(
     return out
 
 
+def _counts(M: FiniteStructure, pf: ParamFormula, total: int, columns) -> np.ndarray:
+    """Solution counts of `total` parameter tuples, columns(start, stop)
+    giving tuples start..stop-1 as an (arity, stop - start) array: the one
+    place that counts. A translation kernel has |G| solutions at every
+    tuple; any other formula is counted one evaluation block at a time."""
+    base = kernel_base(M, pf)
+    if base is not None:
+        return np.full(total, len(base), dtype=np.int64)
+    counts = np.empty(total, dtype=np.int64)
+    width = block_width(M.size)
+    for start in range(0, total, width):
+        stop = min(start + width, total)
+        counts[start:stop] = solution_mask_matrix(M, pf, columns(start, stop)).sum(axis=0)
+    return counts
+
+
+def count_columns(M: FiniteStructure, pf: ParamFormula, param_columns) -> np.ndarray:
+    """Solution counts at each of the (arity, m) parameter columns."""
+    cols = np.atleast_2d(np.asarray(param_columns, dtype=np.intp))
+    return _counts(M, pf, cols.shape[1], lambda start, stop: cols[:, start:stop])
+
+
 def solution_counts_all(M: FiniteStructure, pf: ParamFormula) -> np.ndarray:
     """Solution counts for every parameter tuple, flattened in lexicographic
     order (shape (size**arity,)). The tuples are made and counted one block
     at a time, so neither they nor the grid need fit the budget at once."""
     n, k = M.size, pf.arity
-    total = n**k
-    counts = np.empty(total, dtype=np.int64)
-    width = block_width(n)
-    for start in range(0, total, width):
-        flat = np.arange(start, min(start + width, total), dtype=np.int64)
-        digits = flat // n ** np.arange(k - 1, -1, -1)[:, None] % n  # base n, (k, len(flat))
-        counts[start : start + len(flat)] = solution_mask_matrix(M, pf, digits).sum(axis=0)
-    return counts
+    powers = n ** np.arange(k - 1, -1, -1)[:, None]
+
+    def digits(start, stop):  # base n, (k, stop - start)
+        return np.arange(start, stop, dtype=np.int64) // powers % n
+
+    return _counts(M, pf, n**k, digits)

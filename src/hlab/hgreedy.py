@@ -36,8 +36,10 @@ from .finitemodels import FiniteStructure
 from .folang import (
     ParamFormula,
     block_width,
+    kernel_base,
     solution_counts_all,
     solution_mask_matrix,
+    solution_points,
     within_budget,
 )
 
@@ -206,25 +208,47 @@ def require_threshold(cfg: GreedyConfig, M: FiniteStructure) -> ThresholdCheck:
     return threshold
 
 
+def _mark_solutions(out: np.ndarray, M: FiniteStructure, xi: ParamFormula, cols, owner):
+    """Set out[e, owner[j]] for every solution e of xi at the j-th of the
+    parameter columns, owner non-decreasing. A translation kernel scatters
+    its |G| points per column; any other formula is read off its grid."""
+    points = solution_points(M, xi, cols)
+    if points is not None:
+        out[points.ravel(), np.tile(owner, len(points))] = True
+        return
+    heads = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+    hit = solution_mask_matrix(M, xi, cols)
+    out[:, owner[heads]] |= np.logical_or.reduceat(hit, heads, axis=1)
+
+
 def _forbidden_mask(M: FiniteStructure, gamma, h_elements) -> np.ndarray:
     """Mask over the universe of every element that solves some avoid formula
     with parameters drawn from h_elements (parameterless formulas always
     contribute: their one tuple is the empty one)."""
-    mask = np.zeros(M.size, dtype=bool)
+    mask = np.zeros((M.size, 1), dtype=bool)
     width = block_width(M.size)
     for xi in gamma:
         cols = tuple_columns(h_elements, xi.arity)
         for start in range(0, cols.shape[1], width):
-            mask |= solution_mask_matrix(M, xi, cols[:, start : start + width]).any(axis=1)
-    return mask
+            block = cols[:, start : start + width]
+            _mark_solutions(mask, M, xi, block, np.zeros(block.shape[1], dtype=np.intp))
+    return mask[:, 0]
 
 
 def max_solution_count(M: FiniteStructure, gamma) -> int | None:
     """The largest solution count of any avoid formula over all of its
-    parameter tuples, or None when recounting them exceeds the budget."""
-    if not all(within_budget(M.size ** (pf.arity + 1)) for pf in gamma):
-        return None
-    return max((int(solution_counts_all(M, pf).max()) for pf in gamma), default=0)
+    parameter tuples: |G| for a translation kernel, otherwise a recount, or
+    None when recounting exceeds the budget."""
+    counts = []
+    for pf in gamma:
+        base = kernel_base(M, pf)
+        if base is not None:
+            counts.append(len(base))
+        elif within_budget(M.size ** (pf.arity + 1)):
+            counts.append(int(solution_counts_all(M, pf).max()))
+        else:
+            return None
+    return max(counts, default=0)
 
 
 def _union_bound(gamma, base_size, max_solutions):
@@ -264,10 +288,9 @@ def closure_masks(
             cols = np.concatenate([pools[i][layout[fresh[i]]] for i in sets], axis=1)
             owner = np.repeat(sets, ncols[sets])
             for start in range(0, cols.shape[1], width):
-                own = owner[start : start + width]
-                heads = np.flatnonzero(np.r_[True, own[1:] != own[:-1]])
-                hit = solution_mask_matrix(M, xi, cols[:, start : start + width])
-                out[:, own[heads]] |= np.logical_or.reduceat(hit, heads, axis=1)
+                _mark_solutions(
+                    out, M, xi, cols[:, start : start + width], owner[start : start + width]
+                )
     if max_solutions is None:
         max_solutions = max_solution_count(M, gamma)
     sizes = len(h) + np.array(fresh, dtype=np.intp)

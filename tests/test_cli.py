@@ -448,3 +448,24 @@ class TestMemory:
         builds = json.loads((out / "build.json").read_text())["builds"]
         assert [b["size"] for b in builds] == [10007, 10009]
         assert peak_mib < 150
+
+    def test_profile_gf_100k_counts_once_per_structure(self, tmp_path):
+        # the four square-shift formulas on GF(100003) and GF(100019): each
+        # is a translation kernel, so every tuple is counted from the zero
+        # tuple; counting every tuple on the grid would be 10^10 cells
+        cfg = write_config(
+            tmp_path,
+            family={"family": "prime-field", "values": [100003, 100019]},
+            cover=["exists z. z*z = x - y", "!(x = y)"],
+            avoid=["x = z", "x = z + 1"],
+        )
+        out = tmp_path / "o"
+        rc, peak_mib = child_peak(["profile", "--config", cfg, "--out", str(out)])
+        assert rc == 0
+        square, neq, xz, xz1 = json.loads((out / "profiles.json").read_text())
+        for prof in (square, neq, xz, xz1):
+            assert [s["enumerated"] for s in prof["per_structure"]] == [True, True]
+        assert len(square["E"]) == 1 and abs(square["E"][0] - 0.5) < 1e-4
+        assert len(neq["E"]) == 1 and abs(neq["E"][0] - 1) < 1e-4
+        assert (xz["E"], xz["B"], xz1["E"], xz1["B"]) == ([], 1, [], 1)
+        assert peak_mib < 100

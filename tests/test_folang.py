@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hlab import folang
 from hlab.errors import (
     EvaluationError,
     FormulaSyntaxError,
@@ -12,6 +13,7 @@ from hlab.errors import (
 )
 from hlab._util import tuple_columns
 from hlab.finitemodels import (
+    FiniteStructure,
     make_cyclic_group,
     make_extension_field,
     make_f2_vector_space,
@@ -28,12 +30,17 @@ from hlab.folang import (
     Num,
     Or,
     Rel,
+    ParamFormula,
     Var,
     _exists_plan,
     _image_mask,
+    _kernel_shift,
+    _polynomial,
     eval_bulk,
+    eval_term,
     evaluate,
     free_vars,
+    kernel_base,
     normalize,
     parse,
     parse_formula,
@@ -42,6 +49,7 @@ from hlab.folang import (
     solution_count,
     solution_counts_all,
     solution_mask_matrix,
+    solution_points,
     solution_set,
     term_vars,
 )
@@ -572,3 +580,223 @@ class TestImageCacheRace:
         masks = race(lambda: _image_mask(M, image_term, "z", domain))
         assert all(mask is masks[0] for mask in masks)
         assert np.array_equal(masks[0], reference)
+
+
+# --- translation kernels ---------------------------------------------------
+
+def naive_solutions(M, pf, params):
+    a = dict(zip(pf.params, map(int, params)))
+    return {x for x in range(M.size) if evaluate(M, pf.formula, {pf.object_var: x, **a})}
+
+
+def assert_kernel_matches_naive(M, pf, cols):
+    """Counts and scattered points of an accepted formula at each (arity, m)
+    parameter column against the naive oracle."""
+    points = solution_points(M, pf, cols)
+    counts = solution_counts_all(M, pf)
+    assert points.shape == (len(kernel_base(M, pf)), cols.shape[1])
+    for j, col in enumerate(cols.T):
+        expected = naive_solutions(M, pf, col)
+        flat = int(np.ravel_multi_index(tuple(col), (M.size,) * pf.arity)) if pf.arity else 0
+        assert counts[flat] == solution_count(M, pf, col) == len(expected), (pf.text, col)
+        assert sorted(points[:, j].tolist()) == sorted(expected), (pf.text, col)
+
+
+def is_kernel(pf):
+    return _kernel_shift(pf.formula, pf.object_var, pf.params) is not None
+
+
+KERNEL_STRUCTURES = {
+    make_cyclic_group: tuple(range(1, 13)),
+    make_prime_field: (2, 3, 5, 7, 11, 13),
+    make_extension_field: (3, 5),
+    make_f2_vector_space: (1, 2, 3, 4),
+}
+
+
+class TestTranslationKernel:
+    @pytest.mark.parametrize(
+        "make, size, text",
+        [
+            (make_prime_field, 13, "exists z. z*z = x - y"),
+            (make_prime_field, 13, "!(x = y)"),
+            (make_prime_field, 13, "x = z"),
+            (make_prime_field, 13, "x = z + 1"),
+            (make_extension_field, 5, "insub(x - y)"),
+            (make_f2_vector_space, 3, "x = y + 3"),
+            (make_cyclic_group, 12, "exists z. x = y + z + z"),
+            (make_prime_field, 7, "x = 0 | (exists z. z*z = x)"),
+        ],
+        ids=["square-shift", "inequality", "x=z", "x=z+1", "insub", "F2-numeral", "doubling",
+             "parameterless"],
+    )
+    def test_accepted(self, make, size, text):
+        M = make(size)
+        pf = parse_formula(text, M.sig)
+        assert is_kernel(pf)
+        assert_kernel_matches_naive(M, pf, tuple_columns(range(M.size), pf.arity))
+
+    @pytest.mark.parametrize(
+        "make, size, text",
+        [
+            (make_prime_field, 7, "x*y = 1"),
+            (make_prime_field, 7, "x + x = y"),
+            (make_extension_field, 3, "frob(x) = y"),
+            (make_extension_field, 3, "x = y & insub(y)"),
+            (make_prime_field, 7, "exists z. y*z = x"),
+            (make_prime_field, 7, "x = y | x = y*y"),
+            (make_prime_field, 7, "x*x = y"),
+        ],
+        ids=["xy=1", "coefficient-2", "frob", "parameter-only-atom", "param-times-bound",
+             "two-shifts", "square"],
+    )
+    def test_rejected(self, make, size, text):
+        # none reads x only through x - u(params); on some structure each
+        # count varies with the parameters (2x = y has 0 or 2 roots on Z_12)
+        M = make(size)
+        pf = parse_formula(text, M.sig)
+        assert not is_kernel(pf)
+        assert kernel_base(M, pf) is None and solution_points(M, pf, [[0]]) is None
+
+    def test_numerals_stay_opaque(self):
+        # 1 + 1 is 0 on F2^2 and 2 is not; a normaliser that read numerals
+        # as integers would call the two equal
+        M = make_f2_vector_space(2)
+        one_plus_one, two = Apply("add", (Num(1), Num(1))), Num(2)
+        assert eval_term(M, one_plus_one, {}) != eval_term(M, two, {})
+        assert _polynomial(one_plus_one) != _polynomial(two)
+
+    def test_second_parameter_is_a_shift(self, gf7):
+        # with z a parameter, y*z is part of the shift: x = y*z is one point
+        pf = parse_formula("y*z = x", gf7.sig)
+        assert is_kernel(pf)
+        assert_kernel_matches_naive(gf7, pf, tuple_columns(range(7), 2))
+
+    def test_outside_the_families_takes_the_grid(self, gf7):
+        # the kernel rule relies on the ring laws of the four families
+        M = FiniteStructure(gf7.sig, 7, "custom", {}, dict(gf7.functions), {})
+        pf = parse_formula("x = y", M.sig)
+        assert is_kernel(pf) and kernel_base(M, pf) is None
+        assert solution_counts_all(M, pf).tolist() == [1] * 7
+
+    def test_counts_once_per_structure(self, monkeypatch):
+        # a kernel counts its zero tuple and nothing else, however many
+        # tuples are asked for
+        M = make_prime_field(101)
+        pf = parse_formula("exists z. z*z = x - y", M.sig)
+        columns = []
+
+        def counted(M, pf, cols, rows=None):
+            columns.append(np.shape(cols)[1])
+            return solution_mask_matrix(M, pf, cols, rows)
+
+        monkeypatch.setattr(folang, "solution_mask_matrix", counted)
+        assert solution_counts_all(M, pf).tolist() == [51] * 101
+        assert solution_count(M, pf, (17,)) == 51
+        assert columns == [1]
+
+    def test_cold_structure_stores_one_base(self, race):
+        # eight threads on a cold structure: each must get the one stored G
+        pf = parse_formula("exists z. z*z = x - y", make_prime_field(5).sig)
+        reference = kernel_base(make_prime_field(10007), pf)
+        M = make_prime_field(10007)
+        bases = race(lambda: kernel_base(M, pf))
+        assert all(base is bases[0] for base in bases)
+        assert np.array_equal(bases[0], reference)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_matches_naive(self, data):
+        make = data.draw(st.sampled_from(list(KERNEL_STRUCTURES)))
+        M = _planner_structure(make, data.draw(st.sampled_from(KERNEL_STRUCTURES[make])))
+        params = data.draw(st.sampled_from([("y1",), ("y1", "y2")]))
+        shift = data.draw(_kernel_shift_term(M.sig, params))
+        f = normalize(data.draw(_kernel_formula(M.sig, params, shift)))
+        present = tuple(v for v in params if v in free_vars(f))
+        pf = ParamFormula(f, "x", present, pretty(f))
+        tuples = st.tuples(*[st.integers(0, M.size - 1)] * len(present))
+        cols = np.array(data.draw(st.lists(tuples, min_size=1, max_size=6)), dtype=np.intp)
+        cols = cols.reshape(len(cols), len(present)).T
+        if is_kernel(pf):
+            assert_kernel_matches_naive(M, pf, cols)
+        else:
+            assert kernel_base(M, pf) is None
+            for j, col in enumerate(cols.T):
+                assert solution_count(M, pf, col) == len(naive_solutions(M, pf, col))
+
+
+@st.composite
+def _kernel_piece(draw, sig, names):
+    """A variable, a numeral or constant, or (in rings) a product of two of
+    them or frob of one."""
+    leaves = [Var(v) for v in names] + [Num(draw(st.integers(0, 4)))]
+    leaves += [Apply(c, ()) for c in ("zero", "one") if c in sig.functions]
+    leaf = draw(st.sampled_from(leaves))
+    kind = draw(st.integers(0, 5))
+    if kind == 0 and "mul" in sig.functions:
+        return Apply("mul", (leaf, draw(st.sampled_from(leaves))))
+    if kind == 1 and "frob" in sig.functions:
+        return Apply("frob", (leaf,))
+    return leaf
+
+
+def _signed_sum(pieces):
+    """The term for a list of (sign, term) summands; a leading minus is
+    taken from the numeral 0."""
+    (sign, t), rest = pieces[0], pieces[1:]
+    if sign < 0:
+        t = Apply("sub", (Num(0), t))
+    for sign, p in rest:
+        t = Apply("add" if sign > 0 else "sub", (t, p))
+    return t
+
+
+@st.composite
+def _kernel_atom(draw, sig, params, shift, bound):
+    """Mostly x - shift (now and then 2x - shift) plus summands in the bound
+    variables and constants, spread over both sides of an equation or put in
+    insub; otherwise an equation between two random sums over every name."""
+    if draw(st.integers(0, 3)) == 0:
+        names = ("x", *params, *bound)
+        sums = [[(draw(st.sampled_from([1, -1])), draw(_kernel_piece(sig, names)))
+                 for _ in range(draw(st.integers(1, 3)))] for _ in range(2)]
+        return Eq(_signed_sum(sums[0]), _signed_sum(sums[1]))
+    sign = draw(st.sampled_from([1, -1]))
+    pieces = [(sign, Var("x")), (-sign, shift)]
+    if draw(st.integers(0, 7)) == 0:
+        pieces.append((sign, Var("x")))  # x + x: the rule must refuse it
+    pieces += [(draw(st.sampled_from([1, -1])), draw(_kernel_piece(sig, bound)))
+               for _ in range(draw(st.integers(0, 2)))]
+    pieces = draw(st.permutations(pieces))
+    if "insub" in sig.relations and draw(st.integers(0, 3)) == 0:
+        return Rel("insub", (_signed_sum(pieces),))
+    cut = draw(st.integers(1, len(pieces)))
+    right = [(-sign, t) for sign, t in pieces[cut:]] or [(1, Num(0))]
+    return Eq(_signed_sum(pieces[:cut]), _signed_sum(right))
+
+
+@st.composite
+def _kernel_formula(draw, sig, params, shift, bound=(), depth=2):
+    """Random formulas over x, the parameters, bound z (and w inside it) and
+    numerals, with !, &, | and exists, most of whose atoms read x through
+    x - shift, so that the kernel rule accepts a good share of them."""
+    kind = draw(st.integers(0, 5)) if depth else 0
+    if kind <= 1:
+        return draw(_kernel_atom(sig, params, shift, bound))
+    if kind == 2:
+        return Not(draw(_kernel_formula(sig, params, shift, bound, depth - 1)))
+    if kind == 3:
+        var = "w" if bound else "z"
+        return Exists(var, draw(_kernel_formula(sig, params, shift, (*bound, var), depth - 1)))
+    parts = [draw(_kernel_formula(sig, params, shift, bound, depth - 1)) for _ in range(2)]
+    return And(*parts) if kind == 4 else Or(*parts)
+
+
+@st.composite
+def _kernel_shift_term(draw, sig, params):
+    """The shift a random kernel reads x through: a sum of summands in the
+    parameters and constants, each parameter among them."""
+    pieces = [(draw(st.sampled_from([1, -1])), draw(_kernel_piece(sig, params)))
+              for _ in range(draw(st.integers(0, 2)))]
+    pieces += [(draw(st.sampled_from([1, -1])), Var(v)) for v in params]
+    return _signed_sum(draw(st.permutations(pieces)))

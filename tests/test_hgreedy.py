@@ -21,6 +21,7 @@ from hlab.finitemodels import (
 )
 from hlab.folang import evaluate, parse_formula, solution_counts_all
 from hlab.asymptotics import profile_family, psi_set, sample_columns
+from hlab.hsequence import closure
 from hlab.hgreedy import (
     BEST_EFFORT,
     STRICT,
@@ -32,6 +33,7 @@ from hlab.hgreedy import (
     derive_config,
     forbidden_set,
     greedy_step,
+    max_solution_count,
     size_threshold_ok,
     verify_avoid,
     verify_cover,
@@ -166,6 +168,17 @@ class TestForbiddenSet:
     def test_empty_h_no_parameterless(self, z13):
         xz = parse_formula("x = z", z13.sig)
         assert forbidden_set([], [xz], z13) == []
+
+    def test_kernel_bound_known_at_every_size(self):
+        # a recount of x = z over GF(10007) would be 10007^2 cells, past the
+        # budget; as a translation kernel its count is |G| = 1 at any size,
+        # so closures keep their union bound
+        M = make_prime_field(10007)
+        xz, xz1 = parse_formula("x = z", M.sig), parse_formula("x = z + 1", M.sig)
+        assert max_solution_count(M, [xz]) == 1
+        assert max_solution_count(M, [xz, xz1]) == 1
+        clos = closure(M, [4, 10006], [9], [xz, xz1])
+        assert clos.elements == [0, 4, 5, 9, 10, 10006] and clos.bound == 6
 
 
 def naive_closure(M, base, gamma):
