@@ -24,7 +24,6 @@ from .errors import (
     NotOneDimensionalError,
 )
 from .finitemodels import FiniteStructure
-from .folang import BUDGET as PSI_BUDGET  # noqa: F401  (the one budget, under its Ψ name)
 from .folang import (
     ParamFormula,
     count_columns,

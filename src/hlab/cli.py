@@ -85,9 +85,23 @@ class ExperimentConfig:
     sweep_a1: bool = False
 
 
+def _as_int(value) -> int:
+    """A JSON integer, or a number with no fractional part; booleans,
+    strings and fractions are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _as_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 _TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
 # each scalar field is coerced by its annotation; an `X | None` field takes null
-_SCALARS = {"int": int, "float": float, "str": str, "bool": bool}
+_SCALARS = {"int": _as_int, "float": float, "str": str, "bool": _as_bool}
 
 
 def _reject_unknown(d: dict, allowed: set, where: str):
@@ -109,9 +123,9 @@ def _parse_family(raw) -> FamilySpec:
     values, lo, hi = raw.get("values"), raw.get("lo"), raw.get("hi")
     spec = FamilySpec(
         family=raw["family"],
-        lo=None if lo is None else int(lo),
-        hi=None if hi is None else int(hi),
-        values=None if values is None else tuple(int(v) for v in values),
+        lo=None if lo is None else _as_int(lo),
+        hi=None if hi is None else _as_int(hi),
+        values=None if values is None else tuple(_as_int(v) for v in values),
     )
     # every value is listed, and each one tested or built, before anything is
     # filtered, so the budget bounds how many values there are and how large

@@ -126,6 +126,28 @@ class TestLoadConfig:
         path = write_config(tmp_path, family=huge)
         assert main(["profile", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: family lo=")
+        # a bool field takes only true or false; an int field refuses
+        # booleans, strings and fractions
+        typed = [
+            {"sweep_a1": "false"},
+            {"sweep_a1": 0},
+            {"emit_counts": 1},
+            {"seed": 2.9},
+            {"seed": "3"},
+            {"threads": True},
+            {"window": False},
+            {"family": {"family": "prime-field", "lo": True, "hi": 181}},
+            {"family": {"family": "prime-field", "lo": 101, "hi": 180.5}},
+            {"family": {"family": "prime-field", "values": [101, 103.5]}},
+            {"family": {"family": "prime-field", "values": [101, False]}},
+        ]
+        for overrides in typed:
+            path = write_config(tmp_path, **overrides)
+            assert main(["profile", "--config", path, "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err.startswith("error: bad value in config"), overrides
+        # integral numbers still load as ints
+        cfg = load_config(write_config(tmp_path, seed=3.0, threads=2))
+        assert (cfg.seed, cfg.threads) == (3, 2) and type(cfg.seed) is int
 
     def test_bad_mu_range(self, tmp_path):
         path = write_config(tmp_path, mu=1.5)
@@ -315,13 +337,20 @@ class TestExitCodes:
         assert main(["lovely-pair", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
     def test_invariant_violation_is_exit_2(self, tmp_path, monkeypatch, capsys):
-        def violated(M, cfg, mode):
+        # a violated invariant is a construction error: exit 2, no reports
+        def violated(M, *args, **kwargs):
             raise InvariantError(f"{M.describe()}, formula 'x', step 0: shrink factor exceeded")
 
-        monkeypatch.setattr("hlab.cli.build_h", violated)
         cfg = write_config(tmp_path)
-        assert main(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "shrink factor exceeded" in capsys.readouterr().err
+        stages = [("build", "build_h"), ("axioms", "build_h"), ("axioms", "run_axiom_checks")]
+        for i, (command, stage) in enumerate(stages):
+            with monkeypatch.context() as patch:
+                patch.setattr(f"hlab.cli.{stage}", violated)
+                out = tmp_path / f"o{i}"
+                assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            assert "shrink factor exceeded" in capsys.readouterr().err
+            for report in ("build.json", "axioms.json", "failures.csv", "hsets"):
+                assert not (out / report).exists(), (command, stage, report)
 
     @pytest.mark.parametrize("mode", ["strict", "coarse-dim"])
     def test_sequence_that_certifies_nothing(self, tmp_path, capsys, mode):

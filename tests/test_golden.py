@@ -15,10 +15,10 @@ import os
 import pytest
 
 from hlab._util import dump_json
-from hlab.asymptotics import PSI_BUDGET, profile_family
+from hlab.asymptotics import profile_family
 from hlab.cli import main
 from hlab.finitemodels import make_cyclic_group, make_prime_field
-from hlab.folang import parse_formula
+from hlab.folang import BUDGET, parse_formula
 from hlab.haxioms import check_extension
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -238,7 +238,7 @@ def test_sampled_extension_check():
     # arity 3 at size 221 puts 221**3 tuples over the Psi budget, so the
     # large tuples come from check_extension's own seeded sample
     M = make_cyclic_group(221)
-    assert M.size**3 > PSI_BUDGET
+    assert M.size**3 > BUDGET
     sig = M.sig
     pf = parse_formula("exists v. x = y + z + w + v + v", sig)
     xz = parse_formula("x = z", sig)

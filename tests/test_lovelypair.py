@@ -1,17 +1,15 @@
-import numpy as np
 import pytest
 
 from hlab.errors import SignatureMismatchError
 from hlab.finitemodels import least_nonresidue, make_extension_field, primes_in
+from hlab.folang import evaluate, parse_formula, solution_count
 from hlab.lovelypair import (
     build_quadratic_pair,
     csv_rows,
     experiment_summary,
     make_report,
-    pattern_counts,
     phi_count,
     run_experiment,
-    square_mask,
     subfield_violations,
 )
 
@@ -24,9 +22,12 @@ def pair_cache():
     return {p: build_quadratic_pair(p) for p in ODD_PRIMES_97}
 
 
-def brute_pair_data(p):
+def brute_pair_data(p, a1=1):
     """Independent recomputation in plain integer arithmetic: field elements
-    are pairs (a, b) for a + b*t with t*t = r, the least non-residue."""
+    are pairs (a, b) for a + b*t with t*t = r, the least non-residue, and
+    element index a*p + b. a1 is the index of a non-subfield element (the
+    default, 1, is the first one) and a2 its conjugate; returns the count of
+    the character split and its subfield violations."""
     r = least_nonresidue(p)
 
     def mul(u, v):
@@ -38,15 +39,16 @@ def brute_pair_data(p):
 
     elems = [(a, b) for a in range(p) for b in range(p)]
     squares = {mul(e, e) for e in elems}
-    a1 = (0, 1)  # the first element outside the subfield in index order
-    a2 = (0, (-1) % p)  # its conjugate: frob(a + b t) = a - b t
+    a, b = divmod(a1, p)
+    assert b != 0, "a1 must lie outside the subfield"
+    first, second = (a, b), (a, (-b) % p)  # frob(a + b t) = a - b t
     count = sum(
-        1 for e in elems if sub(e, a1) in squares and sub(e, a2) not in squares
+        1 for e in elems if sub(e, first) in squares and sub(e, second) not in squares
     )
     violations = sum(
         1
         for a in range(p)
-        if sub((a, 0), a1) in squares and sub((a, 0), a2) not in squares
+        if sub((a, 0), first) in squares and sub((a, 0), second) not in squares
     )
     return count, violations
 
@@ -97,14 +99,27 @@ class TestPhiCount:
     @pytest.mark.parametrize("p", ODD_PRIMES_97)
     def test_partition_identity(self, p, pair_cache):
         K, a1, a2 = pair_cache[p]
-        counts = pattern_counts(K, a1, a2)
+        s1, s2 = "(exists z. z*z = x - y1)", "(exists z. z*z = x - y2)"
+        patterns = {
+            "SS": f"{s1} & {s2}",
+            "SN": f"{s1} & !{s2}",
+            "NS": f"!{s1} & {s2}",
+            "NN": f"!{s1} & !{s2}",
+        }
+        counts = {
+            name: solution_count(K, parse_formula(text, K.sig, params=("y1", "y2")), (a1, a2))
+            for name, text in patterns.items()
+        }
         assert sum(counts.values()) == K.size
+        assert phi_count(K, a1, a2) == counts["SN"]
         # swapping a1 and a2 mirrors the mixed patterns
         assert phi_count(K, a2, a1) == counts["NS"]
 
     def test_squares_include_zero(self):
-        K, _, _ = build_quadratic_pair(5)
-        assert bool(square_mask(K)[0])
+        # the naive evaluator: x - a1 = 0 is a square at x = a1
+        K, a1, _ = build_quadratic_pair(5)
+        square = parse_formula("exists z. z*z = x - y", K.sig)
+        assert evaluate(K, square.formula, {"x": a1, "y": a1})
 
 
 class TestSubfieldViolations:
@@ -170,6 +185,33 @@ class TestRunExperiment:
         assert len(rows) == 3
         assert rows[1][0] == 3 and rows[1][1] == 9
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_sweep_matches_independent_brute_force(self, p):
+        # every report of the batched sweep against plain integer arithmetic
+        K = make_extension_field(p)
+        reports = run_experiment([p], sweep_a1=True)
+        assert [r.a1 for r in reports] == [a for a in range(p * p) if a % p]
+        for r in reports:
+            assert r.a2 == int(K.functions["frob"][r.a1])
+            assert (r.phi_count, r.subfield_violations) == brute_pair_data(p, r.a1)
+            assert r.deviation == abs(r.phi_count - r.q / 4.0)
+
+    def test_sweep_identical_in_small_blocks(self, shrink_budget):
+        whole = [r.to_json_dict() for r in run_experiment([3, 5, 7], sweep_a1=True)]
+        shrink_budget(50)  # one or a few columns per evaluation block
+        blocked = [r.to_json_dict() for r in run_experiment([3, 5, 7], sweep_a1=True)]
+        assert blocked == whole
+
+    def test_make_report_is_one_column_of_the_sweep(self):
+        K, _, _ = build_quadratic_pair(5)
+        for r in run_experiment([5], sweep_a1=True):
+            assert make_report(K, r.a1) == r
+
+    def test_make_report_rejects_subfield_a1(self):
+        K, _, _ = build_quadratic_pair(5)
+        with pytest.raises(SignatureMismatchError):
+            make_report(K, 5)  # the element 1 of the subfield
+
     def test_report_deterministic(self):
         K, a1, _ = build_quadratic_pair(7)
         a = make_report(K, a1)
@@ -178,9 +220,11 @@ class TestRunExperiment:
 
 
 def test_square_mask_cold_race(race):
-    # eight threads on a cold field: each must get the one stored mask
-    reference = square_mask(make_extension_field(101))
-    K = make_extension_field(101)
-    masks = race(lambda: square_mask(K))
-    assert all(mask is masks[0] for mask in masks)
-    assert np.array_equal(masks[0], reference)
+    # eight threads on a cold field: each gets the same count, and both
+    # existentials of PHI share the one square image stored on the field
+    reference = phi_count(*build_quadratic_pair(101))
+    K, a1, a2 = build_quadratic_pair(101)
+    counts = race(lambda: phi_count(K, a1, a2))
+    assert counts == [reference] * 8
+    images = [key for key in K._cache if key[0] == "image"]
+    assert len(images) == 1
