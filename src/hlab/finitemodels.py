@@ -7,6 +7,8 @@ the canonical linear order is index order. Binary operations are Operation
 objects that compute their values on demand, so nothing of size n^2 is
 stored; unary functions and relations are length-n arrays, checked
 exhaustively at construction like any table a caller passes explicitly.
+Each family names its additive group as an array shape (group_shape), over
+which hgreedy transforms its convolution coverage.
 """
 
 from __future__ import annotations
@@ -25,6 +27,16 @@ CYCLIC_GROUP = "cyclic-group"
 F2_VECTOR_SPACE = "f2-vector-space"
 
 FAMILIES = (PRIME_FIELD, EXTENSION_FIELD, CYCLIC_GROUP, F2_VECTOR_SPACE)
+
+# Each family's additive group as an array shape: an element's index is the
+# C-order flat index of its coordinates, and add adds them coordinatewise,
+# each modulo its axis length.
+_GROUP_SHAPES = {
+    PRIME_FIELD: lambda params: (params["p"],),
+    CYCLIC_GROUP: lambda params: (params["n"],),
+    EXTENSION_FIELD: lambda params: (params["p"], params["p"]),  # index a*p + b
+    F2_VECTOR_SPACE: lambda params: (2,) * params["dim"],  # index bits
+}
 
 
 @dataclass(frozen=True)
@@ -157,6 +169,13 @@ class FiniteStructure:
         root = round(self.size ** 0.5)
         if root * root != self.size or int(insub.sum()) != root:
             raise SignatureMismatchError("insub must have exactly sqrt(size) elements")
+
+    @property
+    def group_shape(self) -> tuple[int, ...] | None:
+        """The additive group as an array shape, or None outside the four
+        families."""
+        shape = _GROUP_SHAPES.get(self.family)
+        return None if shape is None else shape(self.params)
 
     def constant(self, name: str) -> int:
         return int(self.functions[name])

@@ -37,7 +37,8 @@ or -x with the same parameter part u, and no atom without x holds a
 parameter. Its solutions at any tuple are G + u(tuple) for one set G, cached
 per structure, so every count is |G| (one evaluation at the zero tuple) and
 the solutions at m tuples are |G| * m scattered points (solution_points).
-Any other formula is counted on the grid.
+kernel_shifts returns G and the shifts themselves, the one place that
+computes them. Any other formula is counted on the grid.
 """
 
 from __future__ import annotations
@@ -804,15 +805,25 @@ def kernel_base(M: FiniteStructure, pf: ParamFormula) -> np.ndarray | None:
     return base
 
 
-def solution_points(M: FiniteStructure, pf: ParamFormula, param_columns) -> np.ndarray | None:
-    """For a translation kernel, the (|G|, m) array whose column j lists the
-    solutions at the j-th of the (arity, m) parameter columns, G + u_j;
-    None for any other formula."""
+def kernel_shifts(M: FiniteStructure, pf: ParamFormula, param_columns):
+    """For a translation kernel, (G, u): the set G and the shift u_j at each
+    of the (arity, m) parameter columns, so that the solutions at column j
+    are G + u_j. None for any other formula."""
     base = kernel_base(M, pf)
     if base is None:
         return None
     cols = np.atleast_2d(np.asarray(param_columns, dtype=np.intp))
-    shift = _shifts(M, pf, _kernel_shift(pf.formula, pf.object_var, pf.params), cols)
+    return base, _shifts(M, pf, _kernel_shift(pf.formula, pf.object_var, pf.params), cols)
+
+
+def solution_points(M: FiniteStructure, pf: ParamFormula, param_columns) -> np.ndarray | None:
+    """For a translation kernel, the (|G|, m) array whose column j lists the
+    solutions at the j-th of the (arity, m) parameter columns, G + u_j;
+    None for any other formula."""
+    kernel = kernel_shifts(M, pf, param_columns)
+    if kernel is None:
+        return None
+    base, shift = kernel
     return np.asarray(M.functions["add"][base[:, None], shift[None, :]], dtype=np.intp)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .asymptotics import large_columns
 from .errors import InvariantError
 from .finitemodels import FiniteStructure
-from .folang import solution_mask_matrix
+from .folang import block_width, solution_mask_matrix
 from .hgreedy import (
     _union_bound,
     closure_masks,
@@ -166,32 +166,39 @@ def check_extension(
     closure_bound = _union_bound(gamma, len(elements) + base_max + ell, gamma_max_solutions)
     sufficient = None if closure_bound is None else min_large_count > closure_bound
 
-    # every draw first; the order of generator calls fixes the report bytes
+    # every draw first: these four generator calls per sample, in this
+    # order, fix the report bytes. Row j of `sets` holds the sample's
+    # parameters in its first ell places and its base after them, padded
+    # with -1.
     picks = np.empty((2, samples), dtype=np.intp)  # cover formula, large tuple
-    bases = []
+    base_n = np.empty(samples, dtype=np.intp)
+    sets = np.full((samples, ell + base_max), -1, dtype=np.intp)
     for j in range(samples):
         picks[0, j] = rng.integers(len(usable))
         picks[1, j] = rng.integers(usable[picks[0, j]][1].shape[1])
-        base_n = int(rng.integers(0, base_max + 1))
-        bases.append([int(v) for v in rng.choice(M.size, size=base_n, replace=False)])
-    params = [[int(v) for v in usable[f_i][1][:, a_i]] for f_i, a_i in picks.T]
-    clos = closure_masks(
-        M,
-        elements,
-        [p + b for p, b in zip(params, bases)],
-        gamma,
-        max_solutions=gamma_max_solutions,
-    )
+        base_n[j] = rng.integers(0, base_max + 1)
+        sets[j, ell : ell + base_n[j]] = rng.choice(M.size, size=base_n[j], replace=False)
+    by_formula = [np.flatnonzero(picks[0] == f_i) for f_i in range(len(usable))]
+    for (pf, cols), picked in zip(usable, by_formula):
+        sets[picked, : pf.arity] = cols[:, picks[1, picked]].T
+    clos = closure_masks(M, elements, sets, gamma, max_solutions=gamma_max_solutions)
     swallowed = np.zeros(samples, dtype=bool)
-    for f_i, (pf, cols) in enumerate(usable):
-        picked = np.flatnonzero(picks[0] == f_i)
-        if picked.size:
-            sol = solution_mask_matrix(M, pf, cols[:, picks[1, picked]])
-            swallowed[picked] = ~(sol & ~clos[:, picked]).any(axis=0)
-    failures = [
-        {"formula": usable[picks[0, j]][0].text, "params": params[j], "base": bases[j]}
-        for j in np.flatnonzero(swallowed)
-    ]
+    width = block_width(M.size)
+    for (pf, cols), picked in zip(usable, by_formula):
+        for start in range(0, len(picked), width):
+            part = picked[start : start + width]
+            sol = solution_mask_matrix(M, pf, cols[:, picks[1, part]])
+            swallowed[part] = ~(sol & ~clos[:, part]).any(axis=0)
+    failures = []
+    for j in np.flatnonzero(swallowed):
+        pf = usable[picks[0, j]][0]
+        failures.append(
+            {
+                "formula": pf.text,
+                "params": [int(v) for v in sets[j, : pf.arity]],
+                "base": [int(v) for v in sets[j, ell : ell + base_n[j]]],
+            }
+        )
     if sufficient and failures:
         raise InvariantError(
             f"{M.describe()}, formula {failures[0]['formula']!r}, extension sample with "

@@ -11,6 +11,14 @@ most tuples of Y, smallest index winning ties. Under the size threshold each
 step shrinks Y by a factor of at least (1 - mu/2), which forces
 |H| <= n_formulas * h_M <= C * ln|M|.
 
+Coverage, the number of tuples of Y each element would cover, has two
+routes. A translation kernel (folang.kernel_shifts) has the solutions
+G + u_j at tuple j, so its coverage is the convolution 1_G * mu over M's
+additive group, mu the histogram of the shifts of Y: one real FFT pair per
+step, rounded and checked exact, and no n x |Psi| array. Any other formula
+is read off the n x |Psi| grid, kept as a matrix when it fits the budget
+and otherwise evaluated block by block at every step.
+
 Every build returns certificates: an exhaustive (or sampled and flagged)
 cover check per cover formula, an exhaustive order-restricted avoid check per
 avoid formula, the size bound, and the per-step shrink factors.
@@ -37,6 +45,7 @@ from .folang import (
     ParamFormula,
     block_width,
     kernel_base,
+    kernel_shifts,
     solution_counts_all,
     solution_mask_matrix,
     solution_points,
@@ -261,46 +270,69 @@ def _union_bound(gamma, base_size, max_solutions):
     return max_solutions * len(gamma) * (base_size + any(pf.arity == 0 for pf in gamma)) ** k0
 
 
+def _padded_sets(a_sets) -> np.ndarray:
+    """Sets of elements as one (sets, width) index array, each row padded
+    with -1; a two-dimensional array passes through."""
+    if isinstance(a_sets, np.ndarray) and a_sets.ndim == 2:
+        return a_sets.astype(np.intp, copy=False)
+    a_sets = [list(a) for a in a_sets]
+    rows = np.full((len(a_sets), max(map(len, a_sets), default=0)), -1, dtype=np.intp)
+    for row, a in zip(rows, a_sets):
+        row[: len(a)] = a
+    return rows
+
+
 def closure_masks(
     M: FiniteStructure, h_elements, a_sets, gamma, *, max_solutions: int | None = None
 ) -> np.ndarray:
     """Boolean (size, len(a_sets)) matrix whose column i is clos(H union A_i)
     under the avoid list, the finite stand-in for algebraic closure: clos(H)
     plus the solutions over the tuples that use an element of A_i minus H.
-    Each pool lists those elements first, so tuple positions depend only on
-    their count. One evaluation per avoid formula covers a block of sets,
-    one evaluation block at most. Every column is checked against
-    _union_bound; max_solutions None is recounted when that is cheap."""
-    gamma, a_sets = list(gamma), list(a_sets)
-    h = sorted({int(v) for v in h_elements})
-    pools = [np.array(sorted({int(v) for v in a}.difference(h)) + h, dtype=np.intp) for a in a_sets]
-    fresh = [len(pool) - len(h) for pool in pools]  # |A_i minus H|
-    out = np.repeat(_forbidden_mask(M, gamma, h)[:, None], len(pools), axis=1)
+    a_sets is a (sets, width) index array padded with -1, or a list of
+    sets. Each pool lists the fresh elements of A_i first, so tuple
+    positions depend only on their count m, and the tuples of all sets with
+    the same m are gathered at once, in groups of at most one evaluation
+    block. Every column is checked against _union_bound; max_solutions None
+    is recounted when that is cheap."""
+    gamma = list(gamma)
+    h = np.array(sorted({int(v) for v in h_elements}), dtype=np.intp)
+    given = _padded_sets(a_sets)
+    # sort each row and move padding, members of H and repeats to its end:
+    # the first fresh[i] entries of row i are then A_i minus H, ascending
+    rows = np.sort(given, axis=1)
+    drop = (rows < 0) | np.isin(rows, h)
+    drop[:, 1:] |= rows[:, 1:] == rows[:, :-1]
+    fresh = rows.shape[1] - drop.sum(axis=1)
+    rows[drop] = M.size
+    rows.sort(axis=1)
+    out = np.repeat(_forbidden_mask(M, gamma, h)[:, None], len(rows), axis=1)
     width = block_width(M.size)
-    for xi in gamma if pools else ():  # a parameterless formula has no tuples here
-        layout = {}
-        for m in set(fresh):
+    for m in sorted(set(fresh.tolist()) - {0}):
+        members = np.flatnonzero(fresh == m)
+        pools = np.concatenate([rows[members, :m], np.tile(h, (len(members), 1))], axis=1)
+        for xi in gamma:
             grid = tuple_columns(range(m + len(h)), xi.arity)
-            layout[m] = grid[:, (grid < m).any(axis=0)]
-        ncols = np.array([layout[m].shape[1] for m in fresh])
-        block = (np.cumsum(ncols) - ncols) // width
-        for sets in np.split(np.arange(len(pools)), np.flatnonzero(np.diff(block)) + 1):
-            cols = np.concatenate([pools[i][layout[fresh[i]]] for i in sets], axis=1)
-            owner = np.repeat(sets, ncols[sets])
-            for start in range(0, cols.shape[1], width):
-                _mark_solutions(
-                    out, M, xi, cols[:, start : start + width], owner[start : start + width]
-                )
+            layout = grid[:, (grid < m).any(axis=0)]  # the tuples that use a fresh element
+            if not layout.size:
+                continue  # a parameterless formula has no such tuple
+            per = max(1, width // layout.shape[1])  # sets per group
+            for start in range(0, len(members), per):
+                group = slice(start, start + per)
+                cols = pools[group][:, layout].transpose(1, 0, 2).reshape(xi.arity, -1)
+                owner = np.repeat(members[group], layout.shape[1])
+                for col in range(0, cols.shape[1], width):
+                    block = slice(col, col + width)
+                    _mark_solutions(out, M, xi, cols[:, block], owner[block])
     if max_solutions is None:
         max_solutions = max_solution_count(M, gamma)
-    sizes = len(h) + np.array(fresh, dtype=np.intp)
+    sizes = len(h) + fresh
     bounds = _union_bound(gamma, sizes, max_solutions)
     over = [] if bounds is None else np.flatnonzero(out.sum(axis=0) > bounds)
     if len(over):
         i = over[0]
         raise InvariantError(
             f"{M.describe()}, avoid formulas {[pf.text for pf in gamma]}, closure of H plus "
-            f"{sorted({int(v) for v in a_sets[i]})} (a base of {sizes[i]}): "
+            f"{sorted({int(v) for v in given[i] if v >= 0})} (a base of {sizes[i]}): "
             f"{out[:, i].sum()} elements exceed the union bound {bounds[i]}"
         )
     return out
@@ -309,14 +341,92 @@ def closure_masks(
 def forbidden_set(h_elements, gamma, M: FiniteStructure) -> list[int]:
     """Public view of the forbidden set clos(H), in index order, checked
     against the union bound by closure_masks."""
-    return [int(v) for v in np.flatnonzero(closure_masks(M, h_elements, [()], gamma)[:, 0])]
+    no_set = np.empty((1, 0), dtype=np.intp)
+    return [int(v) for v in np.flatnonzero(closure_masks(M, h_elements, no_set, gamma)[:, 0])]
+
+
+def _smooth(length: int) -> bool:
+    """Whether length has no prime factor above 5."""
+    for f in (2, 3, 5):
+        while length % f == 0:
+            length //= f
+    return length == 1
+
+
+def _transform_length(d: int) -> int:
+    """The FFT length for a cyclic axis of length d: d itself when it is
+    5-smooth, else the smallest 5-smooth length >= 2d - 1, which holds the
+    linear convolution that is then folded back modulo d. On a prime length
+    pocketfft falls back to Bluestein's algorithm, several times slower."""
+    if _smooth(d):
+        return d
+    length = 2 * d - 1
+    while not _smooth(length):
+        length += 1
+    return length
+
+
+@dataclass
+class KernelCoverage:
+    """The coverage of a translation kernel's Ψ without an n x |Ψ| matrix.
+    Column j's solutions are G + u_j, so element h covers it exactly when
+    h - u_j lies in G, and h covers (1_G * mu)(h) remaining columns: the
+    convolution over M's additive group of 1_G with the histogram mu of
+    the remaining shifts. It is computed with a real FFT over the group's
+    array shape (Terras, Fourier Analysis on Finite Groups, 1999)."""
+
+    in_base: np.ndarray  # 1_G over the universe
+    shifts: np.ndarray  # u_j of every Ψ column
+    histogram: np.ndarray  # mu: how many remaining columns have each shift
+    shape: tuple[int, ...]  # M's additive group
+    lengths: tuple[int, ...]  # transform length per axis
+    fold: np.ndarray  # the element each transform position folds onto
+    base_hat: np.ndarray  # transform of 1_G
+
+    @classmethod
+    def of(cls, M: FiniteStructure, base: np.ndarray, shifts: np.ndarray) -> KernelCoverage:
+        in_base = np.zeros(M.size, dtype=bool)
+        in_base[base] = True
+        shape = M.group_shape
+        lengths = tuple(_transform_length(d) for d in shape)
+        # position k of an axis of length d is coordinate k mod d: on a
+        # padded axis that folds the linear convolution back onto the group
+        wrapped = (np.arange(length) % d for d, length in zip(shape, lengths))
+        return cls(
+            in_base=in_base,
+            shifts=np.asarray(shifts, dtype=np.intp),
+            histogram=np.bincount(shifts, minlength=M.size),
+            shape=shape,
+            lengths=lengths,
+            fold=np.ravel_multi_index(np.ix_(*wrapped), shape).ravel(),
+            base_hat=np.fft.rfftn(in_base.reshape(shape), lengths, range(len(shape))),
+        )
+
+    def counts(self) -> tuple[np.ndarray, float]:
+        """(1_G * mu) rounded to integers, with the largest rounding residual."""
+        axes = range(len(self.shape))
+        hat = np.fft.rfftn(self.histogram.reshape(self.shape), self.lengths, axes)
+        product = np.fft.irfftn(self.base_hat * hat, self.lengths, axes)
+        out = np.bincount(self.fold, product.ravel(), len(self.in_base))
+        counts = np.rint(out)
+        residual = float(np.abs(out - counts).max(initial=0.0))
+        return counts.astype(np.int64), residual
+
+    def cover(self, M: FiniteStructure, h: int, remaining: np.ndarray) -> np.ndarray:
+        """Which remaining columns h covers; their shifts leave mu."""
+        shifts = self.shifts[remaining]
+        covered = self.in_base[M.functions["sub"][h, shifts]]
+        self.histogram -= np.bincount(shifts[covered], minlength=len(self.histogram))
+        return covered
 
 
 @dataclass
 class GreedyState:
     """One step of the construction: current formula phase, the ordered H so
     far, the remaining uncovered tuples Y, and the last forbidden/eligible
-    masks (consistent with X = M minus (H union L))."""
+    masks (consistent with X = M minus (H union L)). Coverage comes from
+    `kernel` for a translation kernel, else from the n x |Ψ| `matrix` when
+    it fits the budget, else from the grid block by block."""
 
     config: GreedyConfig
     formula_index: int
@@ -329,6 +439,7 @@ class GreedyState:
     eligible: np.ndarray | None = None
     shrink_factors: list[float] = field(default_factory=list)
     matrix: np.ndarray | None = field(default=None, repr=False)
+    kernel: KernelCoverage | None = field(default=None, repr=False)
 
     @property
     def y_columns(self) -> np.ndarray:
@@ -339,8 +450,7 @@ def _phase_state(cfg: GreedyConfig, M: FiniteStructure, index: int, h, prov) -> 
     pf = cfg.delta[index]
     cols = psi_columns(M, pf, cfg.delta_profiles[index])
     m0 = cols.shape[1]
-    matrix = solution_mask_matrix(M, pf, cols) if within_budget(M.size * m0) else None
-    return GreedyState(
+    state = GreedyState(
         config=cfg,
         formula_index=index,
         step=0,
@@ -348,13 +458,30 @@ def _phase_state(cfg: GreedyConfig, M: FiniteStructure, index: int, h, prov) -> 
         provenance=prov,
         psi_cols=cols,
         remaining=np.arange(m0, dtype=np.intp),
-        matrix=matrix,
     )
+    kernel = kernel_shifts(M, pf, cols)
+    if kernel is not None:
+        state.kernel = KernelCoverage.of(M, *kernel)
+    elif within_budget(M.size * m0):
+        state.matrix = solution_mask_matrix(M, pf, cols)
+    return state
 
 
 def _coverage(state: GreedyState, M: FiniteStructure) -> np.ndarray:
-    """How many remaining tuples each element of the universe would cover."""
+    """How many remaining tuples each element of the universe would cover.
+    A kernel's convolution counts are checked: each within 0.25 of an
+    integer, and summing to |G| * |Y|."""
     pf = state.config.delta[state.formula_index]
+    if state.kernel is not None:
+        counts, residual = state.kernel.counts()
+        expected = int(state.kernel.in_base.sum()) * len(state.remaining)
+        if not residual < 0.25 or int(counts.sum()) != expected:
+            raise InvariantError(
+                f"{M.describe()}, formula {pf.text!r}, step {state.step}: convolution "
+                f"coverage is not exact (rounding residual {residual:.3g}, total "
+                f"{int(counts.sum())} against |G| * |Y| = {expected})"
+            )
+        return counts
     if state.matrix is not None:
         return state.matrix[:, state.remaining].sum(axis=1)
     counts = np.zeros(M.size, dtype=np.int64)
@@ -395,7 +522,9 @@ def greedy_step(state: GreedyState, M: FiniteStructure) -> GreedyState:
             f"(formula {state.formula_index}, step {state.step})"
         )
     pf = cfg.delta[state.formula_index]
-    if state.matrix is not None:
+    if state.kernel is not None:
+        covered = state.kernel.cover(M, h, state.remaining)
+    elif state.matrix is not None:
         covered = state.matrix[h, state.remaining]
     else:
         covered = solution_mask_matrix(M, pf, state.y_columns, rows=[h])[0]

@@ -193,7 +193,8 @@ def closure(
     gamma = list(gamma_trunc)
     if max_solutions is None:
         max_solutions = max_solution_count(M, gamma)
-    mask = closure_masks(M, h_elements, [a_elements], gamma, max_solutions=max_solutions)
+    a_set = np.array([list(a_elements)], dtype=np.intp)
+    mask = closure_masks(M, h_elements, a_set, gamma, max_solutions=max_solutions)
     base_size = len({int(v) for v in h_elements} | {int(v) for v in a_elements})
     return ClosureSet(
         elements=[int(v) for v in np.flatnonzero(mask[:, 0])],

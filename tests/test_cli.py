@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -352,6 +353,23 @@ class TestExitCodes:
             for report in ("build.json", "axioms.json", "failures.csv", "hsets"):
                 assert not (out / report).exists(), (command, stage, report)
 
+    def test_inexact_convolution_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        # a perturbed transform fails the exactness check of the convolution
+        # coverage: exit 2 with the structure, formula and step, no reports
+        irfftn = np.fft.irfftn
+        monkeypatch.setattr(np.fft, "irfftn", lambda *args: irfftn(*args) + 0.4)
+        cfg = write_config(tmp_path)
+        for command in ("build", "axioms"):
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(
+                "error: prime-field(p=101), formula 'exists z. z*z = x - y', step 0: "
+                "convolution coverage is not exact"
+            )
+            for report in ("build.json", "axioms.json", "failures.csv", "hsets"):
+                assert not (out / report).exists(), (command, report)
+
     @pytest.mark.parametrize("mode", ["strict", "coarse-dim"])
     def test_sequence_that_certifies_nothing(self, tmp_path, capsys, mode):
         # at mu 0.4 no field up to 113 passes the strict size threshold, not
@@ -477,6 +495,33 @@ class TestMemory:
         builds = json.loads((out / "build.json").read_text())["builds"]
         assert [b["size"] for b in builds] == [10007, 10009]
         assert peak_mib < 150
+
+    def test_strict_build_and_axioms_gf_100k(self, tmp_path):
+        # square-shift builds on GF(100003) and GF(100019): coverage is a
+        # convolution over Z_p, where the n x |Psi| grid per greedy step
+        # took the strict build 145 s; the outputs are those of that grid
+        cfg = write_config(
+            tmp_path,
+            family={"family": "prime-field", "values": [100003, 100019]},
+            cover=["exists z. z*z = x - y", "!(x = y)"],
+            avoid=["x = z", "x = z + 1"],
+            mu=0.4,
+        )
+        out = tmp_path / "b"
+        rc, peak_mib = child_peak(["build", "--config", cfg, "--out", str(out), "--threads", "1"])
+        assert rc == 0
+        assert peak_mib < 100
+        assert digest_tree(out) == {
+            "build.json": "7d3a02828397b50de759d386c079c6be61e46d771a71d37b70127605de7f238b",
+            os.path.join("hsets", "h_100003.txt"):
+                "a84db871e713617ae5bb202a5f9567fe7033a6a79070da3b5e46c6f80a6fc0ac",
+            os.path.join("hsets", "h_100019.txt"):
+                "0de090061ae5fe7f0c9f129709faa462504061bfc9916c17e047c347faa1f91d",
+        }
+        out = tmp_path / "a"
+        rc, peak_mib = child_peak(["axioms", "--config", cfg, "--out", str(out), "--threads", "1"])
+        assert rc == 0
+        assert peak_mib < 250
 
     def test_profile_gf_100k_counts_once_per_structure(self, tmp_path):
         # the four square-shift formulas on GF(100003) and GF(100019): each

@@ -1,10 +1,13 @@
+import functools
 import itertools
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hlab import hgreedy
 from hlab.errors import (
     ConfigRejectedError,
     InvariantError,
@@ -19,13 +22,20 @@ from hlab.finitemodels import (
     make_prime_field,
     primes_in,
 )
-from hlab.folang import evaluate, parse_formula, solution_counts_all
+from hlab.folang import (
+    evaluate,
+    kernel_base,
+    parse_formula,
+    solution_counts_all,
+    solution_mask_matrix,
+)
 from hlab.asymptotics import profile_family, psi_set, sample_columns
 from hlab.hsequence import closure
 from hlab.hgreedy import (
     BEST_EFFORT,
     STRICT,
     GreedyState,
+    KernelCoverage,
     _coverage,
     _phase_state,
     build_h,
@@ -197,6 +207,8 @@ def naive_closure(M, base, gamma):
 CLOSURE_AVOID = {
     "cyclic": ["x = 0", "x = z + 1", "x = z1 + z2", "x = z1 + z2 - z3"],
     "field": ["x * x = 1", "x * z = 1", "x * z1 = z2 + 1", "x + z1 = z2 * z3"],
+    # x enters with coefficient 2: no translation kernel, so the grid route
+    "doubled": ["x + x = 1", "x + x = z", "x + x = z1 + z2", "x + x = z1 + z2 - z3"],
 }
 CLOSURE_SETS = [[], [4], [4, 9], [0, 2, 11], [9, 9, 1], [5]]
 
@@ -425,22 +437,159 @@ class TestWiderArities:
         assert verify_avoid(z13, [1, 3, 5], pairsum).passed
 
     def test_matrix_free_path_matches_matrix_path(
-        self, shrink_budget, cyclic_family_30, profiled
+        self, shrink_budget, cyclic_family_30, profiled, monkeypatch
     ):
-        # shrink the budget so coverage is recomputed block by block;
-        # the build must be identical to the cached-matrix route
+        # a kernel takes the convolution; with kernels turned off the cached
+        # matrix and, under a shrunk budget, the blockwise grid give the same build
         sig = cyclic_family_30[0].sig
         neq = parse_formula("!(x = y)", sig)
         xz = parse_formula("x = z", sig)
         fam = cyclic_family_30
         cfg = derive_config(profiled(fam, [neq]), profiled(fam, [xz]), 0.4)
         M = cyclic_family_30[-1]
+        assert _phase_state(cfg, M, 0, [], []).kernel is not None
+        h_conv, report_conv = build_h(M, cfg, BEST_EFFORT)
+        monkeypatch.setattr(hgreedy, "kernel_shifts", lambda *args: None)
+        assert _phase_state(cfg, M, 0, [], []).matrix is not None
         h_cached, report_cached = build_h(M, cfg, BEST_EFFORT)
         shrink_budget(64)
-        assert _phase_state(cfg, M, 0, [], []).matrix is None
+        state = _phase_state(cfg, M, 0, [], [])
+        assert state.kernel is None and state.matrix is None
+        h_chunked, report_chunked = build_h(M, cfg, BEST_EFFORT)
+        assert h_conv.elements == h_cached.elements == h_chunked.elements
+        assert report_conv.to_json_dict() == report_cached.to_json_dict()
+        assert report_cached.to_json_dict() == report_chunked.to_json_dict()
+
+    def test_matrix_free_path_matches_matrix_path_off_kernel(
+        self, shrink_budget, cyclic_family_30, profiled
+    ):
+        # 2x enters with coefficient 2, so this is no kernel: the grid route,
+        # from the cached matrix and blockwise
+        sig = cyclic_family_30[0].sig
+        doubled = parse_formula("!(x + x = y)", sig)
+        xz = parse_formula("x = z", sig)
+        fam = cyclic_family_30
+        cfg = derive_config(profiled(fam, [doubled]), profiled(fam, [xz]), 0.4)
+        M = cyclic_family_30[-1]
+        state = _phase_state(cfg, M, 0, [], [])
+        assert state.kernel is None and state.matrix is not None
+        h_cached, report_cached = build_h(M, cfg, BEST_EFFORT)
+        shrink_budget(64)
+        state = _phase_state(cfg, M, 0, [], [])
+        assert state.kernel is None and state.matrix is None
         h_chunked, report_chunked = build_h(M, cfg, BEST_EFFORT)
         assert h_cached.elements == h_chunked.elements
         assert report_cached.to_json_dict() == report_chunked.to_json_dict()
+
+
+# per family: structures of several sizes and a kernel cover formula of
+# arity 1 and of arity 2, whose shift y1 + y2 repeats across tuples
+CONVOLUTION_CASES = {
+    "Z_n": (
+        [make_cyclic_group(n) for n in range(12, 31)],
+        ["exists z. z + z = x - y", "exists z. z + z = x - y1 - y2"],
+    ),
+    "GF(p)": (
+        [make_prime_field(p) for p in primes_in(11, 47)],
+        ["exists z. z*z = x - y", "exists z. z*z = x - y1 - y2"],
+    ),
+    "GF(p^2)": (
+        [make_extension_field(p) for p in (3, 5, 7, 11)],
+        ["exists z. z*z = x - y", "exists z. z*z = x - y1 - y2"],
+    ),
+    "F2^d": (
+        [make_f2_vector_space(d) for d in range(3, 8)],
+        ["!(x = y)", "!(x = y1 + y2)"],
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def convolution_config(kind, arity):
+    family, texts = CONVOLUTION_CASES[kind]
+    params = ("y",) if arity == 1 else ("y1", "y2")
+    cover = parse_formula(texts[arity - 1], family[0].sig, params=params)
+    xz = parse_formula("x = z", family[0].sig)
+    profiles = [profile_family(family, pf) for pf in (cover, xz)]
+    return derive_config(profiles[:1], profiles[1:], None)
+
+
+class TestConvolutionCoverage:
+    @settings(max_examples=30)
+    @given(st.data())
+    def test_every_step_matches_the_grid(self, data):
+        kind = data.draw(st.sampled_from(sorted(CONVOLUTION_CASES)))
+        arity = data.draw(st.sampled_from([1, 2]))
+        M = data.draw(st.sampled_from(CONVOLUTION_CASES[kind][0]))
+        cfg = convolution_config(kind, arity)
+        pf = cfg.delta[0]
+        checked = []
+
+        def checked_step(state, M):
+            assert state.kernel is not None
+            expected = solution_mask_matrix(M, pf, state.y_columns).sum(axis=1)
+            assert np.array_equal(_coverage(state, M), expected)
+            checked.append(state.step)
+            return greedy_step(state, M)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hgreedy, "greedy_step", checked_step)
+            h_conv, report_conv = build_h(M, cfg, BEST_EFFORT)
+        assert checked == list(range(len(h_conv)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hgreedy, "kernel_shifts", lambda *args: None)
+            assert _phase_state(cfg, M, 0, [], []).kernel is None
+            h_grid, report_grid = build_h(M, cfg, BEST_EFFORT)
+        assert h_conv.elements == h_grid.elements
+        assert report_conv.to_json_dict() == report_grid.to_json_dict()
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_counts_and_cover_match_naive(self, data):
+        # any set G and any shifts, on axes that are 5-smooth (unpadded),
+        # prime, or with a prime factor above 5 (padded and folded back)
+        M = data.draw(
+            st.sampled_from(
+                [make_cyclic_group(n) for n in (1, 2, 7, 14, 25, 30)]
+                + [make_prime_field(p) for p in (2, 3, 11)]
+                + [make_extension_field(p) for p in (3, 7)]
+                + [make_f2_vector_space(d) for d in (1, 4)]
+            )
+        )
+        elements = st.integers(0, M.size - 1)
+        base = sorted(data.draw(st.sets(elements, min_size=1)))
+        shifts = np.array(data.draw(st.lists(elements, min_size=1, max_size=40)), dtype=np.intp)
+        cover = KernelCoverage.of(M, np.array(base, dtype=np.intp), shifts)
+        hit = np.isin(M.functions["sub"][np.arange(M.size)[:, None], shifts[None, :]], base)
+        counts, residual = cover.counts()
+        assert counts.tolist() == hit.sum(axis=1).tolist()
+        assert residual < 1e-6
+        h = data.draw(elements)
+        remaining = np.arange(len(shifts))
+        assert cover.cover(M, h, remaining).tolist() == hit[h].tolist()
+        assert np.array_equal(cover.histogram, np.bincount(shifts[~hit[h]], minlength=M.size))
+
+    @pytest.mark.parametrize(
+        "perturb, found",
+        [
+            (lambda out: out + 0.4, "rounding residual 0.4"),
+            (lambda out: out + (np.arange(out.size) == 0).reshape(out.shape), "total 157 against |G| * |Y| = 156"),
+        ],
+        ids=["residual", "total"],
+    )
+    def test_inexact_transform_is_an_invariant_error(
+        self, neq_config, z13, monkeypatch, perturb, found
+    ):
+        # Z13 pads to length 25 and folds back; either check alone catches a
+        # perturbed inverse transform at the first step
+        irfftn = np.fft.irfftn
+        monkeypatch.setattr(np.fft, "irfftn", lambda *args: perturb(irfftn(*args)))
+        with pytest.raises(InvariantError) as err:
+            build_h(z13, neq_config, BEST_EFFORT)
+        assert str(err.value).startswith(
+            "cyclic-group(n=13), formula '!(x = y)', step 0: convolution coverage is not exact"
+        )
+        assert found in str(err.value)
 
 
 class TestAlgebraicCoverPhase:
@@ -513,13 +662,16 @@ class TestBlockReducers:
             (make_prime_field(11), "field"),
             (make_extension_field(3), "field"),
             (make_f2_vector_space(3), "cyclic"),
+            (make_cyclic_group(12), "doubled"),
         ],
-        ids=["Z12", "GF11", "GF9", "F2^3"],
+        ids=["Z12", "GF11", "GF9", "F2^3", "Z12-doubled"],
     )
     def test_blocks_match_one_block(self, M, kind, budget, shrink_budget):
         # row sums (matrix-free coverage), column sums (every tuple and a
         # sample) and closures, in blocks of a few cells and in one block
         pfs = [parse_formula(text, M.sig) for text in CLOSURE_AVOID[kind]]
+        if kind == "doubled":  # counts and closures take the grid too
+            assert all(kernel_base(M, pf) is None for pf in pfs)
 
         def reduced():
             out = []
@@ -534,6 +686,7 @@ class TestBlockReducers:
                     psi_cols=cols,
                     remaining=np.arange(0, cols.shape[1], 2),
                 )
+                assert state.kernel is None and state.matrix is None  # blockwise grid
                 out += [_coverage(state, M), solution_counts_all(M, pf)]
                 out += sample_columns(M, pf, 3, 40)
             sets = [[], [4], [4, 7], [0, 2, 5], [7, 7, 1]]
