@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     ClassificationGapError,
+    EmptyFamilyError,
     EnumerationBudgetError,
     NotOneDimensionalError,
 )
@@ -138,7 +139,11 @@ def profile_family(
 ) -> MeasureProfile:
     """Fit (E, C, B) to the observed counts of one formula over a family."""
     if len(family) < 2:
-        raise ValueError("profiling needs at least two structures")
+        members = ", ".join(M.describe() for M in family) or "none"
+        raise EmptyFamilyError(
+            f"formula {pf.text!r}: profiling needs at least two structures, "
+            f"the family has {len(family)} ({members})"
+        )
     by_size = sorted(family, key=lambda m: m.size, reverse=True)
 
     observed = []  # (structure, counts array, enumerated flag)
@@ -331,29 +336,25 @@ def classify(profile: MeasureProfile, M: FiniteStructure, params=()) -> ParamCla
     return ParamClass("algebraic", count)
 
 
-def psi_set(
-    M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile, budget: int | None = None
-) -> list[tuple[int, ...]]:
+def psi_set(M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile) -> list[tuple[int, ...]]:
     """All parameter tuples classified large, in lexicographic order: the
     columns of psi_columns as tuples."""
-    return [tuple(int(v) for v in col) for col in psi_columns(M, pf, profile, budget).T]
+    return [tuple(int(v) for v in col) for col in psi_columns(M, pf, profile).T]
 
 
-def psi_columns(
-    M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile, budget: int | None = None
-) -> np.ndarray:
+def psi_columns(M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile) -> np.ndarray:
     """Every parameter tuple classified large, as an (arity, m) index array
     in lexicographic order. Raises EnumerationBudgetError when the tuple
-    space exceeds `budget` (default: the one evaluation budget)."""
-    return _large_enumerated(M, pf, profile, budget)[0]
+    space exceeds the one evaluation budget."""
+    return _large_enumerated(M, pf, profile)[0]
 
 
-def _large_enumerated(M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile, budget):
+def _large_enumerated(M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile):
     """psi_columns plus the solution count of each of its tuples."""
     if profile.formula != pf.key():
         raise ValueError("profile was built for a different formula")
     n, k = M.size, pf.arity
-    if not within_budget(n**k, budget):
+    if not within_budget(n**k):
         raise EnumerationBudgetError(f"psi enumeration needs {n**k} tuples, over the budget")
     counts = profile._counts.get(_structure_key(M))
     if counts is None:
@@ -365,22 +366,14 @@ def _large_enumerated(M: FiniteStructure, pf: ParamFormula, profile: MeasureProf
     return np.array(np.unravel_index(flats, (n,) * k), dtype=np.intp), counts[flats]
 
 
-def large_columns(
-    M: FiniteStructure,
-    pf: ParamFormula,
-    profile: MeasureProfile,
-    rng,
-    samples: int,
-    budget: int | None = None,
-):
-    """The large parameter tuples a certificate checks. Returns (columns,
-    counts, exhaustive): psi_columns and their solution counts when the tuple
-    space fits the budget, otherwise the large tuples among `samples` drawn
-    by sample_columns from `rng`. A seed is turned into a generator only on
-    the sampled path, so exhaustive runs never load numpy.random."""
+def large_columns(M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile, rng, samples: int):
+    """The large parameter tuples an extension check draws from, with their
+    solution counts: psi_columns when the tuple space fits the budget,
+    otherwise the large tuples among `samples` drawn by sample_columns from
+    `rng`."""
     try:
-        return (*_large_enumerated(M, pf, profile, budget), True)
+        return _large_enumerated(M, pf, profile)
     except EnumerationBudgetError:
         cols, counts = sample_columns(M, pf, rng, samples)
         large, _ = _classify_counts(profile, M.size, counts)
-        return cols[:, large], counts[large], False
+        return cols[:, large], counts[large]

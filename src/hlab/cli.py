@@ -77,7 +77,6 @@ class ExperimentConfig:
     threads: int | None = None
     out_dir: str = "reports"
     profile_samples: int = DEFAULT_SAMPLES
-    density_budget: int = 1_000_000
     extension_samples: int = 1000
     base_max: int = 3
     emit_counts: bool = False
@@ -330,7 +329,6 @@ def cmd_axioms(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
             M,
             h_set,
             gcfg,
-            density_budget=cfg.density_budget,
             extension_samples=cfg.extension_samples,
             base_max=cfg.base_max,
             seed=cfg.seed,

@@ -26,7 +26,8 @@ class EvaluationError(LabError):
 
 
 class EmptyFamilyError(LabError):
-    """A family spec whose size filter produces no structures."""
+    """A family spec whose size filter produces no structures, or a family
+    with fewer structures than profiling needs (two)."""
 
 
 class NotOneDimensionalError(LabError):
@@ -46,7 +47,8 @@ class ClassificationGapError(LabError):
 
 
 class EnumerationBudgetError(LabError):
-    """Full enumeration of a parameter space would exceed the configured budget."""
+    """Full enumeration of a parameter space would exceed the one evaluation
+    budget, folang.BUDGET."""
 
 
 class ConfigRejectedError(LabError):

@@ -620,9 +620,9 @@ def evaluate(M: FiniteStructure, f: Formula, a: Assignment) -> bool:
 BUDGET = 10_000_000
 
 
-def within_budget(count: int, budget: int | None = None) -> bool:
-    """Whether `count` cells or tuples fit `budget` (default BUDGET)."""
-    return count <= (BUDGET if budget is None else budget)
+def within_budget(count: int) -> bool:
+    """Whether `count` cells or tuples fit BUDGET."""
+    return count <= BUDGET
 
 
 def block_width(rows: int) -> int:
@@ -843,7 +843,8 @@ def _bulk_term(M: FiniteStructure, t: Term, env: dict) -> np.ndarray | int:
 
 
 def eval_bulk(M: FiniteStructure, f: Formula, env: dict) -> np.ndarray:
-    """Evaluate over numpy index arrays (broadcast together); returns bool array."""
+    """Evaluate a normalized formula (see normalize) over numpy index arrays,
+    broadcast together; returns a bool array."""
     if isinstance(f, Eq):
         return np.asarray(_bulk_term(M, f.left, env) == _bulk_term(M, f.right, env))
     if isinstance(f, Rel):
@@ -855,10 +856,6 @@ def eval_bulk(M: FiniteStructure, f: Formula, env: dict) -> np.ndarray:
         return eval_bulk(M, f.left, env) & eval_bulk(M, f.right, env)
     if isinstance(f, Or):
         return eval_bulk(M, f.left, env) | eval_bulk(M, f.right, env)
-    if isinstance(f, Implies):
-        return ~eval_bulk(M, f.left, env) | eval_bulk(M, f.right, env)
-    if isinstance(f, Forall):
-        return ~eval_bulk(M, Exists(f.var, Not(f.body)), env)
     if isinstance(f, Exists):
         plan = _exists_plan(f)
         if plan is not None:
@@ -874,7 +871,7 @@ def eval_bulk(M: FiniteStructure, f: Formula, env: dict) -> np.ndarray:
             if out.all():
                 break
         return np.asarray(out)
-    raise TypeError(f"not a formula: {f!r}")
+    raise TypeError(f"not a normalized formula: {f!r}")
 
 
 def _check_params(pf: ParamFormula, params) -> np.ndarray:

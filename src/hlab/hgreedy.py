@@ -19,9 +19,9 @@ step, rounded and checked exact, and no n x |Psi| array. Any other formula
 is read off the n x |Psi| grid, kept as a matrix when it fits the budget
 and otherwise evaluated block by block at every step.
 
-Every build returns certificates: an exhaustive (or sampled and flagged)
-cover check per cover formula, an exhaustive order-restricted avoid check per
-avoid formula, the size bound, and the per-step shrink factors.
+Every build returns certificates: an exhaustive cover check per cover
+formula, an exhaustive order-restricted avoid check per avoid formula, the
+size bound, and the per-step shrink factors.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ._util import tuple_columns
-from .asymptotics import MeasureProfile, large_columns, psi_columns
+from .asymptotics import MeasureProfile, psi_columns
 from .errors import (
     ConfigRejectedError,
     EnumerationBudgetError,
@@ -51,8 +51,6 @@ from .folang import (
     solution_points,
     within_budget,
 )
-
-COVER_SAMPLES = 10_000
 
 STRICT = "strict"
 BEST_EFFORT = "best_effort"
@@ -552,7 +550,7 @@ class HSet:
 @dataclass
 class CoverCertificate:
     formula: str
-    method: str  # exhaustive | sampled
+    method: str  # always "exhaustive"; kept so reports keep their bytes
     checked: int
     failures: list[tuple]
     passed: bool
@@ -681,27 +679,17 @@ def build_h(M: FiniteStructure, cfg: GreedyConfig, mode: str = STRICT):
 
 
 def verify_cover(
-    M: FiniteStructure,
-    h_set,
-    pf: ParamFormula,
-    profile: MeasureProfile,
-    *,
-    budget: int | None = None,
-    samples: int = COVER_SAMPLES,
-    seed: int = 0,
+    M: FiniteStructure, h_set, pf: ParamFormula, profile: MeasureProfile
 ) -> CoverCertificate:
-    """Check that every large parameter tuple has a witness in H.
-
-    Exhaustive over the enumerated large set when the tuple space fits the
-    budget; otherwise a seeded sample of tuples is classified and checked,
-    and the certificate is flagged as sampled.
-    """
+    """Check that every large parameter tuple has a witness in H, exhaustively
+    over the enumerated large set psi_columns. Raises EnumerationBudgetError
+    when the tuple space exceeds the budget; a build has already enumerated
+    the same set under it."""
     elements = list(getattr(h_set, "elements", h_set))
-    cols, _, exhaustive = large_columns(M, pf, profile, [seed, M.size], samples, budget)
-    method = "exhaustive" if exhaustive else "sampled"
+    cols = psi_columns(M, pf, profile)
     covered = solution_mask_matrix(M, pf, cols, rows=elements).any(axis=0)
     failures = [tuple(int(v) for v in cols[:, j]) for j in np.flatnonzero(~covered)]
-    return CoverCertificate(pf.text, method, cols.shape[1], failures, not failures)
+    return CoverCertificate(pf.text, "exhaustive", cols.shape[1], failures, not failures)
 
 
 def independence_checks(M: FiniteStructure, elements, pf: ParamFormula):

@@ -9,6 +9,7 @@ from hlab.asymptotics import (
 )
 from hlab.errors import (
     ClassificationGapError,
+    EmptyFamilyError,
     EnumerationBudgetError,
     NotOneDimensionalError,
 )
@@ -75,7 +76,7 @@ class TestProfileFamily:
 
     def test_needs_two_structures(self, gf7):
         pf = parse_formula("x = y", gf7.sig)
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyFamilyError, match=r"'x = y'.*has 1 \(prime-field\(p=7\)\)"):
             profile_family([gf7], pf)
 
     def test_c_strictly_dominates_and_is_positive(self):
@@ -156,10 +157,11 @@ class TestPsiSet:
         prof = profile_family(fam, pf)
         assert psi_set(fam[0], pf, prof) == [(y,) for y in range(13)]
 
-    def test_budget(self, square_shift_profile):
+    def test_budget(self, square_shift_profile, shrink_budget):
         _, pf, prof = square_shift_profile
+        shrink_budget(50)
         with pytest.raises(EnumerationBudgetError):
-            psi_set(make_prime_field(101), pf, prof, budget=50)
+            psi_set(make_prime_field(101), pf, prof)
 
     def test_wrong_profile_rejected(self, small_prime_family):
         pf1 = parse_formula("x = y", small_prime_family[0].sig)

@@ -1,8 +1,12 @@
 import contextlib
+import dataclasses
 import hashlib
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -15,6 +19,7 @@ from hlab import cli
 from hlab.cli import load_config, main
 from hlab.errors import ExperimentConfigError, InvariantError
 from hlab.finitemodels import FAMILIES
+from test_golden import SQUARE_SHIFT
 
 
 MISSING = object()  # a write_config override that drops the key
@@ -58,6 +63,9 @@ class TestLoadConfig:
         path = write_config(tmp_path, bogus=1)
         with pytest.raises(ExperimentConfigError):
             load_config(path)
+        # the density check shares the one evaluation budget; it has no key
+        with pytest.raises(ExperimentConfigError, match="density_budget"):
+            load_config(write_config(tmp_path, density_budget=10))
 
     def test_unknown_family_key(self, tmp_path):
         path = write_config(tmp_path, family={"family": "prime-field", "low": 3})
@@ -289,6 +297,18 @@ class TestCommands:
         assert len(lines) == 6
         assert all(line.endswith(",0") for line in lines[1:])
 
+    def test_density_is_the_build_cover_certificate(self, tmp_path):
+        # both enumerate the same Psi, so density repeats the build's cover check
+        cfg = write_config(tmp_path, **SQUARE_SHIFT)
+        out = tmp_path / "out"
+        for command in ("build", "axioms"):
+            assert main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+        builds = json.loads((out / "build.json").read_text())["builds"]
+        reports = json.loads((out / "axioms.json").read_text())["reports"]
+        assert [b["size"] for b in builds] == [r["size"] for r in reports]
+        for build, report in zip(builds, reports):
+            assert report["density"]["per_formula"] == build["cover"]
+
     def test_lovely_pair_sweep_flag(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -387,6 +407,22 @@ class TestExitCodes:
         assert err.startswith("error: prime-field(p=113) of size 113 is below the strict size")
         assert "threshold at mu = 0.4: forbidden bound" in err
         assert not (out / "plan.json").exists()
+
+    def test_one_structure_family(self, tmp_path, capsys):
+        # profiling needs two structures: exit 2 with a message, no reports
+        cfg = write_config(tmp_path, family={"family": "prime-field", "values": [101]})
+        for command in ("profile", "build", "sequence", "axioms"):
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: formula 'exists z. z*z = x - y': profiling needs")
+            assert "prime-field(p=101)" in err
+            assert not out.exists() or not any(out.iterdir())
+        # lovely-pair profiles nothing, so one prime is a valid family
+        cfg = write_config(
+            tmp_path, family={"family": "quadratic-extension-field", "values": [5]}, cover=[], avoid=[]
+        )
+        assert main(["lovely-pair", "--config", cfg, "--out", str(tmp_path / "lp")]) == 0
 
     def test_build_needs_avoid_formula(self, tmp_path):
         cfg = write_config(tmp_path, avoid=[])
@@ -543,3 +579,18 @@ class TestMemory:
         assert len(neq["E"]) == 1 and abs(neq["E"][0] - 1) < 1e-4
         assert (xz["E"], xz["B"], xz1["E"], xz1["B"]) == ([], 1, [], 1)
         assert peak_mib < 100
+
+
+def test_one_budget():
+    # folang.BUDGET is the one memory budget: nothing takes another
+    for info in pkgutil.iter_modules(hlab.__path__, "hlab."):
+        if info.name == "hlab.__main__":  # runs the CLI on import
+            continue
+        module = importlib.import_module(info.name)
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ != module.__name__:
+                continue
+            for param in inspect.signature(fn).parameters:
+                assert not (param == "budget" or param.endswith("_budget")), (name, param)
+    config_fields = [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
+    assert not [name for name in config_fields if name.endswith("_budget")]

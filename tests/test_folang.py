@@ -453,18 +453,6 @@ class TestEvaluatorAgreement:
                 a = {"x": x, "y": y}
                 assert evaluate(gf7, raw, a) == evaluate(gf7, norm, a)
 
-    def test_bulk_handles_raw_connectives(self, gf7):
-        # implication and the universal quantifier are rewritten before
-        # evaluation in normal use, but the bulk evaluator accepts them raw
-        raw = parse("forall z. z = x -> (exists w. w + w = z + y)", gf7.sig)
-        import numpy as np
-
-        xs = np.repeat(np.arange(7), 7)
-        ys = np.tile(np.arange(7), 7)
-        bulk = eval_bulk(gf7, raw, {"x": xs, "y": ys})
-        for i in range(49):
-            expected = evaluate(gf7, raw, {"x": int(xs[i]), "y": int(ys[i])})
-            assert bool(bulk[i]) == expected
 
 
 # --- pretty-printing round trips ----------------------------------------

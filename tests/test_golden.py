@@ -2,7 +2,6 @@
 versions of the shipped experiments. The digests were recorded once and are
 never edited; a refactor that changes any report byte fails here.
 
-The `density_budget: 10` run forces the sampled cover certificate, and
 `test_sampled_extension_check` pins the sampled branch of check_extension,
 which no CLI run on a small family reaches; `test_binary_avoid_extension_check`
 pins failing extension samples under a two-parameter avoid formula.
@@ -45,7 +44,6 @@ RUNS = {
     "build": (["build", "--threads", "2"], SQUARE_SHIFT),
     "sequence": (["sequence", "--threads", "2", "--mode", "coarse-dim"], SEQUENCE),
     "axioms": (["axioms", "--threads", "2"], SQUARE_SHIFT),
-    "axioms_sampled_cover": (["axioms", "--threads", "2"], {**SQUARE_SHIFT, "density_budget": 10}),
     "cyclic_profile": (["profile"], "cyclic_doubling.json"),
     "cyclic_build": (["build", "--threads", "2"], "cyclic_doubling.json"),
     # the only shipped run whose extension samples fail
@@ -60,12 +58,6 @@ GOLDEN = {
         0,
         {
             "axioms.json": "e8ddea0c2fcbf6967b7930ec4575a6a689560a2dfbc04390321c40a9fa638a21",
-        },
-    ),
-    "axioms_sampled_cover": (
-        0,
-        {
-            "axioms.json": "71936bf925f61c89c99346484a59e76247e4c7efffa3ada44fe69040ddd3dd7a",
         },
     ),
     "build": (

@@ -30,7 +30,7 @@ def replay_extension(M, h, delta, profiles, gamma, *, samples, base_max, seed, g
     rng = np.random.default_rng([seed, M.size, 3])
     usable = []
     for pf, prof in zip(delta, profiles):
-        cols, _, _ = large_columns(M, pf, prof, rng, 10 * samples)
+        cols, _ = large_columns(M, pf, prof, rng, 10 * samples)
         if cols.shape[1]:
             usable.append((pf, cols))
     failures = []

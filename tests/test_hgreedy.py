@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hlab import hgreedy
 from hlab.errors import (
     ConfigRejectedError,
+    EnumerationBudgetError,
     InvariantError,
     StructureTooSmallError,
     ThresholdNotMetError,
@@ -368,14 +369,12 @@ class TestVerifyCover:
         )
         assert cert.passed
 
-    def test_budget_exceeded_flags_sampled_certificate(self, neq_config, z13):
+    def test_over_budget_raises(self, neq_config, z13, shrink_budget):
+        # the certificate never samples: past the budget it refuses
         h, _ = build_h(z13, neq_config, BEST_EFFORT)
-        cert = verify_cover(
-            z13, h, neq_config.delta[0], neq_config.delta_profiles[0], budget=4
-        )
-        assert cert.method == "sampled"
-        assert cert.passed
-        assert 0 < cert.checked <= 13
+        shrink_budget(4)
+        with pytest.raises(EnumerationBudgetError):
+            verify_cover(z13, h, neq_config.delta[0], neq_config.delta_profiles[0])
 
 
 class TestVerifyAvoid:
