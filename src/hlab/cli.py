@@ -194,6 +194,11 @@ def load_config(path: str) -> ExperimentConfig:
         raise ExperimentConfigError(f"bad value in config: {exc}") from exc
     if cfg.mu is not None and not 0.0 < cfg.mu < 1.0:
         raise ExperimentConfigError("mu must lie strictly between 0 and 1")
+    counts = (("profile_samples", 1), ("extension_samples", 0), ("base_max", 0), ("window", 1))
+    for name, low in counts:
+        value = getattr(cfg, name)
+        if value < low:
+            raise ExperimentConfigError(f"{name} must be at least {low}, got {value}")
     return cfg
 
 

@@ -61,7 +61,8 @@ class ThresholdNotMetError(LabError):
 
 
 class StructureTooSmallError(LabError):
-    """The greedy ran out of eligible elements (or the universe is degenerate)."""
+    """The greedy ran out of eligible elements, the universe is degenerate, or
+    it has fewer elements than an extension base of base_max needs."""
 
 
 class ExperimentConfigError(LabError):

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .asymptotics import large_columns
-from .errors import InvariantError
+from .errors import InvariantError, StructureTooSmallError
 from .finitemodels import FiniteStructure
 from .folang import block_width, solution_mask_matrix
 from .hgreedy import (
@@ -104,6 +104,30 @@ def check_density(M: FiniteStructure, h_set, delta, profiles) -> dict:
     }
 
 
+def _draw_samples(rng, widths, n: int, samples: int, base_max: int):
+    """Every extension sample's draws, in 3 + base_max array calls on `rng`.
+
+    Returns (formula, column, base_n, base): sample j reads large tuple
+    column[j] < widths[formula[j]] of cover formula formula[j], and its base
+    is the first base_n[j] <= base_max entries of row j of `base`, the rest
+    -1. Each formula, column and base size is uniform. Base round i draws
+    one of the n - i elements not yet picked: the draw is bumped past the
+    earlier picks in sorted order. So a row's elements are distinct and
+    every prefix is a uniform subset of its length.
+    """
+    formula = rng.integers(len(widths), size=samples)
+    column = rng.integers(widths[formula])
+    base_n = rng.integers(0, base_max + 1, size=samples)
+    base = np.empty((samples, base_max), dtype=np.intp)
+    for i in range(base_max):
+        pick = rng.integers(n - i, size=samples)
+        for earlier in np.sort(base[:, :i], axis=1).T:
+            pick += pick >= earlier
+        base[:, i] = pick
+    base[np.arange(base_max) >= base_n[:, None]] = -1
+    return formula, column, base_n, base
+
+
 def check_extension(
     M: FiniteStructure,
     h_set,
@@ -120,12 +144,18 @@ def check_extension(
     truncated closure of H plus a small parameter base.
 
     Each sample draws a cover formula, a large parameter tuple, and up to
-    base_max extra base elements; it fails if every solution lies inside
-    clos(H + params + base). All samples are drawn first; one closure_masks
-    call checks every closure against its union bound. When the smallest
-    large count strictly exceeds the closure union bound the check cannot
-    fail; that sufficient condition is recorded and enforced.
+    base_max distinct extra base elements; it fails if every solution lies
+    inside clos(H + params + base). _draw_samples draws all samples first;
+    one closure_masks call checks every closure against its union bound.
+    When the smallest large count strictly exceeds the closure union bound
+    the check cannot fail; that sufficient condition is recorded and
+    enforced.
     """
+    if base_max > M.size:
+        raise StructureTooSmallError(
+            f"{M.describe()} has {M.size} elements, too few for an extension base "
+            f"of base_max = {base_max} distinct elements"
+        )
     elements = list(getattr(h_set, "elements", h_set))
     gamma = list(gamma_trunc)
     rng = np.random.default_rng([seed, M.size, 3])
@@ -157,32 +187,26 @@ def check_extension(
     closure_bound = _union_bound(gamma, len(elements) + base_max + ell, gamma_max_solutions)
     sufficient = None if closure_bound is None else min_large_count > closure_bound
 
-    # every draw first: these four generator calls per sample, in this
-    # order, fix the report bytes. Row j of `sets` holds the sample's
-    # parameters in its first ell places and its base after them, padded
-    # with -1.
-    picks = np.empty((2, samples), dtype=np.intp)  # cover formula, large tuple
-    base_n = np.empty(samples, dtype=np.intp)
+    # row j of `sets` holds the sample's parameters in its first ell places
+    # and its base after them, padded with -1
+    widths = np.array([cols.shape[1] for _, cols in usable], dtype=np.intp)
+    formula, column, base_n, base = _draw_samples(rng, widths, M.size, samples, base_max)
     sets = np.full((samples, ell + base_max), -1, dtype=np.intp)
-    for j in range(samples):
-        picks[0, j] = rng.integers(len(usable))
-        picks[1, j] = rng.integers(usable[picks[0, j]][1].shape[1])
-        base_n[j] = rng.integers(0, base_max + 1)
-        sets[j, ell : ell + base_n[j]] = rng.choice(M.size, size=base_n[j], replace=False)
-    by_formula = [np.flatnonzero(picks[0] == f_i) for f_i in range(len(usable))]
+    sets[:, ell:] = base
+    by_formula = [np.flatnonzero(formula == f_i) for f_i in range(len(usable))]
     for (pf, cols), picked in zip(usable, by_formula):
-        sets[picked, : pf.arity] = cols[:, picks[1, picked]].T
+        sets[picked, : pf.arity] = cols[:, column[picked]].T
     clos = closure_masks(M, elements, sets, gamma, max_solutions=gamma_max_solutions)
     swallowed = np.zeros(samples, dtype=bool)
     width = block_width(M.size)
     for (pf, cols), picked in zip(usable, by_formula):
         for start in range(0, len(picked), width):
             part = picked[start : start + width]
-            sol = solution_mask_matrix(M, pf, cols[:, picks[1, part]])
+            sol = solution_mask_matrix(M, pf, cols[:, column[part]])
             swallowed[part] = ~(sol & ~clos[:, part]).any(axis=0)
     failures = []
     for j in np.flatnonzero(swallowed):
-        pf = usable[picks[0, j]][0]
+        pf = usable[formula[j]][0]
         failures.append(
             {
                 "formula": pf.text,

@@ -19,7 +19,7 @@ from hlab import cli
 from hlab.cli import load_config, main
 from hlab.errors import ExperimentConfigError, InvariantError
 from hlab.finitemodels import FAMILIES
-from test_golden import SQUARE_SHIFT
+from test_golden import CONFIGS, SQUARE_SHIFT
 
 
 MISSING = object()  # a write_config override that drops the key
@@ -423,6 +423,38 @@ class TestExitCodes:
             tmp_path, family={"family": "quadratic-extension-field", "values": [5]}, cover=[], avoid=[]
         )
         assert main(["lovely-pair", "--config", cfg, "--out", str(tmp_path / "lp")]) == 0
+
+    @pytest.mark.parametrize(
+        "key, value, command",
+        [
+            ("base_max", -1, "axioms"),
+            ("extension_samples", -3, "axioms"),
+            ("window", 0, "sequence"),
+            ("window", -2, "sequence"),
+            ("profile_samples", 0, "profile"),
+        ],
+    )
+    def test_bad_count_is_exit_2(self, tmp_path, capsys, key, value, command):
+        cfg = write_config(tmp_path, **{key: value})
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be at least ")
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_base_larger_than_structure_is_exit_2(self, tmp_path, capsys):
+        # the shipped cyclic family starts at Z_5, too small for 8 distinct
+        # base elements
+        with open(os.path.join(CONFIGS, "cyclic_doubling.json")) as fh:
+            config = {**json.load(fh), "base_max": 8}
+        path = tmp_path / "cyclic.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["axioms", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cyclic-group(n=5) has 5 elements, too few for an extension base")
+        assert not (out / "axioms.json").exists()
 
     def test_build_needs_avoid_formula(self, tmp_path):
         cfg = write_config(tmp_path, avoid=[])

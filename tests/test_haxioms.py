@@ -16,6 +16,7 @@ from hlab.hsequence import closure
 from hlab.hgreedy import BEST_EFFORT, STRICT, build_h, derive_config
 from hlab.haxioms import (
     SCOPE_NOTE,
+    _draw_samples,
     check_density,
     check_extension,
     check_independence,
@@ -24,8 +25,9 @@ from hlab.haxioms import (
 
 
 def replay_extension(M, h, delta, profiles, gamma, *, samples, base_max, seed, gamma_max_solutions):
-    """check_extension's failures the slow way: the same draws, one sample at
-    a time, each judged by solution_set and closure."""
+    """check_extension's failures the slow way: the same draws from
+    _draw_samples, then one sample at a time, each judged by solution_set
+    and closure."""
     h = list(getattr(h, "elements", h))
     rng = np.random.default_rng([seed, M.size, 3])
     usable = []
@@ -33,15 +35,18 @@ def replay_extension(M, h, delta, profiles, gamma, *, samples, base_max, seed, g
         cols, _ = large_columns(M, pf, prof, rng, 10 * samples)
         if cols.shape[1]:
             usable.append((pf, cols))
+    if not usable:
+        return []
+    widths = np.array([cols.shape[1] for _, cols in usable])
+    formula, column, base_n, base = _draw_samples(rng, widths, M.size, samples, base_max)
     failures = []
-    for _ in range(samples if usable else 0):
-        pf, cols = usable[int(rng.integers(len(usable)))]
-        params = [int(v) for v in cols[:, int(rng.integers(cols.shape[1]))]]
-        base_n = int(rng.integers(0, base_max + 1))
-        base = [int(v) for v in rng.choice(M.size, size=base_n, replace=False)]
-        clos = closure(M, h, params + base, gamma, max_solutions=gamma_max_solutions)
+    for j in range(samples):
+        pf, cols = usable[formula[j]]
+        params = [int(v) for v in cols[:, column[j]]]
+        row = [int(v) for v in base[j, : base_n[j]]]
+        clos = closure(M, h, params + row, gamma, max_solutions=gamma_max_solutions)
         if set(solution_set(M, pf, params)) <= set(clos.elements):
-            failures.append({"formula": pf.text, "params": params, "base": base})
+            failures.append({"formula": pf.text, "params": params, "base": row})
     return failures
 
 
@@ -267,6 +272,80 @@ class TestExtensionReplay:
             samples=40, base_max=3, seed=2, gamma_max_solutions=None,
         )
         assert 0 < len(frag["failures"]) < 40
+
+
+class TestDrawSamples:
+    def test_bases_distinct_in_range_and_padded(self):
+        rng = np.random.default_rng(4)
+        for n, base_max in [(7, 7), (13, 3), (1, 1), (5, 0)]:
+            formula, column, base_n, base = _draw_samples(rng, np.array([3, 1]), n, 2000, base_max)
+            assert base.shape == (2000, base_max)
+            assert ((0 <= formula) & (formula < 2)).all()
+            assert ((0 <= column) & (column < np.array([3, 1])[formula])).all()
+            assert ((0 <= base_n) & (base_n <= base_max)).all()
+            for row, k in zip(base, base_n):
+                assert (row[k:] == -1).all()
+                assert len(set(row[:k])) == k and all(0 <= v < n for v in row[:k])
+
+    def test_uniform_frequencies(self):
+        # n = 5, base_max = 3: every count must lie within 5 binomial
+        # standard deviations of its uniform expectation
+        draws = 60_000
+        widths = np.array([2, 3])
+        rng = np.random.default_rng(11)
+        formula, column, base_n, base = _draw_samples(rng, widths, 5, draws, 3)
+
+        def assert_uniform(values, cells):
+            total = len(values)
+            p = 1 / len(cells)
+            tol = 5 * np.sqrt(total * p * (1 - p))
+            counts = {cell: 0 for cell in cells}
+            for v in values:
+                counts[v] += 1  # a value outside `cells` raises KeyError
+            for cell, count in counts.items():
+                assert abs(count - total * p) <= tol, (cell, count, total * p)
+
+        assert_uniform(formula.tolist(), [0, 1])
+        for f, width in enumerate(widths):
+            assert_uniform(column[formula == f].tolist(), list(range(width)))
+        assert_uniform(base_n.tolist(), [0, 1, 2, 3])
+        for k in range(4):
+            rows = base[base_n == k, :k]
+            # every k-subset, and every ordering of it, equally often
+            assert_uniform([frozenset(r) for r in rows.tolist()],
+                           [frozenset(c) for c in itertools.combinations(range(5), k)])
+            assert_uniform([tuple(r) for r in rows.tolist()],
+                           list(itertools.permutations(range(5), k)))
+
+    def test_generator_calls_do_not_grow_with_samples(self, gf101_build, monkeypatch):
+        M, h, cfg = gf101_build
+        made = []
+
+        class CountingGenerator:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+                made.append(self)
+
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
+
+                def counted(*args, **kwargs):
+                    self.calls += 1
+                    return method(*args, **kwargs)
+
+                return counted
+
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: CountingGenerator(real(seed)))
+        for samples in (10, 1000):
+            frag = check_extension(
+                M, h, cfg.delta, cfg.delta_profiles, cfg.gamma,
+                samples=samples, base_max=3, seed=0,
+                gamma_max_solutions=cfg.gamma_max_solutions,
+            )
+            assert frag["n_samples"] == samples
+        assert len(made) == 2
+        assert made[0].calls == made[1].calls == 3 + 3
 
 
 class TestExtensionUnionBound:
