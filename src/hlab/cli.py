@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -192,10 +193,18 @@ def load_config(path: str) -> ExperimentConfig:
         cfg = ExperimentConfig(family=family, cover=cover, avoid=avoid, **scalars)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ExperimentConfigError(f"bad value in config: {exc}") from exc
-    if cfg.mu is not None and not 0.0 < cfg.mu < 1.0:
-        raise ExperimentConfigError("mu must lie strictly between 0 and 1")
-    counts = (("profile_samples", 1), ("extension_samples", 0), ("base_max", 0), ("window", 1))
-    for name, low in counts:
+    return _check_ranges(cfg)
+
+
+def _check_ranges(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Reject a numeric setting outside its range, also after an override."""
+    for name, value in (("mu", cfg.mu), ("gap", cfg.gap)):
+        if value is not None and not 0.0 < value < 1.0:
+            raise ExperimentConfigError(f"{name} must lie strictly between 0 and 1, got {value}")
+    if not 0.0 < cfg.ceiling < math.inf:
+        raise ExperimentConfigError(f"ceiling must be positive and finite, got {cfg.ceiling}")
+    lows = {"profile_samples": 1, "extension_samples": 0, "base_max": 0, "window": 1, "seed": 0}
+    for name, low in lows.items():
         value = getattr(cfg, name)
         if value < low:
             raise ExperimentConfigError(f"{name} must be at least {low}, got {value}")
@@ -396,6 +405,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
+            _check_ranges(cfg)
         if args.mode is not None:
             cfg.mode = args.mode
         out_dir = args.out if args.out is not None else cfg.out_dir

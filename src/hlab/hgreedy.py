@@ -16,8 +16,8 @@ routes. A translation kernel (folang.kernel_shifts) has the solutions
 G + u_j at tuple j, so its coverage is the convolution 1_G * mu over M's
 additive group, mu the histogram of the shifts of Y: one real FFT pair per
 step, rounded and checked exact, and no n x |Psi| array. Any other formula
-is read off the n x |Psi| grid, kept as a matrix when it fits the budget
-and otherwise evaluated block by block at every step.
+keeps its counts incrementally: the grid's row sums once, block by block,
+then at each step minus the solution counts of the columns just covered.
 
 Every build returns certificates: an exhaustive cover check per cover
 formula, an exhaustive order-restricted avoid check per avoid formula, the
@@ -364,7 +364,6 @@ def _transform_length(d: int) -> int:
     return length
 
 
-@dataclass
 class KernelCoverage:
     """The coverage of a translation kernel's Ψ without an n x |Ψ| matrix.
     Column j's solutions are G + u_j, so element h covers it exactly when
@@ -373,48 +372,76 @@ class KernelCoverage:
     the remaining shifts. It is computed with a real FFT over the group's
     array shape (Terras, Fourier Analysis on Finite Groups, 1999)."""
 
-    in_base: np.ndarray  # 1_G over the universe
-    shifts: np.ndarray  # u_j of every Ψ column
-    histogram: np.ndarray  # mu: how many remaining columns have each shift
-    shape: tuple[int, ...]  # M's additive group
-    lengths: tuple[int, ...]  # transform length per axis
-    fold: np.ndarray  # the element each transform position folds onto
-    base_hat: np.ndarray  # transform of 1_G
-
-    @classmethod
-    def of(cls, M: FiniteStructure, base: np.ndarray, shifts: np.ndarray) -> KernelCoverage:
-        in_base = np.zeros(M.size, dtype=bool)
-        in_base[base] = True
-        shape = M.group_shape
-        lengths = tuple(_transform_length(d) for d in shape)
+    def __init__(self, M: FiniteStructure, pf: ParamFormula, base: np.ndarray, shifts: np.ndarray):
+        self.where = f"{M.describe()}, formula {pf.text!r}"  # for the exactness error
+        self.step = 0  # steps covered so far
+        self.in_base = np.zeros(M.size, dtype=bool)  # 1_G over the universe
+        self.in_base[base] = True
+        self.shifts = np.asarray(shifts, dtype=np.intp)  # u_j of every Ψ column
+        self.histogram = np.bincount(shifts, minlength=M.size)  # mu: remaining columns per shift
+        self.shape = M.group_shape  # M's additive group
+        self.lengths = tuple(_transform_length(d) for d in self.shape)  # transform length per axis
         # position k of an axis of length d is coordinate k mod d: on a
         # padded axis that folds the linear convolution back onto the group
-        wrapped = (np.arange(length) % d for d, length in zip(shape, lengths))
-        return cls(
-            in_base=in_base,
-            shifts=np.asarray(shifts, dtype=np.intp),
-            histogram=np.bincount(shifts, minlength=M.size),
-            shape=shape,
-            lengths=lengths,
-            fold=np.ravel_multi_index(np.ix_(*wrapped), shape).ravel(),
-            base_hat=np.fft.rfftn(in_base.reshape(shape), lengths, range(len(shape))),
-        )
+        wrapped = (np.arange(length) % d for d, length in zip(self.shape, self.lengths))
+        self.fold = np.ravel_multi_index(np.ix_(*wrapped), self.shape).ravel()
+        axes = range(len(self.shape))
+        self.base_hat = np.fft.rfftn(self.in_base.reshape(self.shape), self.lengths, axes)
 
-    def counts(self) -> tuple[np.ndarray, float]:
-        """(1_G * mu) rounded to integers, with the largest rounding residual."""
+    def counts(self) -> np.ndarray:
+        """(1_G * mu) rounded to integers, checked exact: each within 0.25
+        of its integer, and summing to |G| * |Y|."""
         axes = range(len(self.shape))
         hat = np.fft.rfftn(self.histogram.reshape(self.shape), self.lengths, axes)
         product = np.fft.irfftn(self.base_hat * hat, self.lengths, axes)
         out = np.bincount(self.fold, product.ravel(), len(self.in_base))
         counts = np.rint(out)
         residual = float(np.abs(out - counts).max(initial=0.0))
-        return counts.astype(np.int64), residual
+        total = int(counts.sum())
+        expected = int(self.in_base.sum()) * int(self.histogram.sum())
+        if not residual < 0.25 or total != expected:
+            raise InvariantError(
+                f"{self.where}, step {self.step}: convolution coverage is not exact "
+                f"(rounding residual {residual:.3g}, total {total} against "
+                f"|G| * |Y| = {expected})"
+            )
+        return counts.astype(np.int64)
 
     def cover(self, M: FiniteStructure, h: int, remaining: np.ndarray) -> np.ndarray:
         """Which remaining columns h covers; their shifts leave mu."""
         shifts = self.shifts[remaining]
         covered = self.in_base[M.functions["sub"][h, shifts]]
         self.histogram -= np.bincount(shifts[covered], minlength=len(self.histogram))
+        self.step += 1
+        return covered
+
+
+class GridCoverage:
+    """The coverage of any other cover formula, kept incrementally (Minoux
+    1978): the row sums of its n x |Ψ| grid are counted once, and each step
+    subtracts the solution counts of the columns it covers. The grid is
+    read one evaluation block at a time and never held; each column is
+    evaluated twice per phase, in the first count and when it is covered."""
+
+    def __init__(self, M: FiniteStructure, pf: ParamFormula, cols: np.ndarray):
+        self.pf, self.cols = pf, cols
+        self.totals = self._row_sums(M, cols)  # remaining columns each element solves
+
+    def _row_sums(self, M: FiniteStructure, cols: np.ndarray) -> np.ndarray:
+        sums = np.zeros(M.size, dtype=np.int64)
+        width = block_width(M.size)
+        for start in range(0, cols.shape[1], width):
+            sums += solution_mask_matrix(M, self.pf, cols[:, start : start + width]).sum(axis=1)
+        return sums
+
+    def counts(self) -> np.ndarray:
+        return self.totals.copy()
+
+    def cover(self, M: FiniteStructure, h: int, remaining: np.ndarray) -> np.ndarray:
+        """Which remaining columns h covers; their solutions leave the totals."""
+        cols = self.cols[:, remaining]
+        covered = solution_mask_matrix(M, self.pf, cols, rows=[h])[0]
+        self.totals -= self._row_sums(M, cols[:, covered])
         return covered
 
 
@@ -422,9 +449,9 @@ class KernelCoverage:
 class GreedyState:
     """One step of the construction: current formula phase, the ordered H so
     far, the remaining uncovered tuples Y, and the last forbidden/eligible
-    masks (consistent with X = M minus (H union L)). Coverage comes from
-    `kernel` for a translation kernel, else from the n x |Ψ| `matrix` when
-    it fits the budget, else from the grid block by block."""
+    masks (consistent with X = M minus (H union L)). `coverage` counts how
+    many tuples of Y each element covers: a KernelCoverage for a
+    translation kernel, else a GridCoverage."""
 
     config: GreedyConfig
     formula_index: int
@@ -433,11 +460,10 @@ class GreedyState:
     provenance: list[tuple[int, int]]
     psi_cols: np.ndarray  # (arity, m0) initial large tuples of this phase
     remaining: np.ndarray  # indices into psi_cols of still-uncovered tuples
+    coverage: KernelCoverage | GridCoverage = field(repr=False)
     forbidden: np.ndarray | None = None
     eligible: np.ndarray | None = None
     shrink_factors: list[float] = field(default_factory=list)
-    matrix: np.ndarray | None = field(default=None, repr=False)
-    kernel: KernelCoverage | None = field(default=None, repr=False)
 
     @property
     def y_columns(self) -> np.ndarray:
@@ -447,47 +473,17 @@ class GreedyState:
 def _phase_state(cfg: GreedyConfig, M: FiniteStructure, index: int, h, prov) -> GreedyState:
     pf = cfg.delta[index]
     cols = psi_columns(M, pf, cfg.delta_profiles[index])
-    m0 = cols.shape[1]
-    state = GreedyState(
+    kernel = kernel_shifts(M, pf, cols)
+    return GreedyState(
         config=cfg,
         formula_index=index,
         step=0,
         h_elements=h,
         provenance=prov,
         psi_cols=cols,
-        remaining=np.arange(m0, dtype=np.intp),
+        remaining=np.arange(cols.shape[1], dtype=np.intp),
+        coverage=GridCoverage(M, pf, cols) if kernel is None else KernelCoverage(M, pf, *kernel),
     )
-    kernel = kernel_shifts(M, pf, cols)
-    if kernel is not None:
-        state.kernel = KernelCoverage.of(M, *kernel)
-    elif within_budget(M.size * m0):
-        state.matrix = solution_mask_matrix(M, pf, cols)
-    return state
-
-
-def _coverage(state: GreedyState, M: FiniteStructure) -> np.ndarray:
-    """How many remaining tuples each element of the universe would cover.
-    A kernel's convolution counts are checked: each within 0.25 of an
-    integer, and summing to |G| * |Y|."""
-    pf = state.config.delta[state.formula_index]
-    if state.kernel is not None:
-        counts, residual = state.kernel.counts()
-        expected = int(state.kernel.in_base.sum()) * len(state.remaining)
-        if not residual < 0.25 or int(counts.sum()) != expected:
-            raise InvariantError(
-                f"{M.describe()}, formula {pf.text!r}, step {state.step}: convolution "
-                f"coverage is not exact (rounding residual {residual:.3g}, total "
-                f"{int(counts.sum())} against |G| * |Y| = {expected})"
-            )
-        return counts
-    if state.matrix is not None:
-        return state.matrix[:, state.remaining].sum(axis=1)
-    counts = np.zeros(M.size, dtype=np.int64)
-    cols = state.y_columns
-    width = block_width(M.size)
-    for start in range(0, cols.shape[1], width):
-        counts += solution_mask_matrix(M, pf, cols[:, start : start + width]).sum(axis=1)
-    return counts
 
 
 def greedy_step(state: GreedyState, M: FiniteStructure) -> GreedyState:
@@ -511,7 +507,7 @@ def greedy_step(state: GreedyState, M: FiniteStructure) -> GreedyState:
             f"no eligible element left at size {M.size} "
             f"(formula {state.formula_index}, step {state.step})"
         )
-    counts = _coverage(state, M)
+    counts = state.coverage.counts()
     counts[~eligible] = -1
     h = int(np.argmax(counts))
     if counts[h] <= 0:
@@ -519,13 +515,7 @@ def greedy_step(state: GreedyState, M: FiniteStructure) -> GreedyState:
             f"no eligible element covers any remaining tuple at size {M.size} "
             f"(formula {state.formula_index}, step {state.step})"
         )
-    pf = cfg.delta[state.formula_index]
-    if state.kernel is not None:
-        covered = state.kernel.cover(M, h, state.remaining)
-    elif state.matrix is not None:
-        covered = state.matrix[h, state.remaining]
-    else:
-        covered = solution_mask_matrix(M, pf, state.y_columns, rows=[h])[0]
+    covered = state.coverage.cover(M, h, state.remaining)
     before = len(state.remaining)
     state.remaining = state.remaining[~covered]
     state.shrink_factors.append(len(state.remaining) / before)

@@ -120,6 +120,11 @@ class TestLoadConfig:
             {"family": {"family": "prime-field", "values": list(range(1001))}},
             {"cover": 5},
             {"cover": [{"text": "exists z. z*z = x - y", "params": 5}]},
+            {"gap": 2},
+            {"gap": 0},
+            {"ceiling": 0},
+            {"ceiling": -1.0},
+            {"ceiling": float("inf")},
             {"family": lovely, "cover": [], "avoid": []},
         ]
         for overrides in cases:
@@ -131,6 +136,15 @@ class TestLoadConfig:
         # the last case through the CLI: a message and exit 2, no traceback
         assert main(["lovely-pair", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        # a gap outside (0, 1) would profile every formula as algebraic and
+        # certify nothing, and a ceiling must be positive and finite
+        for key, value, message in [
+            ("gap", 2, "gap must lie strictly between 0 and 1, got 2.0"),
+            ("ceiling", float("nan"), "ceiling must be positive and finite, got nan"),
+        ]:
+            path = write_config(tmp_path, **{key: value})
+            assert main(["build", "--config", path, "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
         # so is a parameter no int64 holds
         path = write_config(tmp_path, family=huge)
         assert main(["profile", "--config", path, "--out", str(tmp_path / "o")]) == 2
@@ -157,6 +171,19 @@ class TestLoadConfig:
         # integral numbers still load as ints
         cfg = load_config(write_config(tmp_path, seed=3.0, threads=2))
         assert (cfg.seed, cfg.threads) == (3, 2) and type(cfg.seed) is int
+
+    def test_negative_seed_is_exit_2(self, tmp_path, capsys):
+        # in the config or on the command line, before any report is written
+        out = tmp_path / "out"
+        path = write_config(tmp_path, seed=-1)
+        with pytest.raises(ExperimentConfigError, match="seed must be at least 0, got -1"):
+            load_config(path)
+        assert main(["axioms", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
+        path = write_config(tmp_path)
+        assert main(["axioms", "--config", path, "--out", str(out), "--seed", "-3"]) == 2
+        assert capsys.readouterr().err == "error: seed must be at least 0, got -3\n"
+        assert not out.exists()
 
     def test_bad_mu_range(self, tmp_path):
         path = write_config(tmp_path, mu=1.5)

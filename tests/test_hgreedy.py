@@ -1,7 +1,6 @@
 import functools
 import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,8 +35,8 @@ from hlab.hgreedy import (
     BEST_EFFORT,
     STRICT,
     GreedyState,
+    GridCoverage,
     KernelCoverage,
-    _coverage,
     _phase_state,
     build_h,
     closure_masks,
@@ -271,14 +270,16 @@ class TestGreedyStep:
     def test_exhausted_eligible_set(self, blocker_config):
         # on Z_2 the two avoid formulas forbid everything once H = [0]
         z2 = make_cyclic_group(2)
+        cols = np.arange(2, dtype=np.intp)[None, :]
         state = GreedyState(
             config=blocker_config,
             formula_index=0,
             step=0,
             h_elements=[],
             provenance=[],
-            psi_cols=np.arange(2, dtype=np.intp)[None, :],
+            psi_cols=cols,
             remaining=np.arange(2, dtype=np.intp),
+            coverage=GridCoverage(z2, blocker_config.delta[0], cols),
         )
         greedy_step(state, z2)
         assert state.h_elements == [0]
@@ -435,50 +436,36 @@ class TestWiderArities:
         assert set(cert.violations) == {(2, 1, 1), (3, 1, 2), (3, 2, 1)}
         assert verify_avoid(z13, [1, 3, 5], pairsum).passed
 
-    def test_matrix_free_path_matches_matrix_path(
-        self, shrink_budget, cyclic_family_30, profiled, monkeypatch
+    @pytest.mark.parametrize(
+        "text, kernel", [("!(x = y)", True), ("!(x + x = y)", False)], ids=["kernel", "off-kernel"]
+    )
+    def test_every_route_gives_the_same_build(
+        self, text, kernel, shrink_budget, cyclic_family_30, profiled, monkeypatch
     ):
-        # a kernel takes the convolution; with kernels turned off the cached
-        # matrix and, under a shrunk budget, the blockwise grid give the same build
+        # a kernel takes the convolution; with kernels turned off, and for
+        # !(x + x = y), where x enters with coefficient 2, the grid route gives
+        # the same build at the default budget and in blocks of two columns
         sig = cyclic_family_30[0].sig
-        neq = parse_formula("!(x = y)", sig)
+        cover = parse_formula(text, sig)
         xz = parse_formula("x = z", sig)
         fam = cyclic_family_30
-        cfg = derive_config(profiled(fam, [neq]), profiled(fam, [xz]), 0.4)
+        cfg = derive_config(profiled(fam, [cover]), profiled(fam, [xz]), 0.4)
         M = cyclic_family_30[-1]
-        assert _phase_state(cfg, M, 0, [], []).kernel is not None
-        h_conv, report_conv = build_h(M, cfg, BEST_EFFORT)
-        monkeypatch.setattr(hgreedy, "kernel_shifts", lambda *args: None)
-        assert _phase_state(cfg, M, 0, [], []).matrix is not None
-        h_cached, report_cached = build_h(M, cfg, BEST_EFFORT)
-        shrink_budget(64)
-        state = _phase_state(cfg, M, 0, [], [])
-        assert state.kernel is None and state.matrix is None
-        h_chunked, report_chunked = build_h(M, cfg, BEST_EFFORT)
-        assert h_conv.elements == h_cached.elements == h_chunked.elements
-        assert report_conv.to_json_dict() == report_cached.to_json_dict()
-        assert report_cached.to_json_dict() == report_chunked.to_json_dict()
-
-    def test_matrix_free_path_matches_matrix_path_off_kernel(
-        self, shrink_budget, cyclic_family_30, profiled
-    ):
-        # 2x enters with coefficient 2, so this is no kernel: the grid route,
-        # from the cached matrix and blockwise
-        sig = cyclic_family_30[0].sig
-        doubled = parse_formula("!(x + x = y)", sig)
-        xz = parse_formula("x = z", sig)
-        fam = cyclic_family_30
-        cfg = derive_config(profiled(fam, [doubled]), profiled(fam, [xz]), 0.4)
-        M = cyclic_family_30[-1]
-        state = _phase_state(cfg, M, 0, [], [])
-        assert state.kernel is None and state.matrix is not None
-        h_cached, report_cached = build_h(M, cfg, BEST_EFFORT)
-        shrink_budget(64)
-        state = _phase_state(cfg, M, 0, [], [])
-        assert state.kernel is None and state.matrix is None
-        h_chunked, report_chunked = build_h(M, cfg, BEST_EFFORT)
-        assert h_cached.elements == h_chunked.elements
-        assert report_cached.to_json_dict() == report_chunked.to_json_dict()
+        assert (kernel_base(M, cover) is not None) == kernel
+        builds = []
+        if kernel:
+            assert isinstance(_phase_state(cfg, M, 0, [], []).coverage, KernelCoverage)
+            builds.append(build_h(M, cfg, BEST_EFFORT))
+            monkeypatch.setattr(hgreedy, "kernel_shifts", lambda *args: None)
+        for budget in (None, 64):
+            if budget is not None:
+                shrink_budget(budget)
+            assert isinstance(_phase_state(cfg, M, 0, [], []).coverage, GridCoverage)
+            builds.append(build_h(M, cfg, BEST_EFFORT))
+        (h_first, report_first), *others = builds
+        for h, report in others:
+            assert h.elements == h_first.elements
+            assert report.to_json_dict() == report_first.to_json_dict()
 
 
 # per family: structures of several sizes and a kernel cover formula of
@@ -522,23 +509,28 @@ class TestConvolutionCoverage:
         M = data.draw(st.sampled_from(CONVOLUTION_CASES[kind][0]))
         cfg = convolution_config(kind, arity)
         pf = cfg.delta[0]
-        checked = []
 
-        def checked_step(state, M):
-            assert state.kernel is not None
-            expected = solution_mask_matrix(M, pf, state.y_columns).sum(axis=1)
-            assert np.array_equal(_coverage(state, M), expected)
-            checked.append(state.step)
-            return greedy_step(state, M)
+        def build(route):
+            # every step's counts against the naive row sums over Y
+            checked = []
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(hgreedy, "greedy_step", checked_step)
-            h_conv, report_conv = build_h(M, cfg, BEST_EFFORT)
-        assert checked == list(range(len(h_conv)))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(hgreedy, "kernel_shifts", lambda *args: None)
-            assert _phase_state(cfg, M, 0, [], []).kernel is None
-            h_grid, report_grid = build_h(M, cfg, BEST_EFFORT)
+            def checked_step(state, M):
+                assert isinstance(state.coverage, route)
+                expected = solution_mask_matrix(M, pf, state.y_columns).sum(axis=1)
+                assert np.array_equal(state.coverage.counts(), expected)
+                checked.append(state.step)
+                return greedy_step(state, M)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(hgreedy, "greedy_step", checked_step)
+                if route is GridCoverage:
+                    patch.setattr(hgreedy, "kernel_shifts", lambda *args: None)
+                h, report = build_h(M, cfg, BEST_EFFORT)
+            assert checked == list(range(len(h)))
+            return h, report
+
+        h_conv, report_conv = build(KernelCoverage)
+        h_grid, report_grid = build(GridCoverage)
         assert h_conv.elements == h_grid.elements
         assert report_conv.to_json_dict() == report_grid.to_json_dict()
 
@@ -558,11 +550,10 @@ class TestConvolutionCoverage:
         elements = st.integers(0, M.size - 1)
         base = sorted(data.draw(st.sets(elements, min_size=1)))
         shifts = np.array(data.draw(st.lists(elements, min_size=1, max_size=40)), dtype=np.intp)
-        cover = KernelCoverage.of(M, np.array(base, dtype=np.intp), shifts)
+        pf = parse_formula("x = y", M.sig)  # names the coverage in its errors
+        cover = KernelCoverage(M, pf, np.array(base, dtype=np.intp), shifts)
         hit = np.isin(M.functions["sub"][np.arange(M.size)[:, None], shifts[None, :]], base)
-        counts, residual = cover.counts()
-        assert counts.tolist() == hit.sum(axis=1).tolist()
-        assert residual < 1e-6
+        assert cover.counts().tolist() == hit.sum(axis=1).tolist()
         h = data.draw(elements)
         remaining = np.arange(len(shifts))
         assert cover.cover(M, h, remaining).tolist() == hit[h].tolist()
@@ -589,6 +580,22 @@ class TestConvolutionCoverage:
             "cyclic-group(n=13), formula '!(x = y)', step 0: convolution coverage is not exact"
         )
         assert found in str(err.value)
+
+    def test_inexact_transform_names_its_step(self, neq_config, z13, monkeypatch):
+        # the first step's transform is exact and the second one's is not
+        irfftn = np.fft.irfftn
+        calls = []
+
+        def perturbed(*args):
+            calls.append(args)
+            return irfftn(*args) + (0.4 if len(calls) > 1 else 0.0)
+
+        monkeypatch.setattr(np.fft, "irfftn", perturbed)
+        with pytest.raises(InvariantError) as err:
+            build_h(z13, neq_config, BEST_EFFORT)
+        assert str(err.value).startswith(
+            "cyclic-group(n=13), formula '!(x = y)', step 1: convolution coverage is not exact"
+        )
 
 
 class TestAlgebraicCoverPhase:
@@ -666,8 +673,9 @@ class TestBlockReducers:
         ids=["Z12", "GF11", "GF9", "F2^3", "Z12-doubled"],
     )
     def test_blocks_match_one_block(self, M, kind, budget, shrink_budget):
-        # row sums (matrix-free coverage), column sums (every tuple and a
-        # sample) and closures, in blocks of a few cells and in one block
+        # row sums (grid coverage before and after a step), column sums
+        # (every tuple and a sample) and closures, in blocks of a few cells
+        # and in one block
         pfs = [parse_formula(text, M.sig) for text in CLOSURE_AVOID[kind]]
         if kind == "doubled":  # counts and closures take the grid too
             assert all(kernel_base(M, pf) is None for pf in pfs)
@@ -676,17 +684,10 @@ class TestBlockReducers:
             out = []
             for pf in pfs:
                 cols = tuple_columns(range(M.size), pf.arity)
-                state = GreedyState(
-                    config=SimpleNamespace(delta=(pf,)),
-                    formula_index=0,
-                    step=0,
-                    h_elements=[],
-                    provenance=[],
-                    psi_cols=cols,
-                    remaining=np.arange(0, cols.shape[1], 2),
-                )
-                assert state.kernel is None and state.matrix is None  # blockwise grid
-                out += [_coverage(state, M), solution_counts_all(M, pf)]
+                coverage = GridCoverage(M, pf, cols)
+                out.append(coverage.counts())
+                out.append(coverage.cover(M, 1, np.arange(0, cols.shape[1], 2)))
+                out += [coverage.counts(), solution_counts_all(M, pf)]
                 out += sample_columns(M, pf, 3, 40)
             sets = [[], [4], [4, 7], [0, 2, 5], [7, 7, 1]]
             out.append(closure_masks(M, [1, 4], sets, pfs, max_solutions=M.size))
@@ -696,3 +697,35 @@ class TestBlockReducers:
         shrink_budget(budget)
         for one_block, blocked in zip(whole, reduced(), strict=True):
             assert np.array_equal(one_block, blocked)
+
+
+class TestGridCoverageWork:
+    def test_each_column_is_evaluated_twice_per_phase(self, profiled, shrink_budget, monkeypatch):
+        # the first count and the step that covers a column each evaluate it
+        # over the universe, and each step evaluates its own row over Y: at
+        # most 2 n |Ψ| + Σ_t |Y_t| cells of the cover formula, in blocks
+        fam = [make_prime_field(p) for p in primes_in(101, 199) if p % 4 == 1]
+        M = fam[-1]
+        assert M.size == 197
+        cover = parse_formula("exists z. z*z*z*z = x + x - y", M.sig)
+        xz = parse_formula("x = z", M.sig)
+        cfg = derive_config(profiled(fam, [cover]), profiled(fam, [xz]), 0.2)
+        assert kernel_base(M, cover) is None
+        cells = []
+        grid = hgreedy.solution_mask_matrix
+
+        def counting(M, pf, cols, rows=None):
+            out = grid(M, pf, cols, rows)
+            if pf.text == cover.text:
+                cells.append(out.size)
+            return out
+
+        shrink_budget(1000)
+        monkeypatch.setattr(hgreedy, "solution_mask_matrix", counting)
+        state = _phase_state(cfg, M, 0, [], [])
+        assert isinstance(state.coverage, GridCoverage)
+        sizes = []
+        while len(state.remaining):
+            sizes.append(len(state.remaining))
+            greedy_step(state, M)
+        assert sum(cells) <= 2 * M.size * state.psi_cols.shape[1] + sum(sizes)
