@@ -17,7 +17,8 @@ G + u_j at tuple j, so its coverage is the convolution 1_G * mu over M's
 additive group, mu the histogram of the shifts of Y: one real FFT pair per
 step, rounded and checked exact, and no n x |Psi| array. Any other formula
 keeps its counts incrementally: the grid's row sums once, block by block,
-then at each step minus the solution counts of the columns just covered.
+then at each step minus the solution counts of the columns just covered,
+or a recount of the columns left when those are fewer.
 
 Every build returns certificates: an exhaustive cover check per cover
 formula, an exhaustive order-restricted avoid check per avoid formula, the
@@ -372,9 +373,7 @@ class KernelCoverage:
     the remaining shifts. It is computed with a real FFT over the group's
     array shape (Terras, Fourier Analysis on Finite Groups, 1999)."""
 
-    def __init__(self, M: FiniteStructure, pf: ParamFormula, base: np.ndarray, shifts: np.ndarray):
-        self.where = f"{M.describe()}, formula {pf.text!r}"  # for the exactness error
-        self.step = 0  # steps covered so far
+    def __init__(self, M: FiniteStructure, base: np.ndarray, shifts: np.ndarray):
         self.in_base = np.zeros(M.size, dtype=bool)  # 1_G over the universe
         self.in_base[base] = True
         self.shifts = np.asarray(shifts, dtype=np.intp)  # u_j of every Ψ column
@@ -389,8 +388,8 @@ class KernelCoverage:
         self.base_hat = np.fft.rfftn(self.in_base.reshape(self.shape), self.lengths, axes)
 
     def counts(self) -> np.ndarray:
-        """(1_G * mu) rounded to integers, checked exact: each within 0.25
-        of its integer, and summing to |G| * |Y|."""
+        """(1_G * mu) rounded to integers, checked exact: each within 0.25 of
+        its integer, and summing to |G| * |Y|. greedy_step names the step."""
         axes = range(len(self.shape))
         hat = np.fft.rfftn(self.histogram.reshape(self.shape), self.lengths, axes)
         product = np.fft.irfftn(self.base_hat * hat, self.lengths, axes)
@@ -401,9 +400,8 @@ class KernelCoverage:
         expected = int(self.in_base.sum()) * int(self.histogram.sum())
         if not residual < 0.25 or total != expected:
             raise InvariantError(
-                f"{self.where}, step {self.step}: convolution coverage is not exact "
-                f"(rounding residual {residual:.3g}, total {total} against "
-                f"|G| * |Y| = {expected})"
+                f"convolution coverage is not exact (rounding residual {residual:.3g}, "
+                f"total {total} against |G| * |Y| = {expected})"
             )
         return counts.astype(np.int64)
 
@@ -412,16 +410,15 @@ class KernelCoverage:
         shifts = self.shifts[remaining]
         covered = self.in_base[M.functions["sub"][h, shifts]]
         self.histogram -= np.bincount(shifts[covered], minlength=len(self.histogram))
-        self.step += 1
         return covered
 
 
 class GridCoverage:
     """The coverage of any other cover formula, kept incrementally (Minoux
     1978): the row sums of its n x |Ψ| grid are counted once, and each step
-    subtracts the solution counts of the columns it covers. The grid is
-    read one evaluation block at a time and never held; each column is
-    evaluated twice per phase, in the first count and when it is covered."""
+    subtracts the solution counts of the columns it covers, or recounts the
+    columns left when those are fewer. The grid is read one block at a time
+    and never held: a phase costs at most 2 n |Ψ| cells plus a row per step."""
 
     def __init__(self, M: FiniteStructure, pf: ParamFormula, cols: np.ndarray):
         self.pf, self.cols = pf, cols
@@ -441,7 +438,10 @@ class GridCoverage:
         """Which remaining columns h covers; their solutions leave the totals."""
         cols = self.cols[:, remaining]
         covered = solution_mask_matrix(M, self.pf, cols, rows=[h])[0]
-        self.totals -= self._row_sums(M, cols[:, covered])
+        if 2 * covered.sum() > len(covered):  # fewer columns left than covered
+            self.totals = self._row_sums(M, cols[:, ~covered])
+        else:
+            self.totals -= self._row_sums(M, cols[:, covered])
         return covered
 
 
@@ -465,10 +465,6 @@ class GreedyState:
     eligible: np.ndarray | None = None
     shrink_factors: list[float] = field(default_factory=list)
 
-    @property
-    def y_columns(self) -> np.ndarray:
-        return self.psi_cols[:, self.remaining]
-
 
 def _phase_state(cfg: GreedyConfig, M: FiniteStructure, index: int, h, prov) -> GreedyState:
     pf = cfg.delta[index]
@@ -482,7 +478,7 @@ def _phase_state(cfg: GreedyConfig, M: FiniteStructure, index: int, h, prov) -> 
         provenance=prov,
         psi_cols=cols,
         remaining=np.arange(cols.shape[1], dtype=np.intp),
-        coverage=GridCoverage(M, pf, cols) if kernel is None else KernelCoverage(M, pf, *kernel),
+        coverage=GridCoverage(M, pf, cols) if kernel is None else KernelCoverage(M, *kernel),
     )
 
 
@@ -507,7 +503,11 @@ def greedy_step(state: GreedyState, M: FiniteStructure) -> GreedyState:
             f"no eligible element left at size {M.size} "
             f"(formula {state.formula_index}, step {state.step})"
         )
-    counts = state.coverage.counts()
+    try:
+        counts = state.coverage.counts()
+    except InvariantError as err:
+        where = f"{M.describe()}, formula {cfg.delta[state.formula_index].text!r}"
+        raise InvariantError(f"{where}, step {state.step}: {err}") from None
     counts[~eligible] = -1
     h = int(np.argmax(counts))
     if counts[h] <= 0:

@@ -255,10 +255,10 @@ class TestGreedyStep:
         assert state.psi_cols.shape == (1, 13)
         greedy_step(state, z13)
         assert state.h_elements == [0]  # all 13 candidates tie at 12; index wins
-        assert state.y_columns.tolist() == [[0]]
+        assert state.psi_cols[:, state.remaining].tolist() == [[0]]
         greedy_step(state, z13)
         assert state.h_elements == [0, 1]
-        assert state.y_columns.shape == (1, 0)
+        assert state.psi_cols[:, state.remaining].shape == (1, 0)
         assert sorted(int(v) for v in np.flatnonzero(state.forbidden)) == [0]
 
     def test_empty_y_rejected(self, neq_config, z13):
@@ -516,7 +516,8 @@ class TestConvolutionCoverage:
 
             def checked_step(state, M):
                 assert isinstance(state.coverage, route)
-                expected = solution_mask_matrix(M, pf, state.y_columns).sum(axis=1)
+                y_cols = state.psi_cols[:, state.remaining]
+                expected = solution_mask_matrix(M, pf, y_cols).sum(axis=1)
                 assert np.array_equal(state.coverage.counts(), expected)
                 checked.append(state.step)
                 return greedy_step(state, M)
@@ -550,10 +551,21 @@ class TestConvolutionCoverage:
         elements = st.integers(0, M.size - 1)
         base = sorted(data.draw(st.sets(elements, min_size=1)))
         shifts = np.array(data.draw(st.lists(elements, min_size=1, max_size=40)), dtype=np.intp)
-        pf = parse_formula("x = y", M.sig)  # names the coverage in its errors
-        cover = KernelCoverage(M, pf, np.array(base, dtype=np.intp), shifts)
+        cover = KernelCoverage(M, np.array(base, dtype=np.intp), shifts)
         hit = np.isin(M.functions["sub"][np.arange(M.size)[:, None], shifts[None, :]], base)
-        assert cover.counts().tolist() == hit.sum(axis=1).tolist()
+        products = []  # the inverse transform, before folding and rounding
+        irfftn = np.fft.irfftn
+
+        def recorded(*args):
+            products.append(irfftn(*args))
+            return products[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.fft, "irfftn", recorded)
+            counts = cover.counts()
+        assert counts.tolist() == hit.sum(axis=1).tolist()
+        out = np.bincount(cover.fold, products[0].ravel(), M.size)
+        assert np.abs(out - counts).max() < 1e-6
         h = data.draw(elements)
         remaining = np.arange(len(shifts))
         assert cover.cover(M, h, remaining).tolist() == hit[h].tolist()
@@ -700,16 +712,28 @@ class TestBlockReducers:
 
 
 class TestGridCoverageWork:
-    def test_each_column_is_evaluated_twice_per_phase(self, profiled, shrink_budget, monkeypatch):
-        # the first count and the step that covers a column each evaluate it
-        # over the universe, and each step evaluates its own row over Y: at
-        # most 2 n |Ψ| + Σ_t |Y_t| cells of the cover formula, in blocks
+    @pytest.mark.parametrize(
+        "text, mu",
+        [
+            ("exists z. z*z*z*z = x + x - y", 0.2),
+            ("exists z. z*z = x + x - y", None),
+            ("!(x + x = y)", None),
+        ],
+        ids=["quarter", "half", "cofinite"],
+    )
+    def test_each_column_is_evaluated_at_most_twice_per_phase(
+        self, profiled, shrink_budget, monkeypatch, text, mu
+    ):
+        # the first count evaluates every column over the universe; each step
+        # evaluates its own row over Y, then the columns it covered or, when
+        # fewer, the columns left: at most n |Ψ| + Σ_t (|Y_t| + n min(|C_t|,
+        # |Y_t+1|)) cells of the cover formula, and so at most 2 n |Ψ| + Σ_t |Y_t|
         fam = [make_prime_field(p) for p in primes_in(101, 199) if p % 4 == 1]
         M = fam[-1]
         assert M.size == 197
-        cover = parse_formula("exists z. z*z*z*z = x + x - y", M.sig)
+        cover = parse_formula(text, M.sig)
         xz = parse_formula("x = z", M.sig)
-        cfg = derive_config(profiled(fam, [cover]), profiled(fam, [xz]), 0.2)
+        cfg = derive_config(profiled(fam, [cover]), profiled(fam, [xz]), mu)
         assert kernel_base(M, cover) is None
         cells = []
         grid = hgreedy.solution_mask_matrix
@@ -728,4 +752,7 @@ class TestGridCoverageWork:
         while len(state.remaining):
             sizes.append(len(state.remaining))
             greedy_step(state, M)
-        assert sum(cells) <= 2 * M.size * state.psi_cols.shape[1] + sum(sizes)
+        n, psi, after = M.size, state.psi_cols.shape[1], sizes[1:] + [0]
+        cheaper = sum(n * min(y - y1, y1) for y, y1 in zip(sizes, after))
+        assert sum(cells) <= n * psi + sum(sizes) + cheaper
+        assert sum(cells) <= 2 * n * psi + sum(sizes)
