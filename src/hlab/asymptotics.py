@@ -349,6 +349,14 @@ def psi_columns(M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile) -
     return _large_enumerated(M, pf, profile)[0]
 
 
+def enumerated_counts(profile: MeasureProfile, M: FiniteStructure):
+    """The solution count of every parameter tuple of M in lexicographic
+    order, as profiling counted them, and the mask of those classified large;
+    None when profiling sampled M or did not see it."""
+    counts = profile._counts.get(_structure_key(M))
+    return None if counts is None else (counts, _classify_counts(profile, M.size, counts)[0])
+
+
 def _large_enumerated(M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile):
     """psi_columns plus the solution count of each of its tuples."""
     if profile.formula != pf.key():
@@ -356,10 +364,11 @@ def _large_enumerated(M: FiniteStructure, pf: ParamFormula, profile: MeasureProf
     n, k = M.size, pf.arity
     if not within_budget(n**k):
         raise EnumerationBudgetError(f"psi enumeration needs {n**k} tuples, over the budget")
-    counts = profile._counts.get(_structure_key(M))
-    if counts is None:
+    stored = enumerated_counts(profile, M)
+    if stored is None:
         counts = solution_counts_all(M, pf)
-    large, _ = _classify_counts(profile, n, counts)
+        stored = counts, _classify_counts(profile, n, counts)[0]
+    counts, large = stored
     flats = np.flatnonzero(large)
     if k == 0:
         return np.empty((0, len(flats)), dtype=np.intp), counts[flats]

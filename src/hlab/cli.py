@@ -26,17 +26,15 @@ from .asymptotics import (
     DEFAULT_GAP,
     DEFAULT_SAMPLES,
     MeasureProfile,
-    _classify_counts,
-    _structure_key,
+    enumerated_counts,
     profile_family,
 )
-from .errors import ExperimentConfigError, LabError
+from .errors import EmptyFamilyError, ExperimentConfigError, LabError
 from .finitemodels import (
     EXTENSION_FIELD,
     FamilySpec,
     FAMILIES,
     enumerate_family,
-    primes_in,
     signature_for_family,
 )
 from .folang import ParamFormula, parse_formula, within_budget
@@ -248,10 +246,10 @@ def cmd_profile(cfg: ExperimentConfig, out_dir: str) -> int:
         rows = [("formula", "size", "params", "count", "class")]
         for prof in profiles:
             for M in family:
-                counts = prof._counts.get(_structure_key(M))
-                if counts is None:
+                stored = enumerated_counts(prof, M)
+                if stored is None:
                     continue
-                large, _ = _classify_counts(prof, M.size, counts)
+                counts, large = stored
                 k = prof.pf.arity
                 for flat, count in enumerate(counts):
                     params = np.unravel_index(flat, (M.size,) * k) if k else ()
@@ -365,14 +363,13 @@ def cmd_axioms(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
 
 
 def cmd_lovely_pair(cfg: ExperimentConfig, out_dir: str) -> int:
-    if cfg.family.family != EXTENSION_FIELD:
+    spec = cfg.family
+    if spec.family != EXTENSION_FIELD:
         raise ExperimentConfigError("lovely-pair needs a quadratic-extension-field family")
-    if cfg.family.values is not None:
-        p_list = sorted(set(int(v) for v in cfg.family.values))
-    else:
-        if cfg.family.lo is None or cfg.family.hi is None:
-            raise ExperimentConfigError("lovely-pair family needs values or an interval")
-        p_list = [p for p in primes_in(cfg.family.lo, cfg.family.hi) if p != 2]
+    # a listed 2 or composite is refused by make_extension_field, not dropped
+    p_list = sorted(set(spec.values)) if spec.values is not None else spec.parameters()
+    if not p_list:
+        raise EmptyFamilyError(f"lovely-pair family {spec} has no odd prime")
     reports = run_experiment(p_list, sweep_a1=cfg.sweep_a1)
     summary = experiment_summary(reports)
     _write_csv(os.path.join(out_dir, "lovely_pair.csv"), csv_rows(reports))
@@ -413,7 +410,10 @@ def main(argv=None) -> int:
         if threads is None:
             threads = os.cpu_count() or 1
         threads = max(1, int(threads))
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ExperimentConfigError(f"cannot create output directory {out_dir!r}: {exc}") from exc
         if args.command == "profile":
             return cmd_profile(cfg, out_dir)
         if args.command == "build":

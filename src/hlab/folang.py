@@ -160,18 +160,6 @@ def free_vars(f: Formula) -> set[str]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def quantifier_depth(f: Formula) -> int:
-    if isinstance(f, (Eq, Rel)):
-        return 0
-    if isinstance(f, Not):
-        return quantifier_depth(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return max(quantifier_depth(f.left), quantifier_depth(f.right))
-    if isinstance(f, (Exists, Forall)):
-        return 1 + quantifier_depth(f.body)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def free_vars_in_order(f: Formula) -> list[str]:
     """Free variables in order of first appearance, reading left to right."""
     seen: list[str] = []

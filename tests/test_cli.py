@@ -384,6 +384,30 @@ class TestExitCodes:
         )
         assert main(["lovely-pair", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_lovely_pair_without_odd_prime(self, tmp_path, capsys):
+        # no prime lies in 24..28, so the run would certify nothing
+        family = {"family": "quadratic-extension-field", "lo": 24, "hi": 28}
+        cfg = write_config(tmp_path, family=family, cover=[], avoid=[])
+        out = tmp_path / "o"
+        assert main(["lovely-pair", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: lovely-pair family ") and err.endswith(" has no odd prime\n")
+        assert "'quadratic-extension-field', lo=24, hi=28" in err
+        assert not any(out.iterdir())
+
+    def test_out_path_is_a_file(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, family={"family": "quadratic-extension-field", "values": [3, 5]}, cover=[], avoid=[]
+        )
+        out = tmp_path / "afile"
+        out.write_text("")
+        assert main(["lovely-pair", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create output directory {str(out)!r}")
+        assert "Traceback" not in err
+        assert out.read_text() == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "exp.json"]
+
     def test_invariant_violation_is_exit_2(self, tmp_path, monkeypatch, capsys):
         # a violated invariant is a construction error: exit 2, no reports
         def violated(M, *args, **kwargs):
@@ -513,6 +537,19 @@ class TestExitCodes:
         assert main(["build", "--config", cfg, "--out", out]) == 0
         leftovers = [f for f in digest_tree(out) if f.endswith(".tmp")]
         assert leftovers == []
+
+
+def test_shipped_configs(tmp_path):
+    # the README runs these files; each loads, and the two quick commands pass
+    for name in os.listdir(CONFIGS):
+        load_config(os.path.join(CONFIGS, name))
+    square_shift = os.path.join(CONFIGS, "square_shift.json")
+    out = tmp_path / "sequence"
+    assert main(["sequence", "--config", square_shift, "--mode", "coarse-dim", "--out", str(out)]) == 0
+    assert (out / "coarse_dim.csv").read_text().startswith("size,h_size,ratio\n101,")
+    out = tmp_path / "lovely_pair"
+    assert main(["lovely-pair", "--config", os.path.join(CONFIGS, "lovely_pair.json"), "--out", str(out)]) == 0
+    assert len((out / "lovely_pair.csv").read_text().splitlines()) == 1 + 10  # primes 3..31
 
 
 class TestDeterminism:

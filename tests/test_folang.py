@@ -45,7 +45,6 @@ from hlab.folang import (
     parse,
     parse_formula,
     pretty,
-    quantifier_depth,
     solution_count,
     solution_counts_all,
     solution_mask_matrix,
@@ -62,7 +61,7 @@ class TestParsing:
         pf = parse_formula("exists z. z*z = x - y", gf7.sig)
         assert pf.object_var == "x"
         assert pf.params == ("y",)
-        assert quantifier_depth(pf.formula) == 1
+        assert isinstance(pf.formula, Exists)
         assert free_vars(pf.formula) == {"x", "y"}
 
     def test_contradiction_parses(self, gf7):
