@@ -44,13 +44,22 @@ def dump_json(obj) -> str:
 
 def atomic_write_text(path: str, text: str):
     """Write via a temp file in the target directory plus rename, so a failed
-    run never leaves a partial report."""
+    run never leaves a partial report. A file that already holds exactly
+    these bytes is left alone: reruns are byte-identical, and on some
+    filesystems a rename over a recently written file is slow."""
+    data = text.encode()
+    try:
+        with open(path, "rb") as fh:
+            if os.fstat(fh.fileno()).st_size == len(data) and fh.read() == data:
+                return
+    except OSError:
+        pass
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -266,7 +266,11 @@ def cmd_profile(cfg: ExperimentConfig, out_dir: str) -> int:
     return 0
 
 
-def _build_family(cfg: ExperimentConfig, threads: int):
+def _build_family(cfg: ExperimentConfig, threads: int, check=None):
+    """Derive the greedy config over the family and build H on every
+    structure that passes the threshold, one pooled job per structure.
+    Returns (M, H, build report, check(M, H, gcfg) or None) per built
+    structure; a check runs in the job that built its H."""
     family = enumerate_family(cfg.family)
     gcfg = derive_config(
         _profiles(cfg, family, cfg.cover), _profiles(cfg, family, cfg.avoid), cfg.mu
@@ -280,27 +284,30 @@ def _build_family(cfg: ExperimentConfig, threads: int):
         else:
             jobs.append(M)
 
-    results = parallel_map(lambda M: build_h(M, gcfg, mode), jobs, threads)
-    builds = list(zip(jobs, results))
-    return family, gcfg, builds, skipped
+    def job(M):
+        h_set, report = build_h(M, gcfg, mode)
+        return h_set, report, None if check is None else check(M, h_set, gcfg)
+
+    results = parallel_map(job, jobs, threads)
+    return gcfg, [(M, *result) for M, result in zip(jobs, results)], skipped
 
 
 def cmd_build(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
     _require(cfg, cover=True, avoid=True, command="build")
     if cfg.mode == COARSE_DIM:
         raise ExperimentConfigError("mode 'coarse-dim' applies to the sequence command")
-    _, gcfg, builds, skipped = _build_family(cfg, threads)
+    gcfg, builds, skipped = _build_family(cfg, threads)
     payload = {
         "config": gcfg.summary(),
         "mode": cfg.mode,
         "skipped_sizes": skipped,
-        "builds": [report.to_json_dict() for _, (_, report) in builds],
+        "builds": [report.to_json_dict() for _, _, report, _ in builds],
     }
     atomic_write_text(os.path.join(out_dir, "build.json"), dump_json(payload))
-    for M, (h_set, _) in builds:
+    for M, h_set, _, _ in builds:
         text = "".join(f"{e}\n" for e in h_set.elements)
         atomic_write_text(os.path.join(out_dir, "hsets", f"h_{M.size}.txt"), text)
-    return 0 if all(report.all_passed for _, (_, report) in builds) else 1
+    return 0 if all(report.all_passed for _, _, report, _ in builds) else 1
 
 
 def cmd_sequence(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
@@ -333,10 +340,8 @@ def cmd_axioms(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
     _require(cfg, cover=True, avoid=True, command="axioms")
     if cfg.mode == COARSE_DIM:
         raise ExperimentConfigError("mode 'coarse-dim' applies to the sequence command")
-    _, gcfg, builds, skipped = _build_family(cfg, threads)
 
-    def run(item):
-        M, (h_set, _) = item
+    def check(M, h_set, gcfg):
         return run_axiom_checks(
             M,
             h_set,
@@ -346,7 +351,8 @@ def cmd_axioms(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
             seed=cfg.seed,
         )
 
-    reports = parallel_map(run, builds, threads)
+    gcfg, builds, skipped = _build_family(cfg, threads, check)
+    reports = [r for _, _, _, r in builds]
     payload = {
         "config": gcfg.summary(),
         "skipped_sizes": skipped,
@@ -356,9 +362,12 @@ def cmd_axioms(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
     failure_rows = [("size", "kind", "formula", "witness")]
     for r in reports:
         failure_rows.extend(r.failure_csv_rows())
+    failures = os.path.join(out_dir, "failures.csv")
     if len(failure_rows) > 1:
-        _write_csv(os.path.join(out_dir, "failures.csv"), failure_rows)
-    build_ok = all(report.all_passed for _, (_, report) in builds)
+        _write_csv(failures, failure_rows)
+    elif os.path.exists(failures):
+        os.unlink(failures)  # left by an earlier run into the same directory
+    build_ok = all(report.all_passed for _, _, report, _ in builds)
     return 0 if build_ok and all(r.passed for r in reports) else 1
 
 
@@ -391,7 +400,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config (JSON)")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--threads", type=int, default=None, help="worker thread cap")
+        p.add_argument("--threads", type=int, default=None, help="worker process cap (forked; serial where fork is unavailable)")
         p.add_argument("--mode", choices=MODES, default=None, help="mode override")
     return parser
 

@@ -4,6 +4,18 @@
 class LabError(Exception):
     """Base class for all errors raised by this package."""
 
+    def __reduce__(self):
+        # rebuilt from the formatted message and the attributes, not by
+        # calling __init__ again, so an error raised in a worker process
+        # reaches the parent with its type, message and extra attributes
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+def _rebuild(cls, args, state):
+    error = cls.__new__(cls, *args)
+    error.__dict__.update(state)
+    return error
+
 
 class FormulaSyntaxError(LabError):
     """Raised by the parser; carries the offset of the offending token."""

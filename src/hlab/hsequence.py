@@ -13,7 +13,7 @@ level get an empty H.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -130,36 +130,54 @@ def schedule_in(
     return SequencePlan(mode=mode, mu=mu, schedule=sched, configs=configs, entries=entries)
 
 
-def parallel_map(fn, items, threads: int) -> list:
-    """[fn(item) for item in items], spread over `threads` worker threads
-    when there is more than one; results keep the order of `items`.
+_JOB = None  # (fn, items) of the running pooled map; forked workers inherit it
 
-    This is the package's only thread pool; the benchmark's tracer
-    (perfbench/tracer.py) swaps this module's ThreadPoolExecutor for a
-    recording one, so pooled work must go through here.
+
+def _run_job(index: int):
+    fn, items = _JOB
+    return fn(items[index])
+
+
+def parallel_map(fn, items, threads: int) -> list:
+    """[fn(item) for item in items], spread over up to `threads` forked
+    worker processes; results keep the order of `items`.
+
+    Each worker inherits the job and gets only item indices, so fn may be a
+    lambda or a closure; only its results are pickled back. An exception
+    raised in a worker is re-raised here with its type and message, and a
+    worker that dies raises BrokenProcessPool. The map runs in this process
+    when threads <= 1, when there is at most one item, or where the platform
+    cannot fork. This is the package's only pool.
     """
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+    global _JOB
+    items = list(items)
+    workers = min(threads, len(items))
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [fn(item) for item in items]
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    _JOB = (fn, items)
+    try:
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            return list(pool.map(_run_job, range(len(items))))
+    finally:
+        _JOB = None
 
 
 def build_sequence(plan: SequencePlan, threads: int = 1) -> SequencePlan:
     """Build every scheduled structure; certificates are attached in family
     order, so the result is deterministic for any thread count."""
 
-    def run(entry: PlanEntry):
-        if entry.level is None:
-            return None
-        return build_h(entry.structure, plan.configs[entry.level], STRICT)
-
-    results = parallel_map(run, plan.entries, threads)
-    for entry, result in zip(plan.entries, results):
-        if result is None:
-            entry.h_set = HSet(elements=[], provenance=[])
-            entry.report = None
-        else:
-            entry.h_set, entry.report = result
+    scheduled = [e for e in plan.entries if e.level is not None]
+    results = parallel_map(
+        lambda e: build_h(e.structure, plan.configs[e.level], STRICT), scheduled, threads
+    )
+    for entry in plan.entries:
+        entry.h_set, entry.report = HSet(elements=[], provenance=[]), None
+    for entry, (h_set, report) in zip(scheduled, results):
+        entry.h_set, entry.report = h_set, report
     return plan
 
 

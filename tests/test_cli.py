@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import hlab
 from hlab import cli
+from hlab._util import atomic_write_text
 from hlab.cli import load_config, main
 from hlab.errors import ExperimentConfigError, InvariantError
 from hlab.finitemodels import FAMILIES
@@ -366,6 +367,19 @@ class TestCommands:
         assert os.path.exists(os.path.join(out, "axioms.json"))
         assert os.path.exists(os.path.join(out, "failures.csv"))
 
+    def test_passing_rerun_removes_old_failures(self, tmp_path):
+        # the shipped cyclic-doubling config fails in best_effort mode and
+        # passes in strict mode; a passing rerun into the same directory
+        # must not leave the first run's failures behind
+        cfg = os.path.join(CONFIGS, "cyclic_doubling.json")
+        out = str(tmp_path / "out")
+        assert main(["axioms", "--config", cfg, "--out", out, "--threads", "1"]) == 1
+        assert os.path.exists(os.path.join(out, "failures.csv"))
+        assert main(["axioms", "--config", cfg, "--out", out, "--mode", "strict"]) == 0
+        payload = json.loads(open(os.path.join(out, "axioms.json")).read())
+        assert all(r["passed"] for r in payload["reports"])
+        assert not os.path.exists(os.path.join(out, "failures.csv"))
+
 
 class TestExitCodes:
     def test_unknown_key_is_config_error(self, tmp_path):
@@ -408,10 +422,14 @@ class TestExitCodes:
         assert out.read_text() == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "exp.json"]
 
-    def test_invariant_violation_is_exit_2(self, tmp_path, monkeypatch, capsys):
-        # a violated invariant is a construction error: exit 2, no reports
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_invariant_violation_is_exit_2(self, tmp_path, monkeypatch, capsys, threads):
+        # a violated invariant is a construction error: exit 2, no reports;
+        # at 2 threads it is raised in a worker process
         def violated(M, *args, **kwargs):
-            raise InvariantError(f"{M.describe()}, formula 'x', step 0: shrink factor exceeded")
+            raise InvariantError(
+                f"{M.describe()}, formula 'x', step 0: shrink factor exceeded in {os.getpid()}"
+            )
 
         cfg = write_config(tmp_path)
         stages = [("build", "build_h"), ("axioms", "build_h"), ("axioms", "run_axiom_checks")]
@@ -419,12 +437,16 @@ class TestExitCodes:
             with monkeypatch.context() as patch:
                 patch.setattr(f"hlab.cli.{stage}", violated)
                 out = tmp_path / f"o{i}"
-                assert main([command, "--config", cfg, "--out", str(out)]) == 2
-            assert "shrink factor exceeded" in capsys.readouterr().err
+                assert main([command, "--config", cfg, "--out", str(out), "--threads", threads]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: prime-field(p=") and "shrink factor exceeded in " in err
+            in_process = err.split()[-1] == str(os.getpid())
+            assert in_process == (threads == "1"), (command, stage)
             for report in ("build.json", "axioms.json", "failures.csv", "hsets"):
                 assert not (out / report).exists(), (command, stage, report)
 
-    def test_inexact_convolution_is_exit_2(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_inexact_convolution_is_exit_2(self, tmp_path, monkeypatch, capsys, threads):
         # a perturbed transform fails the exactness check of the convolution
         # coverage: exit 2 with the structure, formula and step, no reports
         irfftn = np.fft.irfftn
@@ -432,7 +454,7 @@ class TestExitCodes:
         cfg = write_config(tmp_path)
         for command in ("build", "axioms"):
             out = tmp_path / command
-            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            assert main([command, "--config", cfg, "--out", str(out), "--threads", threads]) == 2
             err = capsys.readouterr().err
             assert err.startswith(
                 "error: prime-field(p=101), formula 'exists z. z*z = x - y', step 0: "
@@ -564,6 +586,26 @@ class TestDeterminism:
         assert d0 == d1 == d2
         assert d0, "reports were written"
 
+    def test_identical_rerun_leaves_reports_alone(self, tmp_path):
+        # a rerun writes the same bytes, so every report keeps its inode and
+        # mtime; a changed report is still replaced by a rename
+        cfg = write_config(tmp_path, family={"family": "prime-field", "lo": 101, "hi": 151})
+        out = tmp_path / "o"
+
+        def stats():
+            return {p: (p.stat().st_ino, p.stat().st_mtime_ns) for p in out.rglob("*") if p.is_file()}
+
+        assert main(["build", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+        before = stats()
+        assert len(before) > 1
+        assert main(["build", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+        assert stats() == before
+        report = out / "build.json"
+        atomic_write_text(str(report), "{}\n")
+        assert report.read_text() == "{}\n"
+        assert report.stat().st_ino != before[report][0]
+        assert sorted(p.name for p in out.iterdir()) == ["build.json", "hsets"]
+
     def test_seed_changes_extension_sampling(self, tmp_path):
         cfg = write_config(tmp_path, family={"family": "prime-field", "lo": 101, "hi": 131})
         out_a = str(tmp_path / "a")
@@ -675,6 +717,20 @@ class TestMemory:
         assert len(neq["E"]) == 1 and abs(neq["E"][0] - 1) < 1e-4
         assert (xz["E"], xz["B"], xz1["E"], xz1["B"]) == ([], 1, [], 1)
         assert peak_mib < 100
+
+
+def test_cli_import_leaves_the_pool_out():
+    # the process pool is imported only by a map that uses it
+    script = (
+        "import sys, hlab.cli\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(hlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert run.stdout == "[]\n"
 
 
 def test_one_budget():

@@ -1,14 +1,16 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 import hlab
-from hlab import asymptotics, hgreedy, hsequence
+from hlab import asymptotics, errors, hgreedy, hsequence
 from hlab._util import dump_json
-from hlab.errors import ConfigRejectedError, InvariantError
+from hlab.errors import ConfigRejectedError, FormulaSyntaxError, InvariantError, LabError
 from hlab.finitemodels import make_cyclic_group, make_prime_field, primes_in
 from hlab.folang import parse_formula
 from hlab.hgreedy import derive_config
@@ -18,6 +20,7 @@ from hlab.hsequence import (
     build_sequence,
     closure,
     coarse_dimension_series,
+    parallel_map,
     schedule_in,
 )
 
@@ -121,6 +124,71 @@ class TestBuildSequence:
         plan = schedule_in(prime_family_499, schedule(prime_family_499), 0.4)
         threaded = build_sequence(plan, threads=4)
         assert dump_json(threaded.to_json_dict()) == dump_json(built_plan.to_json_dict())
+
+
+LAB_ERRORS = sorted(
+    (v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, LabError)),
+    key=lambda cls: cls.__name__,
+)
+# constructor arguments of the errors that take more than a message
+ERROR_ARGS = {
+    errors.FormulaSyntaxError: ("unexpected token ')'", 7),
+    errors.NotOneDimensionalError: ("no envelope at ceiling 2.0", [(101, "x = y", 3.5)]),
+}
+
+
+@pytest.mark.parametrize("cls", LAB_ERRORS, ids=lambda cls: cls.__name__)
+def test_errors_survive_a_pickle_round_trip(cls):
+    # a worker process pickles its error back to the parent
+    error = cls(*ERROR_ARGS.get(cls, ("prime-field(p=101), formula 'x = z', step 0: failed",)))
+    again = pickle.loads(pickle.dumps(error))
+    assert type(again) is cls
+    assert str(again) == str(error) and again.args == error.args
+    assert vars(again) == vars(error)
+    for attr in ("position", "offenders"):
+        assert getattr(again, attr, None) == getattr(error, attr, None)
+
+
+def _fail_at_three(v):
+    if v == 3:
+        raise InvariantError(f"item {v}: shrink factor exceeded")
+    return v
+
+
+class TestParallelMap:
+    def test_keeps_item_order(self):
+        items = list(range(23))
+        assert parallel_map(lambda v: v * v, items, 2) == [v * v for v in items]
+
+    def test_pooled_items_run_in_workers(self):
+        pids = parallel_map(lambda _: os.getpid(), range(6), 2)
+        assert os.getpid() not in pids
+
+    @pytest.mark.parametrize("threads, items", [(1, range(6)), (2, [0]), (8, [])])
+    def test_runs_in_process(self, threads, items):
+        assert set(parallel_map(lambda _: os.getpid(), items, threads)) <= {os.getpid()}
+
+    def test_worker_error_keeps_type_and_message(self):
+        with pytest.raises(InvariantError, match=r"^item 3: shrink factor exceeded$"):
+            parallel_map(_fail_at_three, range(6), 2)
+
+    def test_worker_error_keeps_attributes(self):
+        def parse(v):
+            raise FormulaSyntaxError("unexpected token", v)
+
+        with pytest.raises(FormulaSyntaxError) as info:
+            parallel_map(parse, [5, 6], 2)
+        assert (str(info.value), info.value.position) == ("unexpected token (at position 5)", 5)
+
+    def test_dead_worker_breaks_the_pool(self):
+        with pytest.raises(BrokenProcessPool):
+            parallel_map(lambda v: os._exit(1), range(4), 2)
+
+    def test_job_slot_cleared(self):
+        parallel_map(lambda v: v, range(4), 2)
+        with pytest.raises(InvariantError):
+            parallel_map(_fail_at_three, range(6), 2)
+        assert hsequence._JOB is None
 
 
 class TestClosure:
