@@ -21,25 +21,18 @@ def tuple_columns(values, arity: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids])
 
 
-def jsonable(obj):
-    """Recursively convert numpy scalars/arrays so json.dumps accepts them."""
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
+def _plain(obj):
+    """json.dumps fallback: a numpy array as a list, a numpy integer, float or
+    bool as the Python value."""
     if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, (np.integer, np.floating, np.bool_)):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def dump_json(obj) -> str:
-    return json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, default=_plain) + "\n"
 
 
 def atomic_write_text(path: str, text: str):

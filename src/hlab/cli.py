@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import glob
 import io
 import json
 import math
@@ -304,9 +305,12 @@ def cmd_build(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
         "builds": [report.to_json_dict() for _, _, report, _ in builds],
     }
     atomic_write_text(os.path.join(out_dir, "build.json"), dump_json(payload))
-    for M, h_set, _, _ in builds:
-        text = "".join(f"{e}\n" for e in h_set.elements)
-        atomic_write_text(os.path.join(out_dir, "hsets", f"h_{M.size}.txt"), text)
+    hsets = {os.path.join(out_dir, "hsets", f"h_{M.size}.txt"): h for M, h, _, _ in builds}
+    for path, h_set in hsets.items():
+        atomic_write_text(path, "".join(f"{e}\n" for e in h_set.elements))
+    for path in glob.glob(os.path.join(glob.escape(out_dir), "hsets", "h_[0-9]*.txt")):
+        if path not in hsets:
+            os.unlink(path)  # left by an earlier run into the same directory
     return 0 if all(report.all_passed for _, _, report, _ in builds) else 1
 
 

@@ -613,9 +613,12 @@ def within_budget(count: int) -> bool:
     return count <= BUDGET
 
 
-def block_width(rows: int) -> int:
-    """Columns per evaluation block over `rows` rows: BUDGET // rows, at least 1."""
-    return max(1, BUDGET // max(rows, 1))
+def column_blocks(columns: int, rows: int):
+    """Consecutive slices of range(columns), each of at most BUDGET // rows
+    columns (at least one): the one way a grid over `rows` rows is cut into
+    blocks of at most BUDGET cells."""
+    width = max(1, BUDGET // max(rows, 1))
+    return (slice(start, min(start + width, columns)) for start in range(0, columns, width))
 
 
 def _image_mask(M: FiniteStructure, term: Term, var: str, domain: tuple) -> np.ndarray:
@@ -887,8 +890,8 @@ def solution_mask_matrix(
     """Boolean matrix of shape (len(rows), m): entry (i, j) says whether
     element rows[i] satisfies the formula at the j-th parameter tuple, for
     `param_columns` of shape (arity, m) and rows by default the universe.
-    Evaluated block_width(len(rows)) columns at a time, so no intermediate
-    grid exceeds BUDGET cells."""
+    Evaluated one column_blocks block at a time, so no intermediate grid
+    exceeds BUDGET cells."""
     cols = np.atleast_2d(np.asarray(param_columns, dtype=np.intp))
     if cols.shape[0] != pf.arity:
         raise EvaluationError(f"expected {pf.arity} parameter rows")
@@ -899,35 +902,33 @@ def solution_mask_matrix(
         out, shape = eval_bulk(M, pf.formula, env), (len(x), part.shape[1])
         return out if out.shape == shape else np.broadcast_to(out, shape)  # arity 0
 
-    width = block_width(len(x))
-    if cols.shape[1] <= width:
+    blocks = list(column_blocks(cols.shape[1], len(x)))
+    if len(blocks) <= 1:
         return block(cols)
     out = np.empty((len(x), cols.shape[1]), dtype=bool)
-    for start in range(0, cols.shape[1], width):
-        out[:, start : start + width] = block(cols[:, start : start + width])
+    for part in blocks:
+        out[:, part] = block(cols[:, part])
     return out
 
 
 def _counts(M: FiniteStructure, pf: ParamFormula, total: int, columns) -> np.ndarray:
-    """Solution counts of `total` parameter tuples, columns(start, stop)
-    giving tuples start..stop-1 as an (arity, stop - start) array: the one
-    place that counts. A translation kernel has |G| solutions at every
-    tuple; any other formula is counted one evaluation block at a time."""
+    """Solution counts of `total` parameter tuples, columns(block) giving the
+    tuples of a slice of range(total) as an (arity, len) array: the one place
+    that counts. A translation kernel has |G| solutions at every tuple; any
+    other formula is counted one evaluation block at a time."""
     base = kernel_base(M, pf)
     if base is not None:
         return np.full(total, len(base), dtype=np.int64)
     counts = np.empty(total, dtype=np.int64)
-    width = block_width(M.size)
-    for start in range(0, total, width):
-        stop = min(start + width, total)
-        counts[start:stop] = solution_mask_matrix(M, pf, columns(start, stop)).sum(axis=0)
+    for block in column_blocks(total, M.size):
+        counts[block] = solution_mask_matrix(M, pf, columns(block)).sum(axis=0)
     return counts
 
 
 def count_columns(M: FiniteStructure, pf: ParamFormula, param_columns) -> np.ndarray:
     """Solution counts at each of the (arity, m) parameter columns."""
     cols = np.atleast_2d(np.asarray(param_columns, dtype=np.intp))
-    return _counts(M, pf, cols.shape[1], lambda start, stop: cols[:, start:stop])
+    return _counts(M, pf, cols.shape[1], lambda block: cols[:, block])
 
 
 def solution_counts_all(M: FiniteStructure, pf: ParamFormula) -> np.ndarray:
@@ -937,7 +938,23 @@ def solution_counts_all(M: FiniteStructure, pf: ParamFormula) -> np.ndarray:
     n, k = M.size, pf.arity
     powers = n ** np.arange(k - 1, -1, -1)[:, None]
 
-    def digits(start, stop):  # base n, (k, stop - start)
-        return np.arange(start, stop, dtype=np.int64) // powers % n
+    def digits(block):  # base n, (k, len)
+        return np.arange(block.start, block.stop, dtype=np.int64) // powers % n
 
     return _counts(M, pf, n**k, digits)
+
+
+def max_solution_count(M: FiniteStructure, gamma) -> int | None:
+    """The largest solution count of any formula in `gamma` over all of its
+    parameter tuples: |G| for a translation kernel, otherwise a recount, or
+    None when recounting exceeds the budget."""
+    counts = []
+    for pf in gamma:
+        base = kernel_base(M, pf)
+        if base is not None:
+            counts.append(len(base))
+        elif within_budget(M.size ** (pf.arity + 1)):
+            counts.append(int(solution_counts_all(M, pf).max()))
+        else:
+            return None
+    return max(counts, default=0)

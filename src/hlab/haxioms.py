@@ -4,8 +4,8 @@ Scope note carried in every report: these are finite surrogates. Density
 quantifies over the enumerated large parameter tuples of the supplied cover
 formulas only, extension over enumerated or seeded-sampled ones, and
 algebraic closure is truncated to the supplied avoid list
-(hgreedy.closure_masks computes it, for every extension sample in one
-batch). Independence is checked exactly in its order-restricted
+(hgreedy.closure_masks computes it, one block of extension samples at a
+time). Independence is checked exactly in its order-restricted
 form (the construction's guarantee); the symmetric form is reported as an
 informational count because nothing at finite scale stands in for the
 exchange argument that closes the gap in the limit.
@@ -20,14 +20,8 @@ import numpy as np
 from .asymptotics import large_columns
 from .errors import InvariantError, StructureTooSmallError
 from .finitemodels import FiniteStructure
-from .folang import block_width, solution_mask_matrix
-from .hgreedy import (
-    _union_bound,
-    closure_masks,
-    independence_checks,
-    max_solution_count,
-    verify_cover,
-)
+from .folang import column_blocks, max_solution_count, solution_mask_matrix
+from .hgreedy import _union_bound, closure_masks, independence_checks, verify_cover
 
 SCOPE_NOTE = (
     "finite-scale surrogate: density/extension checked over enumerated or "
@@ -146,7 +140,10 @@ def check_extension(
     Each sample draws a cover formula, a large parameter tuple, and up to
     base_max distinct extra base elements; it fails if every solution lies
     inside clos(H + params + base). _draw_samples draws all samples first;
-    one closure_masks call checks every closure against its union bound.
+    then the samples, grouped by cover formula, are checked one block at a
+    time: one closure_masks call gets the block's closures and checks them
+    against their union bound, and one evaluation per formula in the block
+    gives the swallowed test, so no grid holds more than one block.
     When the smallest large count strictly exceeds the closure union bound
     the check cannot fail; that sufficient condition is recorded and
     enforced.
@@ -193,17 +190,18 @@ def check_extension(
     formula, column, base_n, base = _draw_samples(rng, widths, M.size, samples, base_max)
     sets = np.full((samples, ell + base_max), -1, dtype=np.intp)
     sets[:, ell:] = base
-    by_formula = [np.flatnonzero(formula == f_i) for f_i in range(len(usable))]
-    for (pf, cols), picked in zip(usable, by_formula):
+    for f_i, (pf, cols) in enumerate(usable):
+        picked = formula == f_i
         sets[picked, : pf.arity] = cols[:, column[picked]].T
-    clos = closure_masks(M, elements, sets, gamma, max_solutions=gamma_max_solutions)
     swallowed = np.zeros(samples, dtype=bool)
-    width = block_width(M.size)
-    for (pf, cols), picked in zip(usable, by_formula):
-        for start in range(0, len(picked), width):
-            part = picked[start : start + width]
-            sol = solution_mask_matrix(M, pf, cols[:, column[part]])
-            swallowed[part] = ~(sol & ~clos[:, part]).any(axis=0)
+    order = np.argsort(formula, kind="stable")  # a block spans few formulas
+    for block in column_blocks(samples, M.size):
+        part = order[block]
+        clos = closure_masks(M, elements, sets[part], gamma, max_solutions=gamma_max_solutions)
+        for f_i, (pf, cols) in enumerate(usable):
+            mine = formula[part] == f_i
+            sol = solution_mask_matrix(M, pf, cols[:, column[part[mine]]])
+            swallowed[part[mine]] = ~(sol & ~clos[:, mine]).any(axis=0)
     failures = []
     for j in np.flatnonzero(swallowed):
         pf = usable[formula[j]][0]

@@ -36,7 +36,6 @@ from ._util import tuple_columns
 from .asymptotics import MeasureProfile, psi_columns
 from .errors import (
     ConfigRejectedError,
-    EnumerationBudgetError,
     InvariantError,
     StructureTooSmallError,
     ThresholdNotMetError,
@@ -44,13 +43,11 @@ from .errors import (
 from .finitemodels import FiniteStructure
 from .folang import (
     ParamFormula,
-    block_width,
-    kernel_base,
+    column_blocks,
     kernel_shifts,
-    solution_counts_all,
+    max_solution_count,
     solution_mask_matrix,
     solution_points,
-    within_budget,
 )
 
 STRICT = "strict"
@@ -234,29 +231,12 @@ def _forbidden_mask(M: FiniteStructure, gamma, h_elements) -> np.ndarray:
     with parameters drawn from h_elements (parameterless formulas always
     contribute: their one tuple is the empty one)."""
     mask = np.zeros((M.size, 1), dtype=bool)
-    width = block_width(M.size)
     for xi in gamma:
         cols = tuple_columns(h_elements, xi.arity)
-        for start in range(0, cols.shape[1], width):
-            block = cols[:, start : start + width]
-            _mark_solutions(mask, M, xi, block, np.zeros(block.shape[1], dtype=np.intp))
+        for block in column_blocks(cols.shape[1], M.size):
+            owner = np.zeros(block.stop - block.start, dtype=np.intp)
+            _mark_solutions(mask, M, xi, cols[:, block], owner)
     return mask[:, 0]
-
-
-def max_solution_count(M: FiniteStructure, gamma) -> int | None:
-    """The largest solution count of any avoid formula over all of its
-    parameter tuples: |G| for a translation kernel, otherwise a recount, or
-    None when recounting exceeds the budget."""
-    counts = []
-    for pf in gamma:
-        base = kernel_base(M, pf)
-        if base is not None:
-            counts.append(len(base))
-        elif within_budget(M.size ** (pf.arity + 1)):
-            counts.append(int(solution_counts_all(M, pf).max()))
-        else:
-            return None
-    return max(counts, default=0)
 
 
 def _union_bound(gamma, base_size, max_solutions):
@@ -304,8 +284,8 @@ def closure_masks(
     fresh = rows.shape[1] - drop.sum(axis=1)
     rows[drop] = M.size
     rows.sort(axis=1)
-    out = np.repeat(_forbidden_mask(M, gamma, h)[:, None], len(rows), axis=1)
-    width = block_width(M.size)
+    # column-major, so each closure is contiguous and its sum is one pass
+    out = np.tile(_forbidden_mask(M, gamma, h), (len(rows), 1)).T
     for m in sorted(set(fresh.tolist()) - {0}):
         members = np.flatnonzero(fresh == m)
         pools = np.concatenate([rows[members, :m], np.tile(h, (len(members), 1))], axis=1)
@@ -314,13 +294,11 @@ def closure_masks(
             layout = grid[:, (grid < m).any(axis=0)]  # the tuples that use a fresh element
             if not layout.size:
                 continue  # a parameterless formula has no such tuple
-            per = max(1, width // layout.shape[1])  # sets per group
-            for start in range(0, len(members), per):
-                group = slice(start, start + per)
+            # groups of B // (n L) = (B // n) // L sets of L tuples, B the budget
+            for group in column_blocks(len(members), M.size * layout.shape[1]):
                 cols = pools[group][:, layout].transpose(1, 0, 2).reshape(xi.arity, -1)
                 owner = np.repeat(members[group], layout.shape[1])
-                for col in range(0, cols.shape[1], width):
-                    block = slice(col, col + width)
+                for block in column_blocks(cols.shape[1], M.size):
                     _mark_solutions(out, M, xi, cols[:, block], owner[block])
     if max_solutions is None:
         max_solutions = max_solution_count(M, gamma)
@@ -426,9 +404,8 @@ class GridCoverage:
 
     def _row_sums(self, M: FiniteStructure, cols: np.ndarray) -> np.ndarray:
         sums = np.zeros(M.size, dtype=np.int64)
-        width = block_width(M.size)
-        for start in range(0, cols.shape[1], width):
-            sums += solution_mask_matrix(M, self.pf, cols[:, start : start + width]).sum(axis=1)
+        for block in column_blocks(cols.shape[1], M.size):
+            sums += solution_mask_matrix(M, self.pf, cols[:, block]).sum(axis=1)
         return sums
 
     def counts(self) -> np.ndarray:
@@ -672,36 +649,42 @@ def verify_cover(
     M: FiniteStructure, h_set, pf: ParamFormula, profile: MeasureProfile
 ) -> CoverCertificate:
     """Check that every large parameter tuple has a witness in H, exhaustively
-    over the enumerated large set psi_columns. Raises EnumerationBudgetError
-    when the tuple space exceeds the budget; a build has already enumerated
-    the same set under it."""
+    over the enumerated large set psi_columns, one |H| x block grid at a
+    time. Raises EnumerationBudgetError when the tuple space exceeds the
+    budget; a build has already enumerated the same set under it."""
     elements = list(getattr(h_set, "elements", h_set))
     cols = psi_columns(M, pf, profile)
-    covered = solution_mask_matrix(M, pf, cols, rows=elements).any(axis=0)
+    covered = np.zeros(cols.shape[1], dtype=bool)
+    for block in column_blocks(cols.shape[1], len(elements)):
+        covered[block] = solution_mask_matrix(M, pf, cols[:, block], rows=elements).any(axis=0)
     failures = [tuple(int(v) for v in cols[:, j]) for j in np.flatnonzero(~covered)]
     return CoverCertificate(pf.text, "exhaustive", cols.shape[1], failures, not failures)
 
 
 def independence_checks(M: FiniteStructure, elements, pf: ParamFormula):
-    """Both independence checks of an avoid formula, read from one
-    |H| x |H|^k grid over H through two masks on the H positions of the
-    parameters: all before the row's own position gives the order-restricted
-    certificate, none equal to it the symmetric witnesses (h, *params). A
-    parameterless formula's one tuple passes both masks."""
+    """Both independence checks of an avoid formula, read from the
+    |H| x |H|^k grid over H, one block at a time, through two masks on the H
+    positions of the parameters: all before the row's own position gives the
+    order-restricted certificate, none equal to it the symmetric witnesses
+    (h, *params). A parameterless formula's one tuple passes both masks."""
     h = np.asarray(elements, dtype=np.intp)
-    if not within_budget(len(h) ** (pf.arity + 1)):
-        raise EnumerationBudgetError(f"avoid check needs {len(h) ** (pf.arity + 1)} tuples")
     positions = tuple_columns(range(len(h)), pf.arity)
-    grid = solution_mask_matrix(M, pf, h[positions], rows=h)
     own = np.arange(len(h))[:, None, None]
-    earlier = (positions[None] < own).all(axis=1)
+    checked, found = 0, ([], [])  # (row, column) of each violation and witness
+    for block in column_blocks(positions.shape[1], len(h)):
+        part = positions[:, block]
+        grid = solution_mask_matrix(M, pf, h[part], rows=h)
+        earlier = (part[None] < own).all(axis=1)
+        checked += int(earlier.sum())
+        for hits, mask in zip(found, (earlier, (part[None] != own).all(axis=1))):
+            rows, cols = np.nonzero(grid & mask)
+            hits.extend(zip(rows.tolist(), (cols + block.start).tolist()))
 
-    def listed(mask):
-        return [(int(h[i]), *map(int, h[positions[:, j]])) for i, j in np.argwhere(grid & mask)]
+    def listed(hits):
+        return [(int(h[i]), *map(int, h[positions[:, j]])) for i, j in sorted(hits)]
 
-    violations = listed(earlier)
-    cert = AvoidCertificate(pf.text, int(earlier.sum()), violations, not violations)
-    return cert, listed((positions[None] != own).all(axis=1))
+    violations = listed(found[0])
+    return AvoidCertificate(pf.text, checked, violations, not violations), listed(found[1])
 
 
 def verify_avoid(M: FiniteStructure, h_set, pf: ParamFormula) -> AvoidCertificate:

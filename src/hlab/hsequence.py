@@ -21,6 +21,7 @@ import numpy as np
 from .asymptotics import MeasureProfile
 from .errors import ConfigRejectedError
 from .finitemodels import FiniteStructure
+from .folang import max_solution_count
 from .hgreedy import (
     STRICT,
     BuildReport,
@@ -31,7 +32,6 @@ from .hgreedy import (
     closure_masks,
     default_mu,
     derive_config,
-    max_solution_count,
     size_threshold_ok,
 )
 

@@ -22,7 +22,7 @@ from hlab.finitemodels import (
     make_prime_field,
     primes_in,
 )
-from hlab.folang import evaluate, parse_formula, solution_counts_all
+from hlab.folang import parse_formula, solution_counts_all
 from hlab.haxioms import run_axiom_checks
 from hlab.hgreedy import (
     BEST_EFFORT,
@@ -39,6 +39,8 @@ from hlab.hsequence import (
     schedule_in,
 )
 from hlab.lovelypair import phi_count, run_experiment
+
+from helpers import minimum_cover_size
 
 MU = 0.4
 DECAY = -math.log(1 - MU / 2)  # -ln 0.8
@@ -200,33 +202,6 @@ def test_criterion_5_greedy_vs_oracle(profiled):
     assert checked == 20
     assert elapsed < 30.0, f"criterion 5 took {elapsed:.2f}s"
     report_line(5, f"20 instances within the log bound, {elapsed:.2f}s")
-
-
-def minimum_cover_size(M, pf, psi):
-    if not psi:
-        return 0
-    full = (1 << len(psi)) - 1
-    masks = set()
-    for a in range(M.size):
-        m = 0
-        for j, tup in enumerate(psi):
-            assignment = {pf.object_var: a}
-            assignment.update(zip(pf.params, tup))
-            if evaluate(M, pf.formula, assignment):
-                m |= 1 << j
-        if m:
-            masks.add(m)
-    kept = [m for m in masks if not any(m != o and m | o == o for o in masks)]
-    import itertools
-
-    for k in range(1, len(kept) + 1):
-        for combo in itertools.combinations(kept, k):
-            u = 0
-            for m in combo:
-                u |= m
-            if u == full:
-                return k
-    raise AssertionError("large set not coverable")
 
 
 def test_criterion_6_axiom_checks(pipeline):

@@ -1,6 +1,5 @@
 import contextlib
 import dataclasses
-import hashlib
 import importlib
 import inspect
 import io
@@ -20,6 +19,7 @@ from hlab._util import atomic_write_text
 from hlab.cli import load_config, main
 from hlab.errors import ExperimentConfigError, InvariantError
 from hlab.finitemodels import FAMILIES
+from helpers import digest_tree
 from test_golden import CONFIGS, SQUARE_SHIFT
 
 
@@ -42,16 +42,6 @@ def write_config(tmp_path, name="exp.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
-
-
-def digest_tree(out_dir):
-    found = {}
-    for root, _, files in os.walk(out_dir):
-        for f in files:
-            p = os.path.join(root, f)
-            rel = os.path.relpath(p, out_dir)
-            found[rel] = hashlib.sha256(open(p, "rb").read()).hexdigest()
-    return found
 
 
 class TestLoadConfig:
@@ -380,6 +370,22 @@ class TestCommands:
         assert all(r["passed"] for r in payload["reports"])
         assert not os.path.exists(os.path.join(out, "failures.csv"))
 
+    def test_rebuild_removes_stale_hsets(self, tmp_path):
+        # the shipped square-shift config builds 101..1201; a rebuild up to
+        # 700 into the same directory must leave only its own H files
+        with open(os.path.join(CONFIGS, "square_shift.json")) as fh:
+            config = json.load(fh)
+        out = str(tmp_path / "out")
+        listed = []
+        for hi in (1201, 700):
+            path = tmp_path / f"hi_{hi}.json"
+            path.write_text(json.dumps({**config, "family": {**config["family"], "hi": hi}}))
+            assert main(["build", "--config", str(path), "--out", out, "--threads", "1"]) == 0
+            builds = json.loads(open(os.path.join(out, "build.json")).read())["builds"]
+            listed.append(sorted(f"h_{b['size']}.txt" for b in builds))
+            assert sorted(os.listdir(os.path.join(out, "hsets"))) == listed[-1]
+        assert set(listed[1]) < set(listed[0])
+
 
 class TestExitCodes:
     def test_unknown_key_is_config_error(self, tmp_path):
@@ -692,10 +698,22 @@ class TestMemory:
             os.path.join("hsets", "h_100019.txt"):
                 "0de090061ae5fe7f0c9f129709faa462504061bfc9916c17e047c347faa1f91d",
         }
+        # 500 extension samples, as in the shipped config: one closure mask
+        # over all of them took 5 * 10^7 cells and the command's peak to 165 MiB;
+        # blocks of at most BUDGET cells keep it near 126 MiB
+        cfg = write_config(
+            tmp_path,
+            name="axioms.json",
+            family={"family": "prime-field", "values": [100003, 100019]},
+            cover=["exists z. z*z = x - y", "!(x = y)"],
+            avoid=["x = z", "x = z + 1"],
+            mu=0.4,
+            extension_samples=500,
+        )
         out = tmp_path / "a"
         rc, peak_mib = child_peak(["axioms", "--config", cfg, "--out", str(out), "--threads", "1"])
         assert rc == 0
-        assert peak_mib < 250
+        assert peak_mib < 140
 
     def test_profile_gf_100k_counts_once_per_structure(self, tmp_path):
         # the four square-shift formulas on GF(100003) and GF(100019): each

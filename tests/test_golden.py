@@ -3,6 +3,10 @@ versions of the shipped experiments. A refactor that changes any report byte
 fails here. A digest changes only in a change that justifies each edited
 digest in CHANGES.md (for example a deliberate change to a random stream).
 
+`test_digests_in_small_blocks` reruns build, sequence and axioms with the
+budget cut to about ten columns per block and checks that the digests hold
+and that every grid a caller holds stays one block.
+
 `test_sampled_extension_check` pins the sampled branch of check_extension,
 which no CLI run on a small family reaches; `test_binary_avoid_extension_check`
 pins failing extension samples under a two-parameter avoid formula.
@@ -11,15 +15,19 @@ pins failing extension samples under a two-parameter avoid formula.
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 
+from hlab import folang, hgreedy
 from hlab._util import dump_json
 from hlab.asymptotics import profile_family
 from hlab.cli import main
 from hlab.finitemodels import make_cyclic_group, make_prime_field
 from hlab.folang import BUDGET, parse_formula
 from hlab.haxioms import check_extension
+
+from helpers import digest_tree
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -195,17 +203,7 @@ GOLDEN = {
 }
 
 
-def digest_tree(out_dir):
-    found = {}
-    for root, _, files in os.walk(out_dir):
-        for f in files:
-            path = os.path.join(root, f)
-            with open(path, "rb") as fh:
-                found[os.path.relpath(path, out_dir)] = hashlib.sha256(fh.read()).hexdigest()
-    return found
-
-
-def run_digests(name, tmp_path):
+def run_digests(name, tmp_path, *extra):
     argv, config = RUNS[name]
     if isinstance(config, str):
         with open(os.path.join(CONFIGS, config)) as fh:
@@ -213,13 +211,35 @@ def run_digests(name, tmp_path):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(config))
     out = tmp_path / name
-    rc = main([argv[0], "--config", str(path), "--out", str(out), *argv[1:]])
+    rc = main([argv[0], "--config", str(path), "--out", str(out), *argv[1:], *extra])
     return rc, digest_tree(out)
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_report_digests(name, tmp_path):
     assert run_digests(name, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", ["axioms", "build", "sequence"])
+def test_digests_in_small_blocks(name, tmp_path, shrink_budget, monkeypatch):
+    # 2000 cells is about ten columns over these universes (n <= 199), and
+    # every tuple space here has n^k <= 199 tuples, so each enumerate-or-sample
+    # decision is the one the full budget makes; one worker keeps every call
+    # in this process
+    shrink_budget(2000)
+    cells = []
+    for fn in (folang.solution_mask_matrix, hgreedy.closure_masks):
+
+        def recording(*args, _fn=fn, **kwargs):
+            out = _fn(*args, **kwargs)
+            cells.append(out.size)
+            return out
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("hlab.") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, recording)
+    assert run_digests(name, tmp_path, "--threads", "1") == GOLDEN[name]
+    assert 0 < max(cells) <= folang.BUDGET
 
 
 EXTENSION_DIGEST = "70ebf75a06548e108d866bda810efd319a07a4ba84b4e49e7ba6fc2c3e31f454"

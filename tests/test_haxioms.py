@@ -273,6 +273,21 @@ class TestExtensionReplay:
         )
         assert 0 < len(frag["failures"]) < 40
 
+    def test_small_blocks_match_per_sample_replay(self, z_small, shrink_budget):
+        # 36 cells over Z_12 is three samples per block, so some blocks mix
+        # the two cover formulas, whose solution sets differ on Z_12 (M minus
+        # a point against a coset of 2Z_12), and failing samples fall in
+        # several blocks
+        family, cover, profiles = z_small
+        M = family[12 - 9]
+        gamma = [parse_formula("x = z1 + z2", M.sig)]
+        shrink_budget(36)
+        frag = assert_matches_replay(
+            M, [0, 1, 3], cover, profiles, gamma,
+            samples=40, base_max=3, seed=2, gamma_max_solutions=None,
+        )
+        assert 0 < len(frag["failures"]) < 40
+
 
 class TestDrawSamples:
     def test_bases_distinct_in_range_and_padded(self):

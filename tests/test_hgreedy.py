@@ -25,6 +25,7 @@ from hlab.finitemodels import (
 from hlab.folang import (
     evaluate,
     kernel_base,
+    max_solution_count,
     parse_formula,
     solution_counts_all,
     solution_mask_matrix,
@@ -43,11 +44,13 @@ from hlab.hgreedy import (
     derive_config,
     forbidden_set,
     greedy_step,
-    max_solution_count,
+    independence_checks,
     size_threshold_ok,
     verify_avoid,
     verify_cover,
 )
+
+from helpers import minimum_cover_size
 
 DECAY_09 = -math.log(1 - 0.45)  # mu = 0.9
 DECAY_04 = -math.log(0.8)  # mu = 0.4
@@ -626,33 +629,6 @@ class TestAlgebraicCoverPhase:
         assert all(index == 1 for index, _ in h.provenance)
 
 
-def minimum_cover_size(M, pf, psi):
-    """Exhaustive minimum-cover oracle over bitmask coverage sets."""
-    if not psi:
-        return 0
-    full = (1 << len(psi)) - 1
-    masks = set()
-    for a in range(M.size):
-        m = 0
-        for j, tup in enumerate(psi):
-            assignment = {pf.object_var: a}
-            assignment.update(zip(pf.params, tup))
-            if evaluate(M, pf.formula, assignment):
-                m |= 1 << j
-        if m:
-            masks.add(m)
-    # dropping dominated coverage sets keeps at least one optimal cover
-    kept = [m for m in masks if not any(m != o and m | o == o for o in masks)]
-    for k in range(1, len(kept) + 1):
-        for combo in itertools.combinations(kept, k):
-            u = 0
-            for m in combo:
-                u |= m
-            if u == full:
-                return k
-    raise AssertionError("psi not coverable")
-
-
 class TestGreedyVersusOracle:
     @pytest.mark.parametrize("n", [12, 15, 20, 26])
     def test_log_bound_on_cyclic_doubling(self, n, cyclic_family_30, profiled):
@@ -686,8 +662,9 @@ class TestBlockReducers:
     )
     def test_blocks_match_one_block(self, M, kind, budget, shrink_budget):
         # row sums (grid coverage before and after a step), column sums
-        # (every tuple and a sample) and closures, in blocks of a few cells
-        # and in one block
+        # (every tuple and a sample), independence listings (merged across
+        # blocks in row order) and closures, in blocks of a few cells and in
+        # one block
         pfs = [parse_formula(text, M.sig) for text in CLOSURE_AVOID[kind]]
         if kind == "doubled":  # counts and closures take the grid too
             assert all(kernel_base(M, pf) is None for pf in pfs)
@@ -701,6 +678,8 @@ class TestBlockReducers:
                 out.append(coverage.cover(M, 1, np.arange(0, cols.shape[1], 2)))
                 out += [coverage.counts(), solution_counts_all(M, pf)]
                 out += sample_columns(M, pf, 3, 40)
+                cert, witnesses = independence_checks(M, [1, 4, 0, 7, 2, 5], pf)
+                out += [np.array(cert.violations), cert.checked, np.array(witnesses)]
             sets = [[], [4], [4, 7], [0, 2, 5], [7, 7, 1]]
             out.append(closure_masks(M, [1, 4], sets, pfs, max_solutions=M.size))
             return out
