@@ -13,10 +13,13 @@ Grammar (precedence ! > & > | > ->, quantifier scope extends maximally right):
     factor  := prim { "*" prim }
     prim    := IDENT | NUMERAL | "(" term ")" | IDENT "(" term {"," term} ")"
 
-The operators +, -, * map to the signature functions add, sub, mul. Before
-evaluation, implications and universal quantifiers are rewritten away and
-shadowed bound variables are renamed, so a single evaluation path handles
-every formula.
+The operators +, -, * map to the signature functions add, sub, mul. The
+parser alone checks the signature, node by node: each named function and
+relation exists with its arity, and each operator's function is binary.
+Before evaluation, implications and universal quantifiers are rewritten away
+and shadowed bound variables are renamed, so a single evaluation path handles
+every formula. Free and term variables and the kernel rule's atom terms are
+all read from one traversal, _walk.
 
 Evaluation (eval_bulk) works over numpy index arrays; solution_mask_matrix,
 the one entry point that binds an object variable and parameter tuples,
@@ -132,63 +135,35 @@ Formula = Eq | Rel | Not | And | Or | Implies | Exists | Forall
 Assignment = dict[str, int]
 
 
+def _walk(node, bound=frozenset()):
+    """Every formula and term node under `node`, itself first, pre-order and
+    left to right, each with the names bound around it: the one traversal
+    that variable and atom discovery read."""
+    yield node, bound
+    if isinstance(node, (Exists, Forall)):
+        yield from _walk(node.body, bound | {node.var})
+    elif isinstance(node, Not):
+        yield from _walk(node.body, bound)
+    elif isinstance(node, (Eq, And, Or, Implies)):
+        yield from _walk(node.left, bound)
+        yield from _walk(node.right, bound)
+    elif isinstance(node, (Apply, Rel)):
+        for a in node.args:
+            yield from _walk(a, bound)
+
+
 def term_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Num):
-        return set()
-    out: set[str] = set()
-    for a in t.args:
-        out |= term_vars(a)
-    return out
-
-
-def free_vars(f: Formula) -> set[str]:
-    if isinstance(f, Eq):
-        return term_vars(f.left) | term_vars(f.right)
-    if isinstance(f, Rel):
-        out: set[str] = set()
-        for a in f.args:
-            out |= term_vars(a)
-        return out
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return free_vars(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+    return {node.name for node, _ in _walk(t) if isinstance(node, Var)}
 
 
 def free_vars_in_order(f: Formula) -> list[str]:
     """Free variables in order of first appearance, reading left to right."""
-    seen: list[str] = []
+    free = (n.name for n, bound in _walk(f) if isinstance(n, Var) and n.name not in bound)
+    return list(dict.fromkeys(free))
 
-    def term(t, bound):
-        if isinstance(t, Var):
-            if t.name not in bound and t.name not in seen:
-                seen.append(t.name)
-        elif isinstance(t, Apply):
-            for a in t.args:
-                term(a, bound)
 
-    def walk(g, bound):
-        if isinstance(g, Eq):
-            term(g.left, bound)
-            term(g.right, bound)
-        elif isinstance(g, Rel):
-            for a in g.args:
-                term(a, bound)
-        elif isinstance(g, Not):
-            walk(g.body, bound)
-        elif isinstance(g, (And, Or, Implies)):
-            walk(g.left, bound)
-            walk(g.right, bound)
-        elif isinstance(g, (Exists, Forall)):
-            walk(g.body, bound | {g.var})
-
-    walk(f, frozenset())
-    return seen
+def free_vars(f: Formula) -> set[str]:
+    return set(free_vars_in_order(f))
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +174,8 @@ _TOKEN_RE = re.compile(
 )
 
 _KEYWORDS = {"exists", "forall"}
+
+_OPERATORS = {"+": "add", "-": "sub", "*": "mul"}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -324,18 +301,24 @@ class _Parser:
             )
         return args
 
+    def operator(self) -> str:
+        """Consume an infix operator; its function must be binary."""
+        op = self.next()[1]
+        func = _OPERATORS[op]
+        if self.sig.functions.get(func) != 2:
+            raise SignatureMismatchError(f"{op} in {self.text!r} needs a binary function {func!r}")
+        return func
+
     def term(self) -> Term:
         t = self.factor()
         while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            t = Apply("add" if op == "+" else "sub", (t, self.factor()))
+            t = Apply(self.operator(), (t, self.factor()))
         return t
 
     def factor(self) -> Term:
         t = self.prim()
         while self.at("*"):
-            self.next()
-            t = Apply("mul", (t, self.prim()))
+            t = Apply(self.operator(), (t, self.prim()))
         return t
 
     def prim(self) -> Term:
@@ -369,38 +352,6 @@ class _Parser:
             raise FormulaSyntaxError(f"trailing input {val!r}", pos)
         return f
 
-    def check_terms(self, f: Formula):
-        """Verify arities of every application (terms built by hand too)."""
-        def term(t):
-            if isinstance(t, Apply):
-                if t.func not in self.sig.functions:
-                    raise SignatureMismatchError(f"unknown function {t.func!r}")
-                if len(t.args) != self.sig.functions[t.func]:
-                    raise SignatureMismatchError(f"arity mismatch for {t.func!r}")
-                for a in t.args:
-                    term(a)
-
-        def walk(g):
-            if isinstance(g, Eq):
-                term(g.left)
-                term(g.right)
-            elif isinstance(g, Rel):
-                if g.name not in self.sig.relations:
-                    raise SignatureMismatchError(f"unknown relation {g.name!r}")
-                if len(g.args) != self.sig.relations[g.name]:
-                    raise SignatureMismatchError(f"arity mismatch for {g.name!r}")
-                for a in g.args:
-                    term(a)
-            elif isinstance(g, Not):
-                walk(g.body)
-            elif isinstance(g, (And, Or, Implies)):
-                walk(g.left)
-                walk(g.right)
-            elif isinstance(g, (Exists, Forall)):
-                walk(g.body)
-
-        walk(f)
-
 
 def parse(text: str, sig: Signature) -> Formula:
     """Parse a formula without the object/parameter split."""
@@ -422,7 +373,8 @@ def normalize(f: Formula) -> Formula:
     """One evaluation path: -> rewritten to !|, forall to !exists!, and any
     bound variable that collides with an enclosing binder or a free variable
     renamed to a fresh name."""
-    taken = set(free_vars(f))
+    free = free_vars(f)
+    taken = set(free)
 
     def fresh(name):
         k = 1
@@ -445,7 +397,7 @@ def normalize(f: Formula) -> Formula:
             return Or(Not(walk(g.left, env, active)), walk(g.right, env, active))
         if isinstance(g, (Exists, Forall)):
             name = g.var
-            if name in active or name in free_vars(f):
+            if name in active or name in free:
                 name = fresh(g.var)
                 taken.add(name)
             body = walk(g.body, {**env, g.var: name}, active | {name})
@@ -542,10 +494,7 @@ def parse_formula(
     When `params` is omitted, the parameters are the free variables other
     than the object variable, in order of first appearance.
     """
-    parser = _Parser(text, sig)
-    raw = parser.parse()
-    parser.check_terms(raw)
-    norm = normalize(raw)
+    norm = normalize(parse(text, sig))
     order = free_vars_in_order(norm)
     if object_var not in order:
         raise FreeVariableError(f"object variable {object_var!r} is not free in {text!r}")
@@ -714,21 +663,14 @@ def _polynomial(t: Term) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
-def _atom_terms(f: Formula, bound=frozenset()):
+def _atom_terms(f: Formula):
     """(term, names bound around it) for every atom argument of f: left -
     right for an equation, each argument of a relation."""
-    if isinstance(f, Eq):
-        yield Apply("sub", (f.left, f.right)), bound
-    elif isinstance(f, Rel):
-        for a in f.args:
-            yield a, bound
-    elif isinstance(f, Not):
-        yield from _atom_terms(f.body, bound)
-    elif isinstance(f, (And, Or, Implies)):
-        yield from _atom_terms(f.left, bound)
-        yield from _atom_terms(f.right, bound)
-    elif isinstance(f, (Exists, Forall)):
-        yield from _atom_terms(f.body, bound | {f.var})
+    for node, bound in _walk(f):
+        if isinstance(node, Eq):
+            yield Apply("sub", (node.left, node.right)), bound
+        elif isinstance(node, Rel):
+            yield from ((a, bound) for a in node.args)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -741,7 +683,8 @@ def _kernel_shift(f: Formula, x: str, params: tuple):
     without x holds a parameter. Its solutions at a tuple are then
     G + u(tuple) for one set G. The shift term's value, with x and the bound
     variables at any fixed element, is u plus a constant: -t for an atom
-    term t = x + ..., t itself for t = -x + ...; Num(0) when no atom holds x."""
+    term t = x + ..., t itself for t = -x + ...; Num(0) when no atom holds x.
+    Returns (shift term, the names it reads)."""
     shift, u = Num(0), None
     for t, bound in _atom_terms(f):
         if x in bound or bound.intersection(params):
@@ -766,12 +709,14 @@ def _kernel_shift(f: Formula, x: str, params: tuple):
             u, shift = atom_u, (t if sign == -1 else Apply("sub", (Num(0), t)))
         elif atom_u != u:
             return None
-    return shift
+    return shift, tuple(term_vars(shift))
 
 
-def _shifts(M: FiniteStructure, pf: ParamFormula, shift: Term, cols: np.ndarray) -> np.ndarray:
-    """The shift u, up to one constant, at each (arity, m) parameter column."""
-    env = {v: 0 for v in term_vars(shift)}
+def _shifts(M: FiniteStructure, pf: ParamFormula, kernel: tuple, cols: np.ndarray) -> np.ndarray:
+    """The shift u, up to one constant, at each (arity, m) parameter column;
+    `kernel` is what _kernel_shift returned for pf."""
+    shift, names = kernel
+    env = dict.fromkeys(names, 0)
     env.update(zip(pf.params, cols))
     return np.broadcast_to(np.asarray(_bulk_term(M, shift, env), dtype=np.intp), cols.shape[1:])
 
@@ -782,15 +727,16 @@ def kernel_base(M: FiniteStructure, pf: ParamFormula) -> np.ndarray | None:
     shifted back by its shift there, cached on the structure. None when the
     formula is no kernel or M is outside the four families, whose add, sub
     and mul obey the ring laws the kernel rule relies on."""
-    shift = _kernel_shift(pf.formula, pf.object_var, pf.params)
-    if shift is None or M.family not in FAMILIES:
+    kernel = _kernel_shift(pf.formula, pf.object_var, pf.params)
+    if kernel is None or M.family not in FAMILIES:
         return None
     key = ("kernel", pf.formula, pf.object_var, pf.params)
     base = M._cache.get(key)
     if base is None:
         zero = np.zeros((pf.arity, 1), dtype=np.intp)
         solutions = np.flatnonzero(solution_mask_matrix(M, pf, zero)[:, 0])
-        base = np.asarray(M.functions["sub"][solutions, _shifts(M, pf, shift, zero)], dtype=np.intp)
+        shift = _shifts(M, pf, kernel, zero)
+        base = np.asarray(M.functions["sub"][solutions, shift], dtype=np.intp)
         base.flags.writeable = False
         base = M._cache.setdefault(key, base)
     return base

@@ -88,9 +88,6 @@ class GreedyConfig:
         """Phase step bound: ceil(ell0 * ln(size) / -ln(1 - mu/2)) + 1."""
         return math.ceil(self.ell0 * math.log(size) / self.decay) + 1
 
-    def h_budget(self, size: int) -> int:
-        return self.n_formulas * self.h_m(size)
-
     def summary(self) -> dict:
         return {
             "cover": [pf.text for pf in self.delta],
@@ -249,33 +246,21 @@ def _union_bound(gamma, base_size, max_solutions):
     return max_solutions * len(gamma) * (base_size + any(pf.arity == 0 for pf in gamma)) ** k0
 
 
-def _padded_sets(a_sets) -> np.ndarray:
-    """Sets of elements as one (sets, width) index array, each row padded
-    with -1; a two-dimensional array passes through."""
-    if isinstance(a_sets, np.ndarray) and a_sets.ndim == 2:
-        return a_sets.astype(np.intp, copy=False)
-    a_sets = [list(a) for a in a_sets]
-    rows = np.full((len(a_sets), max(map(len, a_sets), default=0)), -1, dtype=np.intp)
-    for row, a in zip(rows, a_sets):
-        row[: len(a)] = a
-    return rows
-
-
 def closure_masks(
     M: FiniteStructure, h_elements, a_sets, gamma, *, max_solutions: int | None = None
 ) -> np.ndarray:
     """Boolean (size, len(a_sets)) matrix whose column i is clos(H union A_i)
     under the avoid list, the finite stand-in for algebraic closure: clos(H)
     plus the solutions over the tuples that use an element of A_i minus H.
-    a_sets is a (sets, width) index array padded with -1, or a list of
-    sets. Each pool lists the fresh elements of A_i first, so tuple
-    positions depend only on their count m, and the tuples of all sets with
-    the same m are gathered at once, in groups of at most one evaluation
-    block. Every column is checked against _union_bound; max_solutions None
-    is recounted when that is cheap."""
+    a_sets is a (sets, width) index array, each row padded with -1. Each
+    pool lists the fresh elements of A_i first, so tuple positions depend
+    only on their count m, and the tuples of all sets with the same m are
+    gathered at once, in groups of at most one evaluation block. Every
+    column is checked against _union_bound; max_solutions None is recounted
+    when that is cheap."""
     gamma = list(gamma)
     h = np.array(sorted({int(v) for v in h_elements}), dtype=np.intp)
-    given = _padded_sets(a_sets)
+    given = np.asarray(a_sets, dtype=np.intp)
     # sort each row and move padding, members of H and repeats to its end:
     # the first fresh[i] entries of row i are then A_i minus H, ascending
     rows = np.sort(given, axis=1)
@@ -425,10 +410,9 @@ class GridCoverage:
 @dataclass
 class GreedyState:
     """One step of the construction: current formula phase, the ordered H so
-    far, the remaining uncovered tuples Y, and the last forbidden/eligible
-    masks (consistent with X = M minus (H union L)). `coverage` counts how
-    many tuples of Y each element covers: a KernelCoverage for a
-    translation kernel, else a GridCoverage."""
+    far, and the remaining uncovered tuples Y. `coverage` counts how many
+    tuples of Y each element covers: a KernelCoverage for a translation
+    kernel, else a GridCoverage."""
 
     config: GreedyConfig
     formula_index: int
@@ -438,8 +422,6 @@ class GreedyState:
     psi_cols: np.ndarray  # (arity, m0) initial large tuples of this phase
     remaining: np.ndarray  # indices into psi_cols of still-uncovered tuples
     coverage: KernelCoverage | GridCoverage = field(repr=False)
-    forbidden: np.ndarray | None = None
-    eligible: np.ndarray | None = None
     shrink_factors: list[float] = field(default_factory=list)
 
 
@@ -471,10 +453,7 @@ def greedy_step(state: GreedyState, M: FiniteStructure) -> GreedyState:
     in_h = np.zeros(M.size, dtype=bool)
     if state.h_elements:
         in_h[np.asarray(state.h_elements, dtype=np.intp)] = True
-    forbidden = _forbidden_mask(M, cfg.gamma, state.h_elements)
-    eligible = ~(in_h | forbidden)
-    state.forbidden = forbidden
-    state.eligible = eligible
+    eligible = ~(in_h | _forbidden_mask(M, cfg.gamma, state.h_elements))
     if not eligible.any():
         raise StructureTooSmallError(
             f"no eligible element left at size {M.size} "

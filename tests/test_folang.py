@@ -14,6 +14,7 @@ from hlab.errors import (
 from hlab._util import tuple_columns
 from hlab.finitemodels import (
     FiniteStructure,
+    Signature,
     make_cyclic_group,
     make_extension_field,
     make_f2_vector_space,
@@ -40,6 +41,7 @@ from hlab.folang import (
     eval_term,
     evaluate,
     free_vars,
+    free_vars_in_order,
     kernel_base,
     normalize,
     parse,
@@ -120,6 +122,18 @@ class TestParsing:
         with pytest.raises(FormulaSyntaxError):
             parse("frob(x, y) = x", K.sig)
 
+    @pytest.mark.parametrize("read", [parse, parse_formula], ids=["parse", "parse_formula"])
+    def test_operator_needs_its_function(self, read):
+        # Z_7 has add and sub but no mul; the parser itself refuses x * y
+        with pytest.raises(SignatureMismatchError, match="'mul'"):
+            read("x * y = x", make_cyclic_group(7).sig)
+
+    def test_operator_needs_a_binary_function(self):
+        sig = Signature(functions={"add": 1}, relations={})
+        assert parse("add(x) = x", sig) == Eq(Apply("add", (Var("x"),)), Var("x"))
+        with pytest.raises(SignatureMismatchError, match="binary function 'add'"):
+            parse("x + y = x", sig)
+
     def test_free_variable_mismatch(self, gf7):
         with pytest.raises(FreeVariableError):
             parse_formula("y = z", gf7.sig)  # object x not free
@@ -133,6 +147,29 @@ class TestParsing:
     def test_quantifier_cannot_bind_symbol(self, gf7):
         with pytest.raises(FormulaSyntaxError):
             parse("exists add. x = add", gf7.sig)
+
+
+class TestFreeVariables:
+    @pytest.mark.parametrize(
+        "text, order",
+        [
+            # y is bound in the first conjunct and free in the last
+            ("(exists y. y*y = x - w) & z = y", ["x", "w", "z", "y"]),
+            # free y first, then a binder that shadows it
+            ("y = x & (exists y. y = z) & w = y", ["y", "x", "z", "w"]),
+            # nested binders of one name; the inner one shadows the outer
+            ("(exists z. (exists z. z = y) & z = x) & z = w", ["y", "x", "z", "w"]),
+            ("forall x. x = y -> (exists y. y = x + z)", ["y", "z"]),
+        ],
+        ids=["bound-then-free", "free-then-shadowed", "nested-binders", "forall-implies"],
+    )
+    def test_order_of_first_free_appearance(self, gf7, text, order):
+        f = parse(text, gf7.sig)
+        assert free_vars_in_order(f) == order
+        assert free_vars(f) == set(order)
+        assert free_vars_in_order(normalize(f)) == order
+        if "x" in order:  # the parameters keep that order
+            assert parse_formula(text, gf7.sig).params == tuple(v for v in order if v != "x")
 
 
 class TestNormalization:

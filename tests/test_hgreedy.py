@@ -213,7 +213,10 @@ CLOSURE_AVOID = {
     # x enters with coefficient 2: no translation kernel, so the grid route
     "doubled": ["x + x = 1", "x + x = z", "x + x = z1 + z2", "x + x = z1 + z2 - z3"],
 }
-CLOSURE_SETS = [[], [4], [4, 9], [0, 2, 11], [9, 9, 1], [5]]
+# base sets A_i as rows padded with -1, one with a repeated member
+CLOSURE_SETS = np.array(
+    [[-1, -1, -1], [4, -1, -1], [4, 9, -1], [0, 2, 11], [9, 9, 1], [5, -1, -1]], dtype=np.intp
+)
 
 
 class TestClosureMasks:
@@ -238,18 +241,20 @@ class TestClosureMasks:
             for h in ([], [1, 4, 7]):
                 masks = closure_masks(M, h, CLOSURE_SETS, gamma, max_solutions=M.size)
                 assert masks.shape == (M.size, len(CLOSURE_SETS))
-                for i, a in enumerate(CLOSURE_SETS):
+                for i, row in enumerate(CLOSURE_SETS):
+                    a = [int(v) for v in row if v >= 0]
                     expected = naive_closure(M, [*h, *a], gamma)
                     assert set(np.flatnonzero(masks[:, i]).tolist()) == expected, (arities, h, a)
 
     def test_no_sets(self, z13):
         xz = parse_formula("x = z", z13.sig)
-        assert closure_masks(z13, [1, 2], [], [xz]).shape == (13, 0)
+        no_sets = np.empty((0, 0), dtype=np.intp)
+        assert closure_masks(z13, [1, 2], no_sets, [xz]).shape == (13, 0)
 
     def test_union_bound_names_the_set(self, z13):
         xz1 = parse_formula("x = z + 1", z13.sig)
         with pytest.raises(InvariantError, match=r"H plus \[3, 9\] .*union bound 0"):
-            closure_masks(z13, [], [[], [3, 9]], [xz1], max_solutions=0)
+            closure_masks(z13, [], np.array([[-1, -1], [3, 9]]), [xz1], max_solutions=0)
 
 
 class TestGreedyStep:
@@ -262,7 +267,8 @@ class TestGreedyStep:
         greedy_step(state, z13)
         assert state.h_elements == [0, 1]
         assert state.psi_cols[:, state.remaining].shape == (1, 0)
-        assert sorted(int(v) for v in np.flatnonzero(state.forbidden)) == [0]
+        # the forbidden set the second step saw, before it appended 1
+        assert forbidden_set(state.h_elements[:-1], neq_config.gamma, z13) == [0]
 
     def test_empty_y_rejected(self, neq_config, z13):
         state = _phase_state(neq_config, z13, 0, [], [])
@@ -680,7 +686,7 @@ class TestBlockReducers:
                 out += sample_columns(M, pf, 3, 40)
                 cert, witnesses = independence_checks(M, [1, 4, 0, 7, 2, 5], pf)
                 out += [np.array(cert.violations), cert.checked, np.array(witnesses)]
-            sets = [[], [4], [4, 7], [0, 2, 5], [7, 7, 1]]
+            sets = np.array([[-1, -1, -1], [4, -1, -1], [4, 7, -1], [0, 2, 5], [7, 7, 1]])
             out.append(closure_masks(M, [1, 4], sets, pfs, max_solutions=M.size))
             return out
 
