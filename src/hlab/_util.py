@@ -1,4 +1,4 @@
-"""Small shared helpers: tuple grids, JSON sanitizing, atomic file writes."""
+"""Small shared helpers: tuple grids, flat tuple indices, JSON sanitizing, atomic writes."""
 
 from __future__ import annotations
 
@@ -19,6 +19,15 @@ def tuple_columns(values, arity: int) -> np.ndarray:
         return np.empty((arity, 0), dtype=np.intp)
     grids = np.meshgrid(*([vals] * arity), indexing="ij")
     return np.stack([g.ravel() for g in grids])
+
+
+def _lex_tuples(positions, n: int, arity: int) -> np.ndarray:
+    """The tuples over 0..n-1 of length `arity` at the given positions of
+    their lexicographic order, as an (arity, len(positions)) intp array:
+    the one place that decodes a flat tuple index."""
+    if arity == 0:
+        return np.empty((0, len(positions)), dtype=np.intp)
+    return np.array(np.unravel_index(positions, (n,) * arity), dtype=np.intp)
 
 
 def _plain(obj):

@@ -9,6 +9,9 @@ by a gap threshold; observations from smaller structures join the nearest
 measure when their residual stays under the ceiling, and otherwise establish
 a new measure. Cluster measures are size-weighted means, so large structures
 dominate the estimate.
+
+The large set Ψ of a formula, its parameter tuples classified large, is
+named by the formula's profile alone, which carries the formula as `pf`.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._util import _lex_tuples
 from .errors import (
     ClassificationGapError,
     EmptyFamilyError,
@@ -336,17 +340,10 @@ def classify(profile: MeasureProfile, M: FiniteStructure, params=()) -> ParamCla
     return ParamClass("algebraic", count)
 
 
-def psi_set(M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile) -> list[tuple[int, ...]]:
+def psi_set(M: FiniteStructure, profile: MeasureProfile) -> list[tuple[int, ...]]:
     """All parameter tuples classified large, in lexicographic order: the
     columns of psi_columns as tuples."""
-    return [tuple(int(v) for v in col) for col in psi_columns(M, pf, profile).T]
-
-
-def psi_columns(M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile) -> np.ndarray:
-    """Every parameter tuple classified large, as an (arity, m) index array
-    in lexicographic order. Raises EnumerationBudgetError when the tuple
-    space exceeds the one evaluation budget."""
-    return _large_enumerated(M, pf, profile)[0]
+    return [tuple(int(v) for v in col) for col in psi_columns(M, profile)[0].T]
 
 
 def enumerated_counts(profile: MeasureProfile, M: FiniteStructure):
@@ -357,32 +354,29 @@ def enumerated_counts(profile: MeasureProfile, M: FiniteStructure):
     return None if counts is None else (counts, _classify_counts(profile, M.size, counts)[0])
 
 
-def _large_enumerated(M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile):
-    """psi_columns plus the solution count of each of its tuples."""
-    if profile.formula != pf.key():
-        raise ValueError("profile was built for a different formula")
-    n, k = M.size, pf.arity
+def psi_columns(M: FiniteStructure, profile: MeasureProfile):
+    """Every parameter tuple of the profiled formula classified large, as an
+    (arity, m) index array in lexicographic order, and the solution count of
+    each. Raises EnumerationBudgetError when the tuple space exceeds the one
+    evaluation budget."""
+    n, k = M.size, profile.pf.arity
     if not within_budget(n**k):
         raise EnumerationBudgetError(f"psi enumeration needs {n**k} tuples, over the budget")
-    stored = enumerated_counts(profile, M)
-    if stored is None:
-        counts = solution_counts_all(M, pf)
-        stored = counts, _classify_counts(profile, n, counts)[0]
-    counts, large = stored
-    flats = np.flatnonzero(large)
-    if k == 0:
-        return np.empty((0, len(flats)), dtype=np.intp), counts[flats]
-    return np.array(np.unravel_index(flats, (n,) * k), dtype=np.intp), counts[flats]
+    counts = profile._counts.get(_structure_key(M))
+    if counts is None:
+        counts = solution_counts_all(M, profile.pf)
+    flats = np.flatnonzero(_classify_counts(profile, n, counts)[0])
+    return _lex_tuples(flats, n, k), counts[flats]
 
 
-def large_columns(M: FiniteStructure, pf: ParamFormula, profile: MeasureProfile, rng, samples: int):
+def large_columns(M: FiniteStructure, profile: MeasureProfile, rng, samples: int):
     """The large parameter tuples an extension check draws from, with their
     solution counts: psi_columns when the tuple space fits the budget,
     otherwise the large tuples among `samples` drawn by sample_columns from
     `rng`."""
     try:
-        return _large_enumerated(M, pf, profile)
+        return psi_columns(M, profile)
     except EnumerationBudgetError:
-        cols, counts = sample_columns(M, pf, rng, samples)
+        cols, counts = sample_columns(M, profile.pf, rng, samples)
         large, _ = _classify_counts(profile, M.size, counts)
         return cols[:, large], counts[large]

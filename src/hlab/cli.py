@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._util import atomic_write_text, dump_json
+from ._util import _lex_tuples, atomic_write_text, dump_json
 from .asymptotics import (
     DEFAULT_CEILING,
     DEFAULT_GAP,
@@ -251,18 +251,10 @@ def cmd_profile(cfg: ExperimentConfig, out_dir: str) -> int:
                 if stored is None:
                     continue
                 counts, large = stored
-                k = prof.pf.arity
-                for flat, count in enumerate(counts):
-                    params = np.unravel_index(flat, (M.size,) * k) if k else ()
-                    rows.append(
-                        (
-                            prof.formula,
-                            M.size,
-                            " ".join(str(int(v)) for v in params),
-                            int(count),
-                            "large" if large[flat] else "algebraic",
-                        )
-                    )
+                tuples = _lex_tuples(np.arange(len(counts)), M.size, prof.pf.arity).T.tolist()
+                for params, count, is_large in zip(tuples, counts.tolist(), large.tolist()):
+                    kind = "large" if is_large else "algebraic"
+                    rows.append((prof.formula, M.size, " ".join(map(str, params)), count, kind))
         _write_csv(os.path.join(out_dir, "counts.csv"), rows)
     return 0
 
@@ -348,7 +340,7 @@ def cmd_axioms(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
     def check(M, h_set, gcfg):
         return run_axiom_checks(
             M,
-            h_set,
+            h_set.elements,
             gcfg,
             extension_samples=cfg.extension_samples,
             base_max=cfg.base_max,

@@ -76,10 +76,11 @@ class Operation:
     """A binary operation on 0..size-1 computed from its arithmetic.
 
     `op[a, b]` converts both index arguments (ints or arrays) to `dtype`
-    and has fn(a, b, out) write, in place, what indexing a dense
-    size-by-size table would give into one fresh array of their broadcast
-    shape. `dtype` must hold every intermediate value of fn, because numpy
-    integers wrap on overflow.
+    and returns fn(a, b), what indexing a dense size-by-size table would
+    give: one fresh array of their broadcast shape (a scalar for scalars),
+    which fn's first ufunc allocates and its later steps update in place.
+    `dtype` must hold every intermediate value of fn, because numpy integers
+    wrap on overflow.
     """
 
     size: int
@@ -89,10 +90,8 @@ class Operation:
     nbytes = 0  # nothing is stored per pair of elements
 
     def __getitem__(self, index):
-        a, b = (np.asarray(v, dtype=self.dtype) for v in index)
-        out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=self.dtype)
-        self.fn(a, b, out)
-        return out[()]  # a scalar for scalar arguments
+        a, b = index
+        return self.fn(np.asarray(a, dtype=self.dtype), np.asarray(b, dtype=self.dtype))
 
 
 def _index_dtype(largest: int, size: int):
@@ -210,7 +209,12 @@ def _residue_operations(n: int) -> dict[str, Operation]:
     that holds n and a + b, a - b or a * b before reduction."""
 
     def reduced(step):
-        return lambda a, b, out: np.remainder(step(a, b, out), n, out)
+        def fn(a, b):
+            out = step(a, b)
+            out %= n
+            return out
+
+        return fn
 
     return {
         "add": Operation(n, reduced(np.add), _index_dtype(2 * (n - 1), n)),
@@ -252,20 +256,21 @@ def make_extension_field(p: int) -> FiniteStructure:
 
     def coordinatewise(step):
         # coordinates add (subtract) independently
-        def fn(x, y, out):
-            step(x // p, y // p, out)
+        def fn(x, y):
+            out = step(x // p, y // p)
             out %= p
             out *= p
             t = step(x, y)  # its residue mod p is the t coordinate
             t %= p
             out += t
+            return out
 
         return fn
 
-    def mul(x, y, out):
+    def mul(x, y):
         # (a1 + b1 t)(a2 + b2 t) = a1 a2 + r b1 b2 + (a1 b2 + a2 b1) t
         (xa, xb), (ya, yb) = np.divmod(x, p), np.divmod(y, p)
-        np.multiply(xb, yb, out)
+        out = xb * yb
         out %= p
         out *= r
         out += xa * ya
@@ -275,6 +280,7 @@ def make_extension_field(p: int) -> FiniteStructure:
         t += xb * ya
         t %= p
         out += t
+        return out
 
     # no intermediate exceeds 2n: x + y, and a1 a2 + r (b1 b2 % p) < 2 p^2
     dtype = _index_dtype(2 * n, n)

@@ -52,6 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import _lex_tuples
 from .errors import (
     EvaluationError,
     FormulaSyntaxError,
@@ -882,12 +883,7 @@ def solution_counts_all(M: FiniteStructure, pf: ParamFormula) -> np.ndarray:
     order (shape (size**arity,)). The tuples are made and counted one block
     at a time, so neither they nor the grid need fit the budget at once."""
     n, k = M.size, pf.arity
-    powers = n ** np.arange(k - 1, -1, -1)[:, None]
-
-    def digits(block):  # base n, (k, len)
-        return np.arange(block.start, block.stop, dtype=np.int64) // powers % n
-
-    return _counts(M, pf, n**k, digits)
+    return _counts(M, pf, n**k, lambda block: _lex_tuples(np.arange(block.start, block.stop), n, k))
 
 
 def max_solution_count(M: FiniteStructure, gamma) -> int | None:

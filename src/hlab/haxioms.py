@@ -67,11 +67,10 @@ class AxiomReport:
                 yield (self.size, "independence", cert["formula"], " ".join(map(str, tup)))
 
 
-def check_independence(M: FiniteStructure, h_set, gamma_trunc) -> dict:
+def check_independence(M: FiniteStructure, elements, gamma_trunc) -> dict:
     """Order-restricted check (must pass: it is the construction's own
     guarantee) plus the symmetric witness count (informational), both read
     from one grid per avoid formula."""
-    elements = list(getattr(h_set, "elements", h_set))
     checks = [independence_checks(M, elements, xi) for xi in gamma_trunc]
     order_certs = [cert for cert, _ in checks]
     symmetric_witnesses = [(c.formula, *w) for c, found in checks for w in found]
@@ -87,10 +86,10 @@ def check_independence(M: FiniteStructure, h_set, gamma_trunc) -> dict:
     }
 
 
-def check_density(M: FiniteStructure, h_set, delta, profiles) -> dict:
-    """Every large parameter tuple of every cover formula must have a witness
-    in H; algebraic tuples are skipped. Exhaustive, as verify_cover is."""
-    certs = [verify_cover(M, h_set, pf, prof) for pf, prof in zip(delta, profiles)]
+def check_density(M: FiniteStructure, elements, profiles) -> dict:
+    """Every large parameter tuple of every profiled cover formula must have
+    a witness in H; algebraic tuples are skipped. Exhaustive, like verify_cover."""
+    certs = [verify_cover(M, elements, prof) for prof in profiles]
     return {
         "passed": all(c.passed for c in certs),
         "n_failures": sum(len(c.failures) for c in certs),
@@ -124,8 +123,7 @@ def _draw_samples(rng, widths, n: int, samples: int, base_max: int):
 
 def check_extension(
     M: FiniteStructure,
-    h_set,
-    delta,
+    elements,
     profiles,
     gamma_trunc,
     *,
@@ -153,19 +151,18 @@ def check_extension(
             f"{M.describe()} has {M.size} elements, too few for an extension base "
             f"of base_max = {base_max} distinct elements"
         )
-    elements = list(getattr(h_set, "elements", h_set))
     gamma = list(gamma_trunc)
     rng = np.random.default_rng([seed, M.size, 3])
 
-    usable = []  # (formula, psi columns, counts of large tuples)
+    usable = []  # (formula, its large tuples)
     min_large_count = None
-    for pf, prof in zip(delta, profiles):
-        cols, counts = large_columns(M, pf, prof, rng, 10 * samples)
+    for prof in profiles:
+        cols, counts = large_columns(M, prof, rng, 10 * samples)
         if cols.shape[1] == 0:
             continue
         low = int(counts.min())
         min_large_count = low if min_large_count is None else min(min_large_count, low)
-        usable.append((pf, cols))
+        usable.append((prof.pf, cols))
     if not usable:
         return {
             "passed": True,
@@ -231,20 +228,19 @@ def check_extension(
 
 def run_axiom_checks(
     M: FiniteStructure,
-    h_set,
+    elements,
     cfg,
     *,
     extension_samples: int = 1000,
     base_max: int = 3,
     seed: int = 0,
 ) -> AxiomReport:
-    """All three checks against a build configuration."""
-    independence = check_independence(M, h_set, cfg.gamma)
-    density = check_density(M, h_set, cfg.delta, cfg.delta_profiles)
+    """All three checks of H's ordered element list against a build config."""
+    independence = check_independence(M, elements, cfg.gamma)
+    density = check_density(M, elements, cfg.delta_profiles)
     extension = check_extension(
         M,
-        h_set,
-        cfg.delta,
+        elements,
         cfg.delta_profiles,
         cfg.gamma,
         samples=extension_samples,

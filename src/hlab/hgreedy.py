@@ -427,7 +427,7 @@ class GreedyState:
 
 def _phase_state(cfg: GreedyConfig, M: FiniteStructure, index: int, h, prov) -> GreedyState:
     pf = cfg.delta[index]
-    cols = psi_columns(M, pf, cfg.delta_profiles[index])
+    cols, _ = psi_columns(M, cfg.delta_profiles[index])
     kernel = kernel_shifts(M, pf, cols)
     return GreedyState(
         config=cfg,
@@ -598,11 +598,8 @@ def build_h(M: FiniteStructure, cfg: GreedyConfig, mode: str = STRICT):
         )
 
     h_set = HSet(elements=list(h_elements), provenance=list(provenance))
-    cover = [
-        verify_cover(M, h_set, pf, prof)
-        for pf, prof in zip(cfg.delta, cfg.delta_profiles)
-    ]
-    avoid = [verify_avoid(M, h_set, xi) for xi in cfg.gamma]
+    cover = [verify_cover(M, h_set.elements, prof) for prof in cfg.delta_profiles]
+    avoid = [verify_avoid(M, h_set.elements, xi) for xi in cfg.gamma]
     limit = cfg.c_delta_gamma * math.log(M.size)
     report = BuildReport(
         size=M.size,
@@ -624,15 +621,13 @@ def build_h(M: FiniteStructure, cfg: GreedyConfig, mode: str = STRICT):
     return h_set, report
 
 
-def verify_cover(
-    M: FiniteStructure, h_set, pf: ParamFormula, profile: MeasureProfile
-) -> CoverCertificate:
-    """Check that every large parameter tuple has a witness in H, exhaustively
-    over the enumerated large set psi_columns, one |H| x block grid at a
-    time. Raises EnumerationBudgetError when the tuple space exceeds the
-    budget; a build has already enumerated the same set under it."""
-    elements = list(getattr(h_set, "elements", h_set))
-    cols = psi_columns(M, pf, profile)
+def verify_cover(M: FiniteStructure, elements, profile: MeasureProfile) -> CoverCertificate:
+    """Check that every large parameter tuple of the profiled formula has a
+    witness in H, exhaustively over the enumerated large set psi_columns, one
+    |H| x block grid at a time. Raises EnumerationBudgetError when the tuple
+    space exceeds the budget; a build has already enumerated the same set."""
+    pf = profile.pf
+    cols, _ = psi_columns(M, profile)
     covered = np.zeros(cols.shape[1], dtype=bool)
     for block in column_blocks(cols.shape[1], len(elements)):
         covered[block] = solution_mask_matrix(M, pf, cols[:, block], rows=elements).any(axis=0)
@@ -666,8 +661,8 @@ def independence_checks(M: FiniteStructure, elements, pf: ParamFormula):
     return AvoidCertificate(pf.text, checked, violations, not violations), listed(found[1])
 
 
-def verify_avoid(M: FiniteStructure, h_set, pf: ParamFormula) -> AvoidCertificate:
+def verify_avoid(M: FiniteStructure, elements, pf: ParamFormula) -> AvoidCertificate:
     """Exhaustive order-restricted check: no element of H satisfies the
     formula with parameters strictly earlier in the H order. Parameterless
     formulas are checked against every element."""
-    return independence_checks(M, list(getattr(h_set, "elements", h_set)), pf)[0]
+    return independence_checks(M, elements, pf)[0]

@@ -184,7 +184,7 @@ def test_criterion_5_greedy_vs_oracle(profiled):
             xz = parse_formula("x = z", M.sig)
             configs[key] = derive_config(profiled(family, [pf]), profiled(family, [xz]), None)
         cfg = configs[key]
-        psi = psi_set(M, pf, cfg.delta_profiles[0])
+        psi = psi_set(M, cfg.delta_profiles[0])
         h_set, report = build_h(M, cfg, BEST_EFFORT)
         assert report.all_passed, (M.size, pf.text)
         opt = minimum_cover_size(M, pf, psi)
@@ -209,7 +209,7 @@ def test_criterion_6_axiom_checks(pipeline):
     extension_failures = 0
     for M, h_set, _ in pipeline.builds:
         report = run_axiom_checks(
-            M, h_set, pipeline.config, extension_samples=1000, base_max=3, seed=0
+            M, h_set.elements, pipeline.config, extension_samples=1000, base_max=3, seed=0
         )
         density_failures += report.density["n_failures"]
         extension_failures += len(report.extension["failures"])

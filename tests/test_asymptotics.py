@@ -143,32 +143,25 @@ class TestClassify:
 
 class TestPsiSet:
     def test_square_shift_all_large(self, square_shift_profile):
-        _, pf, prof = square_shift_profile
-        assert psi_set(make_prime_field(7), pf, prof) == [(y,) for y in range(7)]
+        _, _, prof = square_shift_profile
+        assert psi_set(make_prime_field(7), prof) == [(y,) for y in range(7)]
 
     def test_equality_empty(self, small_prime_family):
         pf = parse_formula("x = y", small_prime_family[0].sig)
         prof = profile_family(small_prime_family, pf)
-        assert psi_set(make_prime_field(7), pf, prof) == []
+        assert psi_set(make_prime_field(7), prof) == []
 
     def test_inequality_everything(self):
         fam = [make_cyclic_group(n) for n in (13, 37, 101)]
         pf = parse_formula("!(x = y)", fam[0].sig)
         prof = profile_family(fam, pf)
-        assert psi_set(fam[0], pf, prof) == [(y,) for y in range(13)]
+        assert psi_set(fam[0], prof) == [(y,) for y in range(13)]
 
     def test_budget(self, square_shift_profile, shrink_budget):
-        _, pf, prof = square_shift_profile
+        _, _, prof = square_shift_profile
         shrink_budget(50)
         with pytest.raises(EnumerationBudgetError):
-            psi_set(make_prime_field(101), pf, prof)
-
-    def test_wrong_profile_rejected(self, small_prime_family):
-        pf1 = parse_formula("x = y", small_prime_family[0].sig)
-        pf2 = parse_formula("!(x = y)", small_prime_family[0].sig)
-        prof = profile_family(small_prime_family, pf1)
-        with pytest.raises(ValueError):
-            psi_set(small_prime_family[0], pf2, prof)
+            psi_set(make_prime_field(101), prof)
 
     def test_equivalent_formulas_same_psi(self, small_prime_family):
         sig = small_prime_family[0].sig
@@ -184,7 +177,7 @@ class TestPsiSet:
                 assert evaluate(M, pf_a.formula, dict(a)) == evaluate(M, pf_b.formula, dict(a))
         prof_a = profile_family(small_prime_family, pf_a)
         prof_b = profile_family(small_prime_family, pf_b)
-        assert psi_set(M, pf_a, prof_a) == psi_set(M, pf_b, prof_b)
+        assert psi_set(M, prof_a) == psi_set(M, prof_b)
 
 
 class TestSampledProfiling:

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hlab.errors import (
     FreeVariableError,
     SignatureMismatchError,
 )
-from hlab._util import tuple_columns
+from hlab._util import _lex_tuples, tuple_columns
 from hlab.finitemodels import (
     FiniteStructure,
     Signature,
@@ -592,6 +593,17 @@ class TestBlockedEvaluator:
         for text in ("x * x = one", "x * y1 = y2"):
             pf = parse_formula(text, gf7.sig)
             assert solution_mask_matrix(gf7, pf, np.empty((pf.arity, 0), int)).shape == (7, 0)
+
+
+class TestLexTuples:
+    @pytest.mark.parametrize("arity", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_matches_product_order(self, n, arity):
+        expected = list(itertools.product(range(n), repeat=arity))
+        for positions in (np.arange(n**arity), np.arange(n**arity)[1::3]):
+            got = _lex_tuples(positions, n, arity)
+            assert got.shape == (arity, len(positions)) and got.dtype == np.intp
+            assert [tuple(col) for col in got.T.tolist()] == [expected[i] for i in positions]
 
 
 class TestImageCacheRace:

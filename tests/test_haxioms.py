@@ -24,17 +24,16 @@ from hlab.haxioms import (
 )
 
 
-def replay_extension(M, h, delta, profiles, gamma, *, samples, base_max, seed, gamma_max_solutions):
+def replay_extension(M, h, profiles, gamma, *, samples, base_max, seed, gamma_max_solutions):
     """check_extension's failures the slow way: the same draws from
     _draw_samples, then one sample at a time, each judged by solution_set
     and closure."""
-    h = list(getattr(h, "elements", h))
     rng = np.random.default_rng([seed, M.size, 3])
     usable = []
-    for pf, prof in zip(delta, profiles):
-        cols, _ = large_columns(M, pf, prof, rng, 10 * samples)
+    for prof in profiles:
+        cols, _ = large_columns(M, prof, rng, 10 * samples)
         if cols.shape[1]:
-            usable.append((pf, cols))
+            usable.append((prof.pf, cols))
     if not usable:
         return []
     widths = np.array([cols.shape[1] for _, cols in usable])
@@ -50,9 +49,9 @@ def replay_extension(M, h, delta, profiles, gamma, *, samples, base_max, seed, g
     return failures
 
 
-def assert_matches_replay(M, h, delta, profiles, gamma, **kw):
-    frag = check_extension(M, h, delta, profiles, gamma, **kw)
-    assert frag["failures"] == replay_extension(M, h, delta, profiles, gamma, **kw)
+def assert_matches_replay(M, h, profiles, gamma, **kw):
+    frag = check_extension(M, h, profiles, gamma, **kw)
+    assert frag["failures"] == replay_extension(M, h, profiles, gamma, **kw)
     assert frag["passed"] == (not frag["failures"])
     return frag
 
@@ -67,7 +66,7 @@ def gf101_build(profiled):
     M = [m for m in fam if m.size == 101][0]
     h, report = build_h(M, cfg, STRICT)
     assert report.all_passed
-    return M, h, cfg
+    return M, h.elements, cfg
 
 
 class TestIndependence:
@@ -126,14 +125,14 @@ class TestIndependenceGrid:
 class TestDensity:
     def test_builder_output_zero_failures(self, gf101_build):
         M, h, cfg = gf101_build
-        frag = check_density(M, h, cfg.delta, cfg.delta_profiles)
+        frag = check_density(M, h, cfg.delta_profiles)
         assert frag["passed"]
         assert frag["n_failures"] == 0
         assert frag["per_formula"][0]["method"] == "exhaustive"
 
     def test_empty_h_fails_on_every_large_tuple(self, gf101_build):
         M, _, cfg = gf101_build
-        frag = check_density(M, [], cfg.delta, cfg.delta_profiles)
+        frag = check_density(M, [], cfg.delta_profiles)
         assert not frag["passed"]
         assert frag["n_failures"] == M.size  # every tuple is large here
 
@@ -145,8 +144,8 @@ class TestDensity:
         xz = parse_formula("x = z", sig)
         cfg = derive_config(profiled(fam, [neq, eq]), profiled(fam, [xz]), 0.4)
         M = fam[-1]
-        h, _ = build_h(M, cfg, BEST_EFFORT)
-        frag = check_density(M, h, cfg.delta, cfg.delta_profiles)
+        h = build_h(M, cfg, BEST_EFFORT)[0].elements
+        frag = check_density(M, h, cfg.delta_profiles)
         assert frag["passed"]
         # the equality formula has no large tuples, so nothing was checked
         eq_cert = frag["per_formula"][1]
@@ -157,7 +156,7 @@ class TestExtension:
     def test_builder_output_passes(self, gf101_build):
         M, h, cfg = gf101_build
         frag = check_extension(
-            M, h, cfg.delta, cfg.delta_profiles, cfg.gamma,
+            M, h, cfg.delta_profiles, cfg.gamma,
             samples=300, base_max=3, seed=0,
             gamma_max_solutions=cfg.gamma_max_solutions,
         )
@@ -170,7 +169,7 @@ class TestExtension:
     def test_whole_universe_h_fails(self, gf101_build):
         M, _, cfg = gf101_build
         frag = check_extension(
-            M, list(range(M.size)), cfg.delta, cfg.delta_profiles, cfg.gamma,
+            M, list(range(M.size)), cfg.delta_profiles, cfg.gamma,
             samples=50, base_max=3, seed=0,
             gamma_max_solutions=cfg.gamma_max_solutions,
         )
@@ -181,8 +180,8 @@ class TestExtension:
         M, h, cfg = gf101_build
         kw = dict(samples=100, base_max=3, seed=11,
                   gamma_max_solutions=cfg.gamma_max_solutions)
-        a = check_extension(M, h, cfg.delta, cfg.delta_profiles, cfg.gamma, **kw)
-        b = check_extension(M, h, cfg.delta, cfg.delta_profiles, cfg.gamma, **kw)
+        a = check_extension(M, h, cfg.delta_profiles, cfg.gamma, **kw)
+        b = check_extension(M, h, cfg.delta_profiles, cfg.gamma, **kw)
         assert dump_json(a) == dump_json(b)
 
     def test_swallowing_closure_detected(self, profiled):
@@ -195,16 +194,16 @@ class TestExtension:
         shifts = [parse_formula(f"x = z + {k}", sig) for k in range(5)]
         cfg = derive_config(profiled(fam, [neq]), profiled(fam, shifts), 0.4)
         M = fam[0]
-        h, _ = build_h(M, cfg, BEST_EFFORT)
+        h = build_h(M, cfg, BEST_EFFORT)[0].elements
         frag = check_extension(
-            M, h, cfg.delta, cfg.delta_profiles, cfg.gamma,
+            M, h, cfg.delta_profiles, cfg.gamma,
             samples=100, base_max=3, seed=0,
             gamma_max_solutions=cfg.gamma_max_solutions,
         )
         assert not frag["passed"]
         assert frag["sufficient_bound_ok"] is False
         assert frag["failures"] == replay_extension(
-            M, h, cfg.delta, cfg.delta_profiles, cfg.gamma,
+            M, h, cfg.delta_profiles, cfg.gamma,
             samples=100, base_max=3, seed=0,
             gamma_max_solutions=cfg.gamma_max_solutions,
         )
@@ -218,10 +217,10 @@ class TestNonUnaryClosure:
         pairsum = parse_formula("x = z1 + z2", sig, params=("z1", "z2"))
         cfg = derive_config(profiled(fam, [neq]), profiled(fam, [pairsum]), 0.4)
         M = fam[-1]
-        h, report = build_h(M, cfg, BEST_EFFORT)
+        h_set, report = build_h(M, cfg, BEST_EFFORT)
         assert report.all_passed
         frag = assert_matches_replay(
-            M, h, cfg.delta, cfg.delta_profiles, cfg.gamma,
+            M, h_set.elements, cfg.delta_profiles, cfg.gamma,
             samples=25, base_max=2, seed=0,
             gamma_max_solutions=cfg.gamma_max_solutions,
         )
@@ -234,11 +233,11 @@ class TestNonUnaryClosure:
 
 @pytest.fixture(scope="module")
 def z_small():
-    """Cyclic groups 9..20 with two cover formulas profiled over them."""
+    """Cyclic groups 9..20 and two cover formulas profiled over them."""
     family = [make_cyclic_group(n) for n in range(9, 21)]
     sig = family[0].sig
     cover = [parse_formula("!(x = y)", sig), parse_formula("exists z. x = y + z + z", sig)]
-    return family, cover, [profile_family(family, pf) for pf in cover]
+    return family, [profile_family(family, pf) for pf in cover]
 
 
 # avoid lists of arities 0 to 3 over the cyclic signature
@@ -255,20 +254,20 @@ class TestExtensionReplay:
     @pytest.mark.parametrize("size", [9, 12, 13])
     @pytest.mark.parametrize("h", [[], [0, 1, 3], [2, 5]])
     def test_matches_per_sample_replay(self, z_small, avoid, size, h):
-        family, cover, profiles = z_small
+        family, profiles = z_small
         M = family[size - 9]
         gamma = [parse_formula(t, M.sig) for t in avoid]
         assert_matches_replay(
-            M, h, cover, profiles, gamma,
+            M, h, profiles, gamma,
             samples=30, base_max=3, seed=size, gamma_max_solutions=None,
         )
 
     def test_some_replayed_samples_fail(self, z_small):
-        family, cover, profiles = z_small
+        family, profiles = z_small
         M = family[13 - 9]
         gamma = [parse_formula("x = z1 + z2", M.sig)]
         frag = assert_matches_replay(
-            M, [0, 1, 3], cover, profiles, gamma,
+            M, [0, 1, 3], profiles, gamma,
             samples=40, base_max=3, seed=2, gamma_max_solutions=None,
         )
         assert 0 < len(frag["failures"]) < 40
@@ -278,12 +277,12 @@ class TestExtensionReplay:
         # the two cover formulas, whose solution sets differ on Z_12 (M minus
         # a point against a coset of 2Z_12), and failing samples fall in
         # several blocks
-        family, cover, profiles = z_small
+        family, profiles = z_small
         M = family[12 - 9]
         gamma = [parse_formula("x = z1 + z2", M.sig)]
         shrink_budget(36)
         frag = assert_matches_replay(
-            M, [0, 1, 3], cover, profiles, gamma,
+            M, [0, 1, 3], profiles, gamma,
             samples=40, base_max=3, seed=2, gamma_max_solutions=None,
         )
         assert 0 < len(frag["failures"]) < 40
@@ -354,7 +353,7 @@ class TestDrawSamples:
         monkeypatch.setattr(np.random, "default_rng", lambda seed: CountingGenerator(real(seed)))
         for samples in (10, 1000):
             frag = check_extension(
-                M, h, cfg.delta, cfg.delta_profiles, cfg.gamma,
+                M, h, cfg.delta_profiles, cfg.gamma,
                 samples=samples, base_max=3, seed=0,
                 gamma_max_solutions=cfg.gamma_max_solutions,
             )
@@ -370,7 +369,7 @@ class TestExtensionUnionBound:
         M, h, cfg = gf101_build
         with pytest.raises(InvariantError, match="union bound"):
             check_extension(
-                M, h, cfg.delta, cfg.delta_profiles, cfg.gamma,
+                M, h, cfg.delta_profiles, cfg.gamma,
                 samples=5, seed=0, gamma_max_solutions=0,
             )
 
@@ -388,7 +387,7 @@ class TestExtensionUnionBound:
             "xz = parse_formula('x = z', fam[0].sig)\n"
             "prof = profile_family(fam, pf)\n"
             "try:\n"
-            "    check_extension(fam[4], [0, 1], [pf], [prof], [xz], samples=5, gamma_max_solutions=0)\n"
+            "    check_extension(fam[4], [0, 1], [prof], [xz], samples=5, gamma_max_solutions=0)\n"
             "except InvariantError as exc:\n"
             "    sys.exit(7 if 'union bound' in str(exc) else 3)\n"
         )

@@ -362,29 +362,27 @@ class TestBuildH:
 
 class TestVerifyCover:
     def test_builder_output_passes(self, neq_config, z13):
-        h, _ = build_h(z13, neq_config, BEST_EFFORT)
-        cert = verify_cover(z13, h, neq_config.delta[0], neq_config.delta_profiles[0])
+        h = build_h(z13, neq_config, BEST_EFFORT)[0].elements
+        cert = verify_cover(z13, h, neq_config.delta_profiles[0])
         assert cert.passed
         assert cert.method == "exhaustive"
         assert cert.checked == 13
 
     def test_empty_h_fails_everywhere(self, neq_config, z13):
-        cert = verify_cover(z13, [], neq_config.delta[0], neq_config.delta_profiles[0])
+        cert = verify_cover(z13, [], neq_config.delta_profiles[0])
         assert not cert.passed
         assert len(cert.failures) == 13
 
     def test_whole_universe_covers(self, neq_config, z13):
-        cert = verify_cover(
-            z13, list(range(13)), neq_config.delta[0], neq_config.delta_profiles[0]
-        )
+        cert = verify_cover(z13, list(range(13)), neq_config.delta_profiles[0])
         assert cert.passed
 
     def test_over_budget_raises(self, neq_config, z13, shrink_budget):
         # the certificate never samples: past the budget it refuses
-        h, _ = build_h(z13, neq_config, BEST_EFFORT)
+        h = build_h(z13, neq_config, BEST_EFFORT)[0].elements
         shrink_budget(4)
         with pytest.raises(EnumerationBudgetError):
-            verify_cover(z13, h, neq_config.delta[0], neq_config.delta_profiles[0])
+            verify_cover(z13, h, neq_config.delta_profiles[0])
 
 
 class TestVerifyAvoid:
@@ -429,7 +427,7 @@ def pair_cover_config(cyclic_family_30, profiled):
 class TestWiderArities:
     def test_two_parameter_cover_build(self, pair_cover_config, cyclic_family_30):
         M = [m for m in cyclic_family_30 if m.size == 15][0]
-        psi = psi_set(M, pair_cover_config.delta[0], pair_cover_config.delta_profiles[0])
+        psi = psi_set(M, pair_cover_config.delta_profiles[0])
         assert len(psi) == 225  # doubling is onto for odd order, every pair is large
         assert psi[0] == (0, 0) and psi[1] == (0, 1)  # lexicographic order
         h, report = build_h(M, pair_cover_config, BEST_EFFORT)
@@ -643,7 +641,7 @@ class TestGreedyVersusOracle:
         pf = parse_formula("exists z. x = y + z + z", M.sig)
         xz = parse_formula("x = z", M.sig)
         cfg = derive_config(profiled(fam, [pf]), profiled(fam, [xz]), None)
-        psi = psi_set(M, pf, cfg.delta_profiles[0])
+        psi = psi_set(M, cfg.delta_profiles[0])
         h, report = build_h(M, cfg, BEST_EFFORT)
         assert report.all_passed
         opt = minimum_cover_size(M, pf, psi)

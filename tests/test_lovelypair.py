@@ -1,8 +1,9 @@
 import pytest
 
+from hlab import folang, lovelypair
 from hlab.errors import SignatureMismatchError
 from hlab.finitemodels import least_nonresidue, make_extension_field, primes_in
-from hlab.folang import evaluate, parse_formula, solution_count
+from hlab.folang import column_blocks, evaluate, parse_formula, solution_count
 from hlab.lovelypair import (
     build_quadratic_pair,
     csv_rows,
@@ -228,3 +229,24 @@ def test_square_mask_cold_race(race):
     assert counts == [reference] * 8
     images = [key for key in K._cache if key[0] == "image"]
     assert len(images) == 1
+
+
+def test_phi_evaluated_once_per_block(monkeypatch, shrink_budget):
+    # phi_count and subfield_violations are the column sums of one PHI mask
+    # per evaluation block, over every row and over the subfield rows
+    calls = []
+    real = folang.solution_mask_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].text)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(folang, "solution_mask_matrix", counted)
+    monkeypatch.setattr(lovelypair, "solution_mask_matrix", counted, raising=False)
+    shrink_budget(121 * 25)  # 25 of the 110 columns of GF(11^2) per block
+    reports = run_experiment([11], sweep_a1=True)
+    assert len(reports) == 110
+    assert calls == [lovelypair.PHI] * len(list(column_blocks(110, 121))) == [lovelypair.PHI] * 5
+    assert all(
+        (r.phi_count, r.subfield_violations) == brute_pair_data(11, r.a1) for r in reports[::17]
+    )
