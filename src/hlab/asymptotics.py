@@ -66,6 +66,8 @@ class MeasureProfile:
     seed: int
     pf: ParamFormula = field(repr=False)
     _counts: dict = field(default_factory=dict, repr=False)
+    # (structure key, large tuples, their counts): psi_columns' last result
+    _psi: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def uniformly_algebraic(self) -> bool:
@@ -358,15 +360,26 @@ def psi_columns(M: FiniteStructure, profile: MeasureProfile):
     """Every parameter tuple of the profiled formula classified large, as an
     (arity, m) index array in lexicographic order, and the solution count of
     each. Raises EnumerationBudgetError when the tuple space exceeds the one
-    evaluation budget."""
+    evaluation budget.
+
+    The profile keeps the result for the last structure it was asked about,
+    as read-only arrays, so a build and the checks after it classify and
+    decode Ψ once; memory holds at most one Ψ per profile."""
     n, k = M.size, profile.pf.arity
     if not within_budget(n**k):
         raise EnumerationBudgetError(f"psi enumeration needs {n**k} tuples, over the budget")
-    counts = profile._counts.get(_structure_key(M))
+    key = _structure_key(M)
+    if profile._psi is not None and profile._psi[0] == key:
+        return profile._psi[1:]
+    profile._psi = None  # drop the last structure's Ψ before computing this one
+    counts = profile._counts.get(key)
     if counts is None:
         counts = solution_counts_all(M, profile.pf)
     flats = np.flatnonzero(_classify_counts(profile, n, counts)[0])
-    return _lex_tuples(flats, n, k), counts[flats]
+    cols, large = _lex_tuples(flats, n, k), counts[flats]
+    cols.flags.writeable = large.flags.writeable = False
+    profile._psi = (key, cols, large)
+    return cols, large
 
 
 def large_columns(M: FiniteStructure, profile: MeasureProfile, rng, samples: int):

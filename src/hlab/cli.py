@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import glob
 import io
 import json
@@ -405,6 +406,10 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if not gc.get_freeze_count():
+            # the import-time heap lives until exit: keep it out of every
+            # later collection, the ones at interpreter exit included
+            gc.freeze()
         if args.seed is not None:
             cfg.seed = args.seed
             _check_ranges(cfg)

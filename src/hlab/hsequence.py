@@ -8,12 +8,18 @@ scheduled. Level n uses the first n+1 entries of each list. A
 structure's level is the largest n whose size threshold it passes (with the
 extra size > C^n requirement in coarse-dim mode); structures below every
 level get an empty H.
+
+parallel_map, the package's one process pool, lives here: it forks its
+workers once, gives each an interleaved share of the items, and reads back
+one pickle per worker.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -130,40 +136,104 @@ def schedule_in(
     return SequencePlan(mode=mode, mu=mu, schedule=sched, configs=configs, entries=entries)
 
 
-_JOB = None  # (fn, items) of the running pooled map; forked workers inherit it
-
-
-def _run_job(index: int):
-    fn, items = _JOB
-    return fn(items[index])
-
-
 def parallel_map(fn, items, threads: int) -> list:
     """[fn(item) for item in items], spread over up to `threads` forked
     worker processes; results keep the order of `items`.
 
-    Each worker inherits the job and gets only item indices, so fn may be a
-    lambda or a closure; only its results are pickled back. An exception
-    raised in a worker is re-raised here with its type and message, and a
-    worker that dies raises BrokenProcessPool. The map runs in this process
-    when threads <= 1, when there is at most one item, or where the platform
-    cannot fork. This is the package's only pool.
+    The workers are forked once, after stdout and stderr are flushed, so
+    text written before the map appears once. Worker w runs the interleaved
+    share items[w::workers] in order and stops at its first exception. It
+    sends back one pickle, either its results or the failing index and the
+    exception, and exits. So fn may be a lambda or a closure; only results
+    and exceptions are pickled. The parent runs no item: it reads every
+    worker's pickle, reaps every worker, and puts the results back in item
+    order. A failure re-raises the exception of the lowest failing index,
+    which is the one the serial map raises, with its type, message and
+    attributes. A worker that dies, or sends a short or unreadable pickle,
+    raises BrokenProcessPool; on that or any other exception in the parent,
+    the workers still running are killed and reaped. The map runs in this process when threads <= 1,
+    when there is at most one item, or where the platform cannot fork. This
+    is the package's only pool. Under the CLI the workers inherit the heap
+    that cli.main froze, so their collections skip the import-time objects.
     """
-    global _JOB
     items = list(items)
     workers = min(threads, len(items))
     if workers <= 1 or not hasattr(os, "fork"):
         return [fn(item) for item in items]
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
+    import signal
 
-    _JOB = (fn, items)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    results = [None] * len(items)
+    failed = None  # (index, exception) of the lowest failing index
+    running = {}  # pid -> read end of the worker's result pipe, until reaped
     try:
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            return list(pool.map(_run_job, range(len(items))))
+        for w in range(workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _run_share(fn, items[w::workers], w, workers, write)
+            os.close(write)
+            running[pid] = os.fdopen(read, "rb")
+        for w, pid in enumerate(list(running)):
+            data = running[pid].read()
+            status = os.waitpid(pid, 0)[1]
+            running.pop(pid).close()
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                raise _broken_pool(f"worker {w} of {workers} died with exit status {code}")
+            try:
+                index, outcome = pickle.loads(data)
+            except Exception as exc:
+                raise _broken_pool(f"worker {w} of {workers} sent an unreadable result") from exc
+            if index is None:
+                results[w::workers] = outcome
+            elif failed is None or index < failed[0]:
+                failed = (index, outcome)
     finally:
-        _JOB = None
+        for pid, pipe in running.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if failed is not None:
+        raise failed[1]
+    return results
+
+
+def _broken_pool(message: str):
+    from concurrent.futures.process import BrokenProcessPool
+
+    return BrokenProcessPool(message)
+
+
+def _run_share(fn, share, first: int, step: int, write: int):
+    """A forked worker's whole life: run fn over its share, write one pickle
+    to the `write` end of its pipe, and exit without returning. The pickle
+    holds (None, results), or (index, exception) for the first item that
+    raised; a result or exception that cannot be pickled ends the worker
+    with exit status 1 and a traceback on stderr."""
+    code = 1
+    try:
+        results = []
+        try:
+            for item in share:
+                results.append(fn(item))
+            outcome = (None, results)
+        except Exception as exc:
+            outcome = (first + step * len(results), exc)
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        code = 0
+    except BaseException:
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
 
 
 def build_sequence(plan: SequencePlan, threads: int = 1) -> SequencePlan:

@@ -5,6 +5,7 @@ from hlab.asymptotics import (
     MeasureProfile,
     classify,
     profile_family,
+    psi_columns,
     psi_set,
 )
 from hlab.errors import (
@@ -162,6 +163,20 @@ class TestPsiSet:
         shrink_budget(50)
         with pytest.raises(EnumerationBudgetError):
             psi_set(make_prime_field(101), prof)
+
+    def test_psi_columns_kept_for_the_last_structure(self, small_prime_family):
+        pf = parse_formula("exists z. z*z = x - y", small_prime_family[0].sig)
+        prof = profile_family(small_prime_family, pf)
+        cols, counts = psi_columns(make_prime_field(7), prof)
+        assert not cols.flags.writeable and not counts.flags.writeable
+        again = psi_columns(make_prime_field(7), prof)
+        assert again[0] is cols and again[1] is counts
+        # one entry per profile: another structure replaces it
+        psi_columns(make_prime_field(11), prof)
+        recomputed = psi_columns(make_prime_field(7), prof)
+        assert recomputed[0] is not cols
+        np.testing.assert_array_equal(recomputed[0], cols)
+        np.testing.assert_array_equal(recomputed[1], counts)
 
     def test_equivalent_formulas_same_psi(self, small_prime_family):
         sig = small_prime_family[0].sig

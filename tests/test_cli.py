@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import importlib
 import inspect
 import io
@@ -749,6 +750,33 @@ def test_cli_import_leaves_the_pool_out():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60, check=True
     )
     assert run.stdout == "[]\n"
+
+
+class TestFrozenHeap:
+    def test_main_freezes_the_heap(self, tmp_path):
+        cfg = write_config(tmp_path, family={"family": "prime-field", "lo": 5, "hi": 13})
+        script = (
+            "import gc, sys\n"
+            "from hlab.cli import main\n"
+            "print(main(sys.argv[1:]), gc.get_freeze_count() > 0)\n"
+        )
+        src = os.path.dirname(os.path.dirname(hlab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["profile", "--config", cfg, "--out", str(tmp_path / "o")]
+        run = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert run.stdout == "0 True\n"
+
+    def test_second_main_freezes_nothing_more(self, tmp_path):
+        cfg = write_config(tmp_path, family={"family": "prime-field", "lo": 5, "hi": 13})
+        argv = ["profile", "--config", cfg, "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        assert main(argv) == 0
+        assert gc.get_freeze_count() == frozen
 
 
 def test_one_budget():

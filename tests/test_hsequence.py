@@ -1,6 +1,9 @@
+import contextlib
+import io
 import math
 import os
 import pickle
+import signal
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -155,6 +158,24 @@ def _fail_at_three(v):
     return v
 
 
+def _fail_at_one_and_four(v):
+    if v in (1, 4):
+        raise InvariantError(f"item {v} failed")
+    return v
+
+
+class _Unreadable:
+    """Pickles in a worker, but its unpickling raises in the parent."""
+
+    def __reduce__(self):
+        return int, ("not a number",)
+
+
+def _assert_no_unreaped_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestParallelMap:
     def test_keeps_item_order(self):
         items = list(range(23))
@@ -188,7 +209,63 @@ class TestParallelMap:
         parallel_map(lambda v: v, range(4), 2)
         with pytest.raises(InvariantError):
             parallel_map(_fail_at_three, range(6), 2)
-        assert hsequence._JOB is None
+        _assert_no_unreaped_children()
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_lowest_failing_index_wins(self, threads):
+        # the serial map raises item 1's error; so must every interleaving
+        with pytest.raises(InvariantError, match=r"^item 1 failed$"):
+            parallel_map(_fail_at_one_and_four, range(6), threads)
+
+    def test_keeps_item_order_at_three_workers(self):
+        items = list(range(23))
+        results = parallel_map(lambda v: (3 * v + 1, os.getpid()), items, 3)
+        assert [value for value, _ in results] == [3 * v + 1 for v in items]
+        # worker w ran the interleaved share items[w::3]
+        pids = [pid for _, pid in results]
+        assert len(set(pids)) == 3 and pids == pids[:3] * 7 + pids[:2]
+
+    @pytest.mark.parametrize(
+        "die",
+        [lambda: os._exit(1), lambda: os.kill(os.getpid(), signal.SIGKILL)],
+        ids=["exit", "sigkill"],
+    )
+    def test_dying_worker_raises_broken_pool(self, die):
+        def job(v):
+            if v == 2:
+                die()
+            return v
+
+        with pytest.raises(BrokenProcessPool):
+            parallel_map(job, range(5), 2)
+        _assert_no_unreaped_children()
+
+    @pytest.mark.parametrize(
+        "result",
+        [lambda v: (lambda: v), lambda v: _Unreadable()],
+        ids=["unpicklable", "unreadable"],
+    )
+    def test_bad_result_raises_broken_pool(self, result):
+        with pytest.raises(BrokenProcessPool):
+            parallel_map(result, range(4), 2)
+        _assert_no_unreaped_children()
+
+    @pytest.mark.parametrize(
+        "fn", [lambda v: v, _fail_at_three, lambda v: os._exit(1)], ids=["ok", "fails", "dies"]
+    )
+    def test_no_child_left_unreaped(self, fn):
+        with contextlib.suppress(InvariantError, BrokenProcessPool):
+            parallel_map(fn, range(7), 3)
+        _assert_no_unreaped_children()
+
+    def test_unflushed_output_appears_once(self, capfd, monkeypatch):
+        # a block-buffered stdout, as when output goes to a file or a pipe;
+        # a worker that inherited its unflushed text would write it again
+        with io.TextIOWrapper(io.BufferedWriter(io.FileIO(os.dup(1), "w"))) as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            stdout.write("before the map")
+            parallel_map(lambda v: v, range(4), 2)
+        assert capfd.readouterr().out == "before the map"
 
 
 class TestClosure:
