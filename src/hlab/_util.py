@@ -1,10 +1,20 @@
-"""Small shared helpers: tuple grids, flat tuple indices, JSON sanitizing, atomic writes."""
+"""Small shared helpers: tuple grids, flat tuple indices, the JSON report
+writer, atomic writes.
+
+dump_json writes the bytes of json.dumps(obj, indent=2, sort_keys=True,
+default=_plain) through the C encoder, which json.dumps skips when `indent`
+is set. Indented JSON has raw newlines only in separators, as strings escape
+theirs, so one C call whose item separator carries the newline and indent
+writes a container of leaves, or a list of such containers cut between them.
+"""
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
+from itertools import chain
 
 import numpy as np
 
@@ -40,8 +50,75 @@ def _plain(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+_KEYS = frozenset({str, int, float, bool, type(None)})
+# exact types json writes alike with and without indent; numpy scalars pass through _plain
+_LEAVES = _KEYS | {np.dtype(c).type for c in "?bhilqBHILQefd"}
+
+
+@functools.cache
+def _encoder(depth: int):
+    """The C encoder, keys sorted, whose item separator opens a line at `depth`."""
+    # markers (None: its inputs hold no cycles), default, string encoder, indent,
+    # key and item separators, sort_keys, skipkeys, allow_nan
+    encode = json.encoder.c_make_encoder(
+        None, _plain, json.encoder.encode_basestring_ascii, None, ": ", ",\n" + "  " * depth, True, False, True
+    )
+    return lambda obj: "".join(encode(obj, 0))
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return json.encoder.encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        return f'"{_encoder(0)(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _flat(values, keys=()) -> bool:
+    """Keys and values that json writes alike with and without indent."""
+    kinds = set(map(type, values))
+    return set(map(type, keys)) <= _KEYS and (
+        kinds <= _LEAVES
+        or kinds <= _LEAVES | {dict, list, tuple} and not any(v for v in values if type(v) not in _LEAVES)
+    )
+
+
+def _dump(obj, depth: int) -> str:
+    """obj as indent-2 json writes it when it opens at indent level `depth`."""
+    if isinstance(obj, (str, int, float)) or obj is None:
+        return _encoder(0)(obj)
+    if not isinstance(obj, (dict, list, tuple)):
+        return _dump(_plain(obj), depth)
+    is_dict = isinstance(obj, dict)
+    if not obj:
+        return "{}" if is_dict else "[]"
+    pad = "\n" + "  " * (depth + 1)
+    if _flat(obj.values(), obj) if is_dict else _flat(obj):
+        text = _encoder(depth + 1)(obj)
+        return text[0] + pad + text[1:-1] + pad[:-2] + text[-1]
+    # rows: non-empty flat dicts, or lists of leaves alone (an empty list in
+    # a list row followed by a list would read as a row boundary)
+    kinds = set(map(type, obj))
+    if not is_dict and (
+        kinds == {dict} and all(obj) and _flat([*chain(*map(dict.values, obj))], chain(*obj))
+        or kinds <= {list, tuple} and all(obj) and set(map(type, chain(*obj))) <= _LEAVES
+    ):
+        inner = pad + "  "
+        text = _encoder(depth + 2)(obj)
+        start, end = text[1], text[-2]
+        text = text[2:-2].replace(end + "," + inner + start, pad + end + "," + pad + start + inner)
+        return "[" + pad + start + inner + text + pad + end + pad[:-2] + "]"
+    if is_dict:
+        parts = [_key(k) + ": " + _dump(v, depth + 1) for k, v in sorted(obj.items())]
+    else:
+        parts = [_dump(v, depth + 1) for v in obj]
+    opening, closing = "{}" if is_dict else "[]"
+    return opening + pad + ("," + pad).join(parts) + pad[:-2] + closing
+
+
 def dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, default=_plain) + "\n"
+    """The bytes of json.dumps(obj, indent=2, sort_keys=True, default=_plain) + "\n"."""
+    return _dump(obj, 0) + "\n"
 
 
 def atomic_write_text(path: str, text: str):

@@ -211,12 +211,14 @@ def _check_ranges(cfg: ExperimentConfig) -> ExperimentConfig:
     return cfg
 
 
-def _write_csv(path: str, rows):
+def _csv_text(rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
-    atomic_write_text(path, buf.getvalue())
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _write_csv(path: str, rows):
+    atomic_write_text(path, _csv_text(rows))
 
 
 def _require(cfg: ExperimentConfig, cover: bool, avoid: bool, command: str):
@@ -245,18 +247,21 @@ def cmd_profile(cfg: ExperimentConfig, out_dir: str) -> int:
         dump_json([p.to_json_dict() for p in profiles]),
     )
     if cfg.emit_counts:
-        rows = [("formula", "size", "params", "count", "class")]
+        lines = ["formula,size,params,count,class\n"]
+        classes = ("algebraic\n", "large\n")
         for prof in profiles:
+            formula = _csv_text([(prof.formula,)])[:-1]  # quoted as csv quotes it
             for M in family:
                 stored = enumerated_counts(prof, M)
                 if stored is None:
                     continue
                 counts, large = stored
-                tuples = _lex_tuples(np.arange(len(counts)), M.size, prof.pf.arity).T.tolist()
-                for params, count, is_large in zip(tuples, counts.tolist(), large.tolist()):
-                    kind = "large" if is_large else "algebraic"
-                    rows.append((prof.formula, M.size, " ".join(map(str, params)), count, kind))
-        _write_csv(os.path.join(out_dir, "counts.csv"), rows)
+                head = f"{formula},{M.size},"
+                cols = _lex_tuples(np.arange(len(counts)), M.size, prof.pf.arity).tolist()
+                params = map(" ".join, zip(*[map(str, c) for c in cols])) if cols else [""]
+                rows = zip(params, counts.tolist(), large.tolist())
+                lines += [f"{head}{p},{c},{classes[g]}" for p, c, g in rows]
+        atomic_write_text(os.path.join(out_dir, "counts.csv"), "".join(lines))
     return 0
 
 

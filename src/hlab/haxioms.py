@@ -13,7 +13,7 @@ exchange argument that closes the gap in the limit.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class AxiomReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return dict(vars(self), passed=self.passed)
 
     def failure_csv_rows(self):
         for cert in self.density["per_formula"]:

@@ -28,7 +28,7 @@ size bound, and the per-step shrink factors.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -172,7 +172,7 @@ class ThresholdCheck:
     h_budget: int  # n * h_m
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def size_threshold_ok(cfg: GreedyConfig, M) -> ThresholdCheck:
@@ -502,7 +502,7 @@ class CoverCertificate:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass
@@ -513,7 +513,7 @@ class AvoidCertificate:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass
@@ -544,10 +544,10 @@ class BuildReport:
         )
 
     def to_json_dict(self) -> dict:
-        out = asdict(self)
-        out["h"] = out.pop("h_elements")
-        out["provenance"] = [list(p) for p in self.provenance]
-        return {**out, "all_passed": self.all_passed}
+        out = dict(vars(self), threshold=self.threshold.to_json_dict(), all_passed=self.all_passed)
+        out.update(cover=[c.to_json_dict() for c in self.cover], avoid=[c.to_json_dict() for c in self.avoid])
+        out["h"], out["provenance"] = out.pop("h_elements"), [list(p) for p in self.provenance]
+        return out
 
 
 def build_h(M: FiniteStructure, cfg: GreedyConfig, mode: str = STRICT):

@@ -20,7 +20,7 @@ import math
 import os
 import pickle
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -305,7 +305,7 @@ class CoarseDimensionSeries:
     nonincreasing: bool | None
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "rows": [list(r) for r in self.rows]}
+        return dict(vars(self), rows=[list(r) for r in self.rows])
 
     def csv_rows(self):
         yield ("size", "h_size", "ratio")

@@ -12,7 +12,7 @@ from q/4.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,7 @@ class QuadraticPairReport:
     deviation: float
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def build_quadratic_pair(p: int):
@@ -80,19 +80,11 @@ def _reports(K: FiniteStructure, a1s: np.ndarray) -> list[QuadraticPairReport]:
     """One report per non-subfield a1 in a1s, PHI evaluated once over every
     column (a1, frob(a1))."""
     columns = np.stack([a1s, K.functions["frob"][a1s]])
-    counts, violations = _pair_counts(K, columns)
+    counts, violations = _pair_counts(K, columns).tolist()
     p, q = K.params["p"], K.size
     return [
-        QuadraticPairReport(
-            p=p,
-            q=q,
-            a1=int(a1),
-            a2=int(a2),
-            phi_count=int(count),
-            subfield_violations=int(v),
-            deviation=float(abs(int(count) - q / 4.0)),
-        )
-        for (a1, a2), count, v in zip(columns.T, counts, violations)
+        QuadraticPairReport(p, q, a1, a2, count, v, abs(count - q / 4.0))
+        for (a1, a2), count, v in zip(columns.T.tolist(), counts, violations)
     ]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -409,6 +410,15 @@ class TestAxiomReport:
         assert d["density"]["passed"]
         assert d["extension"]["passed"]
         assert list(report.failure_csv_rows()) == []
+
+    def test_json_dict_matches_asdict(self, gf101_build):
+        M, h, cfg = gf101_build
+        report = run_axiom_checks(M, h, cfg, extension_samples=50, seed=3)
+        reference = {**dataclasses.asdict(report), "passed": report.passed}
+        d = report.to_json_dict()
+        assert d == reference
+        d.clear()
+        assert report.to_json_dict() == reference
 
     def test_failure_rows_present_when_failing(self, gf101_build):
         M, _, cfg = gf101_build

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -352,6 +353,24 @@ class TestBuildH:
         h2, r2 = build_h(M, cfg, STRICT)
         assert h1.elements == h2.elements
         assert r1.to_json_dict() == r2.to_json_dict()
+
+    def test_json_dict_matches_asdict(self, square_shift_config):
+        # the shallow to_json_dict against a deep asdict reference: a nested
+        # dataclass it forgot to convert would compare unequal
+        fam, cfg = square_shift_config
+        _, report = build_h([m for m in fam if m.size == 149][0], cfg, STRICT)
+        assert report.cover and report.avoid and report.provenance
+        reference = dataclasses.asdict(report)
+        reference["h"] = reference.pop("h_elements")
+        reference["provenance"] = [list(p) for p in report.provenance]
+        reference["all_passed"] = report.all_passed
+        d = report.to_json_dict()
+        assert d == reference
+        assert d["threshold"] == report.threshold.to_json_dict()
+        assert d["cover"] == [dataclasses.asdict(c) for c in report.cover]
+        for key in list(d):
+            d[key] = None
+        assert report.to_json_dict() == reference
 
     def test_report_carries_h(self, neq_config, z13):
         h, report = build_h(z13, neq_config, BEST_EFFORT)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -328,6 +329,14 @@ class TestClosure:
 
 
 class TestCoarseDimension:
+    def test_json_dict_matches_asdict(self, built_plan):
+        series = coarse_dimension_series(built_plan)
+        reference = {**dataclasses.asdict(series), "rows": [list(r) for r in series.rows]}
+        d = series.to_json_dict()
+        assert d == reference
+        d["rows"] = None
+        assert series.to_json_dict() == reference
+
     def test_ratio_arithmetic(self, built_plan):
         series = coarse_dimension_series(built_plan)
         for size, h_size, ratio in series.rows:

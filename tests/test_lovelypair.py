@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from hlab import folang, lovelypair
@@ -212,6 +214,15 @@ class TestRunExperiment:
         K, _, _ = build_quadratic_pair(5)
         with pytest.raises(SignatureMismatchError):
             make_report(K, 5)  # the element 1 of the subfield
+
+    def test_json_dict_matches_asdict(self):
+        # plain Python numbers, so the report writer never meets a numpy scalar
+        for r in run_experiment([3, 7], sweep_a1=True):
+            d = r.to_json_dict()
+            assert d == dataclasses.asdict(r)
+            assert {type(v) for v in d.values()} <= {int, float}
+            d["p"] = None
+            assert r.p == r.q ** 0.5
 
     def test_report_deterministic(self):
         K, a1, _ = build_quadratic_pair(7)

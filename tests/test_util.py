@@ -1,0 +1,141 @@
+"""dump_json against its oracle: json.dumps(indent=2, sort_keys=True) with
+the same default. Every byte must match, and an object json.dumps refuses
+must raise the same error."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from hlab._util import _plain, dump_json
+
+
+def oracle(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, default=_plain) + "\n"
+
+
+def assert_same(obj):
+    try:
+        expected = oracle(obj)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            dump_json(obj)
+        assert str(got.value) == str(exc)
+    else:
+        assert dump_json(obj) == expected
+
+
+# strings that look like the separators and brackets dump_json cuts at
+TRICKY = ['"', "\\", "\n", "},\n      {", "],\n    [", "é中\U0001f600", ": ", ""]
+FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.1, 1e300]
+
+numpy_scalars = st.one_of(
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(-128, 127).map(np.int8),
+    st.integers(0, 2**32 - 1).map(np.uint32),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.booleans().map(np.bool_),
+)
+leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.just(2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(FLOATS),
+    st.text(max_size=8),
+    st.sampled_from(TRICKY),
+    numpy_scalars,
+)
+arrays = st.one_of(
+    hnp.arrays(
+        st.sampled_from([np.int64, np.float64, np.bool_]),
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+    ),
+    st.just(np.array([])),
+    st.just(np.array(7)),
+)
+keys = st.one_of(st.text(max_size=6), st.sampled_from(TRICKY + ["a", "b", "c"]))
+flat_dicts = st.dictionaries(st.sampled_from(["a", "b", "c", "d"]) | keys, leaves, min_size=1, max_size=5)
+
+
+def containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(keys, children, max_size=5),
+        st.lists(flat_dicts | st.just({}), max_size=4),  # rows whose key sets differ
+        st.lists(st.lists(leaves, min_size=1, max_size=3), max_size=4),
+    )
+
+
+documents = st.recursive(st.one_of(leaves, arrays), containers, max_leaves=40)
+
+
+@given(documents)
+def test_matches_json_dumps(obj):
+    assert_same(obj)
+
+
+@given(st.lists(flat_dicts, min_size=1, max_size=6), st.integers(0, 3))
+def test_rows_of_flat_dicts_at_any_depth(rows, depth):
+    obj = rows
+    for _ in range(depth):
+        obj = {"nested": [obj, 1]}
+    assert_same(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        (),
+        [[], {}, ()],
+        {"a": [], "b": {}, "c": 1},
+        [{"a": []}, {"b": {}}],
+        [{"a": 1}, {}],
+        [{}, {"a": {}}],
+        [[[], []], [1]],
+        [{"x": "},\n    {"}, {"y": "}"}],
+        {1: "int key", 2.5: "float key"},
+        {1: [{"a": [1]}], 2.5: {"b": [2, [3]]}, -7: [[]]},
+        {True: [[1]], False: {"n": {"m": 1}}},
+        {None: [1, [2]]},
+        {"k": {math.nan: [[1]], -math.inf: {"a": {}}, 1e300: [[2]]}},
+        [1, [2, {"a": np.arange(3)}], "mixed", np.float32(0.5)],
+        np.arange(6).reshape(2, 3),
+        [np.arange(3), np.arange(2)],
+        [np.array([1.5, 2.5]), [1]],
+        {"": [[1]], "b": np.zeros((2, 0))},
+        np.int64(-3),
+        "top level \n string",
+        2**70,
+        -0.0,
+    ],
+)
+def test_edge_cases(obj):
+    assert_same(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"a": [1, {"b": object()}]},
+        [{"a": 1}, {"b": {1, 2}}],
+        {"a": 1j},
+        [np.datetime64("2020-01-01")],
+        {"a": {(1, 2): 3}},
+        {"a": {np.int64(1): 3}},
+        {"a": [1], 2: "b"},
+    ],
+)
+def test_unserializable_raises_like_json_dumps(obj):
+    with pytest.raises(TypeError):
+        oracle(obj)
+    assert_same(obj)
