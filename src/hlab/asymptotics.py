@@ -1,23 +1,35 @@
 """Empirical measure profiles for parametrized formulas over a family.
 
 For each structure we count solutions over all parameter tuples (or a seeded
-uniform sample when the tuple space is large). Counts are explained by a
-finite set of measures E plus an error envelope of width C * sqrt(size), or
-by a uniform algebraicity bound B. Measure discovery runs from the largest
-structure downward: the largest structure's normalized counts are clustered
-by a gap threshold; observations from smaller structures join the nearest
-measure when their residual stays under the ceiling, and otherwise establish
-a new measure. Cluster measures are size-weighted means, so large structures
-dominate the estimate.
+uniform sample when the tuple space is large) and keep the count histogram:
+each distinct count with its number of tuples. A translation kernel has |G|
+solutions at every tuple, so its histogram is {|G|: n^k} from
+folang.kernel_base alone (its sample, past the budget, is drawn but not
+evaluated), and its profile keeps that one count per structure. Counts are
+explained by a finite set of measures E plus an error envelope of width
+C * sqrt(size), or by a uniform algebraicity bound B. Measure discovery runs
+from the largest structure downward: the largest structure's normalized
+counts are clustered by a gap threshold; observations from smaller
+structures join the nearest measure when their residual stays under the
+ceiling, and otherwise establish a new measure. Cluster measures are
+size-weighted means, so large structures dominate the estimate. Every
+decision reads a count alone, so the histogram fit equals the fit over one
+count per tuple.
 
 The large set Ψ of a formula, its parameter tuples classified large, is
-named by the formula's profile alone, which carries the formula as `pf`.
+named by the formula's profile alone, which carries the formula as `pf`,
+and psi_columns is the one routine that names it. A kernel's Ψ is all of
+M^k or empty; it is held as G and the pushforward w of its shifts
+(KernelPsi), exact at every size, since a tuple t is covered by h exactly
+when u(t) lies in h - G. Any other formula's Ψ is enumerated tuple by tuple
+within the budget.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +44,9 @@ from .finitemodels import FiniteStructure
 from .folang import (
     ParamFormula,
     count_columns,
+    kernel_base,
+    kernel_tuples,
+    shift_pushforward,
     solution_count,
     solution_counts_all,
     within_budget,
@@ -65,8 +80,11 @@ class MeasureProfile:
     ceiling: float
     seed: int
     pf: ParamFormula = field(repr=False)
+    # structure key -> every tuple's count, or |G| alone for a kernel; only
+    # for the structures counted exhaustively
     _counts: dict = field(default_factory=dict, repr=False)
-    # (structure key, large tuples, their counts): psi_columns' last result
+    # (structure key, large tuples, their counts): psi_columns' last result,
+    # for a formula off the kernel rule
     _psi: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -127,36 +145,33 @@ def sample_columns(M: FiniteStructure, pf: ParamFormula, rng, samples: int):
 
 
 def _observe(M: FiniteStructure, pf: ParamFormula, samples: int, seed: int):
-    """Counts for every parameter tuple (enumerated) or a deduplicated seeded
-    sample. Returns (counts, enumerated)."""
-    if within_budget(M.size**pf.arity):
-        return solution_counts_all(M, pf), True
-    return sample_columns(M, pf, [seed, M.size], max(samples, 1))[1], False
+    """The count histogram of one structure over every parameter tuple
+    (enumerated) or a deduplicated seeded sample: (counts, tuples,
+    enumerated, kept), the distinct counts ascending, the number of tuples
+    with each, and what enumerated_counts expands (None when sampled). A
+    translation kernel has |G| solutions at every tuple, so it keeps |G|
+    alone, and count_columns gives its sample |G| without evaluating it;
+    any other formula keeps its enumerated counts."""
+    n, k = M.size, pf.arity
+    enumerated = within_budget(n**k)
+    base = kernel_base(M, pf)
+    if base is not None and enumerated:
+        return np.array([len(base)]), np.array([n**k]), True, len(base)
+    if enumerated:
+        counts = solution_counts_all(M, pf)
+    else:
+        counts = sample_columns(M, pf, [seed, n], max(samples, 1))[1]
+    return (*np.unique(counts, return_counts=True), enumerated, counts if enumerated else None)
 
 
-def profile_family(
-    family: list[FiniteStructure],
-    pf: ParamFormula,
-    gap: float = DEFAULT_GAP,
-    *,
-    ceiling: float = DEFAULT_CEILING,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-) -> MeasureProfile:
-    """Fit (E, C, B) to the observed counts of one formula over a family."""
-    if len(family) < 2:
-        members = ", ".join(M.describe() for M in family) or "none"
-        raise EmptyFamilyError(
-            f"formula {pf.text!r}: profiling needs at least two structures, "
-            f"the family has {len(family)} ({members})"
-        )
-    by_size = sorted(family, key=lambda m: m.size, reverse=True)
-
-    observed = []  # (structure, counts array, enumerated flag)
-    for M in by_size:
-        counts, enumerated = _observe(M, pf, samples, seed)
-        observed.append((M, counts, enumerated))
-
+def _fit(text: str, observed, gap: float, ceiling: float):
+    """Fit (E, C, B) to count histograms, one per structure, largest first:
+    (size, counts, tuples, enumerated), with the distinct counts ascending
+    and the number of parameter tuples with each. Returns E, C, B and the
+    per-structure stats in size order. Every decision reads a count alone,
+    so a distinct count decides for all of its tuples; sums weight it by
+    their number. tests/profile_oracle.py keeps the same fit over one count
+    per tuple."""
     # per measure: the summed counts and the summed universe sizes of its
     # members; both are integers below 2**53, so float64 sums are exact in
     # any order and each measure is their quotient
@@ -173,24 +188,19 @@ def profile_family(
         return indices[order[:end]]
 
     # Pass 1: the largest structure fixes the initial picture.
-    M0, counts0, _ = observed[0]
-    counts0 = np.asarray(counts0, dtype=np.int64)
-    norm0 = counts0 / M0.size
-    order = np.argsort(norm0, kind="stable")
-    splits = np.flatnonzero(np.diff(norm0[order]) > gap)
-    for seg in np.split(order, splits + 1):
+    n0, counts0, tuples0, _ = observed[0]
+    norm0 = counts0 / n0
+    for seg in np.split(np.arange(len(counts0)), np.flatnonzero(np.diff(norm0) > gap) + 1):
         if norm0[seg].max() < gap:
             top = int(counts0[seg].max())
             B = top if B is None else max(B, top)
         else:
-            sum_counts = np.append(sum_counts, counts0[seg].sum())
-            sum_sizes = np.append(sum_sizes, len(seg) * M0.size)
+            sum_counts = np.append(sum_counts, (counts0[seg] * tuples0[seg]).sum())
+            sum_sizes = np.append(sum_sizes, tuples0[seg].sum() * n0)
 
     # Pass 2: remaining structures join measures, extend B, or open new ones.
-    for M, counts, _ in observed[1:]:
-        n = M.size
+    for n, counts, tuples, _ in observed[1:]:
         sqrt_n = math.sqrt(n)
-        counts = np.asarray(counts, dtype=np.int64)
         todo = np.ones(len(counts), dtype=bool)
         if B is not None:
             todo &= counts > B
@@ -201,9 +211,10 @@ def profile_family(
                 resid = np.abs(counts[rest, None] - mus[None, :] * n) / sqrt_n
                 arg = resid.argmin(axis=1)
                 join = resid.min(axis=1) <= ceiling
-                sum_counts += np.bincount(arg[join], counts[rest[join]], len(mus))
-                sum_sizes += np.bincount(arg[join], minlength=len(mus)) * n
-                todo[rest[join]] = False
+                joined = rest[join]
+                sum_counts += np.bincount(arg[join], counts[joined] * tuples[joined], len(mus))
+                sum_sizes += np.bincount(arg[join], tuples[joined], len(mus)) * n
+                todo[joined] = False
                 rest = rest[~join]
             if not len(rest):
                 break
@@ -219,15 +230,15 @@ def profile_family(
                 continue
             if len(sum_counts) >= MAX_MEASURES:
                 raise NotOneDimensionalError(
-                    f"formula {pf.text!r}: more than {MAX_MEASURES} measures needed "
+                    f"formula {text!r}: more than {MAX_MEASURES} measures needed "
                     f"at size {n}; not asymptotically one-dimensional at this scale",
                     offenders=[(n, int(c)) for c in counts[rest][:10]],
                 )
             # open one new measure from the lowest unexplained cluster; its
             # founders are assigned to it so the loop always makes progress
             members = first_stray_cluster(rest, normalized)
-            sum_counts = np.append(sum_counts, counts[members].sum())
-            sum_sizes = np.append(sum_sizes, len(members) * n)
+            sum_counts = np.append(sum_counts, (counts[members] * tuples[members]).sum())
+            sum_sizes = np.append(sum_sizes, tuples[members].sum() * n)
             todo[members] = False
 
     E = sorted(sum_counts / sum_sizes)
@@ -243,20 +254,15 @@ def profile_family(
     worst = []
     stats = []
     mus = np.array(E) if E else np.empty(0)
-    for M, counts, enumerated in observed:
-        n = M.size
-        counts = np.asarray(counts, dtype=np.int64)
+    for n, counts, tuples, enumerated in observed:
         sqrt_n = math.sqrt(n)
-        if B is not None:
-            alg_mask = counts <= B
-        else:
-            alg_mask = np.zeros(len(counts), dtype=bool)
+        alg_mask = counts <= B if B is not None else np.zeros(len(counts), dtype=bool)
         lg = ~alg_mask
         struct_max = 0.0
         if lg.any():
             if not len(mus):
                 raise NotOneDimensionalError(
-                    f"formula {pf.text!r}: counts above the algebraic bound with no measures",
+                    f"formula {text!r}: counts above the algebraic bound with no measures",
                     offenders=[(n, int(c)) for c in counts[lg][:10]],
                 )
             resid = np.abs(counts[lg, None] - mus[None, :] * n).min(axis=1) / sqrt_n
@@ -268,8 +274,8 @@ def profile_family(
             StructureStats(
                 size=n,
                 max_residual=struct_max,
-                n_algebraic=int(alg_mask.sum()),
-                n_large=int(lg.sum()),
+                n_algebraic=int(tuples[alg_mask].sum()),
+                n_large=int(tuples[lg].sum()),
                 enumerated=enumerated,
             )
         )
@@ -278,20 +284,47 @@ def profile_family(
     if max_residual > ceiling:
         worst.sort(reverse=True)
         raise NotOneDimensionalError(
-            f"formula {pf.text!r}: envelope needs C = {max_residual:.3f} > ceiling "
+            f"formula {text!r}: envelope needs C = {max_residual:.3f} > ceiling "
             f"{ceiling}; not asymptotically one-dimensional at this scale",
             offenders=worst[:5],
         )
     if B is not None and E:
-        smallest = min(m.size for m in family)
+        smallest = min(n for n, *_ in observed)
         if B >= min(E) * smallest:
             raise NotOneDimensionalError(
-                f"formula {pf.text!r}: algebraic bound {B} overlaps the measure "
+                f"formula {text!r}: algebraic bound {B} overlaps the measure "
                 f"envelope at size {smallest}"
             )
-
     stats.sort(key=lambda s: s.size)
-    profile = MeasureProfile(
+    return E, C, B, stats
+
+
+def profile_family(
+    family: list[FiniteStructure],
+    pf: ParamFormula,
+    gap: float = DEFAULT_GAP,
+    *,
+    ceiling: float = DEFAULT_CEILING,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = 0,
+) -> MeasureProfile:
+    """Fit (E, C, B) to the observed count histograms of one formula over a
+    family."""
+    if len(family) < 2:
+        members = ", ".join(M.describe() for M in family) or "none"
+        raise EmptyFamilyError(
+            f"formula {pf.text!r}: profiling needs at least two structures, "
+            f"the family has {len(family)} ({members})"
+        )
+    kept = {}
+    observed = []
+    for M in sorted(family, key=lambda m: m.size, reverse=True):
+        counts, tuples, enumerated, keep = _observe(M, pf, samples, seed)
+        observed.append((M.size, counts, tuples, enumerated))
+        if keep is not None:
+            kept[_structure_key(M)] = keep
+    E, C, B, stats = _fit(pf.text, observed, gap, ceiling)
+    return MeasureProfile(
         formula=pf.key(),
         E=[float(m) for m in E],
         C=C,
@@ -301,11 +334,8 @@ def profile_family(
         ceiling=ceiling,
         seed=seed,
         pf=pf,
+        _counts=kept,
     )
-    for M, counts, enumerated in observed:
-        if enumerated:
-            profile._counts[_structure_key(M)] = np.asarray(counts, dtype=np.int64)
-    return profile
 
 
 def _classify_counts(profile: MeasureProfile, size: int, counts: np.ndarray):
@@ -342,30 +372,57 @@ def classify(profile: MeasureProfile, M: FiniteStructure, params=()) -> ParamCla
     return ParamClass("algebraic", count)
 
 
+class KernelPsi(NamedTuple):
+    """Ψ of a translation kernel on one structure, all of M^k or empty, as
+    its set G and the pushforward w(v) = #{t in Ψ : u(t) = v} of its shifts
+    (folang.shift_pushforward): tuple t is covered by an element h exactly
+    when u(t) lies in h - G."""
+
+    base: np.ndarray
+    weights: np.ndarray
+
+
 def psi_set(M: FiniteStructure, profile: MeasureProfile) -> list[tuple[int, ...]]:
     """All parameter tuples classified large, in lexicographic order: the
-    columns of psi_columns as tuples."""
-    return [tuple(int(v) for v in col) for col in psi_columns(M, profile)[0].T]
+    columns of psi_columns as tuples, a kernel's listed from its shifts."""
+    psi = psi_columns(M, profile)
+    if isinstance(psi, KernelPsi):
+        cols = kernel_tuples(M, profile.pf, psi.weights > 0)
+    else:
+        cols = psi[0]
+    return [tuple(int(v) for v in col) for col in cols.T]
 
 
 def enumerated_counts(profile: MeasureProfile, M: FiniteStructure):
     """The solution count of every parameter tuple of M in lexicographic
     order, as profiling counted them, and the mask of those classified large;
-    None when profiling sampled M or did not see it."""
+    None when profiling sampled M or did not see it. A kernel's one count is
+    expanded here."""
     counts = profile._counts.get(_structure_key(M))
-    return None if counts is None else (counts, _classify_counts(profile, M.size, counts)[0])
+    if counts is None:
+        return None
+    if isinstance(counts, int):
+        counts = np.full(M.size**profile.pf.arity, counts, dtype=np.int64)
+    return counts, _classify_counts(profile, M.size, counts)[0]
 
 
 def psi_columns(M: FiniteStructure, profile: MeasureProfile):
-    """Every parameter tuple of the profiled formula classified large, as an
-    (arity, m) index array in lexicographic order, and the solution count of
-    each. Raises EnumerationBudgetError when the tuple space exceeds the one
-    evaluation budget.
+    """Ψ, the parameter tuples of the profiled formula classified large.
 
-    The profile keeps the result for the last structure it was asked about,
-    as read-only arrays, so a build and the checks after it classify and
-    decode Ψ once; memory holds at most one Ψ per profile."""
+    A translation kernel has |G| solutions at every tuple, so its Ψ is all
+    of M^k or none of it: a KernelPsi, exact at every size, never kept and
+    never over the budget. Any other formula's Ψ is an (arity, m) index
+    array of its tuples in lexicographic order and the solution count of
+    each; EnumerationBudgetError when the tuple space exceeds the one
+    evaluation budget. The profile keeps that result for the last structure
+    it was asked about, as read-only arrays, so a build and the checks after
+    it classify and decode Ψ once; memory holds at most one Ψ per profile."""
     n, k = M.size, profile.pf.arity
+    base = kernel_base(M, profile.pf)
+    if base is not None:
+        if _classify_counts(profile, n, np.array([len(base)]))[0][0]:
+            return KernelPsi(base, shift_pushforward(M, profile.pf))
+        return KernelPsi(base, np.zeros(n, dtype=np.int64))
     if not within_budget(n**k):
         raise EnumerationBudgetError(f"psi enumeration needs {n**k} tuples, over the budget")
     key = _structure_key(M)
@@ -383,13 +440,21 @@ def psi_columns(M: FiniteStructure, profile: MeasureProfile):
 
 
 def large_columns(M: FiniteStructure, profile: MeasureProfile, rng, samples: int):
-    """The large parameter tuples an extension check draws from, with their
-    solution counts: psi_columns when the tuple space fits the budget,
-    otherwise the large tuples among `samples` drawn by sample_columns from
-    `rng`."""
-    try:
-        return psi_columns(M, profile)
-    except EnumerationBudgetError:
+    """The large parameter tuples an extension check draws from, as (width,
+    low, take): their number, their smallest solution count, and take(j),
+    the tuples at positions j of their lexicographic order as an (arity,
+    len(j)) index array. Within the budget they are psi_columns', a kernel's
+    decoded from j through _lex_tuples; past it they are the large tuples
+    among `samples` drawn by sample_columns from `rng`, as they are for a
+    kernel too, whose draws then keep their tuples."""
+    n, k = M.size, profile.pf.arity
+    if within_budget(n**k):
+        psi = psi_columns(M, profile)
+        if isinstance(psi, KernelPsi):
+            return int(psi.weights.sum()), len(psi.base), lambda j: _lex_tuples(j, n, k)
+        cols, counts = psi
+    else:
         cols, counts = sample_columns(M, profile.pf, rng, samples)
-        large, _ = _classify_counts(profile, M.size, counts)
-        return cols[:, large], counts[large]
+        large, _ = _classify_counts(profile, n, counts)
+        cols, counts = cols[:, large], counts[large]
+    return cols.shape[1], int(counts.min()) if len(counts) else None, lambda j: cols[:, j]

@@ -60,7 +60,8 @@ class ClassificationGapError(LabError):
 
 class EnumerationBudgetError(LabError):
     """Full enumeration of a parameter space would exceed the one evaluation
-    budget, folang.BUDGET."""
+    budget, folang.BUDGET. A translation kernel's Ψ is never enumerated, so
+    it never raises this."""
 
 
 class ConfigRejectedError(LabError):

@@ -41,12 +41,15 @@ parameter. Its solutions at any tuple are G + u(tuple) for one set G, cached
 per structure, so every count is |G| (one evaluation at the zero tuple) and
 the solutions at m tuples are |G| * m scattered points (solution_points).
 kernel_shifts returns G and the shifts themselves, the one place that
-computes them. Any other formula is counted on the grid.
+computes them. shift_pushforward counts the tuples per shift without
+listing them: in O(k n) when u is linear in the parameters, by a blocked
+bincount otherwise. Any other formula is counted on the grid.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 
@@ -685,7 +688,10 @@ def _kernel_shift(f: Formula, x: str, params: tuple):
     G + u(tuple) for one set G. The shift term's value, with x and the bound
     variables at any fixed element, is u plus a constant: -t for an atom
     term t = x + ..., t itself for t = -x + ...; Num(0) when no atom holds x.
-    Returns (shift term, the names it reads)."""
+    Returns (shift term, the names it reads, whether u is linear): u is
+    linear when each of its monomials is one parameter, once, times
+    constants, and is then a sum of additive homomorphisms y -> c*y, one
+    per parameter, in the four families' rings."""
     shift, u = Num(0), None
     for t, bound in _atom_terms(f):
         if x in bound or bound.intersection(params):
@@ -710,13 +716,15 @@ def _kernel_shift(f: Formula, x: str, params: tuple):
             u, shift = atom_u, (t if sign == -1 else Apply("sub", (Num(0), t)))
         elif atom_u != u:
             return None
-    return shift, tuple(term_vars(shift))
+    held = [[a for a in mono if term_vars(a)] for mono in u or ()]  # each monomial's non-constant atoms
+    linear = all(len(atoms) == 1 and isinstance(atoms[0], Var) for atoms in held)
+    return shift, tuple(term_vars(shift)), linear
 
 
 def _shifts(M: FiniteStructure, pf: ParamFormula, kernel: tuple, cols: np.ndarray) -> np.ndarray:
     """The shift u, up to one constant, at each (arity, m) parameter column;
     `kernel` is what _kernel_shift returned for pf."""
-    shift, names = kernel
+    shift, names, _ = kernel
     env = dict.fromkeys(names, 0)
     env.update(zip(pf.params, cols))
     return np.broadcast_to(np.asarray(_bulk_term(M, shift, env), dtype=np.intp), cols.shape[1:])
@@ -763,6 +771,89 @@ def solution_points(M: FiniteStructure, pf: ParamFormula, param_columns) -> np.n
         return None
     base, shift = kernel
     return np.asarray(M.functions["add"][base[:, None], shift[None, :]], dtype=np.intp)
+
+
+def _coset(M: FiniteStructure, values: np.ndarray, c: int) -> np.ndarray:
+    """Mask over the universe of c + <values>, the coset of the additive
+    subgroup that `values` generate. On one axis index k is k times the
+    generator, so the subgroup is gcd(d, values) Z_d. On more axes a value b
+    outside the subgroup so far joins by doubling: the coset C and C + b,
+    then that union and its shift by 2b, 4b, ... until a shift adds
+    nothing, which gives C + <b>; each join at least doubles C."""
+    n, shape = M.size, M.group_shape
+    if len(shape) == 1:
+        return (np.arange(n) - c) % math.gcd(n, *values.tolist()) == 0
+    add = M.functions["add"]
+    mask = np.zeros(n, dtype=bool)
+    mask[c] = True
+    members = np.array([c], dtype=np.intp)
+    while True:
+        outside = values[~mask[np.asarray(add[c, values], dtype=np.intp)]]
+        if not len(outside):
+            return mask
+        step = int(outside[0])
+        while True:
+            shifted = np.asarray(add[members, step], dtype=np.intp)
+            new = shifted[~mask[shifted]]
+            if not len(new):
+                break
+            mask[new] = True
+            members = np.concatenate([members, new])
+            step = int(add[step, step])
+
+
+def _tuple_shifts(M: FiniteStructure, pf: ParamFormula, kernel: tuple):
+    """(positions, shifts) for every parameter tuple in lexicographic order,
+    one block at a time: each block's tuples and shifts hold at most BUDGET
+    cells together."""
+    n, k = M.size, pf.arity
+    for block in column_blocks(n**k, k + 1):
+        positions = np.arange(block.start, block.stop)
+        yield positions, _shifts(M, pf, kernel, _lex_tuples(positions, n, k))
+
+
+def shift_pushforward(M: FiniteStructure, pf: ParamFormula) -> np.ndarray | None:
+    """For a translation kernel, the pushforward of all n^k parameter tuples
+    under the shift: w(v) = #{t : u(t) = v}, as an int64 array over the
+    universe, u taken as kernel_shifts takes it; None for any other formula.
+
+    When u is linear in the parameters (see _kernel_shift), u = c + sum_i phi_i(y_i)
+    with additive homomorphisms phi_i, so every fibre is a coset of u's
+    kernel and w = (n^k / |im|) 1_{im + c}, im the subgroup that the phi_i
+    of the group's generators (the unit vectors of M.group_shape) generate:
+    O(k n). Any other u is counted by a bincount over the tuples, one block
+    at a time: n^k time in O(n) memory, and no budget error."""
+    base = kernel_base(M, pf)
+    if base is None:
+        return None
+    kernel = _kernel_shift(pf.formula, pf.object_var, pf.params)
+    n, k = M.size, pf.arity
+    weights = np.zeros(n, dtype=np.int64)
+    if not kernel[2]:
+        for _, shifts in _tuple_shifts(M, pf, kernel):
+            weights += np.bincount(shifts, minlength=n)
+        return weights
+    shape = M.group_shape
+    units = [math.prod(shape[i + 1 :]) % n for i in range(len(shape))]  # index of each unit vector
+    cols = np.zeros((k, k * len(units) + 1), dtype=np.intp)  # the zero tuple last
+    for i in range(k):
+        cols[i, i * len(units) : (i + 1) * len(units)] = units
+    shifts = _shifts(M, pf, kernel, cols)
+    c = int(shifts[-1])
+    support = _coset(M, np.asarray(M.functions["sub"][shifts[:-1], c], dtype=np.intp), c)
+    weights[support] = n**k // int(support.sum())
+    return weights
+
+
+def kernel_tuples(M: FiniteStructure, pf: ParamFormula, shifts: np.ndarray) -> np.ndarray:
+    """For a translation kernel, every parameter tuple whose shift lies in
+    the boolean mask `shifts` over the universe, as an (arity, m) index
+    array in lexicographic order: the tuples behind part of a pushforward's
+    support, for listing them. Scans every tuple, one block at a time, when
+    the mask holds any shift."""
+    kernel = _kernel_shift(pf.formula, pf.object_var, pf.params)
+    found = [positions[shifts[s]] for positions, s in _tuple_shifts(M, pf, kernel)] if shifts.any() else []
+    return _lex_tuples(np.concatenate([np.empty(0, dtype=np.intp), *found]), M.size, pf.arity)
 
 
 def _bulk_term(M: FiniteStructure, t: Term, env: dict) -> np.ndarray | int:

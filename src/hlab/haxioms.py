@@ -1,8 +1,9 @@
 """Finite-scale checks of the expansion axioms against a built (M, H) pair.
 
 Scope note carried in every report: these are finite surrogates. Density
-quantifies over the enumerated large parameter tuples of the supplied cover
-formulas only, extension over enumerated or seeded-sampled ones, and
+quantifies over the large parameter tuples of the supplied cover formulas
+only (enumerated, or for a translation kernel all n^k through the pushforward
+of its shifts), extension over enumerated or seeded-sampled ones, and
 algebraic closure is truncated to the supplied avoid list
 (hgreedy.closure_masks computes it, one block of extension samples at a
 time). Independence is checked exactly in its order-restricted
@@ -137,7 +138,9 @@ def check_extension(
 
     Each sample draws a cover formula, a large parameter tuple, and up to
     base_max distinct extra base elements; it fails if every solution lies
-    inside clos(H + params + base). _draw_samples draws all samples first;
+    inside clos(H + params + base). The tuple is drawn as a position among
+    asymptotics.large_columns' tuples, which a kernel within the budget
+    decodes without listing them. _draw_samples draws all samples first;
     then the samples, grouped by cover formula, are checked one block at a
     time: one closure_masks call gets the block's closures and checks them
     against their union bound, and one evaluation per formula in the block
@@ -154,15 +157,14 @@ def check_extension(
     gamma = list(gamma_trunc)
     rng = np.random.default_rng([seed, M.size, 3])
 
-    usable = []  # (formula, its large tuples)
+    usable = []  # (formula, its number of large tuples, their tuples at given positions)
     min_large_count = None
     for prof in profiles:
-        cols, counts = large_columns(M, prof, rng, 10 * samples)
-        if cols.shape[1] == 0:
+        width, low, take = large_columns(M, prof, rng, 10 * samples)
+        if not width:
             continue
-        low = int(counts.min())
         min_large_count = low if min_large_count is None else min(min_large_count, low)
-        usable.append((prof.pf, cols))
+        usable.append((prof.pf, width, take))
     if not usable:
         return {
             "passed": True,
@@ -177,27 +179,27 @@ def check_extension(
     if gamma_max_solutions is None:
         gamma_max_solutions = max_solution_count(M, gamma)
     # no closure of H plus a sample's parameters and base is larger
-    ell = max(pf.arity for pf, _ in usable)
+    ell = max(pf.arity for pf, _, _ in usable)
     closure_bound = _union_bound(gamma, len(elements) + base_max + ell, gamma_max_solutions)
     sufficient = None if closure_bound is None else min_large_count > closure_bound
 
     # row j of `sets` holds the sample's parameters in its first ell places
     # and its base after them, padded with -1
-    widths = np.array([cols.shape[1] for _, cols in usable], dtype=np.intp)
+    widths = np.array([width for _, width, _ in usable], dtype=np.intp)
     formula, column, base_n, base = _draw_samples(rng, widths, M.size, samples, base_max)
     sets = np.full((samples, ell + base_max), -1, dtype=np.intp)
     sets[:, ell:] = base
-    for f_i, (pf, cols) in enumerate(usable):
+    for f_i, (pf, _, take) in enumerate(usable):
         picked = formula == f_i
-        sets[picked, : pf.arity] = cols[:, column[picked]].T
+        sets[picked, : pf.arity] = take(column[picked]).T
     swallowed = np.zeros(samples, dtype=bool)
     order = np.argsort(formula, kind="stable")  # a block spans few formulas
     for block in column_blocks(samples, M.size):
         part = order[block]
         clos = closure_masks(M, elements, sets[part], gamma, max_solutions=gamma_max_solutions)
-        for f_i, (pf, cols) in enumerate(usable):
+        for f_i, (pf, _, take) in enumerate(usable):
             mine = formula[part] == f_i
-            sol = solution_mask_matrix(M, pf, cols[:, column[part[mine]]])
+            sol = solution_mask_matrix(M, pf, take(column[part[mine]]))
             swallowed[part[mine]] = ~(sol & ~clos[:, mine]).any(axis=0)
     failures = []
     for j in np.flatnonzero(swallowed):

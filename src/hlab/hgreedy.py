@@ -13,16 +13,19 @@ step shrinks Y by a factor of at least (1 - mu/2), which forces
 
 Coverage, the number of tuples of Y each element would cover, has two
 routes. A translation kernel (folang.kernel_shifts) has the solutions
-G + u_j at tuple j, so its coverage is the convolution 1_G * mu over M's
+G + u(t) at tuple t, so its coverage is the convolution 1_G * mu over M's
 additive group, mu the histogram of the shifts of Y: one real FFT pair per
-step, rounded and checked exact, and no n x |Psi| array. Any other formula
-keeps its counts incrementally: the grid's row sums once, block by block,
-then at each step minus the solution counts of the columns just covered,
-or a recount of the columns left when those are fewer.
+step, rounded and checked exact. Its Ψ comes as the pushforward w of the
+shifts (asymptotics.KernelPsi), mu starts as w, and a step zeroes mu on
+h - G, so no array holds a tuple. Any other formula keeps its counts
+incrementally: the grid's row sums once, block by block, then at each step
+minus the solution counts of the columns just covered, or a recount of the
+columns left when those are fewer.
 
 Every build returns certificates: an exhaustive cover check per cover
-formula, an exhaustive order-restricted avoid check per avoid formula, the
-size bound, and the per-step shrink factors.
+formula (for a kernel, supp(w) within H - G, which checks every tuple), an
+exhaustive order-restricted avoid check per avoid formula, the size bound,
+and the per-step shrink factors.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import tuple_columns
-from .asymptotics import MeasureProfile, psi_columns
+from .asymptotics import KernelPsi, MeasureProfile, psi_columns
 from .errors import (
     ConfigRejectedError,
     InvariantError,
@@ -44,7 +47,7 @@ from .finitemodels import FiniteStructure
 from .folang import (
     ParamFormula,
     column_blocks,
-    kernel_shifts,
+    kernel_tuples,
     max_solution_count,
     solution_mask_matrix,
     solution_points,
@@ -329,18 +332,24 @@ def _transform_length(d: int) -> int:
 
 
 class KernelCoverage:
-    """The coverage of a translation kernel's Ψ without an n x |Ψ| matrix.
-    Column j's solutions are G + u_j, so element h covers it exactly when
-    h - u_j lies in G, and h covers (1_G * mu)(h) remaining columns: the
-    convolution over M's additive group of 1_G with the histogram mu of
-    the remaining shifts. It is computed with a real FFT over the group's
-    array shape (Terras, Fourier Analysis on Finite Groups, 1999)."""
+    """The coverage of a translation kernel's Ψ from the pushforward w of
+    its shifts, with no per-tuple array. Tuple t's solutions are G + u(t),
+    so element h covers it exactly when u(t) lies in h - G, and h covers
+    (1_G * mu)(h) remaining tuples: the convolution over M's additive group
+    of 1_G with mu, the histogram of the remaining tuples' shifts, which
+    starts as w and loses h - G at each step. It is computed with a real FFT
+    over the group's array shape (Terras, Fourier Analysis on Finite Groups,
+    1999) on mu divided by the gcd of w, which every later mu shares, so the
+    transformed values stay small whatever n^k is."""
 
-    def __init__(self, M: FiniteStructure, base: np.ndarray, shifts: np.ndarray):
-        self.in_base = np.zeros(M.size, dtype=bool)  # 1_G over the universe
-        self.in_base[base] = True
-        self.shifts = np.asarray(shifts, dtype=np.intp)  # u_j of every Ψ column
-        self.histogram = np.bincount(shifts, minlength=M.size)  # mu: remaining columns per shift
+    def __init__(self, M: FiniteStructure, base: np.ndarray, weights: np.ndarray):
+        self.base = np.asarray(base, dtype=np.intp)  # G
+        in_base = np.zeros(M.size, dtype=bool)  # 1_G over the universe
+        in_base[self.base] = True
+        weights = np.asarray(weights, dtype=np.int64)
+        self.unit = int(np.gcd.reduce(weights)) or 1  # mu is unit * histogram
+        self.histogram = weights // self.unit
+        self.remaining = int(weights.sum())  # |Y|, the tuples mu counts
         self.shape = M.group_shape  # M's additive group
         self.lengths = tuple(_transform_length(d) for d in self.shape)  # transform length per axis
         # position k of an axis of length d is coordinate k mod d: on a
@@ -348,7 +357,7 @@ class KernelCoverage:
         wrapped = (np.arange(length) % d for d, length in zip(self.shape, self.lengths))
         self.fold = np.ravel_multi_index(np.ix_(*wrapped), self.shape).ravel()
         axes = range(len(self.shape))
-        self.base_hat = np.fft.rfftn(self.in_base.reshape(self.shape), self.lengths, axes)
+        self.base_hat = np.fft.rfftn(in_base.reshape(self.shape), self.lengths, axes)
 
     def counts(self) -> np.ndarray:
         """(1_G * mu) rounded to integers, checked exact: each within 0.25 of
@@ -356,24 +365,23 @@ class KernelCoverage:
         axes = range(len(self.shape))
         hat = np.fft.rfftn(self.histogram.reshape(self.shape), self.lengths, axes)
         product = np.fft.irfftn(self.base_hat * hat, self.lengths, axes)
-        out = np.bincount(self.fold, product.ravel(), len(self.in_base))
+        out = np.bincount(self.fold, product.ravel(), len(self.histogram))
         counts = np.rint(out)
         residual = float(np.abs(out - counts).max(initial=0.0))
-        total = int(counts.sum())
-        expected = int(self.in_base.sum()) * int(self.histogram.sum())
+        total = int(counts.sum()) * self.unit
+        expected = len(self.base) * self.remaining
         if not residual < 0.25 or total != expected:
             raise InvariantError(
                 f"convolution coverage is not exact (rounding residual {residual:.3g}, "
                 f"total {total} against |G| * |Y| = {expected})"
             )
-        return counts.astype(np.int64)
+        return counts.astype(np.int64) * self.unit
 
-    def cover(self, M: FiniteStructure, h: int, remaining: np.ndarray) -> np.ndarray:
-        """Which remaining columns h covers; their shifts leave mu."""
-        shifts = self.shifts[remaining]
-        covered = self.in_base[M.functions["sub"][h, shifts]]
-        self.histogram -= np.bincount(shifts[covered], minlength=len(self.histogram))
-        return covered
+    def cover(self, M: FiniteStructure, h: int):
+        """Drop the tuples h covers: mu loses h - G."""
+        reached = np.asarray(M.functions["sub"][h, self.base], dtype=np.intp)
+        self.remaining -= int(self.histogram[reached].sum()) * self.unit
+        self.histogram[reached] = 0
 
 
 class GridCoverage:
@@ -385,7 +393,12 @@ class GridCoverage:
 
     def __init__(self, M: FiniteStructure, pf: ParamFormula, cols: np.ndarray):
         self.pf, self.cols = pf, cols
+        self.left = np.arange(cols.shape[1], dtype=np.intp)  # the columns of Y
         self.totals = self._row_sums(M, cols)  # remaining columns each element solves
+
+    @property
+    def remaining(self) -> int:
+        return len(self.left)
 
     def _row_sums(self, M: FiniteStructure, cols: np.ndarray) -> np.ndarray:
         sums = np.zeros(M.size, dtype=np.int64)
@@ -396,48 +409,46 @@ class GridCoverage:
     def counts(self) -> np.ndarray:
         return self.totals.copy()
 
-    def cover(self, M: FiniteStructure, h: int, remaining: np.ndarray) -> np.ndarray:
-        """Which remaining columns h covers; their solutions leave the totals."""
-        cols = self.cols[:, remaining]
+    def cover(self, M: FiniteStructure, h: int):
+        """Drop the columns h covers; their solutions leave the totals."""
+        cols = self.cols[:, self.left]
         covered = solution_mask_matrix(M, self.pf, cols, rows=[h])[0]
         if 2 * covered.sum() > len(covered):  # fewer columns left than covered
             self.totals = self._row_sums(M, cols[:, ~covered])
         else:
             self.totals -= self._row_sums(M, cols[:, covered])
-        return covered
+        self.left = self.left[~covered]
 
 
 @dataclass
 class GreedyState:
-    """One step of the construction: current formula phase, the ordered H so
-    far, and the remaining uncovered tuples Y. `coverage` counts how many
-    tuples of Y each element covers: a KernelCoverage for a translation
-    kernel, else a GridCoverage."""
+    """One step of the construction: the current formula phase and the
+    ordered H so far. `coverage` holds the phase's still-uncovered tuples Y
+    and counts how many of them each element covers: a KernelCoverage, Y as
+    the histogram of its shifts, for a translation kernel, else a
+    GridCoverage, Y as Ψ's columns. `remaining` is |Y|."""
 
     config: GreedyConfig
     formula_index: int
     step: int
     h_elements: list[int]
     provenance: list[tuple[int, int]]
-    psi_cols: np.ndarray  # (arity, m0) initial large tuples of this phase
-    remaining: np.ndarray  # indices into psi_cols of still-uncovered tuples
     coverage: KernelCoverage | GridCoverage = field(repr=False)
     shrink_factors: list[float] = field(default_factory=list)
 
+    @property
+    def remaining(self) -> int:
+        return self.coverage.remaining
+
 
 def _phase_state(cfg: GreedyConfig, M: FiniteStructure, index: int, h, prov) -> GreedyState:
-    pf = cfg.delta[index]
-    cols, _ = psi_columns(M, cfg.delta_profiles[index])
-    kernel = kernel_shifts(M, pf, cols)
+    psi = psi_columns(M, cfg.delta_profiles[index])
+    if isinstance(psi, KernelPsi):
+        coverage = KernelCoverage(M, *psi)
+    else:
+        coverage = GridCoverage(M, cfg.delta[index], psi[0])
     return GreedyState(
-        config=cfg,
-        formula_index=index,
-        step=0,
-        h_elements=h,
-        provenance=prov,
-        psi_cols=cols,
-        remaining=np.arange(cols.shape[1], dtype=np.intp),
-        coverage=GridCoverage(M, pf, cols) if kernel is None else KernelCoverage(M, *kernel),
+        config=cfg, formula_index=index, step=0, h_elements=h, provenance=prov, coverage=coverage
     )
 
 
@@ -447,7 +458,7 @@ def greedy_step(state: GreedyState, M: FiniteStructure) -> GreedyState:
     Ties break to the smallest canonical index, making the build
     deterministic regardless of how the coverage scan is partitioned.
     """
-    if not len(state.remaining):
+    if not state.remaining:
         raise ValueError("greedy_step called with no uncovered tuples")
     cfg = state.config
     in_h = np.zeros(M.size, dtype=bool)
@@ -471,10 +482,9 @@ def greedy_step(state: GreedyState, M: FiniteStructure) -> GreedyState:
             f"no eligible element covers any remaining tuple at size {M.size} "
             f"(formula {state.formula_index}, step {state.step})"
         )
-    covered = state.coverage.cover(M, h, state.remaining)
-    before = len(state.remaining)
-    state.remaining = state.remaining[~covered]
-    state.shrink_factors.append(len(state.remaining) / before)
+    before = state.remaining
+    state.coverage.cover(M, h)
+    state.shrink_factors.append(state.remaining / before)
     state.h_elements.append(h)
     state.provenance.append((state.formula_index, state.step))
     state.step += 1
@@ -570,8 +580,8 @@ def build_h(M: FiniteStructure, cfg: GreedyConfig, mode: str = STRICT):
     bound = 1.0 - cfg.mu / 2.0
     for index in range(cfg.n_formulas):
         state = _phase_state(cfg, M, index, h_elements, provenance)
-        psi_size = state.psi_cols.shape[1]
-        while len(state.remaining):
+        psi_size = state.remaining
+        while state.remaining:
             h_before = len(state.h_elements)
             greedy_step(state, M)
             if threshold.ok and h_before <= threshold.h_budget:
@@ -623,16 +633,30 @@ def build_h(M: FiniteStructure, cfg: GreedyConfig, mode: str = STRICT):
 
 def verify_cover(M: FiniteStructure, elements, profile: MeasureProfile) -> CoverCertificate:
     """Check that every large parameter tuple of the profiled formula has a
-    witness in H, exhaustively over the enumerated large set psi_columns, one
-    |H| x block grid at a time. Raises EnumerationBudgetError when the tuple
-    space exceeds the budget; a build has already enumerated the same set."""
+    witness in H, exhaustively over psi_columns. A translation kernel's
+    tuple t is covered exactly when u(t) lies in H - G, so the support of
+    its pushforward w must lie in H - G, which checks all n^k tuples at any
+    size; the tuples behind any shift outside are listed as failures. Any
+    other formula is read from its enumerated Ψ, one |H| x block grid at a
+    time, and raises EnumerationBudgetError when the tuple space exceeds
+    the budget; a build has already enumerated the same set."""
     pf = profile.pf
-    cols, _ = psi_columns(M, profile)
-    covered = np.zeros(cols.shape[1], dtype=bool)
-    for block in column_blocks(cols.shape[1], len(elements)):
-        covered[block] = solution_mask_matrix(M, pf, cols[:, block], rows=elements).any(axis=0)
-    failures = [tuple(int(v) for v in cols[:, j]) for j in np.flatnonzero(~covered)]
-    return CoverCertificate(pf.text, "exhaustive", cols.shape[1], failures, not failures)
+    psi = psi_columns(M, profile)
+    if isinstance(psi, KernelPsi):
+        h = np.asarray(elements, dtype=np.intp)[:, None]
+        reached = np.zeros(M.size, dtype=bool)  # H - G
+        for block in column_blocks(len(psi.base), len(h)):
+            reached[np.asarray(M.functions["sub"][h, psi.base[None, block]], dtype=np.intp)] = True
+        failed = kernel_tuples(M, pf, (psi.weights > 0) & ~reached)
+        checked = int(psi.weights.sum())
+    else:
+        cols, _ = psi
+        covered = np.zeros(cols.shape[1], dtype=bool)
+        for block in column_blocks(cols.shape[1], len(elements)):
+            covered[block] = solution_mask_matrix(M, pf, cols[:, block], rows=elements).any(axis=0)
+        failed, checked = cols[:, ~covered], cols.shape[1]
+    failures = [tuple(int(v) for v in col) for col in failed.T]
+    return CoverCertificate(pf.text, "exhaustive", checked, failures, not failures)
 
 
 def independence_checks(M: FiniteStructure, elements, pf: ParamFormula):

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hlab import asymptotics, folang
 from hlab.asymptotics import (
+    KernelPsi,
     MeasureProfile,
     classify,
     profile_family,
@@ -21,7 +25,9 @@ from hlab.finitemodels import (
     make_prime_field,
     primes_in,
 )
-from hlab.folang import parse_formula, solution_count
+from hlab.folang import kernel_base, parse_formula, solution_count, solution_counts_all
+
+from profile_oracle import fit_counts
 
 
 @pytest.fixture(scope="module")
@@ -158,14 +164,32 @@ class TestPsiSet:
         prof = profile_family(fam, pf)
         assert psi_set(fam[0], prof) == [(y,) for y in range(13)]
 
-    def test_budget(self, square_shift_profile, shrink_budget):
-        _, _, prof = square_shift_profile
+    def test_budget(self, square_shift_profile, small_prime_family, shrink_budget):
+        # a formula off the kernel rule (x enters twice) is enumerated, so
+        # past the budget it refuses; a kernel's Ψ is exact at every size
+        pf = parse_formula("exists z. z*z = x + x - y", small_prime_family[0].sig)
+        off_kernel = profile_family(small_prime_family, pf)
+        _, _, kernel = square_shift_profile
         shrink_budget(50)
         with pytest.raises(EnumerationBudgetError):
-            psi_set(make_prime_field(101), prof)
+            psi_set(make_prime_field(101), off_kernel)
+        assert psi_set(make_prime_field(101), kernel) == [(y,) for y in range(101)]
+
+    def test_kernel_psi_is_the_pushforward_and_never_kept(self, square_shift_profile):
+        _, _, prof = square_shift_profile
+        M = make_prime_field(101)
+        psi = psi_columns(M, prof)
+        assert isinstance(psi, KernelPsi)
+        assert len(psi.base) == 51 and psi.weights.tolist() == [1] * 101
+        again = psi_columns(M, prof)
+        assert again.weights is not psi.weights and np.array_equal(again.weights, psi.weights)
+        assert prof._psi is None
+        assert not [v for v in M._cache.values() if v is psi.weights]
+        # the profile keeps one count per structure it enumerated
+        assert all(type(v) is int for v in prof._counts.values())
 
     def test_psi_columns_kept_for_the_last_structure(self, small_prime_family):
-        pf = parse_formula("exists z. z*z = x - y", small_prime_family[0].sig)
+        pf = parse_formula("exists z. z*z = x + x - y", small_prime_family[0].sig)
         prof = profile_family(small_prime_family, pf)
         cols, counts = psi_columns(make_prime_field(7), prof)
         assert not cols.flags.writeable and not counts.flags.writeable
@@ -206,6 +230,26 @@ class TestSampledProfiling:
         assert len(prof.E) == 2
         assert abs(prof.E[0] - 0.5) <= 0.02
         assert abs(prof.E[1] - 1.0) <= 0.02
+
+    def test_kernel_sample_is_drawn_not_evaluated(self, monkeypatch, shrink_budget):
+        # a kernel past the budget has |G| solutions at each drawn tuple:
+        # its sample is drawn from the same seeded stream, repeats dropped,
+        # and never counted (2000 draws from 40^2 tuples repeat many)
+        fam = [make_cyclic_group(n) for n in (40, 41)]
+        pf = parse_formula("exists z. z + z = x - y1 - y2", fam[0].sig, params=("y1", "y2"))
+        for M in fam:
+            kernel_base(M, pf)  # its one evaluation, at the zero tuple
+        shrink_budget(100)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a kernel's sample was evaluated")
+
+        monkeypatch.setattr(folang, "solution_mask_matrix", refuse)
+        prof = profile_family(fam, pf, samples=2000, seed=5)
+        for M, stats in zip(fam, prof.per_structure):
+            draws = np.random.default_rng([5, M.size]).integers(0, M.size, size=(2000, 2))
+            assert stats.n_large == len(np.unique(draws, axis=0)) < 2000 and not stats.enumerated
+        assert prof._counts == {}
 
     def test_sampling_is_seeded(self):
         fam = [make_cyclic_group(n) for n in (4999, 5000)]
@@ -269,3 +313,82 @@ class TestDiagnostics:
         pf = parse_formula("exists z. z*z = x - y", small_prime_family[0].sig)
         with pytest.raises(NotOneDimensionalError):
             profile_family(small_prime_family, pf, ceiling=0.0001)
+
+
+def _outcome(fit, *args):
+    """A fit's (E, C, B, stats), or its error's type and message."""
+    try:
+        return fit(*args)
+    except NotOneDimensionalError as err:
+        return type(err), str(err)
+
+
+def assert_same_fit(observed, gap, ceiling):
+    """The histogram fit and the per-tuple oracle agree on observed =
+    (size, counts, enumerated) per structure, largest first."""
+    hist = [(n, *np.unique(counts, return_counts=True), e) for n, counts, e in observed]
+    expected = _outcome(fit_counts, "phi", observed, gap, ceiling)
+    assert _outcome(asymptotics._fit, "phi", hist, gap, ceiling) == expected
+    return expected
+
+
+@st.composite
+def count_families(draw):
+    """Two to four structures, largest first, each with counts near shared
+    measure levels, small algebraic counts, and stray counts anywhere."""
+    sizes = draw(st.lists(st.integers(2, 400), min_size=2, max_size=4, unique=True))
+    levels = draw(
+        st.lists(st.sampled_from([0.02, 0.04, 0.06, 0.1, 0.25, 0.33, 0.5, 0.55, 0.75, 0.9, 1.0]), min_size=1)
+    )
+    observed = []
+    for n in sorted(sizes, reverse=True):
+        near = st.builds(
+            lambda f, e, n=n: min(n, max(0, round(f * n) + e)), st.sampled_from(levels), st.integers(-4, 4)
+        )
+        value = st.one_of(near, near, st.integers(0, 3), st.integers(0, n))
+        counts = np.array(draw(st.lists(value, min_size=1, max_size=40)), dtype=np.int64)
+        observed.append((n, counts, draw(st.booleans())))
+    return observed
+
+
+# (observed, gap, ceiling, what the fit gives: the number of measures and B,
+# or part of its error message): one case per branch
+FIT_CASES = {
+    "several measures": (
+        [(100, [50] * 5 + [100] * 5, True), (90, [45, 45, 46, 90, 90], True)], 0.05, 2.0, (2, None)
+    ),
+    "algebraic counts": ([(100, [1, 1, 2, 50, 50], True), (90, [0, 1, 45, 47], False)], 0.05, 2.0, (1, 2)),
+    "both sides of the gap": ([(120, [5, 7, 60], True), (100, [4, 6, 50, 3], True)], 0.05, 2.0, (2, None)),
+    "residual over the ceiling": (
+        [(100, [30, 70], True), (80, [40], True)], 0.5, 1.0, "envelope needs C"
+    ),
+    "more than MAX_MEASURES": (
+        [(1000, list(range(100, 1000, 100)), True), (500, [475], True)], 0.05, 0.5, "more than 8 measures"
+    ),
+    "B overlaps min(E) |M|": ([(100, [1, 1, 50], True), (2, [1, 1], True)], 0.05, 2.0, "overlaps"),
+}
+
+
+class TestHistogramFit:
+    @pytest.mark.parametrize("case", FIT_CASES.values(), ids=FIT_CASES.keys())
+    def test_each_branch_matches_the_oracle(self, case):
+        observed, gap, ceiling, expected = case
+        observed = [(n, np.array(c, dtype=np.int64), e) for n, c, e in observed]
+        outcome = assert_same_fit(observed, gap, ceiling)
+        if isinstance(expected, str):
+            assert outcome[0] is NotOneDimensionalError and expected in outcome[1]
+        else:
+            assert (len(outcome[0]), outcome[2]) == expected
+
+    @settings(max_examples=300)
+    @given(count_families(), st.sampled_from([0.01, 0.05, 0.2]), st.sampled_from([0.05, 0.5, 2.0]))
+    def test_matches_the_per_tuple_fit(self, observed, gap, ceiling):
+        assert_same_fit(observed, gap, ceiling)
+
+    def test_profile_family_fits_histograms(self, small_prime_family):
+        # the oracle over every tuple's count gives the profile's own numbers
+        pf = parse_formula("exists z. z*z = x + x - y", small_prime_family[0].sig)
+        prof = profile_family(small_prime_family, pf)
+        observed = [(M.size, solution_counts_all(M, pf), True) for M in small_prime_family[::-1]]
+        E, C, B, stats = fit_counts(pf.text, observed, prof.gap, prof.ceiling)
+        assert (prof.E, prof.C, prof.B, prof.per_structure) == (E, C, B, stats)

@@ -737,6 +737,62 @@ class TestMemory:
         assert (xz["E"], xz["B"], xz1["E"], xz1["B"]) == ([], 1, [], 1)
         assert peak_mib < 100
 
+    def test_profile_gf_1m_keeps_one_count_per_kernel(self, tmp_path):
+        # the same formulas on GF(1000003) and GF(1000033): each structure's
+        # kernel profile is the histogram {|G|: n}, with no array of n counts;
+        # building, fitting and keeping those arrays peaked at 150 MiB
+        cfg = write_config(
+            tmp_path,
+            family={"family": "prime-field", "values": [1000003, 1000033]},
+            cover=["exists z. z*z = x - y", "!(x = y)"],
+            avoid=["x = z", "x = z + 1"],
+        )
+        out = tmp_path / "o"
+        rc, peak_mib = child_peak(["profile", "--config", cfg, "--out", str(out)])
+        assert rc == 0
+        profiles = json.loads((out / "profiles.json").read_text())
+        assert all(s["enumerated"] for prof in profiles for s in prof["per_structure"])
+        assert peak_mib < 100
+
+    def test_two_parameter_kernel_gf_3k(self, tmp_path):
+        # a two-parameter kernel on GF(3001) and GF(3011), about 9 * 10^6
+        # tuples each: counted as one |G| and covered through the pushforward
+        # of y1 + y2; stored counts and an enumerated Ψ took 738 MiB
+        cfg = write_config(
+            tmp_path,
+            family={"family": "prime-field", "values": [3001, 3011]},
+            cover=["exists z. z*z = x - y1 - y2"],
+            avoid=["x = z"],
+            mode="best_effort",
+        )
+        out = tmp_path / "o"
+        for command in ("profile", "build"):
+            rc, peak_mib = child_peak([command, "--config", cfg, "--out", str(out), "--threads", "1"])
+            assert rc == 0
+            assert peak_mib < 100
+        builds = json.loads((out / "build.json").read_text())["builds"]
+        assert [b["cover"][0]["checked"] for b in builds] == [3001**2, 3011**2]
+
+    def test_two_parameter_kernel_gf_10k_builds_exhaustively(self, tmp_path):
+        # 10007^2 tuples are past the budget: the profile samples them, and
+        # the build and its cover certificate still take every one; Ψ
+        # enumeration exited 2 here ("psi enumeration needs 100140049 tuples")
+        cfg = write_config(
+            tmp_path,
+            family={"family": "prime-field", "values": [10007, 10009]},
+            cover=["exists z. z*z = x - y1 - y2"],
+            avoid=["x = z"],
+            mode="best_effort",
+        )
+        out = tmp_path / "o"
+        rc, _ = child_peak(["build", "--config", cfg, "--out", str(out), "--threads", "1"])
+        assert rc == 0
+        builds = json.loads((out / "build.json").read_text())["builds"]
+        assert [(c["method"], c["checked"], c["passed"]) for b in builds for c in b["cover"]] == [
+            ("exhaustive", 10007**2, True),
+            ("exhaustive", 10009**2, True),
+        ]
+
 
 def test_cli_import_leaves_the_pool_out():
     # the process pool is imported only by a map that uses it

@@ -32,17 +32,17 @@ def replay_extension(M, h, profiles, gamma, *, samples, base_max, seed, gamma_ma
     rng = np.random.default_rng([seed, M.size, 3])
     usable = []
     for prof in profiles:
-        cols, _ = large_columns(M, prof, rng, 10 * samples)
-        if cols.shape[1]:
-            usable.append((prof.pf, cols))
+        width, _, take = large_columns(M, prof, rng, 10 * samples)
+        if width:
+            usable.append((prof.pf, width, take))
     if not usable:
         return []
-    widths = np.array([cols.shape[1] for _, cols in usable])
+    widths = np.array([width for _, width, _ in usable])
     formula, column, base_n, base = _draw_samples(rng, widths, M.size, samples, base_max)
     failures = []
     for j in range(samples):
-        pf, cols = usable[formula[j]]
-        params = [int(v) for v in cols[:, column[j]]]
+        pf, _, take = usable[formula[j]]
+        params = [int(v) for v in take(np.array([column[j]]))[:, 0]]
         row = [int(v) for v in base[j, : base_n[j]]]
         clos = closure(M, h, params + row, gamma, max_solutions=gamma_max_solutions)
         if set(solution_set(M, pf, params)) <= set(clos.elements):

@@ -26,6 +26,7 @@ from hlab.finitemodels import (
 from hlab.folang import (
     evaluate,
     kernel_base,
+    kernel_shifts,
     max_solution_count,
     parse_formula,
     solution_counts_all,
@@ -52,6 +53,7 @@ from hlab.hgreedy import (
 )
 
 from helpers import minimum_cover_size
+from profile_oracle import tuple_psi
 
 DECAY_09 = -math.log(1 - 0.45)  # mu = 0.9
 DECAY_04 = -math.log(0.8)  # mu = 0.4
@@ -261,19 +263,20 @@ class TestClosureMasks:
 class TestGreedyStep:
     def test_hand_trace(self, neq_config, z13):
         state = _phase_state(neq_config, z13, 0, [], [])
-        assert state.psi_cols.shape == (1, 13)
+        assert state.remaining == 13
         greedy_step(state, z13)
         assert state.h_elements == [0]  # all 13 candidates tie at 12; index wins
-        assert state.psi_cols[:, state.remaining].tolist() == [[0]]
+        # the shift of !(x = y) at y is y: only the tuple (0,) is left
+        assert state.remaining == 1 and np.flatnonzero(state.coverage.histogram).tolist() == [0]
         greedy_step(state, z13)
         assert state.h_elements == [0, 1]
-        assert state.psi_cols[:, state.remaining].shape == (1, 0)
+        assert state.remaining == 0
         # the forbidden set the second step saw, before it appended 1
         assert forbidden_set(state.h_elements[:-1], neq_config.gamma, z13) == [0]
 
     def test_empty_y_rejected(self, neq_config, z13):
         state = _phase_state(neq_config, z13, 0, [], [])
-        state.remaining = state.remaining[:0]
+        state.coverage.remaining = 0
         with pytest.raises(ValueError):
             greedy_step(state, z13)
 
@@ -287,8 +290,6 @@ class TestGreedyStep:
             step=0,
             h_elements=[],
             provenance=[],
-            psi_cols=cols,
-            remaining=np.arange(2, dtype=np.intp),
             coverage=GridCoverage(z2, blocker_config.delta[0], cols),
         )
         greedy_step(state, z2)
@@ -396,12 +397,17 @@ class TestVerifyCover:
         cert = verify_cover(z13, list(range(13)), neq_config.delta_profiles[0])
         assert cert.passed
 
-    def test_over_budget_raises(self, neq_config, z13, shrink_budget):
-        # the certificate never samples: past the budget it refuses
+    def test_over_budget_raises(self, neq_config, z13, shrink_budget, profiled):
+        # the certificate never samples: past the budget a formula off the
+        # kernel rule refuses, and a kernel still checks all of its tuples
+        family = [make_cyclic_group(n) for n in (13, 37, 101)]
+        off_kernel = profiled(family, [parse_formula("!(x + x = y)", z13.sig)])[0]
         h = build_h(z13, neq_config, BEST_EFFORT)[0].elements
         shrink_budget(4)
         with pytest.raises(EnumerationBudgetError):
-            verify_cover(z13, h, neq_config.delta_profiles[0])
+            verify_cover(z13, h, off_kernel)
+        cert = verify_cover(z13, h, neq_config.delta_profiles[0])
+        assert cert.passed and cert.checked == 13
 
 
 class TestVerifyAvoid:
@@ -482,7 +488,7 @@ class TestWiderArities:
         if kernel:
             assert isinstance(_phase_state(cfg, M, 0, [], []).coverage, KernelCoverage)
             builds.append(build_h(M, cfg, BEST_EFFORT))
-            monkeypatch.setattr(hgreedy, "kernel_shifts", lambda *args: None)
+            monkeypatch.setattr(hgreedy, "psi_columns", tuple_psi)
         for budget in (None, 64):
             if budget is not None:
                 shrink_budget(budget)
@@ -541,8 +547,14 @@ class TestConvolutionCoverage:
             checked = []
 
             def checked_step(state, M):
-                assert isinstance(state.coverage, route)
-                y_cols = state.psi_cols[:, state.remaining]
+                coverage = state.coverage
+                assert isinstance(coverage, route)
+                if route is GridCoverage:
+                    y_cols = coverage.cols[:, coverage.left]
+                else:  # Y is every tuple whose shift mu still counts
+                    cols, _ = tuple_psi(M, cfg.delta_profiles[0])
+                    y_cols = cols[:, coverage.histogram[kernel_shifts(M, pf, cols)[1]] > 0]
+                assert state.remaining == y_cols.shape[1]
                 expected = solution_mask_matrix(M, pf, y_cols).sum(axis=1)
                 assert np.array_equal(state.coverage.counts(), expected)
                 checked.append(state.step)
@@ -551,7 +563,7 @@ class TestConvolutionCoverage:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(hgreedy, "greedy_step", checked_step)
                 if route is GridCoverage:
-                    patch.setattr(hgreedy, "kernel_shifts", lambda *args: None)
+                    patch.setattr(hgreedy, "psi_columns", tuple_psi)
                 h, report = build_h(M, cfg, BEST_EFFORT)
             assert checked == list(range(len(h)))
             return h, report
@@ -577,7 +589,11 @@ class TestConvolutionCoverage:
         elements = st.integers(0, M.size - 1)
         base = sorted(data.draw(st.sets(elements, min_size=1)))
         shifts = np.array(data.draw(st.lists(elements, min_size=1, max_size=40)), dtype=np.intp)
-        cover = KernelCoverage(M, np.array(base, dtype=np.intp), shifts)
+        # a common factor of w, as n^k / |im| gives, leaves the transform: at
+        # 10^15 the counts' float sum would pass 2^53 without dividing it out
+        unit = data.draw(st.sampled_from([1, 3, 10**15]))
+        cover = KernelCoverage(M, np.array(base, dtype=np.intp), unit * np.bincount(shifts, minlength=M.size))
+        assert cover.unit % unit == 0 and cover.remaining == unit * len(shifts)
         hit = np.isin(M.functions["sub"][np.arange(M.size)[:, None], shifts[None, :]], base)
         products = []  # the inverse transform, before folding and rounding
         irfftn = np.fft.irfftn
@@ -589,13 +605,14 @@ class TestConvolutionCoverage:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(np.fft, "irfftn", recorded)
             counts = cover.counts()
-        assert counts.tolist() == hit.sum(axis=1).tolist()
+        assert counts.tolist() == (unit * hit.sum(axis=1)).tolist()
         out = np.bincount(cover.fold, products[0].ravel(), M.size)
-        assert np.abs(out - counts).max() < 1e-6
+        assert np.abs(out * cover.unit - counts).max() < 1e-6 * cover.unit
         h = data.draw(elements)
-        remaining = np.arange(len(shifts))
-        assert cover.cover(M, h, remaining).tolist() == hit[h].tolist()
-        assert np.array_equal(cover.histogram, np.bincount(shifts[~hit[h]], minlength=M.size))
+        cover.cover(M, h)
+        left = np.bincount(shifts[~hit[h]], minlength=M.size)
+        assert np.array_equal(cover.histogram * cover.unit, unit * left)
+        assert cover.remaining == unit * int((~hit[h]).sum())
 
     @pytest.mark.parametrize(
         "perturb, found",
@@ -698,7 +715,9 @@ class TestBlockReducers:
                 cols = tuple_columns(range(M.size), pf.arity)
                 coverage = GridCoverage(M, pf, cols)
                 out.append(coverage.counts())
-                out.append(coverage.cover(M, 1, np.arange(0, cols.shape[1], 2)))
+                coverage.left = coverage.left[::2]
+                coverage.cover(M, 1)
+                out.append(coverage.left)
                 out += [coverage.counts(), solution_counts_all(M, pf)]
                 out += sample_columns(M, pf, 3, 40)
                 cert, witnesses = independence_checks(M, [1, 4, 0, 7, 2, 5], pf)
@@ -751,10 +770,10 @@ class TestGridCoverageWork:
         state = _phase_state(cfg, M, 0, [], [])
         assert isinstance(state.coverage, GridCoverage)
         sizes = []
-        while len(state.remaining):
-            sizes.append(len(state.remaining))
+        while state.remaining:
+            sizes.append(state.remaining)
             greedy_step(state, M)
-        n, psi, after = M.size, state.psi_cols.shape[1], sizes[1:] + [0]
+        n, psi, after = M.size, state.coverage.cols.shape[1], sizes[1:] + [0]
         cheaper = sum(n * min(y - y1, y1) for y, y1 in zip(sizes, after))
         assert sum(cells) <= n * psi + sum(sizes) + cheaper
         assert sum(cells) <= 2 * n * psi + sum(sizes)
