@@ -3,8 +3,8 @@
 For each structure we count solutions over all parameter tuples (or a seeded
 uniform sample when the tuple space is large) and keep the count histogram:
 each distinct count with its number of tuples. A translation kernel has |G|
-solutions at every tuple, so its histogram is {|G|: n^k} from
-folang.kernel_base alone (its sample, past the budget, is drawn but not
+solutions at every tuple, so its histogram is {|G|: n^k} from its
+folang.kernel record alone (its sample, past the budget, is drawn but not
 evaluated), and its profile keeps that one count per structure. Counts are
 explained by a finite set of measures E plus an error envelope of width
 C * sqrt(size), or by a uniform algebraicity bound B. Measure discovery runs
@@ -19,17 +19,16 @@ count per tuple.
 The large set Ψ of a formula, its parameter tuples classified large, is
 named by the formula's profile alone, which carries the formula as `pf`,
 and psi_columns is the one routine that names it. A kernel's Ψ is all of
-M^k or empty; it is held as G and the pushforward w of its shifts
-(KernelPsi), exact at every size, since a tuple t is covered by h exactly
-when u(t) lies in h - G. Any other formula's Ψ is enumerated tuple by tuple
-within the budget.
+M^k or empty; all of it is named by the formula's folang.Kernel record,
+exact at every size, since a tuple t is covered by h exactly when u(t) lies
+in the record's reach(h) = h - G. Any other formula's Ψ is enumerated tuple
+by tuple within the budget.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -42,11 +41,10 @@ from .errors import (
 )
 from .finitemodels import FiniteStructure
 from .folang import (
+    Kernel,
     ParamFormula,
     count_columns,
-    kernel_base,
-    kernel_tuples,
-    shift_pushforward,
+    kernel,
     solution_count,
     solution_counts_all,
     within_budget,
@@ -154,9 +152,9 @@ def _observe(M: FiniteStructure, pf: ParamFormula, samples: int, seed: int):
     any other formula keeps its enumerated counts."""
     n, k = M.size, pf.arity
     enumerated = within_budget(n**k)
-    base = kernel_base(M, pf)
-    if base is not None and enumerated:
-        return np.array([len(base)]), np.array([n**k]), True, len(base)
+    record = kernel(M, pf)
+    if record is not None and enumerated:
+        return np.array([len(record.base)]), np.array([n**k]), True, len(record.base)
     if enumerated:
         counts = solution_counts_all(M, pf)
     else:
@@ -372,24 +370,12 @@ def classify(profile: MeasureProfile, M: FiniteStructure, params=()) -> ParamCla
     return ParamClass("algebraic", count)
 
 
-class KernelPsi(NamedTuple):
-    """Ψ of a translation kernel on one structure, all of M^k or empty, as
-    its set G and the pushforward w(v) = #{t in Ψ : u(t) = v} of its shifts
-    (folang.shift_pushforward): tuple t is covered by an element h exactly
-    when u(t) lies in h - G."""
-
-    base: np.ndarray
-    weights: np.ndarray
-
-
 def psi_set(M: FiniteStructure, profile: MeasureProfile) -> list[tuple[int, ...]]:
     """All parameter tuples classified large, in lexicographic order: the
-    columns of psi_columns as tuples, a kernel's listed from its shifts."""
+    columns of psi_columns as tuples, a kernel's all of M^k."""
+    n, k = M.size, profile.pf.arity
     psi = psi_columns(M, profile)
-    if isinstance(psi, KernelPsi):
-        cols = kernel_tuples(M, profile.pf, psi.weights > 0)
-    else:
-        cols = psi[0]
+    cols = _lex_tuples(np.arange(n**k), n, k) if isinstance(psi, Kernel) else psi[0]
     return [tuple(int(v) for v in col) for col in cols.T]
 
 
@@ -410,19 +396,20 @@ def psi_columns(M: FiniteStructure, profile: MeasureProfile):
     """Ψ, the parameter tuples of the profiled formula classified large.
 
     A translation kernel has |G| solutions at every tuple, so its Ψ is all
-    of M^k or none of it: a KernelPsi, exact at every size, never kept and
-    never over the budget. Any other formula's Ψ is an (arity, m) index
-    array of its tuples in lexicographic order and the solution count of
-    each; EnumerationBudgetError when the tuple space exceeds the one
+    of M^k or none of it: the formula's folang.Kernel record when |G|
+    classifies large, exact at every size and never over the budget, and an
+    empty (arity, 0) Ψ otherwise. Any other formula's Ψ is an (arity, m)
+    index array of its tuples in lexicographic order and the solution count
+    of each; EnumerationBudgetError when the tuple space exceeds the one
     evaluation budget. The profile keeps that result for the last structure
     it was asked about, as read-only arrays, so a build and the checks after
     it classify and decode Ψ once; memory holds at most one Ψ per profile."""
     n, k = M.size, profile.pf.arity
-    base = kernel_base(M, profile.pf)
-    if base is not None:
-        if _classify_counts(profile, n, np.array([len(base)]))[0][0]:
-            return KernelPsi(base, shift_pushforward(M, profile.pf))
-        return KernelPsi(base, np.zeros(n, dtype=np.int64))
+    record = kernel(M, profile.pf)
+    if record is not None:
+        if _classify_counts(profile, n, np.array([len(record.base)]))[0][0]:
+            return record
+        return np.empty((k, 0), dtype=np.intp), np.empty(0, dtype=np.int64)
     if not within_budget(n**k):
         raise EnumerationBudgetError(f"psi enumeration needs {n**k} tuples, over the budget")
     key = _structure_key(M)
@@ -444,14 +431,14 @@ def large_columns(M: FiniteStructure, profile: MeasureProfile, rng, samples: int
     low, take): their number, their smallest solution count, and take(j),
     the tuples at positions j of their lexicographic order as an (arity,
     len(j)) index array. Within the budget they are psi_columns', a kernel's
-    decoded from j through _lex_tuples; past it they are the large tuples
-    among `samples` drawn by sample_columns from `rng`, as they are for a
-    kernel too, whose draws then keep their tuples."""
+    all n^k tuples, decoded from j through _lex_tuples; past it they are the
+    large tuples among `samples` drawn by sample_columns from `rng`, as they
+    are for a kernel too, whose draws then keep their tuples."""
     n, k = M.size, profile.pf.arity
     if within_budget(n**k):
         psi = psi_columns(M, profile)
-        if isinstance(psi, KernelPsi):
-            return int(psi.weights.sum()), len(psi.base), lambda j: _lex_tuples(j, n, k)
+        if isinstance(psi, Kernel):
+            return n**k, len(psi.base), lambda j: _lex_tuples(j, n, k)
         cols, counts = psi
     else:
         cols, counts = sample_columns(M, profile.pf, rng, samples)

@@ -128,14 +128,20 @@ def _parse_family(raw) -> FamilySpec:
         values=None if values is None else tuple(_as_int(v) for v in values),
     )
     # every value is listed, and each one tested or built, before anything is
-    # filtered, so the budget bounds how many values there are and how large
-    sizes = [] if spec.values is None else [len(spec.values), max(spec.values, default=0)]
+    # filtered, so the budget bounds how many values there are, how large,
+    # and the universe of the largest; a value within the budget is small
+    # enough to raise 2 to
+    counts, tops = [], []
+    if spec.values is not None:
+        counts.append(len(spec.values))
+        tops.append(max(spec.values, default=0))
     if spec.lo is not None and spec.hi is not None:
-        sizes += [spec.hi - spec.lo + 1, spec.hi]
-    if not all(map(within_budget, sizes)):
+        counts.append(spec.hi - spec.lo + 1)
+        tops.append(spec.hi)
+    if not all(map(within_budget, counts + tops)) or not all(within_budget(spec.universe(v)) for v in tops):
         raise ExperimentConfigError(
             f"family lo={spec.lo}, hi={spec.hi} with {len(spec.values or ())} listed values: "
-            "more or larger values than the evaluation budget"
+            "more values, or a larger universe, than the evaluation budget"
         )
     return spec
 
@@ -147,12 +153,13 @@ def _parse_formula_entry(raw, sig, where: str) -> ParamFormula:
         _reject_unknown(raw, _FORMULA_KEYS, where)
         if "text" not in raw:
             raise ExperimentConfigError(f"{where}: formula object needs 'text'")
-        params = raw.get("params")
+        object_var, params = raw.get("object", "x"), raw.get("params")
+        if not isinstance(object_var, str):
+            raise ExperimentConfigError(f"{where}: 'object' must be a string, got {object_var!r}")
+        if params is not None and not (isinstance(params, list) and all(isinstance(v, str) for v in params)):
+            raise ExperimentConfigError(f"{where}: 'params' must be a list of strings, got {params!r}")
         return parse_formula(
-            raw["text"],
-            sig,
-            object_var=raw.get("object", "x"),
-            params=None if params is None else tuple(params),
+            raw["text"], sig, object_var=object_var, params=None if params is None else tuple(params)
         )
     raise ExperimentConfigError(f"{where}: formula must be a string or an object")
 

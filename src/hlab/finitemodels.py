@@ -343,6 +343,16 @@ class FamilySpec:
     hi: int | None = None
     values: tuple[int, ...] | None = None
 
+    def universe(self, value: int) -> int:
+        """The universe size of the member with parameter `value`: p^2 for
+        a quadratic extension, 2^dim for an F2 space, the value itself
+        otherwise."""
+        if self.family == EXTENSION_FIELD:
+            return value * value
+        if self.family == F2_VECTOR_SPACE:
+            return 2**value
+        return value
+
     def parameters(self) -> list[int]:
         if self.values is not None:
             vals = sorted(set(int(v) for v in self.values))

@@ -37,13 +37,16 @@ A translation kernel is a formula that reads x only through x - u(params):
 normalised to integer-coefficient polynomials (numerals and other closed
 terms stay opaque constants), every atom that holds x holds it as exactly +x
 or -x with the same parameter part u, and no atom without x holds a
-parameter. Its solutions at any tuple are G + u(tuple) for one set G, cached
-per structure, so every count is |G| (one evaluation at the zero tuple) and
-the solutions at m tuples are |G| * m scattered points (solution_points).
-kernel_shifts returns G and the shifts themselves, the one place that
-computes them. shift_pushforward counts the tuples per shift without
-listing them: in O(k n) when u is linear in the parameters, by a blocked
-bincount otherwise. Any other formula is counted on the grid.
+parameter. Its solutions at any tuple are G + u(tuple) for one set G, so
+every count is |G|. kernel(M, pf) owns that rule: it returns one Kernel
+record per formula and structure, cached, built from one evaluation at the
+zero tuple, and the record answers everything else: points(cols), the
+|G| * m solutions at m tuples; reach(h), the shifts h - G of the tuples
+that h solves; support(), the shifts that occur; pushforward(), the number
+of tuples per shift, exact as (unit, histogram), in O(k n) when u is linear
+in the parameters and by a blocked bincount otherwise; and tuples(mask),
+the tuples whose shift a mask holds. Any other formula is counted on the
+grid.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -721,58 +724,6 @@ def _kernel_shift(f: Formula, x: str, params: tuple):
     return shift, tuple(term_vars(shift)), linear
 
 
-def _shifts(M: FiniteStructure, pf: ParamFormula, kernel: tuple, cols: np.ndarray) -> np.ndarray:
-    """The shift u, up to one constant, at each (arity, m) parameter column;
-    `kernel` is what _kernel_shift returned for pf."""
-    shift, names, _ = kernel
-    env = dict.fromkeys(names, 0)
-    env.update(zip(pf.params, cols))
-    return np.broadcast_to(np.asarray(_bulk_term(M, shift, env), dtype=np.intp), cols.shape[1:])
-
-
-def kernel_base(M: FiniteStructure, pf: ParamFormula) -> np.ndarray | None:
-    """The set G of a translation kernel on M, whose solutions at each
-    parameter tuple are G + u(tuple): the solutions at the zero tuple
-    shifted back by its shift there, cached on the structure. None when the
-    formula is no kernel or M is outside the four families, whose add, sub
-    and mul obey the ring laws the kernel rule relies on."""
-    kernel = _kernel_shift(pf.formula, pf.object_var, pf.params)
-    if kernel is None or M.family not in FAMILIES:
-        return None
-    key = ("kernel", pf.formula, pf.object_var, pf.params)
-    base = M._cache.get(key)
-    if base is None:
-        zero = np.zeros((pf.arity, 1), dtype=np.intp)
-        solutions = np.flatnonzero(solution_mask_matrix(M, pf, zero)[:, 0])
-        shift = _shifts(M, pf, kernel, zero)
-        base = np.asarray(M.functions["sub"][solutions, shift], dtype=np.intp)
-        base.flags.writeable = False
-        base = M._cache.setdefault(key, base)
-    return base
-
-
-def kernel_shifts(M: FiniteStructure, pf: ParamFormula, param_columns):
-    """For a translation kernel, (G, u): the set G and the shift u_j at each
-    of the (arity, m) parameter columns, so that the solutions at column j
-    are G + u_j. None for any other formula."""
-    base = kernel_base(M, pf)
-    if base is None:
-        return None
-    cols = np.atleast_2d(np.asarray(param_columns, dtype=np.intp))
-    return base, _shifts(M, pf, _kernel_shift(pf.formula, pf.object_var, pf.params), cols)
-
-
-def solution_points(M: FiniteStructure, pf: ParamFormula, param_columns) -> np.ndarray | None:
-    """For a translation kernel, the (|G|, m) array whose column j lists the
-    solutions at the j-th of the (arity, m) parameter columns, G + u_j;
-    None for any other formula."""
-    kernel = kernel_shifts(M, pf, param_columns)
-    if kernel is None:
-        return None
-    base, shift = kernel
-    return np.asarray(M.functions["add"][base[:, None], shift[None, :]], dtype=np.intp)
-
-
 def _coset(M: FiniteStructure, values: np.ndarray, c: int) -> np.ndarray:
     """Mask over the universe of c + <values>, the coset of the additive
     subgroup that `values` generate. On one axis index k is k times the
@@ -802,58 +753,112 @@ def _coset(M: FiniteStructure, values: np.ndarray, c: int) -> np.ndarray:
             step = int(add[step, step])
 
 
-def _tuple_shifts(M: FiniteStructure, pf: ParamFormula, kernel: tuple):
-    """(positions, shifts) for every parameter tuple in lexicographic order,
-    one block at a time: each block's tuples and shifts hold at most BUDGET
-    cells together."""
-    n, k = M.size, pf.arity
-    for block in column_blocks(n**k, k + 1):
-        positions = np.arange(block.start, block.stop)
-        yield positions, _shifts(M, pf, kernel, _lex_tuples(positions, n, k))
+def _shift_values(M: FiniteStructure, shift: Term, names: tuple, params: tuple, cols: np.ndarray):
+    """The shift term at each (arity, m) parameter column, every other name
+    it reads at 0: u up to one constant. The one place that evaluates it."""
+    env = dict.fromkeys(names, 0)
+    env.update(zip(params, cols))
+    return np.broadcast_to(np.asarray(_bulk_term(M, shift, env), dtype=np.intp), cols.shape[1:])
 
 
-def shift_pushforward(M: FiniteStructure, pf: ParamFormula) -> np.ndarray | None:
-    """For a translation kernel, the pushforward of all n^k parameter tuples
-    under the shift: w(v) = #{t : u(t) = v}, as an int64 array over the
-    universe, u taken as kernel_shifts takes it; None for any other formula.
+@dataclass(frozen=True, eq=False)
+class Kernel:
+    """A translation kernel on one structure, as kernel() builds it: its
+    solutions at parameter tuple t are G + u(t), u(t) the shift term's value.
+    A linear u is kept as c = u(0) and `images`, u(e) - c at each unit tuple
+    e (one parameter at one unit vector of M.group_shape, the others 0): a
+    few ints, and no array over the tuples or the universe but G."""
 
-    When u is linear in the parameters (see _kernel_shift), u = c + sum_i phi_i(y_i)
-    with additive homomorphisms phi_i, so every fibre is a coset of u's
-    kernel and w = (n^k / |im|) 1_{im + c}, im the subgroup that the phi_i
-    of the group's generators (the unit vectors of M.group_shape) generate:
-    O(k n). Any other u is counted by a bincount over the tuples, one block
-    at a time: n^k time in O(n) memory, and no budget error."""
-    base = kernel_base(M, pf)
-    if base is None:
-        return None
-    kernel = _kernel_shift(pf.formula, pf.object_var, pf.params)
-    n, k = M.size, pf.arity
-    weights = np.zeros(n, dtype=np.int64)
-    if not kernel[2]:
-        for _, shifts in _tuple_shifts(M, pf, kernel):
+    M: FiniteStructure = field(repr=False)
+    params: tuple[str, ...]
+    shift: Term
+    names: tuple[str, ...]  # the names the shift term reads
+    base: np.ndarray  # G, read-only
+    c: int
+    images: tuple[int, ...] | None  # None when u is not linear
+
+    def shifts(self, param_columns) -> np.ndarray:
+        """u, up to one constant, at each of the (arity, m) parameter columns."""
+        cols = np.atleast_2d(np.asarray(param_columns, dtype=np.intp))
+        return _shift_values(self.M, self.shift, self.names, self.params, cols)
+
+    def points(self, param_columns) -> np.ndarray:
+        """The (|G|, m) solutions at the (arity, m) parameter columns: G + u_j in column j."""
+        shifts = self.shifts(param_columns)
+        return np.asarray(self.M.functions["add"][self.base[:, None], shifts[None, :]], dtype=np.intp)
+
+    def reach(self, h) -> np.ndarray:
+        """h - G, broadcast: h solves tuple t exactly when u(t) lies in it."""
+        return np.asarray(self.M.functions["sub"][h, self.base], dtype=np.intp)
+
+    def support(self) -> np.ndarray:
+        """Mask over the universe of the shifts that occur: for a linear u the
+        coset c + im, im the subgroup that `images` generate."""
+        if self.images is None:
+            return self.pushforward()[1] > 0
+        return _coset(self.M, np.array(self.images, dtype=np.intp), self.c)
+
+    def pushforward(self) -> tuple[int, np.ndarray]:
+        """w(v) = #{t in M^k : u(t) = v}, exact at any n^k, as (unit,
+        histogram): w = unit * histogram, the unit a Python int and the
+        histogram int64 over the universe with gcd 1. A linear u = c + sum_i
+        phi_i(y_i), phi_i additive homomorphisms, has cosets of its kernel
+        as fibres, so w = (n^k / |im|) 1_{im + c}: O(k n). Any other u is
+        counted by a bincount over the tuples in blocks: O(n) memory."""
+        n = self.M.size
+        if self.images is not None:
+            support = self.support()
+            return n ** len(self.params) // int(support.sum()), support.astype(np.int64)
+        weights = np.zeros(n, dtype=np.int64)
+        for _, shifts in self._blocks():
             weights += np.bincount(shifts, minlength=n)
-        return weights
-    shape = M.group_shape
-    units = [math.prod(shape[i + 1 :]) % n for i in range(len(shape))]  # index of each unit vector
-    cols = np.zeros((k, k * len(units) + 1), dtype=np.intp)  # the zero tuple last
-    for i in range(k):
-        cols[i, i * len(units) : (i + 1) * len(units)] = units
-    shifts = _shifts(M, pf, kernel, cols)
-    c = int(shifts[-1])
-    support = _coset(M, np.asarray(M.functions["sub"][shifts[:-1], c], dtype=np.intp), c)
-    weights[support] = n**k // int(support.sum())
-    return weights
+        unit = int(np.gcd.reduce(weights))
+        return unit, weights // unit
+
+    def tuples(self, shifts: np.ndarray) -> np.ndarray:
+        """The parameter tuples whose shift the boolean mask `shifts` over
+        the universe holds, (arity, m) in lexicographic order; every tuple
+        is scanned, in blocks, only when the mask holds a shift."""
+        if not shifts.any():
+            return np.empty((len(self.params), 0), dtype=np.intp)
+        found = [positions[shifts[s]] for positions, s in self._blocks()]
+        return _lex_tuples(np.concatenate(found), self.M.size, len(self.params))
+
+    def _blocks(self):
+        """(positions, shifts) of every tuple in lexicographic order, in
+        blocks whose tuples and shifts hold at most BUDGET cells."""
+        n, k = self.M.size, len(self.params)
+        for block in column_blocks(n**k, k + 1):
+            positions = np.arange(block.start, block.stop)
+            yield positions, self.shifts(_lex_tuples(positions, n, k))
 
 
-def kernel_tuples(M: FiniteStructure, pf: ParamFormula, shifts: np.ndarray) -> np.ndarray:
-    """For a translation kernel, every parameter tuple whose shift lies in
-    the boolean mask `shifts` over the universe, as an (arity, m) index
-    array in lexicographic order: the tuples behind part of a pushforward's
-    support, for listing them. Scans every tuple, one block at a time, when
-    the mask holds any shift."""
-    kernel = _kernel_shift(pf.formula, pf.object_var, pf.params)
-    found = [positions[shifts[s]] for positions, s in _tuple_shifts(M, pf, kernel)] if shifts.any() else []
-    return _lex_tuples(np.concatenate([np.empty(0, dtype=np.intp), *found]), M.size, pf.arity)
+def kernel(M: FiniteStructure, pf: ParamFormula) -> Kernel | None:
+    """pf's Kernel record on M, cached on the structure: G is the solution
+    set at the zero tuple shifted back by u there, and a linear u is read at
+    the unit tuples in the same evaluation. None when pf is no kernel or M
+    is outside the four families, whose ring laws the kernel rule uses."""
+    rule = _kernel_shift(pf.formula, pf.object_var, pf.params)
+    if rule is None or M.family not in FAMILIES:
+        return None
+    key = ("kernel", pf.formula, pf.object_var, pf.params)
+    record = M._cache.get(key)
+    if record is None:
+        shift, names, linear = rule
+        shape, k = M.group_shape, pf.arity
+        units = [math.prod(shape[i + 1 :]) % M.size for i in range(len(shape))] if linear else []
+        cols = np.zeros((k, 1 + k * len(units)), dtype=np.intp)  # the zero tuple first
+        for i in range(k):  # then each parameter at each unit vector
+            cols[i, 1 + i * len(units) : 1 + (i + 1) * len(units)] = units
+        values = _shift_values(M, shift, names, pf.params, cols)
+        c, sub = int(values[0]), M.functions["sub"]
+        solutions = np.flatnonzero(solution_mask_matrix(M, pf, cols[:, :1])[:, 0])
+        base = np.asarray(sub[solutions, c], dtype=np.intp)
+        base.flags.writeable = False
+        images = tuple(np.asarray(sub[values[1:], c]).tolist()) if linear else None
+        # threads that raced past the get all return the first one stored
+        record = M._cache.setdefault(key, Kernel(M, pf.params, shift, names, base, c, images))
+    return record
 
 
 def _bulk_term(M: FiniteStructure, t: Term, env: dict) -> np.ndarray | int:
@@ -954,9 +959,9 @@ def _counts(M: FiniteStructure, pf: ParamFormula, total: int, columns) -> np.nda
     tuples of a slice of range(total) as an (arity, len) array: the one place
     that counts. A translation kernel has |G| solutions at every tuple; any
     other formula is counted one evaluation block at a time."""
-    base = kernel_base(M, pf)
-    if base is not None:
-        return np.full(total, len(base), dtype=np.int64)
+    record = kernel(M, pf)
+    if record is not None:
+        return np.full(total, len(record.base), dtype=np.int64)
     counts = np.empty(total, dtype=np.int64)
     for block in column_blocks(total, M.size):
         counts[block] = solution_mask_matrix(M, pf, columns(block)).sum(axis=0)
@@ -983,9 +988,9 @@ def max_solution_count(M: FiniteStructure, gamma) -> int | None:
     None when recounting exceeds the budget."""
     counts = []
     for pf in gamma:
-        base = kernel_base(M, pf)
-        if base is not None:
-            counts.append(len(base))
+        record = kernel(M, pf)
+        if record is not None:
+            counts.append(len(record.base))
         elif within_budget(M.size ** (pf.arity + 1)):
             counts.append(int(solution_counts_all(M, pf).max()))
         else:

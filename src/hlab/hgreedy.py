@@ -12,18 +12,18 @@ step shrinks Y by a factor of at least (1 - mu/2), which forces
 |H| <= n_formulas * h_M <= C * ln|M|.
 
 Coverage, the number of tuples of Y each element would cover, has two
-routes. A translation kernel (folang.kernel_shifts) has the solutions
-G + u(t) at tuple t, so its coverage is the convolution 1_G * mu over M's
-additive group, mu the histogram of the shifts of Y: one real FFT pair per
-step, rounded and checked exact. Its Ψ comes as the pushforward w of the
-shifts (asymptotics.KernelPsi), mu starts as w, and a step zeroes mu on
+routes. A translation kernel has the solutions G + u(t) at tuple t, so its
+coverage is the convolution 1_G * mu over M's additive group, mu the
+histogram of the shifts of Y: one real FFT pair per step, rounded and
+checked exact. Its Ψ comes as its folang.Kernel record, mu starts as the
+record's pushforward() of the shifts, and a step zeroes mu on reach(h) =
 h - G, so no array holds a tuple. Any other formula keeps its counts
 incrementally: the grid's row sums once, block by block, then at each step
 minus the solution counts of the columns just covered, or a recount of the
 columns left when those are fewer.
 
 Every build returns certificates: an exhaustive cover check per cover
-formula (for a kernel, supp(w) within H - G, which checks every tuple), an
+formula (for a kernel, support() within H - G, which checks every tuple), an
 exhaustive order-restricted avoid check per avoid formula, the size bound,
 and the per-step shrink factors.
 """
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import tuple_columns
-from .asymptotics import KernelPsi, MeasureProfile, psi_columns
+from .asymptotics import MeasureProfile, psi_columns
 from .errors import (
     ConfigRejectedError,
     InvariantError,
@@ -45,12 +45,12 @@ from .errors import (
 )
 from .finitemodels import FiniteStructure
 from .folang import (
+    Kernel,
     ParamFormula,
     column_blocks,
-    kernel_tuples,
+    kernel,
     max_solution_count,
     solution_mask_matrix,
-    solution_points,
 )
 
 STRICT = "strict"
@@ -217,8 +217,9 @@ def _mark_solutions(out: np.ndarray, M: FiniteStructure, xi: ParamFormula, cols,
     """Set out[e, owner[j]] for every solution e of xi at the j-th of the
     parameter columns, owner non-decreasing. A translation kernel scatters
     its |G| points per column; any other formula is read off its grid."""
-    points = solution_points(M, xi, cols)
-    if points is not None:
+    record = kernel(M, xi)
+    if record is not None:
+        points = record.points(cols)
         out[points.ravel(), np.tile(owner, len(points))] = True
         return
     heads = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
@@ -331,55 +332,61 @@ def _transform_length(d: int) -> int:
     return length
 
 
-class KernelCoverage:
-    """The coverage of a translation kernel's Ψ from the pushforward w of
-    its shifts, with no per-tuple array. Tuple t's solutions are G + u(t),
-    so element h covers it exactly when u(t) lies in h - G, and h covers
-    (1_G * mu)(h) remaining tuples: the convolution over M's additive group
-    of 1_G with mu, the histogram of the remaining tuples' shifts, which
-    starts as w and loses h - G at each step. It is computed with a real FFT
-    over the group's array shape (Terras, Fourier Analysis on Finite Groups,
-    1999) on mu divided by the gcd of w, which every later mu shares, so the
-    transformed values stay small whatever n^k is."""
+def _fold(values: np.ndarray, shape) -> np.ndarray:
+    """A linear convolution folded back onto the group of array shape
+    `shape`: position k of an axis of length d is coordinate k mod d, so a
+    padded axis becomes the sum of its d-long slices."""
+    for axis, d in enumerate(shape):
+        if values.shape[axis] > d:
+            values = values.swapaxes(0, axis)
+            folded = values[:d].copy()
+            for start in range(d, len(values), d):
+                folded[: len(values) - start] += values[start : start + d]
+            values = folded.swapaxes(0, axis)
+    return values
 
-    def __init__(self, M: FiniteStructure, base: np.ndarray, weights: np.ndarray):
-        self.base = np.asarray(base, dtype=np.intp)  # G
+
+class KernelCoverage:
+    """The coverage of a translation kernel's Ψ from its folang.Kernel
+    record, with no per-tuple array. Element h covers tuple t exactly when
+    u(t) lies in h - G, so h covers (1_G * mu)(h) remaining tuples: the
+    convolution over M's additive group of 1_G with mu, the histogram of the
+    remaining tuples' shifts, which starts as the record's pushforward() and
+    loses h - G at each step. A real FFT over the group's array shape
+    (Terras, Fourier Analysis on Finite Groups, 1999) computes it in the
+    pushforward's histogram units, small whatever n^k is."""
+
+    def __init__(self, M: FiniteStructure, record: Kernel):
+        self.kernel = record
         in_base = np.zeros(M.size, dtype=bool)  # 1_G over the universe
-        in_base[self.base] = True
-        weights = np.asarray(weights, dtype=np.int64)
-        self.unit = int(np.gcd.reduce(weights)) or 1  # mu is unit * histogram
-        self.histogram = weights // self.unit
-        self.remaining = int(weights.sum())  # |Y|, the tuples mu counts
+        in_base[record.base] = True
+        self.unit, self.histogram = record.pushforward()  # mu is unit * histogram
+        self.remaining = self.unit * int(self.histogram.sum())  # |Y|, the tuples mu counts
         self.shape = M.group_shape  # M's additive group
         self.lengths = tuple(_transform_length(d) for d in self.shape)  # transform length per axis
-        # position k of an axis of length d is coordinate k mod d: on a
-        # padded axis that folds the linear convolution back onto the group
-        wrapped = (np.arange(length) % d for d, length in zip(self.shape, self.lengths))
-        self.fold = np.ravel_multi_index(np.ix_(*wrapped), self.shape).ravel()
         axes = range(len(self.shape))
         self.base_hat = np.fft.rfftn(in_base.reshape(self.shape), self.lengths, axes)
 
     def counts(self) -> np.ndarray:
-        """(1_G * mu) rounded to integers, checked exact: each within 0.25 of
-        its integer, and summing to |G| * |Y|. greedy_step names the step."""
+        """(1_G * mu) in histogram units, rounded and checked exact: each within
+        0.25 of its integer, and summing to |G| * |Y|. greedy_step names the step."""
         axes = range(len(self.shape))
         hat = np.fft.rfftn(self.histogram.reshape(self.shape), self.lengths, axes)
-        product = np.fft.irfftn(self.base_hat * hat, self.lengths, axes)
-        out = np.bincount(self.fold, product.ravel(), len(self.histogram))
+        out = _fold(np.fft.irfftn(self.base_hat * hat, self.lengths, axes), self.shape).ravel()
         counts = np.rint(out)
         residual = float(np.abs(out - counts).max(initial=0.0))
-        total = int(counts.sum()) * self.unit
-        expected = len(self.base) * self.remaining
+        total = int(counts.sum()) * self.unit if residual < 0.25 else None  # None for a NaN
+        expected = len(self.kernel.base) * self.remaining
         if not residual < 0.25 or total != expected:
             raise InvariantError(
                 f"convolution coverage is not exact (rounding residual {residual:.3g}, "
                 f"total {total} against |G| * |Y| = {expected})"
             )
-        return counts.astype(np.int64) * self.unit
+        return counts.astype(np.int64)
 
     def cover(self, M: FiniteStructure, h: int):
         """Drop the tuples h covers: mu loses h - G."""
-        reached = np.asarray(M.functions["sub"][h, self.base], dtype=np.intp)
+        reached = self.kernel.reach(h)
         self.remaining -= int(self.histogram[reached].sum()) * self.unit
         self.histogram[reached] = 0
 
@@ -443,8 +450,8 @@ class GreedyState:
 
 def _phase_state(cfg: GreedyConfig, M: FiniteStructure, index: int, h, prov) -> GreedyState:
     psi = psi_columns(M, cfg.delta_profiles[index])
-    if isinstance(psi, KernelPsi):
-        coverage = KernelCoverage(M, *psi)
+    if isinstance(psi, Kernel):
+        coverage = KernelCoverage(M, psi)
     else:
         coverage = GridCoverage(M, cfg.delta[index], psi[0])
     return GreedyState(
@@ -635,20 +642,20 @@ def verify_cover(M: FiniteStructure, elements, profile: MeasureProfile) -> Cover
     """Check that every large parameter tuple of the profiled formula has a
     witness in H, exhaustively over psi_columns. A translation kernel's
     tuple t is covered exactly when u(t) lies in H - G, so the support of
-    its pushforward w must lie in H - G, which checks all n^k tuples at any
-    size; the tuples behind any shift outside are listed as failures. Any
+    its shifts must lie in H - G, which checks all n^k tuples at any size;
+    the tuples behind any shift outside are listed as failures. Any
     other formula is read from its enumerated Ψ, one |H| x block grid at a
     time, and raises EnumerationBudgetError when the tuple space exceeds
     the budget; a build has already enumerated the same set."""
     pf = profile.pf
     psi = psi_columns(M, profile)
-    if isinstance(psi, KernelPsi):
-        h = np.asarray(elements, dtype=np.intp)[:, None]
+    if isinstance(psi, Kernel):
+        h = np.asarray(elements, dtype=np.intp)
         reached = np.zeros(M.size, dtype=bool)  # H - G
-        for block in column_blocks(len(psi.base), len(h)):
-            reached[np.asarray(M.functions["sub"][h, psi.base[None, block]], dtype=np.intp)] = True
-        failed = kernel_tuples(M, pf, (psi.weights > 0) & ~reached)
-        checked = int(psi.weights.sum())
+        for block in column_blocks(len(h), len(psi.base)):
+            reached[psi.reach(h[block, None])] = True
+        failed = psi.tuples(psi.support() & ~reached)
+        checked = M.size**pf.arity
     else:
         cols, _ = psi
         covered = np.zeros(cols.shape[1], dtype=bool)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from hlab import asymptotics, folang
 from hlab.asymptotics import (
-    KernelPsi,
     MeasureProfile,
     classify,
     profile_family,
@@ -25,7 +24,7 @@ from hlab.finitemodels import (
     make_prime_field,
     primes_in,
 )
-from hlab.folang import kernel_base, parse_formula, solution_count, solution_counts_all
+from hlab.folang import Kernel, kernel, parse_formula, solution_count, solution_counts_all
 
 from profile_oracle import fit_counts
 
@@ -179,12 +178,13 @@ class TestPsiSet:
         _, _, prof = square_shift_profile
         M = make_prime_field(101)
         psi = psi_columns(M, prof)
-        assert isinstance(psi, KernelPsi)
-        assert len(psi.base) == 51 and psi.weights.tolist() == [1] * 101
-        again = psi_columns(M, prof)
-        assert again.weights is not psi.weights and np.array_equal(again.weights, psi.weights)
+        assert isinstance(psi, Kernel) and psi_columns(M, prof) is psi
+        unit, histogram = psi.pushforward()
+        assert len(psi.base) == 51 and unit == 1 and histogram.tolist() == [1] * 101
+        # the record keeps G and a few ints, never the pushforward itself
+        assert [name for name, v in vars(psi).items() if isinstance(v, np.ndarray)] == ["base"]
+        assert psi.pushforward()[1] is not histogram
         assert prof._psi is None
-        assert not [v for v in M._cache.values() if v is psi.weights]
         # the profile keeps one count per structure it enumerated
         assert all(type(v) is int for v in prof._counts.values())
 
@@ -238,7 +238,7 @@ class TestSampledProfiling:
         fam = [make_cyclic_group(n) for n in (40, 41)]
         pf = parse_formula("exists z. z + z = x - y1 - y2", fam[0].sig, params=("y1", "y2"))
         for M in fam:
-            kernel_base(M, pf)  # its one evaluation, at the zero tuple
+            kernel(M, pf)  # its one evaluation, at the zero tuple
         shrink_budget(100)
 
         def refuse(*args, **kwargs):

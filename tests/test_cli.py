@@ -112,6 +112,9 @@ class TestLoadConfig:
             {"family": {"family": "prime-field", "values": list(range(1001))}},
             {"cover": 5},
             {"cover": [{"text": "exists z. z*z = x - y", "params": 5}]},
+            {"cover": [{"text": "x = y + z", "params": "zy"}]},  # not read as ("z", "y")
+            {"cover": [{"text": "x = y + z", "params": ["z", 1]}]},
+            {"cover": [{"text": "x = y", "object": 5}]},
             {"gap": 2},
             {"gap": 0},
             {"ceiling": 0},
@@ -163,6 +166,31 @@ class TestLoadConfig:
         # integral numbers still load as ints
         cfg = load_config(write_config(tmp_path, seed=3.0, threads=2))
         assert (cfg.seed, cfg.threads) == (3, 2) and type(cfg.seed) is int
+
+    def test_universe_past_the_budget_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the budget bounds each member's universe, not only its parameter:
+        # GF(99991^2) has about 10^10 elements and F2^40 has 2^40, and
+        # both are refused before any structure is built
+        def refuse(spec):
+            raise AssertionError(f"{spec} was enumerated")
+
+        monkeypatch.setattr(cli, "enumerate_family", refuse)
+        for command, family in [
+            ("lovely-pair", {"family": "quadratic-extension-field", "values": [99991]}),
+            ("profile", {"family": "f2-vector-space", "values": [39, 40]}),
+            ("profile", {"family": "f2-vector-space", "lo": 20, "hi": 24}),
+        ]:
+            path = write_config(tmp_path, family=family, cover=["!(x = y)"])
+            assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err.endswith("a larger universe, than the evaluation budget\n")
+        # the largest universes within it load
+        for family in [
+            {"family": "quadratic-extension-field", "values": [3, 3161]},
+            {"family": "f2-vector-space", "lo": 1, "hi": 23},
+        ]:
+            cfg = load_config(write_config(tmp_path, family=family, cover=["!(x = y)"]))
+            assert cfg.family.family == family["family"]
+        assert not (tmp_path / "o").exists()
 
     def test_negative_seed_is_exit_2(self, tmp_path, capsys):
         # in the config or on the command line, before any report is written

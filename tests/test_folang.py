@@ -43,7 +43,7 @@ from hlab.folang import (
     evaluate,
     free_vars,
     free_vars_in_order,
-    kernel_base,
+    kernel,
     normalize,
     parse,
     parse_formula,
@@ -51,7 +51,6 @@ from hlab.folang import (
     solution_count,
     solution_counts_all,
     solution_mask_matrix,
-    solution_points,
     solution_set,
     term_vars,
 )
@@ -628,9 +627,10 @@ def naive_solutions(M, pf, params):
 def assert_kernel_matches_naive(M, pf, cols):
     """Counts and scattered points of an accepted formula at each (arity, m)
     parameter column against the naive oracle."""
-    points = solution_points(M, pf, cols)
+    record = kernel(M, pf)
+    points = record.points(cols)
     counts = solution_counts_all(M, pf)
-    assert points.shape == (len(kernel_base(M, pf)), cols.shape[1])
+    assert points.shape == (len(record.base), cols.shape[1])
     for j, col in enumerate(cols.T):
         expected = naive_solutions(M, pf, col)
         flat = int(np.ravel_multi_index(tuple(col), (M.size,) * pf.arity)) if pf.arity else 0
@@ -692,7 +692,7 @@ class TestTranslationKernel:
         M = make(size)
         pf = parse_formula(text, M.sig)
         assert not is_kernel(pf)
-        assert kernel_base(M, pf) is None and solution_points(M, pf, [[0]]) is None
+        assert kernel(M, pf) is None
 
     def test_numerals_stay_opaque(self):
         # 1 + 1 is 0 on F2^2 and 2 is not; a normaliser that read numerals
@@ -712,7 +712,7 @@ class TestTranslationKernel:
         # the kernel rule relies on the ring laws of the four families
         M = FiniteStructure(gf7.sig, 7, "custom", {}, dict(gf7.functions), {})
         pf = parse_formula("x = y", M.sig)
-        assert is_kernel(pf) and kernel_base(M, pf) is None
+        assert is_kernel(pf) and kernel(M, pf) is None
         assert solution_counts_all(M, pf).tolist() == [1] * 7
 
     def test_counts_once_per_structure(self, monkeypatch):
@@ -732,13 +732,14 @@ class TestTranslationKernel:
         assert columns == [1]
 
     def test_cold_structure_stores_one_base(self, race):
-        # eight threads on a cold structure: each must get the one stored G
+        # eight threads on a cold structure: each must get the one stored record and G
         pf = parse_formula("exists z. z*z = x - y", make_prime_field(5).sig)
-        reference = kernel_base(make_prime_field(10007), pf)
+        reference = kernel(make_prime_field(10007), pf)
         M = make_prime_field(10007)
-        bases = race(lambda: kernel_base(M, pf))
-        assert all(base is bases[0] for base in bases)
-        assert np.array_equal(bases[0], reference)
+        records = race(lambda: kernel(M, pf))
+        assert all(record is records[0] for record in records)
+        assert np.array_equal(records[0].base, reference.base)
+        assert (records[0].c, records[0].images) == (reference.c, reference.images)
 
     @settings(max_examples=200)
     @given(st.data())
@@ -756,7 +757,7 @@ class TestTranslationKernel:
         if is_kernel(pf):
             assert_kernel_matches_naive(M, pf, cols)
         else:
-            assert kernel_base(M, pf) is None
+            assert kernel(M, pf) is None
             for j, col in enumerate(cols.T):
                 assert solution_count(M, pf, col) == len(naive_solutions(M, pf, col))
 

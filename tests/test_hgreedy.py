@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,8 +26,7 @@ from hlab.finitemodels import (
 )
 from hlab.folang import (
     evaluate,
-    kernel_base,
-    kernel_shifts,
+    kernel,
     max_solution_count,
     parse_formula,
     solution_counts_all,
@@ -469,10 +469,10 @@ class TestWiderArities:
         assert verify_avoid(z13, [1, 3, 5], pairsum).passed
 
     @pytest.mark.parametrize(
-        "text, kernel", [("!(x = y)", True), ("!(x + x = y)", False)], ids=["kernel", "off-kernel"]
+        "text, is_kernel", [("!(x = y)", True), ("!(x + x = y)", False)], ids=["kernel", "off-kernel"]
     )
     def test_every_route_gives_the_same_build(
-        self, text, kernel, shrink_budget, cyclic_family_30, profiled, monkeypatch
+        self, text, is_kernel, shrink_budget, cyclic_family_30, profiled, monkeypatch
     ):
         # a kernel takes the convolution; with kernels turned off, and for
         # !(x + x = y), where x enters with coefficient 2, the grid route gives
@@ -483,9 +483,9 @@ class TestWiderArities:
         fam = cyclic_family_30
         cfg = derive_config(profiled(fam, [cover]), profiled(fam, [xz]), 0.4)
         M = cyclic_family_30[-1]
-        assert (kernel_base(M, cover) is not None) == kernel
+        assert (kernel(M, cover) is not None) == is_kernel
         builds = []
-        if kernel:
+        if is_kernel:
             assert isinstance(_phase_state(cfg, M, 0, [], []).coverage, KernelCoverage)
             builds.append(build_h(M, cfg, BEST_EFFORT))
             monkeypatch.setattr(hgreedy, "psi_columns", tuple_psi)
@@ -550,13 +550,14 @@ class TestConvolutionCoverage:
                 coverage = state.coverage
                 assert isinstance(coverage, route)
                 if route is GridCoverage:
-                    y_cols = coverage.cols[:, coverage.left]
-                else:  # Y is every tuple whose shift mu still counts
+                    y_cols, unit = coverage.cols[:, coverage.left], 1
+                else:  # Y is every tuple whose shift mu still counts, in units of the pushforward's
                     cols, _ = tuple_psi(M, cfg.delta_profiles[0])
-                    y_cols = cols[:, coverage.histogram[kernel_shifts(M, pf, cols)[1]] > 0]
+                    y_cols = cols[:, coverage.histogram[kernel(M, pf).shifts(cols)] > 0]
+                    unit = coverage.unit
                 assert state.remaining == y_cols.shape[1]
                 expected = solution_mask_matrix(M, pf, y_cols).sum(axis=1)
-                assert np.array_equal(state.coverage.counts(), expected)
+                assert np.array_equal(state.coverage.counts() * unit, expected)
                 checked.append(state.step)
                 return greedy_step(state, M)
 
@@ -589,12 +590,18 @@ class TestConvolutionCoverage:
         elements = st.integers(0, M.size - 1)
         base = sorted(data.draw(st.sets(elements, min_size=1)))
         shifts = np.array(data.draw(st.lists(elements, min_size=1, max_size=40)), dtype=np.intp)
-        # a common factor of w, as n^k / |im| gives, leaves the transform: at
-        # 10^15 the counts' float sum would pass 2^53 without dividing it out
-        unit = data.draw(st.sampled_from([1, 3, 10**15]))
-        cover = KernelCoverage(M, np.array(base, dtype=np.intp), unit * np.bincount(shifts, minlength=M.size))
-        assert cover.unit % unit == 0 and cover.remaining == unit * len(shifts)
-        hit = np.isin(M.functions["sub"][np.arange(M.size)[:, None], shifts[None, :]], base)
+        # the pushforward's unit, as n^k / |im| gives, stays out of the
+        # transform, and |Y| stays exact past 2^63
+        unit = data.draw(st.sampled_from([1, 3, 10**15, 2**70]))
+        sub, g = M.functions["sub"], np.array(base, dtype=np.intp)
+        record = SimpleNamespace(  # what KernelCoverage reads of a Kernel, for any G and shifts
+            base=g,
+            pushforward=lambda: (unit, np.bincount(shifts, minlength=M.size)),
+            reach=lambda h: np.asarray(sub[h, g], dtype=np.intp),
+        )
+        cover = KernelCoverage(M, record)
+        assert cover.remaining == unit * len(shifts)
+        hit = np.isin(sub[np.arange(M.size)[:, None], shifts[None, :]], base)
         products = []  # the inverse transform, before folding and rounding
         irfftn = np.fft.irfftn
 
@@ -605,13 +612,17 @@ class TestConvolutionCoverage:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(np.fft, "irfftn", recorded)
             counts = cover.counts()
-        assert counts.tolist() == (unit * hit.sum(axis=1)).tolist()
-        out = np.bincount(cover.fold, products[0].ravel(), M.size)
-        assert np.abs(out * cover.unit - counts).max() < 1e-6 * cover.unit
+        assert counts.tolist() == hit.sum(axis=1).tolist()
+        # the product folded back through an index array, position k of an
+        # axis of length d going to coordinate k mod d
+        wrapped = (np.arange(length) % d for d, length in zip(M.group_shape, products[0].shape))
+        fold = np.ravel_multi_index(np.ix_(*wrapped), M.group_shape).ravel()
+        out = np.bincount(fold, products[0].ravel(), M.size)
+        assert np.abs(out - counts).max() < 1e-6
         h = data.draw(elements)
         cover.cover(M, h)
         left = np.bincount(shifts[~hit[h]], minlength=M.size)
-        assert np.array_equal(cover.histogram * cover.unit, unit * left)
+        assert np.array_equal(cover.histogram, left)
         assert cover.remaining == unit * int((~hit[h]).sum())
 
     @pytest.mark.parametrize(
@@ -619,8 +630,9 @@ class TestConvolutionCoverage:
         [
             (lambda out: out + 0.4, "rounding residual 0.4"),
             (lambda out: out + (np.arange(out.size) == 0).reshape(out.shape), "total 157 against |G| * |Y| = 156"),
+            (lambda out: out * np.nan, "rounding residual nan, total None"),
         ],
-        ids=["residual", "total"],
+        ids=["residual", "total", "nan"],
     )
     def test_inexact_transform_is_an_invariant_error(
         self, neq_config, z13, monkeypatch, perturb, found
@@ -707,7 +719,7 @@ class TestBlockReducers:
         # one block
         pfs = [parse_formula(text, M.sig) for text in CLOSURE_AVOID[kind]]
         if kind == "doubled":  # counts and closures take the grid too
-            assert all(kernel_base(M, pf) is None for pf in pfs)
+            assert all(kernel(M, pf) is None for pf in pfs)
 
         def reduced():
             out = []
@@ -755,7 +767,7 @@ class TestGridCoverageWork:
         cover = parse_formula(text, M.sig)
         xz = parse_formula("x = z", M.sig)
         cfg = derive_config(profiled(fam, [cover]), profiled(fam, [xz]), mu)
-        assert kernel_base(M, cover) is None
+        assert kernel(M, cover) is None
         cells = []
         grid = hgreedy.solution_mask_matrix
 

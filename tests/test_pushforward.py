@@ -1,19 +1,20 @@
-"""A translation kernel's Ψ through its shift pushforward against Ψ
-enumerated tuple by tuple (profile_oracle.tuple_psi), on all four families
-and parameter arities 1 to 3: the same Ψ, build, certificates and extension
-draws. The cases include 2y + 1 on Z_12, whose image is a proper coset, and
-shifts that are not linear (y*y, y1*y2, frob), which take the bincount."""
+"""A translation kernel's Ψ through its Kernel record against Ψ enumerated
+tuple by tuple (profile_oracle.tuple_psi), on all four families and
+parameter arities 1 to 3: the same Ψ, build, certificates and extension
+draws. The cases include 2y + 1 on Z_12, whose image is a proper coset,
+GF(7^2), whose two axes are both padded for the transform, and shifts that
+are not linear (y*y, y1*y2, frob), which take the bincount."""
 
 import numpy as np
 import pytest
 
-from hlab import asymptotics, haxioms, hgreedy
-from hlab.asymptotics import KernelPsi, _classify_counts, profile_family, psi_columns, psi_set, sample_columns
+from hlab import asymptotics, folang, haxioms, hgreedy
+from hlab.asymptotics import _classify_counts, large_columns, profile_family, psi_columns, psi_set, sample_columns
 from hlab.errors import LabError
 from hlab.finitemodels import make_cyclic_group, make_extension_field, make_f2_vector_space, make_prime_field
-from hlab.folang import _kernel_shift, kernel_base, parse_formula, shift_pushforward
-from hlab.haxioms import _draw_samples, check_density, check_extension
-from hlab.hgreedy import BEST_EFFORT, build_h, derive_config
+from hlab.folang import Kernel, kernel, parse_formula
+from hlab.haxioms import _draw_samples, check_density, check_extension, run_axiom_checks
+from hlab.hgreedy import BEST_EFFORT, KernelCoverage, build_h, derive_config, verify_cover
 
 from profile_oracle import tuple_psi
 
@@ -41,7 +42,7 @@ CASES = {
     ),
     "GF(p^2)": (
         [make_extension_field(p) for p in (3, 5, 7)],
-        25,
+        49,
         {
             1: "exists z. z*z = x - y",
             2: "exists z. z*z = x - y1 - frob(y2)",
@@ -106,12 +107,13 @@ def run_checks(M, cfg, monkeypatch):
 def test_pushforward_matches_tuple_enumeration(kind, k, monkeypatch):
     M, cfg = case(kind, k)
     prof, pf = cfg.delta_profiles[0], cfg.delta[0]
-    assert kernel_base(M, pf) is not None
     psi = psi_columns(M, prof)
-    assert isinstance(psi, KernelPsi)
+    assert isinstance(psi, Kernel) and psi is kernel(M, pf)
     cols, counts = tuple_psi(M, prof)
     assert psi_set(M, prof) == [tuple(int(v) for v in col) for col in cols.T]
-    assert int(psi.weights.sum()) == cols.shape[1] and set(counts.tolist()) <= {len(psi.base)}
+    unit, histogram = psi.pushforward()
+    assert unit * int(histogram.sum()) == cols.shape[1] and set(counts.tolist()) <= {len(psi.base)}
+    assert int(np.gcd.reduce(histogram)) == 1 and np.array_equal(histogram > 0, psi.support())
     with monkeypatch.context() as patch:
         pushforward = run_checks(M, cfg, patch)
     assert isinstance(pushforward[0], list)  # built, so every check ran
@@ -130,12 +132,16 @@ def test_cases_cover_both_routes_and_a_proper_image():
     for kind, k in CASE_IDS:
         M, cfg = case(kind, k)
         pf = cfg.delta[0]
-        linear[kind, k] = _kernel_shift(pf.formula, pf.object_var, pf.params)[2]
+        linear[kind, k] = kernel(M, pf).images is not None
     assert not linear["GF(p)", 1] and not linear["GF(p)", 2] and not linear["GF(p^2)", 2]
     assert linear["GF(p)", 3] and linear["Z_n", 1]
     # 2y + 1 on Z_12: w = (12 / 6) on the odd elements, the coset 1 + 2Z_12
     M, cfg = case("Z_n", 1)
-    assert shift_pushforward(M, cfg.delta[0]).tolist() == [0, 2] * 6
+    unit, histogram = kernel(M, cfg.delta[0]).pushforward()
+    assert unit == 2 and histogram.tolist() == [0, 1] * 6
+    # GF(7^2) pads both axes of its group (7, 7) for the transform
+    M, _ = case("GF(p^2)", 1)
+    assert M.group_shape == (7, 7) and hgreedy._transform_length(7) > 7
 
 
 @pytest.mark.parametrize("kind, k", [("Z_n", 3), ("GF(p)", 2), ("GF(p^2)", 3)])
@@ -167,3 +173,47 @@ def test_over_budget_kernel_draws_from_the_seeded_sample(shrink_budget, monkeypa
     assert 0 < cols.shape[1] < M.size**2
     _, column, _, _ = _draw_samples(rng, np.array([cols.shape[1]]), M.size, samples, 0)
     np.testing.assert_array_equal(np.concatenate(sets), cols[:, column].T)
+
+
+def test_kernel_totals_stay_exact_past_int64():
+    # p^4 > 2^63 tuples on both fields: Ψ's size, the phase's |Y| and the
+    # cover and density certificates' `checked` are exact Python ints, and
+    # the build and the checks pass with no tuple listed
+    family = [make_prime_field(p) for p in (55117, 55127)]
+    cover = parse_formula("!(x = y1 + y2 + y3 + y4)", family[0].sig)
+    xz = parse_formula("x = z", family[0].sig)
+    cfg = derive_config([profile_family(family, cover)], [profile_family(family, xz)], None)
+    for M in family:
+        total = M.size**4
+        assert total > 2**63
+        h, report = build_h(M, cfg, BEST_EFFORT)
+        assert report.all_passed and report.phases[0]["psi_size"] == total
+        assert report.cover[0].checked == total
+        axioms = run_axiom_checks(M, h.elements, cfg)
+        assert axioms.passed and axioms.density["per_formula"][0]["checked"] == total
+
+
+def test_linear_kernel_record_evaluates_no_term(monkeypatch):
+    # y1 - 2*y2 + y3 on GF(11): once the record exists, Ψ, the phase's
+    # coverage, both certificates and the extension draws' width read its
+    # G, c and unit-tuple images alone
+    M, cfg = case("GF(p)", 3)
+    prof = cfg.delta_profiles[0]
+    record = kernel(M, prof.pf)
+    assert record.images is not None
+    h, _ = build_h(M, cfg, BEST_EFFORT)
+    terms = []
+    bulk_term = folang._bulk_term
+
+    def counted(M, t, env):
+        terms.append(t)
+        return bulk_term(M, t, env)
+
+    monkeypatch.setattr(folang, "_bulk_term", counted)
+    assert psi_columns(M, prof) is record
+    KernelCoverage(M, record).counts()
+    assert verify_cover(M, h.elements, prof).passed
+    assert check_density(M, h.elements, cfg.delta_profiles)["passed"]
+    width, low, _ = large_columns(M, prof, 0, 10)
+    assert (width, low) == (M.size**3, len(record.base))
+    assert terms == []
