@@ -23,12 +23,7 @@ def tuple_columns(values, arity: int) -> np.ndarray:
     """All tuples over `values` of length `arity`, as an (arity, len**arity)
     index array in lexicographic order."""
     vals = np.asarray(list(values), dtype=np.intp)
-    if arity == 0:
-        return np.empty((0, 1), dtype=np.intp)
-    if not len(vals):
-        return np.empty((arity, 0), dtype=np.intp)
-    grids = np.meshgrid(*([vals] * arity), indexing="ij")
-    return np.stack([g.ravel() for g in grids])
+    return vals[_lex_tuples(np.arange(len(vals) ** arity), len(vals), arity)]
 
 
 def _lex_tuples(positions, n: int, arity: int) -> np.ndarray:

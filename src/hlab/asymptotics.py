@@ -5,24 +5,24 @@ uniform sample when the tuple space is large) and keep the count histogram:
 each distinct count with its number of tuples. A translation kernel has |G|
 solutions at every tuple, so its histogram is {|G|: n^k} from its
 folang.kernel record alone (its sample, past the budget, is drawn but not
-evaluated), and its profile keeps that one count per structure. Counts are
-explained by a finite set of measures E plus an error envelope of width
-C * sqrt(size), or by a uniform algebraicity bound B. Measure discovery runs
-from the largest structure downward: the largest structure's normalized
-counts are clustered by a gap threshold; observations from smaller
-structures join the nearest measure when their residual stays under the
-ceiling, and otherwise establish a new measure. Cluster measures are
-size-weighted means, so large structures dominate the estimate. Every
-decision reads a count alone, so the histogram fit equals the fit over one
-count per tuple.
+evaluated). A profile keeps only its fit: enumerated counts stay cached on
+the structure by folang.solution_counts_all. Counts are explained by a
+finite set of measures E plus an error envelope of width C * sqrt(size), or
+by a uniform algebraicity bound B. Measure discovery runs from the largest
+structure downward: the largest structure's normalized counts are clustered
+by a gap threshold; observations from smaller structures join the nearest
+measure when their residual stays under the ceiling, and otherwise
+establish a new measure. Cluster measures are size-weighted means, so large
+structures dominate the estimate. Every decision reads a count alone, so
+the histogram fit equals the fit over one count per tuple.
 
 The large set Ψ of a formula, its parameter tuples classified large, is
 named by the formula's profile alone, which carries the formula as `pf`,
 and psi_columns is the one routine that names it. A kernel's Ψ is all of
 M^k or empty; all of it is named by the formula's folang.Kernel record,
 exact at every size, since a tuple t is covered by h exactly when u(t) lies
-in the record's reach(h) = h - G. Any other formula's Ψ is enumerated tuple
-by tuple within the budget.
+in the record's reach(h) = h - G. Any other formula's Ψ is decoded, within
+the budget, from the solution counts of every tuple.
 """
 
 from __future__ import annotations
@@ -78,12 +78,6 @@ class MeasureProfile:
     ceiling: float
     seed: int
     pf: ParamFormula = field(repr=False)
-    # structure key -> every tuple's count, or |G| alone for a kernel; only
-    # for the structures counted exhaustively
-    _counts: dict = field(default_factory=dict, repr=False)
-    # (structure key, large tuples, their counts): psi_columns' last result,
-    # for a formula off the kernel rule
-    _psi: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def uniformly_algebraic(self) -> bool:
@@ -129,10 +123,6 @@ class ParamClass:
         return self.kind == "large"
 
 
-def _structure_key(M: FiniteStructure):
-    return (M.family, M.size, tuple(sorted(M.params.items())))
-
-
 def sample_columns(M: FiniteStructure, pf: ParamFormula, rng, samples: int):
     """Draw `samples` parameter tuples from `rng` (a numpy Generator, or a
     seed for a new one) and drop repeats. Returns the unique tuples as an
@@ -145,21 +135,21 @@ def sample_columns(M: FiniteStructure, pf: ParamFormula, rng, samples: int):
 def _observe(M: FiniteStructure, pf: ParamFormula, samples: int, seed: int):
     """The count histogram of one structure over every parameter tuple
     (enumerated) or a deduplicated seeded sample: (counts, tuples,
-    enumerated, kept), the distinct counts ascending, the number of tuples
-    with each, and what enumerated_counts expands (None when sampled). A
-    translation kernel has |G| solutions at every tuple, so it keeps |G|
-    alone, and count_columns gives its sample |G| without evaluating it;
-    any other formula keeps its enumerated counts."""
+    enumerated), the distinct counts ascending and the number of tuples
+    with each. A translation kernel has |G| solutions at every tuple, so its
+    histogram is read off its record, and count_columns gives its sample |G|
+    without evaluating it; any other formula's enumerated counts stay cached
+    on the structure by solution_counts_all."""
     n, k = M.size, pf.arity
     enumerated = within_budget(n**k)
     record = kernel(M, pf)
     if record is not None and enumerated:
-        return np.array([len(record.base)]), np.array([n**k]), True, len(record.base)
+        return np.array([len(record.base)]), np.array([n**k]), True
     if enumerated:
         counts = solution_counts_all(M, pf)
     else:
         counts = sample_columns(M, pf, [seed, n], max(samples, 1))[1]
-    return (*np.unique(counts, return_counts=True), enumerated, counts if enumerated else None)
+    return (*np.unique(counts, return_counts=True), enumerated)
 
 
 def _fit(text: str, observed, gap: float, ceiling: float):
@@ -314,13 +304,10 @@ def profile_family(
             f"formula {pf.text!r}: profiling needs at least two structures, "
             f"the family has {len(family)} ({members})"
         )
-    kept = {}
-    observed = []
-    for M in sorted(family, key=lambda m: m.size, reverse=True):
-        counts, tuples, enumerated, keep = _observe(M, pf, samples, seed)
-        observed.append((M.size, counts, tuples, enumerated))
-        if keep is not None:
-            kept[_structure_key(M)] = keep
+    observed = [
+        (M.size, *_observe(M, pf, samples, seed))
+        for M in sorted(family, key=lambda m: m.size, reverse=True)
+    ]
     E, C, B, stats = _fit(pf.text, observed, gap, ceiling)
     return MeasureProfile(
         formula=pf.key(),
@@ -332,7 +319,6 @@ def profile_family(
         ceiling=ceiling,
         seed=seed,
         pf=pf,
-        _counts=kept,
     )
 
 
@@ -381,14 +367,11 @@ def psi_set(M: FiniteStructure, profile: MeasureProfile) -> list[tuple[int, ...]
 
 def enumerated_counts(profile: MeasureProfile, M: FiniteStructure):
     """The solution count of every parameter tuple of M in lexicographic
-    order, as profiling counted them, and the mask of those classified large;
-    None when profiling sampled M or did not see it. A kernel's one count is
-    expanded here."""
-    counts = profile._counts.get(_structure_key(M))
-    if counts is None:
+    order, as solution_counts_all gives them, and the mask of those
+    classified large; None when the n^k tuples exceed the budget."""
+    if not within_budget(M.size**profile.pf.arity):
         return None
-    if isinstance(counts, int):
-        counts = np.full(M.size**profile.pf.arity, counts, dtype=np.int64)
+    counts = solution_counts_all(M, profile.pf)
     return counts, _classify_counts(profile, M.size, counts)[0]
 
 
@@ -400,30 +383,21 @@ def psi_columns(M: FiniteStructure, profile: MeasureProfile):
     classifies large, exact at every size and never over the budget, and an
     empty (arity, 0) Ψ otherwise. Any other formula's Ψ is an (arity, m)
     index array of its tuples in lexicographic order and the solution count
-    of each; EnumerationBudgetError when the tuple space exceeds the one
-    evaluation budget. The profile keeps that result for the last structure
-    it was asked about, as read-only arrays, so a build and the checks after
-    it classify and decode Ψ once; memory holds at most one Ψ per profile."""
+    of each, decoded on each call from the counts cached on the structure;
+    EnumerationBudgetError when the tuple space exceeds the one evaluation
+    budget."""
     n, k = M.size, profile.pf.arity
     record = kernel(M, profile.pf)
     if record is not None:
         if _classify_counts(profile, n, np.array([len(record.base)]))[0][0]:
             return record
         return np.empty((k, 0), dtype=np.intp), np.empty(0, dtype=np.int64)
-    if not within_budget(n**k):
+    stored = enumerated_counts(profile, M)
+    if stored is None:
         raise EnumerationBudgetError(f"psi enumeration needs {n**k} tuples, over the budget")
-    key = _structure_key(M)
-    if profile._psi is not None and profile._psi[0] == key:
-        return profile._psi[1:]
-    profile._psi = None  # drop the last structure's Ψ before computing this one
-    counts = profile._counts.get(key)
-    if counts is None:
-        counts = solution_counts_all(M, profile.pf)
-    flats = np.flatnonzero(_classify_counts(profile, n, counts)[0])
-    cols, large = _lex_tuples(flats, n, k), counts[flats]
-    cols.flags.writeable = large.flags.writeable = False
-    profile._psi = (key, cols, large)
-    return cols, large
+    counts, large = stored
+    flats = np.flatnonzero(large)
+    return _lex_tuples(flats, n, k), counts[flats]
 
 
 def large_columns(M: FiniteStructure, profile: MeasureProfile, rng, samples: int):

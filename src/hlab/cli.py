@@ -93,15 +93,25 @@ def _as_int(value) -> int:
     return int(value)
 
 
-def _as_bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
+def _as_float(value) -> float:
+    """A JSON number, integers included; booleans and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _is(kind: type, what: str):
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {what}, got {value!r}")
+        return value
+
+    return check
 
 
 _TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
-# each scalar field is coerced by its annotation; an `X | None` field takes null
-_SCALARS = {"int": _as_int, "float": float, "str": str, "bool": _as_bool}
+# each scalar field is checked by its annotation; an `X | None` field takes null
+_SCALARS = {"int": _as_int, "float": _as_float, "str": _is(str, "a string"), "bool": _is(bool, "true or false")}
 
 
 def _reject_unknown(d: dict, allowed: set, where: str):
@@ -210,6 +220,8 @@ def _check_ranges(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ExperimentConfigError(f"{name} must lie strictly between 0 and 1, got {value}")
     if not 0.0 < cfg.ceiling < math.inf:
         raise ExperimentConfigError(f"ceiling must be positive and finite, got {cfg.ceiling}")
+    if cfg.threads is not None and cfg.threads < 1:
+        raise ExperimentConfigError(f"threads must be null or at least 1, got {cfg.threads}")
     lows = {"profile_samples": 1, "extension_samples": 0, "base_max": 0, "window": 1, "seed": 0}
     for name, low in lows.items():
         value = getattr(cfg, name)
@@ -424,14 +436,13 @@ def main(argv=None) -> int:
             gc.freeze()
         if args.seed is not None:
             cfg.seed = args.seed
-            _check_ranges(cfg)
+        if args.threads is not None:
+            cfg.threads = args.threads
+        _check_ranges(cfg)
         if args.mode is not None:
             cfg.mode = args.mode
         out_dir = args.out if args.out is not None else cfg.out_dir
-        threads = args.threads if args.threads is not None else cfg.threads
-        if threads is None:
-            threads = os.cpu_count() or 1
-        threads = max(1, int(threads))
+        threads = cfg.threads or os.cpu_count() or 1
         try:
             os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:

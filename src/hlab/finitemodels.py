@@ -110,7 +110,10 @@ class FiniteStructure:
     Immutable after construction (arrays are marked read-only, operations are
     frozen); safe to share across concurrent readers. `params` records family
     parameters such as the prime p, the modulus n, the dimension, or the
-    extension's non-residue r.
+    extension's non-residue r. Facts derived from the structure and one
+    formula (folang's kernel records, image masks and off-kernel solution
+    counts) live in one cache that `cached` alone reads and writes; threads
+    that build the same entry at once all get the first value stored.
     """
 
     sig: Signature
@@ -175,6 +178,14 @@ class FiniteStructure:
         families."""
         shape = _GROUP_SHAPES.get(self.family)
         return None if shape is None else shape(self.params)
+
+    def cached(self, key, build: Callable):
+        """The value cached under `key`, made by build() on first use."""
+        value = self._cache.get(key)
+        if value is None:
+            # threads that raced past the get all return the first one stored
+            value = self._cache.setdefault(key, build())
+        return value
 
     def constant(self, name: str) -> int:
         return int(self.functions[name])

@@ -46,7 +46,7 @@ that h solves; support(), the shifts that occur; pushforward(), the number
 of tuples per shift, exact as (unit, histogram), in O(k n) when u is linear
 in the parameters and by a blocked bincount otherwise; and tuples(mask),
 the tuples whose shift a mask holds. Any other formula is counted on the
-grid.
+grid, once per structure by solution_counts_all.
 """
 
 from __future__ import annotations
@@ -581,9 +581,8 @@ def _image_mask(M: FiniteStructure, term: Term, var: str, domain: tuple) -> np.n
     """Boolean mask over the universe: which values the term attains as the
     variable ranges over the elements that satisfy every formula in `domain`
     (formulas in that variable alone). Cached on the structure."""
-    key = ("image", term, var, domain)
-    mask = M._cache.get(key)
-    if mask is None:
+
+    def build():
         points = np.arange(M.size)
         for g in domain:
             points = points[np.broadcast_to(eval_bulk(M, g, {var: points}), points.shape)]
@@ -591,9 +590,9 @@ def _image_mask(M: FiniteStructure, term: Term, var: str, domain: tuple) -> np.n
         mask = np.zeros(M.size, dtype=bool)
         mask[np.asarray(vals, dtype=np.intp)] = True
         mask.flags.writeable = False
-        # threads that raced past the get all return the first one stored
-        mask = M._cache.setdefault(key, mask)
-    return mask
+        return mask
+
+    return M.cached(("image", term, var, domain), build)
 
 
 def _conjuncts(f: Formula) -> tuple:
@@ -841,9 +840,8 @@ def kernel(M: FiniteStructure, pf: ParamFormula) -> Kernel | None:
     rule = _kernel_shift(pf.formula, pf.object_var, pf.params)
     if rule is None or M.family not in FAMILIES:
         return None
-    key = ("kernel", pf.formula, pf.object_var, pf.params)
-    record = M._cache.get(key)
-    if record is None:
+
+    def build():
         shift, names, linear = rule
         shape, k = M.group_shape, pf.arity
         units = [math.prod(shape[i + 1 :]) % M.size for i in range(len(shape))] if linear else []
@@ -856,9 +854,9 @@ def kernel(M: FiniteStructure, pf: ParamFormula) -> Kernel | None:
         base = np.asarray(sub[solutions, c], dtype=np.intp)
         base.flags.writeable = False
         images = tuple(np.asarray(sub[values[1:], c]).tolist()) if linear else None
-        # threads that raced past the get all return the first one stored
-        record = M._cache.setdefault(key, Kernel(M, pf.params, shift, names, base, c, images))
-    return record
+        return Kernel(M, pf.params, shift, names, base, c, images)
+
+    return M.cached(("kernel", pf.formula, pf.object_var, pf.params), build)
 
 
 def _bulk_term(M: FiniteStructure, t: Term, env: dict) -> np.ndarray | int:
@@ -977,9 +975,19 @@ def count_columns(M: FiniteStructure, pf: ParamFormula, param_columns) -> np.nda
 def solution_counts_all(M: FiniteStructure, pf: ParamFormula) -> np.ndarray:
     """Solution counts for every parameter tuple, flattened in lexicographic
     order (shape (size**arity,)). The tuples are made and counted one block
-    at a time, so neither they nor the grid need fit the budget at once."""
+    at a time, so neither they nor the grid need fit the budget at once. A
+    formula off the kernel rule is counted once per structure: its counts
+    are cached on the structure, read-only."""
     n, k = M.size, pf.arity
-    return _counts(M, pf, n**k, lambda block: _lex_tuples(np.arange(block.start, block.stop), n, k))
+
+    def build():
+        counts = _counts(M, pf, n**k, lambda block: _lex_tuples(np.arange(block.start, block.stop), n, k))
+        counts.flags.writeable = False
+        return counts
+
+    if kernel(M, pf) is not None:
+        return build()  # |G| everywhere, made without evaluating: not worth keeping
+    return M.cached(("counts", pf.formula, pf.object_var, pf.params), build)
 
 
 def max_solution_count(M: FiniteStructure, gamma) -> int | None:

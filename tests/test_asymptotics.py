@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hlab import asymptotics, folang
 from hlab.asymptotics import (
     MeasureProfile,
     classify,
+    enumerated_counts,
     profile_family,
     psi_columns,
     psi_set,
@@ -26,7 +29,10 @@ from hlab.finitemodels import (
 )
 from hlab.folang import Kernel, kernel, parse_formula, solution_count, solution_counts_all
 
-from profile_oracle import fit_counts
+from profile_oracle import fit_counts, tuple_psi
+
+# a profile keeps its fit and nothing per structure
+FIT = {"formula", "E", "C", "B", "per_structure", "gap", "ceiling", "seed", "pf"}
 
 
 @pytest.fixture(scope="module")
@@ -184,23 +190,49 @@ class TestPsiSet:
         # the record keeps G and a few ints, never the pushforward itself
         assert [name for name, v in vars(psi).items() if isinstance(v, np.ndarray)] == ["base"]
         assert psi.pushforward()[1] is not histogram
-        assert prof._psi is None
-        # the profile keeps one count per structure it enumerated
-        assert all(type(v) is int for v in prof._counts.values())
+        # the record is the structure's; the profile keeps only its fit
+        assert psi is kernel(M, prof.pf)
+        assert {f.name for f in dataclasses.fields(prof)} == FIT
 
     def test_psi_columns_kept_for_the_last_structure(self, small_prime_family):
+        # off the kernel rule: the structure keeps the counts, read-only, and
+        # Ψ is decoded from them on each call, never kept
         pf = parse_formula("exists z. z*z = x + x - y", small_prime_family[0].sig)
         prof = profile_family(small_prime_family, pf)
-        cols, counts = psi_columns(make_prime_field(7), prof)
-        assert not cols.flags.writeable and not counts.flags.writeable
-        again = psi_columns(make_prime_field(7), prof)
-        assert again[0] is cols and again[1] is counts
-        # one entry per profile: another structure replaces it
-        psi_columns(make_prime_field(11), prof)
-        recomputed = psi_columns(make_prime_field(7), prof)
-        assert recomputed[0] is not cols
-        np.testing.assert_array_equal(recomputed[0], cols)
-        np.testing.assert_array_equal(recomputed[1], counts)
+        M = small_prime_family[2]
+        counts, large = enumerated_counts(prof, M)
+        assert counts is solution_counts_all(M, pf) and not counts.flags.writeable
+        cols, psi_counts = psi_columns(M, prof)
+        again = psi_columns(M, prof)
+        assert again[0] is not cols and again[1] is not psi_counts
+        np.testing.assert_array_equal(again[0], cols)
+        np.testing.assert_array_equal(again[1], psi_counts)
+        np.testing.assert_array_equal(psi_counts, counts[large])
+        # another structure adds its own entry and replaces none
+        psi_columns(small_prime_family[3], prof)
+        assert enumerated_counts(prof, M)[0] is counts
+
+    def test_profiled_counts_are_reused(self, small_prime_family, monkeypatch):
+        # Ψ and the enumerated counts of a profiled structure evaluate nothing
+        pf = parse_formula("exists z. z*z = x + x - y", small_prime_family[0].sig)
+        prof = profile_family(small_prime_family, pf)
+        M = small_prime_family[-1]
+        fresh = make_prime_field(M.size)
+        cols, large_counts = tuple_psi(fresh, prof)
+        counts = [solution_count(fresh, pf, (y,)) for y in range(M.size)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a profiled structure was evaluated again")
+
+        monkeypatch.setattr(folang, "solution_mask_matrix", refuse)
+        got_cols, got_counts = psi_columns(M, prof)
+        np.testing.assert_array_equal(got_cols, cols)
+        np.testing.assert_array_equal(got_counts, large_counts)
+        stored, large = enumerated_counts(prof, M)
+        assert stored.tolist() == counts
+        np.testing.assert_array_equal(np.flatnonzero(large), cols[0])
+        with pytest.raises(AssertionError, match="evaluated again"):
+            psi_columns(fresh, prof)  # a structure nobody counted yet
 
     def test_equivalent_formulas_same_psi(self, small_prime_family):
         sig = small_prime_family[0].sig
@@ -249,7 +281,9 @@ class TestSampledProfiling:
         for M, stats in zip(fam, prof.per_structure):
             draws = np.random.default_rng([5, M.size]).integers(0, M.size, size=(2000, 2))
             assert stats.n_large == len(np.unique(draws, axis=0)) < 2000 and not stats.enumerated
-        assert prof._counts == {}
+            # past the budget nothing is enumerated, and no counts are cached
+            assert enumerated_counts(prof, M) is None
+            assert "counts" not in {key[0] for key in M._cache}
 
     def test_sampling_is_seeded(self):
         fam = [make_cyclic_group(n) for n in (4999, 5000)]

@@ -120,6 +120,10 @@ class TestLoadConfig:
             {"ceiling": 0},
             {"ceiling": -1.0},
             {"ceiling": float("inf")},
+            {"gap": "0.05"},
+            {"ceiling": True},
+            {"out_dir": ["x"]},
+            {"threads": -3},
             {"family": lovely, "cover": [], "avoid": []},
         ]
         for overrides in cases:
@@ -163,9 +167,14 @@ class TestLoadConfig:
             path = write_config(tmp_path, **overrides)
             assert main(["profile", "--config", path, "--out", str(tmp_path / "o")]) == 2
             assert capsys.readouterr().err.startswith("error: bad value in config"), overrides
-        # integral numbers still load as ints
-        cfg = load_config(write_config(tmp_path, seed=3.0, threads=2))
+        # integral numbers still load as ints, and integers as floats
+        cfg = load_config(write_config(tmp_path, seed=3.0, threads=2, ceiling=3))
         assert (cfg.seed, cfg.threads) == (3, 2) and type(cfg.seed) is int
+        assert cfg.ceiling == 3.0 and type(cfg.ceiling) is float
+        # --threads, like the config's threads, is null or at least 1
+        path = write_config(tmp_path)
+        assert main(["profile", "--config", path, "--out", str(tmp_path / "o"), "--threads", "0"]) == 2
+        assert capsys.readouterr().err == "error: threads must be null or at least 1, got 0\n"
 
     def test_universe_past_the_budget_is_exit_2(self, tmp_path, capsys, monkeypatch):
         # the budget bounds each member's universe, not only its parameter:

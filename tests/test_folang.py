@@ -596,13 +596,20 @@ class TestBlockedEvaluator:
 
 class TestLexTuples:
     @pytest.mark.parametrize("arity", [0, 1, 2, 3])
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_matches_product_order(self, n, arity):
-        expected = list(itertools.product(range(n), repeat=arity))
+    @pytest.mark.parametrize(
+        "values", [[0], [0, 1], [0, 1, 2, 3, 4], [], [3, 0, 3]], ids=["1", "2", "5", "empty", "repeated"]
+    )
+    def test_matches_product_order(self, values, arity):
+        # positions of range(n)^arity, and tuple_columns over the values
+        # themselves, none or repeated ones included
+        n, expected = len(values), list(itertools.product(values, repeat=arity))
         for positions in (np.arange(n**arity), np.arange(n**arity)[1::3]):
             got = _lex_tuples(positions, n, arity)
             assert got.shape == (arity, len(positions)) and got.dtype == np.intp
-            assert [tuple(col) for col in got.T.tolist()] == [expected[i] for i in positions]
+            assert [tuple(values[i] for i in col) for col in got.T.tolist()] == [expected[i] for i in positions]
+        got = tuple_columns(values, arity)
+        assert got.shape == (arity, len(expected)) and got.dtype == np.intp
+        assert [tuple(col) for col in got.T.tolist()] == expected
 
 
 class TestImageCacheRace:
@@ -615,6 +622,17 @@ class TestImageCacheRace:
         masks = race(lambda: _image_mask(M, image_term, "z", domain))
         assert all(mask is masks[0] for mask in masks)
         assert np.array_equal(masks[0], reference)
+
+    def test_cold_structure_stores_one_counts_array(self, race):
+        # off the kernel rule (x enters with coefficient 2), so counted: each
+        # of eight threads must get the one stored read-only array
+        pf = parse_formula("exists z. z*z = x + x - y", make_prime_field(5).sig)
+        reference = solution_counts_all(make_prime_field(10007), pf)
+        M = make_prime_field(10007)
+        assert kernel(M, pf) is None
+        counts = race(lambda: solution_counts_all(M, pf))
+        assert all(c is counts[0] for c in counts) and not counts[0].flags.writeable
+        assert np.array_equal(counts[0], reference)
 
 
 # --- translation kernels ---------------------------------------------------
