@@ -139,7 +139,8 @@ def _observe(M: FiniteStructure, pf: ParamFormula, samples: int, seed: int):
     with each. A translation kernel has |G| solutions at every tuple, so its
     histogram is read off its record, and count_columns gives its sample |G|
     without evaluating it; any other formula's enumerated counts stay cached
-    on the structure by solution_counts_all."""
+    on the structure by solution_counts_all. The histogram is a bincount, of
+    at most n + 1 bins, once there are n counts or more."""
     n, k = M.size, pf.arity
     enumerated = within_budget(n**k)
     record = kernel(M, pf)
@@ -149,7 +150,11 @@ def _observe(M: FiniteStructure, pf: ParamFormula, samples: int, seed: int):
         counts = solution_counts_all(M, pf)
     else:
         counts = sample_columns(M, pf, [seed, n], max(samples, 1))[1]
-    return (*np.unique(counts, return_counts=True), enumerated)
+    if len(counts) < n:  # bincount's bins would outnumber a few counts
+        return (*np.unique(counts, return_counts=True), enumerated)
+    tuples = np.bincount(counts)
+    values = np.flatnonzero(tuples)
+    return values, tuples[values], enumerated
 
 
 def _fit(text: str, observed, gap: float, ceiling: float):
@@ -404,18 +409,21 @@ def large_columns(M: FiniteStructure, profile: MeasureProfile, rng, samples: int
     """The large parameter tuples an extension check draws from, as (width,
     low, take): their number, their smallest solution count, and take(j),
     the tuples at positions j of their lexicographic order as an (arity,
-    len(j)) index array. Within the budget they are psi_columns', a kernel's
-    all n^k tuples, decoded from j through _lex_tuples; past it they are the
-    large tuples among `samples` drawn by sample_columns from `rng`, as they
-    are for a kernel too, whose draws then keep their tuples."""
+    len(j)) index array beside their solution counts. Within the budget they
+    are psi_columns', a kernel's all n^k tuples, decoded from j through
+    _lex_tuples, each with |G| solutions; past it they are the large tuples
+    among `samples` drawn by sample_columns from `rng`, as they are for a
+    kernel too, whose draws then keep their tuples and counts."""
     n, k = M.size, profile.pf.arity
     if within_budget(n**k):
         psi = psi_columns(M, profile)
         if isinstance(psi, Kernel):
-            return n**k, len(psi.base), lambda j: _lex_tuples(j, n, k)
+            g = len(psi.base)
+            return n**k, g, lambda j: (_lex_tuples(j, n, k), np.full(len(j), g, dtype=np.int64))
         cols, counts = psi
     else:
         cols, counts = sample_columns(M, profile.pf, rng, samples)
         large, _ = _classify_counts(profile, n, counts)
         cols, counts = cols[:, large], counts[large]
-    return cols.shape[1], int(counts.min()) if len(counts) else None, lambda j: cols[:, j]
+    low = int(counts.min()) if len(counts) else None
+    return cols.shape[1], low, lambda j: (cols[:, j], counts[j])

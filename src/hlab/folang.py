@@ -952,6 +952,16 @@ def solution_mask_matrix(
     return out
 
 
+def solves(M: FiniteStructure, pf: ParamFormula, elements, param_columns) -> np.ndarray:
+    """Boolean array whose entry j says whether elements[j] satisfies the
+    formula at the j-th of the (arity, m) parameter columns: the formula
+    evaluated at m (element, tuple) pairs, with no grid over the universe."""
+    x = np.asarray(elements, dtype=np.intp)
+    cols = np.asarray(param_columns, dtype=np.intp).reshape(pf.arity, len(x))
+    env = {pf.object_var: x, **dict(zip(pf.params, cols))}
+    return np.broadcast_to(eval_bulk(M, pf.formula, env), x.shape)
+
+
 def _counts(M: FiniteStructure, pf: ParamFormula, total: int, columns) -> np.ndarray:
     """Solution counts of `total` parameter tuples, columns(block) giving the
     tuples of a slice of range(total) as an (arity, len) array: the one place

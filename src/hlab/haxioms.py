@@ -5,7 +5,7 @@ quantifies over the large parameter tuples of the supplied cover formulas
 only (enumerated, or for a translation kernel all n^k through the pushforward
 of its shifts), extension over enumerated or seeded-sampled ones, and
 algebraic closure is truncated to the supplied avoid list
-(hgreedy.closure_masks computes it, one block of extension samples at a
+(hgreedy.closures lists its members, one block of extension samples at a
 time). Independence is checked exactly in its order-restricted
 form (the construction's guarantee); the symmetric form is reported as an
 informational count because nothing at finite scale stands in for the
@@ -21,8 +21,8 @@ import numpy as np
 from .asymptotics import large_columns
 from .errors import InvariantError, StructureTooSmallError
 from .finitemodels import FiniteStructure
-from .folang import column_blocks, max_solution_count, solution_mask_matrix
-from .hgreedy import _union_bound, closure_masks, independence_checks, verify_cover
+from .folang import column_blocks, max_solution_count, solves
+from .hgreedy import _union_bound, closures, independence_checks, verify_cover
 
 SCOPE_NOTE = (
     "finite-scale surrogate: density/extension checked over enumerated or "
@@ -140,11 +140,15 @@ def check_extension(
     base_max distinct extra base elements; it fails if every solution lies
     inside clos(H + params + base). The tuple is drawn as a position among
     asymptotics.large_columns' tuples, which a kernel within the budget
-    decodes without listing them. _draw_samples draws all samples first;
-    then the samples, grouped by cover formula, are checked one block at a
-    time: one closure_masks call gets the block's closures and checks them
-    against their union bound, and one evaluation per formula in the block
-    gives the swallowed test, so no grid holds more than one block.
+    decodes without listing them, and comes with its exact solution count.
+    _draw_samples draws all samples first; then the samples, grouped by
+    cover formula, are checked one block at a time. One closures call lists
+    the members of the block's closures and checks them against their union
+    bound, and the formula is evaluated at each (member, tuple) pair: a
+    sample is swallowed exactly when the members that solve it number its
+    solution count. A block holds BUDGET // bound samples, bound the closure
+    union bound when it is known (else |M|), and no grid over the universe
+    is held for a sample.
     When the smallest large count strictly exceeds the closure union bound
     the check cannot fail; that sufficient condition is recorded and
     enforced.
@@ -184,23 +188,30 @@ def check_extension(
     sufficient = None if closure_bound is None else min_large_count > closure_bound
 
     # row j of `sets` holds the sample's parameters in its first ell places
-    # and its base after them, padded with -1
+    # and its base after them, padded with -1; need[j] is the parameters'
+    # solution count
     widths = np.array([width for _, width, _ in usable], dtype=np.intp)
     formula, column, base_n, base = _draw_samples(rng, widths, M.size, samples, base_max)
     sets = np.full((samples, ell + base_max), -1, dtype=np.intp)
     sets[:, ell:] = base
+    need = np.zeros(samples, dtype=np.int64)
     for f_i, (pf, _, take) in enumerate(usable):
         picked = formula == f_i
-        sets[picked, : pf.arity] = take(column[picked]).T
+        cols, counts = take(column[picked])
+        sets[picked, : pf.arity] = cols.T
+        need[picked] = counts
     swallowed = np.zeros(samples, dtype=bool)
     order = np.argsort(formula, kind="stable")  # a block spans few formulas
-    for block in column_blocks(samples, M.size):
+    for block in column_blocks(samples, M.size if closure_bound is None else closure_bound):
         part = order[block]
-        clos = closure_masks(M, elements, sets[part], gamma, max_solutions=gamma_max_solutions)
-        for f_i, (pf, _, take) in enumerate(usable):
-            mine = formula[part] == f_i
-            sol = solution_mask_matrix(M, pf, take(column[part[mine]]))
-            swallowed[part[mine]] = ~(sol & ~clos[:, mine]).any(axis=0)
+        codes = closures(M, elements, sets[part], gamma, max_solutions=gamma_max_solutions)
+        owner, member = np.divmod(codes, M.size)  # the sample's place in `part`, a closure member
+        sample = part[owner]
+        inside = np.zeros(len(codes), dtype=bool)  # the member solves its sample's formula
+        for f_i, (pf, _, _) in enumerate(usable):
+            mine = formula[sample] == f_i
+            inside[mine] = solves(M, pf, member[mine], sets[sample[mine], : pf.arity].T)
+        swallowed[part] = np.bincount(owner[inside], minlength=len(part)) == need[part]
     failures = []
     for j in np.flatnonzero(swallowed):
         pf = usable[formula[j]][0]

@@ -22,6 +22,12 @@ incrementally: the grid's row sums once, block by block, then at each step
 minus the solution counts of the columns just covered, or a recount of the
 columns left when those are fewer.
 
+The forbidden set and every truncated closure clos(H union A) are member
+lists, never masks over the universe: one pair emitter lists the solutions
+of each avoid tuple (a kernel's |G| points, or the nonzero entries of any
+other formula's grid), and closures() keeps them as sorted distinct codes
+set * |M| + element, each closure's length checked against its union bound.
+
 Every build returns certificates: an exhaustive cover check per cover
 formula (for a kernel, support() within H - G, which checks every tuple), an
 exhaustive order-restricted avoid check per avoid formula, the size bound,
@@ -213,31 +219,39 @@ def require_threshold(cfg: GreedyConfig, M: FiniteStructure) -> ThresholdCheck:
     return threshold
 
 
-def _mark_solutions(out: np.ndarray, M: FiniteStructure, xi: ParamFormula, cols, owner):
-    """Set out[e, owner[j]] for every solution e of xi at the j-th of the
-    parameter columns, owner non-decreasing. A translation kernel scatters
-    its |G| points per column; any other formula is read off its grid."""
+def _solution_pairs(M: FiniteStructure, xi: ParamFormula, cols, owner) -> np.ndarray:
+    """The codes owner[j] * |M| + e of every solution e of xi at the j-th of
+    the (arity, m) parameter columns. A translation kernel emits its
+    points(), |G| per column; any other formula emits the nonzero entries of
+    its grid over the universe, one evaluation block at a time."""
     record = kernel(M, xi)
     if record is not None:
-        points = record.points(cols)
-        out[points.ravel(), np.tile(owner, len(points))] = True
-        return
-    heads = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
-    hit = solution_mask_matrix(M, xi, cols)
-    out[:, owner[heads]] |= np.logical_or.reduceat(hit, heads, axis=1)
+        return (owner * M.size + record.points(cols)).ravel()
+    found = [np.empty(0, dtype=np.intp)]
+    for block in column_blocks(cols.shape[1], M.size):
+        rows, at = np.nonzero(solution_mask_matrix(M, xi, cols[:, block]))
+        found.append(owner[block][at] * M.size + rows)
+    return np.concatenate(found)
 
 
-def _forbidden_mask(M: FiniteStructure, gamma, h_elements) -> np.ndarray:
-    """Mask over the universe of every element that solves some avoid formula
-    with parameters drawn from h_elements (parameterless formulas always
+def _distinct(parts) -> np.ndarray:
+    """The sorted distinct values of the concatenated int arrays `parts`, by a
+    sort and a neighbour mask: np.unique takes a slower hash path on ints."""
+    codes = np.sort(np.concatenate([np.empty(0, dtype=np.intp), *parts]))
+    keep = np.ones(len(codes), dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return codes[keep]
+
+
+def _forbidden(M: FiniteStructure, gamma, h_elements) -> np.ndarray:
+    """clos(H), sorted: every element that solves some avoid formula with
+    parameters drawn from h_elements (parameterless formulas always
     contribute: their one tuple is the empty one)."""
-    mask = np.zeros((M.size, 1), dtype=bool)
+    found = []
     for xi in gamma:
         cols = tuple_columns(h_elements, xi.arity)
-        for block in column_blocks(cols.shape[1], M.size):
-            owner = np.zeros(block.stop - block.start, dtype=np.intp)
-            _mark_solutions(mask, M, xi, cols[:, block], owner)
-    return mask[:, 0]
+        found.append(_solution_pairs(M, xi, cols, np.zeros(cols.shape[1], dtype=np.intp)))
+    return _distinct(found)
 
 
 def _union_bound(gamma, base_size, max_solutions):
@@ -250,17 +264,19 @@ def _union_bound(gamma, base_size, max_solutions):
     return max_solutions * len(gamma) * (base_size + any(pf.arity == 0 for pf in gamma)) ** k0
 
 
-def closure_masks(
+def closures(
     M: FiniteStructure, h_elements, a_sets, gamma, *, max_solutions: int | None = None
 ) -> np.ndarray:
-    """Boolean (size, len(a_sets)) matrix whose column i is clos(H union A_i)
-    under the avoid list, the finite stand-in for algebraic closure: clos(H)
-    plus the solutions over the tuples that use an element of A_i minus H.
-    a_sets is a (sets, width) index array, each row padded with -1. Each
-    pool lists the fresh elements of A_i first, so tuple positions depend
-    only on their count m, and the tuples of all sets with the same m are
-    gathered at once, in groups of at most one evaluation block. Every
-    column is checked against _union_bound; max_solutions None is recounted
+    """Every clos(H union A_i) under the avoid list, the finite stand-in for
+    algebraic closure, as member lists: one sorted array of the distinct
+    codes i * |M| + e, e a member of the i-th closure. a_sets is a
+    (sets, width) index array, each row padded with -1. clos(H) is found
+    once and listed for every set; the rest of each closure is the solutions
+    over the tuples that use an element of A_i minus H. Each pool lists the
+    fresh elements of A_i first, so tuple positions depend only on their
+    count m, and the tuples of all sets with the same m are emitted at once,
+    in groups of at most one evaluation block of parameters. Every closure's
+    length is checked against _union_bound; max_solutions None is recounted
     when that is cheap."""
     gamma = list(gamma)
     h = np.array(sorted({int(v) for v in h_elements}), dtype=np.intp)
@@ -273,8 +289,7 @@ def closure_masks(
     fresh = rows.shape[1] - drop.sum(axis=1)
     rows[drop] = M.size
     rows.sort(axis=1)
-    # column-major, so each closure is contiguous and its sum is one pass
-    out = np.tile(_forbidden_mask(M, gamma, h), (len(rows), 1)).T
+    found = [(np.arange(len(rows))[:, None] * M.size + _forbidden(M, gamma, h)).ravel()]
     for m in sorted(set(fresh.tolist()) - {0}):
         members = np.flatnonzero(fresh == m)
         pools = np.concatenate([rows[members, :m], np.tile(h, (len(members), 1))], axis=1)
@@ -283,32 +298,31 @@ def closure_masks(
             layout = grid[:, (grid < m).any(axis=0)]  # the tuples that use a fresh element
             if not layout.size:
                 continue  # a parameterless formula has no such tuple
-            # groups of B // (n L) = (B // n) // L sets of L tuples, B the budget
-            for group in column_blocks(len(members), M.size * layout.shape[1]):
+            for group in column_blocks(len(members), layout.size):
                 cols = pools[group][:, layout].transpose(1, 0, 2).reshape(xi.arity, -1)
                 owner = np.repeat(members[group], layout.shape[1])
-                for block in column_blocks(cols.shape[1], M.size):
-                    _mark_solutions(out, M, xi, cols[:, block], owner[block])
+                found.append(_solution_pairs(M, xi, cols, owner))
+    codes = _distinct(found)
     if max_solutions is None:
         max_solutions = max_solution_count(M, gamma)
     sizes = len(h) + fresh
     bounds = _union_bound(gamma, sizes, max_solutions)
-    over = [] if bounds is None else np.flatnonzero(out.sum(axis=0) > bounds)
+    lengths = np.bincount(codes // M.size, minlength=len(rows))
+    over = [] if bounds is None else np.flatnonzero(lengths > bounds)
     if len(over):
         i = over[0]
         raise InvariantError(
             f"{M.describe()}, avoid formulas {[pf.text for pf in gamma]}, closure of H plus "
             f"{sorted({int(v) for v in given[i] if v >= 0})} (a base of {sizes[i]}): "
-            f"{out[:, i].sum()} elements exceed the union bound {bounds[i]}"
+            f"{lengths[i]} elements exceed the union bound {bounds[i]}"
         )
-    return out
+    return codes
 
 
 def forbidden_set(h_elements, gamma, M: FiniteStructure) -> list[int]:
     """Public view of the forbidden set clos(H), in index order, checked
-    against the union bound by closure_masks."""
-    no_set = np.empty((1, 0), dtype=np.intp)
-    return [int(v) for v in np.flatnonzero(closure_masks(M, h_elements, no_set, gamma)[:, 0])]
+    against the union bound by closures."""
+    return closures(M, h_elements, np.empty((1, 0), dtype=np.intp), gamma).tolist()
 
 
 def _smooth(length: int) -> bool:
@@ -468,10 +482,9 @@ def greedy_step(state: GreedyState, M: FiniteStructure) -> GreedyState:
     if not state.remaining:
         raise ValueError("greedy_step called with no uncovered tuples")
     cfg = state.config
-    in_h = np.zeros(M.size, dtype=bool)
-    if state.h_elements:
-        in_h[np.asarray(state.h_elements, dtype=np.intp)] = True
-    eligible = ~(in_h | _forbidden_mask(M, cfg.gamma, state.h_elements))
+    eligible = np.ones(M.size, dtype=bool)
+    eligible[np.asarray(state.h_elements, dtype=np.intp)] = False
+    eligible[_forbidden(M, cfg.gamma, state.h_elements)] = False
     if not eligible.any():
         raise StructureTooSmallError(
             f"no eligible element left at size {M.size} "

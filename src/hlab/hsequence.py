@@ -35,7 +35,7 @@ from .hgreedy import (
     HSet,
     _union_bound,
     build_h,
-    closure_masks,
+    closures,
     default_mu,
     derive_config,
     size_threshold_ok,
@@ -275,17 +275,17 @@ def closure(
     *,
     max_solutions: int | None = None,
 ) -> ClosureSet:
-    """clos(H union A) under the truncated avoid list: one column of
-    closure_masks, with the union bound it was checked against (None when
-    the per-formula max solution count is too costly to recount)."""
+    """clos(H union A) under the truncated avoid list: the one member list
+    of closures, with the union bound it was checked against (None when the
+    per-formula max solution count is too costly to recount)."""
     gamma = list(gamma_trunc)
     if max_solutions is None:
         max_solutions = max_solution_count(M, gamma)
     a_set = np.array([list(a_elements)], dtype=np.intp)
-    mask = closure_masks(M, h_elements, a_set, gamma, max_solutions=max_solutions)
+    codes = closures(M, h_elements, a_set, gamma, max_solutions=max_solutions)
     base_size = len({int(v) for v in h_elements} | {int(v) for v in a_elements})
     return ClosureSet(
-        elements=[int(v) for v in np.flatnonzero(mask[:, 0])],
+        elements=codes.tolist(),
         base_size=base_size,
         bound=_union_bound(gamma, base_size, max_solutions),
     )

@@ -228,7 +228,7 @@ def test_digests_in_small_blocks(name, tmp_path, shrink_budget, monkeypatch):
     # in this process
     shrink_budget(2000)
     cells = []
-    for fn in (folang.solution_mask_matrix, hgreedy.closure_masks):
+    for fn in (folang.solution_mask_matrix, hgreedy.closures):
 
         def recording(*args, _fn=fn, **kwargs):
             out = _fn(*args, **kwargs)

@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hlab._util import dump_json
 from hlab.asymptotics import large_columns, profile_family
 from hlab.errors import InvariantError
 from hlab.finitemodels import make_cyclic_group, make_prime_field, primes_in
-from hlab.folang import evaluate, parse_formula, solution_set
+from hlab.folang import evaluate, kernel, parse_formula, solution_set, within_budget
 from hlab.hsequence import closure
 from hlab.hgreedy import BEST_EFFORT, STRICT, build_h, derive_config
 from hlab.haxioms import (
@@ -42,7 +43,7 @@ def replay_extension(M, h, profiles, gamma, *, samples, base_max, seed, gamma_ma
     failures = []
     for j in range(samples):
         pf, _, take = usable[formula[j]]
-        params = [int(v) for v in take(np.array([column[j]]))[:, 0]]
+        params = [int(v) for v in take(np.array([column[j]]))[0][:, 0]]
         row = [int(v) for v in base[j, : base_n[j]]]
         clos = closure(M, h, params + row, gamma, max_solutions=gamma_max_solutions)
         if set(solution_set(M, pf, params)) <= set(clos.elements):
@@ -210,6 +211,30 @@ class TestExtension:
         )
 
 
+class TestExtensionMemory:
+    def test_peak_far_below_one_grid(self, profiled):
+        # one |M| x 500 bool grid over GF(100003) is 50 MB; the closures'
+        # member lists and the (member, tuple) pairs are a few thousand ints
+        fam = [make_prime_field(p) for p in (100003, 100019)]
+        sig = fam[0].sig
+        sq = parse_formula("exists z. z*z = x - y", sig)
+        avoid = [parse_formula(t, sig) for t in ("x = z", "x = z + 1")]
+        cfg = derive_config(profiled(fam, [sq]), profiled(fam, avoid), 0.49)
+        M = fam[0]
+        kw = dict(base_max=3, seed=0, gamma_max_solutions=cfg.gamma_max_solutions)
+        h = list(range(0, 34, 2))
+        # a first call caches the kernel record and the image mask on M
+        check_extension(M, h, cfg.delta_profiles, cfg.gamma, samples=5, **kw)
+        tracemalloc.start()
+        try:
+            frag = check_extension(M, h, cfg.delta_profiles, cfg.gamma, samples=500, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert frag["passed"] and frag["n_samples"] == 500
+        assert peak < 4 * 2**20
+
+
 class TestNonUnaryClosure:
     def test_extension_with_binary_avoid_formula(self, profiled):
         fam = [make_cyclic_group(n) for n in range(21, 41)]
@@ -287,6 +312,45 @@ class TestExtensionReplay:
             samples=40, base_max=3, seed=2, gamma_max_solutions=None,
         )
         assert 0 < len(frag["failures"]) < 40
+
+
+@pytest.fixture(scope="module")
+def z_small_grid(z_small):
+    """The same groups, profiled for a cover formula off the kernel rule."""
+    family, _ = z_small
+    pf = parse_formula("!(x + x = y)", family[0].sig)
+    return family, profile_family(family, pf)
+
+
+class TestExtensionReplayRoutes:
+    @pytest.mark.parametrize("avoid", REPLAY_AVOID, ids=lambda texts: " ; ".join(texts))
+    @pytest.mark.parametrize("size", [9, 12, 13])
+    def test_grid_cover_formula_matches_replay(self, z_small_grid, avoid, size):
+        # x enters with coefficient 2, so the samples' counts are the
+        # profile's stored counts and not a kernel's |G|
+        family, prof = z_small_grid
+        M = family[size - 9]
+        assert kernel(M, prof.pf) is None
+        gamma = [parse_formula(t, M.sig) for t in avoid]
+        assert_matches_replay(
+            M, [0, 1, 3], [prof], gamma,
+            samples=30, base_max=3, seed=size, gamma_max_solutions=None,
+        )
+
+    def test_sampled_route_matches_replay(self):
+        # 222**3 tuples are past the budget, so the large tuples come from a
+        # seeded sample; with H the even elements, every sample whose
+        # solution coset is 2Z_222 is swallowed by clos(H) under x = z
+        M = make_cyclic_group(222)
+        assert not within_budget(M.size**3)
+        family = [make_cyclic_group(n) for n in range(21, 28)]
+        prof = profile_family(family, parse_formula("exists v. x = y + z + w + v + v", M.sig))
+        xz = parse_formula("x = z", M.sig)
+        frag = assert_matches_replay(
+            M, list(range(0, M.size, 2)), [prof], [xz],
+            samples=50, base_max=3, seed=3, gamma_max_solutions=None,
+        )
+        assert 0 < len(frag["failures"]) < 50
 
 
 class TestDrawSamples:

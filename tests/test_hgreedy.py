@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,7 +43,7 @@ from hlab.hgreedy import (
     KernelCoverage,
     _phase_state,
     build_h,
-    closure_masks,
+    closures,
     derive_config,
     forbidden_set,
     greedy_step,
@@ -242,22 +243,79 @@ class TestClosureMasks:
         for arities in ([0], [1], [2], [3], [0, 1, 2, 3]):
             gamma = [parse_formula(texts[k], M.sig) for k in arities]
             for h in ([], [1, 4, 7]):
-                masks = closure_masks(M, h, CLOSURE_SETS, gamma, max_solutions=M.size)
-                assert masks.shape == (M.size, len(CLOSURE_SETS))
+                codes = closures(M, h, CLOSURE_SETS, gamma, max_solutions=M.size)
+                assert (np.diff(codes) > 0).all()  # sorted and distinct
+                owner, member = np.divmod(codes, M.size)
+                assert ((0 <= owner) & (owner < len(CLOSURE_SETS))).all()
                 for i, row in enumerate(CLOSURE_SETS):
                     a = [int(v) for v in row if v >= 0]
                     expected = naive_closure(M, [*h, *a], gamma)
-                    assert set(np.flatnonzero(masks[:, i]).tolist()) == expected, (arities, h, a)
+                    assert set(member[owner == i].tolist()) == expected, (arities, h, a)
 
     def test_no_sets(self, z13):
         xz = parse_formula("x = z", z13.sig)
         no_sets = np.empty((0, 0), dtype=np.intp)
-        assert closure_masks(z13, [1, 2], no_sets, [xz]).shape == (13, 0)
+        assert closures(z13, [1, 2], no_sets, [xz]).shape == (0,)
 
     def test_union_bound_names_the_set(self, z13):
         xz1 = parse_formula("x = z + 1", z13.sig)
         with pytest.raises(InvariantError, match=r"H plus \[3, 9\] .*union bound 0"):
-            closure_masks(z13, [], np.array([[-1, -1], [3, 9]]), [xz1], max_solutions=0)
+            closures(z13, [], np.array([[-1, -1], [3, 9]]), [xz1], max_solutions=0)
+
+
+# one structure of each family, with kernel and non-kernel avoid formulas of
+# arities 0 to 2; x + x and x * x take the grid route
+CLOSURE_FAMILIES = {
+    "Z12": (make_cyclic_group(12), ["x = 0", "x = z + 1", "x + x = z", "x = z1 + z2"]),
+    "GF11": (make_prime_field(11), ["x = 0", "x * x = z", "x = z1 + z2", "x * z1 = z2 + 1"]),
+    "GF9": (make_extension_field(3), ["x = 0", "x * x = z", "x = z1 + z2", "frob(x) = z"]),
+    "F2^3": (make_f2_vector_space(3), ["x = 0", "x = z + 1", "x + x = z", "x = z1 + z2"]),
+}
+
+
+@st.composite
+def closure_cases(draw):
+    """A structure, a non-empty avoid list, H, and rows of base sets: entries
+    may be -1 padding, members of H or repeats."""
+    name = draw(st.sampled_from(sorted(CLOSURE_FAMILIES)))
+    M, texts = CLOSURE_FAMILIES[name]
+    picked = draw(st.sets(st.sampled_from(texts), min_size=1))
+    gamma = [parse_formula(t, M.sig) for t in texts if t in picked]
+    h = draw(st.lists(st.integers(0, M.size - 1), max_size=4))
+    width = draw(st.integers(0, 3))
+    row = st.lists(st.integers(-1, M.size - 1), min_size=width, max_size=width)
+    rows = draw(st.lists(row, max_size=4))
+    return M, gamma, h, np.array(rows, dtype=np.intp).reshape(len(rows), width)
+
+
+class TestClosuresProperty:
+    def test_families_cover_both_routes(self):
+        routes = {
+            kernel(M, parse_formula(t, M.sig)) is None
+            for M, texts in CLOSURE_FAMILIES.values()
+            for t in texts
+        }
+        assert routes == {True, False}
+
+    @settings(max_examples=150)
+    @given(closure_cases())
+    def test_matches_naive_oracle(self, case):
+        M, gamma, h, sets = case
+        codes = closures(M, h, sets, gamma)
+        assert (np.diff(codes) > 0).all()  # sorted and distinct
+        owner, member = np.divmod(codes, M.size)
+        expected = [naive_closure(M, [*h, *(int(v) for v in row if v >= 0)], gamma) for row in sets]
+        assert [set(member[owner == i].tolist()) for i in range(len(sets))] == expected
+        assert forbidden_set(h, gamma, M) == sorted(naive_closure(M, h, gamma))
+        # a max solution count of 0 bounds every closure at 0: the first
+        # non-empty one is named
+        first = next((i for i, found in enumerate(expected) if found), None)
+        if first is None:
+            assert closures(M, h, sets, gamma, max_solutions=0).size == 0
+        else:
+            a = sorted({int(v) for v in sets[first] if v >= 0})
+            with pytest.raises(InvariantError, match=re.escape(f"H plus {a} (a base of")):
+                closures(M, h, sets, gamma, max_solutions=0)
 
 
 class TestGreedyStep:
@@ -735,7 +793,7 @@ class TestBlockReducers:
                 cert, witnesses = independence_checks(M, [1, 4, 0, 7, 2, 5], pf)
                 out += [np.array(cert.violations), cert.checked, np.array(witnesses)]
             sets = np.array([[-1, -1, -1], [4, -1, -1], [4, 7, -1], [0, 2, 5], [7, 7, 1]])
-            out.append(closure_masks(M, [1, 4], sets, pfs, max_solutions=M.size))
+            out.append(closures(M, [1, 4], sets, pfs, max_solutions=M.size))
             return out
 
         whole = reduced()

@@ -75,15 +75,15 @@ def case(kind, k):
 
 def run_extension(M, h, profiles, gamma, monkeypatch, **kwargs):
     """check_extension's result and the parameter and base rows of its
-    samples, as it hands them to closure_masks."""
+    samples, as it hands them to closures."""
     sets = []
-    closure_masks = haxioms.closure_masks
+    closures = haxioms.closures
 
     def recording(M, h, a_sets, *args, **kw):
         sets.append(np.array(a_sets))
-        return closure_masks(M, h, a_sets, *args, **kw)
+        return closures(M, h, a_sets, *args, **kw)
 
-    monkeypatch.setattr(haxioms, "closure_masks", recording)
+    monkeypatch.setattr(haxioms, "closures", recording)
     return check_extension(M, h, profiles, gamma, **kwargs), sets
 
 
