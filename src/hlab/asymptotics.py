@@ -139,8 +139,7 @@ def _observe(M: FiniteStructure, pf: ParamFormula, samples: int, seed: int):
     with each. A translation kernel has |G| solutions at every tuple, so its
     histogram is read off its record, and count_columns gives its sample |G|
     without evaluating it; any other formula's enumerated counts stay cached
-    on the structure by solution_counts_all. The histogram is a bincount, of
-    at most n + 1 bins, once there are n counts or more."""
+    on the structure by solution_counts_all."""
     n, k = M.size, pf.arity
     enumerated = within_budget(n**k)
     record = kernel(M, pf)
@@ -150,11 +149,7 @@ def _observe(M: FiniteStructure, pf: ParamFormula, samples: int, seed: int):
         counts = solution_counts_all(M, pf)
     else:
         counts = sample_columns(M, pf, [seed, n], max(samples, 1))[1]
-    if len(counts) < n:  # bincount's bins would outnumber a few counts
-        return (*np.unique(counts, return_counts=True), enumerated)
-    tuples = np.bincount(counts)
-    values = np.flatnonzero(tuples)
-    return values, tuples[values], enumerated
+    return (*np.unique(counts, return_counts=True), enumerated)
 
 
 def _fit(text: str, observed, gap: float, ceiling: float):

@@ -236,7 +236,8 @@ def _solution_pairs(M: FiniteStructure, xi: ParamFormula, cols, owner) -> np.nda
 
 def _distinct(parts) -> np.ndarray:
     """The sorted distinct values of the concatenated int arrays `parts`, by a
-    sort and a neighbour mask: np.unique takes a slower hash path on ints."""
+    sort and a neighbour mask: np.unique's first call imports numpy.ma,
+    about 2 MiB resident, and its hash path on ints is slower than a sort."""
     codes = np.sort(np.concatenate([np.empty(0, dtype=np.intp), *parts]))
     keep = np.ones(len(codes), dtype=bool)
     keep[1:] = codes[1:] != codes[:-1]
