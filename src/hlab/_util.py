@@ -1,5 +1,5 @@
-"""Small shared helpers: tuple grids, flat tuple indices, the JSON report
-writer, atomic writes.
+"""Small shared helpers: tuple grids, flat tuple indices, cyclic
+convolution, the JSON report writer, atomic writes.
 
 dump_json writes the bytes of json.dumps(obj, indent=2, sort_keys=True,
 default=_plain) through the C encoder, which json.dumps skips when `indent`
@@ -14,9 +14,12 @@ import functools
 import json
 import os
 import tempfile
+from collections.abc import Callable
 from itertools import chain
 
 import numpy as np
+
+from .errors import InvariantError
 
 
 def tuple_columns(values, arity: int) -> np.ndarray:
@@ -33,6 +36,71 @@ def _lex_tuples(positions, n: int, arity: int) -> np.ndarray:
     if arity == 0:
         return np.empty((0, len(positions)), dtype=np.intp)
     return np.array(np.unravel_index(positions, (n,) * arity), dtype=np.intp)
+
+
+def _smooth(length: int) -> bool:
+    """Whether length has no prime factor above 5."""
+    for f in (2, 3, 5):
+        while length % f == 0:
+            length //= f
+    return length == 1
+
+
+def _transform_length(d: int) -> int:
+    """The FFT length for a cyclic axis of length d: d itself when it is
+    5-smooth, else the smallest 5-smooth length >= 2d - 1, which holds the
+    linear convolution that is then folded back modulo d. On a prime length
+    pocketfft falls back to Bluestein's algorithm, several times slower."""
+    if _smooth(d):
+        return d
+    length = 2 * d - 1
+    while not _smooth(length):
+        length += 1
+    return length
+
+
+def _fold(values: np.ndarray, shape) -> np.ndarray:
+    """A linear convolution folded back onto the group of array shape
+    `shape`: position k of an axis of length d is coordinate k mod d, so a
+    padded axis becomes the sum of its d-long slices."""
+    for axis, d in enumerate(shape):
+        if values.shape[axis] > d:
+            values = values.swapaxes(0, axis)
+            folded = values[:d].copy()
+            for start in range(d, len(values), d):
+                folded[: len(values) - start] += values[start : start + d]
+            values = folded.swapaxes(0, axis)
+    return values
+
+
+def convolver(values: np.ndarray, shape) -> Callable:
+    """convolve(w): the cyclic convolution values * w over the group of array
+    shape `shape`, both flattened, for integer arrays, by one real FFT pair
+    per call; values' transform is taken once, and axes that are not
+    5-smooth are padded and the product folded back. Each result is rounded
+    and checked exact: within 0.25 of its integer, and summing to sum(values)
+    * sum(w), which the greedy's coverage reads as |G| * |Y|; InvariantError
+    otherwise."""
+    lengths = tuple(_transform_length(d) for d in shape)  # transform length per axis
+    axes = range(len(shape))
+    values_hat = np.fft.rfftn(values.reshape(shape), lengths, axes)
+    size = int(values.sum())
+
+    def convolve(w: np.ndarray) -> np.ndarray:
+        hat = np.fft.rfftn(w.reshape(shape), lengths, axes)
+        out = _fold(np.fft.irfftn(values_hat * hat, lengths, axes), shape).ravel()
+        counts = np.rint(out)
+        residual = float(np.abs(out - counts).max(initial=0.0))
+        total = int(counts.sum()) if residual < 0.25 else None  # None for a NaN
+        expected = size * int(w.sum())
+        if not residual < 0.25 or total != expected:
+            raise InvariantError(
+                f"convolution coverage is not exact (rounding residual {residual:.3g}, "
+                f"total {total} against |G| * |Y| = {expected})"
+            )
+        return counts.astype(np.int64)
+
+    return convolve
 
 
 def _plain(obj):

@@ -2,11 +2,11 @@
 
 For each structure we count solutions over all parameter tuples (or a seeded
 uniform sample when the tuple space is large) and keep the count histogram:
-each distinct count with its number of tuples. A translation kernel has |G|
-solutions at every tuple, so its histogram is {|G|: n^k} from its
-folang.kernel record alone (its sample, past the budget, is drawn but not
-evaluated). A profile keeps only its fit: enumerated counts stay cached on
-the structure by folang.solution_counts_all. Counts are explained by a
+each distinct count with its number of tuples, from folang.count_histogram
+(a translation kernel's {|G|: n^k} comes from its record; its sample, past
+the budget, is drawn but not evaluated). A profile keeps only its fit:
+enumerated counts stay cached on the structure by
+folang.solution_counts_all. Counts are explained by a
 finite set of measures E plus an error envelope of width C * sqrt(size), or
 by a uniform algebraicity bound B. Measure discovery runs from the largest
 structure downward: the largest structure's normalized counts are clustered
@@ -18,11 +18,11 @@ the histogram fit equals the fit over one count per tuple.
 
 The large set Ψ of a formula, its parameter tuples classified large, is
 named by the formula's profile alone, which carries the formula as `pf`,
-and psi_columns is the one routine that names it. A kernel's Ψ is all of
-M^k or empty; all of it is named by the formula's folang.Kernel record,
-exact at every size, since a tuple t is covered by h exactly when u(t) lies
-in the record's reach(h) = h - G. Any other formula's Ψ is decoded, within
-the budget, from the solution counts of every tuple.
+and psi_columns is the one routine that names it, through folang.select:
+a kernel's Ψ is its Kernel record (all of M^k, exact at every size) or
+empty, any other formula's the Columns decoded, within the budget, from the
+solution counts of every tuple. Callers read either through the same
+protocol.
 """
 
 from __future__ import annotations
@@ -32,19 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import _lex_tuples
-from .errors import (
-    ClassificationGapError,
-    EmptyFamilyError,
-    EnumerationBudgetError,
-    NotOneDimensionalError,
-)
+from .errors import ClassificationGapError, EmptyFamilyError, NotOneDimensionalError
 from .finitemodels import FiniteStructure
 from .folang import (
-    Kernel,
+    Columns,
     ParamFormula,
     count_columns,
-    kernel,
+    count_histogram,
+    select,
     solution_count,
     solution_counts_all,
     within_budget,
@@ -136,20 +131,12 @@ def _observe(M: FiniteStructure, pf: ParamFormula, samples: int, seed: int):
     """The count histogram of one structure over every parameter tuple
     (enumerated) or a deduplicated seeded sample: (counts, tuples,
     enumerated), the distinct counts ascending and the number of tuples
-    with each. A translation kernel has |G| solutions at every tuple, so its
-    histogram is read off its record, and count_columns gives its sample |G|
-    without evaluating it; any other formula's enumerated counts stay cached
-    on the structure by solution_counts_all."""
-    n, k = M.size, pf.arity
-    enumerated = within_budget(n**k)
-    record = kernel(M, pf)
-    if record is not None and enumerated:
-        return np.array([len(record.base)]), np.array([n**k]), True
+    with each."""
+    enumerated = within_budget(M.size**pf.arity)
     if enumerated:
-        counts = solution_counts_all(M, pf)
-    else:
-        counts = sample_columns(M, pf, [seed, n], max(samples, 1))[1]
-    return (*np.unique(counts, return_counts=True), enumerated)
+        return (*count_histogram(M, pf), True)
+    counts = sample_columns(M, pf, [seed, M.size], max(samples, 1))[1]
+    return (*np.unique(counts, return_counts=True), False)
 
 
 def _fit(text: str, observed, gap: float, ceiling: float):
@@ -358,11 +345,9 @@ def classify(profile: MeasureProfile, M: FiniteStructure, params=()) -> ParamCla
 
 def psi_set(M: FiniteStructure, profile: MeasureProfile) -> list[tuple[int, ...]]:
     """All parameter tuples classified large, in lexicographic order: the
-    columns of psi_columns as tuples, a kernel's all of M^k."""
-    n, k = M.size, profile.pf.arity
+    tuples of psi_columns, a kernel's all of M^k."""
     psi = psi_columns(M, profile)
-    cols = _lex_tuples(np.arange(n**k), n, k) if isinstance(psi, Kernel) else psi[0]
-    return [tuple(int(v) for v in col) for col in cols.T]
+    return [tuple(int(v) for v in col) for col in psi.take(np.arange(psi.width))[0].T]
 
 
 def enumerated_counts(profile: MeasureProfile, M: FiniteStructure):
@@ -376,28 +361,13 @@ def enumerated_counts(profile: MeasureProfile, M: FiniteStructure):
 
 
 def psi_columns(M: FiniteStructure, profile: MeasureProfile):
-    """Ψ, the parameter tuples of the profiled formula classified large.
-
-    A translation kernel has |G| solutions at every tuple, so its Ψ is all
-    of M^k or none of it: the formula's folang.Kernel record when |G|
-    classifies large, exact at every size and never over the budget, and an
-    empty (arity, 0) Ψ otherwise. Any other formula's Ψ is an (arity, m)
-    index array of its tuples in lexicographic order and the solution count
-    of each, decoded on each call from the counts cached on the structure;
-    EnumerationBudgetError when the tuple space exceeds the one evaluation
-    budget."""
-    n, k = M.size, profile.pf.arity
-    record = kernel(M, profile.pf)
-    if record is not None:
-        if _classify_counts(profile, n, np.array([len(record.base)]))[0][0]:
-            return record
-        return np.empty((k, 0), dtype=np.intp), np.empty(0, dtype=np.int64)
-    stored = enumerated_counts(profile, M)
-    if stored is None:
-        raise EnumerationBudgetError(f"psi enumeration needs {n**k} tuples, over the budget")
-    counts, large = stored
-    flats = np.flatnonzero(large)
-    return _lex_tuples(flats, n, k), counts[flats]
+    """Ψ, the parameter tuples of the profiled formula classified large, as
+    folang.select gives it: the formula's Kernel record, all of M^k, when
+    its |G| classifies large, else Columns of the large tuples in
+    lexicographic order with the solution count of each, decoded on each
+    call from the counts cached on the structure; EnumerationBudgetError
+    when the tuple space exceeds the one evaluation budget."""
+    return select(M, profile.pf, lambda counts: _classify_counts(profile, M.size, counts)[0])
 
 
 def large_columns(M: FiniteStructure, profile: MeasureProfile, rng, samples: int):
@@ -405,20 +375,14 @@ def large_columns(M: FiniteStructure, profile: MeasureProfile, rng, samples: int
     low, take): their number, their smallest solution count, and take(j),
     the tuples at positions j of their lexicographic order as an (arity,
     len(j)) index array beside their solution counts. Within the budget they
-    are psi_columns', a kernel's all n^k tuples, decoded from j through
-    _lex_tuples, each with |G| solutions; past it they are the large tuples
-    among `samples` drawn by sample_columns from `rng`, as they are for a
-    kernel too, whose draws then keep their tuples and counts."""
+    are psi_columns' (a kernel decodes them from j); past it they are the
+    large tuples among `samples` drawn by sample_columns from `rng`, as they
+    are for a kernel too, whose draws then keep their tuples and counts."""
     n, k = M.size, profile.pf.arity
     if within_budget(n**k):
         psi = psi_columns(M, profile)
-        if isinstance(psi, Kernel):
-            g = len(psi.base)
-            return n**k, g, lambda j: (_lex_tuples(j, n, k), np.full(len(j), g, dtype=np.int64))
-        cols, counts = psi
     else:
         cols, counts = sample_columns(M, profile.pf, rng, samples)
         large, _ = _classify_counts(profile, n, counts)
-        cols, counts = cols[:, large], counts[large]
-    low = int(counts.min()) if len(counts) else None
-    return cols.shape[1], low, lambda j: (cols[:, j], counts[j])
+        psi = Columns(M, profile.pf, cols[:, large], counts[large])
+    return psi.width, psi.low, psi.take

@@ -1,4 +1,5 @@
-"""First-order formulas over finite structures: parsing, evaluation, counting.
+"""First-order formulas over finite structures: parsing, planning, evaluation
+and counting.
 
 Grammar (precedence ! > & > | > ->, quantifier scope extends maximally right):
 
@@ -19,47 +20,40 @@ relation exists with its arity, and each operator's function is binary.
 Before evaluation, implications and universal quantifiers are rewritten away
 and shadowed bound variables are renamed, so a single evaluation path handles
 every formula. Free and term variables and the kernel rule's atom terms are
-all read from one traversal, _walk.
+all read from one traversal, _walk. Formula and term nodes are interned
+(hash-consing, Filliatre and Conchon 2006): equal nodes are one object and
+compare and hash by identity, so every formula-keyed cache keys by identity.
 
-Evaluation (eval_bulk) works over numpy index arrays; solution_mask_matrix,
-the one entry point that binds an object variable and parameter tuples,
-evaluates in column blocks of at most BUDGET cells. An existential is
-planned as a conjunctive query when its body is an And chain holding one
-equation with the bound variable alone on one side, conjuncts in the bound
-variable alone, and conjuncts without it (for example
-`exists z. z*z = x - y & !(z = 0)`): the answer is membership in the image of
-that side over the domain the bound-variable conjuncts allow, cached per
-structure, and-ed with the other conjuncts. Any other existential loops over
-the universe. The scalar `evaluate` is a naive reference for tests: nested
-loops over the universe, no cache.
+plan(pf) is the one place that decides how a formula is evaluated: one Plan
+per formula, made once and free of any structure. Its kind is "kernel" when
+the formula reads x only through x - u(params) (_kernel_shift): its solutions
+at any tuple are G + u(tuple) for one set G, every count is |G|, and
+kernel(M, pf) binds the plan to M as a Kernel record. Any other formula is
+evaluated on the grid by eval_bulk, its kind "image" when every existential
+is answered by a lookup in the image of one side of an equation
+(_exists_plan, made as the Exists node is interned and read as its `image`),
+and "loop" when some existential loops over the universe.
 
-A translation kernel is a formula that reads x only through x - u(params):
-normalised to integer-coefficient polynomials (numerals and other closed
-terms stay opaque constants), every atom that holds x holds it as exactly +x
-or -x with the same parameter part u, and no atom without x holds a
-parameter. Its solutions at any tuple are G + u(tuple) for one set G, so
-every count is |G|. kernel(M, pf) owns that rule: it returns one Kernel
-record per formula and structure, cached, built from one evaluation at the
-zero tuple, and the record answers everything else: points(cols), the
-|G| * m solutions at m tuples; reach(h), the shifts h - G of the tuples
-that h solves; support(), the shifts that occur; pushforward(), the number
-of tuples per shift, exact as (unit, histogram), in O(k n) when u is linear
-in the parameters and by a blocked bincount otherwise; and tuples(mask),
-the tuples whose shift a mask holds. Any other formula is counted on the
-grid, once per structure by solution_counts_all.
+Callers never ask for the kind: count_columns, solution_counts_all,
+count_histogram, max_solution_count and solution_pairs answer from |G| or
+the grid, and select returns Ψ, the tuples of a chosen count class, as the
+Kernel record (all n^k tuples) or as Columns. Both answer one protocol:
+width, low, take(j) and tuples(mask), and over an index space (a kernel's
+shifts, Columns' own tuples) pushforward(), solved(elements, live) and
+counter().
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import _lex_tuples
+from ._util import _lex_tuples, convolver
 from .errors import (
+    EnumerationBudgetError,
     EvaluationError,
     FormulaSyntaxError,
     FreeVariableError,
@@ -68,20 +62,44 @@ from .errors import (
 from .finitemodels import FAMILIES, FiniteStructure, Signature
 
 # ---------------------------------------------------------------------------
-# Syntax trees
+# Syntax trees, interned
 
-@dataclass(frozen=True)
-class Var:
+_NODES: dict = {}  # (class, *fields) -> the one node with those fields
+
+
+class _Interned(type):
+    """A node class whose call returns the node already made with the same
+    fields, if any. dict.setdefault keeps the first node stored when threads
+    race, so equal nodes stay one object."""
+
+    def __call__(cls, *fields):
+        key = (cls, *fields)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES.setdefault(key, super().__call__(*fields))
+        return node
+
+
+class _Node(metaclass=_Interned):
+    def __reduce__(self):  # pickle and deepcopy rebuild through the intern table
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+_node = dataclass(frozen=True, eq=False)  # identity equality and hash
+
+
+@_node
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Num:
+@_node
+class Num(_Node):
     value: int
 
 
-@dataclass(frozen=True)
-class Apply:
+@_node
+class Apply(_Node):
     func: str
     args: tuple
 
@@ -89,57 +107,58 @@ class Apply:
 Term = Var | Num | Apply
 
 
-@dataclass(frozen=True)
-class Eq:
+@_node
+class Eq(_Node):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Rel:
+@_node
+class Rel(_Node):
     name: str
     args: tuple
 
 
-@dataclass(frozen=True)
-class Not:
+@_node
+class Not(_Node):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+@_node
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@_node
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+@_node
+class Implies(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+@_node
+class Exists(_Node):
     var: str
     body: "Formula"
+    image: tuple | None = field(init=False, repr=False)  # see _exists_plan
+
+    def __post_init__(self):
+        object.__setattr__(self, "image", _exists_plan(self))
 
 
-@dataclass(frozen=True)
-class Forall:
+@_node
+class Forall(_Node):
     var: str
     body: "Formula"
 
 
 Formula = Eq | Rel | Not | And | Or | Implies | Exists | Forall
-
-# Assignments map variable names to element indices.
-Assignment = dict[str, int]
 
 
 def _walk(node, bound=frozenset()):
@@ -419,9 +438,6 @@ def normalize(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Pretty printing (reparses to the same tree)
 
-_FORMULA_LEVEL = {Implies: 1, Or: 2, And: 3, Not: 4, Eq: 5, Rel: 5}
-
-
 def _pp_term(t: Term, level: int = 0) -> str:
     # term levels: add/sub chain 1, mul chain 2, prim 3
     if isinstance(t, Var):
@@ -516,47 +532,6 @@ def parse_formula(
 
 
 # ---------------------------------------------------------------------------
-# Scalar evaluation
-
-def eval_term(M: FiniteStructure, t: Term, a: Assignment) -> int:
-    if isinstance(t, Var):
-        try:
-            return a[t.name]
-        except KeyError:
-            raise EvaluationError(f"no binding for variable {t.name!r}") from None
-    if isinstance(t, Num):
-        return M.numeral(t.value)
-    table = M.functions[t.func]
-    if not t.args:
-        return int(table)
-    idx = tuple(eval_term(M, arg, a) for arg in t.args)
-    return int(table[idx])
-
-
-def evaluate(M: FiniteStructure, f: Formula, a: Assignment) -> bool:
-    """Tarskian truth value by nested loops over the whole universe, with no
-    image cache: the naive reference that eval_bulk is tested against."""
-    if isinstance(f, Eq):
-        return eval_term(M, f.left, a) == eval_term(M, f.right, a)
-    if isinstance(f, Rel):
-        idx = tuple(eval_term(M, arg, a) for arg in f.args)
-        return bool(M.relations[f.name][idx])
-    if isinstance(f, Not):
-        return not evaluate(M, f.body, a)
-    if isinstance(f, And):
-        return evaluate(M, f.left, a) and evaluate(M, f.right, a)
-    if isinstance(f, Or):
-        return evaluate(M, f.left, a) or evaluate(M, f.right, a)
-    if isinstance(f, Implies):
-        return (not evaluate(M, f.left, a)) or evaluate(M, f.right, a)
-    if isinstance(f, Forall):
-        return all(evaluate(M, f.body, {**a, f.var: c}) for c in range(M.size))
-    if isinstance(f, Exists):
-        return any(evaluate(M, f.body, {**a, f.var: c}) for c in range(M.size))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-# ---------------------------------------------------------------------------
 # Vectorized evaluation
 
 # The one memory budget, in grid cells or parameter tuples, for evaluation
@@ -618,10 +593,9 @@ def _isolated(f: Formula, var: str):
     return None
 
 
-# formula nodes are frozen and hashable, so each node is planned once
-@functools.lru_cache(maxsize=4096)
 def _exists_plan(f: Exists):
-    """Plan `exists z. body` as a domain-restricted image. The body's
+    """Plan `exists z. body` as a domain-restricted image, once, as its node
+    is interned. The body's
     conjuncts must be one isolated equation t(z) = s, conjuncts in z alone
     (the domain of the image) and conjuncts without z (hoisted out). Returns
     (image_term, other_term, domain, hoisted), or None when the body has no
@@ -679,7 +653,6 @@ def _atom_terms(f: Formula):
             yield from ((a, bound) for a in node.args)
 
 
-@functools.lru_cache(maxsize=4096)
 def _kernel_shift(f: Formula, x: str, params: tuple):
     """The shift term of a translation kernel, or None. f is a kernel when
     it reads x only through x - u(params) for one u: every atom polynomial
@@ -723,6 +696,38 @@ def _kernel_shift(f: Formula, x: str, params: tuple):
     return shift, tuple(term_vars(shift)), linear
 
 
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """How one formula is evaluated, whatever the structure: "kernel",
+    "image" or "loop" (see the module docstring). A kernel plan keeps its
+    shift rule: the shift term, u plus a constant, the names it reads, and
+    whether u is linear in the parameters."""
+
+    kind: str
+    shift: Term | None = None
+    names: tuple[str, ...] = ()
+    linear: bool = False
+
+
+_PLANS: dict = {}  # (formula, object variable, parameters) -> its Plan
+
+
+def plan(pf: ParamFormula) -> Plan:
+    """pf's Plan, made on first use: the kernel rule decides first, then
+    whether some existential has no image plan and loops."""
+    key = (pf.formula, pf.object_var, pf.params)
+    made = _PLANS.get(key)
+    if made is None:
+        rule = _kernel_shift(*key)
+        if rule is not None:
+            made = Plan("kernel", *rule)
+        else:
+            loops = any(isinstance(n, Exists) and n.image is None for n, _ in _walk(pf.formula))
+            made = Plan("loop" if loops else "image")
+        made = _PLANS.setdefault(key, made)
+    return made
+
+
 def _coset(M: FiniteStructure, values: np.ndarray, c: int) -> np.ndarray:
     """Mask over the universe of c + <values>, the coset of the additive
     subgroup that `values` generate. On one axis index k is k times the
@@ -762,11 +767,13 @@ def _shift_values(M: FiniteStructure, shift: Term, names: tuple, params: tuple, 
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
-    """A translation kernel on one structure, as kernel() builds it: its
+    """A kernel plan bound to one structure, as kernel() builds it: its
     solutions at parameter tuple t are G + u(t), u(t) the shift term's value.
     A linear u is kept as c = u(0) and `images`, u(e) - c at each unit tuple
     e (one parameter at one unit vector of M.group_shape, the others 0): a
-    few ints, and no array over the tuples or the universe but G."""
+    few ints, and no array over the tuples or the universe but G. As Ψ it
+    is all n^k tuples, each with |G| solutions, and its index space is the
+    universe, as the shifts."""
 
     M: FiniteStructure = field(repr=False)
     params: tuple[str, ...]
@@ -786,27 +793,47 @@ class Kernel:
         shifts = self.shifts(param_columns)
         return np.asarray(self.M.functions["add"][self.base[:, None], shifts[None, :]], dtype=np.intp)
 
-    def reach(self, h) -> np.ndarray:
-        """h - G, broadcast: h solves tuple t exactly when u(t) lies in it."""
-        return np.asarray(self.M.functions["sub"][h, self.base], dtype=np.intp)
+    @property
+    def width(self) -> int:
+        return self.M.size ** len(self.params)
 
-    def support(self) -> np.ndarray:
-        """Mask over the universe of the shifts that occur: for a linear u the
-        coset c + im, im the subgroup that `images` generate."""
-        if self.images is None:
-            return self.pushforward()[1] > 0
-        return _coset(self.M, np.array(self.images, dtype=np.intp), self.c)
+    @property
+    def low(self) -> int:
+        return len(self.base)
+
+    def take(self, j):
+        """The tuples at positions j of the lexicographic order, decoded, and
+        their solution counts, |G| each."""
+        return _lex_tuples(j, self.M.size, len(self.params)), np.full(len(j), self.low, dtype=np.int64)
+
+    def solved(self, elements, live: np.ndarray) -> np.ndarray:
+        """Whether some element h of `elements` solves the tuples of each
+        shift in `live`: h solves tuple t exactly when u(t) lies in h - G."""
+        h, reached = np.asarray(elements, dtype=np.intp), np.zeros(self.M.size, dtype=bool)
+        for block in column_blocks(len(h), len(self.base)):
+            reached[self.M.functions["sub"][h[block, None], self.base]] = True
+        return reached[live]
+
+    def counter(self):
+        """count(w), for weights w over the shifts: how many tuples each
+        element solves, sum_v w(v) [e - v in G], the convolution 1_G * w
+        over M's additive group (Terras, Fourier Analysis on Finite Groups,
+        1999), exact."""
+        in_base = np.zeros(self.M.size, dtype=np.int64)
+        in_base[self.base] = 1
+        return convolver(in_base, self.M.group_shape)
 
     def pushforward(self) -> tuple[int, np.ndarray]:
         """w(v) = #{t in M^k : u(t) = v}, exact at any n^k, as (unit,
         histogram): w = unit * histogram, the unit a Python int and the
         histogram int64 over the universe with gcd 1. A linear u = c + sum_i
         phi_i(y_i), phi_i additive homomorphisms, has cosets of its kernel
-        as fibres, so w = (n^k / |im|) 1_{im + c}: O(k n). Any other u is
-        counted by a bincount over the tuples in blocks: O(n) memory."""
+        as fibres, so w = (n^k / |im|) 1_{im + c}, im the subgroup that
+        `images` generate: O(k n). Any other u is counted by a bincount over
+        the tuples in blocks: O(n) memory."""
         n = self.M.size
         if self.images is not None:
-            support = self.support()
+            support = _coset(self.M, np.array(self.images, dtype=np.intp), self.c)
             return n ** len(self.params) // int(support.sum()), support.astype(np.int64)
         weights = np.zeros(n, dtype=np.int64)
         for _, shifts in self._blocks():
@@ -833,30 +860,98 @@ class Kernel:
 
 
 def kernel(M: FiniteStructure, pf: ParamFormula) -> Kernel | None:
-    """pf's Kernel record on M, cached on the structure: G is the solution
-    set at the zero tuple shifted back by u there, and a linear u is read at
-    the unit tuples in the same evaluation. None when pf is no kernel or M
-    is outside the four families, whose ring laws the kernel rule uses."""
-    rule = _kernel_shift(pf.formula, pf.object_var, pf.params)
-    if rule is None or M.family not in FAMILIES:
+    """pf's kernel plan bound to M, cached on the structure under the plan:
+    G is the solution set at the zero tuple shifted back by u there, and a
+    linear u is read at the unit tuples in the same evaluation. None when
+    pf's plan is no kernel or M is outside the four families, whose ring
+    laws the kernel rule uses."""
+    rule = plan(pf)
+    if rule.kind != "kernel" or M.family not in FAMILIES:
         return None
 
     def build():
-        shift, names, linear = rule
         shape, k = M.group_shape, pf.arity
-        units = [math.prod(shape[i + 1 :]) % M.size for i in range(len(shape))] if linear else []
+        units = [math.prod(shape[i + 1 :]) % M.size for i in range(len(shape))] if rule.linear else []
         cols = np.zeros((k, 1 + k * len(units)), dtype=np.intp)  # the zero tuple first
         for i in range(k):  # then each parameter at each unit vector
             cols[i, 1 + i * len(units) : 1 + (i + 1) * len(units)] = units
-        values = _shift_values(M, shift, names, pf.params, cols)
+        values = _shift_values(M, rule.shift, rule.names, pf.params, cols)
         c, sub = int(values[0]), M.functions["sub"]
         solutions = np.flatnonzero(solution_mask_matrix(M, pf, cols[:, :1])[:, 0])
         base = np.asarray(sub[solutions, c], dtype=np.intp)
         base.flags.writeable = False
-        images = tuple(np.asarray(sub[values[1:], c]).tolist()) if linear else None
-        return Kernel(M, pf.params, shift, names, base, c, images)
+        images = tuple(np.asarray(sub[values[1:], c]).tolist()) if rule.linear else None
+        return Kernel(M, pf.params, rule.shift, rule.names, base, c, images)
 
-    return M.cached(("kernel", pf.formula, pf.object_var, pf.params), build)
+    return M.cached(("kernel", rule), build)
+
+
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """Ψ listed: its tuples as the (arity, m) index array `cols` in
+    lexicographic order, with the solution count of each. Its index space
+    is its own columns, one tuple each, so its weights are 0 or 1."""
+
+    M: FiniteStructure = field(repr=False)
+    pf: ParamFormula
+    cols: np.ndarray
+    counts: np.ndarray
+
+    @property
+    def width(self) -> int:
+        return self.cols.shape[1]
+
+    @property
+    def low(self) -> int | None:
+        return int(self.counts.min()) if len(self.counts) else None
+
+    def take(self, j):
+        return self.cols[:, j], self.counts[j]
+
+    def tuples(self, mask: np.ndarray) -> np.ndarray:
+        return self.cols[:, mask]
+
+    def pushforward(self) -> tuple[int, np.ndarray]:
+        return 1, np.ones(self.width, dtype=np.int64)
+
+    def solved(self, elements, live: np.ndarray) -> np.ndarray:
+        cols, hit = self.cols[:, live], np.zeros(len(live), dtype=bool)
+        for block in column_blocks(cols.shape[1], len(elements)):
+            hit[block] = solution_mask_matrix(self.M, self.pf, cols[:, block], rows=elements).any(axis=0)
+        return hit
+
+    def counter(self):
+        """count(w): how many of the columns that w weighs each element
+        solves, read from the grid one block at a time."""
+
+        def count(weights: np.ndarray) -> np.ndarray:
+            cols, sums = self.cols[:, weights > 0], np.zeros(self.M.size, dtype=np.int64)
+            for block in column_blocks(cols.shape[1], self.M.size):
+                sums += solution_mask_matrix(self.M, self.pf, cols[:, block]).sum(axis=1)
+            return sums
+
+        return count
+
+
+def select(M: FiniteStructure, pf: ParamFormula, large) -> Kernel | Columns:
+    """Ψ, the parameter tuples whose solution count `large` accepts (a
+    function from an array of counts to a mask over it). A kernel's tuples
+    all have |G| solutions, so its Ψ is its Kernel record when `large`
+    accepts |G|, exact at every size, and empty Columns otherwise. Any other
+    formula's Ψ is Columns decoded on each call from the counts that
+    solution_counts_all keeps on the structure; EnumerationBudgetError when
+    its n^k tuples exceed the budget."""
+    n, k = M.size, pf.arity
+    record = kernel(M, pf)
+    if record is not None and large(np.array([record.low]))[0]:
+        return record
+    if record is not None:
+        return Columns(M, pf, np.empty((k, 0), dtype=np.intp), np.empty(0, dtype=np.int64))
+    if not within_budget(n**k):
+        raise EnumerationBudgetError(f"psi enumeration needs {n**k} tuples, over the budget")
+    counts = solution_counts_all(M, pf)
+    flats = np.flatnonzero(large(counts))
+    return Columns(M, pf, _lex_tuples(flats, n, k), counts[flats])
 
 
 def _bulk_term(M: FiniteStructure, t: Term, env: dict) -> np.ndarray | int:
@@ -889,9 +984,8 @@ def eval_bulk(M: FiniteStructure, f: Formula, env: dict) -> np.ndarray:
     if isinstance(f, Or):
         return eval_bulk(M, f.left, env) | eval_bulk(M, f.right, env)
     if isinstance(f, Exists):
-        plan = _exists_plan(f)
-        if plan is not None:
-            image_term, other, domain, hoisted = plan
+        if f.image is not None:
+            image_term, other, domain, hoisted = f.image
             out = _image_mask(M, image_term, f.var, domain)[_bulk_term(M, other, env)]
             for g in hoisted:
                 out = out & eval_bulk(M, g, env)
@@ -1000,6 +1094,16 @@ def solution_counts_all(M: FiniteStructure, pf: ParamFormula) -> np.ndarray:
     return M.cached(("counts", pf.formula, pf.object_var, pf.params), build)
 
 
+def count_histogram(M: FiniteStructure, pf: ParamFormula):
+    """The distinct solution counts over all n^k parameter tuples, ascending,
+    and the number of tuples with each: a kernel's one count |G| from its
+    record, any other formula's from solution_counts_all."""
+    record = kernel(M, pf)
+    if record is not None:
+        return np.array([record.low]), np.array([record.width])
+    return np.unique(solution_counts_all(M, pf), return_counts=True)
+
+
 def max_solution_count(M: FiniteStructure, gamma) -> int | None:
     """The largest solution count of any formula in `gamma` over all of its
     parameter tuples: |G| for a translation kernel, otherwise a recount, or
@@ -1014,3 +1118,17 @@ def max_solution_count(M: FiniteStructure, gamma) -> int | None:
         else:
             return None
     return max(counts, default=0)
+
+
+def solution_pairs(M: FiniteStructure, pf: ParamFormula, cols, owner) -> np.ndarray:
+    """The codes owner[j] * |M| + e of every solution e of pf at the j-th of
+    the (arity, m) parameter columns: a kernel's points(), |G| per column;
+    any other formula's nonzero grid entries, one evaluation block at a time."""
+    record = kernel(M, pf)
+    if record is not None:
+        return (owner * M.size + record.points(cols)).ravel()
+    found = [np.empty(0, dtype=np.intp)]
+    for block in column_blocks(cols.shape[1], M.size):
+        rows, at = np.nonzero(solution_mask_matrix(M, pf, cols[:, block]))
+        found.append(owner[block][at] * M.size + rows)
+    return np.concatenate(found)

@@ -11,25 +11,23 @@ most tuples of Y, smallest index winning ties. Under the size threshold each
 step shrinks Y by a factor of at least (1 - mu/2), which forces
 |H| <= n_formulas * h_M <= C * ln|M|.
 
-Coverage, the number of tuples of Y each element would cover, has two
-routes. A translation kernel has the solutions G + u(t) at tuple t, so its
-coverage is the convolution 1_G * mu over M's additive group, mu the
-histogram of the shifts of Y: one real FFT pair per step, rounded and
-checked exact. Its Ψ comes as its folang.Kernel record, mu starts as the
-record's pushforward() of the shifts, and a step zeroes mu on reach(h) =
-h - G, so no array holds a tuple. Any other formula keeps its counts
-incrementally: the grid's row sums once, block by block, then at each step
-minus the solution counts of the columns just covered, or a recount of the
-columns left when those are fewer.
+Coverage, the number of tuples of Y each element would cover, is one
+incremental count (Minoux 1978) over the index space of Ψ's folang record:
+a translation kernel's shifts, weighted by its pushforward(), or the
+columns of any other formula's Ψ. A step zeroes the weights of what it
+covers, and the next count subtracts their row sums, or recounts what is
+left when that is less. A kernel's row sums are the convolution 1_G * w over
+M's additive group, one real FFT pair, rounded and checked exact, so no
+array holds a tuple; any other formula's are read from its grid.
 
 The forbidden set and every truncated closure clos(H union A) are member
-lists, never masks over the universe: one pair emitter lists the solutions
-of each avoid tuple (a kernel's |G| points, or the nonzero entries of any
-other formula's grid), and closures() keeps them as sorted distinct codes
-set * |M| + element, each closure's length checked against its union bound.
+lists, never masks over the universe: folang.solution_pairs lists the
+solutions of each avoid tuple, and closures() keeps them as sorted distinct
+codes set * |M| + element, each closure's length checked against its union
+bound.
 
 Every build returns certificates: an exhaustive cover check per cover
-formula (for a kernel, support() within H - G, which checks every tuple), an
+formula (for a kernel over its shifts, which checks every tuple), an
 exhaustive order-restricted avoid check per avoid formula, the size bound,
 and the per-step shrink factors.
 """
@@ -51,12 +49,11 @@ from .errors import (
 )
 from .finitemodels import FiniteStructure
 from .folang import (
-    Kernel,
     ParamFormula,
     column_blocks,
-    kernel,
     max_solution_count,
     solution_mask_matrix,
+    solution_pairs,
 )
 
 STRICT = "strict"
@@ -219,21 +216,6 @@ def require_threshold(cfg: GreedyConfig, M: FiniteStructure) -> ThresholdCheck:
     return threshold
 
 
-def _solution_pairs(M: FiniteStructure, xi: ParamFormula, cols, owner) -> np.ndarray:
-    """The codes owner[j] * |M| + e of every solution e of xi at the j-th of
-    the (arity, m) parameter columns. A translation kernel emits its
-    points(), |G| per column; any other formula emits the nonzero entries of
-    its grid over the universe, one evaluation block at a time."""
-    record = kernel(M, xi)
-    if record is not None:
-        return (owner * M.size + record.points(cols)).ravel()
-    found = [np.empty(0, dtype=np.intp)]
-    for block in column_blocks(cols.shape[1], M.size):
-        rows, at = np.nonzero(solution_mask_matrix(M, xi, cols[:, block]))
-        found.append(owner[block][at] * M.size + rows)
-    return np.concatenate(found)
-
-
 def _distinct(parts) -> np.ndarray:
     """The sorted distinct values of the concatenated int arrays `parts`, by a
     sort and a neighbour mask: np.unique's first call imports numpy.ma,
@@ -251,7 +233,7 @@ def _forbidden(M: FiniteStructure, gamma, h_elements) -> np.ndarray:
     found = []
     for xi in gamma:
         cols = tuple_columns(h_elements, xi.arity)
-        found.append(_solution_pairs(M, xi, cols, np.zeros(cols.shape[1], dtype=np.intp)))
+        found.append(solution_pairs(M, xi, cols, np.zeros(cols.shape[1], dtype=np.intp)))
     return _distinct(found)
 
 
@@ -302,7 +284,7 @@ def closures(
             for group in column_blocks(len(members), layout.size):
                 cols = pools[group][:, layout].transpose(1, 0, 2).reshape(xi.arity, -1)
                 owner = np.repeat(members[group], layout.shape[1])
-                found.append(_solution_pairs(M, xi, cols, owner))
+                found.append(solution_pairs(M, xi, cols, owner))
     codes = _distinct(found)
     if max_solutions is None:
         max_solutions = max_solution_count(M, gamma)
@@ -326,136 +308,60 @@ def forbidden_set(h_elements, gamma, M: FiniteStructure) -> list[int]:
     return closures(M, h_elements, np.empty((1, 0), dtype=np.intp), gamma).tolist()
 
 
-def _smooth(length: int) -> bool:
-    """Whether length has no prime factor above 5."""
-    for f in (2, 3, 5):
-        while length % f == 0:
-            length //= f
-    return length == 1
+class Coverage:
+    """How many still-uncovered tuples Y of Ψ each element covers, for a Ψ
+    from asymptotics.psi_columns. Y is a weight vector over Ψ's index space,
+    starting as psi.pushforward(), and |Y| is unit times its sum, exact past
+    2**63. A step zeroes the weights of the live positions that psi.solved
+    finds h solves; the next counts() subtracts psi.counter()'s count of
+    them, or recounts the weights left when those are fewer. Counting waits
+    for counts(), so a convolution that is not exact fails in the step that
+    reads it. For Columns this reads each column over the universe at most
+    twice per phase, one block at a time, plus a row over Y per step."""
 
-
-def _transform_length(d: int) -> int:
-    """The FFT length for a cyclic axis of length d: d itself when it is
-    5-smooth, else the smallest 5-smooth length >= 2d - 1, which holds the
-    linear convolution that is then folded back modulo d. On a prime length
-    pocketfft falls back to Bluestein's algorithm, several times slower."""
-    if _smooth(d):
-        return d
-    length = 2 * d - 1
-    while not _smooth(length):
-        length += 1
-    return length
-
-
-def _fold(values: np.ndarray, shape) -> np.ndarray:
-    """A linear convolution folded back onto the group of array shape
-    `shape`: position k of an axis of length d is coordinate k mod d, so a
-    padded axis becomes the sum of its d-long slices."""
-    for axis, d in enumerate(shape):
-        if values.shape[axis] > d:
-            values = values.swapaxes(0, axis)
-            folded = values[:d].copy()
-            for start in range(d, len(values), d):
-                folded[: len(values) - start] += values[start : start + d]
-            values = folded.swapaxes(0, axis)
-    return values
-
-
-class KernelCoverage:
-    """The coverage of a translation kernel's Ψ from its folang.Kernel
-    record, with no per-tuple array. Element h covers tuple t exactly when
-    u(t) lies in h - G, so h covers (1_G * mu)(h) remaining tuples: the
-    convolution over M's additive group of 1_G with mu, the histogram of the
-    remaining tuples' shifts, which starts as the record's pushforward() and
-    loses h - G at each step. A real FFT over the group's array shape
-    (Terras, Fourier Analysis on Finite Groups, 1999) computes it in the
-    pushforward's histogram units, small whatever n^k is."""
-
-    def __init__(self, M: FiniteStructure, record: Kernel):
-        self.kernel = record
-        in_base = np.zeros(M.size, dtype=bool)  # 1_G over the universe
-        in_base[record.base] = True
-        self.unit, self.histogram = record.pushforward()  # mu is unit * histogram
-        self.remaining = self.unit * int(self.histogram.sum())  # |Y|, the tuples mu counts
-        self.shape = M.group_shape  # M's additive group
-        self.lengths = tuple(_transform_length(d) for d in self.shape)  # transform length per axis
-        axes = range(len(self.shape))
-        self.base_hat = np.fft.rfftn(in_base.reshape(self.shape), self.lengths, axes)
+    def __init__(self, psi):
+        self.psi, self.count = psi, psi.counter()
+        self.unit, self.weights = psi.pushforward()
+        self.live = np.flatnonzero(self.weights)  # the positions Y still weighs
+        self.remaining = self.unit * int(self.weights.sum())
+        self.totals, self.removed = None, None  # the counts, and the weights dropped since
 
     def counts(self) -> np.ndarray:
-        """(1_G * mu) in histogram units, rounded and checked exact: each within
-        0.25 of its integer, and summing to |G| * |Y|. greedy_step names the step."""
-        axes = range(len(self.shape))
-        hat = np.fft.rfftn(self.histogram.reshape(self.shape), self.lengths, axes)
-        out = _fold(np.fft.irfftn(self.base_hat * hat, self.lengths, axes), self.shape).ravel()
-        counts = np.rint(out)
-        residual = float(np.abs(out - counts).max(initial=0.0))
-        total = int(counts.sum()) * self.unit if residual < 0.25 else None  # None for a NaN
-        expected = len(self.kernel.base) * self.remaining
-        if not residual < 0.25 or total != expected:
-            raise InvariantError(
-                f"convolution coverage is not exact (rounding residual {residual:.3g}, "
-                f"total {total} against |G| * |Y| = {expected})"
-            )
-        return counts.astype(np.int64)
-
-    def cover(self, M: FiniteStructure, h: int):
-        """Drop the tuples h covers: mu loses h - G."""
-        reached = self.kernel.reach(h)
-        self.remaining -= int(self.histogram[reached].sum()) * self.unit
-        self.histogram[reached] = 0
-
-
-class GridCoverage:
-    """The coverage of any other cover formula, kept incrementally (Minoux
-    1978): the row sums of its n x |Ψ| grid are counted once, and each step
-    subtracts the solution counts of the columns it covers, or recounts the
-    columns left when those are fewer. The grid is read one block at a time
-    and never held: a phase costs at most 2 n |Ψ| cells plus a row per step."""
-
-    def __init__(self, M: FiniteStructure, pf: ParamFormula, cols: np.ndarray):
-        self.pf, self.cols = pf, cols
-        self.left = np.arange(cols.shape[1], dtype=np.intp)  # the columns of Y
-        self.totals = self._row_sums(M, cols)  # remaining columns each element solves
-
-    @property
-    def remaining(self) -> int:
-        return len(self.left)
-
-    def _row_sums(self, M: FiniteStructure, cols: np.ndarray) -> np.ndarray:
-        sums = np.zeros(M.size, dtype=np.int64)
-        for block in column_blocks(cols.shape[1], M.size):
-            sums += solution_mask_matrix(M, self.pf, cols[:, block]).sum(axis=1)
-        return sums
-
-    def counts(self) -> np.ndarray:
+        """Each element's count in units of `unit`."""
+        if self.totals is None:
+            self.totals = self.count(self.weights)
+        elif self.removed is not None:
+            self.totals -= self.count(self.removed)
+        self.removed = None
         return self.totals.copy()
 
-    def cover(self, M: FiniteStructure, h: int):
-        """Drop the columns h covers; their solutions leave the totals."""
-        cols = self.cols[:, self.left]
-        covered = solution_mask_matrix(M, self.pf, cols, rows=[h])[0]
-        if 2 * covered.sum() > len(covered):  # fewer columns left than covered
-            self.totals = self._row_sums(M, cols[:, ~covered])
-        else:
-            self.totals -= self._row_sums(M, cols[:, covered])
-        self.left = self.left[~covered]
+    def cover(self, h: int):
+        """Drop the tuples h covers."""
+        hit = self.psi.solved([h], self.live)
+        gone = self.live[hit]
+        self.remaining -= self.unit * int(self.weights[gone].sum())
+        if 2 * len(gone) > len(self.live):  # fewer positions left than covered
+            self.totals = None
+        elif self.totals is not None:
+            if self.removed is None:
+                self.removed = np.zeros_like(self.weights)
+            self.removed[gone] = self.weights[gone]
+        self.weights[gone] = 0
+        self.live = self.live[~hit]
 
 
 @dataclass
 class GreedyState:
     """One step of the construction: the current formula phase and the
     ordered H so far. `coverage` holds the phase's still-uncovered tuples Y
-    and counts how many of them each element covers: a KernelCoverage, Y as
-    the histogram of its shifts, for a translation kernel, else a
-    GridCoverage, Y as Ψ's columns. `remaining` is |Y|."""
+    and counts how many of them each element covers. `remaining` is |Y|."""
 
     config: GreedyConfig
     formula_index: int
     step: int
     h_elements: list[int]
     provenance: list[tuple[int, int]]
-    coverage: KernelCoverage | GridCoverage = field(repr=False)
+    coverage: Coverage = field(repr=False)
     shrink_factors: list[float] = field(default_factory=list)
 
     @property
@@ -464,11 +370,7 @@ class GreedyState:
 
 
 def _phase_state(cfg: GreedyConfig, M: FiniteStructure, index: int, h, prov) -> GreedyState:
-    psi = psi_columns(M, cfg.delta_profiles[index])
-    if isinstance(psi, Kernel):
-        coverage = KernelCoverage(M, psi)
-    else:
-        coverage = GridCoverage(M, cfg.delta[index], psi[0])
+    coverage = Coverage(psi_columns(M, cfg.delta_profiles[index]))
     return GreedyState(
         config=cfg, formula_index=index, step=0, h_elements=h, provenance=prov, coverage=coverage
     )
@@ -504,7 +406,7 @@ def greedy_step(state: GreedyState, M: FiniteStructure) -> GreedyState:
             f"(formula {state.formula_index}, step {state.step})"
         )
     before = state.remaining
-    state.coverage.cover(M, h)
+    state.coverage.cover(h)
     state.shrink_factors.append(state.remaining / before)
     state.h_elements.append(h)
     state.provenance.append((state.formula_index, state.step))
@@ -654,30 +556,18 @@ def build_h(M: FiniteStructure, cfg: GreedyConfig, mode: str = STRICT):
 
 def verify_cover(M: FiniteStructure, elements, profile: MeasureProfile) -> CoverCertificate:
     """Check that every large parameter tuple of the profiled formula has a
-    witness in H, exhaustively over psi_columns. A translation kernel's
-    tuple t is covered exactly when u(t) lies in H - G, so the support of
-    its shifts must lie in H - G, which checks all n^k tuples at any size;
-    the tuples behind any shift outside are listed as failures. Any
-    other formula is read from its enumerated Ψ, one |H| x block grid at a
-    time, and raises EnumerationBudgetError when the tuple space exceeds
-    the budget; a build has already enumerated the same set."""
-    pf = profile.pf
+    witness in H, exhaustively over psi_columns: the positions of Ψ's index
+    space that no element of H solves are listed as failures. A translation
+    kernel's tuple is covered exactly when its shift lies in H - G, so its
+    shifts check all n^k tuples at any size. Any other formula is read from
+    its enumerated Ψ, and raises EnumerationBudgetError when the tuple space
+    exceeds the budget; a build has already enumerated the same set."""
     psi = psi_columns(M, profile)
-    if isinstance(psi, Kernel):
-        h = np.asarray(elements, dtype=np.intp)
-        reached = np.zeros(M.size, dtype=bool)  # H - G
-        for block in column_blocks(len(h), len(psi.base)):
-            reached[psi.reach(h[block, None])] = True
-        failed = psi.tuples(psi.support() & ~reached)
-        checked = M.size**pf.arity
-    else:
-        cols, _ = psi
-        covered = np.zeros(cols.shape[1], dtype=bool)
-        for block in column_blocks(cols.shape[1], len(elements)):
-            covered[block] = solution_mask_matrix(M, pf, cols[:, block], rows=elements).any(axis=0)
-        failed, checked = cols[:, ~covered], cols.shape[1]
-    failures = [tuple(int(v) for v in col) for col in failed.T]
-    return CoverCertificate(pf.text, "exhaustive", checked, failures, not failures)
+    left = psi.pushforward()[1] > 0
+    live = np.flatnonzero(left)
+    left[live[psi.solved(elements, live)]] = False
+    failures = [tuple(int(v) for v in col) for col in psi.tuples(left).T]
+    return CoverCertificate(profile.pf.text, "exhaustive", psi.width, failures, not failures)
 
 
 def independence_checks(M: FiniteStructure, elements, pf: ParamFormula):

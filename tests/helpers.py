@@ -4,7 +4,8 @@ import hashlib
 import itertools
 import os
 
-from hlab.folang import evaluate
+from hlab.folang import And, Eq, Exists, Forall, Implies, Not, Num, Or, Rel, Var
+from hlab.errors import EvaluationError
 
 
 def digest_tree(out_dir):
@@ -43,3 +44,41 @@ def minimum_cover_size(M, pf, psi):
             if u == full:
                 return k
     raise AssertionError("psi not coverable")
+
+
+def eval_term(M, t, a: dict) -> int:
+    if isinstance(t, Var):
+        try:
+            return a[t.name]
+        except KeyError:
+            raise EvaluationError(f"no binding for variable {t.name!r}") from None
+    if isinstance(t, Num):
+        return M.numeral(t.value)
+    table = M.functions[t.func]
+    if not t.args:
+        return int(table)
+    idx = tuple(eval_term(M, arg, a) for arg in t.args)
+    return int(table[idx])
+
+
+def evaluate(M, f, a: dict) -> bool:
+    """Tarskian truth value by nested loops over the whole universe, with no
+    image cache: the naive reference that eval_bulk is tested against."""
+    if isinstance(f, Eq):
+        return eval_term(M, f.left, a) == eval_term(M, f.right, a)
+    if isinstance(f, Rel):
+        idx = tuple(eval_term(M, arg, a) for arg in f.args)
+        return bool(M.relations[f.name][idx])
+    if isinstance(f, Not):
+        return not evaluate(M, f.body, a)
+    if isinstance(f, And):
+        return evaluate(M, f.left, a) and evaluate(M, f.right, a)
+    if isinstance(f, Or):
+        return evaluate(M, f.left, a) or evaluate(M, f.right, a)
+    if isinstance(f, Implies):
+        return (not evaluate(M, f.left, a)) or evaluate(M, f.right, a)
+    if isinstance(f, Forall):
+        return all(evaluate(M, f.body, {**a, f.var: c}) for c in range(M.size))
+    if isinstance(f, Exists):
+        return any(evaluate(M, f.body, {**a, f.var: c}) for c in range(M.size))
+    raise TypeError(f"not a formula: {f!r}")

@@ -4,7 +4,8 @@ fit_counts is the measure fit over one count per parameter tuple, the way
 profile_family fitted before it kept count histograms; asymptotics._fit must
 agree with it on every input. tuple_psi is Ψ enumerated tuple by tuple,
 each tuple counted on the grid, the way psi_columns named a translation
-kernel's Ψ before it took the pushforward of the shifts.
+kernel's Ψ before it took the pushforward of the shifts; columns_psi is the
+same Ψ as folang.Columns, the grid route's Ψ, to put in psi_columns' place.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 from hlab._util import _lex_tuples, tuple_columns
 from hlab.asymptotics import MAX_MEASURES, StructureStats, _classify_counts
 from hlab.errors import NotOneDimensionalError
-from hlab.folang import solution_mask_matrix
+from hlab.folang import Columns, solution_mask_matrix
 
 
 def fit_counts(text, observed, gap, ceiling):
@@ -131,3 +132,8 @@ def tuple_psi(M, profile):
     counts = solution_mask_matrix(M, profile.pf, tuple_columns(range(n), k)).sum(axis=0)
     flats = np.flatnonzero(_classify_counts(profile, n, counts)[0])
     return _lex_tuples(flats, n, k), counts[flats]
+
+
+def columns_psi(M, profile):
+    """tuple_psi as folang.Columns: any formula's Ψ on the grid route."""
+    return Columns(M, profile.pf, *tuple_psi(M, profile))

@@ -27,7 +27,7 @@ from hlab.finitemodels import (
     make_prime_field,
     primes_in,
 )
-from hlab.folang import Kernel, kernel, parse_formula, solution_count, solution_counts_all
+from hlab.folang import kernel, parse_formula, plan, solution_count, solution_counts_all
 
 from profile_oracle import fit_counts, tuple_psi
 
@@ -184,7 +184,7 @@ class TestPsiSet:
         _, _, prof = square_shift_profile
         M = make_prime_field(101)
         psi = psi_columns(M, prof)
-        assert isinstance(psi, Kernel) and psi_columns(M, prof) is psi
+        assert plan(prof.pf).kind == "kernel" and psi_columns(M, prof) is psi
         unit, histogram = psi.pushforward()
         assert len(psi.base) == 51 and unit == 1 and histogram.tolist() == [1] * 101
         # the record keeps G and a few ints, never the pushforward itself
@@ -202,11 +202,12 @@ class TestPsiSet:
         M = small_prime_family[2]
         counts, large = enumerated_counts(prof, M)
         assert counts is solution_counts_all(M, pf) and not counts.flags.writeable
-        cols, psi_counts = psi_columns(M, prof)
+        psi = psi_columns(M, prof)
+        cols, psi_counts = psi.cols, psi.counts
         again = psi_columns(M, prof)
-        assert again[0] is not cols and again[1] is not psi_counts
-        np.testing.assert_array_equal(again[0], cols)
-        np.testing.assert_array_equal(again[1], psi_counts)
+        assert again.cols is not cols and again.counts is not psi_counts
+        np.testing.assert_array_equal(again.cols, cols)
+        np.testing.assert_array_equal(again.counts, psi_counts)
         np.testing.assert_array_equal(psi_counts, counts[large])
         # another structure adds its own entry and replaces none
         psi_columns(small_prime_family[3], prof)
@@ -225,7 +226,8 @@ class TestPsiSet:
             raise AssertionError("a profiled structure was evaluated again")
 
         monkeypatch.setattr(folang, "solution_mask_matrix", refuse)
-        got_cols, got_counts = psi_columns(M, prof)
+        got = psi_columns(M, prof)
+        got_cols, got_counts = got.cols, got.counts
         np.testing.assert_array_equal(got_cols, cols)
         np.testing.assert_array_equal(got_counts, large_counts)
         stored, large = enumerated_counts(prof, M)
@@ -240,7 +242,7 @@ class TestPsiSet:
         pf_a = parse_formula("exists z. z*z = x - y", sig)
         pf_b = parse_formula("!(!(exists z. z*z = x - y))", sig)
         # exhaustive truth-table agreement on the structure
-        from hlab.folang import evaluate
+        from helpers import evaluate
 
         for x in range(13):
             for y in range(13):

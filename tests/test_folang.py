@@ -34,19 +34,16 @@ from hlab.folang import (
     Rel,
     ParamFormula,
     Var,
-    _exists_plan,
     _image_mask,
-    _kernel_shift,
     _polynomial,
     eval_bulk,
-    eval_term,
-    evaluate,
     free_vars,
     free_vars_in_order,
     kernel,
     normalize,
     parse,
     parse_formula,
+    plan,
     pretty,
     solution_count,
     solution_counts_all,
@@ -54,6 +51,8 @@ from hlab.folang import (
     solution_set,
     term_vars,
 )
+
+from helpers import eval_term, evaluate
 
 LEMMA_TEXT = "exists z. z*z = x - y1 & !(exists z. z*z = x - y2)"
 
@@ -289,7 +288,7 @@ class TestCounting:
         p = 100003
         M = make_prime_field(p)
         pf = parse_formula("exists z. z*z = x - y & !(z = 0)", M.sig)
-        assert _exists_plan(pf.formula) is not None
+        assert pf.formula.image is not None
         for y in (0, 1, p - 4):
             assert solution_count(M, pf, (y,)) == (p - 1) // 2
 
@@ -460,17 +459,17 @@ class TestEvaluatorAgreement:
     def test_empty_domain_image_is_empty(self, gf7):
         # the image term has no z, so only the empty domain makes it false
         f = normalize(parse("exists z. x = 0 & !(z = z)", gf7.sig))
-        assert _exists_plan(f) is not None
+        assert f.image is not None
         assert not eval_bulk(gf7, f, {"x": np.arange(7)}).any()
 
     def test_mixed_conjunct_falls_back(self, gf7):
         f = normalize(parse("exists z. z*z = x - y & !(z = y)", gf7.sig))
-        assert _exists_plan(f) is None
+        assert f.image is None
         assert_bulk_matches_naive(gf7, f)
 
     def test_forall_of_negated_conjunction_is_planned(self, gf7):
         f = normalize(parse("forall z. !(z*z = x & !(z = 0))", gf7.sig))
-        assert _exists_plan(f.body) is not None
+        assert f.body.image is not None
         assert_bulk_matches_naive(gf7, f)
 
     @settings(max_examples=300)
@@ -616,7 +615,7 @@ class TestImageCacheRace:
     def test_cold_structure_stores_one_mask(self, race):
         # eight threads on a cold structure: each must get the one stored mask
         f = normalize(parse("exists z. z*z = x - y & !(z = 0)", make_prime_field(5).sig))
-        image_term, _, domain, _ = _exists_plan(f)
+        image_term, _, domain, _ = f.image
         reference = _image_mask(make_prime_field(10007), image_term, "z", domain)
         M = make_prime_field(10007)
         masks = race(lambda: _image_mask(M, image_term, "z", domain))
@@ -657,7 +656,7 @@ def assert_kernel_matches_naive(M, pf, cols):
 
 
 def is_kernel(pf):
-    return _kernel_shift(pf.formula, pf.object_var, pf.params) is not None
+    return plan(pf).kind == "kernel"
 
 
 KERNEL_STRUCTURES = {

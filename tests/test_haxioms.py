@@ -13,7 +13,7 @@ from hlab._util import dump_json
 from hlab.asymptotics import large_columns, profile_family
 from hlab.errors import InvariantError
 from hlab.finitemodels import make_cyclic_group, make_prime_field, primes_in
-from hlab.folang import evaluate, kernel, parse_formula, solution_set, within_budget
+from hlab.folang import kernel, parse_formula, solution_set, within_budget
 from hlab.hsequence import closure
 from hlab.hgreedy import BEST_EFFORT, STRICT, build_h, derive_config
 from hlab.haxioms import (
@@ -24,6 +24,8 @@ from hlab.haxioms import (
     check_independence,
     run_axiom_checks,
 )
+
+from helpers import evaluate
 
 
 def replay_extension(M, h, profiles, gamma, *, samples, base_max, seed, gamma_max_solutions):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hlab import hgreedy
+from hlab import folang, hgreedy
 from hlab.errors import (
     ConfigRejectedError,
     EnumerationBudgetError,
@@ -26,10 +26,13 @@ from hlab.finitemodels import (
     primes_in,
 )
 from hlab.folang import (
-    evaluate,
+    Columns,
+    Kernel,
+    count_columns,
     kernel,
     max_solution_count,
     parse_formula,
+    plan,
     solution_counts_all,
     solution_mask_matrix,
 )
@@ -39,8 +42,7 @@ from hlab.hgreedy import (
     BEST_EFFORT,
     STRICT,
     GreedyState,
-    GridCoverage,
-    KernelCoverage,
+    Coverage,
     _phase_state,
     build_h,
     closures,
@@ -53,8 +55,8 @@ from hlab.hgreedy import (
     verify_cover,
 )
 
-from helpers import minimum_cover_size
-from profile_oracle import tuple_psi
+from helpers import evaluate, minimum_cover_size
+from profile_oracle import columns_psi, tuple_psi
 
 DECAY_09 = -math.log(1 - 0.45)  # mu = 0.9
 DECAY_04 = -math.log(0.8)  # mu = 0.4
@@ -325,7 +327,7 @@ class TestGreedyStep:
         greedy_step(state, z13)
         assert state.h_elements == [0]  # all 13 candidates tie at 12; index wins
         # the shift of !(x = y) at y is y: only the tuple (0,) is left
-        assert state.remaining == 1 and np.flatnonzero(state.coverage.histogram).tolist() == [0]
+        assert state.remaining == 1 and np.flatnonzero(state.coverage.weights).tolist() == [0]
         greedy_step(state, z13)
         assert state.h_elements == [0, 1]
         assert state.remaining == 0
@@ -341,14 +343,14 @@ class TestGreedyStep:
     def test_exhausted_eligible_set(self, blocker_config):
         # on Z_2 the two avoid formulas forbid everything once H = [0]
         z2 = make_cyclic_group(2)
-        cols = np.arange(2, dtype=np.intp)[None, :]
+        pf, cols = blocker_config.delta[0], np.arange(2, dtype=np.intp)[None, :]
         state = GreedyState(
             config=blocker_config,
             formula_index=0,
             step=0,
             h_elements=[],
             provenance=[],
-            coverage=GridCoverage(z2, blocker_config.delta[0], cols),
+            coverage=Coverage(Columns(z2, pf, cols, count_columns(z2, pf, cols))),
         )
         greedy_step(state, z2)
         assert state.h_elements == [0]
@@ -541,16 +543,16 @@ class TestWiderArities:
         fam = cyclic_family_30
         cfg = derive_config(profiled(fam, [cover]), profiled(fam, [xz]), 0.4)
         M = cyclic_family_30[-1]
-        assert (kernel(M, cover) is not None) == is_kernel
+        assert (plan(cover).kind == "kernel") == is_kernel
         builds = []
         if is_kernel:
-            assert isinstance(_phase_state(cfg, M, 0, [], []).coverage, KernelCoverage)
+            assert _phase_state(cfg, M, 0, [], []).coverage.psi is kernel(M, cover)
             builds.append(build_h(M, cfg, BEST_EFFORT))
-            monkeypatch.setattr(hgreedy, "psi_columns", tuple_psi)
+            monkeypatch.setattr(hgreedy, "psi_columns", columns_psi)
         for budget in (None, 64):
             if budget is not None:
                 shrink_budget(budget)
-            assert isinstance(_phase_state(cfg, M, 0, [], []).coverage, GridCoverage)
+            assert isinstance(_phase_state(cfg, M, 0, [], []).coverage.psi, Columns)
             builds.append(build_h(M, cfg, BEST_EFFORT))
         (h_first, report_first), *others = builds
         for h, report in others:
@@ -606,13 +608,14 @@ class TestConvolutionCoverage:
 
             def checked_step(state, M):
                 coverage = state.coverage
-                assert isinstance(coverage, route)
-                if route is GridCoverage:
-                    y_cols, unit = coverage.cols[:, coverage.left], 1
+                if route == "columns":
+                    assert isinstance(coverage.psi, Columns)
+                    y_cols = coverage.psi.cols[:, coverage.live]
                 else:  # Y is every tuple whose shift mu still counts, in units of the pushforward's
+                    assert coverage.psi is kernel(M, pf)
                     cols, _ = tuple_psi(M, cfg.delta_profiles[0])
-                    y_cols = cols[:, coverage.histogram[kernel(M, pf).shifts(cols)] > 0]
-                    unit = coverage.unit
+                    y_cols = cols[:, coverage.weights[coverage.psi.shifts(cols)] > 0]
+                unit = coverage.unit
                 assert state.remaining == y_cols.shape[1]
                 expected = solution_mask_matrix(M, pf, y_cols).sum(axis=1)
                 assert np.array_equal(state.coverage.counts() * unit, expected)
@@ -621,14 +624,14 @@ class TestConvolutionCoverage:
 
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(hgreedy, "greedy_step", checked_step)
-                if route is GridCoverage:
-                    patch.setattr(hgreedy, "psi_columns", tuple_psi)
+                if route == "columns":
+                    patch.setattr(hgreedy, "psi_columns", columns_psi)
                 h, report = build_h(M, cfg, BEST_EFFORT)
             assert checked == list(range(len(h)))
             return h, report
 
-        h_conv, report_conv = build(KernelCoverage)
-        h_grid, report_grid = build(GridCoverage)
+        h_conv, report_conv = build("kernel")
+        h_grid, report_grid = build("columns")
         assert h_conv.elements == h_grid.elements
         assert report_conv.to_json_dict() == report_grid.to_json_dict()
 
@@ -652,12 +655,16 @@ class TestConvolutionCoverage:
         # transform, and |Y| stays exact past 2^63
         unit = data.draw(st.sampled_from([1, 3, 10**15, 2**70]))
         sub, g = M.functions["sub"], np.array(base, dtype=np.intp)
-        record = SimpleNamespace(  # what KernelCoverage reads of a Kernel, for any G and shifts
+        record = SimpleNamespace(  # what a Kernel's counter and solved read, for any G and shifts
+            M=M,
             base=g,
+            low=len(g),
             pushforward=lambda: (unit, np.bincount(shifts, minlength=M.size)),
             reach=lambda h: np.asarray(sub[h, g], dtype=np.intp),
         )
-        cover = KernelCoverage(M, record)
+        record.counter = functools.partial(Kernel.counter, record)
+        record.solved = functools.partial(Kernel.solved, record)
+        cover = Coverage(record)
         assert cover.remaining == unit * len(shifts)
         hit = np.isin(sub[np.arange(M.size)[:, None], shifts[None, :]], base)
         products = []  # the inverse transform, before folding and rounding
@@ -678,9 +685,9 @@ class TestConvolutionCoverage:
         out = np.bincount(fold, products[0].ravel(), M.size)
         assert np.abs(out - counts).max() < 1e-6
         h = data.draw(elements)
-        cover.cover(M, h)
+        cover.cover(h)
         left = np.bincount(shifts[~hit[h]], minlength=M.size)
-        assert np.array_equal(cover.histogram, left)
+        assert np.array_equal(cover.weights, left)
         assert cover.remaining == unit * int((~hit[h]).sum())
 
     @pytest.mark.parametrize(
@@ -783,11 +790,12 @@ class TestBlockReducers:
             out = []
             for pf in pfs:
                 cols = tuple_columns(range(M.size), pf.arity)
-                coverage = GridCoverage(M, pf, cols)
+                coverage = Coverage(Columns(M, pf, cols, count_columns(M, pf, cols)))
                 out.append(coverage.counts())
-                coverage.left = coverage.left[::2]
-                coverage.cover(M, 1)
-                out.append(coverage.left)
+                coverage.cover(0)
+                out.append(coverage.counts())
+                coverage.cover(1)
+                out.append(coverage.live)
                 out += [coverage.counts(), solution_counts_all(M, pf)]
                 out += sample_columns(M, pf, 3, 40)
                 cert, witnesses = independence_checks(M, [1, 4, 0, 7, 2, 5], pf)
@@ -827,7 +835,7 @@ class TestGridCoverageWork:
         cfg = derive_config(profiled(fam, [cover]), profiled(fam, [xz]), mu)
         assert kernel(M, cover) is None
         cells = []
-        grid = hgreedy.solution_mask_matrix
+        grid = folang.solution_mask_matrix
 
         def counting(M, pf, cols, rows=None):
             out = grid(M, pf, cols, rows)
@@ -836,14 +844,14 @@ class TestGridCoverageWork:
             return out
 
         shrink_budget(1000)
-        monkeypatch.setattr(hgreedy, "solution_mask_matrix", counting)
+        monkeypatch.setattr(folang, "solution_mask_matrix", counting)
         state = _phase_state(cfg, M, 0, [], [])
-        assert isinstance(state.coverage, GridCoverage)
+        assert isinstance(state.coverage.psi, Columns)
         sizes = []
         while state.remaining:
             sizes.append(state.remaining)
             greedy_step(state, M)
-        n, psi, after = M.size, state.coverage.cols.shape[1], sizes[1:] + [0]
+        n, psi, after = M.size, state.coverage.psi.width, sizes[1:] + [0]
         cheaper = sum(n * min(y - y1, y1) for y, y1 in zip(sizes, after))
         assert sum(cells) <= n * psi + sum(sizes) + cheaper
         assert sum(cells) <= 2 * n * psi + sum(sizes)

@@ -5,7 +5,7 @@ import pytest
 from hlab import folang, lovelypair
 from hlab.errors import SignatureMismatchError
 from hlab.finitemodels import least_nonresidue, make_extension_field, primes_in
-from hlab.folang import column_blocks, evaluate, parse_formula, solution_count
+from hlab.folang import column_blocks, parse_formula, solution_count
 from hlab.lovelypair import (
     build_quadratic_pair,
     csv_rows,
@@ -15,6 +15,8 @@ from hlab.lovelypair import (
     run_experiment,
     subfield_violations,
 )
+
+from helpers import evaluate
 
 ODD_PRIMES_97 = [p for p in primes_in(3, 97)]
 

@@ -8,15 +8,15 @@ are not linear (y*y, y1*y2, frob), which take the bincount."""
 import numpy as np
 import pytest
 
-from hlab import asymptotics, folang, haxioms, hgreedy
+from hlab import _util, asymptotics, folang, haxioms, hgreedy
 from hlab.asymptotics import _classify_counts, large_columns, profile_family, psi_columns, psi_set, sample_columns
 from hlab.errors import LabError
 from hlab.finitemodels import make_cyclic_group, make_extension_field, make_f2_vector_space, make_prime_field
-from hlab.folang import Kernel, kernel, parse_formula
+from hlab.folang import kernel, parse_formula, plan
 from hlab.haxioms import _draw_samples, check_density, check_extension, run_axiom_checks
-from hlab.hgreedy import BEST_EFFORT, KernelCoverage, build_h, derive_config, verify_cover
+from hlab.hgreedy import BEST_EFFORT, Coverage, build_h, derive_config, verify_cover
 
-from profile_oracle import tuple_psi
+from profile_oracle import columns_psi, tuple_psi
 
 PARAMS = {1: ("y",), 2: ("y1", "y2"), 3: ("y1", "y2", "y3")}
 
@@ -108,18 +108,18 @@ def test_pushforward_matches_tuple_enumeration(kind, k, monkeypatch):
     M, cfg = case(kind, k)
     prof, pf = cfg.delta_profiles[0], cfg.delta[0]
     psi = psi_columns(M, prof)
-    assert isinstance(psi, Kernel) and psi is kernel(M, pf)
+    assert plan(pf).kind == "kernel" and psi is kernel(M, pf)
     cols, counts = tuple_psi(M, prof)
     assert psi_set(M, prof) == [tuple(int(v) for v in col) for col in cols.T]
     unit, histogram = psi.pushforward()
     assert unit * int(histogram.sum()) == cols.shape[1] and set(counts.tolist()) <= {len(psi.base)}
-    assert int(np.gcd.reduce(histogram)) == 1 and np.array_equal(histogram > 0, psi.support())
+    assert int(np.gcd.reduce(histogram)) == 1 and np.array_equal(histogram > 0, np.isin(np.arange(M.size), psi.shifts(cols)))
     with monkeypatch.context() as patch:
         pushforward = run_checks(M, cfg, patch)
     assert isinstance(pushforward[0], list)  # built, so every check ran
     # the tuple route: Ψ enumerated for the build, the certificates and the draws
-    monkeypatch.setattr(hgreedy, "psi_columns", tuple_psi)
-    monkeypatch.setattr(asymptotics, "psi_columns", tuple_psi)
+    monkeypatch.setattr(hgreedy, "psi_columns", columns_psi)
+    monkeypatch.setattr(asymptotics, "psi_columns", columns_psi)
     enumerated = run_checks(M, cfg, monkeypatch)
     assert pushforward[0] == enumerated[0]
     assert len(pushforward[1]) == len(enumerated[1])
@@ -141,7 +141,7 @@ def test_cases_cover_both_routes_and_a_proper_image():
     assert unit == 2 and histogram.tolist() == [0, 1] * 6
     # GF(7^2) pads both axes of its group (7, 7) for the transform
     M, _ = case("GF(p^2)", 1)
-    assert M.group_shape == (7, 7) and hgreedy._transform_length(7) > 7
+    assert M.group_shape == (7, 7) and _util._transform_length(7) > 7
 
 
 @pytest.mark.parametrize("kind, k", [("Z_n", 3), ("GF(p)", 2), ("GF(p^2)", 3)])
@@ -211,7 +211,7 @@ def test_linear_kernel_record_evaluates_no_term(monkeypatch):
 
     monkeypatch.setattr(folang, "_bulk_term", counted)
     assert psi_columns(M, prof) is record
-    KernelCoverage(M, record).counts()
+    Coverage(record).counts()
     assert verify_cover(M, h.elements, prof).passed
     assert check_density(M, h.elements, cfg.delta_profiles)["passed"]
     width, low, _ = large_columns(M, prof, 0, 10)
