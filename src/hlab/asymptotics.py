@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ClassificationGapError, EmptyFamilyError, NotOneDimensionalError
+from .errors import ClassificationGapError, EmptyFamilyError, NotOneDimensionalError, where
 from .finitemodels import FiniteStructure
 from .folang import (
     Columns,
@@ -139,7 +139,7 @@ def _observe(M: FiniteStructure, pf: ParamFormula, samples: int, seed: int):
     return (*np.unique(counts, return_counts=True), False)
 
 
-def _fit(text: str, observed, gap: float, ceiling: float):
+def _fit(observed, gap: float, ceiling: float):
     """Fit (E, C, B) to count histograms, one per structure, largest first:
     (size, counts, tuples, enumerated), with the distinct counts ascending
     and the number of parameter tuples with each. Returns E, C, B and the
@@ -205,7 +205,7 @@ def _fit(text: str, observed, gap: float, ceiling: float):
                 continue
             if len(sum_counts) >= MAX_MEASURES:
                 raise NotOneDimensionalError(
-                    f"formula {text!r}: more than {MAX_MEASURES} measures needed "
+                    f"more than {MAX_MEASURES} measures needed "
                     f"at size {n}; not asymptotically one-dimensional at this scale",
                     offenders=[(n, int(c)) for c in counts[rest][:10]],
                 )
@@ -237,7 +237,7 @@ def _fit(text: str, observed, gap: float, ceiling: float):
         if lg.any():
             if not len(mus):
                 raise NotOneDimensionalError(
-                    f"formula {text!r}: counts above the algebraic bound with no measures",
+                    "counts above the algebraic bound with no measures",
                     offenders=[(n, int(c)) for c in counts[lg][:10]],
                 )
             resid = np.abs(counts[lg, None] - mus[None, :] * n).min(axis=1) / sqrt_n
@@ -259,17 +259,14 @@ def _fit(text: str, observed, gap: float, ceiling: float):
     if max_residual > ceiling:
         worst.sort(reverse=True)
         raise NotOneDimensionalError(
-            f"formula {text!r}: envelope needs C = {max_residual:.3f} > ceiling "
+            f"envelope needs C = {max_residual:.3f} > ceiling "
             f"{ceiling}; not asymptotically one-dimensional at this scale",
             offenders=worst[:5],
         )
     if B is not None and E:
         smallest = min(n for n, *_ in observed)
         if B >= min(E) * smallest:
-            raise NotOneDimensionalError(
-                f"formula {text!r}: algebraic bound {B} overlaps the measure "
-                f"envelope at size {smallest}"
-            )
+            raise NotOneDimensionalError(f"algebraic bound {B} overlaps the measure envelope at size {smallest}")
     stats.sort(key=lambda s: s.size)
     return E, C, B, stats
 
@@ -284,18 +281,18 @@ def profile_family(
     seed: int = 0,
 ) -> MeasureProfile:
     """Fit (E, C, B) to the observed count histograms of one formula over a
-    family."""
-    if len(family) < 2:
-        members = ", ".join(M.describe() for M in family) or "none"
-        raise EmptyFamilyError(
-            f"formula {pf.text!r}: profiling needs at least two structures, "
-            f"the family has {len(family)} ({members})"
-        )
-    observed = [
-        (M.size, *_observe(M, pf, samples, seed))
-        for M in sorted(family, key=lambda m: m.size, reverse=True)
-    ]
-    E, C, B, stats = _fit(pf.text, observed, gap, ceiling)
+    family; a LabError names the formula."""
+    with where(formula=pf.text):
+        if len(family) < 2:
+            members = ", ".join(M.describe() for M in family) or "none"
+            raise EmptyFamilyError(
+                f"profiling needs at least two structures, the family has {len(family)} ({members})"
+            )
+        observed = [
+            (M.size, *_observe(M, pf, samples, seed))
+            for M in sorted(family, key=lambda m: m.size, reverse=True)
+        ]
+        E, C, B, stats = _fit(observed, gap, ceiling)
     return MeasureProfile(
         formula=pf.key(),
         E=[float(m) for m in E],

@@ -31,7 +31,7 @@ from .asymptotics import (
     enumerated_counts,
     profile_family,
 )
-from .errors import EmptyFamilyError, ExperimentConfigError, LabError
+from .errors import EmptyFamilyError, ExperimentConfigError, LabError, where
 from .finitemodels import (
     EXTENSION_FIELD,
     FamilySpec,
@@ -48,7 +48,7 @@ from .hgreedy import (
     require_threshold,
     size_threshold_ok,
 )
-from .haxioms import run_axiom_checks
+from .haxioms import DEFAULT_BASE_MAX, DEFAULT_EXTENSION_SAMPLES, run_axiom_checks
 from .hsequence import (
     COARSE_DIM,
     FormulaSchedule,
@@ -78,8 +78,8 @@ class ExperimentConfig:
     threads: int | None = None
     out_dir: str = "reports"
     profile_samples: int = DEFAULT_SAMPLES
-    extension_samples: int = 1000
-    base_max: int = 3
+    extension_samples: int = DEFAULT_EXTENSION_SAMPLES
+    base_max: int = DEFAULT_BASE_MAX
     emit_counts: bool = False
     window: int = 3
     sweep_a1: bool = False
@@ -114,10 +114,10 @@ _TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
 _SCALARS = {"int": _as_int, "float": _as_float, "str": _is(str, "a string"), "bool": _is(bool, "true or false")}
 
 
-def _reject_unknown(d: dict, allowed: set, where: str):
+def _reject_unknown(d: dict, allowed: set, place: str):
     unknown = set(d) - allowed
     if unknown:
-        raise ExperimentConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+        raise ExperimentConfigError(f"unknown key(s) {sorted(unknown)} in {place}")
 
 
 def _parse_family(raw) -> FamilySpec:
@@ -156,22 +156,22 @@ def _parse_family(raw) -> FamilySpec:
     return spec
 
 
-def _parse_formula_entry(raw, sig, where: str) -> ParamFormula:
+def _parse_formula_entry(raw, sig, place: str) -> ParamFormula:
     if isinstance(raw, str):
         return parse_formula(raw, sig)
     if isinstance(raw, dict):
-        _reject_unknown(raw, _FORMULA_KEYS, where)
+        _reject_unknown(raw, _FORMULA_KEYS, place)
         if "text" not in raw:
-            raise ExperimentConfigError(f"{where}: formula object needs 'text'")
+            raise ExperimentConfigError(f"{place}: formula object needs 'text'")
         object_var, params = raw.get("object", "x"), raw.get("params")
         if not isinstance(object_var, str):
-            raise ExperimentConfigError(f"{where}: 'object' must be a string, got {object_var!r}")
+            raise ExperimentConfigError(f"{place}: 'object' must be a string, got {object_var!r}")
         if params is not None and not (isinstance(params, list) and all(isinstance(v, str) for v in params)):
-            raise ExperimentConfigError(f"{where}: 'params' must be a list of strings, got {params!r}")
+            raise ExperimentConfigError(f"{place}: 'params' must be a list of strings, got {params!r}")
         return parse_formula(
             raw["text"], sig, object_var=object_var, params=None if params is None else tuple(params)
         )
-    raise ExperimentConfigError(f"{where}: formula must be a string or an object")
+    raise ExperimentConfigError(f"{place}: formula must be a string or an object")
 
 
 def _parse_formula_list(raw, sig, key: str) -> list[ParamFormula]:
@@ -289,21 +289,22 @@ def _build_family(cfg: ExperimentConfig, threads: int, check=None):
     structure that passes the threshold, one pooled job per structure.
     Returns (M, H, build report, check(M, H, gcfg) or None) per built
     structure; a check runs in the job that built its H."""
+    if cfg.mode == COARSE_DIM:
+        raise ExperimentConfigError("mode 'coarse-dim' applies to the sequence command")
     family = enumerate_family(cfg.family)
     gcfg = derive_config(
         _profiles(cfg, family, cfg.cover), _profiles(cfg, family, cfg.avoid), cfg.mu
     )
-    mode = BEST_EFFORT if cfg.mode == BEST_EFFORT else STRICT
     skipped = []
     jobs = []
     for M in family:
-        if mode == STRICT and not size_threshold_ok(gcfg, M).ok:
+        if cfg.mode == STRICT and not size_threshold_ok(gcfg, M).ok:
             skipped.append(M.size)
         else:
             jobs.append(M)
 
     def job(M):
-        h_set, report = build_h(M, gcfg, mode)
+        h_set, report = build_h(M, gcfg, cfg.mode)
         return h_set, report, None if check is None else check(M, h_set, gcfg)
 
     results = parallel_map(job, jobs, threads)
@@ -312,8 +313,6 @@ def _build_family(cfg: ExperimentConfig, threads: int, check=None):
 
 def cmd_build(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
     _require(cfg, cover=True, avoid=True, command="build")
-    if cfg.mode == COARSE_DIM:
-        raise ExperimentConfigError("mode 'coarse-dim' applies to the sequence command")
     gcfg, builds, skipped = _build_family(cfg, threads)
     payload = {
         "config": gcfg.summary(),
@@ -345,7 +344,8 @@ def cmd_sequence(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
     plan = schedule_in(family, sched, cfg.mu, mode=cfg.mode)
     if all(e.level is None for e in plan.entries):
         # every structure fails every level, so the largest fails level 0
-        require_threshold(plan.configs[0], family[-1])
+        with where(structure=family[-1].describe()):
+            require_threshold(plan.configs[0], family[-1])
     build_sequence(plan, threads=threads)
     series = coarse_dimension_series(plan, window=cfg.window)
     atomic_write_text(os.path.join(out_dir, "plan.json"), dump_json(plan.to_json_dict()))
@@ -359,8 +359,6 @@ def cmd_sequence(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
 
 def cmd_axioms(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
     _require(cfg, cover=True, avoid=True, command="axioms")
-    if cfg.mode == COARSE_DIM:
-        raise ExperimentConfigError("mode 'coarse-dim' applies to the sequence command")
 
     def check(M, h_set, gcfg):
         return run_axiom_checks(

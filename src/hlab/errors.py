@@ -1,8 +1,16 @@
-"""Exception types shared across the lab."""
+"""Exception types shared across the lab; `where` names an error's structure, formula and step."""
+
+from contextlib import contextmanager
+
+_FACTS = {"structure": "{}", "formula": "formula {!r}", "step": "step {}"}  # in message order
 
 
 class LabError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; `where`'s facts prefix its message."""
+
+    def __str__(self):
+        named = [shape.format(vars(self)[fact]) for fact, shape in _FACTS.items() if fact in vars(self)]
+        return ", ".join(named) + ": " + super().__str__() if named else super().__str__()
 
     def __reduce__(self):
         # rebuilt from the formatted message and the attributes, not by
@@ -15,6 +23,16 @@ def _rebuild(cls, args, state):
     error = cls.__new__(cls, *args)
     error.__dict__.update(state)
     return error
+
+
+@contextmanager
+def where(**facts):
+    """Name the block's structure, formula or step on a LabError leaving it; the innermost fact wins."""
+    try:
+        yield
+    except LabError as error:
+        error.__dict__ = facts | error.__dict__  # a fact the error carries wins
+        raise
 
 
 class FormulaSyntaxError(LabError):

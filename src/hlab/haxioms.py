@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import large_columns
-from .errors import InvariantError, StructureTooSmallError
+from .errors import InvariantError, StructureTooSmallError, where
 from .finitemodels import FiniteStructure
 from .folang import column_blocks, max_solution_count, solves
 from .hgreedy import _union_bound, closures, independence_checks, verify_cover
@@ -29,6 +29,8 @@ SCOPE_NOTE = (
     "sampled parameter tuples of the listed cover formulas; closure truncated "
     "to the listed avoid formulas; symmetric independence is informational"
 )
+DEFAULT_EXTENSION_SAMPLES = 1000
+DEFAULT_BASE_MAX = 3
 
 
 @dataclass
@@ -128,8 +130,8 @@ def check_extension(
     profiles,
     gamma_trunc,
     *,
-    samples: int = 1000,
-    base_max: int = 3,
+    samples: int = DEFAULT_EXTENSION_SAMPLES,
+    base_max: int = DEFAULT_BASE_MAX,
     seed: int = 0,
     gamma_max_solutions: int | None = None,
 ) -> dict:
@@ -154,10 +156,7 @@ def check_extension(
     enforced.
     """
     if base_max > M.size:
-        raise StructureTooSmallError(
-            f"{M.describe()} has {M.size} elements, too few for an extension base "
-            f"of base_max = {base_max} distinct elements"
-        )
+        raise StructureTooSmallError(f"size {M.size} is too small for an extension base of {base_max} elements")
     gamma = list(gamma_trunc)
     rng = np.random.default_rng([seed, M.size, 3])
 
@@ -223,11 +222,11 @@ def check_extension(
             }
         )
     if sufficient and failures:
-        raise InvariantError(
-            f"{M.describe()}, formula {failures[0]['formula']!r}, extension sample with "
-            f"params {failures[0]['params']}: failed although the closure bound "
-            f"{closure_bound} is below the smallest large count {min_large_count}"
-        )
+        with where(formula=failures[0]["formula"]):
+            raise InvariantError(
+                f"extension sample with params {failures[0]['params']}: failed although the "
+                f"closure bound {closure_bound} is below the smallest large count {min_large_count}"
+            )
     return {
         "passed": not failures,
         "n_samples": samples,
@@ -244,27 +243,31 @@ def run_axiom_checks(
     elements,
     cfg,
     *,
-    extension_samples: int = 1000,
-    base_max: int = 3,
+    extension_samples: int = DEFAULT_EXTENSION_SAMPLES,
+    base_max: int = DEFAULT_BASE_MAX,
     seed: int = 0,
 ) -> AxiomReport:
     """All three checks of H's ordered element list against a build config."""
-    independence = check_independence(M, elements, cfg.gamma)
-    density = check_density(M, elements, cfg.delta_profiles)
-    extension = check_extension(
-        M,
-        elements,
-        cfg.delta_profiles,
-        cfg.gamma,
-        samples=extension_samples,
-        base_max=base_max,
-        seed=seed,
-        gamma_max_solutions=cfg.gamma_max_solutions,
-    )
+    structure = M.describe()
+    with where(structure=structure, step="independence"):
+        independence = check_independence(M, elements, cfg.gamma)
+    with where(structure=structure, step="density"):
+        density = check_density(M, elements, cfg.delta_profiles)
+    with where(structure=structure, step="extension"):
+        extension = check_extension(
+            M,
+            elements,
+            cfg.delta_profiles,
+            cfg.gamma,
+            samples=extension_samples,
+            base_max=base_max,
+            seed=seed,
+            gamma_max_solutions=cfg.gamma_max_solutions,
+        )
     return AxiomReport(
         scope=SCOPE_NOTE,
         size=M.size,
-        structure=M.describe(),
+        structure=structure,
         independence=independence,
         density=density,
         extension=extension,

@@ -46,6 +46,7 @@ from .errors import (
     InvariantError,
     StructureTooSmallError,
     ThresholdNotMetError,
+    where,
 )
 from .finitemodels import FiniteStructure
 from .folang import (
@@ -203,15 +204,13 @@ def size_threshold_ok(cfg: GreedyConfig, M) -> ThresholdCheck:
 
 
 def require_threshold(cfg: GreedyConfig, M: FiniteStructure) -> ThresholdCheck:
-    """size_threshold_ok, raising ThresholdNotMetError (naming the structure,
-    mu and both inequalities) when M is below the threshold."""
+    """size_threshold_ok, raising ThresholdNotMetError with mu and both inequalities below the threshold."""
     threshold = size_threshold_ok(cfg, M)
     if not threshold.ok:
         raise ThresholdNotMetError(
-            f"{M.describe()} of size {M.size} is below the strict size threshold at "
-            f"mu = {cfg.mu}: forbidden bound {threshold.forbidden_bound:.6g} vs allowance "
-            f"{threshold.mass_allowance:.6g}, headroom {threshold.headroom:.6g} vs budget "
-            f"{threshold.h_budget}"
+            f"size {M.size} is below the strict size threshold at mu = {cfg.mu}: forbidden bound "
+            f"{threshold.forbidden_bound:.6g} vs allowance {threshold.mass_allowance:.6g}, "
+            f"headroom {threshold.headroom:.6g} vs budget {threshold.h_budget}"
         )
     return threshold
 
@@ -295,7 +294,7 @@ def closures(
     if len(over):
         i = over[0]
         raise InvariantError(
-            f"{M.describe()}, avoid formulas {[pf.text for pf in gamma]}, closure of H plus "
+            f"avoid formulas {[pf.text for pf in gamma]}, closure of H plus "
             f"{sorted({int(v) for v in given[i] if v >= 0})} (a base of {sizes[i]}): "
             f"{lengths[i]} elements exceed the union bound {bounds[i]}"
         )
@@ -384,27 +383,16 @@ def greedy_step(state: GreedyState, M: FiniteStructure) -> GreedyState:
     """
     if not state.remaining:
         raise ValueError("greedy_step called with no uncovered tuples")
-    cfg = state.config
     eligible = np.ones(M.size, dtype=bool)
     eligible[np.asarray(state.h_elements, dtype=np.intp)] = False
-    eligible[_forbidden(M, cfg.gamma, state.h_elements)] = False
+    eligible[_forbidden(M, state.config.gamma, state.h_elements)] = False
     if not eligible.any():
-        raise StructureTooSmallError(
-            f"no eligible element left at size {M.size} "
-            f"(formula {state.formula_index}, step {state.step})"
-        )
-    try:
-        counts = state.coverage.counts()
-    except InvariantError as err:
-        where = f"{M.describe()}, formula {cfg.delta[state.formula_index].text!r}"
-        raise InvariantError(f"{where}, step {state.step}: {err}") from None
+        raise StructureTooSmallError(f"no eligible element left at size {M.size}")
+    counts = state.coverage.counts()
     counts[~eligible] = -1
     h = int(np.argmax(counts))
     if counts[h] <= 0:
-        raise StructureTooSmallError(
-            f"no eligible element covers any remaining tuple at size {M.size} "
-            f"(formula {state.formula_index}, step {state.step})"
-        )
+        raise StructureTooSmallError(f"no eligible element covers any remaining tuple at size {M.size}")
     before = state.remaining
     state.coverage.cover(h)
     state.shrink_factors.append(state.remaining / before)
@@ -488,51 +476,47 @@ def build_h(M: FiniteStructure, cfg: GreedyConfig, mode: str = STRICT):
 
     Strict mode refuses structures below the size threshold and asserts the
     shrink inequality live; best-effort runs anywhere and relies on the
-    certificates alone.
+    certificates alone. A LabError names the structure, formula and step.
     """
     if mode not in (STRICT, BEST_EFFORT):
         raise ValueError(f"unknown mode {mode!r}")
-    threshold = require_threshold(cfg, M) if mode == STRICT else size_threshold_ok(cfg, M)
-    if M.size <= 1:
-        raise StructureTooSmallError("degenerate universe of size <= 1")
+    with where(structure=M.describe()):
+        threshold = require_threshold(cfg, M) if mode == STRICT else size_threshold_ok(cfg, M)
+        if M.size <= 1:
+            raise StructureTooSmallError("degenerate universe of size <= 1")
 
-    h_elements: list[int] = []
-    provenance: list[tuple[int, int]] = []
-    phases = []
-    shrink_ok = True
-    bound = 1.0 - cfg.mu / 2.0
-    for index in range(cfg.n_formulas):
-        state = _phase_state(cfg, M, index, h_elements, provenance)
-        psi_size = state.remaining
-        while state.remaining:
-            h_before = len(state.h_elements)
-            greedy_step(state, M)
-            if threshold.ok and h_before <= threshold.h_budget:
-                if state.shrink_factors[-1] > bound + 1e-12:
-                    shrink_ok = False
-                    if mode == STRICT:
-                        raise InvariantError(
-                            f"{M.describe()}, formula {cfg.delta[index].text!r}, "
-                            f"step {state.step - 1}: shrink factor "
-                            f"{state.shrink_factors[-1]:.6f} exceeded {bound:.6f}"
-                        )
-            if mode == STRICT and len(state.h_elements) > threshold.h_budget:
-                raise InvariantError(
-                    f"{M.describe()}, formula {cfg.delta[index].text!r}, "
-                    f"step {state.step - 1}: |H| exceeded the budget {threshold.h_budget}"
-                )
-        phases.append(
-            {
-                "formula": cfg.delta[index].text,
-                "psi_size": psi_size,
-                "steps": state.step,
-                "shrink_factors": [float(s) for s in state.shrink_factors],
-            }
-        )
+        h_elements: list[int] = []
+        provenance: list[tuple[int, int]] = []
+        phases = []
+        shrink_ok = True
+        bound = 1.0 - cfg.mu / 2.0
+        for index, pf in enumerate(cfg.delta):
+            with where(formula=pf.text):
+                state = _phase_state(cfg, M, index, h_elements, provenance)
+                psi_size = state.remaining
+                while state.remaining:
+                    with where(step=state.step):
+                        h_before = len(state.h_elements)
+                        greedy_step(state, M)
+                        shrink = state.shrink_factors[-1]
+                        if threshold.ok and h_before <= threshold.h_budget and shrink > bound + 1e-12:
+                            shrink_ok = False
+                            if mode == STRICT:
+                                raise InvariantError(f"shrink factor {shrink:.6f} exceeded {bound:.6f}")
+                        if mode == STRICT and len(state.h_elements) > threshold.h_budget:
+                            raise InvariantError(f"|H| exceeded the budget {threshold.h_budget}")
+            phases.append(
+                {
+                    "formula": pf.text,
+                    "psi_size": psi_size,
+                    "steps": state.step,
+                    "shrink_factors": [float(s) for s in state.shrink_factors],
+                }
+            )
 
-    h_set = HSet(elements=list(h_elements), provenance=list(provenance))
-    cover = [verify_cover(M, h_set.elements, prof) for prof in cfg.delta_profiles]
-    avoid = [verify_avoid(M, h_set.elements, xi) for xi in cfg.gamma]
+        h_set = HSet(elements=list(h_elements), provenance=list(provenance))
+        cover = [verify_cover(M, h_set.elements, prof) for prof in cfg.delta_profiles]
+        avoid = [verify_avoid(M, h_set.elements, xi) for xi in cfg.gamma]
     limit = cfg.c_delta_gamma * math.log(M.size)
     report = BuildReport(
         size=M.size,

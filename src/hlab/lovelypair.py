@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantError, SignatureMismatchError
+from .errors import InvariantError, SignatureMismatchError, where
 from .finitemodels import EXTENSION_SIGNATURE, FiniteStructure, make_extension_field
 from .folang import column_blocks, parse_formula, solution_mask_matrix
 
@@ -46,10 +46,8 @@ def build_quadratic_pair(p: int):
     a1 = int(np.flatnonzero(~insub)[0])
     a2 = int(K.functions["frob"][a1])
     if a1 == a2:
-        raise InvariantError(
-            f"{K.describe()}, conjugate pair for the character split, choice of a1: "
-            f"frob fixes a1={a1}, which lies outside the subfield"
-        )
+        with where(structure=K.describe(), step="choice of a1"):
+            raise InvariantError(f"frob fixes a1={a1}, which lies outside the subfield")
     return K, a1, a2
 
 
@@ -98,12 +96,13 @@ def make_report(K: FiniteStructure, a1: int) -> QuadraticPairReport:
 def run_experiment(p_list, sweep_a1: bool = False) -> list[QuadraticPairReport]:
     """One report per prime, ordered by p. With sweep_a1, every non-subfield
     choice of a1 is reported (robustness runs); each field is built once and
-    all its choices are counted together."""
+    all its choices are counted together; a LabError names the field."""
     reports = []
     for p in sorted(set(int(v) for v in p_list)):
         K, a1, _ = build_quadratic_pair(p)
-        choices = np.flatnonzero(~K.relations["insub"]) if sweep_a1 else np.array([a1])
-        reports.extend(_reports(K, choices))
+        with where(structure=K.describe()):
+            choices = np.flatnonzero(~K.relations["insub"]) if sweep_a1 else np.array([a1])
+            reports.extend(_reports(K, choices))
     return reports
 
 

@@ -18,7 +18,7 @@ from hlab.errors import NotOneDimensionalError
 from hlab.folang import Columns, solution_mask_matrix
 
 
-def fit_counts(text, observed, gap, ceiling):
+def fit_counts(observed, gap, ceiling):
     """(E, C, B, stats in size order) for observed = (size, counts,
     enumerated) per structure, largest first, counts one per tuple."""
     sum_counts = np.zeros(0)
@@ -76,7 +76,7 @@ def fit_counts(text, observed, gap, ceiling):
                 continue
             if len(sum_counts) >= MAX_MEASURES:
                 raise NotOneDimensionalError(
-                    f"formula {text!r}: more than {MAX_MEASURES} measures needed "
+                    f"more than {MAX_MEASURES} measures needed "
                     f"at size {n}; not asymptotically one-dimensional at this scale"
                 )
             members = first_stray_cluster(rest, normalized)
@@ -100,7 +100,7 @@ def fit_counts(text, observed, gap, ceiling):
         if lg.any():
             if not len(mus):
                 raise NotOneDimensionalError(
-                    f"formula {text!r}: counts above the algebraic bound with no measures"
+                    "counts above the algebraic bound with no measures"
                 )
             resid = np.abs(counts[lg, None] - mus[None, :] * n).min(axis=1) / math.sqrt(n)
             struct_max = float(resid.max())
@@ -110,16 +110,13 @@ def fit_counts(text, observed, gap, ceiling):
     C = (math.floor(max_residual * 100) + 1) / 100.0
     if max_residual > ceiling:
         raise NotOneDimensionalError(
-            f"formula {text!r}: envelope needs C = {max_residual:.3f} > ceiling "
+            f"envelope needs C = {max_residual:.3f} > ceiling "
             f"{ceiling}; not asymptotically one-dimensional at this scale"
         )
     if B is not None and E:
         smallest = min(n for n, _, _ in observed)
         if B >= min(E) * smallest:
-            raise NotOneDimensionalError(
-                f"formula {text!r}: algebraic bound {B} overlaps the measure "
-                f"envelope at size {smallest}"
-            )
+            raise NotOneDimensionalError(f"algebraic bound {B} overlaps the measure envelope at size {smallest}")
     stats.sort(key=lambda s: s.size)
     return E, C, B, stats
 

@@ -11,6 +11,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,9 +286,7 @@ def test_criterion_9_determinism(tmp_path):
         for root, _, files in os.walk(out):
             for f in files:
                 p = os.path.join(root, f)
-                digests[os.path.relpath(p, out)] = hashlib.sha256(
-                    open(p, "rb").read()
-                ).hexdigest()
+                digests[os.path.relpath(p, out)] = hashlib.sha256(Path(p).read_bytes()).hexdigest()
         assert digests
         return digests
 

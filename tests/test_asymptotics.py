@@ -363,8 +363,8 @@ def assert_same_fit(observed, gap, ceiling):
     """The histogram fit and the per-tuple oracle agree on observed =
     (size, counts, enumerated) per structure, largest first."""
     hist = [(n, *np.unique(counts, return_counts=True), e) for n, counts, e in observed]
-    expected = _outcome(fit_counts, "phi", observed, gap, ceiling)
-    assert _outcome(asymptotics._fit, "phi", hist, gap, ceiling) == expected
+    expected = _outcome(fit_counts, observed, gap, ceiling)
+    assert _outcome(asymptotics._fit, hist, gap, ceiling) == expected
     return expected
 
 
@@ -426,5 +426,5 @@ class TestHistogramFit:
         pf = parse_formula("exists z. z*z = x + x - y", small_prime_family[0].sig)
         prof = profile_family(small_prime_family, pf)
         observed = [(M.size, solution_counts_all(M, pf), True) for M in small_prime_family[::-1]]
-        E, C, B, stats = fit_counts(pf.text, observed, prof.gap, prof.ceiling)
+        E, C, B, stats = fit_counts(observed, prof.gap, prof.ceiling)
         assert (prof.E, prof.C, prof.B, prof.per_structure) == (E, C, B, stats)

@@ -9,6 +9,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,7 +282,7 @@ class TestCommands:
         cfg = write_config(tmp_path)
         out = str(tmp_path / "out")
         assert main(["profile", "--config", cfg, "--out", out]) == 0
-        profiles = json.loads(open(os.path.join(out, "profiles.json")).read())
+        profiles = json.loads(Path(os.path.join(out, "profiles.json")).read_text())
         assert len(profiles) == 2  # cover formula and avoid formula
         assert abs(profiles[0]["E"][0] - 0.5) < 0.02
 
@@ -289,7 +290,7 @@ class TestCommands:
         cfg = write_config(tmp_path, emit_counts=True, family={"family": "prime-field", "lo": 5, "hi": 13})
         out = str(tmp_path / "out")
         assert main(["profile", "--config", cfg, "--out", out]) == 0
-        lines = open(os.path.join(out, "counts.csv")).read().splitlines()
+        lines = Path(os.path.join(out, "counts.csv")).read_text().splitlines()
         assert lines[0] == "formula,size,params,count,class"
         assert len(lines) > 4
 
@@ -297,28 +298,28 @@ class TestCommands:
         cfg = write_config(tmp_path)
         out = str(tmp_path / "out")
         assert main(["build", "--config", cfg, "--out", out]) == 0
-        payload = json.loads(open(os.path.join(out, "build.json")).read())
+        payload = json.loads(Path(os.path.join(out, "build.json")).read_text())
         assert payload["builds"], "some structures must pass the threshold"
         for report in payload["builds"]:
             assert report["all_passed"]
             h_file = os.path.join(out, "hsets", f"h_{report['size']}.txt")
-            lines = open(h_file).read().split()
+            lines = Path(h_file).read_text().split()
             assert [int(v) for v in lines] == report["h"]
 
     def test_sequence(self, tmp_path):
         cfg = write_config(tmp_path)
         out = str(tmp_path / "out")
         assert main(["sequence", "--config", cfg, "--out", out]) == 0
-        series = open(os.path.join(out, "coarse_dim.csv")).read().splitlines()
+        series = Path(os.path.join(out, "coarse_dim.csv")).read_text().splitlines()
         assert series[0] == "size,h_size,ratio"
-        plan = json.loads(open(os.path.join(out, "plan.json")).read())
+        plan = json.loads(Path(os.path.join(out, "plan.json")).read_text())
         assert plan["entries"]
 
     def test_axioms(self, tmp_path):
         cfg = write_config(tmp_path)
         out = str(tmp_path / "out")
         assert main(["axioms", "--config", cfg, "--out", out]) == 0
-        payload = json.loads(open(os.path.join(out, "axioms.json")).read())
+        payload = json.loads(Path(os.path.join(out, "axioms.json")).read_text())
         assert payload["reports"]
         assert all(r["passed"] for r in payload["reports"])
         assert not os.path.exists(os.path.join(out, "failures.csv"))
@@ -348,7 +349,7 @@ class TestCommands:
         )
         out = str(tmp_path / "out")
         assert main(["lovely-pair", "--config", cfg, "--out", out]) == 0
-        lines = open(os.path.join(out, "lovely_pair.csv")).read().splitlines()
+        lines = Path(os.path.join(out, "lovely_pair.csv")).read_text().splitlines()
         assert lines[0] == "p,q,phi_count,q_over_4,deviation,violations"
         assert len(lines) == 6
         assert all(line.endswith(",0") for line in lines[1:])
@@ -375,7 +376,7 @@ class TestCommands:
         )
         out = str(tmp_path / "out")
         assert main(["lovely-pair", "--config", cfg, "--out", out]) == 0
-        lines = open(os.path.join(out, "lovely_pair.csv")).read().splitlines()
+        lines = Path(os.path.join(out, "lovely_pair.csv")).read_text().splitlines()
         assert len(lines) == 1 + (25 - 5)  # every non-subfield choice of a1
 
     def test_axioms_failure_exit_code(self, tmp_path):
@@ -404,7 +405,7 @@ class TestCommands:
         assert main(["axioms", "--config", cfg, "--out", out, "--threads", "1"]) == 1
         assert os.path.exists(os.path.join(out, "failures.csv"))
         assert main(["axioms", "--config", cfg, "--out", out, "--mode", "strict"]) == 0
-        payload = json.loads(open(os.path.join(out, "axioms.json")).read())
+        payload = json.loads(Path(os.path.join(out, "axioms.json")).read_text())
         assert all(r["passed"] for r in payload["reports"])
         assert not os.path.exists(os.path.join(out, "failures.csv"))
 
@@ -419,10 +420,63 @@ class TestCommands:
             path = tmp_path / f"hi_{hi}.json"
             path.write_text(json.dumps({**config, "family": {**config["family"], "hi": hi}}))
             assert main(["build", "--config", str(path), "--out", out, "--threads", "1"]) == 0
-            builds = json.loads(open(os.path.join(out, "build.json")).read())["builds"]
+            builds = json.loads(Path(os.path.join(out, "build.json")).read_text())["builds"]
             listed.append(sorted(f"h_{b['size']}.txt" for b in builds))
             assert sorted(os.listdir(os.path.join(out, "hsets"))) == listed[-1]
         assert set(listed[1]) < set(listed[0])
+
+
+# (command, config overrides, evaluation budget or None, message) of a
+# runtime error each config reaches; tiny best_effort families run the
+# greedy out of eligible or covering elements
+_TINY = {
+    "family": {"family": "cyclic-group", "lo": 2, "hi": 4}, "gap": 0.3, "mode": "best_effort", "mu": MISSING,
+}
+CONTEXT_CASES = {
+    "degenerate universe": (
+        "build",
+        {**_TINY, "family": {"family": "cyclic-group", "lo": 1, "hi": 4}, "cover": ["!(x = y)"]},
+        None,
+        "cyclic-group(n=1): degenerate universe of size <= 1",
+    ),
+    "no eligible element": (
+        "build",
+        {**_TINY, "cover": ["!(x = y)"], "avoid": ["x = z + 1"]},
+        None,
+        "cyclic-group(n=2), formula '!(x = y)', step 1: no eligible element left at size 2",
+    ),
+    "no covering element": (
+        "axioms",
+        {**_TINY, "cover": ["!(x = y) & !(x = y + 1)"], "avoid": ["x = z", "x = z + 1"]},
+        None,
+        "cyclic-group(n=2), formula '!(x = y) & !(x = y + 1)', step 0: "
+        "no eligible element covers any remaining tuple at size 2",
+    ),
+    # Ψ is enumerated as the phase is set up, before its first step
+    "enumeration budget": (
+        "build",
+        {"family": {"family": "prime-field", "lo": 101, "hi": 131}, "cover": ["!(x * y1 = y2)"],
+         "mode": "best_effort"},
+        1000,
+        "prime-field(p=101), formula '!(x * y1 = y2)': psi enumeration needs 10201 tuples, over the budget",
+    ),
+    # the shipped cyclic_doubling family starts at Z_5, too small for 8
+    # distinct base elements
+    "extension base": (
+        "axioms",
+        {"family": {"family": "cyclic-group", "lo": 5, "hi": 60}, "cover": ["exists z. x = y + z + z"],
+         "mode": "best_effort", "mu": MISSING, "base_max": 8},
+        None,
+        "cyclic-group(n=5), step extension: size 5 is too small for an extension base of 8 elements",
+    ),
+    "fit": (
+        "profile",
+        {"ceiling": 0.0001},
+        None,
+        "formula 'exists z. z*z = x - y': more than 8 measures needed at size 139; "
+        "not asymptotically one-dimensional at this scale",
+    ),
+}
 
 
 class TestExitCodes:
@@ -507,6 +561,20 @@ class TestExitCodes:
             for report in ("build.json", "axioms.json", "failures.csv", "hsets"):
                 assert not (out / report).exists(), (command, report)
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("case", CONTEXT_CASES.values(), ids=CONTEXT_CASES.keys())
+    def test_runtime_error_names_its_context(self, tmp_path, capsys, shrink_budget, case, threads):
+        # exit 2, no reports, and the message names the structure, formula
+        # and step that failed; at 2 threads the error crosses a worker's pickle
+        command, overrides, budget, expected = case
+        cfg = write_config(tmp_path, **overrides)
+        if budget is not None:
+            shrink_budget(budget)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), "--threads", threads]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("mode", ["strict", "coarse-dim"])
     def test_sequence_that_certifies_nothing(self, tmp_path, capsys, mode):
         # at mu 0.4 no field up to 113 passes the strict size threshold, not
@@ -521,7 +589,7 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main(["sequence", "--config", cfg, "--out", str(out), "--mode", mode]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: prime-field(p=113) of size 113 is below the strict size")
+        assert err.startswith("error: prime-field(p=113): size 113 is below the strict size")
         assert "threshold at mu = 0.4: forbidden bound" in err
         assert not (out / "plan.json").exists()
 
@@ -559,19 +627,6 @@ class TestExitCodes:
         assert err.startswith(f"error: {key} must be at least ")
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
-
-    def test_base_larger_than_structure_is_exit_2(self, tmp_path, capsys):
-        # the shipped cyclic family starts at Z_5, too small for 8 distinct
-        # base elements
-        with open(os.path.join(CONFIGS, "cyclic_doubling.json")) as fh:
-            config = {**json.load(fh), "base_max": 8}
-        path = tmp_path / "cyclic.json"
-        path.write_text(json.dumps(config))
-        out = tmp_path / "o"
-        assert main(["axioms", "--config", str(path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: cyclic-group(n=5) has 5 elements, too few for an extension base")
-        assert not (out / "axioms.json").exists()
 
     def test_build_needs_avoid_formula(self, tmp_path):
         cfg = write_config(tmp_path, avoid=[])
@@ -656,8 +711,8 @@ class TestDeterminism:
         out_b = str(tmp_path / "b")
         assert main(["axioms", "--config", cfg, "--out", out_a, "--seed", "1"]) == 0
         assert main(["axioms", "--config", cfg, "--out", out_b, "--seed", "2"]) == 0
-        a = json.loads(open(os.path.join(out_a, "axioms.json")).read())
-        b = json.loads(open(os.path.join(out_b, "axioms.json")).read())
+        a = json.loads(Path(os.path.join(out_a, "axioms.json")).read_text())
+        b = json.loads(Path(os.path.join(out_b, "axioms.json")).read_text())
         assert a["reports"][0]["seed"] != b["reports"][0]["seed"]
 
 

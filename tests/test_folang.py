@@ -11,6 +11,7 @@ from hlab.errors import (
     FormulaSyntaxError,
     FreeVariableError,
     SignatureMismatchError,
+    where,
 )
 from hlab._util import _lex_tuples, tuple_columns
 from hlab.finitemodels import (
@@ -304,6 +305,22 @@ class TestCounting:
         pf = parse_formula("x = y", gf7.sig)
         with pytest.raises(EvaluationError):
             solution_count(gf7, pf, (1, 2))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda M, pf: eval_bulk(M, pf.formula, {"x": np.arange(M.size)}), "no binding for variable 'y'"),
+            (lambda M, pf: solution_mask_matrix(M, pf, np.zeros((2, 1))), "expected 1 parameter rows"),
+        ],
+        ids=["binding", "rows"],
+    )
+    def test_evaluation_error_names_its_context(self, gf7, call, message):
+        # the evaluator names nothing itself; a caller's context names the rest
+        pf = parse_formula("x = y", gf7.sig)
+        with pytest.raises(EvaluationError) as info:
+            with where(structure=gf7.describe(), formula=pf.text, step=2):
+                call(gf7, pf)
+        assert str(info.value) == f"prime-field(p=7), formula 'x = y', step 2: {message}"
 
     @given(st.integers(0, 12))
     def test_count_equals_set_size(self, y):

@@ -439,6 +439,29 @@ class TestExtensionUnionBound:
                 M, h, cfg.delta_profiles, cfg.gamma,
                 samples=5, seed=0, gamma_max_solutions=0,
             )
+        # the axiom checks name the structure and the check
+        with pytest.raises(InvariantError) as err:
+            run_axiom_checks(M, h, dataclasses.replace(cfg, gamma_max_solutions=0), extension_samples=5)
+        assert str(err.value).startswith(
+            "prime-field(p=101), step extension: avoid formulas ['x = z'], closure of H plus"
+        )
+
+    def test_swallowed_sample_under_the_sufficient_bound(self, gf101_build, monkeypatch):
+        # closures that hold the whole universe swallow every sample, which
+        # the closure bound below the smallest large count rules out
+        M, h, cfg = gf101_build
+
+        def everything(M, h, sets, gamma, **_):
+            return np.arange(len(sets) * M.size)
+
+        monkeypatch.setattr("hlab.haxioms.closures", everything)
+        with pytest.raises(InvariantError) as err:
+            run_axiom_checks(M, h, cfg, extension_samples=5)
+        message = str(err.value)
+        assert message.startswith(
+            "prime-field(p=101), formula 'exists z. z*z = x - y', step extension: extension sample with params ["
+        )
+        assert message.endswith(f"is below the smallest large count {(M.size + 1) // 2}")
 
     def test_unary_avoid_bound_fires_under_optimize(self):
         code = (

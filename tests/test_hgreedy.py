@@ -397,6 +397,29 @@ class TestBuildH:
         with pytest.raises(StructureTooSmallError):
             build_h(make_cyclic_group(1), blocker_config, BEST_EFFORT)
 
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            # a step that covers nothing leaves Y as it was
+            ("cover", "shrink factor 1.000000 exceeded 0.755000"),
+            # the first element already exceeds a budget of 0
+            ("budget", "|H| exceeded the budget 0"),
+        ],
+    )
+    def test_strict_invariant_names_its_step(self, square_shift_config, monkeypatch, patch, message):
+        fam, cfg = square_shift_config
+        M = [m for m in fam if m.size == 131][0]
+        if patch == "cover":
+            monkeypatch.setattr(hgreedy.Coverage, "cover", lambda self, h: None)
+        else:
+            real = hgreedy.size_threshold_ok
+            monkeypatch.setattr(
+                hgreedy, "size_threshold_ok", lambda cfg, M: dataclasses.replace(real(cfg, M), h_budget=0)
+            )
+        with pytest.raises(InvariantError) as err:
+            build_h(M, cfg, STRICT)
+        assert str(err.value) == f"prime-field(p=131), formula 'exists z. z*z = x - y', step 0: {message}"
+
     def test_shrink_factors_recorded(self, square_shift_config):
         fam, cfg = square_shift_config
         M = [m for m in fam if m.size == 131][0]

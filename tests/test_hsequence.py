@@ -14,7 +14,7 @@ import pytest
 import hlab
 from hlab import asymptotics, errors, hgreedy, hsequence
 from hlab._util import dump_json
-from hlab.errors import ConfigRejectedError, FormulaSyntaxError, InvariantError, LabError
+from hlab.errors import ConfigRejectedError, FormulaSyntaxError, InvariantError, LabError, where
 from hlab.finitemodels import make_cyclic_group, make_prime_field, primes_in
 from hlab.folang import parse_formula
 from hlab.hgreedy import derive_config
@@ -142,8 +142,14 @@ ERROR_ARGS = {
 
 @pytest.mark.parametrize("cls", LAB_ERRORS, ids=lambda cls: cls.__name__)
 def test_errors_survive_a_pickle_round_trip(cls):
-    # a worker process pickles its error back to the parent
-    error = cls(*ERROR_ARGS.get(cls, ("prime-field(p=101), formula 'x = z', step 0: failed",)))
+    # a worker process pickles its error back to the parent, with the facts
+    # that `where` filled in; the innermost structure wins
+    message = ERROR_ARGS.get(cls, ("failed",))
+    with pytest.raises(cls) as info:
+        with where(structure="the family", formula="x = z"), where(structure="prime-field(p=101)", step=0):
+            raise cls(*message)
+    error = info.value
+    assert str(error) == f"prime-field(p=101), formula 'x = z', step 0: {cls(*message)}"
     again = pickle.loads(pickle.dumps(error))
     assert type(again) is cls
     assert str(again) == str(error) and again.args == error.args
