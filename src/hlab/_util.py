@@ -38,12 +38,19 @@ def _lex_tuples(positions, n: int, arity: int) -> np.ndarray:
     return np.array(np.unravel_index(positions, (n,) * arity), dtype=np.intp)
 
 
-def _smooth(length: int) -> bool:
-    """Whether length has no prime factor above 5."""
-    for f in (2, 3, 5):
-        while length % f == 0:
-            length //= f
-    return length == 1
+def _least_smooth(target: int) -> int:
+    """The least 5-smooth integer 2^a 3^b 5^c >= target, built rather than
+    searched for: for each 3^b 5^c below the best so far, the least power
+    of two that lifts it to target."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _transform_length(d: int) -> int:
@@ -51,12 +58,7 @@ def _transform_length(d: int) -> int:
     5-smooth, else the smallest 5-smooth length >= 2d - 1, which holds the
     linear convolution that is then folded back modulo d. On a prime length
     pocketfft falls back to Bluestein's algorithm, several times slower."""
-    if _smooth(d):
-        return d
-    length = 2 * d - 1
-    while not _smooth(length):
-        length += 1
-    return length
+    return d if _least_smooth(d) == d else _least_smooth(2 * d - 1)
 
 
 def _fold(values: np.ndarray, shape) -> np.ndarray:

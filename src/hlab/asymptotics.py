@@ -18,11 +18,11 @@ the histogram fit equals the fit over one count per tuple.
 
 The large set Ψ of a formula, its parameter tuples classified large, is
 named by the formula's profile alone, which carries the formula as `pf`,
-and psi_columns is the one routine that names it, through folang.select:
-a kernel's Ψ is its Kernel record (all of M^k, exact at every size) or
-empty, any other formula's the Columns decoded, within the budget, from the
-solution counts of every tuple. Callers read either through the same
-protocol.
+and psi_columns is the one routine that turns counts into Ψ: a kernel's Ψ
+is its Kernel record (all of M^k, exact at every size) or empty, any other
+formula's the Columns decoded, within the budget, from the solution counts
+of every tuple. large_columns gives the extension check that record, or
+past the budget Columns of a seeded sample: one protocol for either.
 """
 
 from __future__ import annotations
@@ -32,14 +32,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ClassificationGapError, EmptyFamilyError, NotOneDimensionalError, where
+from ._util import _lex_tuples
+from .errors import ClassificationGapError, EmptyFamilyError, EnumerationBudgetError, NotOneDimensionalError, where
 from .finitemodels import FiniteStructure
 from .folang import (
     Columns,
+    Kernel,
     ParamFormula,
     count_columns,
     count_histogram,
-    select,
+    kernel,
     solution_count,
     solution_counts_all,
     within_budget,
@@ -357,29 +359,35 @@ def enumerated_counts(profile: MeasureProfile, M: FiniteStructure):
     return counts, _classify_counts(profile, M.size, counts)[0]
 
 
-def psi_columns(M: FiniteStructure, profile: MeasureProfile):
-    """Ψ, the parameter tuples of the profiled formula classified large, as
-    folang.select gives it: the formula's Kernel record, all of M^k, when
-    its |G| classifies large, else Columns of the large tuples in
-    lexicographic order with the solution count of each, decoded on each
-    call from the counts cached on the structure; EnumerationBudgetError
-    when the tuple space exceeds the one evaluation budget."""
-    return select(M, profile.pf, lambda counts: _classify_counts(profile, M.size, counts)[0])
+def psi_columns(M: FiniteStructure, profile: MeasureProfile) -> Kernel | Columns:
+    """Ψ, the parameter tuples of the profiled formula classified large. A
+    kernel's tuples all have |G| solutions, so its Ψ is its Kernel record
+    (all of M^k, exact at every size) when |G| classifies large, else empty
+    Columns. Any other formula's Ψ is Columns of the large tuples in
+    lexicographic order with their solution counts, decoded on each call
+    from the counts cached on the structure; EnumerationBudgetError when its
+    n^k tuples exceed the budget."""
+    pf, n, k = profile.pf, M.size, profile.pf.arity
+    record = kernel(M, pf)
+    if record is not None:
+        if _classify_counts(profile, n, np.array([record.low]))[0][0]:
+            return record
+        return Columns(M, pf, np.empty((k, 0), dtype=np.intp), np.empty(0, dtype=np.int64))
+    if not within_budget(n**k):
+        raise EnumerationBudgetError(f"psi enumeration needs {n**k} tuples, over the budget")
+    counts = solution_counts_all(M, pf)
+    flats = np.flatnonzero(_classify_counts(profile, n, counts)[0])
+    return Columns(M, pf, _lex_tuples(flats, n, k), counts[flats])
 
 
-def large_columns(M: FiniteStructure, profile: MeasureProfile, rng, samples: int):
-    """The large parameter tuples an extension check draws from, as (width,
-    low, take): their number, their smallest solution count, and take(j),
-    the tuples at positions j of their lexicographic order as an (arity,
-    len(j)) index array beside their solution counts. Within the budget they
-    are psi_columns' (a kernel decodes them from j); past it they are the
-    large tuples among `samples` drawn by sample_columns from `rng`, as they
-    are for a kernel too, whose draws then keep their tuples and counts."""
-    n, k = M.size, profile.pf.arity
-    if within_budget(n**k):
-        psi = psi_columns(M, profile)
-    else:
-        cols, counts = sample_columns(M, profile.pf, rng, samples)
-        large, _ = _classify_counts(profile, n, counts)
-        psi = Columns(M, profile.pf, cols[:, large], counts[large])
-    return psi.width, psi.low, psi.take
+def large_columns(M: FiniteStructure, profile: MeasureProfile, rng, samples: int) -> Kernel | Columns:
+    """The large parameter tuples an extension check draws from, as a Ψ
+    record: psi_columns' within the budget (a kernel decodes them from
+    their positions), past it Columns of the large tuples among `samples`
+    drawn by sample_columns from `rng`, as they are for a kernel too, whose
+    draws then keep their tuples and counts."""
+    if within_budget(M.size**profile.pf.arity):
+        return psi_columns(M, profile)
+    cols, counts = sample_columns(M, profile.pf, rng, samples)
+    large, _ = _classify_counts(profile, M.size, counts)
+    return Columns(M, profile.pf, cols[:, large], counts[large])

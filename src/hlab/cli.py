@@ -39,7 +39,7 @@ from .finitemodels import (
     enumerate_family,
     signature_for_family,
 )
-from .folang import ParamFormula, parse_formula, within_budget
+from .folang import BUDGET, ParamFormula, parse_formula, within_budget
 from .hgreedy import (
     BEST_EFFORT,
     STRICT,
@@ -51,7 +51,6 @@ from .hgreedy import (
 from .haxioms import DEFAULT_BASE_MAX, DEFAULT_EXTENSION_SAMPLES, run_axiom_checks
 from .hsequence import (
     COARSE_DIM,
-    FormulaSchedule,
     build_sequence,
     coarse_dimension_series,
     parallel_map,
@@ -110,6 +109,9 @@ def _is(kind: type, what: str):
 
 
 _TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
+# the most values one structure's sample draws hold: the budget's value at
+# import, so lowering folang.BUDGET narrows evaluation blocks, never refuses a config
+_MAX_DRAWS = BUDGET
 # each scalar field is checked by its annotation; an `X | None` field takes null
 _SCALARS = {"int": _as_int, "float": _as_float, "str": _is(str, "a string"), "bool": _is(bool, "true or false")}
 
@@ -227,6 +229,16 @@ def _check_ranges(cfg: ExperimentConfig) -> ExperimentConfig:
         value = getattr(cfg, name)
         if value < low:
             raise ExperimentConfigError(f"{name} must be at least {low}, got {value}")
+    # a profile's sample of tuples, and the extension check's 10 tuples per
+    # sample (past the budget) and base, ell the largest cover arity
+    ell = max((pf.arity for pf in cfg.cover), default=0)
+    draws = {
+        "profile_samples": cfg.profile_samples * max((pf.arity for pf in cfg.cover + cfg.avoid), default=0),
+        "extension_samples": cfg.extension_samples * (10 * ell + cfg.base_max),
+    }
+    for name, values in draws.items():
+        if values > _MAX_DRAWS:
+            raise ExperimentConfigError(f"{name} = {getattr(cfg, name)} draws {values} values, over {_MAX_DRAWS}")
     return cfg
 
 
@@ -337,11 +349,8 @@ def cmd_sequence(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
             "sequence schedules by threshold; use mode 'strict' or 'coarse-dim'"
         )
     family = enumerate_family(cfg.family)
-    sched = FormulaSchedule(
-        cover=tuple(_profiles(cfg, family, cfg.cover)),
-        avoid=tuple(_profiles(cfg, family, cfg.avoid)),
-    )
-    plan = schedule_in(family, sched, cfg.mu, mode=cfg.mode)
+    cover, avoid = _profiles(cfg, family, cfg.cover), _profiles(cfg, family, cfg.avoid)
+    plan = schedule_in(family, cover, avoid, cfg.mu, mode=cfg.mode)
     if all(e.level is None for e in plan.entries):
         # every structure fails every level, so the largest fails level 0
         with where(structure=family[-1].describe()):

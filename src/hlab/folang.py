@@ -34,13 +34,12 @@ is answered by a lookup in the image of one side of an equation
 (_exists_plan, made as the Exists node is interned and read as its `image`),
 and "loop" when some existential loops over the universe.
 
-Callers never ask for the kind: count_columns, solution_counts_all,
-count_histogram, max_solution_count and solution_pairs answer from |G| or
-the grid, and select returns Ψ, the tuples of a chosen count class, as the
-Kernel record (all n^k tuples) or as Columns. Both answer one protocol:
-width, low, take(j) and tuples(mask), and over an index space (a kernel's
-shifts, Columns' own tuples) pushforward(), solved(elements, live) and
-counter().
+Callers never ask for the kind: count_columns (the one counter),
+solution_counts_all, count_histogram, max_solution_count and solution_pairs
+answer from |G| or the grid. Ψ (see asymptotics.psi_columns) is a Kernel
+record or Columns, which answer one protocol: width, low, take(j) and
+tuples(mask), and over an index space (a kernel's shifts, Columns' own
+tuples) pushforward(), solved(elements, live) and counter().
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ import numpy as np
 
 from ._util import _lex_tuples, convolver
 from .errors import (
-    EnumerationBudgetError,
     EvaluationError,
     FormulaSyntaxError,
     FreeVariableError,
@@ -933,27 +931,6 @@ class Columns:
         return count
 
 
-def select(M: FiniteStructure, pf: ParamFormula, large) -> Kernel | Columns:
-    """Ψ, the parameter tuples whose solution count `large` accepts (a
-    function from an array of counts to a mask over it). A kernel's tuples
-    all have |G| solutions, so its Ψ is its Kernel record when `large`
-    accepts |G|, exact at every size, and empty Columns otherwise. Any other
-    formula's Ψ is Columns decoded on each call from the counts that
-    solution_counts_all keeps on the structure; EnumerationBudgetError when
-    its n^k tuples exceed the budget."""
-    n, k = M.size, pf.arity
-    record = kernel(M, pf)
-    if record is not None and large(np.array([record.low]))[0]:
-        return record
-    if record is not None:
-        return Columns(M, pf, np.empty((k, 0), dtype=np.intp), np.empty(0, dtype=np.int64))
-    if not within_budget(n**k):
-        raise EnumerationBudgetError(f"psi enumeration needs {n**k} tuples, over the budget")
-    counts = solution_counts_all(M, pf)
-    flats = np.flatnonzero(large(counts))
-    return Columns(M, pf, _lex_tuples(flats, n, k), counts[flats])
-
-
 def _bulk_term(M: FiniteStructure, t: Term, env: dict) -> np.ndarray | int:
     if isinstance(t, Var):
         try:
@@ -1000,23 +977,24 @@ def eval_bulk(M: FiniteStructure, f: Formula, env: dict) -> np.ndarray:
     raise TypeError(f"not a normalized formula: {f!r}")
 
 
-def _check_params(pf: ParamFormula, params) -> np.ndarray:
-    """The parameter tuple as one (arity, 1) column."""
+def _check_params(M: FiniteStructure, pf: ParamFormula, params) -> np.ndarray:
+    """The parameter tuple as one (arity, 1) column of elements of M."""
     params = tuple(int(v) for v in params)
     if len(params) != pf.arity:
-        raise EvaluationError(
-            f"formula {pf.text!r} takes {pf.arity} parameter(s), got {len(params)}"
-        )
+        raise EvaluationError(f"formula {pf.text!r} takes {pf.arity} parameter(s), got {len(params)}")
+    for v in params:
+        if not 0 <= v < M.size:
+            raise EvaluationError(f"formula {pf.text!r} takes parameters in 0..{M.size - 1}, got {v}")
     return np.array(params, dtype=np.intp).reshape(pf.arity, 1)
 
 
 def solution_set(M: FiniteStructure, pf: ParamFormula, params=()) -> list[int]:
     """Elements satisfying the formula at the given parameters, index order."""
-    return [int(v) for v in np.flatnonzero(solution_mask_matrix(M, pf, _check_params(pf, params)))]
+    return [int(v) for v in np.flatnonzero(solution_mask_matrix(M, pf, _check_params(M, pf, params)))]
 
 
 def solution_count(M: FiniteStructure, pf: ParamFormula, params=()) -> int:
-    return int(count_columns(M, pf, _check_params(pf, params))[0])
+    return int(count_columns(M, pf, _check_params(M, pf, params))[0])
 
 
 def solution_mask_matrix(
@@ -1056,24 +1034,18 @@ def solves(M: FiniteStructure, pf: ParamFormula, elements, param_columns) -> np.
     return np.broadcast_to(eval_bulk(M, pf.formula, env), x.shape)
 
 
-def _counts(M: FiniteStructure, pf: ParamFormula, total: int, columns) -> np.ndarray:
-    """Solution counts of `total` parameter tuples, columns(block) giving the
-    tuples of a slice of range(total) as an (arity, len) array: the one place
-    that counts. A translation kernel has |G| solutions at every tuple; any
-    other formula is counted one evaluation block at a time."""
+def count_columns(M: FiniteStructure, pf: ParamFormula, param_columns) -> np.ndarray:
+    """Solution counts at each of the (arity, m) parameter columns: the one
+    place that counts. A translation kernel has |G| solutions at every
+    tuple; any other formula is counted one evaluation block at a time."""
+    cols = np.atleast_2d(np.asarray(param_columns, dtype=np.intp))
     record = kernel(M, pf)
     if record is not None:
-        return np.full(total, len(record.base), dtype=np.int64)
-    counts = np.empty(total, dtype=np.int64)
-    for block in column_blocks(total, M.size):
-        counts[block] = solution_mask_matrix(M, pf, columns(block)).sum(axis=0)
+        return np.full(cols.shape[1], record.low, dtype=np.int64)
+    counts = np.empty(cols.shape[1], dtype=np.int64)
+    for block in column_blocks(cols.shape[1], M.size):
+        counts[block] = solution_mask_matrix(M, pf, cols[:, block]).sum(axis=0)
     return counts
-
-
-def count_columns(M: FiniteStructure, pf: ParamFormula, param_columns) -> np.ndarray:
-    """Solution counts at each of the (arity, m) parameter columns."""
-    cols = np.atleast_2d(np.asarray(param_columns, dtype=np.intp))
-    return _counts(M, pf, cols.shape[1], lambda block: cols[:, block])
 
 
 def solution_counts_all(M: FiniteStructure, pf: ParamFormula) -> np.ndarray:
@@ -1085,12 +1057,15 @@ def solution_counts_all(M: FiniteStructure, pf: ParamFormula) -> np.ndarray:
     n, k = M.size, pf.arity
 
     def build():
-        counts = _counts(M, pf, n**k, lambda block: _lex_tuples(np.arange(block.start, block.stop), n, k))
+        counts = np.empty(n**k, dtype=np.int64)
+        for block in column_blocks(n**k, n):
+            counts[block] = count_columns(M, pf, _lex_tuples(np.arange(block.start, block.stop), n, k))
         counts.flags.writeable = False
         return counts
 
-    if kernel(M, pf) is not None:
-        return build()  # |G| everywhere, made without evaluating: not worth keeping
+    record = kernel(M, pf)
+    if record is not None:  # |G| everywhere, made without evaluating: not worth keeping
+        return np.full(n**k, record.low, dtype=np.int64)
     return M.cached(("counts", pf.formula, pf.object_var, pf.params), build)
 
 

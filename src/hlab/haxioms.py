@@ -160,14 +160,8 @@ def check_extension(
     gamma = list(gamma_trunc)
     rng = np.random.default_rng([seed, M.size, 3])
 
-    usable = []  # (formula, its number of large tuples, their tuples at given positions)
-    min_large_count = None
-    for prof in profiles:
-        width, low, take = large_columns(M, prof, rng, 10 * samples)
-        if not width:
-            continue
-        min_large_count = low if min_large_count is None else min(min_large_count, low)
-        usable.append((prof.pf, width, take))
+    drawn = [(prof.pf, large_columns(M, prof, rng, 10 * samples)) for prof in profiles]
+    usable = [(pf, psi) for pf, psi in drawn if psi.width]  # (formula, the Ψ record drawn from)
     if not usable:
         return {
             "passed": True,
@@ -182,21 +176,22 @@ def check_extension(
     if gamma_max_solutions is None:
         gamma_max_solutions = max_solution_count(M, gamma)
     # no closure of H plus a sample's parameters and base is larger
-    ell = max(pf.arity for pf, _, _ in usable)
+    ell = max(pf.arity for pf, _ in usable)
     closure_bound = _union_bound(gamma, len(elements) + base_max + ell, gamma_max_solutions)
+    min_large_count = min(psi.low for _, psi in usable)
     sufficient = None if closure_bound is None else min_large_count > closure_bound
 
     # row j of `sets` holds the sample's parameters in its first ell places
     # and its base after them, padded with -1; need[j] is the parameters'
     # solution count
-    widths = np.array([width for _, width, _ in usable], dtype=np.intp)
+    widths = np.array([psi.width for _, psi in usable], dtype=np.intp)
     formula, column, base_n, base = _draw_samples(rng, widths, M.size, samples, base_max)
     sets = np.full((samples, ell + base_max), -1, dtype=np.intp)
     sets[:, ell:] = base
     need = np.zeros(samples, dtype=np.int64)
-    for f_i, (pf, _, take) in enumerate(usable):
+    for f_i, (pf, psi) in enumerate(usable):
         picked = formula == f_i
-        cols, counts = take(column[picked])
+        cols, counts = psi.take(column[picked])
         sets[picked, : pf.arity] = cols.T
         need[picked] = counts
     swallowed = np.zeros(samples, dtype=bool)
@@ -207,7 +202,7 @@ def check_extension(
         owner, member = np.divmod(codes, M.size)  # the sample's place in `part`, a closure member
         sample = part[owner]
         inside = np.zeros(len(codes), dtype=bool)  # the member solves its sample's formula
-        for f_i, (pf, _, _) in enumerate(usable):
+        for f_i, (pf, _) in enumerate(usable):
             mine = formula[sample] == f_i
             inside[mine] = solves(M, pf, member[mine], sets[sample[mine], : pf.arity].T)
         swallowed[part] = np.bincount(owner[inside], minlength=len(part)) == need[part]

@@ -44,30 +44,6 @@ from .hgreedy import (
 COARSE_DIM = "coarse-dim"
 
 
-@dataclass(frozen=True)
-class FormulaSchedule:
-    """Finite truncation of the full formula enumeration, one profile per
-    formula: level n pairs the first n+1 cover profiles with the first n+1
-    avoid profiles."""
-
-    cover: tuple[MeasureProfile, ...]
-    avoid: tuple[MeasureProfile, ...]
-
-    def __post_init__(self):
-        if not self.cover or not self.avoid:
-            raise ConfigRejectedError("schedule needs at least one cover and one avoid formula")
-
-    @property
-    def levels(self) -> int:
-        return max(len(self.cover), len(self.avoid))
-
-    def truncation(self, level: int):
-        return (
-            self.cover[: min(level + 1, len(self.cover))],
-            self.avoid[: min(level + 1, len(self.avoid))],
-        )
-
-
 @dataclass
 class PlanEntry:
     structure: FiniteStructure = field(repr=False)
@@ -93,7 +69,6 @@ class PlanEntry:
 class SequencePlan:
     mode: str
     mu: float
-    schedule: FormulaSchedule
     configs: dict[int, GreedyConfig]
     entries: list[PlanEntry]
 
@@ -108,24 +83,28 @@ class SequencePlan:
 
 def schedule_in(
     family: list[FiniteStructure],
-    sched: FormulaSchedule,
+    cover: list[MeasureProfile],
+    avoid: list[MeasureProfile],
     mu: float | None = None,
     mode: str = STRICT,
 ) -> SequencePlan:
     """Assign each structure of the family its truncation level; H is not
-    built yet. Each level's config is derived from the schedule's profiles,
-    which must have been taken over this family.
+    built yet. Level n's config is derived from the first n+1 profiles of
+    each list, which must have been taken over this family.
 
     Levels are monotone in structure size on families where the threshold is
     monotone; an entry below every level keeps an empty H.
     """
+    if not cover or not avoid:
+        raise ConfigRejectedError("schedule needs at least one cover and one avoid formula")
     if mu is None:
-        mu = default_mu(sched.cover)
-    configs = {level: derive_config(*sched.truncation(level), mu) for level in range(sched.levels)}
+        mu = default_mu(cover)
+    levels = range(max(len(cover), len(avoid)))
+    configs = {n: derive_config(cover[: n + 1], avoid[: n + 1], mu) for n in levels}
     entries = []
     for M in family:
         level = None
-        for n in range(sched.levels):
+        for n in levels:
             cfg = configs[n]
             if not size_threshold_ok(cfg, M).ok:
                 continue
@@ -133,7 +112,7 @@ def schedule_in(
                 continue
             level = n
         entries.append(PlanEntry(structure=M, size=M.size, level=level))
-    return SequencePlan(mode=mode, mu=mu, schedule=sched, configs=configs, entries=entries)
+    return SequencePlan(mode=mode, mu=mu, configs=configs, entries=entries)
 
 
 def parallel_map(fn, items, threads: int) -> list:

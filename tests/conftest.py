@@ -42,7 +42,7 @@ def small_prime_family():
 @pytest.fixture(scope="session")
 def profiled():
     """profiled(family, formulas) profiles each formula over the family, in
-    order: the profile lists that derive_config and FormulaSchedule take."""
+    order: the profile lists that derive_config and schedule_in take."""
     return lambda family, formulas: [profile_family(family, pf) for pf in formulas]
 
 

@@ -34,7 +34,6 @@ from hlab.hgreedy import (
 )
 from hlab.hsequence import (
     COARSE_DIM,
-    FormulaSchedule,
     build_sequence,
     coarse_dimension_series,
     schedule_in,
@@ -231,8 +230,7 @@ def test_criterion_6_axiom_checks(pipeline):
 def test_criterion_7_coarse_dimension_trend(pipeline):
     # the pipeline's own profiles: same family, same cover and avoid lists
     cfg = pipeline.config
-    sched = FormulaSchedule(cover=cfg.delta_profiles, avoid=cfg.gamma_profiles)
-    plan = schedule_in(pipeline.family, sched, MU, mode=COARSE_DIM)
+    plan = schedule_in(pipeline.family, cfg.delta_profiles, cfg.gamma_profiles, MU, mode=COARSE_DIM)
     build_sequence(plan)
     series = coarse_dimension_series(plan, window=3)
     assert series.first_window_avg is not None

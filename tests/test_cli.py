@@ -617,14 +617,20 @@ class TestExitCodes:
             ("window", 0, "sequence"),
             ("window", -2, "sequence"),
             ("profile_samples", 0, "profile"),
+            ("profile_samples", 10**7 + 1, "profile"),
+            ("extension_samples", 10**12, "axioms"),
+            ("extension_samples", 10**7 // 13 + 1, "axioms"),
         ],
     )
     def test_bad_count_is_exit_2(self, tmp_path, capsys, key, value, command):
+        # a count over the budget would fail as a numpy allocation: with arity
+        # 1 a profile draws one value per sample, an extension sample 10 + 3
         cfg = write_config(tmp_path, **{key: value})
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {key} must be at least ")
+        low = value < 1
+        assert err.startswith(f"error: {key} must be at least " if low else f"error: {key} = {value} draws ")
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 

@@ -307,6 +307,26 @@ class TestCounting:
             solution_count(gf7, pf, (1, 2))
 
     @pytest.mark.parametrize(
+        "make, text, kind",
+        [
+            (lambda: make_prime_field(7), "x = y", "kernel"),
+            (lambda: make_prime_field(7), "x*y = 1", "image"),
+            (lambda: make_extension_field(3), "x = frob(y)", "kernel"),
+            (lambda: make_extension_field(3), "frob(x) = y", "image"),
+        ],
+    )
+    def test_parameter_outside_the_universe(self, make, text, kind):
+        # a kernel would answer |G| and a grid would wrap or index past the
+        # table: both refuse a value that is no element
+        M = make()
+        pf = parse_formula(text, M.sig)
+        assert plan(pf).kind == kind
+        for y in (-1, M.size):
+            for call in (solution_count, solution_set):
+                with pytest.raises(EvaluationError, match=f"parameters in 0..{M.size - 1}, got {y}$"):
+                    call(M, pf, (y,))
+
+    @pytest.mark.parametrize(
         "call, message",
         [
             (lambda M, pf: eval_bulk(M, pf.formula, {"x": np.arange(M.size)}), "no binding for variable 'y'"),

@@ -35,17 +35,17 @@ def replay_extension(M, h, profiles, gamma, *, samples, base_max, seed, gamma_ma
     rng = np.random.default_rng([seed, M.size, 3])
     usable = []
     for prof in profiles:
-        width, _, take = large_columns(M, prof, rng, 10 * samples)
-        if width:
-            usable.append((prof.pf, width, take))
+        psi = large_columns(M, prof, rng, 10 * samples)
+        if psi.width:
+            usable.append((prof.pf, psi))
     if not usable:
         return []
-    widths = np.array([width for _, width, _ in usable])
+    widths = np.array([psi.width for _, psi in usable])
     formula, column, base_n, base = _draw_samples(rng, widths, M.size, samples, base_max)
     failures = []
     for j in range(samples):
-        pf, _, take = usable[formula[j]]
-        params = [int(v) for v in take(np.array([column[j]]))[0][:, 0]]
+        pf, psi = usable[formula[j]]
+        params = [int(v) for v in psi.take(np.array([column[j]]))[0][:, 0]]
         row = [int(v) for v in base[j, : base_n[j]]]
         clos = closure(M, h, params + row, gamma, max_solutions=gamma_max_solutions)
         if set(solution_set(M, pf, params)) <= set(clos.elements):

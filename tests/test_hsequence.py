@@ -20,7 +20,6 @@ from hlab.folang import parse_formula
 from hlab.hgreedy import derive_config
 from hlab.hsequence import (
     COARSE_DIM,
-    FormulaSchedule,
     build_sequence,
     closure,
     coarse_dimension_series,
@@ -36,20 +35,21 @@ def prime_family_499():
 
 @pytest.fixture(scope="module")
 def schedule(profiled):
-    """schedule(family): the square-shift schedule, profiled over family."""
+    """schedule(family): the square-shift schedule's cover and avoid
+    profiles, taken over family."""
 
     def make(family):
         sig = family[0].sig
         cover = [parse_formula("exists z. z*z = x - y", sig), parse_formula("!(x = y)", sig)]
         avoid = [parse_formula("x = z", sig), parse_formula("x = z + 1", sig)]
-        return FormulaSchedule(tuple(profiled(family, cover)), tuple(profiled(family, avoid)))
+        return profiled(family, cover), profiled(family, avoid)
 
     return make
 
 
 @pytest.fixture(scope="module")
 def built_plan(prime_family_499, schedule):
-    plan = schedule_in(prime_family_499, schedule(prime_family_499), 0.4)
+    plan = schedule_in(prime_family_499, *schedule(prime_family_499), 0.4)
     return build_sequence(plan)
 
 
@@ -72,15 +72,15 @@ class TestScheduleIn:
 
     def test_all_below_every_threshold(self, schedule):
         fam = [make_prime_field(p) for p in primes_in(23, 101)]
-        plan = schedule_in(fam, schedule(fam), 0.4)
+        plan = schedule_in(fam, *schedule(fam), 0.4)
         assert all(e.level is None for e in plan.entries)
         build_sequence(plan)
         assert all(len(e.h_set) == 0 for e in plan.entries)
 
     def test_coarse_dim_never_exceeds_strict(self, prime_family_499, schedule):
         sched = schedule(prime_family_499)
-        strict = schedule_in(prime_family_499, sched, 0.4)
-        coarse = schedule_in(prime_family_499, sched, 0.4, mode=COARSE_DIM)
+        strict = schedule_in(prime_family_499, *sched, 0.4)
+        coarse = schedule_in(prime_family_499, *sched, 0.4, mode=COARSE_DIM)
         for a, b in zip(strict.entries, coarse.entries):
             sa = -1 if a.level is None else a.level
             sb = -1 if b.level is None else b.level
@@ -93,15 +93,18 @@ class TestScheduleIn:
         monkeypatch.setattr(asymptotics, "profile_family", refuse)
         assert not hasattr(hgreedy, "profile_family")
         assert not hasattr(hsequence, "profile_family")
-        sched = built_plan.schedule
-        plan = schedule_in(prime_family_499, sched, 0.4)
+        last = built_plan.configs[len(built_plan.configs) - 1]  # every profile of the schedule
+        cover, avoid = last.delta_profiles, last.gamma_profiles
+        plan = schedule_in(prime_family_499, cover, avoid, 0.4)
         assert [e.level for e in plan.entries] == [e.level for e in built_plan.entries]
         for level, cfg in plan.configs.items():
-            assert derive_config(*sched.truncation(level), 0.4).summary() == cfg.summary()
+            assert derive_config(cover[: level + 1], avoid[: level + 1], 0.4).summary() == cfg.summary()
 
-    def test_empty_schedule_rejected(self, built_plan):
-        with pytest.raises(ConfigRejectedError):
-            FormulaSchedule(cover=(), avoid=built_plan.schedule.avoid)
+    def test_empty_schedule_rejected(self, prime_family_499, built_plan):
+        gamma = built_plan.configs[0].gamma_profiles
+        for cover, avoid in (((), gamma), (gamma, ()), ((), ())):  # with mu given, nothing else refuses both empty
+            with pytest.raises(ConfigRejectedError, match="schedule needs at least one cover"):
+                schedule_in(prime_family_499, cover, avoid, 0.4)
 
 
 class TestBuildSequence:
@@ -116,15 +119,15 @@ class TestBuildSequence:
 
     def test_single_structure_family(self, schedule):
         fam = [make_prime_field(p) for p in primes_in(101, 131)]
-        plan = build_sequence(schedule_in(fam, schedule(fam), 0.4))
+        plan = build_sequence(schedule_in(fam, *schedule(fam), 0.4))
         assert len(plan.entries) == len(fam)
 
     def test_rerun_byte_identical(self, prime_family_499, schedule, built_plan):
-        again = build_sequence(schedule_in(prime_family_499, schedule(prime_family_499), 0.4))
+        again = build_sequence(schedule_in(prime_family_499, *schedule(prime_family_499), 0.4))
         assert dump_json(again.to_json_dict()) == dump_json(built_plan.to_json_dict())
 
     def test_threaded_build_identical(self, prime_family_499, schedule, built_plan):
-        plan = schedule_in(prime_family_499, schedule(prime_family_499), 0.4)
+        plan = schedule_in(prime_family_499, *schedule(prime_family_499), 0.4)
         threaded = build_sequence(plan, threads=4)
         assert dump_json(threaded.to_json_dict()) == dump_json(built_plan.to_json_dict())
 
@@ -372,7 +375,7 @@ class TestCoarseDimension:
 
     def test_no_builds_series(self, schedule):
         fam = [make_prime_field(p) for p in primes_in(23, 101)]
-        plan = build_sequence(schedule_in(fam, schedule(fam), 0.4))
+        plan = build_sequence(schedule_in(fam, *schedule(fam), 0.4))
         series = coarse_dimension_series(plan)
         assert series.first_window_avg is None
         assert all(r[2] == 0.0 for r in series.rows)

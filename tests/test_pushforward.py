@@ -5,6 +5,8 @@ draws. The cases include 2y + 1 on Z_12, whose image is a proper coset,
 GF(7^2), whose two axes are both padded for the transform, and shifts that
 are not linear (y*y, y1*y2, frob), which take the bincount."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -117,10 +119,18 @@ def test_pushforward_matches_tuple_enumeration(kind, k, monkeypatch):
     with monkeypatch.context() as patch:
         pushforward = run_checks(M, cfg, patch)
     assert isinstance(pushforward[0], list)  # built, so every check ran
-    # the tuple route: Ψ enumerated for the build, the certificates and the draws
-    monkeypatch.setattr(hgreedy, "psi_columns", columns_psi)
-    monkeypatch.setattr(asymptotics, "psi_columns", columns_psi)
+    # the tuple route: Ψ enumerated for the build, the certificates and the
+    # draws, each served by columns_psi (named by the function that asked)
+    served = []
+
+    def enumerated_psi(M, profile):
+        served.append(sys._getframe(1).f_code.co_name)
+        return columns_psi(M, profile)
+
+    monkeypatch.setattr(hgreedy, "psi_columns", enumerated_psi)
+    monkeypatch.setattr(asymptotics, "psi_columns", enumerated_psi)
     enumerated = run_checks(M, cfg, monkeypatch)
+    assert {"_phase_state", "verify_cover", "large_columns"} <= set(served)
     assert pushforward[0] == enumerated[0]
     assert len(pushforward[1]) == len(enumerated[1])
     for a, b in zip(pushforward[1], enumerated[1]):
@@ -214,6 +224,6 @@ def test_linear_kernel_record_evaluates_no_term(monkeypatch):
     Coverage(record).counts()
     assert verify_cover(M, h.elements, prof).passed
     assert check_density(M, h.elements, cfg.delta_profiles)["passed"]
-    width, low, _ = large_columns(M, prof, 0, 10)
-    assert (width, low) == (M.size**3, len(record.base))
+    psi = large_columns(M, prof, 0, 10)
+    assert psi is record and (psi.width, psi.low) == (M.size**3, len(record.base))
     assert terms == []

@@ -1,6 +1,7 @@
 """dump_json against its oracle: json.dumps(indent=2, sort_keys=True) with
 the same default. Every byte must match, and an object json.dumps refuses
-must raise the same error."""
+must raise the same error. _transform_length against a search that tests
+one integer at a time."""
 
 import json
 import math
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hlab._util import _plain, dump_json
+from hlab._util import _plain, _transform_length, dump_json
 
 
 def oracle(obj) -> str:
@@ -139,3 +140,25 @@ def test_unserializable_raises_like_json_dumps(obj):
     with pytest.raises(TypeError):
         oracle(obj)
     assert_same(obj)
+
+
+def searched_length(d: int) -> int:
+    """d when 5-smooth, else the first 5-smooth integer from 2d - 1 up."""
+
+    def smooth(n):
+        for f in (2, 3, 5):
+            while n % f == 0:
+                n //= f
+        return n == 1
+
+    if smooth(d):
+        return d
+    length = 2 * d - 1
+    while not smooth(length):
+        length += 1
+    return length
+
+
+def test_transform_length_matches_the_search():
+    for d in [*range(1, 10**4 + 1), 999983, 1000003, 1000033, 9999991, 10000019]:
+        assert _transform_length(d) == searched_length(d), d
