@@ -3,18 +3,19 @@
 For each structure we count solutions over all parameter tuples (or a seeded
 uniform sample when the tuple space is large) and keep the count histogram:
 each distinct count with its number of tuples, from folang.count_histogram
-(a translation kernel's {|G|: n^k} comes from its record; its sample, past
-the budget, is drawn but not evaluated). A profile keeps only its fit:
-enumerated counts stay cached on the structure by
-folang.solution_counts_all. Counts are explained by a
+(a translation kernel's {|G|: n^k} is one count at the zero tuple, with no
+Kernel record built; its sample, past the budget, is drawn but not
+evaluated). A profile keeps only its fit: enumerated counts stay cached on
+the structure by folang.solution_counts_all. Counts are explained by a
 finite set of measures E plus an error envelope of width C * sqrt(size), or
 by a uniform algebraicity bound B. Measure discovery runs from the largest
 structure downward: the largest structure's normalized counts are clustered
 by a gap threshold; observations from smaller structures join the nearest
 measure when their residual stays under the ceiling, and otherwise
 establish a new measure. Cluster measures are size-weighted means, so large
-structures dominate the estimate. Every decision reads a count alone, so
-the histogram fit equals the fit over one count per tuple.
+structures dominate the estimate, and their sums are exact integers.
+Every decision reads a count alone, so the histogram fit equals the fit
+over one count per tuple.
 
 The large set Ψ of a formula, its parameter tuples classified large, is
 named by the formula's profile alone, which carries the formula as `pf`,
@@ -134,11 +135,21 @@ def _observe(M: FiniteStructure, pf: ParamFormula, samples: int, seed: int):
     (enumerated) or a deduplicated seeded sample: (counts, tuples,
     enumerated), the distinct counts ascending and the number of tuples
     with each."""
-    enumerated = within_budget(M.size**pf.arity)
-    if enumerated:
+    if within_budget(M.size**pf.arity):
         return (*count_histogram(M, pf), True)
     counts = sample_columns(M, pf, [seed, M.size], max(samples, 1))[1]
     return (*np.unique(counts, return_counts=True), False)
+
+
+def _runs(pairs, n: int, gap: float) -> list[list[tuple[int, int]]]:
+    """The (count, tuples) pairs, counts ascending, cut into gap-clusters:
+    runs whose normalized counts count / n rise by at most gap per step."""
+    runs = []
+    for c, t in pairs:
+        if not runs or c / n - runs[-1][-1][0] / n > gap:
+            runs.append([])
+        runs[-1].append((c, t))
+    return runs
 
 
 def _fit(observed, gap: float, ceiling: float):
@@ -147,115 +158,77 @@ def _fit(observed, gap: float, ceiling: float):
     and the number of parameter tuples with each. Returns E, C, B and the
     per-structure stats in size order. Every decision reads a count alone,
     so a distinct count decides for all of its tuples; sums weight it by
-    their number. tests/profile_oracle.py keeps the same fit over one count
-    per tuple."""
-    # per measure: the summed counts and the summed universe sizes of its
-    # members; both are integers below 2**53, so float64 sums are exact in
-    # any order and each measure is their quotient
-    sum_counts = np.zeros(0)
-    sum_sizes = np.zeros(0)
+    their number. The sums are Python ints, so each measure is the
+    correctly rounded quotient of exact sums at any size.
+    tests/profile_oracle.py keeps the same fit over one count per tuple."""
+    observed = [(n, list(zip(map(int, counts), map(int, tuples))), e) for n, counts, tuples, e in observed]
+    sums = []  # per measure: [summed counts, summed universe sizes] of its members
     B: int | None = None
 
-    def first_stray_cluster(indices: np.ndarray, normalized: np.ndarray) -> np.ndarray:
-        """Indices of the lowest gap-cluster among the given normalized values."""
-        order = np.argsort(normalized, kind="stable")
-        svals = normalized[order]
-        splits = np.flatnonzero(np.diff(svals) > gap)
-        end = (splits[0] + 1) if len(splits) else len(svals)
-        return indices[order[:end]]
+    def open_measure(members, n):
+        sums.append([sum(c * t for c, t in members), n * sum(t for _, t in members)])
 
     # Pass 1: the largest structure fixes the initial picture.
-    n0, counts0, tuples0, _ = observed[0]
-    norm0 = counts0 / n0
-    for seg in np.split(np.arange(len(counts0)), np.flatnonzero(np.diff(norm0) > gap) + 1):
-        if norm0[seg].max() < gap:
-            top = int(counts0[seg].max())
-            B = top if B is None else max(B, top)
+    n0, pairs0, _ = observed[0]
+    for run in _runs(pairs0, n0, gap):
+        if run[-1][0] / n0 < gap:
+            B = max(B or 0, run[-1][0])
         else:
-            sum_counts = np.append(sum_counts, (counts0[seg] * tuples0[seg]).sum())
-            sum_sizes = np.append(sum_sizes, tuples0[seg].sum() * n0)
+            open_measure(run, n0)
 
     # Pass 2: remaining structures join measures, extend B, or open new ones.
-    for n, counts, tuples, _ in observed[1:]:
+    for n, pairs, _ in observed[1:]:
         sqrt_n = math.sqrt(n)
-        todo = np.ones(len(counts), dtype=bool)
-        if B is not None:
-            todo &= counts > B
-        while todo.any():
-            rest = np.flatnonzero(todo)
-            if len(sum_counts):
-                mus = sum_counts / sum_sizes
-                resid = np.abs(counts[rest, None] - mus[None, :] * n) / sqrt_n
-                arg = resid.argmin(axis=1)
-                join = resid.min(axis=1) <= ceiling
-                joined = rest[join]
-                sum_counts += np.bincount(arg[join], counts[joined] * tuples[joined], len(mus))
-                sum_sizes += np.bincount(arg[join], tuples[joined], len(mus)) * n
-                todo[joined] = False
-                rest = rest[~join]
-            if not len(rest):
+        todo = [(c, t) for c, t in pairs if B is None or c > B]
+        while todo:
+            mus, rest = [s / z for s, z in sums], []  # each pair joins its nearest measure as they stand
+            for c, t in todo:
+                resid = [abs(c - mu * n) / sqrt_n for mu in mus]
+                nearest = min(resid, default=math.inf)
+                if nearest <= ceiling:
+                    i = resid.index(nearest)
+                    sums[i] = [sums[i][0] + c * t, sums[i][1] + t * n]
+                else:
+                    rest.append((c, t))
+            small = [c for c, _ in rest if c / n < gap]  # a prefix, as the counts ascend
+            if small:
+                B = max(B or 0, small[-1])
+            todo = rest[len(small) :]
+            if not todo:
                 break
-            normalized = counts[rest] / n
-            small = normalized < gap
-            if small.any():
-                new_b = int(counts[rest[small]].max())
-                B = new_b if B is None else max(B, new_b)
-                todo[rest[small]] = False
-                rest = rest[~small]
-                normalized = normalized[~small]
-            if not len(rest):
-                continue
-            if len(sum_counts) >= MAX_MEASURES:
+            if len(sums) >= MAX_MEASURES:
                 raise NotOneDimensionalError(
                     f"more than {MAX_MEASURES} measures needed "
                     f"at size {n}; not asymptotically one-dimensional at this scale",
-                    offenders=[(n, int(c)) for c in counts[rest][:10]],
+                    offenders=[(n, c) for c, _ in todo[:10]],
                 )
             # open one new measure from the lowest unexplained cluster; its
             # founders are assigned to it so the loop always makes progress
-            members = first_stray_cluster(rest, normalized)
-            sum_counts = np.append(sum_counts, (counts[members] * tuples[members]).sum())
-            sum_sizes = np.append(sum_sizes, tuples[members].sum() * n)
-            todo[members] = False
+            founders = _runs(todo, n, gap)[0]
+            open_measure(founders, n)
+            todo = todo[len(founders) :]
 
-    E = sorted(sum_counts / sum_sizes)
-    merged: list[float] = []
-    for m in E:
-        if merged and abs(m - merged[-1]) < 1e-9:
-            continue
-        merged.append(m)
-    E = merged
+    E: list[float] = []
+    for m in sorted(s / z for s, z in sums):
+        if not (E and abs(m - E[-1]) < 1e-9):
+            E.append(m)
 
     # Fit C: smallest envelope constant explaining every large observation.
-    max_residual = 0.0
-    worst = []
-    stats = []
-    mus = np.array(E) if E else np.empty(0)
-    for n, counts, tuples, enumerated in observed:
-        sqrt_n = math.sqrt(n)
-        alg_mask = counts <= B if B is not None else np.zeros(len(counts), dtype=bool)
-        lg = ~alg_mask
+    max_residual, worst, stats = 0.0, [], []
+    for n, pairs, enumerated in observed:
+        large = [(c, t) for c, t in pairs if B is None or c > B]
         struct_max = 0.0
-        if lg.any():
-            if not len(mus):
-                raise NotOneDimensionalError(
-                    "counts above the algebraic bound with no measures",
-                    offenders=[(n, int(c)) for c in counts[lg][:10]],
-                )
-            resid = np.abs(counts[lg, None] - mus[None, :] * n).min(axis=1) / sqrt_n
-            struct_max = float(resid.max())
-            if struct_max > max_residual:
-                max_residual = struct_max
-            worst.append((struct_max, n))
-        stats.append(
-            StructureStats(
-                size=n,
-                max_residual=struct_max,
-                n_algebraic=int(tuples[alg_mask].sum()),
-                n_large=int(tuples[lg].sum()),
-                enumerated=enumerated,
+        if large and not E:
+            raise NotOneDimensionalError(
+                "counts above the algebraic bound with no measures", offenders=[(n, c) for c, _ in large[:10]]
             )
-        )
+        if large:
+            struct_max = max(min(abs(c - mu * n) for mu in E) for c, _ in large) / math.sqrt(n)
+            max_residual = max(max_residual, struct_max)
+            worst.append((struct_max, n))
+        n_large = sum(t for _, t in large)
+        n_algebraic = sum(t for _, t in pairs) - n_large
+        stats.append(StructureStats(n, struct_max, n_algebraic, n_large, enumerated))
 
     C = (math.floor(max_residual * 100) + 1) / 100.0
     if max_residual > ceiling:

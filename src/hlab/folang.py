@@ -857,14 +857,20 @@ class Kernel:
             yield positions, self.shifts(_lex_tuples(positions, n, k))
 
 
+def _kernel_rule(M: FiniteStructure, pf: ParamFormula) -> Plan | None:
+    """pf's kernel plan when it holds on M: None when the plan is no kernel
+    or M is outside the four families, whose ring laws the kernel rule uses."""
+    rule = plan(pf)
+    return rule if rule.kind == "kernel" and M.family in FAMILIES else None
+
+
 def kernel(M: FiniteStructure, pf: ParamFormula) -> Kernel | None:
     """pf's kernel plan bound to M, cached on the structure under the plan:
     G is the solution set at the zero tuple shifted back by u there, and a
     linear u is read at the unit tuples in the same evaluation. None when
-    pf's plan is no kernel or M is outside the four families, whose ring
-    laws the kernel rule uses."""
-    rule = plan(pf)
-    if rule.kind != "kernel" or M.family not in FAMILIES:
+    _kernel_rule finds no kernel."""
+    rule = _kernel_rule(M, pf)
+    if rule is None:
         return None
 
     def build():
@@ -1071,12 +1077,14 @@ def solution_counts_all(M: FiniteStructure, pf: ParamFormula) -> np.ndarray:
 
 def count_histogram(M: FiniteStructure, pf: ParamFormula):
     """The distinct solution counts over all n^k parameter tuples, ascending,
-    and the number of tuples with each: a kernel's one count |G| from its
-    record, any other formula's from solution_counts_all."""
-    record = kernel(M, pf)
-    if record is not None:
-        return np.array([record.low]), np.array([record.width])
-    return np.unique(solution_counts_all(M, pf), return_counts=True)
+    and the number of tuples with each, as lists of Python ints. A kernel's
+    is {|G|: n^k}, |G| counted at the zero tuple with no Kernel record
+    built; any other formula's comes from solution_counts_all."""
+    if _kernel_rule(M, pf) is not None:
+        zero = np.zeros((pf.arity, 1), dtype=np.intp)
+        return [int(solution_mask_matrix(M, pf, zero).sum())], [M.size**pf.arity]
+    counts, tuples = np.unique(solution_counts_all(M, pf), return_counts=True)
+    return counts.tolist(), tuples.tolist()
 
 
 def max_solution_count(M: FiniteStructure, gamma) -> int | None:

@@ -91,8 +91,12 @@ def check_independence(M: FiniteStructure, elements, gamma_trunc) -> dict:
 
 def check_density(M: FiniteStructure, elements, profiles) -> dict:
     """Every large parameter tuple of every profiled cover formula must have
-    a witness in H; algebraic tuples are skipped. Exhaustive, like verify_cover."""
-    certs = [verify_cover(M, elements, prof) for prof in profiles]
+    a witness in H; algebraic tuples are skipped. Exhaustive, like verify_cover;
+    a LabError names the cover formula."""
+    certs = []
+    for prof in profiles:
+        with where(formula=prof.pf.text):
+            certs.append(verify_cover(M, elements, prof))
     return {
         "passed": all(c.passed for c in certs),
         "n_failures": sum(len(c.failures) for c in certs),

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -97,6 +98,18 @@ class TestProfileFamily:
         prof = profile_family(fam, pf)
         assert prof.E == [1.0]
         assert prof.C == 0.01  # exact data still yields a positive constant
+
+    def test_profiling_builds_no_kernel_record(self):
+        # the square-shift formulas are all kernels: their histograms take
+        # one zero-tuple count each, and only Ψ builds the record
+        fam = [make_prime_field(p) for p in primes_in(11, 60)]
+        texts = ["exists z. z*z = x - y", "!(x = y)", "x = z", "x = z + 1"]
+        profiles = [profile_family(fam, parse_formula(t, fam[0].sig)) for t in texts]
+        assert not [key for M in fam for key in M._cache if key[0] == "kernel"]
+        M = fam[-1]
+        psi = psi_columns(M, profiles[0])
+        assert psi is kernel(M, profiles[0].pf)
+        assert ("kernel", plan(profiles[0].pf)) in M._cache
 
     def test_json_shape(self, square_shift_profile):
         _, _, prof = square_shift_profile
@@ -403,6 +416,21 @@ FIT_CASES = {
     ),
     "B overlaps min(E) |M|": ([(100, [1, 1, 50], True), (2, [1, 1], True)], 0.05, 2.0, "overlaps"),
 }
+
+
+class TestExactSums:
+    def test_measure_is_the_exact_quotient_past_2_53(self):
+        # 120 structures near 10^7, each with one count near n/2 on all n
+        # tuples: the summed sizes come to about 1.2e16, past 2**53, where
+        # float64 sums are no longer exact
+        rng = np.random.default_rng(0)
+        sizes = sorted(rng.choice(np.arange(9_900_000, 10_000_000), 120, replace=False).tolist(), reverse=True)
+        counts = [n // 2 + int(d) for n, d in zip(sizes, rng.integers(-1000, 1000, 120))]
+        observed = [(n, np.array([c]), np.array([n]), True) for n, c in zip(sizes, counts)]
+        assert sum(n * n for n in sizes) > 2**53
+        E = asymptotics._fit(observed, asymptotics.DEFAULT_GAP, asymptotics.DEFAULT_CEILING)[0]
+        exact = Fraction(sum(c * n for n, c in zip(sizes, counts)), sum(n * n for n in sizes))
+        assert E == [float(exact)]
 
 
 class TestHistogramFit:

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 
@@ -37,6 +38,7 @@ from hlab.folang import (
     Var,
     _image_mask,
     _polynomial,
+    count_histogram,
     eval_bulk,
     free_vars,
     free_vars_in_order,
@@ -724,6 +726,12 @@ class TestTranslationKernel:
         M = make(size)
         pf = parse_formula(text, M.sig)
         assert is_kernel(pf)
+        # the histogram is |G| on all n^k tuples, counted with no record built
+        naive = collections.Counter(
+            len(naive_solutions(M, pf, col)) for col in tuple_columns(range(M.size), pf.arity).T
+        )
+        assert count_histogram(M, pf) == ([*naive], [*naive.values()])
+        assert not [key for key in M._cache if key[0] == "kernel"]
         assert_kernel_matches_naive(M, pf, tuple_columns(range(M.size), pf.arity))
 
     @pytest.mark.parametrize(

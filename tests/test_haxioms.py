@@ -11,7 +11,7 @@ import pytest
 import hlab
 from hlab._util import dump_json
 from hlab.asymptotics import large_columns, profile_family
-from hlab.errors import InvariantError
+from hlab.errors import EnumerationBudgetError, InvariantError
 from hlab.finitemodels import make_cyclic_group, make_prime_field, primes_in
 from hlab.folang import kernel, parse_formula, solution_set, within_budget
 from hlab.hsequence import closure
@@ -508,6 +508,21 @@ class TestAxiomReport:
         assert d == reference
         d.clear()
         assert report.to_json_dict() == reference
+
+    def test_density_error_names_the_cover_formula(self, shrink_budget):
+        # x*y is no translation kernel, so its Ψ is enumerated, and the
+        # density check is the first to need it past a budget below 101 tuples
+        fam = [make_prime_field(p) for p in primes_in(61, 101)]
+        cover = parse_formula("exists z. z*z = x*y", fam[0].sig)
+        xz = parse_formula("x = z", fam[0].sig)
+        cfg = derive_config([profile_family(fam, cover)], [profile_family(fam, xz)], 0.2)
+        shrink_budget(100)
+        with pytest.raises(EnumerationBudgetError) as err:
+            run_axiom_checks(fam[-1], [0, 1], cfg, extension_samples=5)
+        assert str(err.value) == (
+            "prime-field(p=101), formula 'exists z. z*z = x*y', step density: "
+            "psi enumeration needs 101 tuples, over the budget"
+        )
 
     def test_failure_rows_present_when_failing(self, gf101_build):
         M, _, cfg = gf101_build
