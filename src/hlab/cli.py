@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -40,22 +40,9 @@ from .finitemodels import (
     signature_for_family,
 )
 from .folang import BUDGET, ParamFormula, parse_formula, within_budget
-from .hgreedy import (
-    BEST_EFFORT,
-    STRICT,
-    build_h,
-    derive_config,
-    require_threshold,
-    size_threshold_ok,
-)
+from .hgreedy import BEST_EFFORT, STRICT, require_threshold
 from .haxioms import DEFAULT_BASE_MAX, DEFAULT_EXTENSION_SAMPLES, run_axiom_checks
-from .hsequence import (
-    COARSE_DIM,
-    build_sequence,
-    coarse_dimension_series,
-    parallel_map,
-    schedule_in,
-)
+from .hsequence import COARSE_DIM, SequencePlan, build_sequence, coarse_dimension_series, schedule_in
 from .lovelypair import csv_rows, experiment_summary, run_experiment
 
 MODES = (STRICT, BEST_EFFORT, COARSE_DIM)
@@ -296,50 +283,45 @@ def cmd_profile(cfg: ExperimentConfig, out_dir: str) -> int:
     return 0
 
 
+def _schedule(cfg: ExperimentConfig) -> SequencePlan:
+    """The config's schedule: the family enumerated, both formula lists
+    profiled over it once, and every structure given its level."""
+    family = enumerate_family(cfg.family)
+    cover, avoid = _profiles(cfg, family, cfg.cover), _profiles(cfg, family, cfg.avoid)
+    return schedule_in(family, cover, avoid, cfg.mu, mode=cfg.mode)
+
+
 def _build_family(cfg: ExperimentConfig, threads: int, check=None):
-    """Derive the greedy config over the family and build H on every
-    structure that passes the threshold, one pooled job per structure.
-    Returns (M, H, build report, check(M, H, gcfg) or None) per built
-    structure; a check runs in the job that built its H."""
+    """Build the top level of the config's schedule (every structure in
+    best_effort mode); check(M, H, config), when given, runs in the job that
+    built H. Returns the top level's config, its built entries, and the
+    sizes of the other entries."""
     if cfg.mode == COARSE_DIM:
         raise ExperimentConfigError("mode 'coarse-dim' applies to the sequence command")
-    family = enumerate_family(cfg.family)
-    gcfg = derive_config(
-        _profiles(cfg, family, cfg.cover), _profiles(cfg, family, cfg.avoid), cfg.mu
-    )
-    skipped = []
-    jobs = []
-    for M in family:
-        if cfg.mode == STRICT and not size_threshold_ok(gcfg, M).ok:
-            skipped.append(M.size)
-        else:
-            jobs.append(M)
-
-    def job(M):
-        h_set, report = build_h(M, gcfg, cfg.mode)
-        return h_set, report, None if check is None else check(M, h_set, gcfg)
-
-    results = parallel_map(job, jobs, threads)
-    return gcfg, [(M, *result) for M, result in zip(jobs, results)], skipped
+    plan = _schedule(cfg)
+    top = len(plan.configs) - 1
+    built = [e for e in plan.entries if e.level == top]
+    build_sequence(replace(plan, entries=built), threads, check)
+    return plan.configs[top], built, [e.size for e in plan.entries if e.level != top]
 
 
 def cmd_build(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
     _require(cfg, cover=True, avoid=True, command="build")
-    gcfg, builds, skipped = _build_family(cfg, threads)
+    gcfg, built, skipped = _build_family(cfg, threads)
     payload = {
         "config": gcfg.summary(),
         "mode": cfg.mode,
         "skipped_sizes": skipped,
-        "builds": [report.to_json_dict() for _, _, report, _ in builds],
+        "builds": [e.report.to_json_dict() for e in built],
     }
     atomic_write_text(os.path.join(out_dir, "build.json"), dump_json(payload))
-    hsets = {os.path.join(out_dir, "hsets", f"h_{M.size}.txt"): h for M, h, _, _ in builds}
+    hsets = {os.path.join(out_dir, "hsets", f"h_{e.size}.txt"): e.h_set for e in built}
     for path, h_set in hsets.items():
         atomic_write_text(path, "".join(f"{e}\n" for e in h_set.elements))
     for path in glob.glob(os.path.join(glob.escape(out_dir), "hsets", "h_[0-9]*.txt")):
         if path not in hsets:
             os.unlink(path)  # left by an earlier run into the same directory
-    return 0 if all(report.all_passed for _, _, report, _ in builds) else 1
+    return 0 if all(e.report.all_passed for e in built) else 1
 
 
 def cmd_sequence(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
@@ -348,13 +330,12 @@ def cmd_sequence(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
         raise ExperimentConfigError(
             "sequence schedules by threshold; use mode 'strict' or 'coarse-dim'"
         )
-    family = enumerate_family(cfg.family)
-    cover, avoid = _profiles(cfg, family, cfg.cover), _profiles(cfg, family, cfg.avoid)
-    plan = schedule_in(family, cover, avoid, cfg.mu, mode=cfg.mode)
+    plan = _schedule(cfg)
     if all(e.level is None for e in plan.entries):
         # every structure fails every level, so the largest fails level 0
-        with where(structure=family[-1].describe()):
-            require_threshold(plan.configs[0], family[-1])
+        largest = plan.entries[-1].structure
+        with where(structure=largest.describe()):
+            require_threshold(plan.configs[0], largest)
     build_sequence(plan, threads=threads)
     series = coarse_dimension_series(plan, window=cfg.window)
     atomic_write_text(os.path.join(out_dir, "plan.json"), dump_json(plan.to_json_dict()))
@@ -379,8 +360,8 @@ def cmd_axioms(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
             seed=cfg.seed,
         )
 
-    gcfg, builds, skipped = _build_family(cfg, threads, check)
-    reports = [r for _, _, _, r in builds]
+    gcfg, built, skipped = _build_family(cfg, threads, check)
+    reports = [e.check_result for e in built]
     payload = {
         "config": gcfg.summary(),
         "skipped_sizes": skipped,
@@ -395,7 +376,7 @@ def cmd_axioms(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
         _write_csv(failures, failure_rows)
     elif os.path.exists(failures):
         os.unlink(failures)  # left by an earlier run into the same directory
-    build_ok = all(report.all_passed for _, _, report, _ in builds)
+    build_ok = all(e.report.all_passed for e in built)
     return 0 if build_ok and all(r.passed for r in reports) else 1
 
 

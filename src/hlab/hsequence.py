@@ -4,10 +4,12 @@ dimension series ln|H| / ln|M|.
 
 A schedule is a finite ordered list of cover-formula profiles and a finite
 ordered list of avoid-formula profiles, all taken over the family being
-scheduled. Level n uses the first n+1 entries of each list. A
-structure's level is the largest n whose size threshold it passes (with the
-extra size > C^n requirement in coarse-dim mode); structures below every
-level get an empty H.
+scheduled. Level n uses the first n+1 entries of each list, the top level
+all of them. A structure's level is the largest n whose size threshold it
+passes (with the extra size > C^n requirement in coarse-dim mode);
+structures below every level get an empty H. In best_effort mode every
+structure sits at the top level. `sequence` builds the whole schedule,
+`build` and `axioms` its top level, all through build_sequence.
 
 parallel_map, the package's one process pool, lives here: it forks its
 workers once, gives each an interleaved share of the items, and reads back
@@ -29,6 +31,7 @@ from .errors import ConfigRejectedError
 from .finitemodels import FiniteStructure
 from .folang import max_solution_count
 from .hgreedy import (
+    BEST_EFFORT,
     STRICT,
     BuildReport,
     GreedyConfig,
@@ -36,7 +39,6 @@ from .hgreedy import (
     _union_bound,
     build_h,
     closures,
-    default_mu,
     derive_config,
     size_threshold_ok,
 )
@@ -51,6 +53,7 @@ class PlanEntry:
     level: int | None  # None encodes "below every threshold"
     h_set: HSet | None = None
     report: BuildReport | None = None
+    check_result: object = field(default=None, repr=False)  # build_sequence's check; never serialised
 
     def to_json_dict(self) -> dict:
         return {
@@ -89,30 +92,33 @@ def schedule_in(
     mode: str = STRICT,
 ) -> SequencePlan:
     """Assign each structure of the family its truncation level; H is not
-    built yet. Level n's config is derived from the first n+1 profiles of
-    each list, which must have been taken over this family.
+    built yet. The top level's config is derived first, from every profile
+    (which must have been taken over this family), and fixes mu; level n's
+    config takes the first n+1 profiles of each list at that mu. So a
+    rejected config raises the top level's error: a prefix is never rejected.
 
     Levels are monotone in structure size on families where the threshold is
-    monotone; an entry below every level keeps an empty H.
+    monotone; an entry below every level keeps an empty H. In best_effort
+    mode no threshold is tested and every entry sits at the top level.
     """
     if not cover or not avoid:
         raise ConfigRejectedError("schedule needs at least one cover and one avoid formula")
-    if mu is None:
-        mu = default_mu(cover)
+    top = derive_config(cover, avoid, mu)
     levels = range(max(len(cover), len(avoid)))
-    configs = {n: derive_config(cover[: n + 1], avoid[: n + 1], mu) for n in levels}
+    configs = {n: derive_config(cover[: n + 1], avoid[: n + 1], top.mu) for n in levels[:-1]}
+    configs[levels[-1]] = top
     entries = []
     for M in family:
         level = None
         for n in levels:
             cfg = configs[n]
-            if not size_threshold_ok(cfg, M).ok:
+            if mode != BEST_EFFORT and not size_threshold_ok(cfg, M).ok:
                 continue
             if mode == COARSE_DIM and not M.size > cfg.c_delta_gamma**n:
                 continue
             level = n
         entries.append(PlanEntry(structure=M, size=M.size, level=level))
-    return SequencePlan(mode=mode, mu=mu, configs=configs, entries=entries)
+    return SequencePlan(mode=mode, mu=top.mu, configs=configs, entries=entries)
 
 
 def parallel_map(fn, items, threads: int) -> list:
@@ -215,18 +221,25 @@ def _run_share(fn, share, first: int, step: int, write: int):
             os._exit(code)
 
 
-def build_sequence(plan: SequencePlan, threads: int = 1) -> SequencePlan:
-    """Build every scheduled structure; certificates are attached in family
-    order, so the result is deterministic for any thread count."""
+def build_sequence(plan: SequencePlan, threads: int = 1, check=None) -> SequencePlan:
+    """Build every scheduled structure at its level's config, one pooled job
+    per structure: best_effort in a best_effort plan, strict otherwise.
+    check(M, H, config), when given, runs in the job that built H, and its
+    result is left on the entry as check_result. Results are attached in
+    family order, so the plan is deterministic for any thread count."""
+    mode = BEST_EFFORT if plan.mode == BEST_EFFORT else STRICT
+
+    def job(entry):
+        cfg = plan.configs[entry.level]
+        h_set, report = build_h(entry.structure, cfg, mode)
+        return h_set, report, None if check is None else check(entry.structure, h_set, cfg)
 
     scheduled = [e for e in plan.entries if e.level is not None]
-    results = parallel_map(
-        lambda e: build_h(e.structure, plan.configs[e.level], STRICT), scheduled, threads
-    )
+    results = parallel_map(job, scheduled, threads)
     for entry in plan.entries:
-        entry.h_set, entry.report = HSet(elements=[], provenance=[]), None
-    for entry, (h_set, report) in zip(scheduled, results):
-        entry.h_set, entry.report = h_set, report
+        entry.h_set, entry.report, entry.check_result = HSet(elements=[], provenance=[]), None, None
+    for entry, (h_set, report, result) in zip(scheduled, results):
+        entry.h_set, entry.report, entry.check_result = h_set, report, result
     return plan
 
 

@@ -530,10 +530,11 @@ class TestExitCodes:
             )
 
         cfg = write_config(tmp_path)
-        stages = [("build", "build_h"), ("axioms", "build_h"), ("axioms", "run_axiom_checks")]
+        # build_h is called in hsequence.build_sequence alone
+        stages = [("build", "hsequence.build_h"), ("axioms", "hsequence.build_h"), ("axioms", "cli.run_axiom_checks")]
         for i, (command, stage) in enumerate(stages):
             with monkeypatch.context() as patch:
-                patch.setattr(f"hlab.cli.{stage}", violated)
+                patch.setattr(f"hlab.{stage}", violated)
                 out = tmp_path / f"o{i}"
                 assert main([command, "--config", cfg, "--out", str(out), "--threads", threads]) == 2
             err = capsys.readouterr().err
@@ -608,6 +609,25 @@ class TestExitCodes:
             tmp_path, family={"family": "quadratic-extension-field", "values": [5]}, cover=[], avoid=[]
         )
         assert main(["lovely-pair", "--config", cfg, "--out", str(tmp_path / "lp")]) == 0
+
+    def test_rejected_config_same_for_every_command(self, tmp_path, capsys):
+        # the second cover formula has no parameters and the avoid formula is
+        # large: each command derives the schedule's top level first, so each
+        # names the cover formula, not the first avoid formula a lower level meets
+        cfg = write_config(
+            tmp_path,
+            family={"family": "prime-field", "lo": 101, "hi": 199},
+            cover=["exists z. z*z = x - y", "exists z. x = z"],
+            avoid=["!(x = z)"],
+            mu=MISSING,
+        )
+        errors = []
+        for command in ("build", "sequence", "axioms"):
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            errors.append(capsys.readouterr().err)
+            assert not any(out.iterdir())
+        assert errors == ["error: cover formula 'exists z. x = z' has no parameters\n"] * 3
 
     @pytest.mark.parametrize(
         "key, value, command",

@@ -4,8 +4,12 @@ fails here. A digest changes only in a change that justifies each edited
 digest in CHANGES.md (for example a deliberate change to a random stream).
 
 `test_digests_in_small_blocks` reruns build, sequence and axioms with the
-budget cut to about ten columns per block and checks that the digests hold
+budget cut to a few columns per block and checks that the digests hold
 and that every grid a caller holds stays one block.
+
+`strict_build` and `strict_axioms` pin a strict run that skips structures
+below the top level of the schedule; `test_build_is_the_top_level_of_sequence`
+checks that `build` writes exactly the top-level entries of `sequence`'s plan.
 
 `test_sampled_extension_check` pins the sampled branch of check_extension,
 which no CLI run on a small family reaches; `test_binary_avoid_extension_check`
@@ -44,6 +48,9 @@ SQUARE_SHIFT = {
 }
 # strict levels need mu 0.49 at these sizes; level 0 is reached everywhere
 SEQUENCE = {**SQUARE_SHIFT, "mu": 0.49, "mode": "strict"}
+# strict build and axioms: 353..383 reach level 0 only and are skipped,
+# 389..443 reach the top level (1) and are built
+STRICT = {**SEQUENCE, "family": {"family": "prime-field", "lo": 353, "hi": 443}}
 LOVELY_PAIR = {"family": {"family": "quadratic-extension-field", "lo": 3, "hi": 13}}
 LOVELY_SWEEP = {"family": {"family": "quadratic-extension-field", "lo": 3, "hi": 7}, "sweep_a1": True}
 
@@ -53,6 +60,8 @@ RUNS = {
     "build": (["build", "--threads", "2"], SQUARE_SHIFT),
     "sequence": (["sequence", "--threads", "2", "--mode", "coarse-dim"], SEQUENCE),
     "axioms": (["axioms", "--threads", "2"], SQUARE_SHIFT),
+    "strict_build": (["build", "--threads", "2"], STRICT),
+    "strict_axioms": (["axioms", "--threads", "2"], STRICT),
     "cyclic_profile": (["profile"], "cyclic_doubling.json"),
     "cyclic_build": (["build", "--threads", "2"], "cyclic_doubling.json"),
     # the only shipped run whose extension samples fail
@@ -192,6 +201,28 @@ GOLDEN = {
             "profiles.json": "a4c6ba20617d004fca4992d95a624210940bdf22a050acbde794e25b9c3a3e27",
         },
     ),
+    "strict_axioms": (
+        0,
+        {
+            "axioms.json": "8cd5d5cd587bbf23901583bea0d8182717a873410534c3881a1d006d6c01555d",
+        },
+    ),
+    "strict_build": (
+        0,
+        {
+            "build.json": "3414ce310774c82ae23b07d24ce540c2973552f35167cf7c2847fe83059d23fa",
+            "hsets/h_389.txt": "dcd5deef470973265a28f5c523d97dc38c6e8813d1bdcce30d4ea9a5e7dfed1f",
+            "hsets/h_397.txt": "d4c0b85a17d575189d6a08d3102a54b688e6692b6343b34e8e1bfce004fb57ed",
+            "hsets/h_401.txt": "1f142f6162304d02afd4f52b6c58985004d05b18e52aff827a4aea9cf10c247d",
+            "hsets/h_409.txt": "b88a862c72421150d0f7c8e6f90955c4267fe43176e1e2db0791b420144d873c",
+            "hsets/h_419.txt": "2c049daf3b279fb57a32fb43b7205e388fc0f206987281c2a653e1f9f87c3ccd",
+            "hsets/h_421.txt": "640de5d03585802794963a2cba39ba941998aa2ff5ec9dd68bb15e07bfd45e34",
+            "hsets/h_431.txt": "ca1a7d9674cff6cf242cc18f775cfa70cbf36a6b0ac233b9ce2f641ec7c3b419",
+            "hsets/h_433.txt": "0e1cb497fc9196625426ad80017e1708f348ef0f29d6f55e34d772e07811ef2f",
+            "hsets/h_439.txt": "01e856bd7f56a0104d870b6ed53ab3cab6a426c3b92980db6d02610e51b8636f",
+            "hsets/h_443.txt": "b804e60b39bef404edbaaad8d94ff2aae322ba9052326cb8cc34d00079e96e73",
+        },
+    ),
     "sequence": (
         0,
         {
@@ -220,10 +251,10 @@ def test_report_digests(name, tmp_path):
     assert run_digests(name, tmp_path) == GOLDEN[name]
 
 
-@pytest.mark.parametrize("name", ["axioms", "build", "sequence"])
+@pytest.mark.parametrize("name", ["axioms", "build", "sequence", "strict_axioms", "strict_build"])
 def test_digests_in_small_blocks(name, tmp_path, shrink_budget, monkeypatch):
-    # 2000 cells is about ten columns over these universes (n <= 199), and
-    # every tuple space here has n^k <= 199 tuples, so each enumerate-or-sample
+    # 2000 cells is four to twenty columns over these universes (n <= 443),
+    # and every tuple space here has n^k <= 443 tuples, so each enumerate-or-sample
     # decision is the one the full budget makes; one worker keeps every call
     # in this process
     shrink_budget(2000)
@@ -240,6 +271,27 @@ def test_digests_in_small_blocks(name, tmp_path, shrink_budget, monkeypatch):
                 monkeypatch.setattr(module, fn.__name__, recording)
     assert run_digests(name, tmp_path, "--threads", "1") == GOLDEN[name]
     assert 0 < max(cells) <= folang.BUDGET
+
+
+def test_build_is_the_top_level_of_sequence(tmp_path):
+    # build.json lists exactly the plan's top-level entries, skips the rest,
+    # and writes each entry's h
+    path = tmp_path / "strict.json"
+    path.write_text(json.dumps(STRICT))
+    for command in ("build", "sequence"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / command), "--threads", "2"]) == 0
+    build = json.loads((tmp_path / "build" / "build.json").read_text())
+    plan = json.loads((tmp_path / "sequence" / "plan.json").read_text())
+    top = max(map(int, plan["levels"]))
+    entries = {e["size"]: e for e in plan["entries"]}
+    built = [size for size, e in entries.items() if e["level"] == top]
+    assert [b["size"] for b in build["builds"]] == built
+    assert build["skipped_sizes"] == [size for size in entries if size not in built]
+    assert (len(built), len(build["skipped_sizes"])) == (10, 6)
+    hsets = tmp_path / "build" / "hsets"
+    assert sorted(p.name for p in hsets.iterdir()) == sorted(f"h_{size}.txt" for size in built)
+    for size in built:
+        assert (hsets / f"h_{size}.txt").read_text() == "".join(f"{e}\n" for e in entries[size]["h"])
 
 
 EXTENSION_DIGEST = "70ebf75a06548e108d866bda810efd319a07a4ba84b4e49e7ba6fc2c3e31f454"

@@ -77,6 +77,18 @@ class TestScheduleIn:
         build_sequence(plan)
         assert all(len(e.h_set) == 0 for e in plan.entries)
 
+    def test_best_effort_builds_every_entry_at_the_top(self, schedule):
+        # below every strict threshold, yet each entry sits at the top level
+        # and is built there, best_effort, with the check run on its H
+        fam = [make_prime_field(p) for p in primes_in(23, 47)]
+        plan = schedule_in(fam, *schedule(fam), 0.4, mode=hgreedy.BEST_EFFORT)
+        assert [e.level for e in plan.entries] == [1] * len(fam)
+        build_sequence(plan, threads=2, check=lambda M, h, cfg: (M.size, len(h), cfg is plan.configs[1]))
+        for e in plan.entries:
+            assert e.report.mode == hgreedy.BEST_EFFORT and e.report.threshold.ok is False
+            assert e.check_result == (e.size, len(e.h_set), True)
+            assert "check_result" not in dump_json(e.to_json_dict())
+
     def test_coarse_dim_never_exceeds_strict(self, prime_family_499, schedule):
         sched = schedule(prime_family_499)
         strict = schedule_in(prime_family_499, *sched, 0.4)
