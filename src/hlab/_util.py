@@ -6,6 +6,8 @@ default=_plain) through the C encoder, which json.dumps skips when `indent`
 is set. Indented JSON has raw newlines only in separators, as strings escape
 theirs, so one C call whose item separator carries the newline and indent
 writes a container of leaves, or a list of such containers cut between them.
+A long list goes GROUP rows per call, and each container's pieces are joined
+once, so the writer never holds a token per row of the whole output.
 """
 
 from __future__ import annotations
@@ -118,6 +120,11 @@ def _plain(obj):
 _KEYS = frozenset({str, int, float, bool, type(None)})
 # exact types json writes alike with and without indent; numpy scalars pass through _plain
 _LEAVES = _KEYS | {np.dtype(c).type for c in "?bhilqBHILQefd"}
+# rows, or leaves of a flat list, per C-encoder call: the encoder holds each
+# token as its own string until it returns, so a call is kept to one group
+GROUP = 64
+# characters atomic_write_text encodes, compares and writes at a time
+SLICE = 1 << 14
 
 
 @functools.cache
@@ -148,6 +155,14 @@ def _flat(values, keys=()) -> bool:
     )
 
 
+def _joined(head: str, bodies: list, sep: str, tail: str) -> str:
+    """head + sep.join(bodies) + tail in one join of the bodies, so at most
+    the bodies and the result are held at once; bodies is non-empty."""
+    bodies[0] = head + bodies[0]
+    bodies[-1] += tail
+    return sep.join(bodies)
+
+
 def _dump(obj, depth: int) -> str:
     """obj as indent-2 json writes it when it opens at indent level `depth`."""
     if isinstance(obj, (str, int, float)) or obj is None:
@@ -155,12 +170,16 @@ def _dump(obj, depth: int) -> str:
     if not isinstance(obj, (dict, list, tuple)):
         return _dump(_plain(obj), depth)
     is_dict = isinstance(obj, dict)
+    opening, closing = "{}" if is_dict else "[]"
     if not obj:
-        return "{}" if is_dict else "[]"
+        return opening + closing
     pad = "\n" + "  " * (depth + 1)
     if _flat(obj.values(), obj) if is_dict else _flat(obj):
-        text = _encoder(depth + 1)(obj)
-        return text[0] + pad + text[1:-1] + pad[:-2] + text[-1]
+        encode = _encoder(depth + 1)
+        if is_dict:  # report dicts hold a few keys: one call
+            return opening + pad + encode(obj)[1:-1] + pad[:-2] + closing
+        bodies = [encode(obj[i : i + GROUP])[1:-1] for i in range(0, len(obj), GROUP)]
+        return _joined(opening + pad, bodies, "," + pad, pad[:-2] + closing)
     # rows: non-empty flat dicts, or lists of leaves alone (an empty list in
     # a list row followed by a list would read as a row boundary)
     kinds = set(map(type, obj))
@@ -168,17 +187,20 @@ def _dump(obj, depth: int) -> str:
         kinds == {dict} and all(obj) and _flat([*chain(*map(dict.values, obj))], chain(*obj))
         or kinds <= {list, tuple} and all(obj) and set(map(type, chain(*obj))) <= _LEAVES
     ):
+        start, end = "{}" if kinds == {dict} else "[]"
         inner = pad + "  "
-        text = _encoder(depth + 2)(obj)
-        start, end = text[1], text[-2]
-        text = text[2:-2].replace(end + "," + inner + start, pad + end + "," + pad + start + inner)
-        return "[" + pad + start + inner + text + pad + end + pad[:-2] + "]"
+        boundary = pad + end + "," + pad + start + inner
+        encode = _encoder(depth + 2)
+        bodies = [
+            encode(obj[i : i + GROUP])[2:-2].replace(end + "," + inner + start, boundary)
+            for i in range(0, len(obj), GROUP)
+        ]
+        return _joined(opening + pad + start + inner, bodies, boundary, pad + end + pad[:-2] + closing)
     if is_dict:
         parts = [_key(k) + ": " + _dump(v, depth + 1) for k, v in sorted(obj.items())]
     else:
         parts = [_dump(v, depth + 1) for v in obj]
-    opening, closing = "{}" if is_dict else "[]"
-    return opening + pad + ("," + pad).join(parts) + pad[:-2] + closing
+    return _joined(opening + pad, parts, "," + pad, pad[:-2] + closing)
 
 
 def dump_json(obj) -> str:
@@ -186,24 +208,40 @@ def dump_json(obj) -> str:
     return _dump(obj, 0) + "\n"
 
 
+def _encoded(text: str):
+    """The UTF-8 bytes of text, SLICE characters at a time."""
+    for i in range(0, len(text), SLICE):
+        yield text[i : i + SLICE].encode()
+
+
+def _holds(path: str, text: str) -> bool:
+    """Whether the file at path holds exactly the bytes of text, read one
+    slice at a time against the slices of text."""
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != (len(text) if text.isascii() else sum(map(len, _encoded(text)))):
+                return False
+            return all(fh.read(len(piece)) == piece for piece in _encoded(text))
+    except OSError:
+        return False
+
+
 def atomic_write_text(path: str, text: str):
     """Write via a temp file in the target directory plus rename, so a failed
     run never leaves a partial report. A file that already holds exactly
     these bytes is left alone: reruns are byte-identical, and on some
-    filesystems a rename over a recently written file is slow."""
-    data = text.encode()
-    try:
-        with open(path, "rb") as fh:
-            if os.fstat(fh.fileno()).st_size == len(data) and fh.read() == data:
-                return
-    except OSError:
-        pass
+    filesystems a rename over a recently written file is slow. The text is
+    encoded, compared and written SLICE characters at a time."""
+    if _holds(path, text):
+        return
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for piece in _encoded(text):
+                fh.write(piece)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -256,6 +256,27 @@ def _profiles(cfg: ExperimentConfig, family, formulas) -> list[MeasureProfile]:
     ]
 
 
+def _counts_csv(profiles: list[MeasureProfile], family) -> str:
+    """counts.csv: a header, then one row per parameter tuple of each
+    structure a profile counted exhaustively, joined one block per
+    (formula, structure) and then once as a whole."""
+    blocks = ["formula,size,params,count,class\n"]
+    classes = ("algebraic\n", "large\n")
+    for prof in profiles:
+        formula = _csv_text([(prof.formula,)])[:-1]  # quoted as csv quotes it
+        for M in family:
+            stored = enumerated_counts(prof, M)
+            if stored is None:
+                continue
+            counts, large = stored
+            head = f"{formula},{M.size},"
+            cols = _lex_tuples(np.arange(len(counts)), M.size, prof.pf.arity).tolist()
+            params = map(" ".join, zip(*[map(str, c) for c in cols])) if cols else [""]
+            rows = zip(params, counts.tolist(), large.tolist())
+            blocks.append("".join([f"{head}{p},{c},{classes[g]}" for p, c, g in rows]))
+    return "".join(blocks)
+
+
 def cmd_profile(cfg: ExperimentConfig, out_dir: str) -> int:
     _require(cfg, cover=True, avoid=False, command="profile")
     family = enumerate_family(cfg.family)
@@ -264,22 +285,11 @@ def cmd_profile(cfg: ExperimentConfig, out_dir: str) -> int:
         os.path.join(out_dir, "profiles.json"),
         dump_json([p.to_json_dict() for p in profiles]),
     )
+    counts = os.path.join(out_dir, "counts.csv")
     if cfg.emit_counts:
-        lines = ["formula,size,params,count,class\n"]
-        classes = ("algebraic\n", "large\n")
-        for prof in profiles:
-            formula = _csv_text([(prof.formula,)])[:-1]  # quoted as csv quotes it
-            for M in family:
-                stored = enumerated_counts(prof, M)
-                if stored is None:
-                    continue
-                counts, large = stored
-                head = f"{formula},{M.size},"
-                cols = _lex_tuples(np.arange(len(counts)), M.size, prof.pf.arity).tolist()
-                params = map(" ".join, zip(*[map(str, c) for c in cols])) if cols else [""]
-                rows = zip(params, counts.tolist(), large.tolist())
-                lines += [f"{head}{p},{c},{classes[g]}" for p, c, g in rows]
-        atomic_write_text(os.path.join(out_dir, "counts.csv"), "".join(lines))
+        atomic_write_text(counts, _counts_csv(profiles, family))
+    elif os.path.exists(counts):
+        os.unlink(counts)  # left by an earlier run into the same directory
     return 0
 
 

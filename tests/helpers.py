@@ -4,8 +4,9 @@ import hashlib
 import itertools
 import os
 
-from hlab.folang import And, Eq, Exists, Forall, Implies, Not, Num, Or, Rel, Var
+from hlab.folang import And, Eq, Exists, Forall, Implies, Not, Num, Or, Rel, Var, parse_formula
 from hlab.errors import EvaluationError
+from hlab.hgreedy import verify_avoid
 
 
 def digest_tree(out_dir):
@@ -82,3 +83,20 @@ def evaluate(M, f, a: dict) -> bool:
     if isinstance(f, Exists):
         return any(evaluate(M, f.body, {**a, f.var: c}) for c in range(M.size))
     raise TypeError(f"not a formula: {f!r}")
+
+
+def avoid_with_a_closure_element(M, h):
+    """H with one element of clos(H) \\ H appended: z + 1 for the first z in
+    H whose successor is outside H. Returns the production avoid certificate
+    of x = z + 1 on it, the pairs of an element and an earlier one that the
+    naive evaluator finds to satisfy x = z + 1, and the one pair expected,
+    (z + 1, z)."""
+    pf = parse_formula("x = z + 1", M.sig)
+    successor = pf.formula.right
+    z = next(e for e in h if eval_term(M, successor, {"z": e}) not in h)
+    x = eval_term(M, successor, {"z": z})
+    extended = [*h, x]
+    naive = [
+        (a, b) for i, a in enumerate(extended) for b in extended[:i] if evaluate(M, pf.formula, {"x": a, "z": b})
+    ]
+    return verify_avoid(M, extended, pf), naive, (x, z)

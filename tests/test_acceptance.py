@@ -40,7 +40,7 @@ from hlab.hsequence import (
 )
 from hlab.lovelypair import phi_count, run_experiment
 
-from helpers import minimum_cover_size
+from helpers import avoid_with_a_closure_element, minimum_cover_size
 
 MU = 0.4
 DECAY = -math.log(1 - MU / 2)  # -ln 0.8
@@ -137,6 +137,11 @@ def test_criterion_3_greedy_size_bound(pipeline):
             assert cert.passed, (M.size, cert.violations[:3])
         assert len(h_set) <= STATED_CONSTANT * math.log(M.size)
         assert report.size_bound_ok  # the tighter config-level bound
+    # the avoid certifier is seen to reject, too: on GF(1009), H plus one
+    # element of clos(H) \ H
+    M, h_set, _ = next(b for b in pipeline.builds if b[0].size == 1009)
+    cert, naive, pair = avoid_with_a_closure_element(M, h_set.elements)
+    assert not cert.passed and cert.violations == naive == [pair]
     assert pipeline.elapsed < 60.0, f"criterion 3 took {pipeline.elapsed:.2f}s"
     report_line(
         3,

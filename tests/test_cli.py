@@ -9,6 +9,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,8 @@ from hlab import cli
 from hlab._util import atomic_write_text
 from hlab.cli import load_config, main
 from hlab.errors import ExperimentConfigError, InvariantError
-from hlab.finitemodels import FAMILIES
-from helpers import digest_tree
+from hlab.finitemodels import FAMILIES, make_prime_field
+from helpers import avoid_with_a_closure_element, digest_tree
 from test_golden import CONFIGS, SQUARE_SHIFT
 
 
@@ -293,6 +294,32 @@ class TestCommands:
         lines = Path(os.path.join(out, "counts.csv")).read_text().splitlines()
         assert lines[0] == "formula,size,params,count,class"
         assert len(lines) > 4
+
+    def test_profile_without_counts_removes_stale_counts_csv(self, tmp_path):
+        # a counts.csv left by an earlier run would not match profiles.json
+        family = {"family": "prime-field", "lo": 5, "hi": 13}
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, emit_counts=True, family=family)
+        assert main(["profile", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "counts.csv").exists()
+        cfg = write_config(tmp_path, family=family)
+        assert main(["profile", "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["profiles.json"]
+
+    def test_profile_counts_csv_holds_the_text_and_one_block(self, tmp_path):
+        # counts.csv is joined once per (formula, structure) and then once
+        # whole; a list entry per line held several times the text
+        cfg = write_config(tmp_path, emit_counts=True, family={"family": "prime-field", "lo": 101, "hi": 401})
+        warm = write_config(tmp_path, name="warm.json", emit_counts=True, family={"family": "prime-field", "lo": 5, "hi": 13})
+        assert main(["profile", "--config", warm, "--out", str(tmp_path / "warm")]) == 0  # imports and caches
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            assert main(["profile", "--config", cfg, "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (out / "counts.csv").stat().st_size
 
     def test_build(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -794,6 +821,8 @@ class TestMemory:
         builds = json.loads((out / "build.json").read_text())["builds"]
         assert [b["size"] for b in builds] == [10007, 10009]
         assert peak_mib < 150
+        cert, naive, pair = avoid_with_a_closure_element(make_prime_field(10007), builds[0]["h"])
+        assert not cert.passed and cert.violations == naive == [pair]
 
     def test_strict_build_and_axioms_gf_100k(self, tmp_path):
         # square-shift builds on GF(100003) and GF(100019): coverage is a
@@ -817,6 +846,10 @@ class TestMemory:
             os.path.join("hsets", "h_100019.txt"):
                 "0de090061ae5fe7f0c9f129709faa462504061bfc9916c17e047c347faa1f91d",
         }
+        build = json.loads((out / "build.json").read_text())["builds"][0]
+        assert build["size"] == 100003
+        cert, naive, pair = avoid_with_a_closure_element(make_prime_field(100003), build["h"])
+        assert not cert.passed and cert.violations == naive == [pair]
         # 500 extension samples, as in the shipped config: one closure mask
         # over all of them took 5 * 10^7 cells and the command's peak to 165 MiB;
         # blocks of at most BUDGET cells keep it near 126 MiB

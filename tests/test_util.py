@@ -1,10 +1,13 @@
 """dump_json against its oracle: json.dumps(indent=2, sort_keys=True) with
 the same default. Every byte must match, and an object json.dumps refuses
-must raise the same error. _transform_length against a search that tests
-one integer at a time."""
+must raise the same error. The writers' memory: dump_json and
+atomic_write_text hold the text and one bounded piece. _transform_length
+against a search that tests one integer at a time."""
 
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hlab._util import _plain, _transform_length, dump_json
+from hlab._util import GROUP, SLICE, _plain, _transform_length, atomic_write_text, dump_json
 
 
 def oracle(obj) -> str:
@@ -140,6 +143,99 @@ def test_unserializable_raises_like_json_dumps(obj):
     with pytest.raises(TypeError):
         oracle(obj)
     assert_same(obj)
+
+
+def row(kind: str, i: int):
+    """Row i of a flat row list: each row distinct, with strings that read
+    like the separators and brackets dump_json cuts at."""
+    text = TRICKY[i % len(TRICKY)]
+    if kind == "dict":
+        return {"a": i, "b": text, "c": FLOATS[i % len(FLOATS)], text: None}
+    if kind == "keys":  # rows whose key sets differ
+        return {f"k{i % 3}": i, **({"z": text} if i % 2 else {})}
+    if kind == "list":
+        return [i, text, i % 2 == 0]
+    return text if i % 2 else i  # a leaf of a flat list
+
+
+@pytest.mark.parametrize("n", sorted({0, 1, GROUP - 1, GROUP, GROUP + 1, 3 * GROUP + 5}))
+@pytest.mark.parametrize("kind", ["dict", "keys", "list", "leaf"])
+def test_flat_rows_across_group_boundaries(kind, n):
+    rows = [row(kind, i) for i in range(n)]
+    assert_same(rows)
+    assert_same({"nested": [tuple(rows), 1]})
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dump_json_holds_the_text_and_one_group():
+    rows = [
+        {"formula": "exists z. z*z = x - y", "size": i, "params": f"{i} {i + 1}", "count": 7 * i, "large": i % 2 == 0}
+        for i in range(5000)
+    ]
+    dump_json(rows[:2])  # the encoder for this depth is made once and cached
+    text, peak = traced_peak(dump_json, rows)
+    assert peak <= 2.5 * len(text)
+
+
+# a text of several slices, non-ASCII throughout
+LONG = "".join(f"{i},é中\U0001f600,{i * i}\n" for i in range(3 * SLICE // 16))
+
+
+def test_atomic_write_round_trips_a_multi_slice_text(tmp_path):
+    path = tmp_path / "r.txt"
+    assert len(LONG) > 2 * SLICE
+    atomic_write_text(str(path), LONG)
+    assert path.read_bytes() == LONG.encode()
+
+
+def test_atomic_write_leaves_a_file_with_the_same_bytes_alone(tmp_path):
+    path = tmp_path / "r.txt"
+    atomic_write_text(str(path), LONG)
+    before = path.stat()
+    atomic_write_text(str(path), LONG)
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert os.listdir(tmp_path) == ["r.txt"]
+
+
+@pytest.mark.parametrize(
+    "old",
+    [
+        LONG[:-2] + "x\n",  # the same length, differing in the last slice
+        LONG[: SLICE + 3],  # shorter
+        LONG + "more\n",  # longer
+    ],
+)
+def test_atomic_write_replaces_a_file_with_other_bytes(tmp_path, old):
+    path = tmp_path / "r.txt"
+    path.write_bytes(old.encode())
+    inode = path.stat().st_ino
+    atomic_write_text(str(path), LONG)
+    assert path.read_bytes() == LONG.encode()
+    assert path.stat().st_ino != inode
+    assert os.listdir(tmp_path) == ["r.txt"]
+
+
+@pytest.mark.parametrize("existing", [None, "same", "other"])
+def test_atomic_write_holds_slices_not_the_text(tmp_path, existing):
+    # the text as bytes, or the existing file read whole, would be 32 * SLICE
+    # bytes each here
+    path = tmp_path / "r.txt"
+    text = "0123456789abcde\n" * (2 * SLICE)
+    if existing is not None:
+        path.write_text(text if existing == "same" else text.upper())
+    _, peak = traced_peak(atomic_write_text, str(path), text)
+    assert path.read_text() == text
+    assert peak < 8 * SLICE
 
 
 def searched_length(d: int) -> int:
