@@ -1,12 +1,13 @@
 """Empirical measure profiles for parametrized formulas over a family.
 
-For each structure we count solutions over all parameter tuples (or a seeded
-uniform sample when the tuple space is large) and keep the count histogram:
-each distinct count with its number of tuples, from folang.count_histogram
-(a translation kernel's {|G|: n^k} is one count at the zero tuple, with no
-Kernel record built; its sample, past the budget, is drawn but not
-evaluated). A profile keeps only its fit: enumerated counts stay cached on
-the structure by folang.solution_counts_all. Counts are explained by a
+For each structure we keep the count histogram, each distinct count with its
+number of tuples, exact wherever folang.count_histogram gives one: a
+translation kernel's {|G|: n^k} at every size, one count at the zero tuple
+with no Kernel record built, and any other formula's counts over every
+parameter tuple within the budget. Only past the budget, off the kernel
+rule, is a seeded uniform sample of tuples counted instead. A profile keeps
+only its fit: enumerated counts stay cached on the structure by
+folang.solution_counts_all. Counts are explained by a
 finite set of measures E plus an error envelope of width C * sqrt(size), or
 by a uniform algebraicity bound B. Measure discovery runs from the largest
 structure downward: the largest structure's normalized counts are clustered
@@ -132,11 +133,12 @@ def sample_columns(M: FiniteStructure, pf: ParamFormula, rng, samples: int):
 
 def _observe(M: FiniteStructure, pf: ParamFormula, samples: int, seed: int):
     """The count histogram of one structure over every parameter tuple
-    (enumerated) or a deduplicated seeded sample: (counts, tuples,
-    enumerated), the distinct counts ascending and the number of tuples
-    with each."""
-    if within_budget(M.size**pf.arity):
-        return (*count_histogram(M, pf), True)
+    (enumerated), or over a deduplicated seeded sample where count_histogram
+    has no exact one: (counts, tuples, enumerated), the distinct counts
+    ascending and the number of tuples with each."""
+    exact = count_histogram(M, pf)
+    if exact is not None:
+        return (*exact, True)
     counts = sample_columns(M, pf, [seed, M.size], max(samples, 1))[1]
     return (*np.unique(counts, return_counts=True), False)
 

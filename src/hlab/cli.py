@@ -46,6 +46,7 @@ from .hsequence import COARSE_DIM, SequencePlan, build_sequence, coarse_dimensio
 from .lovelypair import csv_rows, experiment_summary, run_experiment
 
 MODES = (STRICT, BEST_EFFORT, COARSE_DIM)
+COMMANDS = ("profile", "build", "sequence", "axioms", "lovely-pair")
 
 _FAMILY_KEYS = {"family", "lo", "hi", "values"}
 _FORMULA_KEYS = {"text", "object", "params"}
@@ -325,9 +326,9 @@ def cmd_build(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
         "builds": [e.report.to_json_dict() for e in built],
     }
     atomic_write_text(os.path.join(out_dir, "build.json"), dump_json(payload))
-    hsets = {os.path.join(out_dir, "hsets", f"h_{e.size}.txt"): e.h_set for e in built}
-    for path, h_set in hsets.items():
-        atomic_write_text(path, "".join(f"{e}\n" for e in h_set.elements))
+    hsets = {os.path.join(out_dir, "hsets", f"h_{e.size}.txt"): e.report.h_elements for e in built}
+    for path, h in hsets.items():
+        atomic_write_text(path, "".join(f"{e}\n" for e in h))
     for path in glob.glob(os.path.join(glob.escape(out_dir), "hsets", "h_[0-9]*.txt")):
         if path not in hsets:
             os.unlink(path)  # left by an earlier run into the same directory
@@ -413,14 +414,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
         prog="hlab",
         description="Greedy generic-witness sets over finite structure families",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("profile", "build", "sequence", "axioms", "lovely-pair"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="experiment config (JSON)")
-        p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--threads", type=int, default=None, help="worker process cap (forked; serial where fork is unavailable)")
-        p.add_argument("--mode", choices=MODES, default=None, help="mode override")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="experiment config (JSON)")
+    parser.add_argument("--out", default=None, help="output directory override")
+    parser.add_argument("--seed", type=int, default=None, help="seed override")
+    parser.add_argument("--threads", type=int, default=None, help="worker process cap (forked; serial where fork is unavailable)")
+    parser.add_argument("--mode", choices=MODES, default=None, help="mode override")
     return parser
 
 
@@ -453,9 +452,7 @@ def main(argv=None) -> int:
             return cmd_sequence(cfg, out_dir, threads)
         if args.command == "axioms":
             return cmd_axioms(cfg, out_dir, threads)
-        if args.command == "lovely-pair":
-            return cmd_lovely_pair(cfg, out_dir)
-        raise ExperimentConfigError(f"unknown command {args.command!r}")
+        return cmd_lovely_pair(cfg, out_dir)
     except LabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1077,12 +1077,15 @@ def solution_counts_all(M: FiniteStructure, pf: ParamFormula) -> np.ndarray:
 
 def count_histogram(M: FiniteStructure, pf: ParamFormula):
     """The distinct solution counts over all n^k parameter tuples, ascending,
-    and the number of tuples with each, as lists of Python ints. A kernel's
-    is {|G|: n^k}, |G| counted at the zero tuple with no Kernel record
-    built; any other formula's comes from solution_counts_all."""
+    and the number of tuples with each, as lists of Python ints, or None when
+    they are not known exactly. A kernel's is {|G|: n^k} at every n^k, |G|
+    counted at the zero tuple with no Kernel record built; any other
+    formula's comes from solution_counts_all, and is None past the budget."""
     if _kernel_rule(M, pf) is not None:
         zero = np.zeros((pf.arity, 1), dtype=np.intp)
         return [int(solution_mask_matrix(M, pf, zero).sum())], [M.size**pf.arity]
+    if not within_budget(M.size**pf.arity):
+        return None
     counts, tuples = np.unique(solution_counts_all(M, pf), return_counts=True)
     return counts.tolist(), tuples.tolist()
 

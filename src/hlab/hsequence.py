@@ -35,7 +35,6 @@ from .hgreedy import (
     STRICT,
     BuildReport,
     GreedyConfig,
-    HSet,
     _union_bound,
     build_h,
     closures,
@@ -51,8 +50,7 @@ class PlanEntry:
     structure: FiniteStructure = field(repr=False)
     size: int
     level: int | None  # None encodes "below every threshold"
-    h_set: HSet | None = None
-    report: BuildReport | None = None
+    report: BuildReport | None = None  # None until built, and for an entry below every level
     check_result: object = field(default=None, repr=False)  # build_sequence's check; never serialised
 
     def to_json_dict(self) -> dict:
@@ -60,10 +58,6 @@ class PlanEntry:
             "size": self.size,
             "structure": self.structure.describe(),
             "level": self.level,
-            "h": None if self.h_set is None else list(self.h_set.elements),
-            "provenance": None
-            if self.h_set is None
-            else [list(p) for p in self.h_set.provenance],
             "report": None if self.report is None else self.report.to_json_dict(),
         }
 
@@ -232,14 +226,14 @@ def build_sequence(plan: SequencePlan, threads: int = 1, check=None) -> Sequence
     def job(entry):
         cfg = plan.configs[entry.level]
         h_set, report = build_h(entry.structure, cfg, mode)
-        return h_set, report, None if check is None else check(entry.structure, h_set, cfg)
+        return report, None if check is None else check(entry.structure, h_set, cfg)
 
     scheduled = [e for e in plan.entries if e.level is not None]
     results = parallel_map(job, scheduled, threads)
     for entry in plan.entries:
-        entry.h_set, entry.report, entry.check_result = HSet(elements=[], provenance=[]), None, None
-    for entry, (h_set, report, result) in zip(scheduled, results):
-        entry.h_set, entry.report, entry.check_result = h_set, report, result
+        entry.report, entry.check_result = None, None
+    for entry, (report, result) in zip(scheduled, results):
+        entry.report, entry.check_result = report, result
     return plan
 
 
@@ -311,7 +305,7 @@ def coarse_dimension_series(plan: SequencePlan, window: int = 3) -> CoarseDimens
     rows = []
     built = []
     for entry in plan.entries:
-        h_size = 0 if entry.h_set is None else len(entry.h_set)
+        h_size = 0 if entry.report is None else entry.report.h_size
         ratio = 0.0 if h_size < 1 else math.log(h_size) / math.log(entry.size)
         rows.append((entry.size, h_size, ratio))
         if h_size >= 1:

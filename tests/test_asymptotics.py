@@ -1,4 +1,8 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlab import asymptotics, folang
+from hlab._util import dump_json
 from hlab.asymptotics import (
     MeasureProfile,
     classify,
@@ -267,46 +272,97 @@ class TestPsiSet:
 
 
 class TestSampledProfiling:
+    # 4z = 2x - y1 - y2 reads x as x + x, so it is off the kernel rule and its
+    # profile past the budget is sampled; a kernel's never is (TestExactKernelProfiles)
+    SAMPLED = "exists z. z + z + z + z = x + x - y1 - y2"
+
     def test_wide_parameter_space_falls_back_to_sampling(self):
         # two parameters at size ~5000 give 2.5e7 tuples, past the 1e7 budget
         fam = [make_cyclic_group(n) for n in (4999, 5000)]
-        pf = parse_formula("exists z. z + z = x - y1 - y2", fam[0].sig,
-                           params=("y1", "y2"))
+        pf = parse_formula(self.SAMPLED, fam[0].sig, params=("y1", "y2"))
+        assert plan(pf).kind == "image"
         prof = profile_family(fam, pf, samples=2000, seed=5)
         assert not any(s.enumerated for s in prof.per_structure)
-        assert len(prof.E) == 2
+        # Z_5000: 2x - y1 - y2 is a multiple of 4 for half of x when y1 + y2
+        # is even, for no x otherwise; Z_4999: for every x
+        assert len(prof.E) == 2 and prof.B == 0
         assert abs(prof.E[0] - 0.5) <= 0.02
         assert abs(prof.E[1] - 1.0) <= 0.02
 
-    def test_kernel_sample_is_drawn_not_evaluated(self, monkeypatch, shrink_budget):
-        # a kernel past the budget has |G| solutions at each drawn tuple:
-        # its sample is drawn from the same seeded stream, repeats dropped,
-        # and never counted (2000 draws from 40^2 tuples repeat many)
-        fam = [make_cyclic_group(n) for n in (40, 41)]
-        pf = parse_formula("exists z. z + z = x - y1 - y2", fam[0].sig, params=("y1", "y2"))
-        for M in fam:
-            kernel(M, pf)  # its one evaluation, at the zero tuple
-        shrink_budget(100)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a kernel's sample was evaluated")
-
-        monkeypatch.setattr(folang, "solution_mask_matrix", refuse)
-        prof = profile_family(fam, pf, samples=2000, seed=5)
-        for M, stats in zip(fam, prof.per_structure):
-            draws = np.random.default_rng([5, M.size]).integers(0, M.size, size=(2000, 2))
-            assert stats.n_large == len(np.unique(draws, axis=0)) < 2000 and not stats.enumerated
-            # past the budget nothing is enumerated, and no counts are cached
-            assert enumerated_counts(prof, M) is None
-            assert "counts" not in {key[0] for key in M._cache}
-
     def test_sampling_is_seeded(self):
         fam = [make_cyclic_group(n) for n in (4999, 5000)]
-        pf = parse_formula("exists z. z + z = x - y1 - y2", fam[0].sig,
-                           params=("y1", "y2"))
+        pf = parse_formula(self.SAMPLED, fam[0].sig, params=("y1", "y2"))
         a = profile_family(fam, pf, samples=500, seed=5)
         b = profile_family(fam, pf, samples=500, seed=5)
+        assert not any(s.enumerated for s in a.per_structure)
         assert a.to_json_dict() == b.to_json_dict()
+
+
+class TestExactKernelProfiles:
+    """A translation kernel's profile is exact at every n^k: {|G|: n^k} from
+    one evaluation at the zero tuple, nothing drawn, no Kernel record."""
+
+    def test_kernel_past_the_budget_is_enumerated(self):
+        fam = [make_prime_field(p) for p in (10007, 10009)]
+        pf = parse_formula("exists z. z*z = x - y1 - y2", fam[0].sig, params=("y1", "y2"))
+        assert all(M.size**2 > folang.BUDGET for M in fam)
+        prof = profile_family(fam, pf)
+        for M, stats in zip(fam, prof.per_structure):
+            assert stats.enumerated and stats.n_large == M.size**2 and stats.n_algebraic == 0
+            assert "kernel" not in {key[0] for key in M._cache}
+        assert prof.E == [pytest.approx(0.5, abs=1e-3)]
+
+    def test_kernel_is_counted_not_sampled_past_the_budget(self, monkeypatch, shrink_budget):
+        # past the budget the profile is still enumerated: one evaluation per
+        # structure, at the zero tuple, and no sample drawn
+        fam = [make_cyclic_group(n) for n in (40, 41)]
+        pf = parse_formula("exists z. z + z = x - y1 - y2", fam[0].sig, params=("y1", "y2"))
+        shrink_budget(100)
+        evaluated = []
+        evaluate = folang.solution_mask_matrix
+
+        def recording(M, pf, cols, rows=None):
+            evaluated.append((M.size, np.asarray(cols).tolist()))
+            return evaluate(M, pf, cols, rows)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a kernel's profile was sampled")
+
+        monkeypatch.setattr(folang, "solution_mask_matrix", recording)
+        monkeypatch.setattr(asymptotics, "sample_columns", refuse)
+        prof = profile_family(fam, pf, samples=2000, seed=5)
+        assert sorted(evaluated) == [(40, [[0], [0]]), (41, [[0], [0]])]
+        for M, stats in zip(fam, prof.per_structure):
+            assert stats.enumerated and stats.n_large == M.size**2
+            # counts.csv lists no rows past the budget; no counts or Kernel
+            # record are cached, only the image of z + z
+            assert enumerated_counts(prof, M) is None
+            assert {key[0] for key in M._cache} == {"image"}
+        assert prof.E == [0.5, 1.0]
+
+    def test_profiling_a_kernel_imports_no_random(self):
+        code = (
+            "import sys\n"
+            "from hlab.asymptotics import profile_family\n"
+            "from hlab.finitemodels import make_prime_field\n"
+            "from hlab.folang import parse_formula\n"
+            "fam = [make_prime_field(p) for p in (10007, 10009)]\n"
+            "pf = parse_formula('exists z. z*z = x - y1 - y2', fam[0].sig, params=('y1', 'y2'))\n"
+            "assert all(s.enumerated for s in profile_family(fam, pf).per_structure)\n"
+            "sys.exit(5 if 'numpy.random' in sys.modules else 0)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(asymptotics.__file__))}
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+
+    def test_exact_past_two_to_the_63(self):
+        # n^3 > 2^63 tuples: n_large is the exact Python int n^3, as written
+        fam = [make_cyclic_group(n) for n in (2097153, 2097155)]
+        pf = parse_formula("exists v. v + v = x - y - z - w", fam[0].sig)
+        assert plan(pf).kind == "kernel" and fam[0].size**3 > 2**63
+        prof = profile_family(fam, pf)
+        written = json.loads(dump_json(prof.to_json_dict()))["per_structure"]
+        assert [(s["n_large"], s["enumerated"]) for s in written] == [(M.size**3, True) for M in fam]
+        assert prof.E == [1.0]
 
 
 class TestScaleStability:

@@ -514,6 +514,23 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["profile", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "argv", [[], ["--config", "c.json"], ["frob", "--config", "c.json"], ["build"], ["build", "axioms", "--config", "c.json"]]
+    )
+    def test_bad_command_line_is_exit_2(self, argv, capsys):
+        # a missing or unknown command, or a missing --config, is an argparse
+        # error: exit 2 with the usage, before any config is read
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: hlab")
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_every_command_takes_the_five_options(self, command):
+        argv = [command, "--config", "c.json", "--out", "o", "--seed", "3", "--threads", "2", "--mode", "strict"]
+        args = cli.build_arg_parser().parse_args(argv)
+        assert vars(args) == {"command": command, "config": "c.json", "out": "o", "seed": 3, "threads": 2, "mode": "strict"}
+
     def test_lovely_pair_p2_guard(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -228,7 +228,7 @@ GOLDEN = {
         {
             "coarse_dim.csv": "bba4e550ddbf54fe95b027d58c51345291b95caf5e9b38ac421f0b2a2975395c",
             "coarse_dim.json": "082b0b5922c7a77b698e528890a390dc4f9f973c57e4df097990177fe35d1b02",
-            "plan.json": "4a5967558cc15abbda6865e3d0532acf76cf8b516f2bee72f9cdb0f649f8b5ef",
+            "plan.json": "c0d5e674979d60b29b50030f49ab4848865a3993edaca2357aa2c18133443416",
         },
     ),
 }
@@ -291,7 +291,7 @@ def test_build_is_the_top_level_of_sequence(tmp_path):
     hsets = tmp_path / "build" / "hsets"
     assert sorted(p.name for p in hsets.iterdir()) == sorted(f"h_{size}.txt" for size in built)
     for size in built:
-        assert (hsets / f"h_{size}.txt").read_text() == "".join(f"{e}\n" for e in entries[size]["h"])
+        assert (hsets / f"h_{size}.txt").read_text() == "".join(f"{e}\n" for e in entries[size]["report"]["h"])
 
 
 EXTENSION_DIGEST = "70ebf75a06548e108d866bda810efd319a07a4ba84b4e49e7ba6fc2c3e31f454"

@@ -64,8 +64,8 @@ class TestScheduleIn:
 
     def test_small_structures_unscheduled(self, built_plan):
         assert built_plan.entries[0].level is None
-        assert built_plan.entries[0].h_set is not None
-        assert len(built_plan.entries[0].h_set) == 0
+        assert built_plan.entries[0].report is None
+        assert built_plan.entries[0].to_json_dict()["report"] is None
 
     def test_some_structures_scheduled(self, built_plan):
         assert any(e.level == 0 for e in built_plan.entries)
@@ -75,7 +75,7 @@ class TestScheduleIn:
         plan = schedule_in(fam, *schedule(fam), 0.4)
         assert all(e.level is None for e in plan.entries)
         build_sequence(plan)
-        assert all(len(e.h_set) == 0 for e in plan.entries)
+        assert all(e.report is None for e in plan.entries)
 
     def test_best_effort_builds_every_entry_at_the_top(self, schedule):
         # below every strict threshold, yet each entry sits at the top level
@@ -86,8 +86,10 @@ class TestScheduleIn:
         build_sequence(plan, threads=2, check=lambda M, h, cfg: (M.size, len(h), cfg is plan.configs[1]))
         for e in plan.entries:
             assert e.report.mode == hgreedy.BEST_EFFORT and e.report.threshold.ok is False
-            assert e.check_result == (e.size, len(e.h_set), True)
+            assert e.check_result == (e.size, e.report.h_size, True)
             assert "check_result" not in dump_json(e.to_json_dict())
+            # H and its provenance are written once, in the report
+            assert set(e.to_json_dict()) == {"size", "structure", "level", "report"}
 
     def test_coarse_dim_never_exceeds_strict(self, prime_family_499, schedule):
         sched = schedule(prime_family_499)
