@@ -1,5 +1,6 @@
 """Small shared helpers: tuple grids, flat tuple indices, cyclic
-convolution, the JSON report writer, atomic writes.
+convolution, the JSON report writer, atomic writes and stale-report removal,
+each of which names a report path it cannot write or remove.
 
 dump_json writes the bytes of json.dumps(obj, indent=2, sort_keys=True,
 default=_plain) through the C encoder, which json.dumps skips when `indent`
@@ -21,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InvariantError
+from .errors import ExperimentConfigError, InvariantError
 
 
 def tuple_columns(values, arity: int) -> np.ndarray:
@@ -236,14 +237,28 @@ def atomic_write_text(path: str, text: str):
     if _holds(path, text):
         return
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            for piece in _encoded(text):
-                fh.write(piece)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                for piece in _encoded(text):
+                    fh.write(piece)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ExperimentConfigError(f"cannot write report {path!r}: {exc.strerror}") from exc
+
+
+def remove_stale(path: str):
+    """Delete the report an earlier run into the same directory left at
+    path, if there is one."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise ExperimentConfigError(f"cannot remove stale report {path!r}: {exc.strerror}") from exc

@@ -93,16 +93,7 @@ class MeasureProfile:
             "E": [float(m) for m in self.E],
             "C": float(self.C),
             "B": None if self.B is None else int(self.B),
-            "per_structure": [
-                {
-                    "size": s.size,
-                    "max_residual": float(s.max_residual),
-                    "n_algebraic": s.n_algebraic,
-                    "n_large": s.n_large,
-                    "enumerated": s.enumerated,
-                }
-                for s in self.per_structure
-            ],
+            "per_structure": [dict(vars(s), max_residual=float(s.max_residual)) for s in self.per_structure],
             "gap": float(self.gap),
             "seed": int(self.seed),
         }
@@ -116,10 +107,6 @@ class ParamClass:
     kind: str  # "algebraic" | "large"
     count: int
     measure: float | None = None
-
-    @property
-    def is_large(self) -> bool:
-        return self.kind == "large"
 
 
 def sample_columns(M: FiniteStructure, pf: ParamFormula, rng, samples: int):

@@ -19,10 +19,11 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
-from ._util import _lex_tuples, atomic_write_text, dump_json
+from ._util import _lex_tuples, atomic_write_text, dump_json, remove_stale
 from .asymptotics import (
     DEFAULT_CEILING,
     DEFAULT_GAP,
@@ -289,8 +290,8 @@ def cmd_profile(cfg: ExperimentConfig, out_dir: str) -> int:
     counts = os.path.join(out_dir, "counts.csv")
     if cfg.emit_counts:
         atomic_write_text(counts, _counts_csv(profiles, family))
-    elif os.path.exists(counts):
-        os.unlink(counts)  # left by an earlier run into the same directory
+    else:
+        remove_stale(counts)
     return 0
 
 
@@ -304,9 +305,9 @@ def _schedule(cfg: ExperimentConfig) -> SequencePlan:
 
 def _build_family(cfg: ExperimentConfig, threads: int, check=None):
     """Build the top level of the config's schedule (every structure in
-    best_effort mode); check(M, H, config), when given, runs in the job that
-    built H. Returns the top level's config, its built entries, and the
-    sizes of the other entries."""
+    best_effort mode); check(M, report, config), when given, runs in the
+    job that built H. Returns the top level's config, its built entries,
+    and the sizes of the other entries."""
     if cfg.mode == COARSE_DIM:
         raise ExperimentConfigError("mode 'coarse-dim' applies to the sequence command")
     plan = _schedule(cfg)
@@ -331,7 +332,7 @@ def cmd_build(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
         atomic_write_text(path, "".join(f"{e}\n" for e in h))
     for path in glob.glob(os.path.join(glob.escape(out_dir), "hsets", "h_[0-9]*.txt")):
         if path not in hsets:
-            os.unlink(path)  # left by an earlier run into the same directory
+            remove_stale(path)
     return 0 if all(e.report.all_passed for e in built) else 1
 
 
@@ -361,16 +362,7 @@ def cmd_sequence(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
 def cmd_axioms(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
     _require(cfg, cover=True, avoid=True, command="axioms")
 
-    def check(M, h_set, gcfg):
-        return run_axiom_checks(
-            M,
-            h_set.elements,
-            gcfg,
-            extension_samples=cfg.extension_samples,
-            base_max=cfg.base_max,
-            seed=cfg.seed,
-        )
-
+    check = partial(run_axiom_checks, extension_samples=cfg.extension_samples, base_max=cfg.base_max, seed=cfg.seed)
     gcfg, built, skipped = _build_family(cfg, threads, check)
     reports = [e.check_result for e in built]
     payload = {
@@ -385,8 +377,8 @@ def cmd_axioms(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
     failures = os.path.join(out_dir, "failures.csv")
     if len(failure_rows) > 1:
         _write_csv(failures, failure_rows)
-    elif os.path.exists(failures):
-        os.unlink(failures)  # left by an earlier run into the same directory
+    else:
+        remove_stale(failures)
     build_ok = all(e.report.all_passed for e in built)
     return 0 if build_ok and all(r.passed for r in reports) else 1
 

@@ -97,7 +97,8 @@ class StructureTooSmallError(LabError):
 
 
 class ExperimentConfigError(LabError):
-    """Invalid or incomplete experiment configuration file."""
+    """Invalid or incomplete experiment configuration file, or a report path
+    that cannot be written or removed."""
 
 
 class InvariantError(LabError):

@@ -201,6 +201,10 @@ _KEYWORDS = {"exists", "forall"}
 
 _OPERATORS = {"+": "add", "-": "sub", "*": "mul"}
 
+# the most tokens parse_formula reads: the parser and the walks over a formula
+# recurse per nesting level, and must stay within the interpreter's limit
+MAX_TOKENS = 256
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -513,9 +517,14 @@ def parse_formula(
     """Parse and normalize a parametrized formula.
 
     When `params` is omitted, the parameters are the free variables other
-    than the object variable, in order of first appearance.
+    than the object variable, in order of first appearance. A formula of
+    more than MAX_TOKENS tokens is refused.
     """
-    norm = normalize(parse(text, sig))
+    parser = _Parser(text, sig)
+    if len(parser.tokens) > MAX_TOKENS:  # so the text is longer than 40 characters
+        message = f"formula {text[:40] + '...'!r} has {len(parser.tokens)} tokens, over the limit of {MAX_TOKENS}"
+        raise FormulaSyntaxError(message, parser.tokens[MAX_TOKENS][2])
+    norm = normalize(parser.parse())
     order = free_vars_in_order(norm)
     if object_var not in order:
         raise FreeVariableError(f"object variable {object_var!r} is not free in {text!r}")

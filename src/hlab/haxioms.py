@@ -1,15 +1,15 @@
 """Finite-scale checks of the expansion axioms against a built (M, H) pair.
 
-Scope note carried in every report: these are finite surrogates. Density
-quantifies over the large parameter tuples of the supplied cover formulas
-only (enumerated, or for a translation kernel all n^k through the pushforward
-of its shifts), extension over enumerated or seeded-sampled ones, and
-algebraic closure is truncated to the supplied avoid list
-(hgreedy.closures lists its members, one block of extension samples at a
-time). Independence is checked exactly in its order-restricted
-form (the construction's guarantee); the symmetric form is reported as an
-informational count because nothing at finite scale stands in for the
-exchange argument that closes the gap in the limit.
+Scope note carried in every report: these are finite surrogates. Density is
+the build's own exhaustive cover certificates, over the large parameter
+tuples of the supplied cover formulas (for a translation kernel all n^k,
+through the pushforward of its shifts). Independence is the build's own
+avoid certificates: exact in its order-restricted form (the construction's
+guarantee), while the symmetric witnesses the same grids found are an
+informational count, because nothing at finite scale stands in for the
+exchange argument that closes the gap in the limit. Only extension runs
+here, over enumerated or seeded-sampled tuples, with algebraic closure
+truncated to the supplied avoid list (hgreedy.closures lists its members).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .asymptotics import large_columns
 from .errors import InvariantError, StructureTooSmallError, where
 from .finitemodels import FiniteStructure
 from .folang import column_blocks, max_solution_count, solves
-from .hgreedy import _union_bound, closures, independence_checks, verify_cover
+from .hgreedy import AvoidCertificate, BuildReport, CoverCertificate, _union_bound, closures
 
 SCOPE_NOTE = (
     "finite-scale surrogate: density/extension checked over enumerated or "
@@ -70,17 +70,15 @@ class AxiomReport:
                 yield (self.size, "independence", cert["formula"], " ".join(map(str, tup)))
 
 
-def check_independence(M: FiniteStructure, elements, gamma_trunc) -> dict:
-    """Order-restricted check (must pass: it is the construction's own
-    guarantee) plus the symmetric witness count (informational), both read
-    from one grid per avoid formula."""
-    checks = [independence_checks(M, elements, xi) for xi in gamma_trunc]
-    order_certs = [cert for cert, _ in checks]
-    symmetric_witnesses = [(c.formula, *w) for c, found in checks for w in found]
+def check_independence(certs: list[AvoidCertificate]) -> dict:
+    """The build's order-restricted avoid certificates (they must pass: they
+    are the construction's own guarantee) and the symmetric witnesses their
+    grid passes found (informational)."""
+    symmetric_witnesses = [(c.formula, *w) for c in certs for w in c.witnesses]
     return {
         "order_restricted": {
-            "passed": all(c.passed for c in order_certs),
-            "per_formula": [c.to_json_dict() for c in order_certs],
+            "passed": all(c.passed for c in certs),
+            "per_formula": [c.to_json_dict() for c in certs],
         },
         "symmetric": {
             "witness_count": len(symmetric_witnesses),
@@ -89,14 +87,10 @@ def check_independence(M: FiniteStructure, elements, gamma_trunc) -> dict:
     }
 
 
-def check_density(M: FiniteStructure, elements, profiles) -> dict:
-    """Every large parameter tuple of every profiled cover formula must have
-    a witness in H; algebraic tuples are skipped. Exhaustive, like verify_cover;
-    a LabError names the cover formula."""
-    certs = []
-    for prof in profiles:
-        with where(formula=prof.pf.text):
-            certs.append(verify_cover(M, elements, prof))
+def check_density(certs: list[CoverCertificate]) -> dict:
+    """The build's cover certificates: every large parameter tuple of every
+    profiled cover formula must have a witness in H, exhaustively; algebraic
+    tuples are skipped."""
     return {
         "passed": all(c.passed for c in certs),
         "n_failures": sum(len(c.failures) for c in certs),
@@ -239,23 +233,21 @@ def check_extension(
 
 def run_axiom_checks(
     M: FiniteStructure,
-    elements,
+    report: BuildReport,
     cfg,
     *,
     extension_samples: int = DEFAULT_EXTENSION_SAMPLES,
     base_max: int = DEFAULT_BASE_MAX,
     seed: int = 0,
 ) -> AxiomReport:
-    """All three checks of H's ordered element list against a build config."""
+    """The axioms of the build `report` of M under cfg: its cover and avoid
+    certificates, and the extension check over report.h_elements, whose
+    LabError names the structure and the extension step."""
     structure = M.describe()
-    with where(structure=structure, step="independence"):
-        independence = check_independence(M, elements, cfg.gamma)
-    with where(structure=structure, step="density"):
-        density = check_density(M, elements, cfg.delta_profiles)
     with where(structure=structure, step="extension"):
         extension = check_extension(
             M,
-            elements,
+            report.h_elements,
             cfg.delta_profiles,
             cfg.gamma,
             samples=extension_samples,
@@ -267,8 +259,8 @@ def run_axiom_checks(
         scope=SCOPE_NOTE,
         size=M.size,
         structure=structure,
-        independence=independence,
-        density=density,
+        independence=check_independence(report.avoid),
+        density=check_density(report.cover),
         extension=extension,
         seed=seed,
     )

@@ -28,8 +28,9 @@ bound.
 
 Every build returns certificates: an exhaustive cover check per cover
 formula (for a kernel over its shifts, which checks every tuple), an
-exhaustive order-restricted avoid check per avoid formula, the size bound,
-and the per-step shrink factors.
+exhaustive order-restricted avoid check per avoid formula, which also keeps
+the symmetric witnesses its grid finds, the size bound, and the per-step
+shrink factors.
 """
 
 from __future__ import annotations
@@ -432,9 +433,10 @@ class AvoidCertificate:
     checked: int
     violations: list[tuple]
     passed: bool
+    witnesses: list[tuple] = field(default_factory=list, repr=False)  # symmetric (h, *params); never serialised
 
     def to_json_dict(self) -> dict:
-        return dict(vars(self))
+        return {key: value for key, value in vars(self).items() if key != "witnesses"}
 
 
 @dataclass
@@ -554,12 +556,14 @@ def verify_cover(M: FiniteStructure, elements, profile: MeasureProfile) -> Cover
     return CoverCertificate(profile.pf.text, "exhaustive", psi.width, failures, not failures)
 
 
-def independence_checks(M: FiniteStructure, elements, pf: ParamFormula):
-    """Both independence checks of an avoid formula, read from the
+def verify_avoid(M: FiniteStructure, elements, pf: ParamFormula) -> AvoidCertificate:
+    """Exhaustive order-restricted check: no element of H satisfies the
+    formula with parameters strictly earlier in the H order. It reads the
     |H| x |H|^k grid over H, one block at a time, through two masks on the H
     positions of the parameters: all before the row's own position gives the
-    order-restricted certificate, none equal to it the symmetric witnesses
-    (h, *params). A parameterless formula's one tuple passes both masks."""
+    violations, none equal to it the symmetric witnesses (h, *params), which
+    the certificate keeps. A parameterless formula's one tuple passes both
+    masks, so it is checked against every element."""
     h = np.asarray(elements, dtype=np.intp)
     positions = tuple_columns(range(len(h)), pf.arity)
     own = np.arange(len(h))[:, None, None]
@@ -577,11 +581,4 @@ def independence_checks(M: FiniteStructure, elements, pf: ParamFormula):
         return [(int(h[i]), *map(int, h[positions[:, j]])) for i, j in sorted(hits)]
 
     violations = listed(found[0])
-    return AvoidCertificate(pf.text, checked, violations, not violations), listed(found[1])
-
-
-def verify_avoid(M: FiniteStructure, elements, pf: ParamFormula) -> AvoidCertificate:
-    """Exhaustive order-restricted check: no element of H satisfies the
-    formula with parameters strictly earlier in the H order. Parameterless
-    formulas are checked against every element."""
-    return independence_checks(M, elements, pf)[0]
+    return AvoidCertificate(pf.text, checked, violations, not violations, listed(found[1]))

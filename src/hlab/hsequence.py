@@ -218,15 +218,15 @@ def _run_share(fn, share, first: int, step: int, write: int):
 def build_sequence(plan: SequencePlan, threads: int = 1, check=None) -> SequencePlan:
     """Build every scheduled structure at its level's config, one pooled job
     per structure: best_effort in a best_effort plan, strict otherwise.
-    check(M, H, config), when given, runs in the job that built H, and its
-    result is left on the entry as check_result. Results are attached in
+    check(M, report, config), when given, runs in the job that built H, and
+    its result is left on the entry as check_result. Results are attached in
     family order, so the plan is deterministic for any thread count."""
     mode = BEST_EFFORT if plan.mode == BEST_EFFORT else STRICT
 
     def job(entry):
         cfg = plan.configs[entry.level]
-        h_set, report = build_h(entry.structure, cfg, mode)
-        return report, None if check is None else check(entry.structure, h_set, cfg)
+        report = build_h(entry.structure, cfg, mode)[1]
+        return report, None if check is None else check(entry.structure, report, cfg)
 
     scheduled = [e for e in plan.entries if e.level is not None]
     results = parallel_map(job, scheduled, threads)

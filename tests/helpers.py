@@ -3,10 +3,11 @@
 import hashlib
 import itertools
 import os
+from types import SimpleNamespace
 
 from hlab.folang import And, Eq, Exists, Forall, Implies, Not, Num, Or, Rel, Var, parse_formula
 from hlab.errors import EvaluationError
-from hlab.hgreedy import verify_avoid
+from hlab.hgreedy import verify_avoid, verify_cover
 
 
 def digest_tree(out_dir):
@@ -83,6 +84,18 @@ def evaluate(M, f, a: dict) -> bool:
     if isinstance(f, Exists):
         return any(evaluate(M, f.body, {**a, f.var: c}) for c in range(M.size))
     raise TypeError(f"not a formula: {f!r}")
+
+
+def certified(M, elements, cover_profiles=(), gamma=()):
+    """A hand-picked H with the certificates a build of it carries: the
+    production cover certificate of each cover profile and avoid certificate
+    of each avoid formula, as the h_elements, cover and avoid of a
+    BuildReport, the three fields that run_axiom_checks reads."""
+    return SimpleNamespace(
+        h_elements=list(elements),
+        cover=[verify_cover(M, elements, prof) for prof in cover_profiles],
+        avoid=[verify_avoid(M, elements, pf) for pf in gamma],
+    )
 
 
 def avoid_with_a_closure_element(M, h):

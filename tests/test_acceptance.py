@@ -212,10 +212,8 @@ def test_criterion_5_greedy_vs_oracle(profiled):
 def test_criterion_6_axiom_checks(pipeline):
     density_failures = 0
     extension_failures = 0
-    for M, h_set, _ in pipeline.builds:
-        report = run_axiom_checks(
-            M, h_set.elements, pipeline.config, extension_samples=1000, base_max=3, seed=0
-        )
+    for M, _, build in pipeline.builds:
+        report = run_axiom_checks(M, build, pipeline.config, extension_samples=1000, base_max=3, seed=0)
         density_failures += report.density["n_failures"]
         extension_failures += len(report.extension["failures"])
         assert report.density["passed"], M.size

@@ -134,7 +134,7 @@ class TestClassify:
         _, pf, prof = square_shift_profile
         M = make_prime_field(101)
         verdict = classify(prof, M, (7,))
-        assert verdict.is_large
+        assert verdict.kind == "large"
         assert verdict.count == 51
         assert abs(verdict.measure - 0.5) <= 0.02
 
@@ -150,7 +150,7 @@ class TestClassify:
         pf = parse_formula("exists z. x = y + z + z", fam[0].sig)
         prof = profile_family(fam, pf)
         verdict = classify(prof, make_cyclic_group(15), (0,))
-        assert verdict.is_large
+        assert verdict.kind == "large"
         assert verdict.measure == pytest.approx(1.0, abs=0.02)
 
     def test_gap_error(self, gf11):

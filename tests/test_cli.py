@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hlab
-from hlab import cli
+from hlab import cli, folang
 from hlab._util import atomic_write_text
 from hlab.cli import load_config, main
 from hlab.errors import ExperimentConfigError, InvariantError
@@ -722,12 +722,92 @@ class TestExitCodes:
         main(["profile", "--config", cfg, "--out", str(out)])
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "command, blocked, written",
+        [
+            ("build", "hsets", ["build.json"]),
+            ("axioms", "axioms.json", []),
+            ("axioms", "failures.csv", ["axioms.json"]),
+            ("profile", "counts.csv", ["profiles.json"]),
+        ],
+    )
+    def test_unwritable_report_path_is_exit_2(self, tmp_path, capsys, command, blocked, written):
+        # a regular file where build writes the hsets directory, or a
+        # directory where a report goes or a stale one is removed: exit 2
+        # naming the path, and the reports written before it are kept
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        out.mkdir()
+        if blocked == "hsets":
+            (out / blocked).write_text("")
+            path = out / "hsets" / "h_101.txt"
+        else:
+            (out / blocked).mkdir()
+            path = out / blocked
+        assert main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        verb = "remove stale" if blocked in ("failures.csv", "counts.csv") else "write"
+        reason = "File exists" if blocked == "hsets" else "Is a directory"
+        assert err == f"error: cannot {verb} report {str(path)!r}: {reason}\n"
+        # no temporary file is left beside them
+        assert sorted(p.name for p in out.iterdir()) == sorted([blocked, *written])
+
     def test_no_tmp_remnants_on_success(self, tmp_path):
         cfg = write_config(tmp_path)
         out = str(tmp_path / "out")
         assert main(["build", "--config", cfg, "--out", out]) == 0
         leftovers = [f for f in digest_tree(out) if f.endswith(".tmp")]
         assert leftovers == []
+
+
+def deep(shape: str, tokens: int) -> str:
+    """A formula of exactly `tokens` tokens, nested as deep as its shape
+    allows: a chain of negations, a left-nested sum of one parameter, or
+    parentheses around an equation. At an even count each shape negates its
+    equation an odd number of times, so it is large, a cover formula."""
+    if shape == "not":
+        return "!" * (tokens - 3) + "x = y"
+    if shape == "sum":  # x = y + ... + y has an odd count, !x = ... an even one
+        return "!" * (1 - tokens % 2) + "x = " + " + ".join(["y"] * ((tokens - 1) // 2))
+    return "!" * (1 - tokens % 2) + "(" * ((tokens - 3) // 2) + "x = y" + ")" * ((tokens - 3) // 2)
+
+
+class TestFormulaTokenLimit:
+    @pytest.mark.parametrize("shape", ["not", "sum", "paren"])
+    def test_at_the_limit_every_command_runs(self, tmp_path, shape):
+        # the recursive parser and the walks over the formula stay within
+        # the recursion limit under pytest's own stack, in this process
+        formula = deep(shape, folang.MAX_TOKENS)
+        assert len(folang._tokenize(formula)) == folang.MAX_TOKENS
+        cfg = write_config(tmp_path, cover=[formula])
+        for command in ("profile", "build", "axioms", "sequence"):
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) == 0, command
+
+    @pytest.mark.parametrize("shape", ["not", "sum", "paren"])
+    def test_one_token_past_the_limit_is_exit_2(self, tmp_path, capsys, shape):
+        formula = deep(shape, folang.MAX_TOKENS + 1)
+        assert len(folang._tokenize(formula)) == folang.MAX_TOKENS + 1
+        cfg = write_config(tmp_path, cover=[formula])
+        out = tmp_path / "o"
+        assert main(["profile", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: formula {formula[:40] + '...'!r} has 257 tokens, over the limit of 256")
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "formula",
+        ["!" * 3000 + "x = y", "(" * 1200 + "x = y" + ")" * 1200, "x = " + " + ".join(["y"] * 5000)],
+        ids=["3000 negations", "1200 parentheses", "5000 terms"],
+    )
+    def test_past_the_parser_recursion_limit_is_exit_2(self, tmp_path, capsys, formula):
+        # each overflowed the recursive parser with a RecursionError before
+        # the limit; now it is refused by its length alone
+        cfg = write_config(tmp_path, cover=[formula])
+        assert main(["build", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: formula {formula[:40] + '...'!r} has ")
+        assert "tokens, over the limit of 256" in err
 
 
 def test_shipped_configs(tmp_path):

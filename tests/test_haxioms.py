@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 import hlab
+from hlab import haxioms, hgreedy
 from hlab._util import dump_json
 from hlab.asymptotics import large_columns, profile_family
+from hlab.cli import main
 from hlab.errors import EnumerationBudgetError, InvariantError
 from hlab.finitemodels import make_cyclic_group, make_prime_field, primes_in
 from hlab.folang import kernel, parse_formula, solution_set, within_budget
@@ -25,7 +28,8 @@ from hlab.haxioms import (
     run_axiom_checks,
 )
 
-from helpers import evaluate
+from helpers import certified, evaluate
+from test_golden import CONFIGS, SQUARE_SHIFT
 
 
 def replay_extension(M, h, profiles, gamma, *, samples, base_max, seed, gamma_max_solutions):
@@ -76,22 +80,22 @@ def gf101_build(profiled):
 class TestIndependence:
     def test_builder_output_passes_order_restricted(self, gf101_build):
         M, h, cfg = gf101_build
-        frag = check_independence(M, h, cfg.gamma)
+        frag = check_independence(certified(M, h, gamma=cfg.gamma).avoid)
         assert frag["order_restricted"]["passed"]
 
     def test_symmetric_witness_reported(self, z13):
         xz1 = parse_formula("x = z + 1", z13.sig)
-        frag = check_independence(z13, [0, 1], [xz1])
+        frag = check_independence(certified(z13, [0, 1], gamma=[xz1]).avoid)
         # 1 = 0 + 1 is a symmetric witness but not an order violation for [1, 0]
         assert frag["symmetric"]["witness_count"] == 1
         assert frag["symmetric"]["witnesses"] == [["x = z + 1", 1, 0]]
-        reversed_frag = check_independence(z13, [1, 0], [xz1])
+        reversed_frag = check_independence(certified(z13, [1, 0], gamma=[xz1]).avoid)
         assert reversed_frag["symmetric"]["witness_count"] == 1
         assert reversed_frag["order_restricted"]["passed"]
 
     def test_singleton_vacuous(self, z13):
         xz1 = parse_formula("x = z + 1", z13.sig)
-        frag = check_independence(z13, [5], [xz1])
+        frag = check_independence(certified(z13, [5], gamma=[xz1]).avoid)
         assert frag["order_restricted"]["passed"]
         assert frag["symmetric"]["witness_count"] == 0
 
@@ -117,7 +121,7 @@ class TestIndependenceGrid:
     def test_matches_naive(self, z13, h):
         for text in ("x = 0", "x = z + 1", "x = z1 + z2", "x = z1 + z2 - z3"):
             pf = parse_formula(text, z13.sig)
-            frag = check_independence(z13, h, [pf])
+            frag = check_independence(certified(z13, h, gamma=[pf]).avoid)
             violations, checked, symmetric = naive_independence(z13, h, pf)
             cert = frag["order_restricted"]["per_formula"][0]
             assert (cert["violations"], cert["checked"]) == (violations, checked), text
@@ -129,14 +133,14 @@ class TestIndependenceGrid:
 class TestDensity:
     def test_builder_output_zero_failures(self, gf101_build):
         M, h, cfg = gf101_build
-        frag = check_density(M, h, cfg.delta_profiles)
+        frag = check_density(certified(M, h, cfg.delta_profiles).cover)
         assert frag["passed"]
         assert frag["n_failures"] == 0
         assert frag["per_formula"][0]["method"] == "exhaustive"
 
     def test_empty_h_fails_on_every_large_tuple(self, gf101_build):
         M, _, cfg = gf101_build
-        frag = check_density(M, [], cfg.delta_profiles)
+        frag = check_density(certified(M, [], cfg.delta_profiles).cover)
         assert not frag["passed"]
         assert frag["n_failures"] == M.size  # every tuple is large here
 
@@ -149,7 +153,7 @@ class TestDensity:
         cfg = derive_config(profiled(fam, [neq, eq]), profiled(fam, [xz]), 0.4)
         M = fam[-1]
         h = build_h(M, cfg, BEST_EFFORT)[0].elements
-        frag = check_density(M, h, cfg.delta_profiles)
+        frag = check_density(certified(M, h, cfg.delta_profiles).cover)
         assert frag["passed"]
         # the equality formula has no large tuples, so nothing was checked
         eq_cert = frag["per_formula"][1]
@@ -441,7 +445,10 @@ class TestExtensionUnionBound:
             )
         # the axiom checks name the structure and the check
         with pytest.raises(InvariantError) as err:
-            run_axiom_checks(M, h, dataclasses.replace(cfg, gamma_max_solutions=0), extension_samples=5)
+            run_axiom_checks(
+                M, certified(M, h, cfg.delta_profiles, cfg.gamma),
+                dataclasses.replace(cfg, gamma_max_solutions=0), extension_samples=5,
+            )
         assert str(err.value).startswith(
             "prime-field(p=101), step extension: avoid formulas ['x = z'], closure of H plus"
         )
@@ -456,7 +463,7 @@ class TestExtensionUnionBound:
 
         monkeypatch.setattr("hlab.haxioms.closures", everything)
         with pytest.raises(InvariantError) as err:
-            run_axiom_checks(M, h, cfg, extension_samples=5)
+            run_axiom_checks(M, certified(M, h, cfg.delta_profiles, cfg.gamma), cfg, extension_samples=5)
         message = str(err.value)
         assert message.startswith(
             "prime-field(p=101), formula 'exists z. z*z = x - y', step extension: extension sample with params ["
@@ -489,8 +496,9 @@ class TestExtensionUnionBound:
 
 class TestAxiomReport:
     def test_full_report(self, gf101_build):
-        M, h, cfg = gf101_build
-        report = run_axiom_checks(M, h, cfg, extension_samples=200, seed=3)
+        M, _, cfg = gf101_build
+        build = build_h(M, cfg, STRICT)[1]
+        report = run_axiom_checks(M, build, cfg, extension_samples=200, seed=3)
         assert report.passed
         assert report.scope == SCOPE_NOTE
         d = report.to_json_dict()
@@ -502,7 +510,7 @@ class TestAxiomReport:
 
     def test_json_dict_matches_asdict(self, gf101_build):
         M, h, cfg = gf101_build
-        report = run_axiom_checks(M, h, cfg, extension_samples=50, seed=3)
+        report = run_axiom_checks(M, certified(M, h, cfg.delta_profiles, cfg.gamma), cfg, extension_samples=50, seed=3)
         reference = {**dataclasses.asdict(report), "passed": report.passed}
         d = report.to_json_dict()
         assert d == reference
@@ -510,24 +518,79 @@ class TestAxiomReport:
         assert report.to_json_dict() == reference
 
     def test_density_error_names_the_cover_formula(self, shrink_budget):
-        # x*y is no translation kernel, so its Ψ is enumerated, and the
-        # density check is the first to need it past a budget below 101 tuples
+        # x*y is no translation kernel, so its Ψ is enumerated; density is
+        # the build's cover certificate, so past a budget below 101 tuples
+        # the build fails as it sets up the phase, naming the cover formula
         fam = [make_prime_field(p) for p in primes_in(61, 101)]
         cover = parse_formula("exists z. z*z = x*y", fam[0].sig)
         xz = parse_formula("x = z", fam[0].sig)
         cfg = derive_config([profile_family(fam, cover)], [profile_family(fam, xz)], 0.2)
         shrink_budget(100)
         with pytest.raises(EnumerationBudgetError) as err:
-            run_axiom_checks(fam[-1], [0, 1], cfg, extension_samples=5)
+            build_h(fam[-1], cfg, BEST_EFFORT)
         assert str(err.value) == (
-            "prime-field(p=101), formula 'exists z. z*z = x*y', step density: "
+            "prime-field(p=101), formula 'exists z. z*z = x*y': "
             "psi enumeration needs 101 tuples, over the budget"
         )
 
     def test_failure_rows_present_when_failing(self, gf101_build):
         M, _, cfg = gf101_build
-        report = run_axiom_checks(M, [], cfg, extension_samples=10, seed=3)
+        report = run_axiom_checks(M, certified(M, [], cfg.delta_profiles, cfg.gamma), cfg, extension_samples=10, seed=3)
         assert not report.passed
         rows = list(report.failure_csv_rows())
         assert rows
         assert all(row[1] in {"density", "extension", "independence"} for row in rows)
+
+
+def run_cli(tmp_path, command, config, *argv):
+    """main on `config` written to tmp_path, into tmp_path / command; the
+    exit code and the command's one JSON report."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / command
+    rc = main([command, "--config", str(path), "--out", str(out), *argv])
+    return rc, json.loads((out / f"{command}.json").read_text())
+
+
+class TestCertificatesFromTheBuild:
+    def test_axioms_evaluates_each_certificate_once(self, tmp_path, monkeypatch):
+        # one verify_cover call per (structure, cover formula) and one grid
+        # over H per (structure, avoid formula), each H small enough for one
+        # block: the density and independence sections are the build's
+        # certificates, not a second pass
+        covers, grids = [], []
+        verify_cover, grid = hgreedy.verify_cover, hgreedy.solution_mask_matrix
+
+        def counted_cover(M, elements, profile):
+            covers.append((M.size, profile.pf.text))
+            return verify_cover(M, elements, profile)
+
+        def counted_grid(M, pf, cols, rows=None):
+            grids.append((M.size, pf.text))
+            return grid(M, pf, cols, rows)
+
+        for module in (hgreedy, haxioms):
+            if hasattr(module, "verify_cover"):
+                monkeypatch.setattr(module, "verify_cover", counted_cover)
+        monkeypatch.setattr(hgreedy, "solution_mask_matrix", counted_grid)
+        rc, axioms = run_cli(tmp_path, "axioms", SQUARE_SHIFT, "--threads", "1")
+        assert rc == 0
+        sizes = [r["size"] for r in axioms["reports"]]
+        assert len(sizes) == 21 and axioms["skipped_sizes"] == []
+        assert sorted(covers) == sorted((n, text) for n in sizes for text in SQUARE_SHIFT["cover"])
+        assert sorted(grids) == sorted((n, text) for n in sizes for text in SQUARE_SHIFT["avoid"])
+
+    @pytest.mark.parametrize(
+        "config, structures", [(SQUARE_SHIFT, 21), ("cyclic_doubling.json", 56)], ids=["square_shift", "cyclic_doubling"]
+    )
+    def test_density_and_independence_are_the_build_certificates(self, tmp_path, config, structures):
+        if isinstance(config, str):
+            with open(os.path.join(CONFIGS, config)) as fh:
+                config = json.load(fh)
+        _, build = run_cli(tmp_path, "build", config, "--threads", "2")
+        _, axioms = run_cli(tmp_path, "axioms", config, "--threads", "2")
+        assert [r["size"] for r in axioms["reports"]] == [b["size"] for b in build["builds"]]
+        assert len(build["builds"]) == structures
+        for report, built in zip(axioms["reports"], build["builds"], strict=True):
+            assert report["density"]["per_formula"] == built["cover"]
+            assert report["independence"]["order_restricted"]["per_formula"] == built["avoid"]

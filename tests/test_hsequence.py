@@ -79,14 +79,14 @@ class TestScheduleIn:
 
     def test_best_effort_builds_every_entry_at_the_top(self, schedule):
         # below every strict threshold, yet each entry sits at the top level
-        # and is built there, best_effort, with the check run on its H
+        # and is built there, best_effort, with the check run on its build's report
         fam = [make_prime_field(p) for p in primes_in(23, 47)]
         plan = schedule_in(fam, *schedule(fam), 0.4, mode=hgreedy.BEST_EFFORT)
         assert [e.level for e in plan.entries] == [1] * len(fam)
-        build_sequence(plan, threads=2, check=lambda M, h, cfg: (M.size, len(h), cfg is plan.configs[1]))
+        build_sequence(plan, threads=2, check=lambda M, report, cfg: (M.size, report.h_elements, cfg is plan.configs[1]))
         for e in plan.entries:
             assert e.report.mode == hgreedy.BEST_EFFORT and e.report.threshold.ok is False
-            assert e.check_result == (e.size, e.report.h_size, True)
+            assert e.check_result == (e.size, e.report.h_elements, True)
             assert "check_result" not in dump_json(e.to_json_dict())
             # H and its provenance are written once, in the report
             assert set(e.to_json_dict()) == {"size", "structure", "level", "report"}

@@ -18,6 +18,7 @@ from hlab.folang import kernel, parse_formula, plan
 from hlab.haxioms import _draw_samples, check_density, check_extension, run_axiom_checks
 from hlab.hgreedy import BEST_EFFORT, Coverage, build_h, derive_config, verify_cover
 
+from helpers import certified
 from profile_oracle import columns_psi, tuple_psi
 
 PARAMS = {1: ("y",), 2: ("y1", "y2"), 3: ("y1", "y2", "y3")}
@@ -98,7 +99,7 @@ def run_checks(M, cfg, monkeypatch):
         return type(err), str(err)
     out = [report.to_json_dict()]
     for elements in (h.elements, h.elements[: len(h) // 2]):
-        out.append(check_density(M, elements, cfg.delta_profiles))
+        out.append(check_density(certified(M, elements, cfg.delta_profiles).cover))
     extension, sets = run_extension(
         M, h.elements, cfg.delta_profiles, cfg.gamma, monkeypatch, samples=40, base_max=2, seed=1
     )
@@ -160,12 +161,12 @@ def test_kernel_certificates_do_not_read_the_budget(kind, k, shrink_budget):
     # and unchanged; only extension draws switch to the seeded sample
     M, cfg = case(kind, k)
     h, report = build_h(M, cfg, BEST_EFFORT)
-    density = check_density(M, h.elements[:1], cfg.delta_profiles)
+    density = check_density(certified(M, h.elements[:1], cfg.delta_profiles).cover)
     shrink_budget(M.size)
     again, report_again = build_h(M, cfg, BEST_EFFORT)
     assert report_again.to_json_dict() == report.to_json_dict()
     assert report.cover[0].method == "exhaustive" and report.cover[0].checked == M.size**k
-    assert check_density(M, h.elements[:1], cfg.delta_profiles) == density
+    assert check_density(certified(M, h.elements[:1], cfg.delta_profiles).cover) == density
 
 
 def test_over_budget_kernel_draws_from_the_seeded_sample(shrink_budget, monkeypatch):
@@ -199,7 +200,7 @@ def test_kernel_totals_stay_exact_past_int64():
         h, report = build_h(M, cfg, BEST_EFFORT)
         assert report.all_passed and report.phases[0]["psi_size"] == total
         assert report.cover[0].checked == total
-        axioms = run_axiom_checks(M, h.elements, cfg)
+        axioms = run_axiom_checks(M, report, cfg)
         assert axioms.passed and axioms.density["per_formula"][0]["checked"] == total
 
 
@@ -223,7 +224,7 @@ def test_linear_kernel_record_evaluates_no_term(monkeypatch):
     assert psi_columns(M, prof) is record
     Coverage(record).counts()
     assert verify_cover(M, h.elements, prof).passed
-    assert check_density(M, h.elements, cfg.delta_profiles)["passed"]
+    assert check_density(certified(M, h.elements, cfg.delta_profiles).cover)["passed"]
     psi = large_columns(M, prof, 0, 10)
     assert psi is record and (psi.width, psi.low) == (M.size**3, len(record.base))
     assert terms == []
