@@ -32,7 +32,15 @@ from .asymptotics import (
     enumerated_counts,
     profile_family,
 )
-from .errors import EmptyFamilyError, ExperimentConfigError, LabError, where
+from .errors import (
+    EmptyFamilyError,
+    ExperimentConfigError,
+    FormulaSyntaxError,
+    FreeVariableError,
+    LabError,
+    SignatureMismatchError,
+    where,
+)
 from .finitemodels import (
     EXTENSION_FIELD,
     FamilySpec,
@@ -148,9 +156,11 @@ def _parse_family(raw) -> FamilySpec:
 
 
 def _parse_formula_entry(raw, sig, place: str) -> ParamFormula:
+    """The formula at `place` of the config; a formula that does not parse
+    names its place and text."""
     if isinstance(raw, str):
-        return parse_formula(raw, sig)
-    if isinstance(raw, dict):
+        text, options = raw, {}
+    elif isinstance(raw, dict):
         _reject_unknown(raw, _FORMULA_KEYS, place)
         if "text" not in raw:
             raise ExperimentConfigError(f"{place}: formula object needs 'text'")
@@ -159,10 +169,15 @@ def _parse_formula_entry(raw, sig, place: str) -> ParamFormula:
             raise ExperimentConfigError(f"{place}: 'object' must be a string, got {object_var!r}")
         if params is not None and not (isinstance(params, list) and all(isinstance(v, str) for v in params)):
             raise ExperimentConfigError(f"{place}: 'params' must be a list of strings, got {params!r}")
-        return parse_formula(
-            raw["text"], sig, object_var=object_var, params=None if params is None else tuple(params)
-        )
-    raise ExperimentConfigError(f"{place}: formula must be a string or an object")
+        text = raw["text"]
+        options = {"object_var": object_var, "params": None if params is None else tuple(params)}
+    else:
+        raise ExperimentConfigError(f"{place}: formula must be a string or an object")
+    try:
+        return parse_formula(text, sig, **options)
+    except (FormulaSyntaxError, SignatureMismatchError, FreeVariableError) as exc:
+        shown = text if len(text) <= 40 else text[:40] + "..."
+        raise ExperimentConfigError(f"{exc}, in {place} {shown!r}") from exc
 
 
 def _parse_formula_list(raw, sig, key: str) -> list[ParamFormula]:

@@ -35,11 +35,11 @@ is answered by a lookup in the image of one side of an equation
 and "loop" when some existential loops over the universe.
 
 Callers never ask for the kind: count_columns (the one counter),
-solution_counts_all, count_histogram, max_solution_count and solution_pairs
-answer from |G| or the grid. Ψ (see asymptotics.psi_columns) is a Kernel
-record or Columns, which answer one protocol: width, low, take(j) and
-tuples(mask), and over an index space (a kernel's shifts, Columns' own
-tuples) pushforward(), solved(elements, live) and counter().
+solution_counts_all, count_histogram and solution_pairs answer from |G| or
+the grid. Ψ (see asymptotics.psi_columns) is a Kernel record or Columns,
+which answer one protocol: width, low, take(j) and tuples(mask), and over
+an index space (a kernel's shifts, Columns' own tuples) pushforward(),
+solved(elements, live) and counter().
 """
 
 from __future__ import annotations
@@ -1097,22 +1097,6 @@ def count_histogram(M: FiniteStructure, pf: ParamFormula):
         return None
     counts, tuples = np.unique(solution_counts_all(M, pf), return_counts=True)
     return counts.tolist(), tuples.tolist()
-
-
-def max_solution_count(M: FiniteStructure, gamma) -> int | None:
-    """The largest solution count of any formula in `gamma` over all of its
-    parameter tuples: |G| for a translation kernel, otherwise a recount, or
-    None when recounting exceeds the budget."""
-    counts = []
-    for pf in gamma:
-        record = kernel(M, pf)
-        if record is not None:
-            counts.append(len(record.base))
-        elif within_budget(M.size ** (pf.arity + 1)):
-            counts.append(int(solution_counts_all(M, pf).max()))
-        else:
-            return None
-    return max(counts, default=0)
 
 
 def solution_pairs(M: FiniteStructure, pf: ParamFormula, cols, owner) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from .asymptotics import large_columns
 from .errors import InvariantError, StructureTooSmallError, where
 from .finitemodels import FiniteStructure
-from .folang import column_blocks, max_solution_count, solves
+from .folang import column_blocks, solves
 from .hgreedy import AvoidCertificate, BuildReport, CoverCertificate, _union_bound, closures
 
 SCOPE_NOTE = (
@@ -131,7 +131,7 @@ def check_extension(
     samples: int = DEFAULT_EXTENSION_SAMPLES,
     base_max: int = DEFAULT_BASE_MAX,
     seed: int = 0,
-    gamma_max_solutions: int | None = None,
+    gamma_max_solutions: int,
 ) -> dict:
     """Sampled check that large solution sets are not swallowed by the
     truncated closure of H plus a small parameter base.
@@ -146,9 +146,9 @@ def check_extension(
     the members of the block's closures and checks them against their union
     bound, and the formula is evaluated at each (member, tuple) pair: a
     sample is swallowed exactly when the members that solve it number its
-    solution count. A block holds BUDGET // bound samples, bound the closure
-    union bound when it is known (else |M|), and no grid over the universe
-    is held for a sample.
+    solution count. The union bound is read from gamma_max_solutions, the
+    config's B. A block holds BUDGET // bound samples, and no grid over the
+    universe is held for a sample.
     When the smallest large count strictly exceeds the closure union bound
     the check cannot fail; that sufficient condition is recorded and
     enforced.
@@ -171,13 +171,11 @@ def check_extension(
             "seed": seed,
         }
 
-    if gamma_max_solutions is None:
-        gamma_max_solutions = max_solution_count(M, gamma)
     # no closure of H plus a sample's parameters and base is larger
     ell = max(pf.arity for pf, _ in usable)
     closure_bound = _union_bound(gamma, len(elements) + base_max + ell, gamma_max_solutions)
     min_large_count = min(psi.low for _, psi in usable)
-    sufficient = None if closure_bound is None else min_large_count > closure_bound
+    sufficient = min_large_count > closure_bound
 
     # row j of `sets` holds the sample's parameters in its first ell places
     # and its base after them, padded with -1; need[j] is the parameters'
@@ -194,7 +192,7 @@ def check_extension(
         need[picked] = counts
     swallowed = np.zeros(samples, dtype=bool)
     order = np.argsort(formula, kind="stable")  # a block spans few formulas
-    for block in column_blocks(samples, M.size if closure_bound is None else closure_bound):
+    for block in column_blocks(samples, closure_bound):
         part = order[block]
         codes = closures(M, elements, sets[part], gamma, max_solutions=gamma_max_solutions)
         owner, member = np.divmod(codes, M.size)  # the sample's place in `part`, a closure member

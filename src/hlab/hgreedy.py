@@ -24,7 +24,7 @@ The forbidden set and every truncated closure clos(H union A) are member
 lists, never masks over the universe: folang.solution_pairs lists the
 solutions of each avoid tuple, and closures() keeps them as sorted distinct
 codes set * |M| + element, each closure's length checked against its union
-bound.
+bound at the caller's B, which GreedyConfig derives from its avoid profiles.
 
 Every build returns certificates: an exhaustive cover check per cover
 formula (for a kernel over its shifts, which checks every tuple), an
@@ -53,7 +53,6 @@ from .finitemodels import FiniteStructure
 from .folang import (
     ParamFormula,
     column_blocks,
-    max_solution_count,
     solution_mask_matrix,
     solution_pairs,
 )
@@ -64,17 +63,12 @@ BEST_EFFORT = "best_effort"
 
 @dataclass
 class GreedyConfig:
-    """The cover and avoid profiles, the measure floor, and every derived
-    constant. Logs are natural throughout."""
+    """The cover and avoid profiles and the measure floor; every other
+    constant is derived from them. Logs are natural throughout."""
 
     mu: float
     delta_profiles: tuple[MeasureProfile, ...]
     gamma_profiles: tuple[MeasureProfile, ...]
-    ell0: int
-    k0: int
-    gamma_max_solutions: int
-    c_gamma: int
-    c_delta_gamma: int
 
     @property
     def delta(self) -> tuple[ParamFormula, ...]:
@@ -87,6 +81,29 @@ class GreedyConfig:
     @property
     def n_formulas(self) -> int:
         return len(self.delta_profiles)
+
+    @property
+    def ell0(self) -> int:
+        return max(pf.arity for pf in self.delta)
+
+    @property
+    def k0(self) -> int:
+        return max(pf.arity for pf in self.gamma)
+
+    @property
+    def gamma_max_solutions(self) -> int:
+        """B: the largest solution count of any avoid formula over any
+        parameter tuple, counted exactly on every structure profiled. It
+        bounds every closure the build and the checks form."""
+        return max(prof.B or 0 for prof in self.gamma_profiles)
+
+    @property
+    def c_gamma(self) -> int:
+        return self.gamma_max_solutions * len(self.gamma_profiles)
+
+    @property
+    def c_delta_gamma(self) -> int:
+        return self.n_formulas * (math.ceil(self.ell0 / self.decay) + 1)
 
     @property
     def decay(self) -> float:
@@ -110,12 +127,14 @@ class GreedyConfig:
 
 
 def derive_config(delta_profiles, gamma_profiles, mu: float | None) -> GreedyConfig:
-    """Fix the constants from the profiles of the cover list (delta) and the
-    avoid list (gamma), each profiled over the same family; the formulas are
-    the profiles' own, in list order.
+    """Validate the profiles of the cover list (delta) and the avoid list
+    (gamma), each profiled over the same family, and pick mu; the formulas
+    are the profiles' own, in list order.
 
     Rejected when mu is not below every profiled measure of the cover list,
-    or when an avoid formula is not uniformly algebraic on the family.
+    or when an avoid formula is not uniformly algebraic on the family, or
+    was counted on a sample of its tuples somewhere: a sample's B bounds
+    only the tuples drawn.
     """
     delta_profiles = tuple(delta_profiles)
     gamma_profiles = tuple(gamma_profiles)
@@ -130,6 +149,12 @@ def derive_config(delta_profiles, gamma_profiles, mu: float | None) -> GreedyCon
                 f"avoid formula {prof.pf.text!r} is classified large somewhere "
                 f"(measures {prof.E}); it must be uniformly algebraic"
             )
+        sampled = [s.size for s in prof.per_structure if not s.enumerated]
+        if sampled:
+            raise ConfigRejectedError(
+                f"avoid formula {prof.pf.text!r} was counted on a sample of its tuples at size "
+                f"{sampled[0]}: its largest solution count B = {prof.B} bounds only the tuples drawn"
+            )
     if mu is None:
         mu = default_mu(delta_profiles)
     if not 0.0 < mu < 1.0:
@@ -140,22 +165,7 @@ def derive_config(delta_profiles, gamma_profiles, mu: float | None) -> GreedyCon
                 f"mu={mu} is not below the smallest measure {prof.min_measure():.4f} "
                 f"of cover formula {prof.pf.text!r}"
             )
-    ell0 = max(prof.pf.arity for prof in delta_profiles)
-    k0 = max(prof.pf.arity for prof in gamma_profiles)
-    gamma_max = max((prof.B or 0) for prof in gamma_profiles)
-    c_gamma = gamma_max * len(gamma_profiles)
-    decay = -math.log(1.0 - mu / 2.0)
-    c_delta_gamma = len(delta_profiles) * (math.ceil(ell0 / decay) + 1)
-    return GreedyConfig(
-        mu=mu,
-        delta_profiles=delta_profiles,
-        gamma_profiles=gamma_profiles,
-        ell0=ell0,
-        k0=k0,
-        gamma_max_solutions=gamma_max,
-        c_gamma=c_gamma,
-        c_delta_gamma=c_delta_gamma,
-    )
+    return GreedyConfig(mu=mu, delta_profiles=delta_profiles, gamma_profiles=gamma_profiles)
 
 
 def default_mu(profiles) -> float:
@@ -237,19 +247,16 @@ def _forbidden(M: FiniteStructure, gamma, h_elements) -> np.ndarray:
     return _distinct(found)
 
 
-def _union_bound(gamma, base_size, max_solutions):
+def _union_bound(gamma, base_size, max_solutions: int):
     """max_solutions * |gamma| * (base_size + [some formula is parameterless])^k0,
-    elementwise over an array of base sizes; None when max_solutions is
-    unknown. No closure of a base of base_size elements is larger."""
-    if max_solutions is None:
-        return None
+    elementwise over an array of base sizes. No closure of a base of
+    base_size elements is larger when no avoid formula has more than
+    max_solutions solutions at any tuple."""
     k0 = max((pf.arity for pf in gamma), default=0)
     return max_solutions * len(gamma) * (base_size + any(pf.arity == 0 for pf in gamma)) ** k0
 
 
-def closures(
-    M: FiniteStructure, h_elements, a_sets, gamma, *, max_solutions: int | None = None
-) -> np.ndarray:
+def closures(M: FiniteStructure, h_elements, a_sets, gamma, *, max_solutions: int) -> np.ndarray:
     """Every clos(H union A_i) under the avoid list, the finite stand-in for
     algebraic closure, as member lists: one sorted array of the distinct
     codes i * |M| + e, e a member of the i-th closure. a_sets is a
@@ -259,8 +266,8 @@ def closures(
     fresh elements of A_i first, so tuple positions depend only on their
     count m, and the tuples of all sets with the same m are emitted at once,
     in groups of at most one evaluation block of parameters. Every closure's
-    length is checked against _union_bound; max_solutions None is recounted
-    when that is cheap."""
+    length is checked against _union_bound at max_solutions, the caller's
+    bound on any avoid formula's solution count (GreedyConfig's B)."""
     gamma = list(gamma)
     h = np.array(sorted({int(v) for v in h_elements}), dtype=np.intp)
     given = np.asarray(a_sets, dtype=np.intp)
@@ -286,12 +293,10 @@ def closures(
                 owner = np.repeat(members[group], layout.shape[1])
                 found.append(solution_pairs(M, xi, cols, owner))
     codes = _distinct(found)
-    if max_solutions is None:
-        max_solutions = max_solution_count(M, gamma)
     sizes = len(h) + fresh
     bounds = _union_bound(gamma, sizes, max_solutions)
     lengths = np.bincount(codes // M.size, minlength=len(rows))
-    over = [] if bounds is None else np.flatnonzero(lengths > bounds)
+    over = np.flatnonzero(lengths > bounds)
     if len(over):
         i = over[0]
         raise InvariantError(
@@ -303,9 +308,9 @@ def closures(
 
 
 def forbidden_set(h_elements, gamma, M: FiniteStructure) -> list[int]:
-    """Public view of the forbidden set clos(H), in index order, checked
-    against the union bound by closures."""
-    return closures(M, h_elements, np.empty((1, 0), dtype=np.intp), gamma).tolist()
+    """The forbidden set clos(H) in index order: the set greedy_step
+    excludes besides H itself, from the same routine."""
+    return _forbidden(M, gamma, h_elements).tolist()
 
 
 class Coverage:

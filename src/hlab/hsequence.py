@@ -29,13 +29,11 @@ import numpy as np
 from .asymptotics import MeasureProfile
 from .errors import ConfigRejectedError
 from .finitemodels import FiniteStructure
-from .folang import max_solution_count
 from .hgreedy import (
     BEST_EFFORT,
     STRICT,
     BuildReport,
     GreedyConfig,
-    _union_bound,
     build_h,
     closures,
     derive_config,
@@ -237,44 +235,12 @@ def build_sequence(plan: SequencePlan, threads: int = 1, check=None) -> Sequence
     return plan
 
 
-@dataclass
-class ClosureSet:
-    """Union of avoid-formula solution sets over parameter tuples from the
-    base H union A; the finite stand-in for algebraic closure."""
-
-    elements: list[int]
-    base_size: int
-    bound: int | None
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __contains__(self, element):
-        return element in set(self.elements)
-
-
-def closure(
-    M: FiniteStructure,
-    h_elements,
-    a_elements,
-    gamma_trunc,
-    *,
-    max_solutions: int | None = None,
-) -> ClosureSet:
-    """clos(H union A) under the truncated avoid list: the one member list
-    of closures, with the union bound it was checked against (None when the
-    per-formula max solution count is too costly to recount)."""
-    gamma = list(gamma_trunc)
-    if max_solutions is None:
-        max_solutions = max_solution_count(M, gamma)
+def closure(M: FiniteStructure, h_elements, a_elements, gamma_trunc, *, max_solutions: int) -> list[int]:
+    """clos(H union A) under the truncated avoid list, in index order: the
+    one member list of closures, checked against the union bound at
+    max_solutions, the config's B."""
     a_set = np.array([list(a_elements)], dtype=np.intp)
-    codes = closures(M, h_elements, a_set, gamma, max_solutions=max_solutions)
-    base_size = len({int(v) for v in h_elements} | {int(v) for v in a_elements})
-    return ClosureSet(
-        elements=codes.tolist(),
-        base_size=base_size,
-        bound=_union_bound(gamma, base_size, max_solutions),
-    )
+    return closures(M, h_elements, a_set, gamma_trunc, max_solutions=max_solutions).tolist()
 
 
 @dataclass

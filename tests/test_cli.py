@@ -752,6 +752,41 @@ class TestExitCodes:
         # no temporary file is left beside them
         assert sorted(p.name for p in out.iterdir()) == sorted([blocked, *written])
 
+    @pytest.mark.parametrize(
+        "key, formulas, message",
+        [
+            ("cover", ["exists z. z*z = x - y", "x = "], "(at position 4), in cover[1] 'x = '"),
+            ("avoid", [{"text": "x = w + ", "params": ["w"]}], "(at position 8), in avoid[0] 'x = w + '"),
+        ],
+    )
+    def test_formula_syntax_error_names_its_place_and_text(self, tmp_path, capsys, key, formulas, message):
+        cfg = write_config(tmp_path, family={"family": "prime-field", "lo": 101, "hi": 131}, **{key: formulas})
+        out = tmp_path / "o"
+        assert main(["profile", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: expected a term, found 'end of input' {message}\n"
+        assert not out.exists()
+
+    def test_sampled_avoid_profile_is_exit_2(self, tmp_path, capsys):
+        # x*x = y & z = 0 has 3163^2 tuples, past the budget, so its profile
+        # counts 1000 sampled tuples and reads B = 0, below its true largest
+        # count 2; profile still writes it, but build and axioms refuse it
+        family = {"family": "prime-field", "lo": 3163, "hi": 3167}
+        cfg = write_config(
+            tmp_path, family=family, avoid=["x*x = y & z = 0"], mode="best_effort", profile_samples=1000, mu=MISSING
+        )
+        assert main(["profile", "--config", cfg, "--out", str(tmp_path / "profile")]) == 0
+        avoid = json.loads((tmp_path / "profile" / "profiles.json").read_text())[1]
+        assert avoid["B"] == 0 and [s["enumerated"] for s in avoid["per_structure"]] == [False, False]
+        capsys.readouterr()
+        for command in ("build", "axioms"):
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out), "--threads", "1"]) == 2
+            assert capsys.readouterr().err == (
+                "error: avoid formula 'x*x = y & z = 0' was counted on a sample of its tuples at size 3163: "
+                "its largest solution count B = 0 bounds only the tuples drawn\n"
+            )
+            assert not any(out.iterdir())
+
     def test_no_tmp_remnants_on_success(self, tmp_path):
         cfg = write_config(tmp_path)
         out = str(tmp_path / "out")

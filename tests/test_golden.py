@@ -309,7 +309,7 @@ def test_sampled_extension_check():
     xz = parse_formula("x = z", sig)
     family = [make_cyclic_group(n) for n in range(21, 28)]
     prof = profile_family(family, pf)
-    result = check_extension(M, [0, 1], [prof], [xz], samples=50, seed=3)
+    result = check_extension(M, [0, 1], [prof], [xz], samples=50, seed=3, gamma_max_solutions=1)
     assert result["passed"]
     assert result["min_large_count"] == 221
     digest = hashlib.sha256(dump_json(result).encode()).hexdigest()
@@ -326,7 +326,7 @@ def test_binary_avoid_extension_check():
     profiles = [profile_family(family, pf) for pf in cover]
     pairsum = parse_formula("x = z1 + z2", sig, params=("z1", "z2"))
     M = make_cyclic_group(13)
-    result = check_extension(M, [0, 1, 3], profiles, [pairsum], samples=40, seed=2)
+    result = check_extension(M, [0, 1, 3], profiles, [pairsum], samples=40, seed=2, gamma_max_solutions=1)
     assert len(result["failures"]) == 10
     digest = hashlib.sha256(dump_json(result).encode()).hexdigest()
     assert digest == BINARY_EXTENSION_DIGEST

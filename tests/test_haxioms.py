@@ -52,7 +52,7 @@ def replay_extension(M, h, profiles, gamma, *, samples, base_max, seed, gamma_ma
         params = [int(v) for v in psi.take(np.array([column[j]]))[0][:, 0]]
         row = [int(v) for v in base[j, : base_n[j]]]
         clos = closure(M, h, params + row, gamma, max_solutions=gamma_max_solutions)
-        if set(solution_set(M, pf, params)) <= set(clos.elements):
+        if set(solution_set(M, pf, params)) <= set(clos):
             failures.append({"formula": pf.text, "params": params, "base": row})
     return failures
 
@@ -272,7 +272,8 @@ def z_small():
     return family, [profile_family(family, pf) for pf in cover]
 
 
-# avoid lists of arities 0 to 3 over the cyclic signature
+# avoid lists of arities 0 to 3 over the cyclic signature; each formula has
+# one solution at every tuple, so their B is 1
 REPLAY_AVOID = [
     ["x = 0"],
     ["x = z", "x = z + 1"],
@@ -291,7 +292,7 @@ class TestExtensionReplay:
         gamma = [parse_formula(t, M.sig) for t in avoid]
         assert_matches_replay(
             M, h, profiles, gamma,
-            samples=30, base_max=3, seed=size, gamma_max_solutions=None,
+            samples=30, base_max=3, seed=size, gamma_max_solutions=1,
         )
 
     def test_some_replayed_samples_fail(self, z_small):
@@ -300,7 +301,7 @@ class TestExtensionReplay:
         gamma = [parse_formula("x = z1 + z2", M.sig)]
         frag = assert_matches_replay(
             M, [0, 1, 3], profiles, gamma,
-            samples=40, base_max=3, seed=2, gamma_max_solutions=None,
+            samples=40, base_max=3, seed=2, gamma_max_solutions=1,
         )
         assert 0 < len(frag["failures"]) < 40
 
@@ -315,7 +316,7 @@ class TestExtensionReplay:
         shrink_budget(36)
         frag = assert_matches_replay(
             M, [0, 1, 3], profiles, gamma,
-            samples=40, base_max=3, seed=2, gamma_max_solutions=None,
+            samples=40, base_max=3, seed=2, gamma_max_solutions=1,
         )
         assert 0 < len(frag["failures"]) < 40
 
@@ -340,7 +341,7 @@ class TestExtensionReplayRoutes:
         gamma = [parse_formula(t, M.sig) for t in avoid]
         assert_matches_replay(
             M, [0, 1, 3], [prof], gamma,
-            samples=30, base_max=3, seed=size, gamma_max_solutions=None,
+            samples=30, base_max=3, seed=size, gamma_max_solutions=1,
         )
 
     def test_sampled_route_matches_replay(self):
@@ -354,7 +355,7 @@ class TestExtensionReplayRoutes:
         xz = parse_formula("x = z", M.sig)
         frag = assert_matches_replay(
             M, list(range(0, M.size, 2)), [prof], [xz],
-            samples=50, base_max=3, seed=3, gamma_max_solutions=None,
+            samples=50, base_max=3, seed=3, gamma_max_solutions=1,
         )
         assert 0 < len(frag["failures"]) < 50
 
@@ -436,7 +437,8 @@ class TestDrawSamples:
 class TestExtensionUnionBound:
     def test_unary_avoid_bound_fires(self, gf101_build):
         # a max solution count of 0 makes every non-empty closure exceed the
-        # union bound; unary avoid lists are checked like any other
+        # union bound; unary avoid lists are checked like any other. The
+        # axiom checks read B from the config, that is from its avoid profiles
         M, h, cfg = gf101_build
         with pytest.raises(InvariantError, match="union bound"):
             check_extension(
@@ -447,7 +449,8 @@ class TestExtensionUnionBound:
         with pytest.raises(InvariantError) as err:
             run_axiom_checks(
                 M, certified(M, h, cfg.delta_profiles, cfg.gamma),
-                dataclasses.replace(cfg, gamma_max_solutions=0), extension_samples=5,
+                dataclasses.replace(cfg, gamma_profiles=tuple(dataclasses.replace(p, B=0) for p in cfg.gamma_profiles)),
+                extension_samples=5,
             )
         assert str(err.value).startswith(
             "prime-field(p=101), step extension: avoid formulas ['x = z'], closure of H plus"

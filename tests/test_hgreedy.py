@@ -1,7 +1,9 @@
 import dataclasses
 import functools
 import itertools
+import json
 import math
+import os
 import re
 from types import SimpleNamespace
 
@@ -19,6 +21,7 @@ from hlab.errors import (
 )
 from hlab._util import tuple_columns
 from hlab.finitemodels import (
+    enumerate_family,
     make_cyclic_group,
     make_extension_field,
     make_f2_vector_space,
@@ -30,13 +33,13 @@ from hlab.folang import (
     Kernel,
     count_columns,
     kernel,
-    max_solution_count,
     parse_formula,
     plan,
     solution_counts_all,
     solution_mask_matrix,
 )
 from hlab.asymptotics import profile_family, psi_set, sample_columns
+from hlab.cli import load_config
 from hlab.hsequence import closure
 from hlab.hgreedy import (
     BEST_EFFORT,
@@ -56,6 +59,7 @@ from hlab.hgreedy import (
 
 from helpers import evaluate, minimum_cover_size
 from profile_oracle import columns_psi, tuple_psi
+from test_golden import CONFIGS, SQUARE_SHIFT
 
 DECAY_09 = -math.log(1 - 0.45)  # mu = 0.9
 DECAY_04 = -math.log(0.8)  # mu = 0.4
@@ -150,6 +154,57 @@ class TestDeriveConfig:
         cfg = derive_config(profiled(fam, [sq]), profiled(fam, [xz]), None)
         assert 0.2 < cfg.mu < 0.3
 
+    def test_avoid_bound_follows_its_profiles(self, neq_config):
+        # B and c_gamma are read from the avoid profiles, so a config with
+        # other profiles has no stale constant left over
+        assert neq_config.gamma_max_solutions == 1 and neq_config.c_gamma == 1
+        for b in (0, 3):
+            moved = tuple(dataclasses.replace(p, B=b) for p in neq_config.gamma_profiles)
+            cfg = dataclasses.replace(neq_config, gamma_profiles=moved)
+            assert cfg.gamma_max_solutions == b and cfg.c_gamma == b
+            assert cfg.summary()["c_gamma"] == b
+            assert size_threshold_ok(cfg, 101).forbidden_bound == 10.0 * b
+        assert [f.name for f in dataclasses.fields(neq_config)] == ["mu", "delta_profiles", "gamma_profiles"]
+
+    @pytest.mark.parametrize("budget, size", [(3000, 61), (4000, 67)])
+    def test_sampled_avoid_profile_rejected(self, profiled, shrink_budget, budget, size):
+        # past the budget an avoid formula off the kernel rule is counted on
+        # a sample, whose B bounds only the tuples drawn: x*x = y & z = 0
+        # has 2 solutions at (1, 0), which most draws of 10 from its p^2
+        # tuples miss. The cover formula is a kernel, counted exactly at any
+        # size
+        fam = [make_prime_field(p) for p in (61, 67)]
+        sig = fam[0].sig
+        sq = parse_formula("exists z. z*z = x - y", sig)
+        sparse = parse_formula("x*x = y & z = 0", sig)
+        shrink_budget(budget)
+        avoid = [profile_family(fam, sparse, samples=10)]
+        assert [s.enumerated for s in avoid[0].per_structure] == [size != 61, False]
+        message = f"avoid formula 'x*x = y & z = 0' was counted on a sample of its tuples at size {size}: "
+        with pytest.raises(ConfigRejectedError, match=re.escape(message)):
+            derive_config(profiled(fam, [sq]), avoid, 0.4)
+
+    @pytest.mark.parametrize("name", ["square_shift_golden", "cyclic_doubling.json"])
+    def test_avoid_bound_is_the_naive_largest_count(self, tmp_path, profiled, name):
+        # B from the config's profiles equals the largest solution count the
+        # naive evaluator finds for any avoid formula at any parameter tuple
+        # on the three smallest structures of the family
+        if name.endswith(".json"):
+            path = os.path.join(CONFIGS, name)
+        else:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(SQUARE_SHIFT))
+        exp = load_config(str(path))
+        family = enumerate_family(exp.family)
+        cfg = derive_config(profiled(family, exp.cover), profiled(family, exp.avoid), exp.mu)
+        largest = max(
+            sum(evaluate(M, pf.formula, {pf.object_var: x, **dict(zip(pf.params, params))}) for x in range(M.size))
+            for M in family[:3]
+            for pf in exp.avoid
+            for params in itertools.product(range(M.size), repeat=pf.arity)
+        )
+        assert cfg.gamma_max_solutions == largest
+
 
 class TestSizeThreshold:
     def test_example_13_false(self, neq_config):
@@ -187,16 +242,20 @@ class TestForbiddenSet:
         xz = parse_formula("x = z", z13.sig)
         assert forbidden_set([], [xz], z13) == []
 
-    def test_kernel_bound_known_at_every_size(self):
-        # a recount of x = z over GF(10007) would be 10007^2 cells, past the
-        # budget; as a translation kernel its count is |G| = 1 at any size,
-        # so closures keep their union bound
-        M = make_prime_field(10007)
+    def test_kernel_bound_known_at_every_size(self, profiled):
+        # x = z over GF(10007) has 10007^2 tuples, past a budget of 10^7
+        # cells with its grid; as a translation kernel each profile counts
+        # |G| = 1 exactly, so the config's B is 1 and closures keep their
+        # union bound
+        fam = [make_prime_field(p) for p in (10007, 10009)]
+        M = fam[0]
+        sq = parse_formula("exists z. z*z = x - y", M.sig)
         xz, xz1 = parse_formula("x = z", M.sig), parse_formula("x = z + 1", M.sig)
-        assert max_solution_count(M, [xz]) == 1
-        assert max_solution_count(M, [xz, xz1]) == 1
-        clos = closure(M, [4, 10006], [9], [xz, xz1])
-        assert clos.elements == [0, 4, 5, 9, 10, 10006] and clos.bound == 6
+        cfg = derive_config(profiled(fam, [sq]), profiled(fam, [xz, xz1]), 0.4)
+        assert cfg.gamma_max_solutions == 1
+        clos = closure(M, [4, 10006], [9], cfg.gamma, max_solutions=cfg.gamma_max_solutions)
+        assert clos == [0, 4, 5, 9, 10, 10006]
+        assert hgreedy._union_bound(cfg.gamma, 3, cfg.gamma_max_solutions) == 6
 
 
 def naive_closure(M, base, gamma):
@@ -256,7 +315,7 @@ class TestClosureMasks:
     def test_no_sets(self, z13):
         xz = parse_formula("x = z", z13.sig)
         no_sets = np.empty((0, 0), dtype=np.intp)
-        assert closures(z13, [1, 2], no_sets, [xz]).shape == (0,)
+        assert closures(z13, [1, 2], no_sets, [xz], max_solutions=1).shape == (0,)
 
     def test_union_bound_names_the_set(self, z13):
         xz1 = parse_formula("x = z + 1", z13.sig)
@@ -302,7 +361,7 @@ class TestClosuresProperty:
     @given(closure_cases())
     def test_matches_naive_oracle(self, case):
         M, gamma, h, sets = case
-        codes = closures(M, h, sets, gamma)
+        codes = closures(M, h, sets, gamma, max_solutions=M.size)
         assert (np.diff(codes) > 0).all()  # sorted and distinct
         owner, member = np.divmod(codes, M.size)
         expected = [naive_closure(M, [*h, *(int(v) for v in row if v >= 0)], gamma) for row in sets]

@@ -292,32 +292,29 @@ class TestParallelMap:
 
 
 class TestClosure:
+    # every avoid formula below has one solution at each tuple: B = 1
     def test_shift_example(self):
         z101 = make_cyclic_group(101)
         xz1 = parse_formula("x = z + 1", z101.sig)
-        clos = closure(z101, [2, 7], [11], [xz1])
-        assert clos.elements == [3, 8, 12]
-        assert clos.base_size == 3
-        assert clos.bound == 3
-        assert len(clos) == 3
+        clos = closure(z101, [2, 7], [11], [xz1], max_solutions=1)
+        assert clos == [3, 8, 12]
+        assert hgreedy._union_bound([xz1], 3, 1) == 3  # met exactly
 
     def test_empty(self, z13):
         xz = parse_formula("x = z", z13.sig)
-        clos = closure(z13, [], [], [xz])
-        assert clos.elements == []
+        assert closure(z13, [], [], [xz], max_solutions=1) == []
 
     def test_parameterless_contributes(self, z13):
         x0 = parse_formula("x = 0", z13.sig)
-        clos = closure(z13, [], [], [x0])
-        assert clos.elements == [0]
-        assert clos.bound is not None and len(clos) <= clos.bound
+        assert closure(z13, [], [], [x0], max_solutions=1) == [0]
+        assert hgreedy._union_bound([x0], 0, 1) == 1
 
     def test_bound_holds(self, z13):
         xz = parse_formula("x = z", z13.sig)
         xz1 = parse_formula("x = z + 1", z13.sig)
         for base in ([], [3], [3, 5], [0, 1, 2, 9]):
-            clos = closure(z13, base, [12], [xz, xz1])
-            assert len(clos) <= clos.bound
+            clos = closure(z13, base, [12], [xz, xz1], max_solutions=1)
+            assert len(clos) <= hgreedy._union_bound([xz, xz1], len({*base, 12}), 1)
 
     def test_violated_bound_raises_typed_error(self, z13):
         xz1 = parse_formula("x = z + 1", z13.sig)
@@ -345,7 +342,7 @@ class TestClosure:
 
     def test_membership(self, z13):
         xz1 = parse_formula("x = z + 1", z13.sig)
-        clos = closure(z13, [4], [], [xz1])
+        clos = closure(z13, [4], [], [xz1], max_solutions=1)
         assert 5 in clos
         assert 4 not in clos
 

@@ -101,7 +101,8 @@ def run_checks(M, cfg, monkeypatch):
     for elements in (h.elements, h.elements[: len(h) // 2]):
         out.append(check_density(certified(M, elements, cfg.delta_profiles).cover))
     extension, sets = run_extension(
-        M, h.elements, cfg.delta_profiles, cfg.gamma, monkeypatch, samples=40, base_max=2, seed=1
+        M, h.elements, cfg.delta_profiles, cfg.gamma, monkeypatch,
+        samples=40, base_max=2, seed=1, gamma_max_solutions=cfg.gamma_max_solutions,
     )
     return out + [extension], sets
 
@@ -177,7 +178,10 @@ def test_over_budget_kernel_draws_from_the_seeded_sample(shrink_budget, monkeypa
     prof = cfg.delta_profiles[0]
     shrink_budget(M.size)
     samples = 30
-    _, sets = run_extension(M, [0, 1], [prof], cfg.gamma, monkeypatch, samples=samples, base_max=0, seed=4)
+    _, sets = run_extension(
+        M, [0, 1], [prof], cfg.gamma, monkeypatch,
+        samples=samples, base_max=0, seed=4, gamma_max_solutions=cfg.gamma_max_solutions,
+    )
     rng = np.random.default_rng([4, M.size, 3])
     cols, counts = sample_columns(M, prof.pf, rng, 10 * samples)
     cols = cols[:, _classify_counts(prof, M.size, counts)[0]]
