@@ -56,6 +56,7 @@ def _least_smooth(target: int) -> int:
     return best
 
 
+@functools.lru_cache(maxsize=None)
 def _transform_length(d: int) -> int:
     """The FFT length for a cyclic axis of length d: d itself when it is
     5-smooth, else the smallest 5-smooth length >= 2d - 1, which holds the
@@ -78,34 +79,80 @@ def _fold(values: np.ndarray, shape) -> np.ndarray:
     return values
 
 
+def _exact(out: np.ndarray, size: int, w: np.ndarray) -> np.ndarray:
+    """The float counts `out` rounded, as int64, once they are checked
+    exact: each within 0.25 of its integer, and summing to size * sum(w),
+    which the greedy's coverage reads as |G| * |Y|; InvariantError
+    otherwise. `out` is overwritten with the residual."""
+    counts = np.rint(out)
+    residual = np.abs(np.subtract(out, counts, out=out), out=out).max(initial=0.0)
+    total = int(counts.sum()) if residual < 0.25 else None  # None for a NaN
+    expected = size * int(w.sum())
+    if not residual < 0.25 or total != expected:
+        raise InvariantError(
+            f"convolution coverage is not exact (rounding residual {float(residual):.3g}, "
+            f"total {total} against |G| * |Y| = {expected})"
+        )
+    return counts.astype(np.int64)
+
+
 def convolver(values: np.ndarray, shape) -> Callable:
     """convolve(w): the cyclic convolution values * w over the group of array
     shape `shape`, both flattened, for integer arrays, by one real FFT pair
-    per call; values' transform is taken once, and axes that are not
-    5-smooth are padded and the product folded back. Each result is rounded
-    and checked exact: within 0.25 of its integer, and summing to sum(values)
-    * sum(w), which the greedy's coverage reads as |G| * |Y|; InvariantError
-    otherwise."""
+    per call: rfft and irfft on one axis, rfftn and irfftn on more. values'
+    transform is taken once, the product is formed in place, and axes that
+    are not 5-smooth are padded and the product folded back. Each result is
+    rounded and checked exact by _exact."""
     lengths = tuple(_transform_length(d) for d in shape)  # transform length per axis
+    size = int(values.sum())
+    if len(shape) == 1:
+        (d,), (length,) = shape, lengths
+        values_hat = np.fft.rfft(values, length)
+
+        def convolve(w: np.ndarray) -> np.ndarray:
+            hat = np.fft.rfft(w, length)
+            hat *= values_hat
+            out = np.fft.irfft(hat, length)
+            folded = out[:d]
+            for start in range(d, length, d):  # one slice-add when length < 2d
+                folded[: length - start] += out[start : start + d]
+            return _exact(folded, size, w)
+
+        return convolve
     axes = range(len(shape))
     values_hat = np.fft.rfftn(values.reshape(shape), lengths, axes)
-    size = int(values.sum())
 
     def convolve(w: np.ndarray) -> np.ndarray:
         hat = np.fft.rfftn(w.reshape(shape), lengths, axes)
-        out = _fold(np.fft.irfftn(values_hat * hat, lengths, axes), shape).ravel()
-        counts = np.rint(out)
-        residual = float(np.abs(out - counts).max(initial=0.0))
-        total = int(counts.sum()) if residual < 0.25 else None  # None for a NaN
-        expected = size * int(w.sum())
-        if not residual < 0.25 or total != expected:
-            raise InvariantError(
-                f"convolution coverage is not exact (rounding residual {residual:.3g}, "
-                f"total {total} against |G| * |Y| = {expected})"
-            )
-        return counts.astype(np.int64)
+        hat *= values_hat
+        return _exact(_fold(np.fft.irfftn(hat, lengths, axes), shape).ravel(), size, w)
 
     return convolve
+
+
+def shifted_sums(index: np.ndarray, size: int, complement: bool) -> Callable:
+    """count(w): the convolution 1_G * w of convolver, for a set G of `size`
+    elements given by few translations, without a transform. Row i of the
+    (r, n) `index` lists e - g_i at each element e, for the r elements g_i
+    of G, or of its complement when `complement` is set; the count is the
+    sum of w[index[i]] over the rows, or w.sum() less that sum. The total
+    is checked against size * sum(w), as the transform's is; InvariantError
+    when it is off, which a corrupted translation makes it."""
+
+    def count(w: np.ndarray) -> np.ndarray:
+        out = np.zeros(index.shape[1], dtype=np.int64)
+        for row in index:
+            out += w[row]
+        if complement:
+            np.subtract(int(w.sum()), out, out=out)
+        total, expected = int(out.sum()), size * int(w.sum())
+        if total != expected:
+            raise InvariantError(
+                f"convolution coverage is not exact (shifted sums total {total} against |G| * |Y| = {expected})"
+            )
+        return out
+
+    return count
 
 
 def _plain(obj):

@@ -270,6 +270,14 @@ def profile_family(
     )
 
 
+def _gap_error(profile: MeasureProfile, size: int, count: int) -> ClassificationGapError:
+    return ClassificationGapError(
+        f"count {count} at size {size} falls outside both the "
+        f"algebraic bound (B={profile.B}) and every measure envelope "
+        f"(E={profile.E}, C={profile.C}); the profile is defective here"
+    )
+
+
 def _classify_counts(profile: MeasureProfile, size: int, counts: np.ndarray):
     """Vectorized classification. Returns (large mask, measure indices).
     Raises on counts in the forbidden gap."""
@@ -286,21 +294,29 @@ def _classify_counts(profile: MeasureProfile, size: int, counts: np.ndarray):
     large = within & ~alg
     gap_mask = ~alg & ~large
     if gap_mask.any():
-        i = int(np.flatnonzero(gap_mask)[0])
-        raise ClassificationGapError(
-            f"count {int(counts[i])} at size {size} falls outside both the "
-            f"algebraic bound (B={profile.B}) and every measure envelope "
-            f"(E={profile.E}, C={profile.C}); the profile is defective here"
-        )
+        raise _gap_error(profile, size, int(counts[int(np.flatnonzero(gap_mask)[0])]))
     return large, nearest
+
+
+def _classify_count(profile: MeasureProfile, size: int, count: int) -> tuple[bool, int]:
+    """_classify_counts for one count, in Python floats, which round as
+    float64 does: (large, index of the nearest measure), and the same
+    ClassificationGapError, without an array."""
+    resid = [abs(count - mu * size) for mu in profile.E]
+    nearest = resid.index(min(resid)) if resid else 0
+    if profile.B is not None and count <= profile.B:
+        return False, nearest
+    if resid and resid[nearest] < profile.C * math.sqrt(size):
+        return True, nearest
+    raise _gap_error(profile, size, count)
 
 
 def classify(profile: MeasureProfile, M: FiniteStructure, params=()) -> ParamClass:
     """Classify one parameter tuple by counting."""
     count = solution_count(M, profile.pf, params)
-    large, nearest = _classify_counts(profile, M.size, np.array([count]))
-    if large[0]:
-        return ParamClass("large", count, float(profile.E[int(nearest[0])]))
+    large, nearest = _classify_count(profile, M.size, count)
+    if large:
+        return ParamClass("large", count, float(profile.E[nearest]))
     return ParamClass("algebraic", count)
 
 
@@ -332,7 +348,7 @@ def psi_columns(M: FiniteStructure, profile: MeasureProfile) -> Kernel | Columns
     pf, n, k = profile.pf, M.size, profile.pf.arity
     record = kernel(M, pf)
     if record is not None:
-        if _classify_counts(profile, n, np.array([record.low]))[0][0]:
+        if _classify_count(profile, n, record.low)[0]:
             return record
         return Columns(M, pf, np.empty((k, 0), dtype=np.intp), np.empty(0, dtype=np.int64))
     if not within_budget(n**k):

@@ -42,7 +42,9 @@ from .errors import (
     where,
 )
 from .finitemodels import (
+    CYCLIC_GROUP,
     EXTENSION_FIELD,
+    F2_VECTOR_SPACE,
     FamilySpec,
     FAMILIES,
     enumerate_family,
@@ -58,6 +60,9 @@ MODES = (STRICT, BEST_EFFORT, COARSE_DIM)
 COMMANDS = ("profile", "build", "sequence", "axioms", "lovely-pair")
 
 _FAMILY_KEYS = {"family", "lo", "hi", "values"}
+# the least parameter each family builds from: a cyclic group's order, an F2
+# space's dimension; the fields keep the primes of their range and drop the rest
+_LEAST_PARAMETER = {CYCLIC_GROUP: 1, F2_VECTOR_SPACE: 1}
 _FORMULA_KEYS = {"text", "object", "params"}
 
 
@@ -136,6 +141,12 @@ def _parse_family(raw) -> FamilySpec:
         hi=None if hi is None else _as_int(hi),
         values=None if values is None else tuple(_as_int(v) for v in values),
     )
+    least = _LEAST_PARAMETER.get(spec.family)
+    named = [] if spec.values is not None or spec.lo is None else [("family.lo", spec.lo)]
+    named += [(f"family.values[{i}]", v) for i, v in enumerate(spec.values or ())]
+    for key, value in named:
+        if least is not None and value < least:
+            raise ExperimentConfigError(f"{key} = {value} is below {least}, the least {spec.family} parameter")
     # every value is listed, and each one tested or built, before anything is
     # filtered, so the budget bounds how many values there are, how large,
     # and the universe of the largest; a value within the budget is small

@@ -50,14 +50,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import _lex_tuples, convolver
+from ._util import _lex_tuples, convolver, shifted_sums
 from .errors import (
     EvaluationError,
     FormulaSyntaxError,
     FreeVariableError,
     SignatureMismatchError,
 )
-from .finitemodels import FAMILIES, FiniteStructure, Signature
+from .finitemodels import FAMILIES, FiniteStructure, Signature, _index_dtype
 
 # ---------------------------------------------------------------------------
 # Syntax trees, interned
@@ -769,7 +769,15 @@ def _shift_values(M: FiniteStructure, shift: Term, names: tuple, params: tuple, 
     it reads at 0: u up to one constant. The one place that evaluates it."""
     env = dict.fromkeys(names, 0)
     env.update(zip(params, cols))
-    return np.broadcast_to(np.asarray(_bulk_term(M, shift, env), dtype=np.intp), cols.shape[1:])
+    values = np.asarray(_bulk_term(M, shift, env), dtype=np.intp)
+    return values if values.shape == cols.shape[1:] else np.broadcast_to(values, cols.shape[1:])
+
+
+# the most elements of G, or of its complement, that Kernel.counter counts
+# by shifted sums rather than by a transform: measured on prime fields of a
+# few hundred to a thousand elements, r gathers cost less than one FFT pair
+# up to r of about 4
+SHIFTED_SUMS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -778,9 +786,11 @@ class Kernel:
     solutions at parameter tuple t are G + u(t), u(t) the shift term's value.
     A linear u is kept as c = u(0) and `images`, u(e) - c at each unit tuple
     e (one parameter at one unit vector of M.group_shape, the others 0): a
-    few ints, and no array over the tuples or the universe but G. As Ψ it
-    is all n^k tuples, each with |G| solutions, and its index space is the
-    universe, as the shifts."""
+    few ints, and no array over the tuples or the universe but G. A
+    one-parameter kernel whose shifts are read keeps them as `vector`, u at
+    every element, evaluated once in the narrowest index dtype that holds
+    |M|. As Ψ it is all n^k tuples, each with |G| solutions, and its index
+    space is the universe, as the shifts."""
 
     M: FiniteStructure = field(repr=False)
     params: tuple[str, ...]
@@ -789,10 +799,26 @@ class Kernel:
     base: np.ndarray  # G, read-only
     c: int
     images: tuple[int, ...] | None  # None when u is not linear
+    vector: np.ndarray | None = field(default=None, init=False, repr=False)  # see _shift_vector
+
+    def _shift_vector(self) -> np.ndarray:
+        """u at each element of the universe, for a one-parameter kernel:
+        the shift term evaluated by _shift_values on arange(n) on first use,
+        and kept, read-only. Threads that race here store equal vectors."""
+        if self.vector is None:
+            n = self.M.size
+            values = _shift_values(self.M, self.shift, self.names, self.params, np.arange(n)[None, :])
+            vector = values.astype(_index_dtype(n, n))
+            vector.flags.writeable = False
+            object.__setattr__(self, "vector", vector)
+        return self.vector
 
     def shifts(self, param_columns) -> np.ndarray:
-        """u, up to one constant, at each of the (arity, m) parameter columns."""
+        """u, up to one constant, at each of the (arity, m) parameter
+        columns; a one-parameter kernel reads them from its vector."""
         cols = np.atleast_2d(np.asarray(param_columns, dtype=np.intp))
+        if len(self.params) == 1:
+            return self._shift_vector()[cols[0]]
         return _shift_values(self.M, self.shift, self.names, self.params, cols)
 
     def points(self, param_columns) -> np.ndarray:
@@ -815,20 +841,34 @@ class Kernel:
 
     def solved(self, elements, live: np.ndarray) -> np.ndarray:
         """Whether some element h of `elements` solves the tuples of each
-        shift in `live`: h solves tuple t exactly when u(t) lies in h - G."""
-        h, reached = np.asarray(elements, dtype=np.intp), np.zeros(self.M.size, dtype=bool)
+        shift in `live`: h solves tuple t exactly when u(t) lies in h - G.
+        One element reads G's mask at h - v for each live shift v."""
+        h, sub = np.asarray(elements, dtype=np.intp), self.M.functions["sub"]
+        if len(h) == 1:
+            in_base = np.zeros(self.M.size, dtype=bool)
+            in_base[self.base] = True
+            return in_base[sub[h[0], live]]
+        reached = np.zeros(self.M.size, dtype=bool)
         for block in column_blocks(len(h), len(self.base)):
-            reached[self.M.functions["sub"][h[block, None], self.base]] = True
+            reached[sub[h[block, None], self.base]] = True
         return reached[live]
 
     def counter(self):
         """count(w), for weights w over the shifts: how many tuples each
         element solves, sum_v w(v) [e - v in G], the convolution 1_G * w
         over M's additive group (Terras, Fourier Analysis on Finite Groups,
-        1999), exact."""
-        in_base = np.zeros(self.M.size, dtype=np.int64)
+        1999), exact. When G or its complement has at most SHIFTED_SUMS
+        elements it is their few translates of w, _util.shifted_sums, and
+        no transform; otherwise one FFT pair per count, _util.convolver."""
+        n, size = self.M.size, len(self.base)
+        in_base = np.zeros(n, dtype=np.int64)
         in_base[self.base] = 1
-        return convolver(in_base, self.M.group_shape)
+        if min(size, n - size) > SHIFTED_SUMS:
+            return convolver(in_base, self.M.group_shape)
+        complement = 2 * size > n
+        few = np.flatnonzero(in_base == 0) if complement else self.base
+        index = self.M.functions["sub"][np.arange(n)[None, :], few[:, None]]  # row i: e - few[i]
+        return shifted_sums(index, size, complement)
 
     def pushforward(self) -> tuple[int, np.ndarray]:
         """w(v) = #{t in M^k : u(t) = v}, exact at any n^k, as (unit,
@@ -891,9 +931,11 @@ def kernel(M: FiniteStructure, pf: ParamFormula) -> Kernel | None:
         values = _shift_values(M, rule.shift, rule.names, pf.params, cols)
         c, sub = int(values[0]), M.functions["sub"]
         solutions = np.flatnonzero(solution_mask_matrix(M, pf, cols[:, :1])[:, 0])
-        base = np.asarray(sub[solutions, c], dtype=np.intp)
+        if c:  # index 0 is the zero of the four families' groups: v - 0 = v
+            solutions, values = np.asarray(sub[solutions, c], dtype=np.intp), np.asarray(sub[values, c])
+        base = solutions
         base.flags.writeable = False
-        images = tuple(np.asarray(sub[values[1:], c]).tolist()) if rule.linear else None
+        images = tuple(values[1:].tolist()) if rule.linear else None
         return Kernel(M, pf.params, rule.shift, rule.names, base, c, images)
 
     return M.cached(("kernel", rule), build)

@@ -3,28 +3,33 @@ of every cover formula and avoids every algebraic formula, with a logarithmic
 size bound.
 
 The builder walks the cover formulas in order. For the current formula it
-keeps the set Y of still-uncovered large parameter tuples, recomputes the
-forbidden set L (all solutions of avoid formulas over parameters drawn from
-the current H, plus solutions of parameterless avoid formulas), and among the
-eligible elements X = M minus (H union L) appends the element covering the
-most tuples of Y, smallest index winning ties. Under the size threshold each
-step shrinks Y by a factor of at least (1 - mu/2), which forces
+keeps the set Y of still-uncovered large parameter tuples, and among the
+eligible elements X = M minus (H union L), L the forbidden set clos(H) (all
+solutions of avoid formulas over parameters drawn from the current H, plus
+solutions of parameterless avoid formulas), appends the element covering
+the most tuples of Y, smallest index winning ties. Under the size threshold
+each step shrinks Y by a factor of at least (1 - mu/2), which forces
 |H| <= n_formulas * h_M <= C * ln|M|.
 
-Coverage, the number of tuples of Y each element would cover, is one
-incremental count (Minoux 1978) over the index space of Ψ's folang record:
-a translation kernel's shifts, weighted by its pushforward(), or the
-columns of any other formula's Ψ. A step zeroes the weights of what it
-covers, and the next count subtracts their row sums, or recounts what is
-left when that is less. A kernel's row sums are the convolution 1_G * w over
-M's additive group, one real FFT pair, rounded and checked exact, so no
-array holds a tuple; any other formula's are read from its grid.
+Each step costs what it changes. Coverage, the number of tuples of Y each
+element would cover, is one incremental count (Minoux 1978) over the index
+space of Ψ's folang record: a translation kernel's shifts, weighted by its
+pushforward(), or the columns of any other formula's Ψ. A step zeroes the
+weights of what it covers, and the next count subtracts their row sums, or
+recounts what is left when that is less. A kernel's row sums are the
+convolution 1_G * w over M's additive group, by shifted sums when G or its
+complement has a few elements and by one real FFT pair otherwise, checked
+exact, so no array holds a tuple; any other formula's are read from its
+grid. H union L is build state, one mask over the universe kept across
+every step and phase: a step adds its element and the solutions at the
+avoid tuples that use it (_block), never recomputing L.
 
-The forbidden set and every truncated closure clos(H union A) are member
-lists, never masks over the universe: folang.solution_pairs lists the
-solutions of each avoid tuple, and closures() keeps them as sorted distinct
-codes set * |M| + element, each closure's length checked against its union
-bound at the caller's B, which GreedyConfig derives from its avoid profiles.
+The forbidden set from scratch (_forbidden, forbidden_set) and every
+truncated closure clos(H union A) are member lists: folang.solution_pairs
+lists the solutions of each avoid tuple, and closures() keeps them as
+sorted distinct codes set * |M| + element, each closure's length checked
+against its union bound at the caller's B, which GreedyConfig derives from
+its avoid profiles.
 
 Every build returns certificates: an exhaustive cover check per cover
 formula (for a kernel over its shifts, which checks every tuple), an
@@ -35,6 +40,7 @@ shrink factors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -239,12 +245,46 @@ def _distinct(parts) -> np.ndarray:
 def _forbidden(M: FiniteStructure, gamma, h_elements) -> np.ndarray:
     """clos(H), sorted: every element that solves some avoid formula with
     parameters drawn from h_elements (parameterless formulas always
-    contribute: their one tuple is the empty one)."""
+    contribute: their one tuple is the empty one). The definition from
+    scratch; a build keeps the same set as a mask, see _block."""
     found = []
     for xi in gamma:
         cols = tuple_columns(h_elements, xi.arity)
-        found.append(solution_pairs(M, xi, cols, np.zeros(cols.shape[1], dtype=np.intp)))
+        if cols.shape[1]:  # none when H is empty and xi has parameters
+            found.append(solution_pairs(M, xi, cols, np.zeros(cols.shape[1], dtype=np.intp)))
     return _distinct(found)
+
+
+@functools.lru_cache(maxsize=1024)
+def _fresh_layout(fresh: int, pool: int, arity: int) -> np.ndarray:
+    """The tuples of length `arity` over positions range(pool) that use one
+    of the first `fresh` positions, as a read-only (arity, m) array in
+    lexicographic order: pool^arity - (pool - fresh)^arity of them."""
+    grid = tuple_columns(range(pool), arity)
+    layout = grid[:, (grid < fresh).any(axis=0)]
+    layout.flags.writeable = False
+    return layout
+
+
+def _blocked(M: FiniteStructure, gamma, h_elements) -> np.ndarray:
+    """H union clos(H) as a mask over the universe, from scratch."""
+    mask = np.zeros(M.size, dtype=bool)
+    mask[np.asarray(h_elements, dtype=np.intp)] = True
+    mask[_forbidden(M, gamma, h_elements)] = True
+    return mask
+
+
+def _block(M: FiniteStructure, gamma, h_elements, mask: np.ndarray):
+    """Grow `mask` from H union clos(H) for H = h_elements[:-1] to the same
+    for all of h_elements: add the last element h and the solutions at the
+    tuples over H that use h, |H|^k - (|H| - 1)^k at arity k. A
+    parameterless formula has no such tuple: _blocked added its solutions."""
+    pool = np.array([h_elements[-1], *h_elements[:-1]], dtype=np.intp)
+    mask[pool[0]] = True
+    for xi in gamma:
+        if xi.arity:
+            cols = pool[_fresh_layout(1, len(pool), xi.arity)]
+            mask[solution_pairs(M, xi, cols, np.zeros(cols.shape[1], dtype=np.intp))] = True
 
 
 def _union_bound(gamma, base_size, max_solutions: int):
@@ -262,13 +302,14 @@ def closures(M: FiniteStructure, h_elements, a_sets, gamma, *, max_solutions: in
     codes i * |M| + e, e a member of the i-th closure. a_sets is a
     (sets, width) index array, each row padded with -1. clos(H) is found
     once and listed for every set; the rest of each closure is the solutions
-    over the tuples that use an element of A_i minus H. Each pool lists the
-    fresh elements of A_i first, so tuple positions depend only on their
-    count m, and the tuples of all sets with the same m are emitted at once,
-    in groups of at most one evaluation block of parameters. Every closure's
+    outside clos(H) at the tuples that use an element of A_i minus H. Pool i
+    lists those m_i fresh elements first, padded to the largest m_i, then H,
+    so one layout of tuple positions serves every set: a tuple is emitted
+    for set i when the last fresh position it uses is below m_i, for groups
+    of sets of at most one evaluation block of parameters. Every closure's
     length is checked against _union_bound at max_solutions, the caller's
     bound on any avoid formula's solution count (GreedyConfig's B)."""
-    gamma = list(gamma)
+    gamma, n = list(gamma), M.size
     h = np.array(sorted({int(v) for v in h_elements}), dtype=np.intp)
     given = np.asarray(a_sets, dtype=np.intp)
     # sort each row and move padding, members of H and repeats to its end:
@@ -277,25 +318,28 @@ def closures(M: FiniteStructure, h_elements, a_sets, gamma, *, max_solutions: in
     drop = (rows < 0) | np.isin(rows, h)
     drop[:, 1:] |= rows[:, 1:] == rows[:, :-1]
     fresh = rows.shape[1] - drop.sum(axis=1)
-    rows[drop] = M.size
+    rows[drop] = n
     rows.sort(axis=1)
-    found = [(np.arange(len(rows))[:, None] * M.size + _forbidden(M, gamma, h)).ravel()]
-    for m in sorted(set(fresh.tolist()) - {0}):
-        members = np.flatnonzero(fresh == m)
-        pools = np.concatenate([rows[members, :m], np.tile(h, (len(members), 1))], axis=1)
-        for xi in gamma:
-            grid = tuple_columns(range(m + len(h)), xi.arity)
-            layout = grid[:, (grid < m).any(axis=0)]  # the tuples that use a fresh element
-            if not layout.size:
-                continue  # a parameterless formula has no such tuple
-            for group in column_blocks(len(members), layout.size):
-                cols = pools[group][:, layout].transpose(1, 0, 2).reshape(xi.arity, -1)
-                owner = np.repeat(members[group], layout.shape[1])
-                found.append(solution_pairs(M, xi, cols, owner))
-    codes = _distinct(found)
+    width = int(fresh.max(initial=0))
+    pools = np.concatenate([rows[:, :width], np.broadcast_to(h, (len(rows), len(h)))], axis=1)
+    core = _forbidden(M, gamma, h)
+    outside = np.ones(n, dtype=bool)
+    outside[core] = False
+    found = []
+    for xi in gamma:
+        layout = _fresh_layout(width, width + len(h), xi.arity)
+        if not layout.size:
+            continue  # a parameterless formula has no such tuple
+        last = np.where(layout < width, layout, -1).max(axis=0)  # the last fresh position of each tuple
+        for group in column_blocks(len(rows), layout.size):
+            owner, at = np.nonzero(last < fresh[group, None])
+            owner += group.start
+            codes = solution_pairs(M, xi, pools[owner, layout[:, at]], owner)
+            found.append(codes[outside[codes % n]])
+    extra = _distinct(found)
     sizes = len(h) + fresh
     bounds = _union_bound(gamma, sizes, max_solutions)
-    lengths = np.bincount(codes // M.size, minlength=len(rows))
+    lengths = len(core) + np.bincount(extra // n, minlength=len(rows))
     over = np.flatnonzero(lengths > bounds)
     if len(over):
         i = over[0]
@@ -304,7 +348,8 @@ def closures(M: FiniteStructure, h_elements, a_sets, gamma, *, max_solutions: in
             f"{sorted({int(v) for v in given[i] if v >= 0})} (a base of {sizes[i]}): "
             f"{lengths[i]} elements exceed the union bound {bounds[i]}"
         )
-    return codes
+    listed = (np.arange(len(rows))[:, None] * n + core).ravel()
+    return np.sort(np.concatenate([listed, extra]), kind="stable")  # two sorted runs, merged
 
 
 def forbidden_set(h_elements, gamma, M: FiniteStructure) -> list[int]:
@@ -344,13 +389,14 @@ class Coverage:
         """Drop the tuples h covers."""
         hit = self.psi.solved([h], self.live)
         gone = self.live[hit]
-        self.remaining -= self.unit * int(self.weights[gone].sum())
+        dropped = self.weights[gone]
+        self.remaining -= self.unit * int(dropped.sum())
         if 2 * len(gone) > len(self.live):  # fewer positions left than covered
             self.totals = None
         elif self.totals is not None:
             if self.removed is None:
                 self.removed = np.zeros_like(self.weights)
-            self.removed[gone] = self.weights[gone]
+            self.removed[gone] = dropped
         self.weights[gone] = 0
         self.live = self.live[~hit]
 
@@ -359,7 +405,11 @@ class Coverage:
 class GreedyState:
     """One step of the construction: the current formula phase and the
     ordered H so far. `coverage` holds the phase's still-uncovered tuples Y
-    and counts how many of them each element covers. `remaining` is |Y|."""
+    and counts how many of them each element covers. `remaining` is |Y|.
+    `blocked` is H union clos(H), the elements no step may append, as a
+    mask over the universe: greedy_step makes it from scratch when it is
+    None and grows it by each element it appends, and build_h hands it
+    from phase to phase."""
 
     config: GreedyConfig
     formula_index: int
@@ -368,16 +418,17 @@ class GreedyState:
     provenance: list[tuple[int, int]]
     coverage: Coverage = field(repr=False)
     shrink_factors: list[float] = field(default_factory=list)
+    blocked: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def remaining(self) -> int:
         return self.coverage.remaining
 
 
-def _phase_state(cfg: GreedyConfig, M: FiniteStructure, index: int, h, prov) -> GreedyState:
+def _phase_state(cfg: GreedyConfig, M: FiniteStructure, index: int, h, prov, blocked=None) -> GreedyState:
     coverage = Coverage(psi_columns(M, cfg.delta_profiles[index]))
     return GreedyState(
-        config=cfg, formula_index=index, step=0, h_elements=h, provenance=prov, coverage=coverage
+        config=cfg, formula_index=index, step=0, h_elements=h, provenance=prov, coverage=coverage, blocked=blocked
     )
 
 
@@ -389,13 +440,12 @@ def greedy_step(state: GreedyState, M: FiniteStructure) -> GreedyState:
     """
     if not state.remaining:
         raise ValueError("greedy_step called with no uncovered tuples")
-    eligible = np.ones(M.size, dtype=bool)
-    eligible[np.asarray(state.h_elements, dtype=np.intp)] = False
-    eligible[_forbidden(M, state.config.gamma, state.h_elements)] = False
-    if not eligible.any():
+    if state.blocked is None:
+        state.blocked = _blocked(M, state.config.gamma, state.h_elements)
+    if state.blocked.all():
         raise StructureTooSmallError(f"no eligible element left at size {M.size}")
     counts = state.coverage.counts()
-    counts[~eligible] = -1
+    counts[state.blocked] = -1
     h = int(np.argmax(counts))
     if counts[h] <= 0:
         raise StructureTooSmallError(f"no eligible element covers any remaining tuple at size {M.size}")
@@ -403,6 +453,7 @@ def greedy_step(state: GreedyState, M: FiniteStructure) -> GreedyState:
     state.coverage.cover(h)
     state.shrink_factors.append(state.remaining / before)
     state.h_elements.append(h)
+    _block(M, state.config.gamma, state.h_elements, state.blocked)
     state.provenance.append((state.formula_index, state.step))
     state.step += 1
     return state
@@ -497,9 +548,10 @@ def build_h(M: FiniteStructure, cfg: GreedyConfig, mode: str = STRICT):
         phases = []
         shrink_ok = True
         bound = 1.0 - cfg.mu / 2.0
+        blocked = None  # H union clos(H), kept across every step and phase
         for index, pf in enumerate(cfg.delta):
             with where(formula=pf.text):
-                state = _phase_state(cfg, M, index, h_elements, provenance)
+                state = _phase_state(cfg, M, index, h_elements, provenance, blocked)
                 psi_size = state.remaining
                 while state.remaining:
                     with where(step=state.step):
@@ -512,6 +564,7 @@ def build_h(M: FiniteStructure, cfg: GreedyConfig, mode: str = STRICT):
                                 raise InvariantError(f"shrink factor {shrink:.6f} exceeded {bound:.6f}")
                         if mode == STRICT and len(state.h_elements) > threshold.h_budget:
                             raise InvariantError(f"|H| exceeded the budget {threshold.h_budget}")
+                blocked = state.blocked
             phases.append(
                 {
                     "formula": pf.text,

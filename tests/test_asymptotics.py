@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,6 +15,8 @@ from hlab import asymptotics, folang
 from hlab._util import dump_json
 from hlab.asymptotics import (
     MeasureProfile,
+    _classify_count,
+    _classify_counts,
     classify,
     enumerated_counts,
     profile_family,
@@ -169,6 +172,29 @@ class TestClassify:
         # true count is 6; it is neither <= 1 nor near 0.9 * 11
         with pytest.raises(ClassificationGapError):
             classify(bogus, gf11, (0,))
+
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.floats(0.01, 1.0), max_size=3),
+        st.floats(0.01, 2.0),
+        st.one_of(st.none(), st.integers(0, 40)),
+        st.integers(1, 10**6),
+        st.integers(0, 10**6),
+    )
+    def test_one_count_matches_the_vector(self, gf11, E, C, B, size, count):
+        # psi_columns and classify read one count without an array: the same
+        # verdict, measure and gap error as the vectorized classification
+        pf = parse_formula("x = y", gf11.sig)
+        prof = MeasureProfile(formula="x = y", E=E, C=C, B=B, per_structure=[], gap=0.05, ceiling=2.0, seed=0, pf=pf)
+        count = min(count, 2 * size)
+        try:
+            large, nearest = _classify_counts(prof, size, np.array([count]))
+        except ClassificationGapError as exc:
+            with pytest.raises(ClassificationGapError, match=re.escape(str(exc))):
+                _classify_count(prof, size, count)
+            return
+        assert _classify_count(prof, size, count) == (bool(large[0]), int(nearest[0]))
 
 
 class TestPsiSet:

@@ -53,6 +53,33 @@ class TestLoadConfig:
         assert cfg.mu == 0.49
         assert cfg.cover[0].params == ("y",)
 
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            ({"family": "f2-vector-space", "lo": 0, "hi": 3}, "family.lo = 0 is below 1, the least f2-vector-space parameter"),
+            ({"family": "cyclic-group", "lo": 0, "hi": 5}, "family.lo = 0 is below 1, the least cyclic-group parameter"),
+            ({"family": "cyclic-group", "lo": -4, "hi": -9}, "family.lo = -4 is below 1, the least cyclic-group parameter"),
+            ({"family": "cyclic-group", "values": [0, 3]}, "family.values[0] = 0 is below 1, the least cyclic-group parameter"),
+            ({"family": "f2-vector-space", "values": [3, -2]}, "family.values[1] = -2 is below 1, the least f2-vector-space parameter"),
+        ],
+    )
+    def test_family_range_names_its_key(self, tmp_path, capsys, family, message):
+        # a parameter no structure of the family has is refused before any
+        # work, with the key it sits at; exit 2 and no traceback
+        path = write_config(tmp_path, family=family, cover=["exists z. x = y + z + z"], mode="best_effort")
+        with pytest.raises(ExperimentConfigError) as caught:
+            load_config(path)
+        assert str(caught.value) == message
+        assert main(["build", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o" / "build.json").exists()
+
+    def test_fields_drop_what_is_not_prime(self, tmp_path):
+        # the fields keep the primes of their range: lo 0 and a listed 1 are
+        # no errors there
+        for family in ({"family": "prime-field", "lo": 0, "hi": 13}, {"family": "prime-field", "values": [1, 5, 7]}):
+            assert load_config(write_config(tmp_path, family=family)).family.parameters()[-1] in (13, 7)
+
     def test_unknown_top_level_key(self, tmp_path):
         path = write_config(tmp_path, bogus=1)
         with pytest.raises(ExperimentConfigError):
@@ -592,8 +619,8 @@ class TestExitCodes:
     def test_inexact_convolution_is_exit_2(self, tmp_path, monkeypatch, capsys, threads):
         # a perturbed transform fails the exactness check of the convolution
         # coverage: exit 2 with the structure, formula and step, no reports
-        irfftn = np.fft.irfftn
-        monkeypatch.setattr(np.fft, "irfftn", lambda *args: irfftn(*args) + 0.4)
+        irfft = np.fft.irfft  # GF(101) is one axis
+        monkeypatch.setattr(np.fft, "irfft", lambda *args: irfft(*args) + 0.4)
         cfg = write_config(tmp_path)
         for command in ("build", "axioms"):
             out = tmp_path / command

@@ -747,18 +747,26 @@ class TestConvolutionCoverage:
         )
         record.counter = functools.partial(Kernel.counter, record)
         record.solved = functools.partial(Kernel.solved, record)
-        cover = Coverage(record)
+        with pytest.MonkeyPatch.context() as patch:
+            # every G takes the transform here, so that its product is seen;
+            # TestShiftedSums checks the route of a G, or complement, of few elements
+            patch.setattr(folang, "SHIFTED_SUMS", -1)
+            cover = Coverage(record)
         assert cover.remaining == unit * len(shifts)
         hit = np.isin(sub[np.arange(M.size)[:, None], shifts[None, :]], base)
         products = []  # the inverse transform, before folding and rounding
-        irfftn = np.fft.irfftn
 
-        def recorded(*args):
-            products.append(irfftn(*args))
-            return products[-1]
+        def recording(inverse):  # one axis takes irfft, more take irfftn
+            def recorded(*args):
+                out = inverse(*args)
+                products.append(out.copy())  # the fold and the check then overwrite out
+                return out
+
+            return recorded
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(np.fft, "irfftn", recorded)
+            patch.setattr(np.fft, "irfft", recording(np.fft.irfft))
+            patch.setattr(np.fft, "irfftn", recording(np.fft.irfftn))
             counts = cover.counts()
         assert counts.tolist() == hit.sum(axis=1).tolist()
         # the product folded back through an index array, position k of an
@@ -786,9 +794,11 @@ class TestConvolutionCoverage:
         self, neq_config, z13, monkeypatch, perturb, found
     ):
         # Z13 pads to length 25 and folds back; either check alone catches a
-        # perturbed inverse transform at the first step
-        irfftn = np.fft.irfftn
-        monkeypatch.setattr(np.fft, "irfftn", lambda *args: perturb(irfftn(*args)))
+        # perturbed inverse transform at the first step. G misses one
+        # element, so the transform runs only with the shifted sums turned off
+        monkeypatch.setattr(folang, "SHIFTED_SUMS", -1)
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *args: perturb(irfft(*args)))
         with pytest.raises(InvariantError) as err:
             build_h(z13, neq_config, BEST_EFFORT)
         assert str(err.value).startswith(
@@ -798,14 +808,15 @@ class TestConvolutionCoverage:
 
     def test_inexact_transform_names_its_step(self, neq_config, z13, monkeypatch):
         # the first step's transform is exact and the second one's is not
-        irfftn = np.fft.irfftn
+        monkeypatch.setattr(folang, "SHIFTED_SUMS", -1)
+        irfft = np.fft.irfft
         calls = []
 
         def perturbed(*args):
             calls.append(args)
-            return irfftn(*args) + (0.4 if len(calls) > 1 else 0.0)
+            return irfft(*args) + (0.4 if len(calls) > 1 else 0.0)
 
-        monkeypatch.setattr(np.fft, "irfftn", perturbed)
+        monkeypatch.setattr(np.fft, "irfft", perturbed)
         with pytest.raises(InvariantError) as err:
             build_h(z13, neq_config, BEST_EFFORT)
         assert str(err.value).startswith(
