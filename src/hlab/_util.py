@@ -79,53 +79,40 @@ def _fold(values: np.ndarray, shape) -> np.ndarray:
     return values
 
 
-def _exact(out: np.ndarray, size: int, w: np.ndarray) -> np.ndarray:
-    """The float counts `out` rounded, as int64, once they are checked
-    exact: each within 0.25 of its integer, and summing to size * sum(w),
-    which the greedy's coverage reads as |G| * |Y|; InvariantError
-    otherwise. `out` is overwritten with the residual."""
-    counts = np.rint(out)
-    residual = np.abs(np.subtract(out, counts, out=out), out=out).max(initial=0.0)
-    total = int(counts.sum()) if residual < 0.25 else None  # None for a NaN
-    expected = size * int(w.sum())
-    if not residual < 0.25 or total != expected:
-        raise InvariantError(
-            f"convolution coverage is not exact (rounding residual {float(residual):.3g}, "
-            f"total {total} against |G| * |Y| = {expected})"
-        )
-    return counts.astype(np.int64)
-
-
 def convolver(values: np.ndarray, shape) -> Callable:
     """convolve(w): the cyclic convolution values * w over the group of array
     shape `shape`, both flattened, for integer arrays, by one real FFT pair
     per call: rfft and irfft on one axis, rfftn and irfftn on more. values'
     transform is taken once, the product is formed in place, and axes that
     are not 5-smooth are padded and the product folded back. Each result is
-    rounded and checked exact by _exact."""
+    rounded and checked exact: within 0.25 of its integer, and summing to
+    sum(values) * sum(w), which the greedy's coverage reads as |G| * |Y|;
+    InvariantError otherwise."""
     lengths = tuple(_transform_length(d) for d in shape)  # transform length per axis
-    size = int(values.sum())
-    if len(shape) == 1:
-        (d,), (length,) = shape, lengths
-        values_hat = np.fft.rfft(values, length)
-
-        def convolve(w: np.ndarray) -> np.ndarray:
-            hat = np.fft.rfft(w, length)
-            hat *= values_hat
-            out = np.fft.irfft(hat, length)
-            folded = out[:d]
-            for start in range(d, length, d):  # one slice-add when length < 2d
-                folded[: length - start] += out[start : start + d]
-            return _exact(folded, size, w)
-
-        return convolve
     axes = range(len(shape))
-    values_hat = np.fft.rfftn(values.reshape(shape), lengths, axes)
+    if len(shape) == 1:
+        forward, inverse = (lambda a: np.fft.rfft(a, lengths[0])), (lambda a: np.fft.irfft(a, lengths[0]))
+    else:
+        forward, inverse = (lambda a: np.fft.rfftn(a.reshape(shape), lengths, axes)), (
+            lambda a: np.fft.irfftn(a, lengths, axes)
+        )
+    values_hat = forward(values)
+    size = int(values.sum())
 
     def convolve(w: np.ndarray) -> np.ndarray:
-        hat = np.fft.rfftn(w.reshape(shape), lengths, axes)
+        hat = forward(w)
         hat *= values_hat
-        return _exact(_fold(np.fft.irfftn(hat, lengths, axes), shape).ravel(), size, w)
+        out = _fold(inverse(hat), shape).ravel()
+        counts = np.rint(out)
+        residual = np.abs(np.subtract(out, counts, out=out), out=out).max(initial=0.0)
+        total = int(counts.sum()) if residual < 0.25 else None  # None for a NaN
+        expected = size * int(w.sum())
+        if not residual < 0.25 or total != expected:
+            raise InvariantError(
+                f"convolution coverage is not exact (rounding residual {float(residual):.3g}, "
+                f"total {total} against |G| * |Y| = {expected})"
+            )
+        return counts.astype(np.int64)
 
     return convolve
 
