@@ -25,6 +25,9 @@ is its Kernel record (all of M^k, exact at every size) or empty, any other
 formula's the Columns decoded, within the budget, from the solution counts
 of every tuple. large_columns gives the extension check that record, or
 past the budget Columns of a seeded sample: one protocol for either.
+
+One rule classifies a count, _classify_count; an array of counts is
+decided one distinct count at a time through it (_large_mask).
 """
 
 from __future__ import annotations
@@ -278,30 +281,11 @@ def _gap_error(profile: MeasureProfile, size: int, count: int) -> Classification
     )
 
 
-def _classify_counts(profile: MeasureProfile, size: int, counts: np.ndarray):
-    """Vectorized classification. Returns (large mask, measure indices).
-    Raises on counts in the forbidden gap."""
-    counts = np.asarray(counts, dtype=np.int64)
-    alg = counts <= profile.B if profile.B is not None else np.zeros(len(counts), bool)
-    if profile.E:
-        mus = np.array(profile.E)
-        resid = np.abs(counts[:, None] - mus[None, :] * size)
-        nearest = resid.argmin(axis=1)
-        within = resid.min(axis=1) < profile.C * math.sqrt(size)
-    else:
-        nearest = np.zeros(len(counts), dtype=np.int64)
-        within = np.zeros(len(counts), bool)
-    large = within & ~alg
-    gap_mask = ~alg & ~large
-    if gap_mask.any():
-        raise _gap_error(profile, size, int(counts[int(np.flatnonzero(gap_mask)[0])]))
-    return large, nearest
-
-
 def _classify_count(profile: MeasureProfile, size: int, count: int) -> tuple[bool, int]:
-    """_classify_counts for one count, in Python floats, which round as
-    float64 does: (large, index of the nearest measure), and the same
-    ClassificationGapError, without an array."""
+    """The classification rule: (large, index of the nearest measure) for
+    one count, in Python floats, which round as float64 does. A count at
+    most B is algebraic, one within C * sqrt(size) of some measure's
+    mu * size large, and any other raises ClassificationGapError."""
     resid = [abs(count - mu * size) for mu in profile.E]
     nearest = resid.index(min(resid)) if resid else 0
     if profile.B is not None and count <= profile.B:
@@ -309,6 +293,18 @@ def _classify_count(profile: MeasureProfile, size: int, count: int) -> tuple[boo
     if resid and resid[nearest] < profile.C * math.sqrt(size):
         return True, nearest
     raise _gap_error(profile, size, count)
+
+
+def _large_mask(profile: MeasureProfile, size: int, counts: np.ndarray) -> np.ndarray:
+    """Which of `counts` classify large, each distinct count decided once
+    by _classify_count. Counts lie in 0..size, so np.bincount lists the
+    distinct ones (np.unique would import numpy.ma, see hgreedy._distinct)."""
+    counts = np.asarray(counts, dtype=np.intp)
+    seen = np.bincount(counts)
+    large = np.zeros(len(seen), dtype=bool)
+    for count in np.flatnonzero(seen).tolist():
+        large[count] = _classify_count(profile, size, count)[0]
+    return large[counts]
 
 
 def classify(profile: MeasureProfile, M: FiniteStructure, params=()) -> ParamClass:
@@ -334,7 +330,7 @@ def enumerated_counts(profile: MeasureProfile, M: FiniteStructure):
     if not within_budget(M.size**profile.pf.arity):
         return None
     counts = solution_counts_all(M, profile.pf)
-    return counts, _classify_counts(profile, M.size, counts)[0]
+    return counts, _large_mask(profile, M.size, counts)
 
 
 def psi_columns(M: FiniteStructure, profile: MeasureProfile) -> Kernel | Columns:
@@ -354,7 +350,7 @@ def psi_columns(M: FiniteStructure, profile: MeasureProfile) -> Kernel | Columns
     if not within_budget(n**k):
         raise EnumerationBudgetError(f"psi enumeration needs {n**k} tuples, over the budget")
     counts = solution_counts_all(M, pf)
-    flats = np.flatnonzero(_classify_counts(profile, n, counts)[0])
+    flats = np.flatnonzero(_large_mask(profile, n, counts))
     return Columns(M, pf, _lex_tuples(flats, n, k), counts[flats])
 
 
@@ -367,5 +363,5 @@ def large_columns(M: FiniteStructure, profile: MeasureProfile, rng, samples: int
     if within_budget(M.size**profile.pf.arity):
         return psi_columns(M, profile)
     cols, counts = sample_columns(M, profile.pf, rng, samples)
-    large, _ = _classify_counts(profile, M.size, counts)
+    large = _large_mask(profile, M.size, counts)
     return Columns(M, profile.pf, cols[:, large], counts[large])

@@ -135,6 +135,8 @@ def _parse_family(raw) -> FamilySpec:
             f"unknown family {raw['family']!r}; choose one of {list(FAMILIES)}"
         )
     values, lo, hi = raw.get("values"), raw.get("lo"), raw.get("hi")
+    if values is not None and (lo is not None or hi is not None):
+        raise ExperimentConfigError("family.values and family.lo/hi are both given; give one of them")
     spec = FamilySpec(
         family=raw["family"],
         lo=None if lo is None else _as_int(lo),

@@ -111,9 +111,10 @@ class FiniteStructure:
     frozen); safe to share across concurrent readers. `params` records family
     parameters such as the prime p, the modulus n, the dimension, or the
     extension's non-residue r. Facts derived from the structure and one
-    formula (folang's kernel records, image masks and off-kernel solution
-    counts) live in one cache that `cached` alone reads and writes; threads
-    that build the same entry at once all get the first value stored.
+    formula (folang's kernel records, one-parameter kernels' shift vectors,
+    image masks and off-kernel solution counts) live in one cache that
+    `cached` alone reads and writes; threads that build the same entry at
+    once all get the first value stored.
     """
 
     sig: Signature

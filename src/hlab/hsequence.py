@@ -128,10 +128,11 @@ def parallel_map(fn, items, threads: int) -> list:
     which is the one the serial map raises, with its type, message and
     attributes. A worker that dies, or sends a short or unreadable pickle,
     raises BrokenProcessPool; on that or any other exception in the parent,
-    the workers still running are killed and reaped. The map runs in this process when threads <= 1,
-    when there is at most one item, or where the platform cannot fork. This
-    is the package's only pool. Under the CLI the workers inherit the heap
-    that cli.main froze, so their collections skip the import-time objects.
+    the workers still running are killed and reaped. The map runs in this
+    process when threads <= 1, when there is at most one item, or where the
+    platform cannot fork. This is the package's only pool. Under the CLI the
+    workers inherit the heap that cli.main froze, so their collections skip
+    the import-time objects.
     """
     items = list(items)
     workers = min(threads, len(items))

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from hlab._util import _lex_tuples, tuple_columns
-from hlab.asymptotics import MAX_MEASURES, StructureStats, _classify_counts
+from hlab.asymptotics import MAX_MEASURES, StructureStats, _large_mask
 from hlab.errors import NotOneDimensionalError
 from hlab.folang import Columns, solution_mask_matrix
 
@@ -127,7 +127,7 @@ def tuple_psi(M, profile):
     over all n^k tuples."""
     n, k = M.size, profile.pf.arity
     counts = solution_mask_matrix(M, profile.pf, tuple_columns(range(n), k)).sum(axis=0)
-    flats = np.flatnonzero(_classify_counts(profile, n, counts)[0])
+    flats = np.flatnonzero(_large_mask(profile, n, counts))
     return _lex_tuples(flats, n, k), counts[flats]
 
 

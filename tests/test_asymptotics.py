@@ -16,7 +16,7 @@ from hlab._util import dump_json
 from hlab.asymptotics import (
     MeasureProfile,
     _classify_count,
-    _classify_counts,
+    _large_mask,
     classify,
     enumerated_counts,
     profile_family,
@@ -180,21 +180,39 @@ class TestClassify:
         st.floats(0.01, 2.0),
         st.one_of(st.none(), st.integers(0, 40)),
         st.integers(1, 10**6),
-        st.integers(0, 10**6),
+        st.lists(st.integers(0, 10**6), max_size=4),
+        st.lists(st.integers(0, 3), max_size=12),
     )
-    def test_one_count_matches_the_vector(self, gf11, E, C, B, size, count):
-        # psi_columns and classify read one count without an array: the same
-        # verdict, measure and gap error as the vectorized classification
+    def test_one_count_matches_the_vector(self, gf11, E, C, B, size, values, picks):
+        # the array form reads each distinct count once through the rule, so
+        # each element gets the rule's verdict, or the rule's gap error
         pf = parse_formula("x = y", gf11.sig)
         prof = MeasureProfile(formula="x = y", E=E, C=C, B=B, per_structure=[], gap=0.05, ceiling=2.0, seed=0, pf=pf)
-        count = min(count, 2 * size)
-        try:
-            large, nearest = _classify_counts(prof, size, np.array([count]))
-        except ClassificationGapError as exc:
-            with pytest.raises(ClassificationGapError, match=re.escape(str(exc))):
-                _classify_count(prof, size, count)
-            return
-        assert _classify_count(prof, size, count) == (bool(large[0]), int(nearest[0]))
+        empty = _large_mask(prof, size, np.empty(0, dtype=np.int64))
+        assert empty.dtype == np.bool_ and empty.shape == (0,)
+        values = [min(v, size) for v in values]
+        counts = np.array([values[i % len(values)] for i in picks] if values else [], dtype=np.int64)
+        verdicts = {}
+        for count in sorted(set(counts.tolist())):
+            try:
+                verdicts[count] = _classify_count(prof, size, count)[0]
+            except ClassificationGapError as exc:
+                with pytest.raises(ClassificationGapError, match=re.escape(str(exc))):
+                    _large_mask(prof, size, counts)
+                return
+        calls = []
+        rule = asymptotics._classify_count
+
+        def counted(profile, n, count):
+            calls.append(count)
+            return rule(profile, n, count)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(asymptotics, "_classify_count", counted)
+            large = _large_mask(prof, size, counts)
+        assert large.dtype == np.bool_ and large.shape == counts.shape
+        assert large.tolist() == [verdicts[c] for c in counts.tolist()]
+        assert sorted(calls) == sorted(verdicts)  # once per distinct count
 
 
 class TestPsiSet:

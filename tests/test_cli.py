@@ -74,6 +74,26 @@ class TestLoadConfig:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o" / "build.json").exists()
 
+    @pytest.mark.parametrize(
+        "family",
+        [
+            {"family": "prime-field", "values": [101, 103], "lo": 5000, "hi": 6000},
+            {"family": "prime-field", "values": [101, 103], "lo": 1, "hi": 10**8},
+            {"family": "cyclic-group", "values": [5, 7], "hi": 9},
+            {"family": "cyclic-group", "values": [5, 7], "lo": 3},
+        ],
+    )
+    def test_values_and_range_are_refused_together(self, tmp_path, capsys, family):
+        # one of the two is ignored otherwise: the list ran and the range was dropped
+        message = "family.values and family.lo/hi are both given; give one of them"
+        path = write_config(tmp_path, family=family)
+        with pytest.raises(ExperimentConfigError) as caught:
+            load_config(path)
+        assert str(caught.value) == message
+        assert main(["profile", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_fields_drop_what_is_not_prime(self, tmp_path):
         # the fields keep the primes of their range: lo 0 and a listed 1 are
         # no errors there

@@ -450,6 +450,53 @@ def _planner_cases(draw):
     return make, size, draw(_planner_quantified(sig, "z", outer, budget=1))
 
 
+# per family: one structure and, per plan kind, a formula at arity 0, 1 and 2
+_GROUP_SOLVES = {
+    "kernel": ["x = zero", "exists z. z + z = x - y", "x = y1 + y2"],
+    "image": ["x + x = zero", "x + x = y", "!(x + x = y1 - y2)"],
+    "loop": ["exists z. z + z = x + x + z", "exists z. z = y & x + x = z", "exists z. z = y1 & x + x = z + y2"],
+}
+_RING_SOLVES = {
+    "kernel": ["exists z. z * z = x", "x = y * y", "exists z. z*z = x - y1 * y2"],
+    "image": ["x * x = one", "exists z. z*z = x * y", "exists z. z*z = x * y1 + y2"],
+    "loop": ["exists z. z * z = x * z + one", "exists z. z * z = x * z + y", "exists z. z * z = x * z + y1 * y2"],
+}
+SOLVES_CASES = {
+    "Z_12": (make_cyclic_group(12), _GROUP_SOLVES),
+    "GF(13)": (make_prime_field(13), _RING_SOLVES),
+    "GF(5^2)": (
+        make_extension_field(5),
+        {**_RING_SOLVES, "kernel": ["insub(x)", "exists z. frob(z) = x - y", "x = y1 * y2"]},
+    ),
+    "F2^4": (make_f2_vector_space(4), _GROUP_SOLVES),
+}
+
+
+class TestSolves:
+    def test_cases_cover_every_plan_and_arity(self):
+        for M, by_kind in SOLVES_CASES.values():
+            for kind, texts in by_kind.items():
+                pfs = [parse_formula(text, M.sig) for text in texts]
+                assert [plan(pf).kind for pf in pfs] == [kind] * 3
+                assert [pf.arity for pf in pfs] == [0, 1, 2]
+
+    @settings(max_examples=200)
+    @given(st.sampled_from(list(SOLVES_CASES)), st.sampled_from(["kernel", "image", "loop"]), st.integers(0, 2), st.data())
+    def test_matches_naive(self, family, kind, arity, data):
+        # solves evaluates m (element, tuple) pairs with no grid; at arity 0
+        # the one empty tuple is broadcast over every element
+        M, by_kind = SOLVES_CASES[family]
+        pf = parse_formula(by_kind[kind][arity], M.sig)
+        element = st.integers(0, M.size - 1)
+        pairs = data.draw(st.lists(st.tuples(element, st.tuples(*[element] * arity)), max_size=8))
+        elements = np.array([e for e, _ in pairs], dtype=np.intp)
+        cols = np.array([t for _, t in pairs], dtype=np.intp).reshape(len(pairs), arity).T
+        got = folang.solves(M, pf, elements, cols)
+        assert got.dtype == np.bool_ and got.shape == (len(pairs),)
+        expected = [evaluate(M, pf.formula, {"x": e, **dict(zip(pf.params, t))}) for e, t in pairs]
+        assert got.tolist() == expected
+
+
 class TestEvaluatorAgreement:
     FORMULAS = [
         "exists z. z*z = x - y",

@@ -46,6 +46,7 @@ from hlab.hgreedy import (
     STRICT,
     GreedyState,
     Coverage,
+    _forbidden,
     _phase_state,
     build_h,
     closures,
@@ -380,7 +381,7 @@ class TestClosuresProperty:
 
 class TestGreedyStep:
     def test_hand_trace(self, neq_config, z13):
-        state = _phase_state(neq_config, z13, 0, [], [])
+        state = _phase_state(neq_config, z13, 0, [], [], _forbidden(z13, neq_config.gamma, []))
         assert state.remaining == 13
         greedy_step(state, z13)
         assert state.h_elements == [0]  # all 13 candidates tie at 12; index wins
@@ -393,7 +394,7 @@ class TestGreedyStep:
         assert forbidden_set(state.h_elements[:-1], neq_config.gamma, z13) == [0]
 
     def test_empty_y_rejected(self, neq_config, z13):
-        state = _phase_state(neq_config, z13, 0, [], [])
+        state = _phase_state(neq_config, z13, 0, [], [], _forbidden(z13, neq_config.gamma, []))
         state.coverage.remaining = 0
         with pytest.raises(ValueError):
             greedy_step(state, z13)
@@ -409,6 +410,7 @@ class TestGreedyStep:
             h_elements=[],
             provenance=[],
             coverage=Coverage(Columns(z2, pf, cols, count_columns(z2, pf, cols))),
+            blocked=_forbidden(z2, blocker_config.gamma, []),
         )
         greedy_step(state, z2)
         assert state.h_elements == [0]
@@ -629,13 +631,13 @@ class TestWiderArities:
         assert (plan(cover).kind == "kernel") == is_kernel
         builds = []
         if is_kernel:
-            assert _phase_state(cfg, M, 0, [], []).coverage.psi is kernel(M, cover)
+            assert _phase_state(cfg, M, 0, [], [], _forbidden(M, cfg.gamma, [])).coverage.psi is kernel(M, cover)
             builds.append(build_h(M, cfg, BEST_EFFORT))
             monkeypatch.setattr(hgreedy, "psi_columns", columns_psi)
         for budget in (None, 64):
             if budget is not None:
                 shrink_budget(budget)
-            assert isinstance(_phase_state(cfg, M, 0, [], []).coverage.psi, Columns)
+            assert isinstance(_phase_state(cfg, M, 0, [], [], _forbidden(M, cfg.gamma, [])).coverage.psi, Columns)
             builds.append(build_h(M, cfg, BEST_EFFORT))
         (h_first, report_first), *others = builds
         for h, report in others:
@@ -743,7 +745,6 @@ class TestConvolutionCoverage:
             base=g,
             low=len(g),
             pushforward=lambda: (unit, np.bincount(shifts, minlength=M.size)),
-            reach=lambda h: np.asarray(sub[h, g], dtype=np.intp),
         )
         record.counter = functools.partial(Kernel.counter, record)
         record.solved = functools.partial(Kernel.solved, record)
@@ -939,7 +940,7 @@ class TestGridCoverageWork:
 
         shrink_budget(1000)
         monkeypatch.setattr(folang, "solution_mask_matrix", counting)
-        state = _phase_state(cfg, M, 0, [], [])
+        state = _phase_state(cfg, M, 0, [], [], _forbidden(M, cfg.gamma, []))
         assert isinstance(state.coverage.psi, Columns)
         sizes = []
         while state.remaining:

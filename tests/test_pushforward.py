@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hlab import _util, asymptotics, folang, haxioms, hgreedy
-from hlab.asymptotics import _classify_counts, large_columns, profile_family, psi_columns, psi_set, sample_columns
+from hlab.asymptotics import _large_mask, large_columns, profile_family, psi_columns, psi_set, sample_columns
 from hlab.errors import LabError
 from hlab.finitemodels import make_cyclic_group, make_extension_field, make_f2_vector_space, make_prime_field
 from hlab.folang import kernel, parse_formula, plan
@@ -184,7 +184,7 @@ def test_over_budget_kernel_draws_from_the_seeded_sample(shrink_budget, monkeypa
     )
     rng = np.random.default_rng([4, M.size, 3])
     cols, counts = sample_columns(M, prof.pf, rng, 10 * samples)
-    cols = cols[:, _classify_counts(prof, M.size, counts)[0]]
+    cols = cols[:, _large_mask(prof, M.size, counts)]
     assert 0 < cols.shape[1] < M.size**2
     _, column, _, _ = _draw_samples(rng, np.array([cols.shape[1]]), M.size, samples, 0)
     np.testing.assert_array_equal(np.concatenate(sets), cols[:, column].T)

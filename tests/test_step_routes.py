@@ -1,6 +1,6 @@
 """The per-step routes of the greedy against their from-scratch definitions:
 the build's H union clos(H) mask against forbidden_set, a one-parameter
-kernel's shift vector against _shift_values, and the shifted-sum count
+kernel's cached shift vector against _shift_values, and the shifted-sum count
 against the transform and the naive evaluator; plus the work each step
 does, counted rather than timed."""
 
@@ -86,16 +86,6 @@ class TestBlockedMask:
         # one mask, kept across every step and every phase
         assert phases == {0, 1} and all(mask is masks[0] for mask in masks)
 
-    def test_a_state_without_a_mask_makes_it_from_scratch(self):
-        M, cfg = family_config("GF(p)", [0, 1, 2])
-        state = hgreedy._phase_state(cfg, M, 0, [3, 5], [(0, 0), (0, 1)])
-        assert state.blocked is None
-        greedy_step(state, M)
-        expected = np.zeros(M.size, dtype=bool)
-        expected[state.h_elements] = True
-        expected[forbidden_set(state.h_elements, cfg.gamma, M)] = True
-        assert np.array_equal(state.blocked, expected)
-
 
 # one-parameter kernels on each family: linear shifts, and on the fields
 # shifts that are not linear in the parameter
@@ -123,13 +113,15 @@ class TestShiftVector:
         M, text = case
         pf = parse_formula(text, M.sig)
         rule = plan(pf)
-        record = kernel(M.__class__(M.sig, M.size, M.family, M.params, dict(M.functions), dict(M.relations)), pf)
-        assert record is not None and record.vector is None  # made on first use
+        fresh = M.__class__(M.sig, M.size, M.family, M.params, dict(M.functions), dict(M.relations))
+        record, key = kernel(fresh, pf), ("vector", rule.shift, pf.params)
+        assert record is not None and key not in fresh._cache  # made on first use
         every = np.arange(M.size)[None, :]
         expected = _shift_values(M, rule.shift, rule.names, pf.params, every)
-        vector = record.shifts(every)
+        assert np.array_equal(record.shifts(every), expected)
+        vector = fresh._cache[key]  # kept in the structure's one cache
         assert np.array_equal(vector, expected)
-        assert record.vector.dtype == _index_dtype(M.size, M.size) and not record.vector.flags.writeable
+        assert vector.dtype == _index_dtype(M.size, M.size) and not vector.flags.writeable
         # any columns read the same values, and the points are G + u
         cols = np.array([data.draw(st.lists(st.integers(0, M.size - 1), max_size=6))], dtype=np.intp)
         assert np.array_equal(record.shifts(cols), expected[cols[0]])
