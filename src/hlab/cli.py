@@ -61,7 +61,8 @@ COMMANDS = ("profile", "build", "sequence", "axioms", "lovely-pair")
 
 _FAMILY_KEYS = {"family", "lo", "hi", "values"}
 # the least parameter each family builds from: a cyclic group's order, an F2
-# space's dimension; the fields keep the primes of their range and drop the rest
+# space's dimension; the fields keep the primes of their range and drop the
+# rest, and refuse a listed value that is none
 _LEAST_PARAMETER = {CYCLIC_GROUP: 1, F2_VECTOR_SPACE: 1}
 _FORMULA_KEYS = {"text", "object", "params"}
 
@@ -165,6 +166,11 @@ def _parse_family(raw) -> FamilySpec:
             f"family lo={spec.lo}, hi={spec.hi} with {len(spec.values or ())} listed values: "
             "more values, or a larger universe, than the evaluation budget"
         )
+    if spec.values is not None:  # a range drops what is no parameter; a list may hold none
+        kept = set(spec.parameters())
+        for i, value in enumerate(spec.values):
+            if value not in kept:
+                raise ExperimentConfigError(f"family.values[{i}] = {value} is not a {spec.family} parameter")
     return spec
 
 
@@ -415,8 +421,7 @@ def cmd_lovely_pair(cfg: ExperimentConfig, out_dir: str) -> int:
     spec = cfg.family
     if spec.family != EXTENSION_FIELD:
         raise ExperimentConfigError("lovely-pair needs a quadratic-extension-field family")
-    # a listed 2 or composite is refused by make_extension_field, not dropped
-    p_list = sorted(set(spec.values)) if spec.values is not None else spec.parameters()
+    p_list = spec.parameters()
     if not p_list:
         raise EmptyFamilyError(f"lovely-pair family {spec} has no odd prime")
     reports = run_experiment(p_list, sweep_a1=cfg.sweep_a1)

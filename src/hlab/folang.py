@@ -16,10 +16,12 @@ Grammar (precedence ! > & > | > ->, quantifier scope extends maximally right):
 
 The operators +, -, * map to the signature functions add, sub, mul. The
 parser alone checks the signature, node by node: each named function and
-relation exists with its arity, and each operator's function is binary.
-Before evaluation, implications and universal quantifiers are rewritten away
-and shadowed bound variables are renamed, so a single evaluation path handles
-every formula. Free and term variables and the kernel rule's atom terms are
+relation exists with its arity, and each operator's function is binary. It
+builds the tree the evaluator reads: a -> b is read as !a | b and forall v. b
+as !exists v. !b, so one evaluation path handles every formula. A bound name
+shadows by scope and is never renamed: eval_bulk's environment, _walk's bound
+sets and the image plans each read a name as the innermost binder of it, or
+as free. Free and term variables and the kernel rule's atom terms are
 all read from one traversal, _walk. Formula and term nodes are interned
 (hash-consing, Filliatre and Conchon 2006): equal nodes are one object and
 compare and hash by identity, so every formula-keyed cache keys by identity.
@@ -31,8 +33,8 @@ at any tuple are G + u(tuple) for one set G, every count is |G|, and
 kernel(M, pf) binds the plan to M as a Kernel record. Any other formula is
 evaluated on the grid by eval_bulk, its kind "image" when every existential
 is answered by a lookup in the image of one side of an equation
-(_exists_plan, made as the Exists node is interned and read as its `image`),
-and "loop" when some existential loops over the universe.
+(_exists_plan, made once per Exists node), and "loop" when some existential
+loops over the universe.
 
 Callers never ask for the kind: count_columns (the one counter),
 solution_counts_all, count_histogram and solution_pairs answer from |G| or
@@ -44,6 +46,7 @@ solved(elements, live) and counter().
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -135,28 +138,12 @@ class Or(_Node):
 
 
 @_node
-class Implies(_Node):
-    left: "Formula"
-    right: "Formula"
-
-
-@_node
 class Exists(_Node):
     var: str
     body: "Formula"
-    image: tuple | None = field(init=False, repr=False)  # see _exists_plan
-
-    def __post_init__(self):
-        object.__setattr__(self, "image", _exists_plan(self))
 
 
-@_node
-class Forall(_Node):
-    var: str
-    body: "Formula"
-
-
-Formula = Eq | Rel | Not | And | Or | Implies | Exists | Forall
+Formula = Eq | Rel | Not | And | Or | Exists
 
 
 def _walk(node, bound=frozenset()):
@@ -164,11 +151,11 @@ def _walk(node, bound=frozenset()):
     left to right, each with the names bound around it: the one traversal
     that variable and atom discovery read."""
     yield node, bound
-    if isinstance(node, (Exists, Forall)):
+    if isinstance(node, Exists):
         yield from _walk(node.body, bound | {node.var})
     elif isinstance(node, Not):
         yield from _walk(node.body, bound)
-    elif isinstance(node, (Eq, And, Or, Implies)):
+    elif isinstance(node, (Eq, And, Or)):
         yield from _walk(node.left, bound)
         yield from _walk(node.right, bound)
     elif isinstance(node, (Apply, Rel)):
@@ -264,14 +251,14 @@ class _Parser:
                 raise FormulaSyntaxError(f"cannot bind signature symbol {vname!r}", vpos)
             self.expect(".")
             body = self.formula()
-            return Exists(vname, body) if val == "exists" else Forall(vname, body)
+            return Exists(vname, body) if val == "exists" else Not(Exists(vname, Not(body)))
         return self.impl()
 
     def impl(self) -> Formula:
         left = self.disj()
         if self.at("->"):
             self.next()
-            return Implies(left, self.impl())
+            return Or(Not(left), self.impl())
         return left
 
     def disj(self) -> Formula:
@@ -387,57 +374,6 @@ def parse(text: str, sig: Signature) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Normalization: drop -> and forall, rename shadowed bound variables.
-
-def _rename_term(t: Term, env: dict[str, str]) -> Term:
-    if isinstance(t, Var):
-        return Var(env.get(t.name, t.name))
-    if isinstance(t, Apply):
-        return Apply(t.func, tuple(_rename_term(a, env) for a in t.args))
-    return t
-
-
-def normalize(f: Formula) -> Formula:
-    """One evaluation path: -> rewritten to !|, forall to !exists!, and any
-    bound variable that collides with an enclosing binder or a free variable
-    renamed to a fresh name."""
-    free = free_vars(f)
-    taken = set(free)
-
-    def fresh(name):
-        k = 1
-        while f"{name}_{k}" in taken:
-            k += 1
-        return f"{name}_{k}"
-
-    def walk(g, env, active):
-        if isinstance(g, Eq):
-            return Eq(_rename_term(g.left, env), _rename_term(g.right, env))
-        if isinstance(g, Rel):
-            return Rel(g.name, tuple(_rename_term(a, env) for a in g.args))
-        if isinstance(g, Not):
-            return Not(walk(g.body, env, active))
-        if isinstance(g, And):
-            return And(walk(g.left, env, active), walk(g.right, env, active))
-        if isinstance(g, Or):
-            return Or(walk(g.left, env, active), walk(g.right, env, active))
-        if isinstance(g, Implies):
-            return Or(Not(walk(g.left, env, active)), walk(g.right, env, active))
-        if isinstance(g, (Exists, Forall)):
-            name = g.var
-            if name in active or name in free:
-                name = fresh(g.var)
-                taken.add(name)
-            body = walk(g.body, {**env, g.var: name}, active | {name})
-            if isinstance(g, Exists):
-                return Exists(name, body)
-            return Not(Exists(name, Not(body)))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return walk(f, {}, frozenset())
-
-
-# ---------------------------------------------------------------------------
 # Pretty printing (reparses to the same tree)
 
 def _pp_term(t: Term, level: int = 0) -> str:
@@ -459,13 +395,9 @@ def _pp_term(t: Term, level: int = 0) -> str:
 
 
 def pretty(f: Formula, level: int = 0) -> str:
-    if isinstance(f, (Exists, Forall)):
-        word = "exists" if isinstance(f, Exists) else "forall"
-        s = f"{word} {f.var}. {pretty(f.body)}"
+    if isinstance(f, Exists):
+        s = f"exists {f.var}. {pretty(f.body)}"
         return f"({s})" if level > 0 else s
-    if isinstance(f, Implies):
-        s = f"{pretty(f.left, 2)} -> {pretty(f.right, 1)}"
-        return f"({s})" if level > 1 else s
     if isinstance(f, Or):
         s = f"{pretty(f.left, 2)} | {pretty(f.right, 3)}"
         return f"({s})" if level > 2 else s
@@ -514,7 +446,8 @@ def parse_formula(
     object_var: str = "x",
     params: tuple[str, ...] | None = None,
 ) -> ParamFormula:
-    """Parse and normalize a parametrized formula.
+    """Parse a parametrized formula into the tree the evaluator reads (see
+    the module docstring: -> and forall are read as !, | and exists).
 
     When `params` is omitted, the parameters are the free variables other
     than the object variable, in order of first appearance. A formula of
@@ -524,8 +457,8 @@ def parse_formula(
     if len(parser.tokens) > MAX_TOKENS:  # so the text is longer than 40 characters
         message = f"formula {text[:40] + '...'!r} has {len(parser.tokens)} tokens, over the limit of {MAX_TOKENS}"
         raise FormulaSyntaxError(message, parser.tokens[MAX_TOKENS][2])
-    norm = normalize(parser.parse())
-    order = free_vars_in_order(norm)
+    formula = parser.parse()
+    order = free_vars_in_order(formula)
     if object_var not in order:
         raise FreeVariableError(f"object variable {object_var!r} is not free in {text!r}")
     inferred = tuple(v for v in order if v != object_var)
@@ -535,7 +468,7 @@ def parse_formula(
         raise FreeVariableError(
             f"declared parameters {params!r} do not match free variables {inferred!r}"
         )
-    return ParamFormula(norm, object_var, tuple(params), text)
+    return ParamFormula(formula, object_var, tuple(params), text)
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +511,8 @@ def _image_mask(M: FiniteStructure, term: Term, var: str, domain: tuple) -> np.n
 
 
 def _conjuncts(f: Formula) -> tuple:
-    """The And chain of f as a flat tuple; a double negation (which
-    normalize makes of `forall z. !body`) is read through."""
+    """The And chain of f as a flat tuple; a double negation (which the
+    parser makes of `forall z. !body`) is read through."""
     if isinstance(f, And):
         return _conjuncts(f.left) + _conjuncts(f.right)
     if isinstance(f, Not) and isinstance(f.body, Not):
@@ -600,10 +533,10 @@ def _isolated(f: Formula, var: str):
     return None
 
 
+@functools.cache
 def _exists_plan(f: Exists):
-    """Plan `exists z. body` as a domain-restricted image, once, as its node
-    is interned. The body's
-    conjuncts must be one isolated equation t(z) = s, conjuncts in z alone
+    """Plan `exists z. body` as a domain-restricted image, once per interned
+    node. The body's conjuncts must be one isolated equation t(z) = s, conjuncts in z alone
     (the domain of the image) and conjuncts without z (hoisted out). Returns
     (image_term, other_term, domain, hoisted), or None when the body has no
     isolated equation or a conjunct mixes z with other variables."""
@@ -667,7 +600,12 @@ def _kernel_shift(f: Formula, x: str, params: tuple):
     parameters and constants alone; a parameter times a bound variable is
     refused) give the same u in every such atom, and no atom polynomial
     without x holds a parameter. Its solutions at a tuple are then
-    G + u(tuple) for one set G. The shift term's value, with x and the bound
+    G + u(tuple) for one set G. Each atom reads its names through scope: a
+    name bound around it is a bound variable there, and x and each parameter
+    are themselves only where they are free. An atom that holds a free x
+    and reads a parameter's name under a binder of that name is refused, as
+    its shift term would read the bound name as the parameter in
+    _shift_values. The shift term's value, with x and the bound
     variables at any fixed element, is u plus a constant: -t for an atom
     term t = x + ..., t itself for t = -x + ...; Num(0) when no atom holds x.
     Returns (shift term, the names it reads, whether u is linear): u is
@@ -676,23 +614,24 @@ def _kernel_shift(f: Formula, x: str, params: tuple):
     per parameter, in the four families' rings."""
     shift, u = Num(0), None
     for t, bound in _atom_terms(f):
-        if x in bound or bound.intersection(params):
-            return None
+        free = set(params) - bound
         sign, part = 0, {}
         for mono, c in _polynomial(t).items():
             names = set().union(*map(term_vars, mono))
-            if x in names:
+            if x in names and x not in bound:
                 if mono != (Var(x),) or abs(c) != 1:
                     return None
                 sign = c
-            elif names.intersection(params):
-                if not names.issubset(params):
+            elif names & free:
+                if not names <= free:
                     return None
                 part[mono] = c
         if not sign:
             if part:
                 return None
             continue
+        if bound.intersection(params, term_vars(t)):
+            return None
         atom_u = {m: -sign * c for m, c in part.items()}
         if u is None:
             u, shift = atom_u, (t if sign == -1 else Apply("sub", (Num(0), t)))
@@ -729,7 +668,7 @@ def plan(pf: ParamFormula) -> Plan:
         if rule is not None:
             made = Plan("kernel", *rule)
         else:
-            loops = any(isinstance(n, Exists) and n.image is None for n, _ in _walk(pf.formula))
+            loops = any(isinstance(n, Exists) and _exists_plan(n) is None for n, _ in _walk(pf.formula))
             made = Plan("loop" if loops else "image")
         made = _PLANS.setdefault(key, made)
     return made
@@ -1010,8 +949,9 @@ def _bulk_term(M: FiniteStructure, t: Term, env: dict) -> np.ndarray | int:
 
 
 def eval_bulk(M: FiniteStructure, f: Formula, env: dict) -> np.ndarray:
-    """Evaluate a normalized formula (see normalize) over numpy index arrays,
-    broadcast together; returns a bool array."""
+    """Evaluate a formula over numpy index arrays, broadcast together;
+    returns a bool array. Each Exists binds its name in a copy of `env`, so
+    a bound name shadows an outer one by scope."""
     if isinstance(f, Eq):
         return np.asarray(_bulk_term(M, f.left, env) == _bulk_term(M, f.right, env))
     if isinstance(f, Rel):
@@ -1024,8 +964,9 @@ def eval_bulk(M: FiniteStructure, f: Formula, env: dict) -> np.ndarray:
     if isinstance(f, Or):
         return eval_bulk(M, f.left, env) | eval_bulk(M, f.right, env)
     if isinstance(f, Exists):
-        if f.image is not None:
-            image_term, other, domain, hoisted = f.image
+        image = _exists_plan(f)
+        if image is not None:
+            image_term, other, domain, hoisted = image
             out = _image_mask(M, image_term, f.var, domain)[_bulk_term(M, other, env)]
             for g in hoisted:
                 out = out & eval_bulk(M, g, env)
@@ -1037,7 +978,7 @@ def eval_bulk(M: FiniteStructure, f: Formula, env: dict) -> np.ndarray:
             if out.all():
                 break
         return np.asarray(out)
-    raise TypeError(f"not a normalized formula: {f!r}")
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def _check_params(M: FiniteStructure, pf: ParamFormula, params) -> np.ndarray:

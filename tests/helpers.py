@@ -5,7 +5,7 @@ import itertools
 import os
 from types import SimpleNamespace
 
-from hlab.folang import And, Eq, Exists, Forall, Implies, Not, Num, Or, Rel, Var, parse_formula
+from hlab.folang import And, Eq, Exists, Not, Num, Or, Rel, Var, parse_formula
 from hlab.errors import EvaluationError
 from hlab.hgreedy import verify_avoid, verify_cover
 
@@ -77,10 +77,6 @@ def evaluate(M, f, a: dict) -> bool:
         return evaluate(M, f.left, a) and evaluate(M, f.right, a)
     if isinstance(f, Or):
         return evaluate(M, f.left, a) or evaluate(M, f.right, a)
-    if isinstance(f, Implies):
-        return (not evaluate(M, f.left, a)) or evaluate(M, f.right, a)
-    if isinstance(f, Forall):
-        return all(evaluate(M, f.body, {**a, f.var: c}) for c in range(M.size))
     if isinstance(f, Exists):
         return any(evaluate(M, f.body, {**a, f.var: c}) for c in range(M.size))
     raise TypeError(f"not a formula: {f!r}")

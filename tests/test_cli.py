@@ -95,10 +95,50 @@ class TestLoadConfig:
         assert not (tmp_path / "o").exists()
 
     def test_fields_drop_what_is_not_prime(self, tmp_path):
-        # the fields keep the primes of their range: lo 0 and a listed 1 are
-        # no errors there
-        for family in ({"family": "prime-field", "lo": 0, "hi": 13}, {"family": "prime-field", "values": [1, 5, 7]}):
-            assert load_config(write_config(tmp_path, family=family)).family.parameters()[-1] in (13, 7)
+        # the fields keep the primes of their range: lo 0 is no error there
+        for family, kept in (
+            ({"family": "prime-field", "lo": 0, "hi": 13}, [2, 3, 5, 7, 11, 13]),
+            ({"family": "quadratic-extension-field", "lo": 0, "hi": 9}, [3, 5, 7]),
+        ):
+            assert load_config(write_config(tmp_path, family=family)).family.parameters() == kept
+
+    @pytest.mark.parametrize(
+        "command, family, message",
+        [
+            ("profile", {"family": "prime-field", "values": [100, 101, 103]}, "family.values[0] = 100 is not a prime-field parameter"),
+            ("profile", {"family": "prime-field", "values": [5, 7, 1]}, "family.values[2] = 1 is not a prime-field parameter"),
+            (
+                "build",
+                {"family": "quadratic-extension-field", "values": [3, 5, 2]},
+                "family.values[2] = 2 is not a quadratic-extension-field parameter",
+            ),
+            (
+                "profile",
+                {"family": "quadratic-extension-field", "values": [3, 9]},
+                "family.values[1] = 9 is not a quadratic-extension-field parameter",
+            ),
+            (
+                "lovely-pair",
+                {"family": "quadratic-extension-field", "values": [9, 11]},
+                "family.values[0] = 9 is not a quadratic-extension-field parameter",
+            ),
+            (
+                "lovely-pair",
+                {"family": "quadratic-extension-field", "values": [2, 3, 5]},
+                "family.values[0] = 2 is not a quadratic-extension-field parameter",
+            ),
+        ],
+    )
+    def test_listed_value_that_is_no_parameter_is_refused(self, tmp_path, capsys, command, family, message):
+        # a listed value was dropped without a word (fields) or refused with
+        # a message that named no key (lovely-pair); exit 2 before any work
+        path = write_config(tmp_path, family=family, cover=["!(x = y)"], avoid=["x = y"])
+        with pytest.raises(ExperimentConfigError) as caught:
+            load_config(path)
+        assert str(caught.value) == message
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_top_level_key(self, tmp_path):
         path = write_config(tmp_path, bogus=1)
@@ -243,7 +283,7 @@ class TestLoadConfig:
             assert capsys.readouterr().err.endswith("a larger universe, than the evaluation budget\n")
         # the largest universes within it load
         for family in [
-            {"family": "quadratic-extension-field", "values": [3, 3161]},
+            {"family": "quadratic-extension-field", "values": [3, 3137]},
             {"family": "f2-vector-space", "lo": 1, "hi": 23},
         ]:
             cfg = load_config(write_config(tmp_path, family=family, cover=["!(x = y)"]))

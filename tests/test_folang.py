@@ -1,6 +1,8 @@
 import collections
 import functools
 import itertools
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,14 +30,13 @@ from hlab.folang import (
     Apply,
     Eq,
     Exists,
-    Forall,
-    Implies,
     Not,
     Num,
     Or,
     Rel,
     ParamFormula,
     Var,
+    _exists_plan,
     _image_mask,
     _polynomial,
     count_histogram,
@@ -43,7 +44,6 @@ from hlab.folang import (
     free_vars,
     free_vars_in_order,
     kernel,
-    normalize,
     parse,
     parse_formula,
     plan,
@@ -58,6 +58,25 @@ from hlab.folang import (
 from helpers import eval_term, evaluate
 
 LEMMA_TEXT = "exists z. z*z = x - y1 & !(exists z. z*z = x - y2)"
+
+
+def _grammar_in_readme() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Formula language") :]
+    return section.split("```\n")[1]
+
+
+def _grammar_in_docstring() -> str:
+    block = folang.__doc__.split("\n\n")[2]
+    return textwrap.dedent(block) + "\n"
+
+
+class TestGrammar:
+    def test_readme_and_module_docstring_agree(self):
+        # the grammar is written twice; the two copies are one text
+        readme, docstring = _grammar_in_readme(), _grammar_in_docstring()
+        assert readme.startswith("formula := ") and docstring.startswith("formula := ")
+        assert readme == docstring
 
 
 class TestParsing:
@@ -92,9 +111,10 @@ class TestParsing:
         assert isinstance(f.left, And)
 
     def test_implies_right_assoc(self, gf7):
+        # a -> b -> c is a -> (b -> c), and the parser reads a -> b as !a | b
         f = parse("x = x -> y = y -> x = y", gf7.sig)
-        assert isinstance(f, Implies)
-        assert isinstance(f.right, Implies)
+        xx, yy, xy = Eq(Var("x"), Var("x")), Eq(Var("y"), Var("y")), Eq(Var("x"), Var("y"))
+        assert f is Or(Not(xx), Or(Not(yy), xy))
 
     def test_mul_binds_tighter(self, gf7):
         f = parse("x + y * y = z", gf7.sig)
@@ -169,7 +189,6 @@ class TestFreeVariables:
         f = parse(text, gf7.sig)
         assert free_vars_in_order(f) == order
         assert free_vars(f) == set(order)
-        assert free_vars_in_order(normalize(f)) == order
         if "x" in order:  # the parameters keep that order
             assert parse_formula(text, gf7.sig).params == tuple(v for v in order if v != "x")
 
@@ -184,22 +203,27 @@ class TestNormalization:
         assert isinstance(pf.formula, Not)
         assert isinstance(pf.formula.body, Exists)
 
-    def test_shadowed_binder_renamed(self, gf7):
-        f = parse("exists z. z = x & (exists z. z = z + z)", gf7.sig)
-        norm = normalize(f)
-        outer = norm
+    def test_shadowed_binder_keeps_its_name(self, gf7):
+        # the inner z shadows the outer one by scope; nothing is renamed
+        pf = parse_formula("exists z. z = x & (exists z. z = z + z)", gf7.sig)
+        outer = pf.formula
         assert isinstance(outer, Exists)
         inner = outer.body.right
         assert isinstance(inner, Exists)
-        assert inner.var != outer.var
+        assert inner.var == outer.var == "z"
+        twin = parse_formula("exists z. z = x & (exists w. w = w + w)", gf7.sig)
+        assert solution_set(gf7, pf) == solution_set(gf7, twin) == list(range(7))
 
-    def test_binder_colliding_with_free_var_renamed(self, gf7):
-        f = parse("x = y & (exists x. x = y)", gf7.sig)
-        norm = normalize(f)
-        inner = norm.right
+    def test_binder_colliding_with_free_var_keeps_its_name(self, gf7):
+        # the bound x is another variable than the free object x
+        pf = parse_formula("x = y & (exists x. x = y)", gf7.sig)
+        inner = pf.formula.right
         assert isinstance(inner, Exists)
-        assert inner.var != "x"
-        assert free_vars(norm) == {"x", "y"}
+        assert inner.var == "x"
+        assert free_vars(pf.formula) == {"x", "y"} and pf.params == ("y",)
+        twin = parse_formula("x = y & (exists v. v = y)", gf7.sig)
+        for y in range(7):
+            assert solution_set(gf7, pf, (y,)) == solution_set(gf7, twin, (y,)) == [y]
 
     def test_sibling_binders_keep_names(self, gf7):
         pf = parse_formula(LEMMA_TEXT, gf7.sig)
@@ -291,7 +315,7 @@ class TestCounting:
         p = 100003
         M = make_prime_field(p)
         pf = parse_formula("exists z. z*z = x - y & !(z = 0)", M.sig)
-        assert pf.formula.image is not None
+        assert _exists_plan(pf.formula) is not None
         for y in (0, 1, p - 4):
             assert solution_count(M, pf, (y,)) == (p - 1) // 2
 
@@ -414,13 +438,18 @@ def _planner_conjunct(draw, sig, var, outer, budget, kind):
         c = Eq(mixed, draw(_planner_term(sig, outer)))
     else:
         names = (var,) if kind == "domain" else outer
-        if budget > 0 and draw(st.booleans()):
-            c = draw(_planner_quantified(sig, "w", names, budget - 1))
+        if budget > 0 and draw(st.booleans()):  # its binder may shadow `var`
+            c = draw(_planner_quantified(sig, draw(st.sampled_from(["w", var])), names, budget - 1))
         elif kind == "domain" and "insub" in sig.relations and draw(st.booleans()):
             c = Rel("insub", (draw(_planner_term(sig, names, must=(var,))),))
         else:
             c = Eq(draw(_planner_term(sig, names)), draw(_planner_term(sig, names)))
     return Not(c) if draw(st.integers(0, 2)) == 0 else c
+
+
+def _forall(var, body):
+    """`forall var. body` as the parser reads it: !exists var. !body."""
+    return Not(Exists(var, Not(body)))
 
 
 @st.composite
@@ -436,7 +465,7 @@ def _planner_quantified(draw, sig, var, outer, budget):
     body = parts[0]
     for c in parts[1:]:
         body = And(body, c) if draw(st.booleans()) else And(c, body)
-    quantified = [Exists(var, body), Exists(var, body), Forall(var, Not(body)), Forall(var, body)]
+    quantified = [Exists(var, body), Exists(var, body), _forall(var, Not(body)), _forall(var, body)]
     f = draw(st.sampled_from(quantified))
     return Not(f) if draw(st.integers(0, 3)) == 0 else f
 
@@ -513,7 +542,7 @@ class TestEvaluatorAgreement:
         # eval_bulk against the naive scalar oracle, once with the fresh
         # structure's image cache cold and once with it warm
         M = make_prime_field(p)
-        f = normalize(parse(text, M.sig))
+        f = parse(text, M.sig)
         names = sorted(free_vars(f))
         rng = np.random.default_rng([p, len(text)])
         arrays = {v: rng.integers(0, p, size=50) for v in names}
@@ -526,7 +555,7 @@ class TestEvaluatorAgreement:
     @pytest.mark.parametrize("text", FORMULAS)
     def test_bulk_matches_scalar(self, text):
         M = make_prime_field(7)
-        assert_bulk_matches_naive(M, normalize(parse(text, M.sig)))
+        assert_bulk_matches_naive(M, parse(text, M.sig))
 
     def test_image_cache_keyed_by_domain(self):
         # the two formulas share an image term and differ at x = 0, so an
@@ -536,26 +565,26 @@ class TestEvaluatorAgreement:
         for order in ((plain, nonzero), (nonzero, plain)):
             M = make_prime_field(7)
             for text in order:
-                assert_bulk_matches_naive(M, normalize(parse(text, M.sig)))
+                assert_bulk_matches_naive(M, parse(text, M.sig))
         M = make_prime_field(7)
         grid = {"x": np.arange(7)}
-        assert eval_bulk(M, normalize(parse(plain, M.sig)), grid)[0]
-        assert not eval_bulk(M, normalize(parse(nonzero, M.sig)), grid)[0]
+        assert eval_bulk(M, parse(plain, M.sig), grid)[0]
+        assert not eval_bulk(M, parse(nonzero, M.sig), grid)[0]
 
     def test_empty_domain_image_is_empty(self, gf7):
         # the image term has no z, so only the empty domain makes it false
-        f = normalize(parse("exists z. x = 0 & !(z = z)", gf7.sig))
-        assert f.image is not None
+        f = parse("exists z. x = 0 & !(z = z)", gf7.sig)
+        assert _exists_plan(f) is not None
         assert not eval_bulk(gf7, f, {"x": np.arange(7)}).any()
 
     def test_mixed_conjunct_falls_back(self, gf7):
-        f = normalize(parse("exists z. z*z = x - y & !(z = y)", gf7.sig))
-        assert f.image is None
+        f = parse("exists z. z*z = x - y & !(z = y)", gf7.sig)
+        assert _exists_plan(f) is None
         assert_bulk_matches_naive(gf7, f)
 
     def test_forall_of_negated_conjunction_is_planned(self, gf7):
-        f = normalize(parse("forall z. !(z*z = x & !(z = 0))", gf7.sig))
-        assert f.body.image is not None
+        f = parse("forall z. !(z*z = x & !(z = 0))", gf7.sig)
+        assert _exists_plan(f.body) is not None
         assert_bulk_matches_naive(gf7, f)
 
     @settings(max_examples=300)
@@ -564,15 +593,16 @@ class TestEvaluatorAgreement:
         # one structure per size for the whole run, so images cached for
         # earlier formulas are in place when later ones look them up
         make, size, f = case
-        assert_bulk_matches_naive(_planner_structure(make, size), normalize(f))
+        assert_bulk_matches_naive(_planner_structure(make, size), f)
 
     def test_raw_formula_evaluates_like_normalized(self, gf7):
+        # forall and -> are read as !exists ! and !| as the text is parsed
         raw = parse("forall z. z = x -> (exists w. w + w = z + y)", gf7.sig)
-        norm = normalize(raw)
+        assert raw is parse("!(exists z. !(!(z = x) | (exists w. w + w = z + y)))", gf7.sig)
         for x in range(7):
             for y in range(7):
-                a = {"x": x, "y": y}
-                assert evaluate(gf7, raw, a) == evaluate(gf7, norm, a)
+                expected = all(z != x or any((w + w) % 7 == (z + y) % 7 for w in range(7)) for z in range(7))
+                assert evaluate(gf7, raw, {"x": x, "y": y}) == expected
 
 
 
@@ -600,11 +630,53 @@ def _formulas():
             children.map(Not),
             st.tuples(children, children).map(lambda t: And(*t)),
             st.tuples(children, children).map(lambda t: Or(*t)),
-            st.tuples(children, children).map(lambda t: Implies(*t)),
             st.tuples(st.sampled_from(["z", "w"]), children).map(lambda t: Exists(*t)),
-            st.tuples(st.sampled_from(["z", "w"]), children).map(lambda t: Forall(*t)),
         ),
         max_leaves=8,
+    )
+
+
+# formula texts over these names, any of which a binder may shadow, and the
+# value of each name where it is free
+_TEXT_NAMES = ("x", "y", "z", "w")
+_ASSIGNMENT = {"x": 2, "y": 4, "z": 1, "w": 3}
+_CONNECTIVES = {"&": lambda p, q: p and q, "|": lambda p, q: p or q, "->": lambda p, q: not p or q}
+
+
+def _binary_text(case):
+    op, (p, p_truth), (q, q_truth) = case
+    return f"({p}) {op} ({q})", lambda M, a: _CONNECTIVES[op](p_truth(M, a), q_truth(M, a))
+
+
+def _quantified_text(case):
+    word, v, (p, truth) = case
+    over = any if word == "exists" else all
+    return f"({word} {v}. {p})", lambda M, a: over(truth(M, {**a, v: c}) for c in range(M.size))
+
+
+def _texts():
+    """(text, truth) pairs: texts with !, &, |, ->, exists and forall, and
+    truth(M, a) their value at assignment a, read the way the text says it:
+    Python's not, and, or, any and all over atoms that tests.helpers.evaluate
+    decides. No text is parsed to make its truth."""
+    terms = st.recursive(
+        st.sampled_from(_TEXT_NAMES).map(Var) | st.integers(0, 9).map(Num),
+        lambda children: st.tuples(st.sampled_from(["add", "sub", "mul"]), children, children).map(
+            lambda t: Apply(t[0], (t[1], t[2]))
+        ),
+        max_leaves=3,
+    )
+    atoms = st.tuples(terms, terms).map(lambda t: Eq(*t))
+    return st.recursive(
+        atoms.map(lambda eq: (pretty(eq), lambda M, a: evaluate(M, eq, a))),
+        lambda children: st.one_of(
+            children.map(lambda p: (f"!({p[0]})", lambda M, a: not p[1](M, a))),
+            st.tuples(st.sampled_from(list(_CONNECTIVES)), children, children).map(_binary_text),
+            st.tuples(st.sampled_from(["exists", "forall"]), st.sampled_from(_TEXT_NAMES), children).map(
+                _quantified_text
+            ),
+        ),
+        max_leaves=4,
     )
 
 
@@ -614,22 +686,41 @@ class TestPretty:
         M = make_prime_field(5)
         assert parse(pretty(f), M.sig) == f
 
-    @given(_formulas())
-    def test_normalized_round_trip(self, f):
+    @given(_texts())
+    def test_normalized_round_trip(self, case):
+        # the tree read from a text with -> and forall prints and reparses to itself
         M = make_prime_field(5)
-        norm = normalize(f)
-        assert parse(pretty(norm), M.sig) == norm
+        f = parse(case[0], M.sig)
+        assert parse(pretty(f), M.sig) is f
 
-    @given(_formulas())
-    def test_normalize_preserves_truth(self, f):
+    @given(_texts())
+    def test_normalize_preserves_truth(self, case):
+        # the parser's reading of ->, forall and shadowed binders against
+        # the connectives and quantifiers the text names
         M = make_prime_field(5)
-        norm = normalize(f)
-        a = {"x": 2, "y": 4}
-        assert evaluate(M, f, a) == evaluate(M, norm, a)
+        text, truth = case
+        assert evaluate(M, parse(text, M.sig), _ASSIGNMENT) == truth(M, _ASSIGNMENT)
 
     def test_param_formula_round_trip(self, gf7):
         pf = parse_formula(LEMMA_TEXT, gf7.sig)
         assert parse(pretty(pf.formula), gf7.sig) == pf.formula
+
+
+class TestDesugaring:
+    @settings(max_examples=60)
+    @given(_texts().map(lambda case: case[0]), _texts().map(lambda case: case[0]), st.sampled_from(_TEXT_NAMES))
+    def test_implies_and_forall_match_the_oracle(self, p, q, v):
+        # p -> q and forall v. p against not p or q and all(...) over v,
+        # with p and q decided by the one naive oracle, at every value of
+        # their free names
+        M = make_prime_field(5)
+        fp, fq = parse(p, M.sig), parse(q, M.sig)
+        implies, forall = parse(f"({p}) -> ({q})", M.sig), parse(f"forall {v}. {p}", M.sig)
+        names = sorted(free_vars(fp) | free_vars(fq))
+        for values in itertools.product(range(M.size), repeat=len(names)):
+            a = {**_ASSIGNMENT, **dict(zip(names, values))}
+            assert evaluate(M, implies, a) == (not evaluate(M, fp, a) or evaluate(M, fq, a))
+            assert evaluate(M, forall, a) == all(evaluate(M, fp, {**a, v: c}) for c in range(M.size))
 
 
 # formulas of arities 0 to 3 for each signature, planned and looped alike
@@ -700,8 +791,8 @@ class TestLexTuples:
 class TestImageCacheRace:
     def test_cold_structure_stores_one_mask(self, race):
         # eight threads on a cold structure: each must get the one stored mask
-        f = normalize(parse("exists z. z*z = x - y & !(z = 0)", make_prime_field(5).sig))
-        image_term, _, domain, _ = f.image
+        f = parse("exists z. z*z = x - y & !(z = 0)", make_prime_field(5).sig)
+        image_term, _, domain, _ = _exists_plan(f)
         reference = _image_mask(make_prime_field(10007), image_term, "z", domain)
         M = make_prime_field(10007)
         masks = race(lambda: _image_mask(M, image_term, "z", domain))
@@ -857,7 +948,7 @@ class TestTranslationKernel:
         M = _planner_structure(make, data.draw(st.sampled_from(KERNEL_STRUCTURES[make])))
         params = data.draw(st.sampled_from([("y1",), ("y1", "y2")]))
         shift = data.draw(_kernel_shift_term(M.sig, params))
-        f = normalize(data.draw(_kernel_formula(M.sig, params, shift)))
+        f = data.draw(_kernel_formula(M.sig, params, shift))
         present = tuple(v for v in params if v in free_vars(f))
         pf = ParamFormula(f, "x", present, pretty(f))
         tuples = st.tuples(*[st.integers(0, M.size - 1)] * len(present))
