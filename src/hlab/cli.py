@@ -41,15 +41,7 @@ from .errors import (
     SignatureMismatchError,
     where,
 )
-from .finitemodels import (
-    CYCLIC_GROUP,
-    EXTENSION_FIELD,
-    F2_VECTOR_SPACE,
-    FamilySpec,
-    FAMILIES,
-    enumerate_family,
-    signature_for_family,
-)
+from .finitemodels import EXTENSION_FIELD, FAMILIES, FamilySpec, enumerate_family, signature_for_family
 from .folang import BUDGET, ParamFormula, parse_formula, within_budget
 from .hgreedy import BEST_EFFORT, STRICT, require_threshold
 from .haxioms import DEFAULT_BASE_MAX, DEFAULT_EXTENSION_SAMPLES, run_axiom_checks
@@ -60,10 +52,6 @@ MODES = (STRICT, BEST_EFFORT, COARSE_DIM)
 COMMANDS = ("profile", "build", "sequence", "axioms", "lovely-pair")
 
 _FAMILY_KEYS = {"family", "lo", "hi", "values"}
-# the least parameter each family builds from: a cyclic group's order, an F2
-# space's dimension; the fields keep the primes of their range and drop the
-# rest, and refuse a listed value that is none
-_LEAST_PARAMETER = {CYCLIC_GROUP: 1, F2_VECTOR_SPACE: 1}
 _FORMULA_KEYS = {"text", "object", "params"}
 
 
@@ -90,25 +78,35 @@ class ExperimentConfig:
 def _as_int(value) -> int:
     """A JSON integer, or a number with no fractional part; booleans,
     strings and fractions are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return int(value)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("expected an integer")
+    return value
 
 
 def _as_float(value) -> float:
     """A JSON number, integers included; booleans and strings are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
+        raise TypeError("expected a number")
     return float(value)
 
 
 def _is(kind: type, what: str):
     def check(value):
         if not isinstance(value, kind):
-            raise TypeError(f"expected {what}, got {value!r}")
+            raise TypeError(f"expected {what}")
         return value
 
     return check
+
+
+def _typed(key: str, value, convert):
+    """convert(value); a value it refuses is a config error that names its key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ExperimentConfigError(f"bad value in config: {key} = {value!r}: {exc}") from exc
 
 
 _TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
@@ -131,46 +129,44 @@ def _parse_family(raw) -> FamilySpec:
     _reject_unknown(raw, _FAMILY_KEYS, "family")
     if "family" not in raw:
         raise ExperimentConfigError("'family' needs a family tag")
-    if raw["family"] not in FAMILIES:
-        raise ExperimentConfigError(
-            f"unknown family {raw['family']!r}; choose one of {list(FAMILIES)}"
-        )
+    tag = raw["family"]
+    family = FAMILIES.get(tag) if isinstance(tag, str) else None
+    if family is None:
+        raise ExperimentConfigError(f"unknown family {tag!r}; choose one of {list(FAMILIES)}")
     values, lo, hi = raw.get("values"), raw.get("lo"), raw.get("hi")
     if values is not None and (lo is not None or hi is not None):
         raise ExperimentConfigError("family.values and family.lo/hi are both given; give one of them")
-    spec = FamilySpec(
-        family=raw["family"],
-        lo=None if lo is None else _as_int(lo),
-        hi=None if hi is None else _as_int(hi),
-        values=None if values is None else tuple(_as_int(v) for v in values),
-    )
-    least = _LEAST_PARAMETER.get(spec.family)
-    named = [] if spec.values is not None or spec.lo is None else [("family.lo", spec.lo)]
-    named += [(f"family.values[{i}]", v) for i, v in enumerate(spec.values or ())]
-    for key, value in named:
-        if least is not None and value < least:
-            raise ExperimentConfigError(f"{key} = {value} is below {least}, the least {spec.family} parameter")
+    if values is None:
+        for key, bound in (("family.lo", lo), ("family.hi", hi)):
+            if bound is None:
+                raise ExperimentConfigError(f"{key} is missing; give family.values or both family.lo and family.hi")
+        spec = FamilySpec(tag, lo=_typed("family.lo", lo, _as_int), hi=_typed("family.hi", hi, _as_int))
+        listed, count, top = [], spec.hi - spec.lo + 1, spec.hi
+    else:
+        if not _typed("family.values", values, _is(list, "a list")):
+            raise ExperimentConfigError("family.values is empty; list at least one value")
+        listed = [(f"family.values[{i}]", _typed(f"family.values[{i}]", v, _as_int)) for i, v in enumerate(values)]
+        spec = FamilySpec(tag, values=tuple(v for _, v in listed))
+        count, top = len(listed), max(spec.values)
+    # a field's range keeps the primes it holds; any other range, and a
+    # listed value, starts at the family's least parameter
+    for key, value in listed or [("family.lo", spec.lo)]:
+        if not family.primes and value < family.least:
+            raise ExperimentConfigError(f"{key} = {value} is below {family.least}, the least {tag} parameter")
+    if not listed and spec.hi < spec.lo:
+        raise ExperimentConfigError(f"family.hi = {spec.hi} is below family.lo = {spec.lo}: the range is empty")
     # every value is listed, and each one tested or built, before anything is
     # filtered, so the budget bounds how many values there are, how large,
     # and the universe of the largest; a value within the budget is small
     # enough to raise 2 to
-    counts, tops = [], []
-    if spec.values is not None:
-        counts.append(len(spec.values))
-        tops.append(max(spec.values, default=0))
-    if spec.lo is not None and spec.hi is not None:
-        counts.append(spec.hi - spec.lo + 1)
-        tops.append(spec.hi)
-    if not all(map(within_budget, counts + tops)) or not all(within_budget(spec.universe(v)) for v in tops):
+    if not (within_budget(count) and within_budget(top) and within_budget(family.universe(top))):
         raise ExperimentConfigError(
-            f"family lo={spec.lo}, hi={spec.hi} with {len(spec.values or ())} listed values: "
+            f"family lo={spec.lo}, hi={spec.hi} with {len(listed)} listed values: "
             "more values, or a larger universe, than the evaluation budget"
         )
-    if spec.values is not None:  # a range drops what is no parameter; a list may hold none
-        kept = set(spec.parameters())
-        for i, value in enumerate(spec.values):
-            if value not in kept:
-                raise ExperimentConfigError(f"family.values[{i}] = {value} is not a {spec.family} parameter")
+    for key, value in listed:  # a list holds only parameters
+        if not family.admits(value):
+            raise ExperimentConfigError(f"{key} = {value} is not a {tag} parameter")
     return spec
 
 
@@ -221,21 +217,17 @@ def load_config(path: str) -> ExperimentConfig:
         raise ExperimentConfigError("config needs a 'family' entry")
     if raw.get("mode", STRICT) not in MODES:
         raise ExperimentConfigError(f"mode must be one of {MODES}, got {raw['mode']!r}")
-    try:
-        family = _parse_family(raw["family"])
-        sig = signature_for_family(family.family)
-        cover = _parse_formula_list(raw.get("cover", []), sig, "cover")
-        avoid = _parse_formula_list(raw.get("avoid", []), sig, "avoid")
-        scalars = {}
-        for f in fields(ExperimentConfig):
-            kind, _, optional = f.type.partition(" | ")
-            if f.name in raw and kind in _SCALARS:
-                value = raw[f.name]
-                scalars[f.name] = None if optional and value is None else _SCALARS[kind](value)
-        cfg = ExperimentConfig(family=family, cover=cover, avoid=avoid, **scalars)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ExperimentConfigError(f"bad value in config: {exc}") from exc
-    return _check_ranges(cfg)
+    family = _parse_family(raw["family"])
+    sig = signature_for_family(family.family)
+    cover = _parse_formula_list(raw.get("cover", []), sig, "cover")
+    avoid = _parse_formula_list(raw.get("avoid", []), sig, "avoid")
+    scalars = {}
+    for f in fields(ExperimentConfig):
+        kind, _, optional = f.type.partition(" | ")
+        if f.name in raw and kind in _SCALARS:
+            value = raw[f.name]
+            scalars[f.name] = None if optional and value is None else _typed(f.name, value, _SCALARS[kind])
+    return _check_ranges(ExperimentConfig(family=family, cover=cover, avoid=avoid, **scalars))
 
 
 def _check_ranges(cfg: ExperimentConfig) -> ExperimentConfig:

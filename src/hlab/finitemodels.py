@@ -7,8 +7,10 @@ the canonical linear order is index order. Binary operations are Operation
 objects that compute their values on demand, so nothing of size n^2 is
 stored; unary functions and relations are length-n arrays, checked
 exhaustively at construction like any table a caller passes explicitly.
-Each family names its additive group as an array shape (group_shape), over
-which hgreedy transforms its convolution coverage.
+FAMILIES holds one row per family with every fact about it: its signature,
+its maker, which integers are its parameters, a member's universe size, and
+its additive group as an array shape (group_shape), over which hgreedy
+transforms its convolution coverage.
 """
 
 from __future__ import annotations
@@ -25,18 +27,6 @@ PRIME_FIELD = "prime-field"
 EXTENSION_FIELD = "quadratic-extension-field"
 CYCLIC_GROUP = "cyclic-group"
 F2_VECTOR_SPACE = "f2-vector-space"
-
-FAMILIES = (PRIME_FIELD, EXTENSION_FIELD, CYCLIC_GROUP, F2_VECTOR_SPACE)
-
-# Each family's additive group as an array shape: an element's index is the
-# C-order flat index of its coordinates, and add adds them coordinatewise,
-# each modulo its axis length.
-_GROUP_SHAPES = {
-    PRIME_FIELD: lambda params: (params["p"],),
-    CYCLIC_GROUP: lambda params: (params["n"],),
-    EXTENSION_FIELD: lambda params: (params["p"], params["p"]),  # index a*p + b
-    F2_VECTOR_SPACE: lambda params: (2,) * params["dim"],  # index bits
-}
 
 
 @dataclass(frozen=True)
@@ -176,9 +166,11 @@ class FiniteStructure:
     @property
     def group_shape(self) -> tuple[int, ...] | None:
         """The additive group as an array shape, or None outside the four
-        families."""
-        shape = _GROUP_SHAPES.get(self.family)
-        return None if shape is None else shape(self.params)
+        families: an element's index is the C-order flat index of its
+        coordinates, and add adds them coordinatewise, each modulo its axis
+        length."""
+        family = FAMILIES.get(self.family)
+        return None if family is None else family.group_shape(self.params)
 
     def cached(self, key, build: Callable):
         """The value cached under `key`, made by build() on first use."""
@@ -331,60 +323,64 @@ def make_f2_vector_space(dim: int) -> FiniteStructure:
     return FiniteStructure(GROUP_SIGNATURE, n, F2_VECTOR_SPACE, {"dim": dim}, functions, {})
 
 
+@dataclass(frozen=True)
+class Family:
+    """Every fact about one family: its members' signature and maker, the
+    least parameter, whether the parameters are the primes from it on or
+    every integer from it on, the universe size of the member with parameter
+    v, and a member's additive group shape, read from its params."""
+
+    signature: Signature
+    make: Callable[[int], FiniteStructure]
+    least: int
+    primes: bool
+    universe: Callable[[int], int]
+    group_shape: Callable[[dict], tuple[int, ...]]
+
+    def admits(self, value: int) -> bool:
+        """Whether `value` is the parameter of a member."""
+        return value >= self.least and (not self.primes or is_prime(value))
+
+
+# one row per family: Family(signature, maker, least, primes, universe, group_shape). An
+# extension element a + b*t has index a*p + b, the flat index of (a, b). An F2 index's bits
+# are its coordinates; its universe is 2**dim, since the config check evaluates it for any
+# dim up to 10**7, where a product over the dim-long shape would hang
+FAMILIES = {
+    PRIME_FIELD: Family(RING_SIGNATURE, make_prime_field, 2, True, lambda p: p, lambda m: (m["p"],)),
+    EXTENSION_FIELD: Family(EXTENSION_SIGNATURE, make_extension_field, 3, True, lambda p: p * p, lambda m: (m["p"],) * 2),
+    CYCLIC_GROUP: Family(GROUP_SIGNATURE, make_cyclic_group, 1, False, lambda n: n, lambda m: (m["n"],)),
+    F2_VECTOR_SPACE: Family(GROUP_SIGNATURE, make_f2_vector_space, 1, False, lambda dim: 2**dim, lambda m: (2,) * m["dim"]),
+}
+# enumerate_family builds through this dict, whose entries a tracer may swap
+_MAKERS = {tag: family.make for tag, family in FAMILIES.items()}
+
+
 def signature_for_family(family: str) -> Signature:
-    if family == PRIME_FIELD:
-        return RING_SIGNATURE
-    if family == EXTENSION_FIELD:
-        return EXTENSION_SIGNATURE
-    if family in (CYCLIC_GROUP, F2_VECTOR_SPACE):
-        return GROUP_SIGNATURE
-    raise SignatureMismatchError(f"unknown family {family!r}")
+    if family not in FAMILIES:
+        raise SignatureMismatchError(f"unknown family {family!r}")
+    return FAMILIES[family].signature
 
 
 @dataclass(frozen=True)
 class FamilySpec:
     """Which structures to build: a family tag plus either an explicit list of
-    family parameters or an inclusive [lo, hi] interval over them.
-
-    For prime fields the parameters are primes, for quadratic extensions odd
-    primes, for cyclic groups the order, for F2 spaces the dimension.
-    """
+    family parameters or an inclusive [lo, hi] interval over them, of which
+    the family's row admits the parameters of its members."""
 
     family: str
     lo: int | None = None
     hi: int | None = None
     values: tuple[int, ...] | None = None
 
-    def universe(self, value: int) -> int:
-        """The universe size of the member with parameter `value`: p^2 for
-        a quadratic extension, 2^dim for an F2 space, the value itself
-        otherwise."""
-        if self.family == EXTENSION_FIELD:
-            return value * value
-        if self.family == F2_VECTOR_SPACE:
-            return 2**value
-        return value
-
     def parameters(self) -> list[int]:
         if self.values is not None:
             vals = sorted(set(int(v) for v in self.values))
         elif self.lo is not None and self.hi is not None:
-            vals = list(range(int(self.lo), int(self.hi) + 1))
+            vals = range(int(self.lo), int(self.hi) + 1)
         else:
             raise EmptyFamilyError("family spec needs either values or a [lo, hi] interval")
-        if self.family == PRIME_FIELD:
-            vals = [v for v in vals if is_prime(v)]
-        elif self.family == EXTENSION_FIELD:
-            vals = [v for v in vals if v != 2 and is_prime(v)]
-        return vals
-
-
-_MAKERS = {
-    PRIME_FIELD: make_prime_field,
-    EXTENSION_FIELD: make_extension_field,
-    CYCLIC_GROUP: make_cyclic_group,
-    F2_VECTOR_SPACE: make_f2_vector_space,
-}
+        return [v for v in vals if FAMILIES[self.family].admits(v)]
 
 
 def enumerate_family(spec: FamilySpec) -> list[FiniteStructure]:

@@ -60,7 +60,7 @@ from .errors import (
     FreeVariableError,
     SignatureMismatchError,
 )
-from .finitemodels import FAMILIES, FiniteStructure, Signature, _index_dtype
+from .finitemodels import FiniteStructure, Signature, _index_dtype
 
 # ---------------------------------------------------------------------------
 # Syntax trees, interned
@@ -853,9 +853,10 @@ class Kernel:
 
 def _kernel_rule(M: FiniteStructure, pf: ParamFormula) -> Plan | None:
     """pf's kernel plan when it holds on M: None when the plan is no kernel
-    or M is outside the four families, whose ring laws the kernel rule uses."""
+    or M has no group shape, which only the families' members have, whose
+    ring laws the kernel rule uses."""
     rule = plan(pf)
-    return rule if rule.kind == "kernel" and M.family in FAMILIES else None
+    return rule if rule.kind == "kernel" and M.group_shape is not None else None
 
 
 def kernel(M: FiniteStructure, pf: ParamFormula) -> Kernel | None:

@@ -308,6 +308,61 @@ class TestLoadConfig:
         with pytest.raises(ExperimentConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"mu": "0.4"}, "bad value in config: mu = '0.4': expected a number"),
+            ({"seed": 1.5}, "bad value in config: seed = 1.5: expected an integer"),
+            ({"emit_counts": 1}, "bad value in config: emit_counts = 1: expected true or false"),
+            ({"out_dir": 5}, "bad value in config: out_dir = 5: expected a string"),
+            (
+                {"family": {"family": "prime-field", "lo": "101", "hi": 181}},
+                "bad value in config: family.lo = '101': expected an integer",
+            ),
+            (
+                {"family": {"family": "prime-field", "lo": 101, "hi": None}},
+                "family.hi is missing; give family.values or both family.lo and family.hi",
+            ),
+            (
+                {"family": {"family": "prime-field", "values": [101, "x"]}},
+                "bad value in config: family.values[1] = 'x': expected an integer",
+            ),
+            ({"family": {"family": "prime-field", "values": 7}}, "bad value in config: family.values = 7: expected a list"),
+        ],
+    )
+    def test_bad_value_names_its_key(self, tmp_path, capsys, overrides, message):
+        # one case per kind of key: a number, an integer, a boolean, a string,
+        # a family bound, a family list entry and the family list itself
+        path = write_config(tmp_path, **overrides)
+        with pytest.raises(ExperimentConfigError) as caught:
+            load_config(path)
+        assert str(caught.value) == message
+        assert main(["profile", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            ({"family": "cyclic-group", "lo": 3}, "family.hi is missing; give family.values or both family.lo and family.hi"),
+            ({"family": "prime-field", "hi": 181}, "family.lo is missing; give family.values or both family.lo and family.hi"),
+            ({"family": "f2-vector-space"}, "family.lo is missing; give family.values or both family.lo and family.hi"),
+            ({"family": "cyclic-group", "lo": 9, "hi": 3}, "family.hi = 3 is below family.lo = 9: the range is empty"),
+            ({"family": "prime-field", "values": []}, "family.values is empty; list at least one value"),
+        ],
+    )
+    def test_half_given_or_empty_range_is_refused_before_work(self, tmp_path, capsys, monkeypatch, family, message):
+        # it passed load_config and failed at enumeration, naming no key
+        monkeypatch.setattr(cli, "enumerate_family", lambda spec: pytest.fail(f"{spec} was enumerated"))
+        path = write_config(tmp_path, family=family, cover=["!(x = y)"], avoid=["x = y"])
+        with pytest.raises(ExperimentConfigError) as caught:
+            load_config(path)
+        assert str(caught.value) == message
+        for command in ("profile", "lovely-pair"):
+            assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
 
 # --- config fuzzing: wrong types, missing keys, out-of-range values -------
 

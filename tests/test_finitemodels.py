@@ -1,4 +1,8 @@
 import dataclasses
+import importlib.util
+import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ from dense_oracle import dense_tables, grid
 from hlab.errors import EmptyFamilyError, SignatureMismatchError
 from hlab.finitemodels import (
     EXTENSION_SIGNATURE,
+    F2_VECTOR_SPACE,
+    FAMILIES,
     FamilySpec,
     FiniteStructure,
     GROUP_SIGNATURE,
@@ -19,6 +25,8 @@ from hlab.finitemodels import (
     make_f2_vector_space,
     make_prime_field,
     primes_in,
+    signature_for_family,
+    _MAKERS,
 )
 
 
@@ -342,3 +350,43 @@ class TestEnumerateFamily:
             assert M.params == ref.params
             for name, table in ref.functions.items():
                 assert np.array_equal(grid(M.functions[name]), grid(table))
+
+
+class TestFamilyTable:
+    """FAMILIES holds every per-family fact; each must agree with what the
+    family's maker builds, and the benchmark's structure counts with what a
+    FamilySpec selects."""
+
+    @pytest.mark.parametrize("tag", list(FAMILIES))
+    def test_row_agrees_with_the_maker(self, tag):
+        family = FAMILIES[tag]
+        window = range(0, 21) if tag == F2_VECTOR_SPACE else range(-3, 61)
+        for v in window:
+            try:
+                M = _MAKERS[tag](v)
+            except SignatureMismatchError:
+                assert not family.admits(v), (tag, v)
+                continue
+            assert family.admits(v), (tag, v)
+            assert family.universe(v) == M.size == math.prod(M.group_shape), (tag, v)
+            assert M.sig is family.signature is signature_for_family(tag)
+            assert M.family == tag
+
+    def test_unknown_tag_has_no_signature_and_no_shape(self, gf7):
+        with pytest.raises(SignatureMismatchError, match="unknown family 'octonions'"):
+            signature_for_family("octonions")
+        M = FiniteStructure(gf7.sig, 7, "custom", {}, dict(gf7.functions), {})
+        assert M.group_shape is None
+
+    def test_spec_selects_the_benchmark_structures(self, monkeypatch):
+        # perfbench/workloads.py counts the structures each command certifies
+        # with its own prime filter; a FamilySpec must select the same ones
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look the module up
+        spec.loader.exec_module(workloads)
+        families = [c.config["family"] for w in workloads.WORKLOADS for c in workloads.commands(w, 0, 2)]
+        assert families
+        for family in families:
+            assert FamilySpec(**family).parameters() == workloads.family_parameters(family), family

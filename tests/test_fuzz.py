@@ -2,7 +2,8 @@
 build, sequence and axioms in this process at one thread. Formula texts mix
 kernels, grid formulas, forall, -> and binders that shadow a free or an
 enclosing name. Every run ends with exit 0, 1 or 2; a traceback, or an
-exception out of main, fails the test."""
+exception out of main, fails the test. Configs whose family has a faulty
+shape end with exit 2 before any report, on a message that names the key."""
 
 import contextlib
 import io
@@ -65,6 +66,24 @@ def family(rng):
     return {"family": name, "lo": lo, "hi": lo + rng.randrange(1, 3)}
 
 
+# faults in a family's shape, each from a bound lo: half-given, missing or
+# empty ranges, values that are no list or an empty one, and a string or a
+# boolean among the values
+FAMILY_FAULTS = [
+    lambda lo: {"lo": lo},
+    lambda lo: {"hi": lo},
+    lambda lo: {},
+    lambda lo: {"lo": lo + 3, "hi": lo},
+    lambda lo: {"values": []},
+    lambda lo: {"values": lo},
+    lambda lo: {"values": str(lo)},
+    lambda lo: {"values": [lo, str(lo)]},
+    lambda lo: {"values": [lo, ""]},
+    lambda lo: {"values": [lo, True]},
+    lambda lo: {"values": [False, lo]},
+]
+
+
 def config(rng):
     """A config whose avoid formulas are a small formula, or one and-ed with
     a random text, and whose cover formulas are a large one, or one or-ed
@@ -108,6 +127,29 @@ def test_every_command_ends_with_an_exit_code(tmp_path, cfg):
             code = main(argv)
         assert code in (0, 1, 2), (command, cfg)
         assert "Traceback" not in err.getvalue(), (command, cfg)
+
+
+def bad_config(rng, fault):
+    """A config of the fuzz whose family has the given fault."""
+    cfg = config(rng)
+    return {**cfg, "family": {"family": cfg["family"]["family"], **fault(rng.randrange(1, 40))}}
+
+
+BAD_CASES = [bad_config(random.Random(SEED - 1 - i), FAMILY_FAULTS[i % len(FAMILY_FAULTS)]) for i in range(22)]
+
+
+@pytest.mark.parametrize("cfg", BAD_CASES, ids=[f"bad_family{i}" for i in range(len(BAD_CASES))])
+def test_bad_family_shape_is_refused_naming_its_key(tmp_path, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("profile", "build", "sequence", "axioms", "lovely-pair"):
+        argv = [command, "--config", str(path), "--out", str(tmp_path / command)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code == 2 and "Traceback" not in err.getvalue(), (command, cfg)
+        assert err.getvalue().startswith("error: ") and "family." in err.getvalue(), (command, cfg)
+        assert not (tmp_path / command).exists(), (command, cfg)
 
 
 def test_the_fuzz_reaches_each_family_and_each_construct():

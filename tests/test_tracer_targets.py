@@ -40,3 +40,22 @@ def test_cli_then_package_import_loads_every_traced_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     loaded = set(json.loads(out.stdout))
     assert [module for module, _, _ in tracer.TARGETS if f"hlab.{module}" not in loaded] == []
+
+
+def test_family_makers_are_the_tracers_to_swap(monkeypatch):
+    # tracer.install() replaces each _MAKERS entry by the module attribute of
+    # its name, and sees a structure only when enumerate_family builds
+    # through _MAKERS: one entry per family, each a module-level maker
+    finitemodels = importlib.import_module("hlab.finitemodels")
+    assert set(finitemodels._MAKERS) == set(finitemodels.FAMILIES)
+    for maker in finitemodels._MAKERS.values():
+        assert getattr(finitemodels, maker.__name__) is maker
+    built = []
+
+    def counting(value):
+        built.append(finitemodels.make_cyclic_group(value))
+        return built[-1]
+
+    monkeypatch.setitem(finitemodels._MAKERS, finitemodels.CYCLIC_GROUP, counting)
+    family = finitemodels.enumerate_family(finitemodels.FamilySpec(finitemodels.CYCLIC_GROUP, lo=3, hi=9))
+    assert len(family) == 7 and all(M is B for M, B in zip(family, built, strict=True))
