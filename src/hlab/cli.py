@@ -184,7 +184,7 @@ def _parse_formula_entry(raw, sig, place: str) -> ParamFormula:
             raise ExperimentConfigError(f"{place}: 'object' must be a string, got {object_var!r}")
         if params is not None and not (isinstance(params, list) and all(isinstance(v, str) for v in params)):
             raise ExperimentConfigError(f"{place}: 'params' must be a list of strings, got {params!r}")
-        text = raw["text"]
+        text = _typed(f"{place}.text", raw["text"], _is(str, "a string"))
         options = {"object_var": object_var, "params": None if params is None else tuple(params)}
     else:
         raise ExperimentConfigError(f"{place}: formula must be a string or an object")

@@ -7,10 +7,10 @@ the canonical linear order is index order. Binary operations are Operation
 objects that compute their values on demand, so nothing of size n^2 is
 stored; unary functions and relations are length-n arrays, checked
 exhaustively at construction like any table a caller passes explicitly.
-FAMILIES holds one row per family with every fact about it: its signature,
-its maker, which integers are its parameters, a member's universe size, and
-its additive group as an array shape (group_shape), over which hgreedy
-transforms its convolution coverage.
+FAMILIES holds one row per family with every fact about it but its maker:
+its signature, which integers are its parameters, a member's universe size,
+and its additive group as an array shape (group_shape), over which hgreedy
+transforms its convolution coverage. _MAKERS holds the one maker of each.
 """
 
 from __future__ import annotations
@@ -325,13 +325,12 @@ def make_f2_vector_space(dim: int) -> FiniteStructure:
 
 @dataclass(frozen=True)
 class Family:
-    """Every fact about one family: its members' signature and maker, the
+    """Every fact about one family but its maker: its members' signature, the
     least parameter, whether the parameters are the primes from it on or
     every integer from it on, the universe size of the member with parameter
     v, and a member's additive group shape, read from its params."""
 
     signature: Signature
-    make: Callable[[int], FiniteStructure]
     least: int
     primes: bool
     universe: Callable[[int], int]
@@ -342,24 +341,34 @@ class Family:
         return value >= self.least and (not self.primes or is_prime(value))
 
 
-# one row per family: Family(signature, maker, least, primes, universe, group_shape). An
+# one row per family: Family(signature, least, primes, universe, group_shape). An
 # extension element a + b*t has index a*p + b, the flat index of (a, b). An F2 index's bits
 # are its coordinates; its universe is 2**dim, since the config check evaluates it for any
 # dim up to 10**7, where a product over the dim-long shape would hang
 FAMILIES = {
-    PRIME_FIELD: Family(RING_SIGNATURE, make_prime_field, 2, True, lambda p: p, lambda m: (m["p"],)),
-    EXTENSION_FIELD: Family(EXTENSION_SIGNATURE, make_extension_field, 3, True, lambda p: p * p, lambda m: (m["p"],) * 2),
-    CYCLIC_GROUP: Family(GROUP_SIGNATURE, make_cyclic_group, 1, False, lambda n: n, lambda m: (m["n"],)),
-    F2_VECTOR_SPACE: Family(GROUP_SIGNATURE, make_f2_vector_space, 1, False, lambda dim: 2**dim, lambda m: (2,) * m["dim"]),
+    PRIME_FIELD: Family(RING_SIGNATURE, 2, True, lambda p: p, lambda m: (m["p"],)),
+    EXTENSION_FIELD: Family(EXTENSION_SIGNATURE, 3, True, lambda p: p * p, lambda m: (m["p"],) * 2),
+    CYCLIC_GROUP: Family(GROUP_SIGNATURE, 1, False, lambda n: n, lambda m: (m["n"],)),
+    F2_VECTOR_SPACE: Family(GROUP_SIGNATURE, 1, False, lambda dim: 2**dim, lambda m: (2,) * m["dim"]),
 }
-# enumerate_family builds through this dict, whose entries a tracer may swap
-_MAKERS = {tag: family.make for tag, family in FAMILIES.items()}
+# the one maker of each family: enumerate_family builds through this dict,
+# whose entries a tracer may swap
+_MAKERS = {
+    PRIME_FIELD: make_prime_field,
+    EXTENSION_FIELD: make_extension_field,
+    CYCLIC_GROUP: make_cyclic_group,
+    F2_VECTOR_SPACE: make_f2_vector_space,
+}
+
+
+def _row(family: str) -> Family:
+    if family not in FAMILIES:
+        raise SignatureMismatchError(f"unknown family {family!r}")
+    return FAMILIES[family]
 
 
 def signature_for_family(family: str) -> Signature:
-    if family not in FAMILIES:
-        raise SignatureMismatchError(f"unknown family {family!r}")
-    return FAMILIES[family].signature
+    return _row(family).signature
 
 
 @dataclass(frozen=True)
@@ -374,19 +383,18 @@ class FamilySpec:
     values: tuple[int, ...] | None = None
 
     def parameters(self) -> list[int]:
+        admits = _row(self.family).admits
         if self.values is not None:
             vals = sorted(set(int(v) for v in self.values))
         elif self.lo is not None and self.hi is not None:
             vals = range(int(self.lo), int(self.hi) + 1)
         else:
             raise EmptyFamilyError("family spec needs either values or a [lo, hi] interval")
-        return [v for v in vals if FAMILIES[self.family].admits(v)]
+        return [v for v in vals if admits(v)]
 
 
 def enumerate_family(spec: FamilySpec) -> list[FiniteStructure]:
     """Materialize the family in strictly increasing universe size."""
-    if spec.family not in _MAKERS:
-        raise SignatureMismatchError(f"unknown family {spec.family!r}")
     params = spec.parameters()
     if not params:
         raise EmptyFamilyError(f"size filter for {spec.family!r} matches nothing")

@@ -328,6 +328,8 @@ class TestLoadConfig:
                 "bad value in config: family.values[1] = 'x': expected an integer",
             ),
             ({"family": {"family": "prime-field", "values": 7}}, "bad value in config: family.values = 7: expected a list"),
+            ({"cover": [{"text": 5}]}, "bad value in config: cover[0].text = 5: expected a string"),
+            ({"avoid": [{"text": None, "params": []}]}, "bad value in config: avoid[0].text = None: expected a string"),
         ],
     )
     def test_bad_value_names_its_key(self, tmp_path, capsys, overrides, message):
@@ -382,7 +384,7 @@ _family = st.fixed_dictionaries(
 )
 _formulas = st.lists(
     st.sampled_from(["exists z. z*z = x - y", "x = z"])
-    | st.fixed_dictionaries({}, optional={"text": st.just("x = y"), "params": _junk})
+    | st.fixed_dictionaries({}, optional={"text": st.just("x = y") | _junk, "params": _junk})
     | _junk,
     max_size=2,
 ) | _junk
@@ -407,6 +409,16 @@ class TestConfigFuzz:
     @settings(max_examples=300)
     @given(_overrides, st.sampled_from(["profile", "build", "sequence", "axioms", "lovely-pair"]))
     def test_bad_config_is_exit_2_with_message(self, tmp_path_factory, overrides, command):
+        self.check(tmp_path_factory, overrides, command)
+
+    @settings(max_examples=100)
+    @given(_formulas, _formulas, st.sampled_from(["profile", "lovely-pair"]))
+    def test_bad_formula_entry_is_exit_2_with_message(self, tmp_path_factory, cover, avoid, command):
+        # the family stays valid, so every draw reaches the formula entries
+        self.check(tmp_path_factory, {"cover": cover, "avoid": avoid}, command)
+
+    @staticmethod
+    def check(tmp_path_factory, overrides, command):
         tmp_path = tmp_path_factory.mktemp("fuzz")
         path = write_config(tmp_path, **overrides)
         try:

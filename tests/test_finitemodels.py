@@ -378,6 +378,15 @@ class TestFamilyTable:
         M = FiniteStructure(gf7.sig, 7, "custom", {}, dict(gf7.functions), {})
         assert M.group_shape is None
 
+    @pytest.mark.parametrize(
+        "spec", [FamilySpec("octonions", values=(7,)), FamilySpec("octonions", lo=2, hi=9), FamilySpec("octonions")]
+    )
+    def test_unknown_tag_has_no_parameters(self, spec):
+        # the same refusal as signature_for_family's, before the range is read
+        for select in (spec.parameters, lambda: enumerate_family(spec)):
+            with pytest.raises(SignatureMismatchError, match="unknown family 'octonions'"):
+                select()
+
     def test_spec_selects_the_benchmark_structures(self, monkeypatch):
         # perfbench/workloads.py counts the structures each command certifies
         # with its own prime filter; a FamilySpec must select the same ones
